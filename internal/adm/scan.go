@@ -7,10 +7,9 @@ import (
 
 // This file provides byte-level access to encoded values: skipping, walking
 // record fields, and validating against a RecordType — all without
-// materializing Values. The frame-at-a-time storage write path uses these to
-// validate records and extract index keys straight from the serialized
-// bytes, avoiding the decode→re-encode round trip of record-at-a-time
-// insertion.
+// materializing Values. The storage write path uses these to validate
+// records and extract index keys straight from the serialized bytes,
+// avoiding a decode→re-encode round trip.
 
 // SkipValue returns the encoded length of the single value at the front of
 // buf, verifying that the encoding is structurally well-formed (no truncated

@@ -492,7 +492,7 @@ func (r *assignRuntime) Fail(err error) { r.out.Fail(err) }
 
 // ---------------------------------------------------------------------------
 // Store: the tail's final stage. Each instance is co-located with one
-// partition of the target dataset, inserting records into the primary index
+// partition of the target dataset, inserting frames into the primary index
 // and updating secondary indexes, with per-record soft-failure handling and
 // grouped at-least-once acks (§5.3.1, §5.6).
 
@@ -554,52 +554,42 @@ type storeRuntime struct {
 	replica     *storage.Partition
 	replicaNode *hyracks.NodeController
 	mf          *metaFeed
-	// frameRecs/frameAcks are per-task scratch for the frame-at-a-time fast
-	// path (one task goroutine drives NextFrame, so no locking).
-	frameRecs [][]byte
-	frameAcks []uint64
+	// Per-task scratch for the unwrapped frame, parallel by record (one task
+	// goroutine drives NextFrame, so no locking): payloads[i] carries
+	// tracking id ids[i], to be acked when ack[i].
+	payloads [][]byte
+	ids      []uint64
+	ack      []bool
+	acks     []uint64
 }
 
 func (r *storeRuntime) Open() error { return r.out.Open() }
 
-// storeFrame is the frame-at-a-time fast path: every record of the frame is
-// unwrapped and handed to Partition.InsertFrame as one batch per index —
-// single lock, single composite WAL record, group-committed fsync. The
-// onPersist observer needs decoded records, so connections with one
-// installed take the record path. ok=false means the frame was not stored
-// and the caller must fall back to the per-record guarded loop: InsertFrame
-// validates the whole frame before touching any tree, so a validation
-// failure leaves the partition untouched, and LSM puts are idempotent
-// upserts, so even an IO error mid-batch makes the record-path retry
-// converge to the same state.
-func (r *storeRuntime) storeFrame(f *hyracks.Frame) (ok bool, err error) {
-	conn := r.op.conn
-	recs := r.frameRecs[:0]
-	acks := r.frameAcks[:0]
-	for _, rec := range f.Records {
-		id, payload, tracked, err := unwrapRecord(rec)
-		if err != nil {
-			return false, err
-		}
-		recs = append(recs, payload)
-		if tracked {
-			acks = append(acks, id)
+// insert writes recs as one frame — one batch per index, one WAL record and
+// a group-committed fsync per tree — to the partition and, under synchronous
+// replication, to the replica partition (the in-process stand-in for a
+// replication RPC). A persist observer, when installed, then sees each
+// stored record decoded.
+func (r *storeRuntime) insert(recs [][]byte) error {
+	if err := r.part.InsertFrame(recs); err != nil {
+		return err
+	}
+	if r.replica != nil && r.replicaNode.Alive() {
+		if err := r.replica.InsertFrame(recs); err != nil {
+			return err
 		}
 	}
-	insertErr := r.part.InsertFrame(recs)
-	if insertErr == nil && r.replica != nil && r.replicaNode.Alive() {
-		insertErr = r.replica.InsertFrame(recs)
+	if obs := r.op.conn.onPersist.Load(); obs != nil {
+		for _, rec := range recs {
+			// InsertFrame validated rec as a record of the dataset's type.
+			if v, err := adm.DecodeOne(rec); err == nil {
+				if stored, ok := v.(*adm.Record); ok {
+					(*obs)(stored)
+				}
+			}
+		}
 	}
-	r.frameRecs = recs[:0]
-	r.frameAcks = acks[:0]
-	if insertErr != nil {
-		return false, nil
-	}
-	if len(recs) > 0 {
-		conn.Metrics.Persisted.Add(int64(len(recs)))
-	}
-	r.deliverAcks(acks)
-	return true, nil
+	return nil
 }
 
 // deliverAcks sends one grouped ack message for this frame (§5.6's windowed
@@ -620,94 +610,72 @@ func (r *storeRuntime) deliverAcks(acks []uint64) {
 	conn.tracker.ack(acks)
 }
 
+// NextFrame stores the frame. The whole frame is tried first; when that
+// fails, the same payloads are retried as frames of one record each under
+// the MetaFeed guard, which isolates the failing record (soft-failure
+// semantics, §5.3.1) instead of rejecting its neighbours. The retry is safe
+// after any failure: InsertFrame validates a frame before touching a tree,
+// so a data error leaves the partition untouched, and LSM puts are
+// idempotent upserts, so after an IO error mid-frame the retry converges to
+// the same state.
 func (r *storeRuntime) NextFrame(f *hyracks.Frame) error {
 	conn := r.op.conn
-	if conn.storeEnabled.Load() && conn.onPersist.Load() == nil {
-		if stored, err := r.storeFrame(f); err != nil {
-			return err
-		} else if stored {
-			return r.out.NextFrame(f)
-		}
-		// Fall through: per-record insertion isolates the failing record
-		// (soft-failure semantics) instead of rejecting the whole frame.
-	}
-	var acks []uint64
-	persisted := int64(0)
+	payloads, ids, ack := r.payloads[:0], r.ids[:0], r.ack[:0]
 	for _, rec := range f.Records {
 		id, payload, tracked, err := unwrapRecord(rec)
 		if err != nil {
 			return err
 		}
-		if !conn.storeEnabled.Load() {
-			// Disconnected-but-kept-alive: records flow for child feeds
-			// but are not persisted here. Ack so intake memory frees.
-			if tracked {
-				acks = append(acks, id)
-			}
-			continue
-		}
-		var inserted *adm.Record
-		var envErr error
-		skipped, fatal := r.mf.guard(payload, func() error {
-			v, err := adm.DecodeOne(payload)
-			if err != nil {
-				return err
-			}
-			recVal, ok := v.(*adm.Record)
-			if !ok {
-				return fmt.Errorf("store: value is %s, want record", v.Tag())
-			}
-			if err := r.part.Insert(recVal); err != nil {
-				if !storage.IsDataError(err) {
+		payloads, ids, ack = append(payloads, payload), append(ids, id), append(ack, tracked)
+	}
+	r.payloads, r.ids, r.ack = payloads, ids, ack
+
+	persisted := 0
+	switch {
+	case !conn.storeEnabled.Load():
+		// Disconnected-but-kept-alive: records flow for child feeds but are
+		// not persisted here. Ack so intake memory frees.
+	case r.insert(payloads) == nil:
+		persisted = len(payloads)
+	default:
+		for i, payload := range payloads {
+			var envErr error
+			skipped, fatal := r.mf.guard(payload, func() error {
+				err := r.insert(payloads[i : i+1])
+				if err != nil && !storage.IsDataError(err) {
 					envErr = err
 				}
 				return err
-			}
-			// Synchronous replication: mirror the insert to the replica
-			// partition (the in-process stand-in for a replication RPC).
-			if r.replica != nil && r.replicaNode.Alive() {
-				if err := r.replica.Insert(recVal); err != nil {
-					if !storage.IsDataError(err) {
-						envErr = err
-					}
-					return err
-				}
-			}
-			inserted = recVal
-			return nil
-		})
-		if fatal != nil {
-			return fatal
-		}
-		if skipped {
-			if envErr != nil {
+			})
+			switch {
+			case fatal != nil:
+				return fatal
+			case !skipped:
+				persisted++
+			case envErr != nil:
 				// Environmental failure (WAL write, fsync, replica IO): not
 				// the record's fault, so acking it as a soft failure would
 				// silently lose it. Leave it un-acked — the at-least-once
 				// sweeper replays it and the idempotent upsert converges.
 				conn.Metrics.StoreErrors.Add(1)
-				continue
+				ack[i] = false
+			default:
+				// A soft-failed record is still acknowledged: at-least-once
+				// covers loss, not unprocessable input.
+				conn.Metrics.SoftFailures.Add(1)
 			}
-			conn.Metrics.SoftFailures.Add(1)
-			// A soft-failed record is still acknowledged: at-least-once
-			// covers loss, not unprocessable input.
-			if tracked {
-				acks = append(acks, id)
-			}
-			continue
-		}
-		persisted++
-		if tracked {
-			acks = append(acks, id)
-		}
-		if obs := conn.onPersist.Load(); obs != nil && inserted != nil {
-			(*obs)(inserted)
 		}
 	}
 	if persisted > 0 {
-		conn.Metrics.Persisted.Add(persisted)
+		conn.Metrics.Persisted.Add(int64(persisted))
 	}
-	// Group this frame's acks into one message (§5.6's windowed encoding).
+	acks := r.acks[:0]
+	for i, id := range ids {
+		if ack[i] {
+			acks = append(acks, id)
+		}
+	}
+	r.acks = acks
 	r.deliverAcks(acks)
 	return r.out.NextFrame(f)
 }

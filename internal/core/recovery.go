@@ -74,7 +74,10 @@ func (m *Manager) handleNodeDeath(node string) {
 			}
 			// The §9.2.2 extension: promote in-sync replicas. The node
 			// hosting a lost partition's replica becomes "the preferred
-			// choice for being an immediate substitute".
+			// choice for being an immediate substitute". Promotion also
+			// copies the partition to its new replica, under m.mu like the
+			// rest of the protocol.
+			//feedlint:allow lockorder -- node-death recovery is serialized on m.mu, the replica copy's durable writes included
 			if err := m.promoteReplicasLocked(conn); err != nil {
 				m.failConnectionLocked(conn, fmt.Errorf("core: replica promotion failed: %w", err))
 				continue
@@ -301,32 +304,37 @@ func (m *Manager) resyncReplicaLocked(conn *Connection, ds *storage.Dataset, i i
 	return nil
 }
 
-// copyToReplica scans src into a freshly opened replica partition on dstSM.
-// The "resync:insert" fault point lets a harness interrupt the copy
+// copyToReplica scans src into a freshly opened replica partition on dstSM,
+// a frame of the feed's frame capacity at a time. The "resync:insert" fault
+// point, consulted once per record, lets a harness interrupt the copy
 // mid-stream.
 func (m *Manager) copyToReplica(src *storage.Partition, dstSM *storage.Manager, ds *storage.Dataset, i int) error {
 	dst, err := dstSM.OpenPartitionIdx(ds, i, true)
 	if err != nil {
 		return err
 	}
+	frame := make([][]byte, 0, m.opt.FrameCapacity)
 	var copyErr error
 	scanErr := src.Scan(func(rec *adm.Record) bool {
 		if m.opt.FaultHook != nil {
-			if err := m.opt.FaultHook("resync:insert"); err != nil {
-				copyErr = err
+			if copyErr = m.opt.FaultHook("resync:insert"); copyErr != nil {
 				return false
 			}
 		}
-		if err := dst.Insert(rec); err != nil {
-			copyErr = err
-			return false
+		frame = append(frame, adm.Encode(rec))
+		if len(frame) == cap(frame) {
+			copyErr = dst.InsertFrame(frame)
+			frame = frame[:0]
 		}
-		return true
+		return copyErr == nil
 	})
 	if copyErr != nil {
 		return copyErr
 	}
-	return scanErr
+	if scanErr != nil {
+		return scanErr
+	}
+	return dst.InsertFrame(frame)
 }
 
 // anyDeadLocked reports whether any listed node is currently down.

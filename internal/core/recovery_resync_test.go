@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"asterixfeeds/internal/adm"
 	"asterixfeeds/internal/lsm"
 	"asterixfeeds/internal/storage"
 )
@@ -19,10 +20,12 @@ func seedPartition(t *testing.T, h *harness, ds *storage.Dataset, node string, i
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		if err := p.Insert(tweet(i, idx, "seed")); err != nil {
-			t.Fatal(err)
-		}
+	recs := make([][]byte, n)
+	for i := range recs {
+		recs[i] = adm.Encode(tweet(i, idx, "seed"))
+	}
+	if err := p.InsertFrame(recs); err != nil {
+		t.Fatal(err)
 	}
 	return p
 }

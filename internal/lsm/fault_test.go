@@ -26,7 +26,7 @@ func hookOn(op string, nth int, inject error) FaultHook {
 // Put only — nothing reaches the WAL or memtable, and the tree keeps
 // working.
 func TestInjectedAppendErrorIsTransient(t *testing.T) {
-	tr, err := Open(Options{Dir: t.TempDir(), FaultHook: hookOn("wal.append", 2, ErrInjected)})
+	tr, err := Open(Options{Dir: t.TempDir(), FaultHook: hookOn("wal.appendBatch", 2, ErrInjected)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestTornBatchWedgesWALAndReplayDropsIt(t *testing.T) {
 	}
 }
 
-// TestTornSingleAppendRecovery mirrors the batch case for the single-record
-// append path.
+// TestTornSingleAppendRecovery mirrors the batch case for the one-op batch
+// a Put or Delete writes.
 func TestTornSingleAppendRecovery(t *testing.T) {
 	dir := t.TempDir()
-	tr, err := Open(Options{Dir: dir, FaultHook: hookOn("wal.append", 3, ErrTornWrite)})
+	tr, err := Open(Options{Dir: dir, FaultHook: hookOn("wal.appendBatch", 3, ErrTornWrite)})
 	if err != nil {
 		t.Fatal(err)
 	}

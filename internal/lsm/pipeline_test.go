@@ -478,8 +478,13 @@ func TestCrashDuringBackgroundFlushRecoversExactly(t *testing.T) {
 
 // TestWALSegmentLifecycle: rotation opens a fresh segment per memtable and
 // the flusher retires covered segments only after the run is durable, so a
-// fully drained tree keeps at most the active segment plus one pre-staged
-// spare, while the data lives on in runs and survives reopen.
+// fully drained tree keeps only its active segment, while the data lives on
+// in runs and survives reopen.
+//
+// Flush returns once the last run is published; the flusher deletes that
+// run's segments afterwards, off the lock. Close joins the flusher (and
+// drops the pre-staged spare), so the directory is inspected after Close —
+// a state the tree reaches by itself, not a race with a background goroutine.
 func TestWALSegmentLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	tr, err := Open(Options{Dir: dir, MemtableBytes: 1 << 10, MaxRuns: 64})
@@ -496,20 +501,19 @@ func TestWALSegmentLifecycle(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if len(segs) > 2 {
-		t.Fatalf("%d WAL segments after full flush, want at most active+staged: %v", len(segs), segs)
-	}
-	runs, _ := filepath.Glob(filepath.Join(dir, "run-*.lsm"))
-	if len(runs) == 0 {
-		t.Fatal("no runs on disk after flush")
-	}
-	s := tr.Stats()
-	if s.Immutables != 0 {
+	if s := tr.Stats(); s.Immutables != 0 {
 		t.Fatalf("Flush returned with %d immutables queued", s.Immutables)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if len(segs) > 1 {
+		t.Fatalf("%d WAL segments after full flush and close, want only the active one: %v", len(segs), segs)
+	}
+	runs, _ := filepath.Glob(filepath.Join(dir, "run-*.lsm"))
+	if len(runs) == 0 {
+		t.Fatal("no runs on disk after flush")
 	}
 
 	re, err := Open(Options{Dir: dir})

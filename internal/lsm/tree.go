@@ -495,75 +495,35 @@ func (t *Tree) waitState(ch <-chan struct{}) {
 	}
 }
 
-// Put inserts or replaces key with value.
+// Put inserts or replaces key with value: a batch of one. The batch owns
+// its slices, so the caller's key and value are copied.
 func (t *Tree) Put(key, value []byte) error {
-	return t.apply(walPut, key, value)
+	b := NewBatch(1)
+	b.Put(append([]byte(nil), key...), append([]byte(nil), value...))
+	return t.ApplyBatch(b)
 }
 
-// Delete removes key (by writing a tombstone).
+// Delete removes key (by writing a tombstone): a batch of one.
 func (t *Tree) Delete(key []byte) error {
-	return t.apply(walDelete, key, nil)
+	b := NewBatch(1)
+	b.Delete(append([]byte(nil), key...))
+	return t.ApplyBatch(b)
 }
 
-// apply is two-phase group commit: the WAL append and memtable update run
-// under the tree lock, the fsync that acknowledges durability runs after
-// it is released. A mutation may therefore be visible to readers before it
-// is durable — standard for group commit; the caller must not ack until
-// apply returns nil. The fsync targets the segment the record landed in
-// (captured under the lock): if that segment was already retired by a
-// background flush, the record is durable in a run file and the fsync
-// succeeds vacuously.
-func (t *Tree) apply(kind walRecordKind, key, value []byte) error {
-	w, syncDue, err := t.applyLocked(kind, key, value)
-	if err != nil {
-		return err
-	}
-	if syncDue {
-		return w.fsync()
-	}
-	return nil
-}
-
-// applyLocked admits the write (rotating or stalling per admitLocked),
-// appends to the WAL, and updates the memtable, reporting the segment the
-// record landed in and whether the caller owes the group-commit fsync once
-// the lock is released.
-func (t *Tree) applyLocked(kind walRecordKind, key, value []byte) (w *wal, syncDue bool, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	stalled := false
-	for {
-		ch, err := t.admitLocked(&stalled)
-		if err != nil {
-			return nil, false, err
-		}
-		if ch == nil {
-			break
-		}
-		t.mu.Unlock()
-		t.waitState(ch)
-		t.mu.Lock()
-	}
-	if err := t.wal.append(kind, key, value); err != nil {
-		return nil, false, err
-	}
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
-	t.mem.put(k, v, kind == walDelete)
-	syncDue, err = t.wal.flushDue()
-	if err != nil {
-		return nil, false, err
-	}
-	return t.wal, syncDue, nil
-}
-
-// ApplyBatch applies every operation in b under a single lock acquisition:
-// one composite WAL record (one CRC) followed by a sorted skiplist insertion
-// that reuses the predecessor search across adjacent keys. Per
-// Options.SyncWAL the batch owes at most one fsync — group commit — which
-// runs after the lock is released, so durability waits never stall readers.
-// Operations land in the memtable with the same last-writer-wins outcome as
-// applying them in order.
+// ApplyBatch is the tree's one write path. It applies every operation in b
+// under a single lock acquisition: one composite WAL record (one CRC)
+// followed by a sorted skiplist insertion that reuses the predecessor search
+// across adjacent keys. Operations land in the memtable with the same
+// last-writer-wins outcome as applying them in order.
+//
+// The commit is two-phase group commit: the WAL append and memtable update
+// run under the tree lock; the (at most one, per Options.SyncWAL) fsync that
+// acknowledges durability runs after it is released, so durability waits
+// never stall readers. A mutation may therefore be visible to readers before
+// it is durable — the caller must not ack until ApplyBatch returns nil. The
+// fsync targets the segment the record landed in (captured under the lock):
+// if a background flush already retired that segment, the record is durable
+// in a run file and the fsync succeeds vacuously.
 //
 // The tree takes ownership of the batch's key and value slices (see Batch);
 // the Batch itself may be Reset and reused once ApplyBatch returns.
@@ -581,8 +541,10 @@ func (t *Tree) ApplyBatch(b *Batch) error {
 	return nil
 }
 
-// applyBatchLocked is the under-lock half of ApplyBatch; like applyLocked
-// it leaves the group-commit fsync to the caller.
+// applyBatchLocked is the under-lock half of ApplyBatch: it admits the
+// write (rotating or stalling per admitLocked), appends to the WAL, and
+// updates the memtable, reporting the segment the record landed in and
+// whether the caller owes the group-commit fsync once the lock is released.
 func (t *Tree) applyBatchLocked(b *Batch) (w *wal, syncDue bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

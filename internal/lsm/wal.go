@@ -12,17 +12,18 @@ import (
 	"path/filepath"
 )
 
-// walRecordKind distinguishes WAL record types. The kind byte doubles as a
-// format version: replay dispatches on it, so old single-mutation records
-// and newer composite batch records coexist in one log.
+// walRecordKind tags a WAL record and, inside a batch, each of its ops.
 type walRecordKind byte
 
 const (
+	// walPut and walDelete are the op kinds inside a batch. Logs written
+	// before the batch format carry them as top-level records too; replay
+	// still reads those (as one-op batches), nothing writes them.
 	walPut walRecordKind = iota + 1
 	walDelete
-	// walBatch is a composite record: a whole frame of mutations under one
-	// CRC, written by appendBatch. Replay applies the contained mutations in
-	// order, or none of them when the record is torn or corrupt.
+	// walBatch is the one record kind appendBatch writes: N >= 1 mutations
+	// under one CRC. Replay applies the contained mutations in order, or
+	// none of them when the record is torn or corrupt.
 	walBatch
 )
 
@@ -41,9 +42,9 @@ type wal struct {
 	// retired, so replay knows exactly where durable history ends.
 	seq int
 	// syncEvery groups fsyncs: 0 disables syncing (tests), 1 syncs every
-	// append, n>1 syncs every n appends. A batch counts as a single append,
-	// so syncEvery=1 over batches is group commit: one deferred fsync per
-	// batch rather than one per record. The commit is two-phase: appends
+	// append, n>1 syncs every n appends. An append is one batch, so
+	// syncEvery=1 is group commit: one deferred fsync per batch rather
+	// than one per record. The commit is two-phase: appends
 	// and the threshold decision (flushDue) happen under the tree lock,
 	// the fsync itself (fsync) after it is released.
 	syncEvery int
@@ -112,59 +113,6 @@ func (w *wal) tearWrite(record []byte) error {
 		return err
 	}
 	return ErrTornWrite
-}
-
-// append writes one record:
-//
-//	crc32(le u32) kind(1) klen(uvarint) vlen(uvarint) key value
-func (w *wal) append(kind walRecordKind, key, value []byte) error {
-	if w.broken {
-		return ErrWALBroken
-	}
-	var hdr [1 + 2*binary.MaxVarintLen32]byte
-	hdr[0] = byte(kind)
-	n := 1
-	n += binary.PutUvarint(hdr[n:], uint64(len(key)))
-	n += binary.PutUvarint(hdr[n:], uint64(len(value)))
-
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:n])
-	crc.Write(key)
-	crc.Write(value)
-
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc.Sum32())
-	if w.fault != nil {
-		if err := w.fault("wal.append"); err != nil {
-			if errors.Is(err, ErrTornWrite) {
-				rec := make([]byte, 0, 4+n+len(key)+len(value))
-				rec = append(rec, crcBuf[:]...)
-				rec = append(rec, hdr[:n]...)
-				rec = append(rec, key...)
-				rec = append(rec, value...)
-				return w.tearWrite(rec)
-			}
-			return err
-		}
-	}
-	if _, err := w.w.Write(crcBuf[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(key); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(value); err != nil {
-		return err
-	}
-	if w.metrics != nil {
-		w.metrics.WALAppends.Add(1)
-		w.metrics.WALBytes.Add(int64(4 + n + len(key) + len(value)))
-	}
-	w.pending++
-	return nil
 }
 
 // appendBatch writes every op as one composite record:
@@ -354,11 +302,11 @@ func (t *teeByteReader) readMutation() (key, value []byte, ok bool) {
 }
 
 // replayWAL reads records from the WAL at path, invoking fn for each valid
-// mutation in log order. Single-mutation records (walPut/walDelete) and
-// composite batch records (walBatch) may be interleaved; a batch replays
-// atomically — all of its mutations or, when torn or corrupt, none. A torn
-// or corrupt tail terminates replay without error, matching standard WAL
-// semantics.
+// mutation in log order. A record replays atomically — all of its mutations
+// or, when torn or corrupt, none. A top-level walPut/walDelete record (the
+// pre-batch format of an earlier build's log) is a batch of one whose kind
+// byte is its op kind. A torn or corrupt tail terminates replay without
+// error, matching standard WAL semantics.
 func replayWAL(path string, fn func(kind walRecordKind, key, value []byte) error) error {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -369,6 +317,7 @@ func replayWAL(path string, fn func(kind walRecordKind, key, value []byte) error
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<16)
+	var muts []batchOp
 	for {
 		var crcBuf [4]byte
 		if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
@@ -381,54 +330,38 @@ func replayWAL(path string, fn func(kind walRecordKind, key, value []byte) error
 		if err != nil {
 			return nil
 		}
-		switch walRecordKind(kindB) {
-		case walPut, walDelete:
+		count := uint64(1)
+		if walRecordKind(kindB) == walBatch {
+			if count, err = binary.ReadUvarint(tee); err != nil || count > 1<<24 {
+				return nil
+			}
+		}
+		muts = muts[:0]
+		for i := uint64(0); i < count; i++ {
+			opB := kindB
+			if walRecordKind(kindB) == walBatch {
+				if opB, err = tee.ReadByte(); err != nil {
+					return nil
+				}
+			}
+			if walRecordKind(opB) != walPut && walRecordKind(opB) != walDelete {
+				return nil // unknown kind: corrupt tail
+			}
 			key, value, ok := tee.readMutation()
 			if !ok {
 				return nil
 			}
-			if tee.crc.Sum32() != wantCRC {
-				return nil // corrupt record: stop replay here
-			}
-			if err := fn(walRecordKind(kindB), key, value); err != nil {
+			muts = append(muts, batchOp{walRecordKind(opB), key, value})
+		}
+		// A torn or corrupt record is dropped as a unit: no partial
+		// application of a group commit.
+		if tee.crc.Sum32() != wantCRC {
+			return nil
+		}
+		for _, m := range muts {
+			if err := fn(m.kind, m.key, m.value); err != nil {
 				return err
 			}
-		case walBatch:
-			count, err := binary.ReadUvarint(tee)
-			if err != nil || count > 1<<24 {
-				return nil
-			}
-			type mutation struct {
-				kind       walRecordKind
-				key, value []byte
-			}
-			muts := make([]mutation, 0, count)
-			torn := false
-			for i := uint64(0); i < count; i++ {
-				opB, err := tee.ReadByte()
-				if err != nil || (walRecordKind(opB) != walPut && walRecordKind(opB) != walDelete) {
-					torn = true
-					break
-				}
-				key, value, ok := tee.readMutation()
-				if !ok {
-					torn = true
-					break
-				}
-				muts = append(muts, mutation{walRecordKind(opB), key, value})
-			}
-			// A torn or corrupt batch is dropped as a unit: no partial
-			// application of a group commit.
-			if torn || tee.crc.Sum32() != wantCRC {
-				return nil
-			}
-			for _, m := range muts {
-				if err := fn(m.kind, m.key, m.value); err != nil {
-					return err
-				}
-			}
-		default:
-			return nil // unknown kind: corrupt tail
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package lsm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -108,9 +110,9 @@ func TestWALBatchRecovery(t *testing.T) {
 }
 
 // TestWALBatchTornTailAtomic truncates the WAL at every byte offset inside a
-// batch record and verifies recovery drops the batch as a unit — the record
-// before it always survives, and no partial prefix of the batch ever
-// applies.
+// one-op batch (the shape every Put writes) followed by a multi-op batch, and
+// verifies recovery drops each torn record as a unit — records before the
+// cut always survive, and no partial prefix of a batch ever applies.
 func TestWALBatchTornTailAtomic(t *testing.T) {
 	dir := t.TempDir()
 	tr, err := Open(Options{Dir: dir})
@@ -123,8 +125,8 @@ func TestWALBatchTornTailAtomic(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// "pre" lives in the first segment; the batch will land at offset 0 of
-	// the fresh segment the reopen creates.
+	// "pre" lives in the first segment; the swept records will land at
+	// offset 0 of the fresh segment the reopen creates.
 	preSeg := newestSeg(t, dir)
 	preBytes, err := os.ReadFile(preSeg)
 	if err != nil {
@@ -134,6 +136,28 @@ func TestWALBatchTornTailAtomic(t *testing.T) {
 	tr, err = Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := tr.Put([]byte("single"), []byte("s")); err != nil {
+		t.Fatal(err)
+	}
+	// The one-op batch ends where the buffered writer stands now.
+	tr.mu.Lock()
+	err = tr.wal.w.Flush()
+	tr.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchSeg := newestSeg(t, dir)
+	if batchSeg == preSeg {
+		t.Fatalf("reopen did not rotate to a new segment (still %s)", preSeg)
+	}
+	fi, err := os.Stat(batchSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	singleEnd := int(fi.Size())
+	if singleEnd == 0 {
+		t.Fatal("one-op batch added no bytes")
 	}
 	b := NewBatch(3)
 	b.Put([]byte("batch-a"), []byte("aa"))
@@ -145,15 +169,11 @@ func TestWALBatchTornTailAtomic(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	batchSeg := newestSeg(t, dir)
-	if batchSeg == preSeg {
-		t.Fatalf("reopen did not rotate to a new segment (still %s)", preSeg)
-	}
 	full, err := os.ReadFile(batchSeg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full) == 0 {
+	if len(full) <= singleEnd {
 		t.Fatal("batch record added no bytes")
 	}
 
@@ -172,6 +192,9 @@ func TestWALBatchTornTailAtomic(t *testing.T) {
 		if v, ok, _ := re.Get([]byte("pre")); !ok || string(v) != "1" {
 			t.Fatalf("cut %d: record before torn batch lost (got %q, %v)", cut, v, ok)
 		}
+		if _, ok, _ := re.Get([]byte("single")); ok != (cut >= singleEnd) {
+			t.Fatalf("cut %d: one-op batch (ends at %d) present=%v", cut, singleEnd, ok)
+		}
 		for _, k := range []string{"batch-a", "batch-b"} {
 			if _, ok, _ := re.Get([]byte(k)); ok {
 				t.Fatalf("cut %d: torn batch partially applied (%s present)", cut, k)
@@ -180,7 +203,7 @@ func TestWALBatchTornTailAtomic(t *testing.T) {
 		re.Close()
 	}
 
-	// The intact file replays the batch in full, including the delete.
+	// The intact file replays both records in full, including the delete.
 	re, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +212,7 @@ func TestWALBatchTornTailAtomic(t *testing.T) {
 	if _, ok, _ := re.Get([]byte("pre")); ok {
 		t.Fatal("batch delete of pre not replayed")
 	}
-	for k, want := range map[string]string{"batch-a": "aa", "batch-b": "bb"} {
+	for k, want := range map[string]string{"single": "s", "batch-a": "aa", "batch-b": "bb"} {
 		if v, ok, _ := re.Get([]byte(k)); !ok || string(v) != want {
 			t.Fatalf("intact replay Get(%s) = %q, %v", k, v, ok)
 		}
@@ -238,56 +261,89 @@ func TestWALBatchCorruptCRCDropped(t *testing.T) {
 	}
 }
 
-// TestWALMixedRecordKindsReplayInOrder interleaves old single-mutation
-// records with composite batch records and verifies recovery applies them in
-// log order (last writer wins across kinds).
+// legacyWALRecord encodes a top-level single-mutation record the way builds
+// before the batch-only writer did:
+//
+//	crc32(le u32) kind(1) klen(uvarint) vlen(uvarint) key value
+//
+// Nothing in the package writes this shape anymore; replay must still read
+// it from a data directory an earlier build left behind.
+func legacyWALRecord(kind walRecordKind, key, value []byte) []byte {
+	body := []byte{byte(kind)}
+	body = binary.AppendUvarint(body, uint64(len(key)))
+	body = binary.AppendUvarint(body, uint64(len(value)))
+	body = append(append(body, key...), value...)
+	return append(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(body)), body...)
+}
+
+// TestWALMixedRecordKindsReplayInOrder hand-builds a segment that interleaves
+// legacy top-level walPut/walDelete records with composite batch records —
+// the tail an earlier build's Put/Delete/ApplyBatch mix left — and verifies
+// recovery applies them in log order (last writer wins across kinds), and
+// that a torn legacy record at the tail is dropped like any torn record.
 func TestWALMixedRecordKindsReplayInOrder(t *testing.T) {
 	dir := t.TempDir()
-	tr, err := Open(Options{Dir: dir})
+	w, err := openWAL(filepath.Join(dir, "wal-000001.log"), 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1. old-kind put
-	tr.Put([]byte("a"), []byte("old"))
-	tr.Put([]byte("gone"), []byte("x"))
+	legacy := func(kind walRecordKind, key, value string) {
+		t.Helper()
+		if _, err := w.w.Write(legacyWALRecord(kind, []byte(key), []byte(value))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := func(ops ...batchOp) {
+		t.Helper()
+		if err := w.appendBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 1. legacy puts
+	legacy(walPut, "a", "old")
+	legacy(walPut, "gone", "x")
 	// 2. batch overwrites a, creates b
-	b1 := NewBatch(2)
-	b1.Put([]byte("a"), []byte("batched"))
-	b1.Put([]byte("b"), []byte("1"))
-	if err := tr.ApplyBatch(b1); err != nil {
+	batch(batchOp{walPut, []byte("a"), []byte("batched")}, batchOp{walPut, []byte("b"), []byte("1")})
+	// 3. legacy delete between batches
+	legacy(walDelete, "gone", "")
+	// 4. second batch overwrites b, deletes a
+	batch(batchOp{walPut, []byte("b"), []byte("2")}, batchOp{kind: walDelete, key: []byte("a")})
+	// 5. legacy put after the last batch, then a torn legacy record
+	legacy(walPut, "c", "3")
+	torn := legacyWALRecord(walPut, []byte("torn"), []byte("never"))
+	if _, err := w.w.Write(torn[:len(torn)-2]); err != nil {
 		t.Fatal(err)
 	}
-	// 3. old-kind delete between batches
-	tr.Delete([]byte("gone"))
-	// 4. second batch overwrites b, resurrects nothing
-	b2 := NewBatch(2)
-	b2.Put([]byte("b"), []byte("2"))
-	b2.Delete([]byte("a"))
-	if err := tr.ApplyBatch(b2); err != nil {
+	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	// Crash without flushing the memtable.
-	tr.mu.Lock()
-	tr.wal.w.Flush()
-	tr.wal.f.Close()
-	tr.mu.Unlock()
 
-	re, err := Open(Options{Dir: dir})
+	m := &Metrics{}
+	re, err := Open(Options{Dir: dir, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	if got := m.RecoveryReplayed.Value(); got != 8 {
+		t.Fatalf("replayed %d mutations, want 8 (3 legacy puts + 1 legacy delete + 4 batched)", got)
+	}
 	if _, ok, _ := re.Get([]byte("a")); ok {
-		t.Fatal("batch delete after old-kind put not replayed in order")
+		t.Fatal("batch delete after legacy put not replayed in order")
 	}
 	if _, ok, _ := re.Get([]byte("gone")); ok {
-		t.Fatal("old-kind delete between batches not replayed in order")
+		t.Fatal("legacy delete between batches not replayed in order")
 	}
 	if v, ok, _ := re.Get([]byte("b")); !ok || string(v) != "2" {
 		t.Fatalf("Get(b) = %q, %v; want later batch to win", v, ok)
 	}
-	if n, _ := re.Len(); n != 1 {
-		t.Fatalf("recovered Len = %d, want 1", n)
+	if v, ok, _ := re.Get([]byte("c")); !ok || string(v) != "3" {
+		t.Fatalf("Get(c) = %q, %v; legacy put after the last batch lost", v, ok)
+	}
+	if _, ok, _ := re.Get([]byte("torn")); ok {
+		t.Fatal("torn legacy record applied")
+	}
+	if n, _ := re.Len(); n != 2 {
+		t.Fatalf("recovered Len = %d, want 2", n)
 	}
 }
 

@@ -26,7 +26,7 @@ func TestDataErrorClassification(t *testing.T) {
 	ds := testDataset()
 	fire := false
 	m := NewManager("A", t.TempDir(), lsm.Options{FaultHook: func(op string) error {
-		if fire && strings.HasSuffix(op, "wal.append") {
+		if fire && strings.HasSuffix(op, "wal.appendBatch") {
 			return lsm.ErrInjected
 		}
 		return nil
@@ -38,24 +38,21 @@ func TestDataErrorClassification(t *testing.T) {
 	}
 
 	bad := (&adm.RecordBuilder{}).Add("id", adm.String("x")).MustBuild()
-	if err := p.Insert(bad); !IsDataError(err) {
+	if err := p.InsertFrame(encodeFrame(bad)); !IsDataError(err) {
 		t.Fatalf("validation failure = %v, want DataError", err)
-	}
-	if err := p.InsertFrame([][]byte{adm.Encode(bad)}); !IsDataError(err) {
-		t.Fatalf("frame validation failure = %v, want DataError", err)
 	}
 
 	fire = true
-	if err := p.Insert(tweetRec("t1", "u", nil)); err == nil || IsDataError(err) {
+	if err := p.InsertFrame(encodeFrame(tweetRec("t1", "u", nil))); err == nil || IsDataError(err) {
 		t.Fatalf("injected WAL failure = %v, want non-data error", err)
 	}
 }
 
-// TestInsertFrameFaultFallbackNoLossNoPhantoms is the PR 2 fast-path
-// failure test: a frame whose batched insert dies on an environmental
-// fault is retried record-at-a-time (exactly what storeRuntime's guarded
-// fallback does), and the partition ends with every record exactly once —
-// none lost, none phantom, secondaries consistent.
+// TestInsertFrameFaultFallbackNoLossNoPhantoms: a frame whose batched
+// insert dies on an environmental fault is retried as frames of one record
+// each (exactly what storeRuntime's guarded fallback does), and the
+// partition ends with every record exactly once — none lost, none phantom,
+// secondaries consistent.
 func TestInsertFrameFaultFallbackNoLossNoPhantoms(t *testing.T) {
 	ds := testDataset()
 	armed := false
@@ -86,9 +83,9 @@ func TestInsertFrameFaultFallbackNoLossNoPhantoms(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fault fired %d times, want 1", fired)
 	}
-	// The guarded fallback: per-record retry of the same frame.
-	for _, rec := range frame {
-		if err := p.InsertEncoded(rec); err != nil {
+	// The guarded fallback: the same frame, one record per frame.
+	for i := range frame {
+		if err := p.InsertFrame(frame[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,9 +239,7 @@ func TestRemovePartitionIdx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert(tweetRec("t1", "u", nil)); err != nil {
-		t.Fatal(err)
-	}
+	insertRecs(t, p, tweetRec("t1", "u", nil))
 	if err := m.RemovePartitionIdx(ds, 0, true); err != nil {
 		t.Fatal(err)
 	}

@@ -17,71 +17,6 @@ func encodeFrame(recs ...*adm.Record) [][]byte {
 	return out
 }
 
-// TestInsertFrameMatchesInsert inserts the same records record-at-a-time
-// into one partition and frame-at-a-time into another, then verifies both
-// answer identically through every read path.
-func TestInsertFrameMatchesInsert(t *testing.T) {
-	recs := make([]*adm.Record, 0, 40)
-	for i := 0; i < 40; i++ {
-		var pt *adm.Point
-		if i%3 != 0 { // leave some records without the optional indexed field
-			pt = &adm.Point{X: float64(i % 7), Y: float64(i % 5)}
-		}
-		recs = append(recs, tweetRec(fmt.Sprintf("t%03d", i), fmt.Sprintf("user%d", i%4), pt))
-	}
-
-	recordWise := openTestPartition(t, testDataset())
-	frameWise := openTestPartition(t, testDataset())
-	for _, r := range recs {
-		if err := recordWise.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := frameWise.InsertFrame(encodeFrame(recs...)); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, p := range []*Partition{recordWise, frameWise} {
-		n, err := p.Count()
-		if err != nil || n != len(recs) {
-			t.Fatalf("Count = %d, %v; want %d", n, err, len(recs))
-		}
-	}
-	for _, r := range recs {
-		id, _ := r.Field("id")
-		a, okA, _ := recordWise.Lookup([]adm.Value{id})
-		b, okB, _ := frameWise.Lookup([]adm.Value{id})
-		if okA != okB || !adm.Equal(a, b) {
-			t.Fatalf("Lookup(%s) diverges: record-wise %v/%s, frame-wise %v/%s", id, okA, a, okB, b)
-		}
-	}
-	for u := 0; u < 4; u++ {
-		a, err := recordWise.SearchBTree("userIdx", adm.String(fmt.Sprintf("user%d", u)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := frameWise.SearchBTree("userIdx", adm.String(fmt.Sprintf("user%d", u)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("SearchBTree(user%d) diverges: %d vs %d results", u, len(a), len(b))
-		}
-	}
-	rect := adm.Rectangle{Low: adm.Point{X: 0, Y: 0}, High: adm.Point{X: 3, Y: 3}}
-	a, err := recordWise.SearchRTree("locationIndex", rect)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := frameWise.SearchRTree("locationIndex", rect)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("SearchRTree diverges: %d vs %d results", len(a), len(b))
-	}
-}
-
 // TestInsertFrameReplacesStored verifies a frame replacing previously stored
 // records unhooks their old secondary index entries.
 func TestInsertFrameReplacesStored(t *testing.T) {
@@ -109,7 +44,7 @@ func TestInsertFrameReplacesStored(t *testing.T) {
 
 // TestInsertFrameInFrameDuplicate verifies that when one frame carries two
 // records with the same primary key, the later record wins and the earlier
-// one leaves no secondary index residue — exactly as two sequential Inserts.
+// one leaves no secondary index residue — exactly as two one-record frames.
 func TestInsertFrameInFrameDuplicate(t *testing.T) {
 	p := openTestPartition(t, testDataset())
 	err := p.InsertFrame(encodeFrame(
@@ -147,9 +82,7 @@ func TestInsertFrameInFrameDuplicate(t *testing.T) {
 // whole frame before the first tree write.
 func TestInsertFrameValidationAtomic(t *testing.T) {
 	p := openTestPartition(t, testDataset())
-	if err := p.Insert(tweetRec("kept", "alice", nil)); err != nil {
-		t.Fatal(err)
-	}
+	insertRecs(t, p, tweetRec("kept", "alice", nil))
 	bad := (&adm.RecordBuilder{}).Add("id", adm.String("bad")).MustBuild() // missing required fields
 	err := p.InsertFrame([][]byte{
 		adm.Encode(tweetRec("g1", "bob", nil)),

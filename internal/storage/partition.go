@@ -62,14 +62,20 @@ func (fs *frameScratch) release() {
 	for k := range fs.pending {
 		delete(fs.pending, k)
 	}
-	if fs.prim != nil {
-		fs.prim.Reset()
-	}
+	fs.prim.Reset()
 	for _, b := range fs.sec {
-		if b != nil {
-			b.Reset()
-		}
+		b.Reset()
 	}
+}
+
+// scan loads fields with the top-level fields of the encoded record rec.
+func (fs *frameScratch) scan(rec []byte) error {
+	fs.fields = fs.fields[:0]
+	_, err := adm.ScanRecordFields(rec, func(name, enc []byte) bool {
+		fs.fields = append(fs.fields, encFieldRef{name: name, enc: enc})
+		return true
+	})
+	return err
 }
 
 // openPartition opens (creating if needed) partition idx of ds under dir.
@@ -78,6 +84,10 @@ func (fs *frameScratch) release() {
 // fault-injection harness can target one tree of one partition.
 func openPartition(ds *Dataset, idx int, dir string, lsmOpt lsm.Options) (*Partition, error) {
 	p := &Partition{ds: ds, idx: idx, secondaries: make(map[string]*lsm.Tree)}
+	p.frame = frameScratch{pending: make(map[string]int), prim: lsm.NewBatch(0)}
+	for range ds.Indexes {
+		p.frame.sec = append(p.frame.sec, lsm.NewBatch(0))
+	}
 	label := filepath.Base(dir)
 	// The primary and every secondary tree recover independently (separate
 	// directories, separate WALs), so open them concurrently: a partition's
@@ -135,87 +145,17 @@ func (p *Partition) Index() int { return p.idx }
 // Dataset returns the partition's dataset declaration.
 func (p *Partition) Dataset() *Dataset { return p.ds }
 
-// Insert validates rec against the dataset type, writes it to the primary
-// index, and updates every secondary index. The write is atomic at record
-// level: the primary WAL entry precedes index maintenance.
-func (p *Partition) Insert(rec *adm.Record) error {
-	return p.insertRecord(rec, adm.Encode(rec))
-}
-
-// InsertEncoded inserts a serialized record. The record is decoded for
-// validation and key extraction, but the original bytes are stored as-is —
-// no re-encode round trip.
-func (p *Partition) InsertEncoded(rec []byte) error {
-	v, err := adm.DecodeOne(rec)
-	if err != nil {
-		return dataErr(err)
-	}
-	r, ok := v.(*adm.Record)
-	if !ok {
-		return dataErr(fmt.Errorf("storage: encoded value is %s, want record", v.Tag()))
-	}
-	return p.insertRecord(r, rec)
-}
-
-// insertRecord is the shared record-at-a-time write path: val must be the
-// serialized form of rec and is stored without copying.
-func (p *Partition) insertRecord(rec *adm.Record, val []byte) error {
-	if err := p.ds.Type.Validate(rec); err != nil {
-		return dataErr(err)
-	}
-	pk, err := p.ds.PrimaryKeyOf(rec)
-	if err != nil {
-		return dataErr(err)
-	}
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return fmt.Errorf("storage: partition closed")
-	}
-	// Replacing an existing record must first unhook its old secondary
-	// entries.
-	if old, ok, err := p.primary.Get(pk); err != nil {
-		return err
-	} else if ok {
-		// p.mu spans the durable deletes and the re-insert below: a record's
-		// primary and secondary entries must change atomically, so the
-		// partition accepts stalling on the trees' fsyncs.
-		//feedlint:allow lockorder -- record-level atomicity across primary and secondaries requires p.mu over durable writes
-		if err := p.removeSecondariesLocked(pk, old); err != nil {
-			return err
-		}
-	}
-	if err := p.primary.Put(pk, val); err != nil {
-		return err
-	}
-	for _, ix := range p.ds.Indexes {
-		skey, ok, err := secondaryKey(ix, rec, pk)
-		if err != nil {
-			return dataErr(err)
-		}
-		if !ok {
-			continue // absent optional field: not indexed
-		}
-		if err := p.secondaries[ix.Name].Put(skey, pk); err != nil {
-			return err
-		}
-	}
-	p.inserted++
-	return nil
-}
-
-// InsertFrame inserts a whole frame of serialized records as one batched
-// write per index: every record is validated and keyed straight from its
-// bytes (no decode, no re-encode), then the primary tree and each secondary
-// tree receive a single lsm.Batch — one lock acquisition, one composite WAL
-// record, and at most one fsync per tree for the entire frame (group
-// commit).
+// InsertFrame is the partition's one write path: a frame of N >= 1
+// serialized records becomes one batched write per index. Every record is
+// validated and keyed straight from its bytes (no decode, no re-encode),
+// then the primary tree and each secondary tree receive a single lsm.Batch —
+// one lock acquisition, one WAL record, and at most one fsync per tree for
+// the entire frame (group commit).
 //
 // Validation and key extraction complete for the whole frame before any
 // tree is touched, so a validation error leaves the partition unmodified.
 // Within a frame, a later record with the same primary key replaces an
-// earlier one, exactly as two sequential Inserts would. The partition
+// earlier one, exactly as two one-record frames would. The partition
 // retains the record byte slices; callers recycling frame buffers must not
 // reuse the record bytes afterwards (see hyracks.PutFrame).
 func (p *Partition) InsertFrame(recs [][]byte) error {
@@ -238,11 +178,7 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 		if err := p.ds.Type.ValidateEncoded(rec); err != nil {
 			return dataErr(err)
 		}
-		fs.fields = fs.fields[:0]
-		if _, err := adm.ScanRecordFields(rec, func(name, enc []byte) bool {
-			fs.fields = append(fs.fields, encFieldRef{name: name, enc: enc})
-			return true
-		}); err != nil {
+		if err := fs.scan(rec); err != nil {
 			return dataErr(err)
 		}
 		pk, err := primaryKeyFromFields(p.ds, fs.fields)
@@ -263,13 +199,6 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 	}
 
 	// Phase B: build one batch per tree and apply them.
-	if fs.prim == nil {
-		fs.prim = lsm.NewBatch(len(recs))
-		fs.pending = make(map[string]int, len(recs))
-	}
-	for len(fs.sec) < nIdx {
-		fs.sec = append(fs.sec, lsm.NewBatch(len(recs)))
-	}
 	for i, rec := range recs {
 		pk := fs.pks[i]
 		if prev, dup := fs.pending[string(pk)]; dup {
@@ -284,23 +213,8 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 		} else if old, found, err := p.primary.Get(pk); err != nil {
 			return err
 		} else if found {
-			// Replacing a stored record: unhook its old secondary entries.
-			v, err := adm.DecodeOne(old)
-			if err != nil {
+			if err := p.unhookStored(fs, pk, old); err != nil {
 				return err
-			}
-			oldRec, ok := v.(*adm.Record)
-			if !ok {
-				return fmt.Errorf("storage: stored value is not a record")
-			}
-			for j, ix := range p.ds.Indexes {
-				skey, present, err := secondaryKey(ix, oldRec, pk)
-				if err != nil {
-					return err
-				}
-				if present {
-					fs.sec[j].Delete(skey)
-				}
 			}
 		}
 		fs.pending[string(pk)] = i
@@ -311,15 +225,47 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 			}
 		}
 	}
+	// p.mu spans every tree's group-commit fsync: a record's primary and
+	// secondary entries must change atomically with respect to readers and
+	// other frames, so the partition accepts stalling on the trees' disks.
+	//feedlint:allow lockorder -- frame-level atomicity across primary and secondaries requires p.mu over durable writes
 	if err := p.primary.ApplyBatch(fs.prim); err != nil {
 		return err
 	}
+	if err := p.applySecondaries(fs); err != nil {
+		return err
+	}
+	p.inserted += int64(len(recs))
+	return nil
+}
+
+// unhookStored queues, in the frame's per-index batches, the removal of the
+// secondary entries that stored — the encoded record currently under pk —
+// put there. The keys are re-derived from the stored bytes the same way
+// InsertFrame derived them when it wrote the record.
+func (p *Partition) unhookStored(fs *frameScratch, pk, stored []byte) error {
+	if err := fs.scan(stored); err != nil {
+		return err
+	}
+	for j, ix := range p.ds.Indexes {
+		skey, present, err := secondaryKeyEncoded(ix, findField(fs.fields, ix.Field), pk)
+		if err != nil {
+			return err
+		}
+		if present {
+			fs.sec[j].Delete(skey)
+		}
+	}
+	return nil
+}
+
+// applySecondaries writes the frame's batch to each secondary tree.
+func (p *Partition) applySecondaries(fs *frameScratch) error {
 	for j, ix := range p.ds.Indexes {
 		if err := p.secondaries[ix.Name].ApplyBatch(fs.sec[j]); err != nil {
 			return err
 		}
 	}
-	p.inserted += int64(len(recs))
 	return nil
 }
 
@@ -387,7 +333,10 @@ func secondaryKeyEncoded(ix IndexDecl, encField, pk []byte) (key []byte, ok bool
 	return append(key, pk...), true, nil
 }
 
-// Delete removes the record with the given primary key fields.
+// Delete removes the record with the given primary key fields: like a
+// frame, one batch (one WAL record) per tree under one hold of p.mu. The
+// secondary entries go first, so a Delete that failed midway still finds
+// the record, and finishes, when retried.
 func (p *Partition) Delete(pkValues []adm.Value) error {
 	if len(pkValues) != len(p.ds.PrimaryKey) {
 		return fmt.Errorf("storage: %d key values for %d-field primary key", len(pkValues), len(p.ds.PrimaryKey))
@@ -402,43 +351,19 @@ func (p *Partition) Delete(pkValues []adm.Value) error {
 		return fmt.Errorf("storage: partition closed")
 	}
 	old, ok, err := p.primary.Get(pk)
-	if err != nil {
+	if err != nil || !ok {
 		return err
 	}
-	if !ok {
-		return nil
-	}
-	if err := p.removeSecondariesLocked(pk, old); err != nil {
+	fs := &p.frame
+	defer fs.release()
+	if err := p.unhookStored(fs, pk, old); err != nil {
 		return err
 	}
-	if err := p.primary.Delete(pk); err != nil {
+	if err := p.applySecondaries(fs); err != nil {
 		return err
 	}
-	return nil
-}
-
-func (p *Partition) removeSecondariesLocked(pk, encodedOld []byte) error {
-	v, err := adm.DecodeOne(encodedOld)
-	if err != nil {
-		return err
-	}
-	old, ok := v.(*adm.Record)
-	if !ok {
-		return fmt.Errorf("storage: stored value is not a record")
-	}
-	for _, ix := range p.ds.Indexes {
-		skey, present, err := secondaryKey(ix, old, pk)
-		if err != nil {
-			return err
-		}
-		if !present {
-			continue
-		}
-		if err := p.secondaries[ix.Name].Delete(skey); err != nil {
-			return err
-		}
-	}
-	return nil
+	fs.prim.Delete(pk)
+	return p.primary.ApplyBatch(fs.prim)
 }
 
 // Lookup returns the record with the given primary key fields.
@@ -456,15 +381,22 @@ func (p *Partition) Lookup(pkValues []adm.Value) (*adm.Record, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
+	rec, err := decodeStored(val)
+	return rec, err == nil, err
+}
+
+// decodeStored decodes a value read from the primary tree, which must be a
+// record: anything else is corruption, reported rather than asserted.
+func decodeStored(val []byte) (*adm.Record, error) {
 	v, err := adm.DecodeOne(val)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	rec, isRec := v.(*adm.Record)
-	if !isRec {
-		return nil, false, fmt.Errorf("storage: stored value is not a record")
+	rec, ok := v.(*adm.Record)
+	if !ok {
+		return nil, fmt.Errorf("storage: stored value is %s, not a record", v.Tag())
 	}
-	return rec, true, nil
+	return rec, nil
 }
 
 // Scan invokes fn for every record in the partition in primary key order.
@@ -477,14 +409,9 @@ func (p *Partition) Scan(fn func(rec *adm.Record) bool) error {
 	}
 	var scanErr error
 	err := p.primary.Scan(nil, nil, func(_, val []byte) bool {
-		v, err := adm.DecodeOne(val)
+		rec, err := decodeStored(val)
 		if err != nil {
 			scanErr = err
-			return false
-		}
-		rec, ok := v.(*adm.Record)
-		if !ok {
-			scanErr = fmt.Errorf("storage: stored value is not a record")
 			return false
 		}
 		return fn(rec)
@@ -505,8 +432,8 @@ func (p *Partition) Count() (int, error) {
 	return p.primary.Len()
 }
 
-// Inserted reports the number of successful Insert calls since open
-// (a cheap counter; unlike Count it does not scan).
+// Inserted reports the number of records written by successful InsertFrame
+// calls since open (a cheap counter; unlike Count it does not scan).
 func (p *Partition) Inserted() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -539,12 +466,12 @@ func (p *Partition) SearchBTree(indexName string, value adm.Value) ([]*adm.Recor
 		if !found {
 			return true
 		}
-		v, err := adm.DecodeOne(val)
+		rec, err := decodeStored(val)
 		if err != nil {
 			innerErr = err
 			return false
 		}
-		out = append(out, v.(*adm.Record))
+		out = append(out, rec)
 		return true
 	})
 	if innerErr != nil {
@@ -584,12 +511,12 @@ func (p *Partition) SearchRTree(indexName string, rect adm.Rectangle) ([]*adm.Re
 			if !found {
 				return true
 			}
-			v, err := adm.DecodeOne(val)
+			rec, err := decodeStored(val)
 			if err != nil {
 				innerErr = err
 				return false
 			}
-			out = append(out, v.(*adm.Record))
+			out = append(out, rec)
 			return true
 		})
 		if innerErr != nil {
@@ -616,14 +543,9 @@ func (p *Partition) VerifyIndexes() error {
 	expect := make(map[string]int, len(p.ds.Indexes))
 	var checkErr error
 	err := p.primary.Scan(nil, nil, func(pk, val []byte) bool {
-		v, err := adm.DecodeOne(val)
+		rec, err := decodeStored(val)
 		if err != nil {
 			checkErr = err
-			return false
-		}
-		rec, ok := v.(*adm.Record)
-		if !ok {
-			checkErr = fmt.Errorf("storage: stored value is not a record")
 			return false
 		}
 		for _, ix := range p.ds.Indexes {
@@ -732,7 +654,9 @@ func (p *Partition) Close() error {
 // secondaryKey builds the secondary index key for rec: the indexed field's
 // encoding (or grid cell for rtree) concatenated with the primary key, so
 // duplicate field values remain distinct entries. ok=false means the field
-// is absent/null and the record is simply not indexed.
+// is absent/null and the record is simply not indexed. The write path keys
+// from encoded bytes (secondaryKeyEncoded); this decode-side derivation is
+// VerifyIndexes' independent statement of what that must have produced.
 func secondaryKey(ix IndexDecl, rec *adm.Record, pk []byte) (key []byte, ok bool, err error) {
 	v, present := rec.Field(ix.Field)
 	if !present || v.Tag() == adm.TagNull || v.Tag() == adm.TagMissing {

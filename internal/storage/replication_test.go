@@ -60,7 +60,7 @@ func TestOpenPartitionIdxAndPromotion(t *testing.T) {
 	}
 	// Re-opening the replica slot as a "primary" (post-promotion) returns
 	// the same partition with its data.
-	r1.Insert(tweetRec("t1", "u", nil)) //nolint:errcheck
+	insertRecs(t, r1, tweetRec("t1", "u", nil))
 	again, err := mA.OpenPartitionIdx(ds, 1, false)
 	if err != nil {
 		t.Fatal(err)
@@ -109,15 +109,15 @@ func TestCompositePrimaryKey(t *testing.T) {
 			[]adm.Value{adm.String(stream), adm.Int64(seq), adm.String("x")})
 	}
 	// Same stream, different seq: distinct records.
-	p.Insert(mk("s1", 1)) //nolint:errcheck
-	p.Insert(mk("s1", 2)) //nolint:errcheck
-	p.Insert(mk("s2", 1)) //nolint:errcheck
+	insertRecs(t, p, mk("s1", 1))
+	insertRecs(t, p, mk("s1", 2))
+	insertRecs(t, p, mk("s2", 1))
 	n, _ := p.Count()
 	if n != 3 {
 		t.Fatalf("composite-key count = %d, want 3", n)
 	}
 	// Same composite key: upsert.
-	p.Insert(mk("s1", 1)) //nolint:errcheck
+	insertRecs(t, p, mk("s1", 1))
 	n, _ = p.Count()
 	if n != 3 {
 		t.Fatalf("composite-key upsert count = %d, want 3", n)

@@ -55,12 +55,18 @@ func openTestPartition(t *testing.T, ds *Dataset) *Partition {
 	return p
 }
 
+// insertRecs writes recs as one frame, failing the test on error.
+func insertRecs(t testing.TB, p *Partition, recs ...*adm.Record) {
+	t.Helper()
+	if err := p.InsertFrame(encodeFrame(recs...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInsertAndLookup(t *testing.T) {
 	p := openTestPartition(t, testDataset())
 	rec := tweetRec("t1", "alice", &adm.Point{X: 10, Y: 20})
-	if err := p.Insert(rec); err != nil {
-		t.Fatal(err)
-	}
+	insertRecs(t, p, rec)
 	got, ok, err := p.Lookup([]adm.Value{adm.String("t1")})
 	if err != nil || !ok {
 		t.Fatalf("Lookup = %v, %v", ok, err)
@@ -76,22 +82,22 @@ func TestInsertAndLookup(t *testing.T) {
 func TestInsertRejectsInvalidRecord(t *testing.T) {
 	p := openTestPartition(t, testDataset())
 	bad := (&adm.RecordBuilder{}).Add("id", adm.String("x")).MustBuild() // missing required fields
-	if err := p.Insert(bad); err == nil {
-		t.Fatal("Insert accepted record violating the dataset type")
+	if err := p.InsertFrame(encodeFrame(bad)); err == nil {
+		t.Fatal("InsertFrame accepted record violating the dataset type")
 	}
 	noKey := (&adm.RecordBuilder{}).
 		Add("user_name", adm.String("u")).
 		Add("message_text", adm.String("m")).
 		MustBuild()
-	if err := p.Insert(noKey); err == nil {
-		t.Fatal("Insert accepted record without primary key")
+	if err := p.InsertFrame(encodeFrame(noKey)); err == nil {
+		t.Fatal("InsertFrame accepted record without primary key")
 	}
 }
 
 func TestUpsertReplaces(t *testing.T) {
 	p := openTestPartition(t, testDataset())
-	p.Insert(tweetRec("t1", "alice", nil))
-	p.Insert(tweetRec("t1", "bob", nil))
+	insertRecs(t, p, tweetRec("t1", "alice", nil))
+	insertRecs(t, p, tweetRec("t1", "bob", nil))
 	got, _, _ := p.Lookup([]adm.Value{adm.String("t1")})
 	if u, _ := got.Field("user_name"); u.(adm.String) != "bob" {
 		t.Fatalf("after upsert user = %v, want bob", u)
@@ -112,7 +118,7 @@ func TestUpsertReplaces(t *testing.T) {
 
 func TestDeleteMaintainsSecondaries(t *testing.T) {
 	p := openTestPartition(t, testDataset())
-	p.Insert(tweetRec("t1", "alice", &adm.Point{X: 5, Y: 5}))
+	insertRecs(t, p, tweetRec("t1", "alice", &adm.Point{X: 5, Y: 5}))
 	if err := p.Delete([]adm.Value{adm.String("t1")}); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +139,7 @@ func TestSecondaryBTreeSearch(t *testing.T) {
 	p := openTestPartition(t, testDataset())
 	for i := 0; i < 50; i++ {
 		user := fmt.Sprintf("user%d", i%5)
-		p.Insert(tweetRec(fmt.Sprintf("t%02d", i), user, nil))
+		insertRecs(t, p, tweetRec(fmt.Sprintf("t%02d", i), user, nil))
 	}
 	recs, err := p.SearchBTree("userIdx", adm.String("user3"))
 	if err != nil {
@@ -165,7 +171,7 @@ func TestRTreeRectangleQuery(t *testing.T) {
 	for x := 0; x < 10; x++ {
 		for y := 0; y < 10; y++ {
 			pt := adm.Point{X: float64(x) + 0.5, Y: float64(y) + 0.5}
-			p.Insert(tweetRec(fmt.Sprintf("t%d-%d", x, y), "u", &pt))
+			insertRecs(t, p, tweetRec(fmt.Sprintf("t%d-%d", x, y), "u", &pt))
 		}
 	}
 	rect := adm.Rectangle{Low: adm.Point{X: 2, Y: 2}, High: adm.Point{X: 5, Y: 5}}
@@ -190,7 +196,7 @@ func TestRTreeNegativeCoordinates(t *testing.T) {
 	pts := []adm.Point{{X: -124.27, Y: 33.13}, {X: -66.18, Y: 48.57}, {X: 100, Y: -50}}
 	for i, pt := range pts {
 		pt := pt
-		p.Insert(tweetRec(fmt.Sprintf("t%d", i), "u", &pt))
+		insertRecs(t, p, tweetRec(fmt.Sprintf("t%d", i), "u", &pt))
 	}
 	us := adm.Rectangle{Low: adm.Point{X: -130, Y: 30}, High: adm.Point{X: -60, Y: 50}}
 	recs, err := p.SearchRTree("locationIndex", us)
@@ -204,9 +210,7 @@ func TestRTreeNegativeCoordinates(t *testing.T) {
 
 func TestOptionalIndexedFieldAbsent(t *testing.T) {
 	p := openTestPartition(t, testDataset())
-	if err := p.Insert(tweetRec("t1", "alice", nil)); err != nil {
-		t.Fatalf("Insert without optional indexed field: %v", err)
-	}
+	insertRecs(t, p, tweetRec("t1", "alice", nil))
 	recs, _ := p.SearchRTree("locationIndex",
 		adm.Rectangle{Low: adm.Point{X: -180, Y: -90}, High: adm.Point{X: 180, Y: 90}})
 	if len(recs) != 0 {
@@ -217,7 +221,7 @@ func TestOptionalIndexedFieldAbsent(t *testing.T) {
 func TestScanOrderAndCount(t *testing.T) {
 	p := openTestPartition(t, testDataset())
 	for i := 0; i < 30; i++ {
-		p.Insert(tweetRec(fmt.Sprintf("t%02d", 29-i), "u", nil))
+		insertRecs(t, p, tweetRec(fmt.Sprintf("t%02d", 29-i), "u", nil))
 	}
 	var ids []string
 	p.Scan(func(r *adm.Record) bool {
@@ -324,7 +328,7 @@ func TestPartitionPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Insert(tweetRec("t1", "alice", nil))
+	insertRecs(t, p, tweetRec("t1", "alice", nil))
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +386,7 @@ func TestPropertyInsertLookupRoundTrip(t *testing.T) {
 		id := fmt.Sprintf("id-%d", r.Int63())
 		pt := adm.Point{X: r.Float64()*360 - 180, Y: r.Float64()*180 - 90}
 		rec := tweetRec(id, fmt.Sprintf("u%d", r.Intn(10)), &pt)
-		if err := p.Insert(rec); err != nil {
+		if err := p.InsertFrame(encodeFrame(rec)); err != nil {
 			return false
 		}
 		got, ok, err := p.Lookup([]adm.Value{adm.String(id)})
@@ -390,23 +394,5 @@ func TestPropertyInsertLookupRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkPartitionInsert(b *testing.B) {
-	ds := testDataset("A")
-	m := NewManager("A", b.TempDir(), lsm.Options{MemtableBytes: 64 << 20})
-	defer m.Close()
-	p, err := m.OpenPartition(ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pt := adm.Point{X: float64(i % 100), Y: float64(i % 50)}
-		if err := p.Insert(tweetRec(fmt.Sprintf("t-%09d", i), fmt.Sprintf("u%d", i%100), &pt)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
