@@ -30,12 +30,16 @@ vet:
 # pipeline, the block-cache read path, restart and overload still execute end
 # to end without paying for a full measurement. ReadPath also asserts its
 # acceptance bounds (hot gets issue zero disk reads; scans read each block
-# once) even at 1x. The insert path is priced by bench/'s layer replay.
+# once) even at 1x. The insert path and the feed joint are priced by bench/'s
+# layer replay; FeedThroughput is the only number for the at-least-once
+# machinery (tracking-id column, grouped acks, sweeper) next to its untracked
+# baseline.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=FlushConcurrency -benchtime=1000x ./internal/lsm/
 	$(GO) test -run '^$$' -bench=ReadPath -benchtime=1x ./internal/lsm/
 	$(GO) test -run '^$$' -bench=Restart -benchtime=1x ./internal/lsm/
 	$(GO) test -run '^$$' -bench=Overload -benchtime=1x .
+	$(GO) test -run '^$$' -bench='FeedThroughput(Batched|AtLeastOnce)' -benchtime=300x ./internal/core/
 
 # Observability smoke: the admin endpoints (/feeds, /metrics, pprof) and
 # the `show feeds` verb against a live socket feed, plus the per-policy

@@ -1,58 +1,13 @@
 package core
 
 // Ablation benchmarks for the design choices the paper (and DESIGN.md)
-// call out: the feed joint's short-circuited mode, collect-side frame
-// batching, and the cost of at-least-once tracking.
+// call out: collect-side frame batching and the cost of at-least-once
+// tracking. (The feed joint is priced by bench/'s layer replay.)
 
 import (
-	"fmt"
 	"testing"
 	"time"
-
-	"asterixfeeds/internal/hyracks"
 )
-
-// BenchmarkJointShortCircuited measures deposit+consume throughput with one
-// subscriber: the short-circuited mode that skips data-bucket bookkeeping
-// (§5.4.1).
-func BenchmarkJointShortCircuited(b *testing.B) {
-	benchJoint(b, 1)
-}
-
-// BenchmarkJointShared measures the same flow with two subscribers: every
-// frame travels in a refcounted bucket delivered to both queues.
-func BenchmarkJointShared(b *testing.B) {
-	benchJoint(b, 2)
-}
-
-func benchJoint(b *testing.B, subscribers int) {
-	j := newJoint("bench.F", "A", 0)
-	pol := &Policy{MemoryBudgetRecords: 1 << 30}
-	stop := make(chan struct{})
-	defer close(stop)
-	for i := 0; i < subscribers; i++ {
-		s, err := j.Subscribe(fmt.Sprintf("c%d", i), pol, "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		go func(s *Subscription) {
-			for {
-				if _, ok := s.Next(stop); !ok {
-					return
-				}
-			}
-		}(s)
-	}
-	f := hyracks.NewFrame(128)
-	for i := 0; i < 128; i++ {
-		f.Append([]byte("recordrecordrecord"))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j.Deposit(f)
-	}
-}
 
 // BenchmarkFeedThroughputBatched / BenchmarkFeedThroughputUnbatched ablate
 // the collect-side frame batching: 128-record frames versus single-record
@@ -75,14 +30,11 @@ func BenchmarkFeedThroughputAtLeastOnce(b *testing.B) {
 
 func benchFeedThroughput(b *testing.B, frameCap int, policy string) {
 	h := newHarness(b, "A")
-	h.mgr.Close()
-	// Rebuild the manager with the requested frame capacity.
-	h.mgr = NewManager(h.cluster, h.catalog, Options{
+	h.remakeManager(Options{
 		MetricsWindow: 200 * time.Millisecond,
 		AckTimeout:    200 * time.Millisecond,
 		FrameCapacity: frameCap,
 	})
-	defer h.mgr.Close()
 	ds := h.declareTweetDataset("Tweets")
 	count := b.N
 	if count < 100 {

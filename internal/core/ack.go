@@ -60,19 +60,21 @@ func (t *ackTracker) register(partition int) chan *hyracks.Frame {
 	return ch
 }
 
-// track records a payload held at an intake partition and returns its
-// tracking id.
-func (t *ackTracker) track(partition int, payload []byte) uint64 {
+// track retains a frame's records at an intake partition and returns their
+// tracking ids, one per record (consecutive: the whole frame is tracked
+// under one lock hold). The record bytes are retained, not copied: records
+// are immutable once in a frame and outlive it (see hyracks.PutFrame).
+func (t *ackTracker) track(partition int, recs [][]byte) []uint64 {
+	ids := make([]uint64, len(recs))
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.nextID++
-	id := t.nextID
-	t.pending[id] = &pendingRecord{
-		payload:   append([]byte(nil), payload...),
-		partition: partition,
-		sentAt:    nowFunc(),
+	now := nowFunc()
+	for i, rec := range recs {
+		t.nextID++
+		ids[i] = t.nextID
+		t.pending[t.nextID] = &pendingRecord{payload: rec, partition: partition, sentAt: now}
 	}
-	return id
+	return ids
 }
 
 // ack drops the given ids from the pending set, reclaiming their memory.
@@ -125,7 +127,8 @@ func (t *ackTracker) sweep(now time.Time) (replayedNow int, dropped int) {
 			f = hyracks.NewFrame(8)
 			frames[pr.partition] = f
 		}
-		f.Append(wrapTracked(id, pr.payload))
+		f.Append(pr.payload)
+		f.IDs = append(f.IDs, id)
 		replayedNow++
 	}
 	t.replayed += int64(replayedNow)

@@ -499,10 +499,8 @@ func (m *Manager) startTailLocked(conn *Connection) error {
 		}
 		prev = op
 	}
-	dsHash := conn.ds.KeyHashFunc()
-	keyHash := func(rec []byte) uint64 { return dsHash(payloadOf(rec)) }
 	store := spec.AddOperator(&storeOp{conn: conn, ds: conn.ds, cluster: m.cluster, fault: m.opt.FaultHook}, hyracks.LocationConstraint(conn.ds.NodeGroup...))
-	spec.Connect(prev, store, hyracks.MToNHashPartition, keyHash)
+	spec.Connect(prev, store, hyracks.MToNHashPartition, conn.ds.KeyHashFunc())
 
 	job, err := m.cluster.StartJob(spec)
 	if err != nil {

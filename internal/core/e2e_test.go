@@ -161,42 +161,99 @@ func TestCascadeNetworkSharedHead(t *testing.T) {
 }
 
 func TestThirdLevelCascadeWithJointReuse(t *testing.T) {
-	h := newHarness(t, "A", "B")
-	d1 := h.declareTweetDataset("D1")
-	d2 := h.declareTweetDataset("D2")
-	d3 := h.declareTweetDataset("D3")
+	// Tracking ids belong to one connection: a child subscribed to a tracked
+	// parent's compute joint must see plain records, assign its own ids when
+	// it is tracked itself, and ack only into its own tracker.
+	for _, tc := range []struct{ name, pol2, pol3 string }{
+		{"Basic", "Basic", "Basic"},
+		{"AtLeastOnce", "AtLeastOnce", "AtLeastOnce"},
+		{"UntrackedChildOfTrackedParent", "AtLeastOnce", "Basic"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, "A", "B")
+			d1 := h.declareTweetDataset("D1")
+			d2 := h.declareTweetDataset("D2")
+			d3 := h.declareTweetDataset("D3")
 
-	h.declarePrimaryFeed("F1", makeGen(0, 200*time.Microsecond), 1, "")
-	h.declareSecondaryFeed("F2", "F1", "addHashTags")
-	h.declareSecondaryFeed("F3", "F2", "tweetlib#sentimentAnalysis")
+			// The source holds its records back until all three tails are
+			// subscribed, so every dataset must receive every record.
+			const emitted = 500
+			start := make(chan struct{})
+			gen := makeGen(emitted, 0)
+			h.declarePrimaryFeed("F1", func(partition int, sink RecordSink, stop <-chan struct{}) error {
+				select {
+				case <-start:
+				case <-stop:
+					return nil
+				}
+				return gen(partition, sink, stop)
+			}, 1, "")
+			h.declareSecondaryFeed("F2", "F1", "addHashTags")
+			h.declareSecondaryFeed("F3", "F2", "tweetlib#sentimentAnalysis")
 
-	if _, err := h.mgr.ConnectFeed("feeds", "F1", "D1", "Basic"); err != nil {
-		t.Fatal(err)
+			conn1, err := h.mgr.ConnectFeed("feeds", "F1", "D1", "Basic")
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn2, err := h.mgr.ConnectFeed("feeds", "F2", "D2", tc.pol2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn3, err := h.mgr.ConnectFeed("feeds", "F3", "D3", tc.pol3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// F3's source must be F2's compute joint, not the head: it applies
+			// only its own UDF.
+			if conn3.sourceSignature != "feeds.F1:addHashTags" {
+				t.Fatalf("F3 source = %q, want F2's joint", conn3.sourceSignature)
+			}
+			if len(conn3.stages) != 1 {
+				t.Fatalf("F3 stages = %d, want 1 (only sentiment)", len(conn3.stages))
+			}
+			for _, conn := range []*Connection{conn1, conn2, conn3} {
+				waitSubscribed(t, h, conn)
+			}
+			close(start)
+
+			waitFor(t, 15*time.Second, "all three datasets complete", func() bool {
+				return h.datasetCount(d1) == emitted && h.datasetCount(d2) == emitted && h.datasetCount(d3) == emitted
+			})
+			checkStoredField(t, h, d3.NodeGroup, d3.QualifiedName(), "topics")
+			checkStoredField(t, h, d3.NodeGroup, d3.QualifiedName(), "sentiment")
+			checkStoredField(t, h, d2.NodeGroup, d2.QualifiedName(), "topics")
+			for _, conn := range []*Connection{conn2, conn3} {
+				if n := conn.Metrics.SoftFailures.Value(); n != 0 {
+					t.Fatalf("%s: %d soft failures", conn.id, n)
+				}
+				waitFor(t, 5*time.Second, conn.id+" acks drained", func() bool { return conn.PendingAcks() == 0 })
+				if conn.tracker != nil {
+					if acked, _ := conn.tracker.stats(); acked != emitted {
+						t.Fatalf("%s: tracker saw %d acks for %d records", conn.id, acked, emitted)
+					}
+				}
+			}
+		})
 	}
-	if _, err := h.mgr.ConnectFeed("feeds", "F2", "D2", "Basic"); err != nil {
-		t.Fatal(err)
-	}
-	conn3, err := h.mgr.ConnectFeed("feeds", "F3", "D3", "Basic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// F3's source must be F2's compute joint, not the head: it applies
-	// only its own UDF.
-	if conn3.sourceSignature != "feeds.F1:addHashTags" {
-		t.Fatalf("F3 source = %q, want F2's joint", conn3.sourceSignature)
-	}
-	if len(conn3.stages) != 1 {
-		t.Fatalf("F3 stages = %d, want 1 (only sentiment)", len(conn3.stages))
-	}
-	for _, ds := range []any{d1, d2, d3} {
-		_ = ds
-	}
-	waitFor(t, 15*time.Second, "all three datasets ingesting", func() bool {
-		return h.datasetCount(d1) > 10 && h.datasetCount(d2) > 10 && h.datasetCount(d3) > 10
+}
+
+// waitSubscribed blocks until conn's intake has subscribed to every partition
+// of its source joint; records deposited from then on reach the connection.
+func waitSubscribed(t *testing.T, h *harness, conn *Connection) {
+	t.Helper()
+	intake, _, _ := conn.Locations()
+	waitFor(t, 10*time.Second, conn.id+" subscribed", func() bool {
+		for i, node := range intake {
+			j, ok := feedManagerAtNode(t, h, node).Joint(conn.sourceSignature, i)
+			if !ok {
+				return false
+			}
+			if _, ok := j.Subscription(conn.subID); !ok {
+				return false
+			}
+		}
+		return true
 	})
-	checkStoredField(t, h, d3.NodeGroup, d3.QualifiedName(), "topics")
-	checkStoredField(t, h, d3.NodeGroup, d3.QualifiedName(), "sentiment")
-	checkStoredField(t, h, d2.NodeGroup, d2.QualifiedName(), "topics")
 }
 
 func TestSecondaryFeedSkipsLevelsWhenAncestorsUnconnected(t *testing.T) {

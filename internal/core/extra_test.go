@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,35 +14,64 @@ import (
 )
 
 func TestUDFFilteringDropsRecords(t *testing.T) {
-	// A UDF returning nil filters the record out of the feed entirely.
-	h := newHarness(t, "A")
-	ds := h.declareTweetDataset("Tweets")
-	h.mgr.Functions().Register(&FuncRecordFunction{
-		FuncName: "lib#evenOnly",
-		Fn: func(rec *adm.Record) (*adm.Record, error) {
-			seq, _ := rec.Field("seq")
-			if int64(seq.(adm.Int64))%2 != 0 {
-				return nil, nil
-			}
-			return rec, nil
-		},
-	})
-	h.declarePrimaryFeed("F", makeGen(200, 0), 1, "lib#evenOnly")
-	conn, err := h.mgr.ConnectFeed("feeds", "F", "Tweets", "Basic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "100 even records persisted", func() bool {
-		return h.datasetCount(ds) == 100
-	})
-	// No soft failures: filtering is not an exception.
-	if conn.Metrics.SoftFailures.Value() != 0 {
-		t.Fatalf("filtering recorded %d soft failures", conn.Metrics.SoftFailures.Value())
-	}
-	// Stable: no stragglers arrive.
-	n := waitStable(t, 5*time.Second, 200*time.Millisecond, func() int { return h.datasetCount(ds) })
-	if n != 100 {
-		t.Fatalf("final count = %d, want 100", n)
+	// A UDF returning nil filters the record out of the feed entirely; one
+	// returning an error soft-fails it. Either way the record ends at Assign,
+	// so under AtLeastOnce Assign must ack it: left pending it would be
+	// replayed through the UDF until the sweeper gave up on it.
+	for _, policy := range []string{"Basic", "AtLeastOnce"} {
+		for _, failing := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/failing=%v", policy, failing), func(t *testing.T) {
+				h := newHarness(t, "A")
+				// An ack timeout no run reaches: a pending record cannot be
+				// cleared by the sweeper, only by an ack.
+				h.remakeManager(Options{AckTimeout: time.Minute, FrameCapacity: 16})
+				ds := h.declareTweetDataset("Tweets")
+				var applied atomic.Int64
+				h.mgr.Functions().Register(&FuncRecordFunction{
+					FuncName: "lib#evenOnly",
+					Fn: func(rec *adm.Record) (*adm.Record, error) {
+						applied.Add(1)
+						seq, _ := rec.Field("seq")
+						switch n := int64(seq.(adm.Int64)); {
+						case n%2 != 0:
+							return nil, nil
+						case failing && n%4 == 0:
+							return nil, fmt.Errorf("seq %d is unprocessable", n)
+						}
+						return rec, nil
+					},
+				})
+				const emitted = 200
+				persisted, bad := emitted/2, 0
+				if failing {
+					persisted, bad = emitted/4, emitted/4
+				}
+				h.declarePrimaryFeed("F", makeGen(emitted, 0), 1, "lib#evenOnly")
+				conn, err := h.mgr.ConnectFeed("feeds", "F", "Tweets", policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, 10*time.Second, "every record persisted or ended at Assign", func() bool {
+					return h.datasetCount(ds) == persisted && applied.Load() >= emitted
+				})
+				waitFor(t, 5*time.Second, "no pending acks", func() bool { return conn.PendingAcks() == 0 })
+				// Filtering is not an exception; a UDF error is exactly one.
+				if got := conn.Metrics.SoftFailures.Value(); got != int64(bad) {
+					t.Fatalf("soft failures = %d, want %d", got, bad)
+				}
+				// Stable: no stragglers arrive, nothing is replayed.
+				n := waitStable(t, 5*time.Second, 200*time.Millisecond, func() int { return h.datasetCount(ds) })
+				if n != persisted {
+					t.Fatalf("final count = %d, want %d", n, persisted)
+				}
+				if got := applied.Load(); got != emitted {
+					t.Fatalf("UDF applied %d times for %d records", got, emitted)
+				}
+				if got := conn.Metrics.Replayed.Value(); got != 0 {
+					t.Fatalf("replayed %d records", got)
+				}
+			})
+		}
 	}
 }
 

@@ -62,6 +62,13 @@ func newHarness(t testing.TB, nodes ...string) *harness {
 	return h
 }
 
+// remakeManager replaces the harness's manager with one built from opts.
+func (h *harness) remakeManager(opts Options) {
+	h.mgr.Close()
+	h.mgr = NewManager(h.cluster, h.catalog, opts)
+	h.t.Cleanup(h.mgr.Close)
+}
+
 // addNode joins a new node with storage to the cluster.
 func (h *harness) addNode(name string) {
 	h.t.Helper()

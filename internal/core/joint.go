@@ -21,11 +21,10 @@ type JointMode int
 const (
 	// JointInactive: no registered subscribers.
 	JointInactive JointMode = iota
-	// JointShortCircuited: exactly one subscriber; frames bypass bucket
-	// bookkeeping.
+	// JointShortCircuited: exactly one subscriber.
 	JointShortCircuited
-	// JointShared: multiple subscribers; frames travel in refcounted
-	// data buckets.
+	// JointShared: multiple subscribers; each queues the same frame and
+	// consumes it at its own pace.
 	JointShared
 )
 
@@ -40,35 +39,6 @@ func (m JointMode) String() string {
 		return "shared"
 	default:
 		return "unknown"
-	}
-}
-
-// dataBucket wraps a frame with a consumer refcount (§5.4.1, Shared mode).
-// When the count reaches zero the bucket returns to the pool.
-type dataBucket struct {
-	frame *hyracks.Frame
-	mu    sync.Mutex
-	refs  int
-}
-
-var bucketPool = sync.Pool{New: func() any { return new(dataBucket) }}
-
-func acquireBucket(f *hyracks.Frame, refs int) *dataBucket {
-	b := bucketPool.Get().(*dataBucket)
-	b.frame = f
-	b.refs = refs
-	return b
-}
-
-// release decrements the refcount, recycling the bucket at zero.
-func (b *dataBucket) release() {
-	b.mu.Lock()
-	b.refs--
-	done := b.refs == 0
-	b.mu.Unlock()
-	if done {
-		b.frame = nil
-		bucketPool.Put(b)
 	}
 }
 
@@ -242,10 +212,10 @@ func (j *Joint) DropSubscription(subID string) {
 	}
 }
 
-// Deposit routes one frame to every live subscription. In shared mode the
-// frame travels inside a refcounted data bucket so that each subscriber
+// Deposit routes one frame to every live subscription; each queues it and
 // consumes at its own pace (guaranteed delivery + congestion isolation,
-// §5.4.1); with a single subscriber the bucket machinery is short-circuited.
+// §5.4.1). Frames are immutable and garbage-collected, so sharing one among
+// several subscribers needs no bookkeeping.
 //
 // The return value reports whether any subscription retained the frame: a
 // false return means the caller remains the frame's sole owner and may
@@ -261,21 +231,12 @@ func (j *Joint) Deposit(f *hyracks.Frame) (retained bool) {
 	j.depositedRecords += int64(f.Len())
 	j.mu.Unlock()
 
-	switch len(subs) {
-	case 0:
-		// No subscribers: the data is not routed anywhere.
-		return false
-	case 1:
-		return subs[0].offer(f, nil)
-	default:
-		b := acquireBucket(f, len(subs))
-		for _, s := range subs {
-			if s.offer(f, b) {
-				retained = true
-			}
+	for _, s := range subs {
+		if s.offer(f) {
+			retained = true
 		}
-		return retained
 	}
+	return retained
 }
 
 // trackedBytes sums the subscriptions' backlog and spill bytes — the
@@ -374,10 +335,8 @@ type Subscription struct {
 	pol *Policy
 
 	mu      sync.Mutex
-	frames  []*hyracks.Frame
-	buckets []*dataBucket // parallel to frames; nil entries for short-circuited frames
-	arrived []time.Time   // parallel to frames; enqueue instants
-	backlog int           // records currently queued in memory
+	queue   []queuedFrame
+	backlog int // records currently queued in memory
 	// backlogBytes is the in-memory backlog in bytes; with the spill
 	// file's on-disk footprint it is the subscription's contribution to
 	// the node governor's tracked total.
@@ -405,6 +364,12 @@ type Subscription struct {
 	// the governor's byte sources walk subscription locks, so deciding
 	// admission under s.mu would close a lock cycle.
 	adm *governor.Admission
+}
+
+// queuedFrame is one entry of a subscription's in-memory queue.
+type queuedFrame struct {
+	frame     *hyracks.Frame
+	arrivedAt time.Time
 }
 
 func newSubscription(id string, pol *Policy, spillPath string) (*Subscription, error) {
@@ -503,7 +468,7 @@ func (s *Subscription) isDraining() bool {
 // excess-record handling (Table 4.2). It reports whether the subscription
 // retained f itself — false when the frame was dropped, throttled into a
 // fresh frame, or copied to the spill file.
-func (s *Subscription) offer(f *hyracks.Frame, b *dataBucket) (retained bool) {
+func (s *Subscription) offer(f *hyracks.Frame) (retained bool) {
 	// Admission is decided before s.mu is taken (see the adm field note).
 	shed := false
 	if adm := s.admission(); adm != nil && adm.Admit(int64(f.Bytes()), int64(f.Len())) == governor.Shed {
@@ -512,9 +477,6 @@ func (s *Subscription) offer(f *hyracks.Frame, b *dataBucket) (retained bool) {
 	s.mu.Lock()
 	if s.closed || s.draining {
 		s.mu.Unlock()
-		if b != nil {
-			b.release()
-		}
 		return false
 	}
 	s.stats.Received += int64(f.Len())
@@ -530,17 +492,14 @@ func (s *Subscription) offer(f *hyracks.Frame, b *dataBucket) (retained bool) {
 		if adm != nil {
 			adm.CountShed(int64(f.Len()))
 		}
-		if b != nil {
-			b.release()
-		}
 		return false
 	}
 	excess := s.backlog >= s.pol.MemoryBudgetRecords || shed
 	var elasticCB func()
 	switch {
 	case !excess:
-		s.enqueueLocked(f, b)
-		b, retained = nil, true
+		s.enqueueLocked(f)
+		retained = true
 	case s.pol.Discard:
 		// Drop the whole frame until the backlog clears (§7.3.3):
 		// contiguous runs of records go missing.
@@ -567,16 +526,16 @@ func (s *Subscription) offer(f *hyracks.Frame, b *dataBucket) (retained bool) {
 		default:
 			// Spill budget exhausted or spill write failed: fall back
 			// to buffering in memory, as the Basic policy would.
-			s.enqueueLocked(f, b)
-			b, retained = nil, true
+			s.enqueueLocked(f)
+			retained = true
 		}
 	case s.pol.Throttle:
 		s.throttleLocked(f)
 	default:
 		// Basic policy: keep buffering in memory (§7.3.1). Memory
 		// growth is the caller's risk, exactly as in the paper.
-		s.enqueueLocked(f, b)
-		b, retained = nil, true
+		s.enqueueLocked(f)
+		retained = true
 		if s.pol.Elastic {
 			elasticCB = s.onExcess
 		}
@@ -585,9 +544,6 @@ func (s *Subscription) offer(f *hyracks.Frame, b *dataBucket) (retained bool) {
 		elasticCB = s.onExcess
 	}
 	s.mu.Unlock()
-	if b != nil {
-		b.release()
-	}
 	if elasticCB != nil {
 		elasticCB()
 	}
@@ -629,14 +585,12 @@ func (s *Subscription) throttleLocked(f *hyracks.Frame) {
 		}
 	}
 	if kept.Len() > 0 {
-		s.enqueueLocked(kept, nil)
+		s.enqueueLocked(kept)
 	}
 }
 
-func (s *Subscription) enqueueLocked(f *hyracks.Frame, b *dataBucket) {
-	s.frames = append(s.frames, f)
-	s.buckets = append(s.buckets, b)
-	s.arrived = append(s.arrived, nowFunc())
+func (s *Subscription) enqueueLocked(f *hyracks.Frame) {
+	s.queue = append(s.queue, queuedFrame{f, nowFunc()})
 	s.backlog += f.Len()
 	s.backlogBytes += int64(f.Bytes())
 	select {
@@ -651,26 +605,20 @@ func (s *Subscription) enqueueLocked(f *hyracks.Frame, b *dataBucket) {
 func (s *Subscription) Next(cancel <-chan struct{}) (f *hyracks.Frame, ok bool) {
 	for {
 		s.mu.Lock()
-		if len(s.frames) > 0 {
-			f = s.frames[0]
-			b := s.buckets[0]
-			at := s.arrived[0]
-			s.frames = s.frames[1:]
-			s.buckets = s.buckets[1:]
-			s.arrived = s.arrived[1:]
+		if len(s.queue) > 0 {
+			q := s.queue[0]
+			f = q.frame
+			s.queue = s.queue[1:]
 			s.backlog -= f.Len()
 			s.backlogBytes -= int64(f.Bytes())
 			if s.latency != nil {
-				s.latency.Record(sinceFunc(at))
+				s.latency.Record(sinceFunc(q.arrivedAt))
 			}
 			// Replenish from spill once memory has room (deferred
 			// processing resumes "as soon as resources are available",
 			// §4.5).
 			s.replenishFromSpillLocked()
 			s.mu.Unlock()
-			if b != nil {
-				b.release()
-			}
 			return f, true
 		}
 		// Memory queue empty: pull directly from spill if present.
@@ -704,9 +652,7 @@ func (s *Subscription) replenishFromSpillLocked() {
 		if err != nil || f == nil {
 			return
 		}
-		s.frames = append(s.frames, f)
-		s.buckets = append(s.buckets, nil)
-		s.arrived = append(s.arrived, nowFunc())
+		s.queue = append(s.queue, queuedFrame{f, nowFunc()})
 		s.backlog += f.Len()
 		s.backlogBytes += int64(f.Bytes())
 	}
@@ -719,9 +665,7 @@ func (s *Subscription) replenishFromSpillLocked() {
 // have no replay covering them, so dropping the frame here would lose them.
 func (s *Subscription) requeue(f *hyracks.Frame) {
 	s.mu.Lock()
-	s.frames = append([]*hyracks.Frame{f}, s.frames...)
-	s.buckets = append([]*dataBucket{nil}, s.buckets...)
-	s.arrived = append([]time.Time{nowFunc()}, s.arrived...)
+	s.queue = append([]queuedFrame{{f, nowFunc()}}, s.queue...)
 	s.backlog += f.Len()
 	s.backlogBytes += int64(f.Bytes())
 	s.mu.Unlock()
@@ -746,26 +690,18 @@ func (s *Subscription) drainAndClose() {
 	}
 }
 
-// discardAndClose closes immediately, releasing buffered buckets and any
+// discardAndClose closes immediately, dropping buffered frames and any
 // spill file.
 func (s *Subscription) discardAndClose() {
 	s.mu.Lock()
 	s.closed = true
 	s.draining = true
-	buckets := s.buckets
-	s.frames = nil
-	s.buckets = nil
-	s.arrived = nil
+	s.queue = nil
 	s.backlog = 0
 	s.backlogBytes = 0
 	sp := s.spill
 	s.spill = nil
 	s.mu.Unlock()
-	for _, b := range buckets {
-		if b != nil {
-			b.release()
-		}
-	}
 	if sp != nil {
 		sp.close()
 	}

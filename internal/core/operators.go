@@ -316,11 +316,10 @@ func (r *intakeRuntime) Run() error {
 			}
 			out := f
 			if conn.tracker != nil {
-				out = hyracks.NewFrame(f.Len())
-				for _, rec := range f.Records {
-					id := conn.tracker.track(r.ctx.Partition, rec)
-					out.Append(wrapTracked(id, rec))
-				}
+				// A new header over the subscription's record slice: f may
+				// be shared with other subscribers, the ids are this
+				// connection's alone.
+				out = &hyracks.Frame{Records: f.Records, IDs: conn.tracker.track(r.ctx.Partition, f.Records)}
 			}
 			conn.Metrics.Collected.Add(int64(f.Len()))
 			if err := r.out.NextFrame(out); err != nil {
@@ -438,14 +437,15 @@ func (r *assignRuntime) NextFrame(f *hyracks.Frame) error {
 		}
 	}
 	out := hyracks.NewFrame(f.Len())
-	for _, rec := range f.Records {
-		id, payload, tracked, err := unwrapRecord(rec)
-		if err != nil {
-			return err
-		}
+	tracked := len(f.IDs) > 0
+	var ids, terminated []uint64 // ids of the records passed on / ended here
+	if tracked {
+		ids = make([]uint64, 0, f.Len())
+	}
+	for i, rec := range f.Records {
 		var produced []byte
-		skipped, fatal := r.mf.guard(payload, func() error {
-			v, _, err := adm.Decode(payload)
+		skipped, fatal := r.mf.guard(rec, func() error {
+			v, _, err := adm.Decode(rec)
 			if err != nil {
 				return err
 			}
@@ -467,15 +467,23 @@ func (r *assignRuntime) NextFrame(f *hyracks.Frame) error {
 		}
 		if skipped {
 			r.op.conn.Metrics.SoftFailures.Add(1)
-			continue
 		}
 		if produced == nil {
-			continue // UDF filtered the record out
-		}
-		if tracked {
-			produced = wrapTracked(id, produced)
+			// Soft-failed, or filtered out by the UDF: the record never
+			// reaches the store, so its ack comes from here — at-least-once
+			// covers loss, not unprocessable input.
+			if tracked {
+				terminated = append(terminated, f.IDs[i])
+			}
+			continue
 		}
 		out.Append(produced)
+		if tracked {
+			ids = append(ids, f.IDs[i])
+		}
+	}
+	if len(terminated) > 0 {
+		r.op.conn.tracker.ack(terminated)
 	}
 	if out.Len() == 0 {
 		return nil
@@ -483,7 +491,12 @@ func (r *assignRuntime) NextFrame(f *hyracks.Frame) error {
 	if r.op.last {
 		r.op.conn.Metrics.Computed.Add(int64(out.Len()))
 	}
+	// Frames in joints are untracked: the ids belong to this connection's
+	// tracker, and a subscribing child connection assigns its own.
 	r.joint.Deposit(out)
+	if tracked {
+		out = &hyracks.Frame{Records: out.Records, IDs: ids}
+	}
 	return r.out.NextFrame(out)
 }
 
@@ -554,13 +567,9 @@ type storeRuntime struct {
 	replica     *storage.Partition
 	replicaNode *hyracks.NodeController
 	mf          *metaFeed
-	// Per-task scratch for the unwrapped frame, parallel by record (one task
-	// goroutine drives NextFrame, so no locking): payloads[i] carries
-	// tracking id ids[i], to be acked when ack[i].
-	payloads [][]byte
-	ids      []uint64
-	ack      []bool
-	acks     []uint64
+	// acks is per-task scratch for the ids of a frame retried record by
+	// record (one task goroutine drives NextFrame, so no locking).
+	acks []uint64
 }
 
 func (r *storeRuntime) Open() error { return r.out.Open() }
@@ -599,7 +608,7 @@ func (r *storeRuntime) insert(recs [][]byte) error {
 // at-least-once guarantee must hold regardless.
 func (r *storeRuntime) deliverAcks(acks []uint64) {
 	conn := r.op.conn
-	if len(acks) == 0 || conn.tracker == nil {
+	if len(acks) == 0 {
 		return
 	}
 	if r.op.fault != nil {
@@ -611,7 +620,7 @@ func (r *storeRuntime) deliverAcks(acks []uint64) {
 }
 
 // NextFrame stores the frame. The whole frame is tried first; when that
-// fails, the same payloads are retried as frames of one record each under
+// fails, the same records are retried as frames of one record each under
 // the MetaFeed guard, which isolates the failing record (soft-failure
 // semantics, §5.3.1) instead of rejecting its neighbours. The retry is safe
 // after any failure: InsertFrame validates a frame before touching a tree,
@@ -620,28 +629,20 @@ func (r *storeRuntime) deliverAcks(acks []uint64) {
 // the same state.
 func (r *storeRuntime) NextFrame(f *hyracks.Frame) error {
 	conn := r.op.conn
-	payloads, ids, ack := r.payloads[:0], r.ids[:0], r.ack[:0]
-	for _, rec := range f.Records {
-		id, payload, tracked, err := unwrapRecord(rec)
-		if err != nil {
-			return err
-		}
-		payloads, ids, ack = append(payloads, payload), append(ids, id), append(ack, tracked)
-	}
-	r.payloads, r.ids, r.ack = payloads, ids, ack
-
 	persisted := 0
+	acks := f.IDs // every id is acked unless the retry below withholds it
 	switch {
 	case !conn.storeEnabled.Load():
 		// Disconnected-but-kept-alive: records flow for child feeds but are
 		// not persisted here. Ack so intake memory frees.
-	case r.insert(payloads) == nil:
-		persisted = len(payloads)
+	case r.insert(f.Records) == nil:
+		persisted = f.Len()
 	default:
-		for i, payload := range payloads {
+		acks = r.acks[:0]
+		for i, rec := range f.Records {
 			var envErr error
-			skipped, fatal := r.mf.guard(payload, func() error {
-				err := r.insert(payloads[i : i+1])
+			skipped, fatal := r.mf.guard(rec, func() error {
+				err := r.insert(f.Records[i : i+1])
 				if err != nil && !storage.IsDataError(err) {
 					envErr = err
 				}
@@ -658,24 +659,21 @@ func (r *storeRuntime) NextFrame(f *hyracks.Frame) error {
 				// silently lose it. Leave it un-acked — the at-least-once
 				// sweeper replays it and the idempotent upsert converges.
 				conn.Metrics.StoreErrors.Add(1)
-				ack[i] = false
+				continue
 			default:
 				// A soft-failed record is still acknowledged: at-least-once
 				// covers loss, not unprocessable input.
 				conn.Metrics.SoftFailures.Add(1)
 			}
+			if len(f.IDs) > 0 {
+				acks = append(acks, f.IDs[i])
+			}
 		}
+		r.acks = acks
 	}
 	if persisted > 0 {
 		conn.Metrics.Persisted.Add(int64(persisted))
 	}
-	acks := r.acks[:0]
-	for i, id := range ids {
-		if ack[i] {
-			acks = append(acks, id)
-		}
-	}
-	r.acks = acks
 	r.deliverAcks(acks)
 	return r.out.NextFrame(f)
 }

@@ -144,7 +144,7 @@ func TestResyncDegradesWithoutLiveTarget(t *testing.T) {
 
 // TestAckLossIsReplayedNotLost: dropped ack messages (the "ack:<node>"
 // fault point) must not lose records — the at-least-once sweeper replays
-// the un-acked envelopes and the idempotent upsert converges to the exact
+// the un-acked records and the idempotent upsert converges to the exact
 // record set.
 func TestAckLossIsReplayedNotLost(t *testing.T) {
 	h := newHarness(t, "A", "B")

@@ -183,28 +183,6 @@ func TestFunctionRegistry(t *testing.T) {
 	}
 }
 
-func TestEnvelope(t *testing.T) {
-	payload := adm.Encode(tweet(1, 0, "x"))
-	wrapped := wrapTracked(0xDEADBEEF, payload)
-	id, got, tracked, err := unwrapRecord(wrapped)
-	if err != nil || !tracked || id != 0xDEADBEEF || string(got) != string(payload) {
-		t.Fatalf("unwrap = %x %v %v", id, tracked, err)
-	}
-	id2, got2, tracked2, err := unwrapRecord(payload)
-	if err != nil || tracked2 || id2 != 0 || string(got2) != string(payload) {
-		t.Fatal("plain record misidentified as tracked")
-	}
-	if string(payloadOf(wrapped)) != string(payload) || string(payloadOf(payload)) != string(payload) {
-		t.Fatal("payloadOf wrong")
-	}
-	if _, _, _, err := unwrapRecord(nil); err == nil {
-		t.Fatal("empty record accepted")
-	}
-	if _, _, _, err := unwrapRecord([]byte{trackedMarker, 1}); err == nil {
-		t.Fatal("truncated tracked record accepted")
-	}
-}
-
 func TestSpillFileFIFO(t *testing.T) {
 	sf, err := newSpillFile(filepath.Join(t.TempDir(), "s.spill"), 0)
 	if err != nil {
@@ -331,8 +309,12 @@ func TestExceptionLogRing(t *testing.T) {
 func TestAckTrackerLifecycle(t *testing.T) {
 	tr := newAckTracker(50 * time.Millisecond)
 	ch := tr.register(0)
-	id1 := tr.track(0, []byte("r1"))
-	id2 := tr.track(0, []byte("r2"))
+	r2 := []byte("r2")
+	ids := tr.track(0, [][]byte{[]byte("r1"), r2})
+	id1, id2 := ids[0], ids[1]
+	if id2 != id1+1 {
+		t.Fatalf("ids of one frame = %v, want consecutive", ids)
+	}
 	if tr.pendingCount() != 2 {
 		t.Fatalf("pending = %d", tr.pendingCount())
 	}
@@ -351,9 +333,8 @@ func TestAckTrackerLifecycle(t *testing.T) {
 	}
 	select {
 	case f := <-ch:
-		gotID, payload, tracked, err := unwrapRecord(f.Records[0])
-		if err != nil || !tracked || gotID != id2 || string(payload) != "r2" {
-			t.Fatalf("replay frame wrong: %v %q", gotID, payload)
+		if f.Len() != 1 || len(f.IDs) != 1 || f.IDs[0] != id2 || &f.Records[0][0] != &r2[0] {
+			t.Fatalf("replay frame wrong: ids %v records %q (want the retained bytes, not a copy)", f.IDs, f.Records)
 		}
 	default:
 		t.Fatal("no replay frame delivered")
@@ -367,7 +348,7 @@ func TestAckTrackerLifecycle(t *testing.T) {
 func TestAckTrackerDropsAfterMaxReplays(t *testing.T) {
 	tr := newAckTracker(time.Nanosecond)
 	tr.register(0)
-	tr.track(0, []byte("r"))
+	tr.track(0, [][]byte{[]byte("r")})
 	dropped := 0
 	for i := 0; i < maxReplays+2; i++ {
 		_, d := tr.sweep(time.Now().Add(time.Hour))

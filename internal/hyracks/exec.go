@@ -157,8 +157,13 @@ type router struct {
 // Open implements Writer.
 func (r *router) Open() error { return nil }
 
-// NextFrame implements Writer.
+// NextFrame implements Writer. It is the one place the Frame.IDs invariant
+// is checked: every frame crossing a connector is either untracked or has
+// exactly one id per record.
 func (r *router) NextFrame(f *Frame) error {
+	if len(f.IDs) != 0 && len(f.IDs) != len(f.Records) {
+		return fmt.Errorf("hyracks: frame has %d tracking ids for %d records", len(f.IDs), len(f.Records))
+	}
 	switch r.strategy {
 	case OneToOne:
 		return r.queues[r.self].send(f, r.canceled)
@@ -182,16 +187,19 @@ func (r *router) NextFrame(f *Frame) error {
 		if n == 1 {
 			return r.queues[0].send(f, r.canceled)
 		}
-		buckets := make([][][]byte, n)
-		for _, rec := range f.Records {
-			i := int(r.keyHash(rec) % uint64(n))
-			buckets[i] = append(buckets[i], rec)
+		buckets := make([]Frame, n)
+		for k, rec := range f.Records {
+			b := &buckets[r.keyHash(rec)%uint64(n)]
+			b.Records = append(b.Records, rec)
+			if len(f.IDs) > 0 {
+				b.IDs = append(b.IDs, f.IDs[k])
+			}
 		}
-		for i, b := range buckets {
-			if len(b) == 0 {
+		for i := range buckets {
+			if len(buckets[i].Records) == 0 {
 				continue
 			}
-			if err := r.queues[i].send(&Frame{Records: b}, r.canceled); err != nil {
+			if err := r.queues[i].send(&buckets[i], r.canceled); err != nil {
 				return err
 			}
 		}

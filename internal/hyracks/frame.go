@@ -8,6 +8,12 @@ import "sync"
 type Frame struct {
 	// Records holds one serialized record per entry.
 	Records [][]byte
+	// IDs is the per-record metadata column: the at-least-once tracking id
+	// of each record. It is empty for an untracked frame; otherwise
+	// len(IDs) == len(Records) and IDs[i] belongs to Records[i]. Connectors
+	// check that invariant and keep each (id, record) pair together;
+	// operators may rely on it.
+	IDs []uint64
 }
 
 // NewFrame returns a frame pre-sized for n records.
@@ -43,13 +49,15 @@ func PutFrame(f *Frame) {
 	framePool.Put(f)
 }
 
-// Reset empties the frame for reuse, dropping record references while
-// keeping the slice's capacity.
+// Reset empties the frame for reuse, dropping record references and ids
+// while keeping the slices' capacity, so a recycled header never carries a
+// tracked frame's ids into an untracked one.
 func (f *Frame) Reset() {
 	for i := range f.Records {
 		f.Records[i] = nil
 	}
 	f.Records = f.Records[:0]
+	f.IDs = f.IDs[:0]
 }
 
 // Append adds a serialized record to the frame.
@@ -58,24 +66,30 @@ func (f *Frame) Append(rec []byte) { f.Records = append(f.Records, rec) }
 // Len reports the number of records in the frame.
 func (f *Frame) Len() int { return len(f.Records) }
 
-// Bytes reports the total payload size of the frame in bytes.
+// Bytes reports the total payload size of the frame in bytes: the records
+// plus 8 bytes per tracking id.
 func (f *Frame) Bytes() int {
-	n := 0
+	n := 8 * len(f.IDs)
 	for _, r := range f.Records {
 		n += len(r)
 	}
 	return n
 }
 
-// Slice returns a new frame over records [lo, hi) of f. The record byte
-// slices are shared, not copied.
+// Slice returns a new frame over records [lo, hi) of f, with their ids when
+// f is tracked. The record byte slices are shared, not copied.
 func (f *Frame) Slice(lo, hi int) *Frame {
-	return &Frame{Records: f.Records[lo:hi]}
+	out := &Frame{Records: f.Records[lo:hi]}
+	if len(f.IDs) > 0 {
+		out.IDs = f.IDs[lo:hi]
+	}
+	return out
 }
 
 // Clone returns a deep copy of the frame.
 func (f *Frame) Clone() *Frame {
 	out := NewFrame(f.Len())
+	out.IDs = append(out.IDs, f.IDs...)
 	for _, r := range f.Records {
 		cp := make([]byte, len(r))
 		copy(cp, r)

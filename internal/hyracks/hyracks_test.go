@@ -20,10 +20,14 @@ func testConfig() Config {
 }
 
 // genOp emits count records, each an 8-byte little-endian sequence number
-// offset by the partition index.
+// offset by the partition index. With tracked set, every frame carries the
+// IDs column, each id a function of its record's key (trackedID).
 type genOp struct {
-	count int
+	count   int
+	tracked bool
 }
+
+func trackedID(key uint64) uint64 { return key ^ 0xA1A1A1A1 }
 
 func (g *genOp) Name() string { return "gen" }
 
@@ -52,8 +56,12 @@ func (r *genRuntime) Run() error {
 		default:
 		}
 		rec := make([]byte, 8)
-		binary.LittleEndian.PutUint64(rec, uint64(i*r.ctx.NumPartitions+r.ctx.Partition))
+		key := uint64(i*r.ctx.NumPartitions + r.ctx.Partition)
+		binary.LittleEndian.PutUint64(rec, key)
 		f.Append(rec)
+		if r.op.tracked {
+			f.IDs = append(f.IDs, trackedID(key))
+		}
 		if f.Len() == 8 {
 			if err := r.out.NextFrame(f); err != nil {
 				return err
@@ -67,10 +75,13 @@ func (r *genRuntime) Run() error {
 	return nil
 }
 
-// collectOp gathers every record it sees into a shared sink.
+// collectOp gathers every record it sees into a shared sink, counting the
+// tracked records whose id arrived detached from its record.
 type collectOp struct {
-	mu   sync.Mutex
-	recs map[string][]uint64 // per node
+	mu       sync.Mutex
+	recs     map[string][]uint64 // per node
+	tracked  int
+	badPairs int
 }
 
 func newCollectOp() *collectOp { return &collectOp{recs: make(map[string][]uint64)} }
@@ -113,8 +124,15 @@ func (r *collectRuntime) Open() error { return r.out.Open() }
 
 func (r *collectRuntime) NextFrame(f *Frame) error {
 	r.op.mu.Lock()
-	for _, rec := range f.Records {
-		r.op.recs[r.ctx.NodeID] = append(r.op.recs[r.ctx.NodeID], binary.LittleEndian.Uint64(rec))
+	for i, rec := range f.Records {
+		key := binary.LittleEndian.Uint64(rec)
+		r.op.recs[r.ctx.NodeID] = append(r.op.recs[r.ctx.NodeID], key)
+		if len(f.IDs) > 0 {
+			r.op.tracked++
+			if len(f.IDs) != len(f.Records) || f.IDs[i] != trackedID(key) {
+				r.op.badPairs++
+			}
+		}
 	}
 	r.op.mu.Unlock()
 	return r.out.NextFrame(f)
@@ -188,33 +206,100 @@ func TestSimpleJobOneToOne(t *testing.T) {
 }
 
 func TestHashPartitionRoutesByKey(t *testing.T) {
-	c := NewCluster(testConfig(), "A", "B", "C")
-	defer c.Close()
+	nodes := []string{"A", "B", "C"}
+	for _, tracked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tracked=%v", tracked), func(t *testing.T) {
+			c := NewCluster(testConfig(), nodes...)
+			defer c.Close()
 
-	spec := &JobSpec{Name: "hash"}
-	sink := newCollectOp()
-	gen := spec.AddOperator(&genOp{count: 300}, CountConstraint(1))
-	col := spec.AddOperator(sink, LocationConstraint("A", "B", "C"))
-	spec.Connect(gen, col, MToNHashPartition, leUint64Hash)
+			spec := &JobSpec{Name: "hash"}
+			sink := newCollectOp()
+			gen := spec.AddOperator(&genOp{count: 300, tracked: tracked}, CountConstraint(1))
+			col := spec.AddOperator(sink, LocationConstraint(nodes...))
+			spec.Connect(gen, col, MToNHashPartition, leUint64Hash)
 
-	j, err := c.StartJob(spec)
-	if err != nil {
-		t.Fatal(err)
+			j, err := c.StartJob(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if sink.total() != 300 {
+				t.Fatalf("collected %d, want 300", sink.total())
+			}
+			// Every record lands on the node its key hashes to, still paired
+			// with its own id when the frames are tracked.
+			sink.mu.Lock()
+			defer sink.mu.Unlock()
+			for i, n := range nodes {
+				if len(sink.recs[n]) != 100 {
+					t.Fatalf("node %s got %d records, want 100", n, len(sink.recs[n]))
+				}
+				for _, key := range sink.recs[n] {
+					if key%3 != uint64(i) {
+						t.Fatalf("key %d routed to node %s", key, n)
+					}
+				}
+			}
+			wantTracked := 0
+			if tracked {
+				wantTracked = 300
+			}
+			if sink.tracked != wantTracked || sink.badPairs != 0 {
+				t.Fatalf("tracked records = %d (want %d), detached ids = %d", sink.tracked, wantTracked, sink.badPairs)
+			}
+		})
 	}
-	if err := j.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.total() != 300 {
-		t.Fatalf("collected %d, want 300", sink.total())
-	}
-	// Every record with the same key must land on the same node; since
-	// keys are unique here we instead check distribution across >1 node.
-	sink.mu.Lock()
-	nodes := len(sink.recs)
-	sink.mu.Unlock()
-	if nodes < 2 {
-		t.Fatalf("hash partitioning used %d nodes, want >= 2", nodes)
-	}
+	// The router driven directly: bucketed records are the input byte slices
+	// themselves, and a frame whose IDs column does not match its records is
+	// rejected before anything is forwarded.
+	t.Run("router", func(t *testing.T) {
+		c := NewCluster(testConfig(), "A", "B")
+		defer c.Close()
+		queues := []*inQueue{
+			{ch: make(chan *Frame, 1), node: c.Node("A"), producers: 1},
+			{ch: make(chan *Frame, 1), node: c.Node("B"), producers: 1},
+		}
+		r := &router{strategy: MToNHashPartition, keyHash: leUint64Hash, queues: queues}
+
+		in := NewFrame(10)
+		for key := uint64(0); key < 10; key++ {
+			in.Append(binary.LittleEndian.AppendUint64(nil, key))
+			in.IDs = append(in.IDs, trackedID(key))
+		}
+		if err := r.NextFrame(in); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queues {
+			f := <-q.ch
+			if f.Len() != 5 || len(f.IDs) != 5 {
+				t.Fatalf("queue %d: %d records, %d ids, want 5 and 5", i, f.Len(), len(f.IDs))
+			}
+			for k, rec := range f.Records {
+				key := binary.LittleEndian.Uint64(rec)
+				if key%2 != uint64(i) || f.IDs[k] != trackedID(key) {
+					t.Fatalf("queue %d: key %d arrived with id %#x", i, key, f.IDs[k])
+				}
+				if &rec[0] != &in.Records[key][0] {
+					t.Fatalf("queue %d: record %d was copied", i, key)
+				}
+			}
+		}
+
+		for _, strategy := range []ConnectorStrategy{OneToOne, MToNRandomPartition, MToNReplicate, MToNHashPartition} {
+			r := &router{strategy: strategy, keyHash: leUint64Hash, queues: queues}
+			bad := &Frame{Records: in.Records[:2], IDs: in.IDs[:1]}
+			if err := r.NextFrame(bad); err == nil {
+				t.Fatalf("strategy %d accepted 1 id for 2 records", strategy)
+			}
+			for i, q := range queues {
+				if len(q.ch) != 0 {
+					t.Fatalf("strategy %d forwarded a malformed frame to queue %d", strategy, i)
+				}
+			}
+		}
+	})
 }
 
 func TestRandomPartitionBalances(t *testing.T) {
@@ -565,6 +650,37 @@ func TestFrameHelpers(t *testing.T) {
 	if sl.Len() != 1 || sl.Records[0][0] != 3 {
 		t.Fatalf("Slice = %v", sl.Records)
 	}
+	if len(cl.IDs) != 0 || len(sl.IDs) != 0 {
+		t.Fatalf("untracked frame grew ids: Clone %v, Slice %v", cl.IDs, sl.IDs)
+	}
+
+	// The IDs column stays aligned with Records through every helper.
+	f.IDs = []uint64{10, 11}
+	if f.Bytes() != 3+2*8 {
+		t.Fatalf("tracked Bytes = %d, want records + 8 per id", f.Bytes())
+	}
+	cl = f.Clone()
+	cl.IDs[0] = 99
+	if len(cl.IDs) != 2 || cl.IDs[1] != 11 || f.IDs[0] != 10 {
+		t.Fatalf("Clone ids = %v (source %v)", cl.IDs, f.IDs)
+	}
+	sl = f.Slice(1, 2)
+	if len(sl.IDs) != 1 || sl.IDs[0] != 11 {
+		t.Fatalf("Slice ids = %v, want [11]", sl.IDs)
+	}
+	f.Reset()
+	if f.Len() != 0 || len(f.IDs) != 0 {
+		t.Fatalf("Reset left %d records, %d ids", f.Len(), len(f.IDs))
+	}
+	// A pooled header must not leak a tracked frame's ids into its next,
+	// untracked, use. (The pool may hand back any header; none may have ids.)
+	tr := GetFrame(2)
+	tr.Append([]byte{1})
+	tr.IDs = append(tr.IDs, 7)
+	PutFrame(tr)
+	if got := GetFrame(2); len(got.IDs) != 0 || got.Len() != 0 {
+		t.Fatalf("GetFrame after PutFrame of a tracked frame: %d records, ids %v", got.Len(), got.IDs)
+	}
 }
 
 func TestBackPressureDoesNotDeadlock(t *testing.T) {
@@ -752,6 +868,35 @@ func TestInFlightFrameBytesLedger(t *testing.T) {
 			if got := c.Node(n).InFlightFrameBytes(); got != 0 {
 				t.Fatalf("node %s in-flight bytes = %d after completion, want 0", n, got)
 			}
+		}
+	})
+	t.Run("tracked", func(t *testing.T) {
+		// A tracking id is charged at 8 bytes: a tracked frame weighs what
+		// its records do plus its IDs column, and is credited back in full.
+		c := NewCluster(testConfig(), "A", "B")
+		defer c.Close()
+		q := &inQueue{ch: make(chan *Frame, 1), node: c.Node("A"), producers: 1}
+		if err := q.send(&Frame{Records: [][]byte{{1, 2, 3}, {4}}, IDs: []uint64{7, 8}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Node("A").InFlightFrameBytes(); got != 4+2*8 {
+			t.Fatalf("in-flight bytes = %d for 4 record bytes and 2 ids, want 20", got)
+		}
+
+		col := newCollectOp()
+		spec := &JobSpec{Name: "inflight-tracked"}
+		gen := spec.AddOperator(&genOp{count: 200, tracked: true}, CountConstraint(1))
+		snk := spec.AddOperator(col, LocationConstraint("A", "B"))
+		spec.Connect(gen, snk, MToNHashPartition, leUint64Hash)
+		j, err := c.StartJob(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := c.Node("A").InFlightFrameBytes(), c.Node("B").InFlightFrameBytes(); a != 4+2*8 || b != 0 {
+			t.Fatalf("in-flight bytes = %d, %d after a tracked job, want only the 20 still queued on A", a, b)
 		}
 	})
 	t.Run("canceled", func(t *testing.T) {
