@@ -195,6 +195,7 @@ func newNodeStorage(reg *metrics.Registry, name, dir string, lsmOpt lsm.Options)
 	reg.RegisterCounter(p+".flushes", &lm.Flushes)
 	reg.RegisterCounter(p+".flushed_entries", &lm.FlushedEntries)
 	reg.RegisterCounter(p+".merges", &lm.Merges)
+	reg.RegisterCounter(p+".merged_entries", &lm.MergedEntries)
 	reg.RegisterCounter(p+".block_reads", &lm.BlockReads)
 	reg.RegisterCounter(p+".write_stalls", &lm.WriteStalls)
 	// Recovery observability: WAL records replayed by tree opens on this

@@ -37,7 +37,7 @@ func (m *Manager) registerConnMetricsLocked(conn *Connection) {
 	r.RegisterCounter(p+".replayed", &conn.Metrics.Replayed)
 	r.RegisterLatency(p+".latency", conn.Metrics.IngestionLatency)
 	r.RegisterGaugeFunc(p+".backlog", func() int64 {
-		return int64(m.connBacklog(conn))
+		return int64(m.connSubscriptionStats(conn).Backlog)
 	})
 	r.RegisterGaugeFunc(p+".pending_acks", func() int64 {
 		return int64(conn.PendingAcks())

@@ -29,12 +29,6 @@ func (m *Manager) elasticLoop(conn *Connection) {
 	defer tick.Stop()
 	over, idle := 0, 0
 	minCompute := conn.ComputeCount()
-	// The controller reads the backlog through the registry gauge published
-	// at connect time — the same function connBacklog the admin endpoints
-	// serve — so scaling decisions and the console can never disagree about
-	// what the backlog "is". The direct call remains as a fallback for a
-	// connection whose gauge has been unregistered mid-teardown.
-	backlogMetric := connMetricPrefix(conn.id) + ".backlog"
 	for {
 		select {
 		case <-m.stopCh:
@@ -49,10 +43,9 @@ func (m *Manager) elasticLoop(conn *Connection) {
 			}
 			continue // recovering: skip this round
 		}
-		backlog, ok := m.registry.Value(backlogMetric)
-		if !ok {
-			backlog = int64(m.connBacklog(conn))
-		}
+		// The same sum the feed.<conn>.backlog gauge serves, so scaling
+		// decisions and the console cannot disagree about the backlog.
+		backlog := int64(m.connSubscriptionStats(conn).Backlog)
 		budget := int64(conn.pol.MemoryBudgetRecords)
 		switch {
 		case backlog > budget:
@@ -97,33 +90,6 @@ func (m *Manager) governorVetoesScaleOut(conn *Connection) bool {
 		}
 	}
 	return false
-}
-
-// connBacklog sums the connection's subscription backlogs (in-memory plus
-// spilled frames) across its intake partitions.
-func (m *Manager) connBacklog(conn *Connection) int {
-	m.mu.Lock()
-	p, ok := m.produced[conn.sourceSignature]
-	var locs []string
-	if ok {
-		locs = append(locs, p.locs...)
-	}
-	m.mu.Unlock()
-	total := 0
-	for part, loc := range locs {
-		fm := m.feedManagerAt(loc)
-		if fm == nil {
-			continue
-		}
-		j, ok := fm.Joint(conn.sourceSignature, part)
-		if !ok {
-			continue
-		}
-		if s, ok := j.Subscription(conn.subID); ok {
-			total += s.Backlog()
-		}
-	}
-	return total
 }
 
 // rescale adjusts the connection's compute parallelism by delta and

@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func openTest(t *testing.T, opt Options) *Tree {
@@ -293,63 +294,128 @@ func TestClosedTreeRejectsOps(t *testing.T) {
 	}
 }
 
+// TestPropertyModelCheck drives random operation sequences — single puts and
+// deletes, batches with in-batch duplicates and put-then-delete of one key,
+// Flush, Merge, ranged scans, and close + reopen of the same directory —
+// against a map model. Every key of the keyspace is probed and a full scan
+// compared every 25 operations, so a divergence is caught near the operation
+// that caused it. The seeds are fixed: it is the same test on every machine,
+// and a failure names its seed in the subtest.
 func TestPropertyModelCheck(t *testing.T) {
-	// Random Put/Delete/Flush/Merge sequences must agree with a map model.
-	f := func(seed int64) bool {
-		dir := t.TempDir()
-		tr, err := Open(Options{Dir: dir, MemtableBytes: 1 << 10, MaxRuns: 2})
-		if err != nil {
-			return false
-		}
-		defer tr.Close()
-		model := map[string]string{}
-		r := rand.New(rand.NewSource(seed))
-		for op := 0; op < 300; op++ {
-			key := fmt.Sprintf("k%02d", r.Intn(40))
-			switch r.Intn(10) {
-			case 0:
-				tr.Delete([]byte(key))
-				delete(model, key)
-			case 1:
-				if err := tr.Flush(); err != nil {
-					return false
+	const keyspace = 40
+	keyOf := func(i int) string { return fmt.Sprintf("k%02d", i) }
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			opt := Options{Dir: t.TempDir(), MemtableBytes: 1 << 10, MaxRuns: 2}
+			tr, err := Open(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { tr.Close() }()
+			model := map[string]string{}
+			r := rand.New(rand.NewSource(seed))
+
+			// sorted returns the model's live pairs with from <= key < to.
+			sorted := func(from, to string) [][2]string {
+				var out [][2]string
+				for k, v := range model {
+					if k >= from && (to == "" || k < to) {
+						out = append(out, [2]string{k, v})
+					}
 				}
-			default:
-				val := fmt.Sprintf("v%d", r.Intn(1000))
-				tr.Put([]byte(key), []byte(val))
-				model[key] = val
+				sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+				return out
 			}
-		}
-		// Verify point reads.
-		for k, want := range model {
-			v, ok, err := tr.Get([]byte(k))
-			if err != nil || !ok || string(v) != want {
-				t.Logf("Get(%s) = %q,%v,%v want %q", k, v, ok, err, want)
-				return false
+			checkScan := func(op int, from, to string) {
+				t.Helper()
+				var toKey []byte
+				if to != "" {
+					toKey = []byte(to)
+				}
+				var got [][2]string
+				err := tr.Scan([]byte(from), toKey, func(k, v []byte) bool {
+					got = append(got, [2]string{string(k), string(v)})
+					return true
+				})
+				if err != nil {
+					t.Fatalf("op %d: Scan(%q, %q): %v", op, from, to, err)
+				}
+				if want := sorted(from, to); !reflect.DeepEqual(got, want) {
+					t.Fatalf("op %d: Scan(%q, %q) = %v, model %v", op, from, to, got, want)
+				}
 			}
-		}
-		// Verify full scan matches the model exactly.
-		seen := map[string]string{}
-		err = tr.Scan(nil, nil, func(k, v []byte) bool {
-			seen[string(k)] = string(v)
-			return true
+			checkAll := func(op int) {
+				t.Helper()
+				for i := 0; i < keyspace; i++ {
+					k := keyOf(i)
+					want, live := model[k]
+					v, ok, err := tr.Get([]byte(k))
+					if err != nil || ok != live || string(v) != want {
+						t.Fatalf("op %d: Get(%s) = %q,%v,%v; model %q,%v", op, k, v, ok, err, want, live)
+					}
+				}
+				checkScan(op, "", "")
+			}
+
+			for op := 1; op <= 300; op++ {
+				key := keyOf(r.Intn(keyspace))
+				switch r.Intn(20) {
+				case 0, 1:
+					if err := tr.Delete([]byte(key)); err != nil {
+						t.Fatalf("op %d: Delete: %v", op, err)
+					}
+					delete(model, key)
+				case 2, 3:
+					if err := tr.Flush(); err != nil {
+						t.Fatalf("op %d: Flush: %v", op, err)
+					}
+				case 4:
+					if err := tr.Merge(); err != nil {
+						t.Fatalf("op %d: Merge: %v", op, err)
+					}
+				case 5, 6:
+					// A batch over a narrow key window so duplicates are
+					// certain: the last op per key wins, and one key is put
+					// and then deleted within the batch.
+					b := NewBatch(8)
+					base := r.Intn(keyspace - 3)
+					for i := 0; i < 6; i++ {
+						k := keyOf(base + r.Intn(3))
+						v := fmt.Sprintf("b%d", r.Intn(1000))
+						b.Put([]byte(k), []byte(v))
+						model[k] = v
+					}
+					b.Put([]byte(key), []byte("doomed"))
+					b.Delete([]byte(key))
+					delete(model, key)
+					if err := tr.ApplyBatch(b); err != nil {
+						t.Fatalf("op %d: ApplyBatch: %v", op, err)
+					}
+				case 7:
+					from, to := r.Intn(keyspace), r.Intn(keyspace+1)
+					if from > to {
+						from, to = to, from
+					}
+					checkScan(op, keyOf(from), keyOf(to))
+				case 8:
+					if err := tr.Close(); err != nil {
+						t.Fatalf("op %d: Close: %v", op, err)
+					}
+					if tr, err = Open(opt); err != nil {
+						t.Fatalf("op %d: reopen: %v", op, err)
+					}
+				default:
+					val := fmt.Sprintf("v%d", r.Intn(1000))
+					if err := tr.Put([]byte(key), []byte(val)); err != nil {
+						t.Fatalf("op %d: Put: %v", op, err)
+					}
+					model[key] = val
+				}
+				if op%25 == 0 {
+					checkAll(op)
+				}
+			}
 		})
-		if err != nil {
-			return false
-		}
-		if len(seen) != len(model) {
-			t.Logf("scan size %d, model size %d", len(seen), len(model))
-			return false
-		}
-		for k, v := range model {
-			if seen[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -175,17 +175,6 @@ func (m *memtable) len() int {
 	return m.count
 }
 
-// entries returns all entries in key order.
-func (m *memtable) entries() []entry {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]entry, 0, m.count)
-	for n := m.head.next[0]; n != nil; n = n.next[0] {
-		out = append(out, n.entry)
-	}
-	return out
-}
-
 // iter returns an iterator positioned at the first key >= from.
 func (m *memtable) iter(from []byte) *memtableIter {
 	m.mu.RLock()
@@ -214,13 +203,16 @@ type memtableIter struct {
 
 func (it *memtableIter) valid() bool { return it.node != nil }
 func (it *memtableIter) key() []byte { return it.node.key }
-func (it *memtableIter) curr() entry {
+func (it *memtableIter) curr() (entry, error) {
 	it.m.mu.RLock()
 	defer it.m.mu.RUnlock()
-	return it.node.entry
+	return it.node.entry, nil
 }
 func (it *memtableIter) next() {
 	it.m.mu.RLock()
 	defer it.m.mu.RUnlock()
 	it.node = it.node.next[0]
 }
+
+// fail is always nil: a memtable read cannot fail.
+func (it *memtableIter) fail() error { return nil }

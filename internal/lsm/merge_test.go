@@ -1,20 +1,47 @@
 package lsm
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"testing"
 )
+
+// writeRun persists entries (which must be sorted by key, unique) as a run
+// file at path through the bare runWriter — no merge, no tombstone rule —
+// so tests can lay down inputs of any shape.
+func writeRun(path string, entries []entry, cfg runConfig) (*run, error) {
+	rw, err := newRunWriter(path, len(entries), cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if err := rw.add(e); err != nil {
+			_ = rw.abort()
+			return nil, err
+		}
+	}
+	return rw.finish()
+}
 
 // buildRun writes entries (sorted, unique) as a run file under dir.
 func buildRun(t *testing.T, dir string, seq int, entries []entry) *run {
 	t.Helper()
-	r, err := writeRun(filepath.Join(dir, fmt.Sprintf("run-%06d.lsm", seq)), entries)
+	r, err := writeRun(filepath.Join(dir, fmt.Sprintf("run-%06d.lsm", seq)), entries, runConfig{})
 	if err != nil {
 		t.Fatalf("writeRun: %v", err)
 	}
 	return r
+}
+
+// mergeRuns drives the tree's one component writer the way compactOnce does:
+// a full merge of runs (newest first) that drops tombstones.
+func mergeRuns(path string, runs []*run, cfg runConfig) (*run, error) {
+	return writeMergedRun(path, nil, runs, true, "merge:bg", cfg)
 }
 
 func e(key, value string) entry { return entry{key: []byte(key), value: []byte(value)} }
@@ -44,7 +71,7 @@ func TestMergeRunsNewestWins(t *testing.T) {
 	defer mid.close()
 	defer newer.close()
 
-	merged, err := mergeRuns(filepath.Join(dir, "run-000004.lsm"), []*run{newer, mid, old}, nil, runConfig{})
+	merged, err := mergeRuns(filepath.Join(dir, "run-000004.lsm"), []*run{newer, mid, old}, runConfig{})
 	if err != nil {
 		t.Fatalf("mergeRuns: %v", err)
 	}
@@ -75,7 +102,7 @@ func TestMergeRunsDropsTombstones(t *testing.T) {
 	defer old.close()
 	defer newer.close()
 
-	merged, err := mergeRuns(filepath.Join(dir, "run-000003.lsm"), []*run{newer, old}, nil, runConfig{})
+	merged, err := mergeRuns(filepath.Join(dir, "run-000003.lsm"), []*run{newer, old}, runConfig{})
 	if err != nil {
 		t.Fatalf("mergeRuns: %v", err)
 	}
@@ -100,7 +127,7 @@ func TestMergeRunsResurrectionMasked(t *testing.T) {
 	defer old.close()
 	defer newer.close()
 
-	merged, err := mergeRuns(filepath.Join(dir, "run-000003.lsm"), []*run{newer, old}, nil, runConfig{})
+	merged, err := mergeRuns(filepath.Join(dir, "run-000003.lsm"), []*run{newer, old}, runConfig{})
 	if err != nil {
 		t.Fatalf("mergeRuns: %v", err)
 	}
@@ -121,7 +148,7 @@ func TestMergeRunsAllTombstones(t *testing.T) {
 	defer old.close()
 	defer newer.close()
 
-	merged, err := mergeRuns(filepath.Join(dir, "run-000003.lsm"), []*run{newer, old}, nil, runConfig{})
+	merged, err := mergeRuns(filepath.Join(dir, "run-000003.lsm"), []*run{newer, old}, runConfig{})
 	if err != nil {
 		t.Fatalf("mergeRuns: %v", err)
 	}
@@ -177,5 +204,172 @@ func TestRunWriterAtomicity(t *testing.T) {
 	}
 	if got := tr.Stats().Runs; got != 0 {
 		t.Fatalf("Open loaded %d runs from debris, want 0", got)
+	}
+}
+
+// overlappingRuns lays down nRuns runs (returned newest first) of perRun
+// entries each over a shared keyspace, so most keys live in several runs and
+// every run carries tombstones, and returns the newest-wins model of their
+// union with tombstones already dropped.
+func overlappingRuns(t *testing.T, dir string, nRuns, perRun int, cfg runConfig) ([]*run, map[string]string) {
+	t.Helper()
+	rnd := rand.New(rand.NewSource(7))
+	model := map[string]string{}
+	runs := make([]*run, nRuns)
+	for seq := 1; seq <= nRuns; seq++ { // oldest first, so later runs overwrite the model
+		picked := map[string]entry{}
+		for len(picked) < perRun {
+			k := fmt.Sprintf("key-%06d", rnd.Intn(perRun*2))
+			if rnd.Intn(10) == 0 {
+				picked[k] = tomb(k)
+			} else {
+				picked[k] = e(k, fmt.Sprintf("r%d-%s-%d", seq, k, rnd.Intn(1000)))
+			}
+		}
+		entries := make([]entry, 0, perRun)
+		for k, ent := range picked {
+			entries = append(entries, ent)
+			if ent.tombstone {
+				delete(model, k)
+			} else {
+				model[k] = string(ent.value)
+			}
+		}
+		sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].key, entries[j].key) < 0 })
+		r, err := writeRun(filepath.Join(dir, fmt.Sprintf("run-%06d.lsm", seq)), entries, cfg)
+		if err != nil {
+			t.Fatalf("writeRun: %v", err)
+		}
+		t.Cleanup(func() { r.close() })
+		runs[nRuns-seq] = r
+	}
+	return runs, model
+}
+
+// TestMergeUnderCacheEviction is the case the merge's old per-entry copy was
+// defending: with 256-byte blocks nearly every next() crosses a block, and a
+// cache far smaller than the inputs evicts the block an entry came from while
+// the merge still compares against (and writes) its bytes. Blocks are never
+// reused or mutated, so the output must still match the model entry for
+// entry.
+func TestMergeUnderCacheEviction(t *testing.T) {
+	dir := t.TempDir()
+	cache := NewBlockCache(16 << 10)
+	cfg := runConfig{blockBytes: 256, cache: cache}
+	runs, model := overlappingRuns(t, dir, 4, 5000, cfg)
+
+	merged, err := mergeRuns(filepath.Join(dir, "run-000004m.lsm"), runs, cfg)
+	if err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	defer merged.close()
+	if ev := cache.Stats().Evictions; ev < 1000 {
+		t.Fatalf("cache evicted %d blocks during the merge; the test needs continuous eviction", ev)
+	}
+	got := runEntries(t, merged)
+	if len(got) != len(model) {
+		t.Fatalf("merged run has %d entries, model %d", len(got), len(model))
+	}
+	for i, ent := range got {
+		if i > 0 && bytes.Compare(got[i-1].key, ent.key) >= 0 {
+			t.Fatalf("entry %d key %q not above its predecessor %q", i, ent.key, got[i-1].key)
+		}
+		want, ok := model[string(ent.key)]
+		if ent.tombstone || !ok || string(ent.value) != want {
+			t.Fatalf("entry %d: %q = %q (tombstone %v), model %q (present %v)", i, ent.key, ent.value, ent.tombstone, want, ok)
+		}
+	}
+}
+
+// TestMergeAllocatesPerBlockNotPerEntry pins what made the copy unnecessary:
+// the writer consumes each entry before its iterator moves, so a merge
+// allocates for the blocks it reads and the index entries it emits, never
+// for an entry. (A merge that copies key and value of every entry it emits
+// measures 0.96 on these inputs — two per output entry.)
+func TestMergeAllocatesPerBlockNotPerEntry(t *testing.T) {
+	dir := t.TempDir()
+	cfg := runConfig{blockBytes: 4 << 10}
+	runs, _ := overlappingRuns(t, dir, 4, 5000, cfg)
+	read := 0
+	for _, r := range runs {
+		read += r.len()
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	merged, err := mergeRuns(filepath.Join(dir, "run-000004m.lsm"), runs, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	defer merged.close()
+	perEntry := float64(after.Mallocs-before.Mallocs) / float64(read)
+	t.Logf("%d allocations for %d input entries: %.3f per entry", after.Mallocs-before.Mallocs, read, perEntry)
+	if perEntry >= 0.2 {
+		t.Fatalf("merge allocated %.3f objects per input entry, want < 0.2 (per block, not per entry)", perEntry)
+	}
+}
+
+// TestWriteMergedRunMixedComponents feeds the component writer what a
+// snapshot holds — two memtables over two runs, newest first — with
+// overlapping keys, a tombstone in every layer, and the empty key, and
+// checks the run it produces against a newest-wins model for both tombstone
+// rules.
+func TestWriteMergedRunMixedComponents(t *testing.T) {
+	// Layers newest first; each sorted by key. "" is the empty key.
+	layers := [][]entry{
+		{tomb(""), e("b", "m1-b"), tomb("d"), e("h", "m1-h")},                          // mutable memtable
+		{e("", "m2-empty"), e("a", "m2-a"), tomb("b"), e("d", "m2-d"), tomb("g")},      // frozen memtable
+		{e("a", "r1-a"), tomb("c"), e("e", "r1-e"), e("g", "r1-g")},                    // newer run
+		{e("", "r2-empty"), e("b", "r2-b"), e("c", "r2-c"), tomb("f"), e("h", "r2-h")}, // older run
+	}
+	for _, dropTombstones := range []bool{false, true} {
+		t.Run(fmt.Sprintf("dropTombstones=%v", dropTombstones), func(t *testing.T) {
+			dir := t.TempDir()
+			model := map[string]entry{}
+			for i := len(layers) - 1; i >= 0; i-- { // oldest first: newer overwrite
+				for _, ent := range layers[i] {
+					model[string(ent.key)] = ent
+				}
+			}
+			var want []entry
+			for _, ent := range model {
+				if !(dropTombstones && ent.tombstone) {
+					want = append(want, ent)
+				}
+			}
+			sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i].key, want[j].key) < 0 })
+
+			var mems []*memtable
+			var runs []*run
+			for i, layer := range layers {
+				if i < 2 {
+					m := newMemtable(int64(i + 1))
+					for _, ent := range layer {
+						m.put(ent.key, ent.value, ent.tombstone)
+					}
+					mems = append(mems, m)
+					continue
+				}
+				r := buildRun(t, dir, len(layers)-i, layer)
+				defer r.close()
+				runs = append(runs, r)
+			}
+			out, err := writeMergedRun(filepath.Join(dir, "run-000009.lsm"), mems, runs, dropTombstones, "flush:bg", runConfig{})
+			if err != nil {
+				t.Fatalf("writeMergedRun: %v", err)
+			}
+			defer out.close()
+			got := runEntries(t, out)
+			if len(got) != len(want) {
+				t.Fatalf("run has %d entries, model %d: %+v", len(got), len(want), got)
+			}
+			for i := range want {
+				if !bytes.Equal(got[i].key, want[i].key) || !bytes.Equal(got[i].value, want[i].value) || got[i].tombstone != want[i].tombstone {
+					t.Fatalf("entry %d = %q:%q (tombstone %v), model %q:%q (tombstone %v)", i,
+						got[i].key, got[i].value, got[i].tombstone, want[i].key, want[i].value, want[i].tombstone)
+				}
+			}
+		})
 	}
 }

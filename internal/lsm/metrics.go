@@ -20,8 +20,12 @@ type Metrics struct {
 	// they wrote.
 	Flushes        metrics.Counter
 	FlushedEntries metrics.Counter
-	// Merges counts full tiered merges.
-	Merges metrics.Counter
+	// Merges counts full tiered merges; MergedEntries the entries they read
+	// (the inputs' totals, shadowed versions and tombstones included), so
+	// MergedEntries / FlushedEntries is the write amplification: how many
+	// times the average flushed entry has been rewritten.
+	Merges        metrics.Counter
+	MergedEntries metrics.Counter
 	// BlockReads counts run blocks read from disk (ReadAt calls on the read
 	// path). Cache hits do not count — the gap between lookups and
 	// BlockReads is exactly the cache's work, which is how the read-path

@@ -248,111 +248,6 @@ func (rw *runWriter) abort() error {
 	return cerr
 }
 
-// writeRun persists entries (which must be sorted by key, unique) as a run
-// file at path and returns the opened run, with default read-path plumbing.
-func writeRun(path string, entries []entry) (*run, error) {
-	rw, err := newRunWriter(path, len(entries), runConfig{})
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		if err := rw.add(e); err != nil {
-			_ = rw.abort()
-			return nil, err
-		}
-	}
-	return rw.finish()
-}
-
-// mergeRuns streams a full k-way merge of runs (ordered newest first) into
-// a new run file at path. Duplicate keys resolve newest-wins; tombstones
-// are dropped entirely, since a full merge leaves no older component for
-// them to mask. Memory stays O(block): one block per input is materialized
-// at a time, replacing the old merge's whole-dataset []entry slice.
-//
-// beforeFinish, when non-nil, runs after the merged entries are fully
-// written but before the rename publishes the file — the compactor's
-// fault-injection point. A plain error aborts the temp file; ErrTornWrite
-// leaves it behind as crash debris (the caller wedges the tree and Open
-// sweeps the debris).
-func mergeRuns(path string, runs []*run, beforeFinish func() error, cfg runConfig) (*run, error) {
-	its := make([]*runIter, len(runs))
-	total := 0
-	for i, r := range runs {
-		its[i] = r.iter(nil)
-		total += r.len()
-	}
-	rw, err := newRunWriter(path, total, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		// Pick the smallest key; among equals the newest run (lowest
-		// index) wins.
-		best := -1
-		for i, it := range its {
-			if !it.valid() {
-				continue
-			}
-			if best == -1 || bytes.Compare(it.key(), its[best].key()) < 0 {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		winKey := its[best].key()
-		e, err := its[best].curr()
-		if err != nil {
-			_ = rw.abort()
-			return nil, err
-		}
-		// The winning entry aliases its block's bytes; copy before advancing
-		// (which may load a different block into the iterator, or evict the
-		// cached one).
-		e = entry{
-			key:       append([]byte(nil), e.key...),
-			value:     append([]byte(nil), e.value...),
-			tombstone: e.tombstone,
-		}
-		// Advance every iterator past winKey, discarding older versions.
-		for _, it := range its {
-			for it.valid() && bytes.Equal(it.key(), winKey) {
-				it.next()
-			}
-		}
-		if !e.tombstone {
-			if err := rw.add(e); err != nil {
-				_ = rw.abort()
-				return nil, err
-			}
-		}
-	}
-	// An iterator that hit a read error goes invalid, which would otherwise
-	// look identical to clean exhaustion — and silently drop every entry it
-	// hadn't yielded yet. Check before publishing the merge.
-	for _, it := range its {
-		if err := it.fail(); err != nil {
-			_ = rw.abort()
-			return nil, err
-		}
-	}
-	if beforeFinish != nil {
-		if err := beforeFinish(); err != nil {
-			if errors.Is(err, ErrTornWrite) {
-				// Crash debris: flush what a crash would have left and
-				// keep the temp file on disk.
-				_ = rw.w.Flush()
-				_ = rw.f.Close()
-			} else {
-				_ = rw.abort()
-			}
-			return nil, err
-		}
-	}
-	return rw.finish()
-}
-
 // openRun loads a run's sparse index and bloom filter from disk. Every
 // trailer length is validated against the file size before any allocation or
 // read, so a corrupt or truncated file fails loudly here rather than
@@ -659,9 +554,14 @@ func (it *runIter) advance() {
 
 func (it *runIter) valid() bool { return it.ok }
 
-// curr returns the current entry. Its key and value alias block memory that
-// is only guaranteed stable until the iterator advances past the block;
-// callers that retain them must copy.
+// curr returns the current entry. Its key and value alias block memory, and
+// block memory is never reused or mutated: readBlock allocates a fresh
+// buffer per disk read and cached blocks are immutable, so eviction only
+// drops the cache's reference. The bytes therefore stay valid after the
+// iterator advances — even across a block boundary — for as long as the
+// caller holds them, which is what lets the merge compare against a winner's
+// key while advancing past it and lets the run writer consume an entry
+// without a private copy. Callers that retain an entry pin its whole block.
 func (it *runIter) curr() (entry, error) {
 	if it.err != nil {
 		return entry{}, it.err

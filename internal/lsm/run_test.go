@@ -339,7 +339,7 @@ func TestMergePropagatesReadError(t *testing.T) {
 	}
 	defer b.close()
 
-	_, err = mergeRuns(filepath.Join(dir, "run-000003.lsm"), []*run{b, a}, nil, runConfig{})
+	_, err = mergeRuns(filepath.Join(dir, "run-000003.lsm"), []*run{b, a}, runConfig{})
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("mergeRuns = %v, want ErrInjected from the failed input read", err)
 	}

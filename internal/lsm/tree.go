@@ -228,8 +228,8 @@ func Open(opt Options) (*Tree, error) {
 	}
 	t.wal = w
 
-	go t.flusher()
-	go t.compactor()
+	go t.background(t.flushC, t.flusherDone, t.flushStep)
+	go t.background(t.compactC, t.compactorDone, t.compactOnce)
 	if len(t.runs) > t.opt.MaxRuns {
 		t.kick(t.compactC)
 	}
@@ -735,7 +735,7 @@ func (t *Tree) Scan(from, to []byte, fn func(key, value []byte) bool) error {
 		return err
 	}
 	defer s.release()
-	it := s.mergedIter(from)
+	it := newMergedIter(s.mems, s.runs, from)
 	for it.valid() {
 		e, err := it.curr()
 		if err != nil {
@@ -846,43 +846,55 @@ func (t *Tree) wedge(err error) {
 	t.mu.Unlock()
 }
 
-// flusher drains the immutable queue, writing the whole backlog to one run
-// file per pass and retiring the WAL segments once the run is durable.
-// Group flush is what lets the drain rate scale with the queue depth: the
-// run fsync — the dominant flush cost — is paid once per pass, not once
-// per memtable, so a burst of rotations amortizes to a single sync.
-// Segments are retired strictly oldest first (wedging on the first retire
-// failure), which keeps reopen-time replay correct: a segment is only ever
-// deleted after every older segment's deletion succeeded.
-func (t *Tree) flusher() {
-	defer close(t.flusherDone)
+// background is the loop both pipeline workers run: wait for a kick (or
+// shutdown, closing done on the way out), then run step until it reports no
+// more work. A transient failure (ErrInjected, modelling e.g. a passing EIO)
+// retries the same step after a beat; any other failure wedges the tree and
+// the worker goes back to waiting.
+func (t *Tree) background(kick <-chan struct{}, done chan<- struct{}, step func() (again bool, err error)) {
+	defer close(done)
 	for {
 		select {
 		case <-t.done:
 			return
-		case <-t.flushC:
+		case <-kick:
 		}
 		for {
-			t.prepSegment()
-			tasks := t.pendingTasks()
-			if len(tasks) == 0 {
+			again, err := step()
+			if errors.Is(err, ErrInjected) {
+				select {
+				case <-t.done:
+					return
+				case <-time.After(flushRetryDelay):
+				}
+				continue
+			}
+			if err != nil {
+				t.wedge(err)
 				break
 			}
-			if err := t.flushTasks(tasks); err != nil {
-				if errors.Is(err, ErrInjected) {
-					// Transient: retry the same batch after a beat.
-					select {
-					case <-t.done:
-						return
-					case <-time.After(flushRetryDelay):
-					}
-					continue
-				}
-				t.wedge(err)
+			if !again {
 				break
 			}
 		}
 	}
+}
+
+// flushStep is the flusher's unit of work: drain the immutable queue,
+// writing the whole backlog to one run file and retiring the WAL segments
+// once the run is durable. Group flush is what lets the drain rate scale
+// with the queue depth: the run fsync — the dominant flush cost — is paid
+// once per pass, not once per memtable, so a burst of rotations amortizes to
+// a single sync. Segments are retired strictly oldest first (wedging on the
+// first retire failure), which keeps reopen-time replay correct: a segment
+// is only ever deleted after every older segment's deletion succeeded.
+func (t *Tree) flushStep() (bool, error) {
+	t.prepSegment()
+	tasks := t.pendingTasks()
+	if len(tasks) == 0 {
+		return false, nil
+	}
+	return true, t.flushTasks(tasks)
 }
 
 // prepSegment stages a pre-opened WAL segment for the next rotation, with
@@ -948,45 +960,11 @@ func (t *Tree) pendingTasks() []*flushTask {
 func (t *Tree) flushTasks(tasks []*flushTask) error {
 	newest := tasks[len(tasks)-1]
 	path := filepath.Join(t.opt.Dir, fmt.Sprintf("run-%06d.lsm", newest.seq))
-	hint := 0
-	mi := &mergedIter{}
+	mems := make([]*memtable, 0, len(tasks))
 	for i := len(tasks) - 1; i >= 0; i-- { // newest first, as reads order them
-		hint += tasks[i].mem.len()
-		mi.memIts = append(mi.memIts, tasks[i].mem.iter(nil))
+		mems = append(mems, tasks[i].mem)
 	}
-	rw, err := newRunWriter(path, hint, t.runCfg())
-	if err != nil {
-		return err
-	}
-	flushed := 0
-	for ; mi.valid(); mi.next() {
-		e, err := mi.curr()
-		if err != nil {
-			_ = rw.abort()
-			return err
-		}
-		if err := rw.add(e); err != nil {
-			_ = rw.abort()
-			return err
-		}
-		flushed++
-	}
-	// Fault point: fail (or crash) after the run bytes are written but
-	// before the rename publishes them — the most interesting instant for
-	// recovery, since the WAL segments must still carry every record.
-	if h := t.opt.FaultHook; h != nil {
-		if err := h("flush:bg"); err != nil {
-			if errors.Is(err, ErrTornWrite) {
-				// Crash debris: keep the temp file; Open sweeps it.
-				_ = rw.w.Flush()
-				_ = rw.f.Close()
-				return err
-			}
-			_ = rw.abort()
-			return err
-		}
-	}
-	r, err := rw.finish()
+	r, err := writeMergedRun(path, mems, nil, false, "flush:bg", t.runCfg())
 	if err != nil {
 		return err
 	}
@@ -999,7 +977,7 @@ func (t *Tree) flushTasks(tasks []*flushTask) error {
 	t.flushes++
 	if m := t.opt.Metrics; m != nil {
 		m.Flushes.Add(1)
-		m.FlushedEntries.Add(int64(flushed))
+		m.FlushedEntries.Add(int64(r.len()))
 	}
 	debt := len(t.runs) > t.opt.MaxRuns
 	t.bumpLocked()
@@ -1041,39 +1019,6 @@ func (t *Tree) flushTasks(tasks []*flushTask) error {
 	return nil
 }
 
-// compactor runs the tiered merge in the background: when the run count
-// exceeds MaxRuns (or Merge forces it), every current run is streamed
-// through the k-way merge writer into one replacement run. Input files are
-// deleted oldest-first, each only after its last reader releases it.
-func (t *Tree) compactor() {
-	defer close(t.compactorDone)
-	for {
-		select {
-		case <-t.done:
-			return
-		case <-t.compactC:
-		}
-		for {
-			did, err := t.compactOnce()
-			if err != nil {
-				if errors.Is(err, ErrInjected) {
-					select {
-					case <-t.done:
-						return
-					case <-time.After(flushRetryDelay):
-					}
-					continue
-				}
-				t.wedge(err)
-				break
-			}
-			if !did {
-				break
-			}
-		}
-	}
-}
-
 // mergedName derives the output name for a merge from its newest input:
 // the "m" suffix sorts the output lexicographically *after* that input
 // (newer, correctly shadowing all inputs on reopen) but *before* the next
@@ -1084,6 +1029,11 @@ func mergedName(newestInput string) string {
 	return strings.TrimSuffix(newestInput, ".lsm") + "m.lsm"
 }
 
+// compactOnce is the compactor's unit of work, the tiered merge: when the
+// run count exceeds MaxRuns (or Merge forces it), every current run is
+// streamed through the component writer into one replacement run. Input
+// files are deleted oldest-first, each only after its last reader releases
+// it. It reports whether the published list still exceeds MaxRuns.
 func (t *Tree) compactOnce() (bool, error) {
 	t.mu.Lock()
 	if t.closed || t.bgErr != nil || len(t.runs) <= 1 ||
@@ -1097,11 +1047,13 @@ func (t *Tree) compactOnce() (bool, error) {
 	}
 	t.mu.Unlock()
 
-	var hook func() error
-	if h := t.opt.FaultHook; h != nil {
-		hook = func() error { return h("merge:bg") }
+	read := 0
+	inputNames := make([]string, len(inputs))
+	for i, r := range inputs {
+		read += r.len()
+		inputNames[i] = filepath.Base(r.path)
 	}
-	nr, err := mergeRuns(mergedName(inputs[0].path), inputs, hook, t.runCfg())
+	nr, err := writeMergedRun(mergedName(inputs[0].path), nil, inputs, true, "merge:bg", t.runCfg())
 	if err != nil {
 		for _, r := range inputs {
 			_ = r.release()
@@ -1117,6 +1069,7 @@ func (t *Tree) compactOnce() (bool, error) {
 	t.forceCompact = false
 	if m := t.opt.Metrics; m != nil {
 		m.Merges.Add(1)
+		m.MergedEntries.Add(int64(read))
 	}
 	debt := len(t.runs) > t.opt.MaxRuns
 	t.bumpLocked()
@@ -1126,10 +1079,6 @@ func (t *Tree) compactOnce() (bool, error) {
 	// record swaps the inputs for the output in the durable run set. As in
 	// flushTasks, a commit failure must wedge rather than retry (%v severs
 	// ErrInjected) — the output is already published.
-	inputNames := make([]string, len(inputs))
-	for i, r := range inputs {
-		inputNames[i] = filepath.Base(r.path)
-	}
 	if err := t.man.commitMerge(filepath.Base(nr.path), inputNames); err != nil {
 		for _, r := range inputs {
 			_ = r.release() // snapshot reference
@@ -1159,12 +1108,8 @@ func (t *Tree) compactOnce() (bool, error) {
 			return false, err
 		}
 	}
-	return !debtFree(debt), nil
+	return debt, nil
 }
-
-// debtFree is a readability helper: compactOnce returns "keep going" when
-// the published list still exceeds MaxRuns after this merge.
-func debtFree(debt bool) bool { return !debt }
 
 // Stats returns the tree's component statistics.
 func (t *Tree) Stats() Stats {
@@ -1240,109 +1185,4 @@ func (t *Tree) Close() error {
 		}
 	}
 	return first
-}
-
-// mergedIter merges memtable iterators (newest first: mutable, then
-// immutables) with run iterators (newest first), deduplicating keys —
-// the newest component's version wins.
-type mergedIter struct {
-	memIts []*memtableIter
-	runIts []*runIter
-}
-
-// mergedIter builds the snapshot's k-way merge iterator from key >= from.
-func (s *snapshot) mergedIter(from []byte) *mergedIter {
-	mi := &mergedIter{}
-	for _, m := range s.mems {
-		mi.memIts = append(mi.memIts, m.iter(from))
-	}
-	for _, r := range s.runs {
-		mi.runIts = append(mi.runIts, r.iter(from))
-	}
-	return mi
-}
-
-func (m *mergedIter) valid() bool {
-	for _, it := range m.memIts {
-		if it.valid() {
-			return true
-		}
-	}
-	for _, it := range m.runIts {
-		if it.valid() {
-			return true
-		}
-	}
-	return false
-}
-
-// smallest returns the minimal key across live iterators and which
-// iterator holds the winning (newest) version: memtables beat runs, and
-// within each group the earlier (newer) iterator wins ties. found
-// distinguishes exhaustion from a live empty key (stored as nil).
-func (m *mergedIter) smallest() (key []byte, memIdx, runIdx int, found bool) {
-	memIdx, runIdx = -1, -1
-	for i, it := range m.memIts {
-		if !it.valid() {
-			continue
-		}
-		if !found || bytes.Compare(it.key(), key) < 0 {
-			key = it.key()
-			memIdx = i
-			found = true
-		}
-	}
-	for i, it := range m.runIts {
-		if !it.valid() {
-			continue
-		}
-		if !found || bytes.Compare(it.key(), key) < 0 {
-			key = it.key()
-			memIdx = -1
-			runIdx = i
-			found = true
-		}
-	}
-	return key, memIdx, runIdx, found
-}
-
-func (m *mergedIter) curr() (entry, error) {
-	_, memIdx, runIdx, found := m.smallest()
-	if !found {
-		return entry{}, fmt.Errorf("lsm: curr on exhausted iterator")
-	}
-	if memIdx >= 0 {
-		return m.memIts[memIdx].curr(), nil
-	}
-	return m.runIts[runIdx].curr()
-}
-
-// fail reports the first sticky error across the run iterators; loops that
-// drain a mergedIter must check it after exhaustion.
-func (m *mergedIter) fail() error {
-	for _, it := range m.runIts {
-		if err := it.fail(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// next advances every iterator past the current smallest key, discarding
-// the older versions it shadowed.
-func (m *mergedIter) next() {
-	key, _, _, found := m.smallest()
-	if !found {
-		return
-	}
-	for _, it := range m.memIts {
-		for it.valid() && bytes.Equal(it.key(), key) {
-			it.next()
-		}
-	}
-	for _, it := range m.runIts {
-		for it.valid() && bytes.Equal(it.key(), key) {
-			it.next()
-		}
-	}
 }

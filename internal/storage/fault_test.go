@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"asterixfeeds/internal/adm"
 	"asterixfeeds/internal/lsm"
@@ -252,5 +255,75 @@ func TestRemovePartitionIdx(t *testing.T) {
 	}
 	if n, _ := re.Count(); n != 0 {
 		t.Fatalf("reopened partition has %d records, want 0 (directory removed)", n)
+	}
+}
+
+// TestStatsDoesNotQueueBehindDurableWrite: InsertFrame holds p.mu across
+// every tree's durable write, write-stall wait included, and Stats is what
+// the governor's backpressure signal and the metrics scrape call — the
+// reader that is supposed to notice a backed-up LSM. So with the primary's
+// flusher parked (at flush:bg, off every lock) and an InsertFrame stalled
+// behind the full immutable queue, Partition.Stats and Manager.Stats must
+// still answer, and must show the backlog.
+func TestStatsDoesNotQueueBehindDurableWrite(t *testing.T) {
+	var armed atomic.Bool
+	armed.Store(true)
+	stop, release := make(chan struct{}), make(chan struct{})
+	resume := sync.OnceFunc(func() { close(stop); close(release) })
+	lm := &lsm.Metrics{}
+	m := NewManager("A", t.TempDir(), lsm.Options{
+		MemtableBytes: 1 << 10, MaxImmutables: 1, Metrics: lm,
+		FaultHook: func(op string) error {
+			if strings.HasSuffix(op, "primary/flush:bg") && armed.CompareAndSwap(true, false) {
+				<-release
+			}
+			return nil
+		}})
+	defer m.Close()
+	defer resume() // before Close, which joins the parked flusher
+	p, err := m.OpenPartition(testDataset())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Insert until a frame stalls: the parked flusher never drains the one
+	// queued memtable, so the write that next needs to rotate waits — inside
+	// InsertFrame, holding p.mu — until release.
+	inserted := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			if err := p.InsertFrame(frameOf(i*10, 10)); err != nil {
+				inserted <- err
+				return
+			}
+			select {
+			case <-stop:
+				inserted <- nil
+				return
+			default:
+			}
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); lm.WriteStalls.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no InsertFrame stalled behind the parked flusher")
+		}
+	}
+
+	for name, stats := range map[string]func() lsm.Stats{"Partition.Stats": p.Stats, "Manager.Stats": m.Stats} {
+		got := make(chan lsm.Stats, 1)
+		go func() { got <- stats() }()
+		select {
+		case st := <-got:
+			if st.MemtableBytes == 0 || st.Immutables == 0 || st.WriteStalls == 0 {
+				t.Errorf("%s = %+v, want the stalled write's memtable bytes, queued immutable and stall", name, st)
+			}
+		case <-time.After(100 * time.Millisecond):
+			t.Errorf("%s blocked behind a stalled InsertFrame", name)
+		}
+	}
+	resume()
+	if err := <-inserted; err != nil {
+		t.Fatalf("InsertFrame: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"asterixfeeds/internal/adm"
 	"asterixfeeds/internal/lsm"
@@ -22,8 +23,10 @@ type Partition struct {
 	primary     *lsm.Tree
 	secondaries map[string]*lsm.Tree
 	inserted    int64
-	closed      bool
-	frame       frameScratch // reusable InsertFrame state, guarded by mu
+	// closed is atomic so Stats can read it without mu, which InsertFrame
+	// holds across durable writes; every other reader already holds mu.
+	closed atomic.Bool
+	frame  frameScratch // reusable InsertFrame state, guarded by mu
 }
 
 // encFieldRef is one (name, encoded value) pair captured while scanning a
@@ -164,7 +167,7 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return fmt.Errorf("storage: partition closed")
 	}
 	fs := &p.frame
@@ -347,7 +350,7 @@ func (p *Partition) Delete(pkValues []adm.Value) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return fmt.Errorf("storage: partition closed")
 	}
 	old, ok, err := p.primary.Get(pk)
@@ -374,7 +377,7 @@ func (p *Partition) Lookup(pkValues []adm.Value) (*adm.Record, bool, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return nil, false, fmt.Errorf("storage: partition closed")
 	}
 	val, ok, err := p.primary.Get(pk)
@@ -404,7 +407,7 @@ func decodeStored(val []byte) (*adm.Record, error) {
 func (p *Partition) Scan(fn func(rec *adm.Record) bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return fmt.Errorf("storage: partition closed")
 	}
 	var scanErr error
@@ -426,7 +429,7 @@ func (p *Partition) Scan(fn func(rec *adm.Record) bool) error {
 func (p *Partition) Count() (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return 0, fmt.Errorf("storage: partition closed")
 	}
 	return p.primary.Len()
@@ -445,7 +448,7 @@ func (p *Partition) Inserted() int64 {
 func (p *Partition) SearchBTree(indexName string, value adm.Value) ([]*adm.Record, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return nil, fmt.Errorf("storage: partition closed")
 	}
 	ix, ok := p.ds.Index(indexName)
@@ -485,7 +488,7 @@ func (p *Partition) SearchBTree(indexName string, value adm.Value) ([]*adm.Recor
 func (p *Partition) SearchRTree(indexName string, rect adm.Rectangle) ([]*adm.Record, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return nil, fmt.Errorf("storage: partition closed")
 	}
 	ix, ok := p.ds.Index(indexName)
@@ -537,7 +540,7 @@ func (p *Partition) SearchRTree(indexName string, rect adm.Rectangle) ([]*adm.Re
 func (p *Partition) VerifyIndexes() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return fmt.Errorf("storage: partition closed")
 	}
 	expect := make(map[string]int, len(p.ds.Indexes))
@@ -596,7 +599,7 @@ func (p *Partition) VerifyIndexes() error {
 func (p *Partition) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return nil
 	}
 	// Flush must see a quiesced partition: p.mu keeps writers out while
@@ -615,11 +618,13 @@ func (p *Partition) Flush() error {
 }
 
 // Stats aggregates LSM component statistics across the partition's primary
-// and secondary trees.
+// and secondary trees. It does not take p.mu — the trees are fixed at open
+// and Tree.Stats takes only its tree's read lock — so the governor and the
+// metrics scrape never queue behind an InsertFrame waiting on an fsync or a
+// write stall: the reader that is supposed to notice a backed-up LSM must
+// not block on it.
 func (p *Partition) Stats() lsm.Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return lsm.Stats{}
 	}
 	out := p.primary.Stats()
@@ -633,10 +638,10 @@ func (p *Partition) Stats() lsm.Stats {
 func (p *Partition) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return nil
 	}
-	p.closed = true
+	p.closed.Store(true)
 	var first error
 	if p.primary != nil {
 		if err := p.primary.Close(); err != nil {
