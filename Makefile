@@ -11,7 +11,7 @@ test:
 # Race tier: the concurrency-heavy packages under the race detector.
 # -short keeps it fast enough to run on every change.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/hyracks/... ./internal/lsm/... ./internal/storage/... ./internal/governor/...
+	$(GO) test -race -short ./internal/core/... ./internal/hyracks/... ./internal/lsm/... ./internal/storage/... ./internal/governor/... ./internal/chaos/...
 
 # feedlint enforces the architecture invariants in DESIGN.md.
 lint:

@@ -216,10 +216,14 @@ func newNodeStorage(reg *metrics.Registry, name, dir string, lsmOpt lsm.Options)
 	reg.RegisterGaugeFunc(p+".memtable_bytes", func() int64 { return int64(sm.Stats().MemtableBytes) })
 	reg.RegisterGaugeFunc(p+".memtable_entries", func() int64 { return int64(sm.Stats().MemtableEntries) })
 	reg.RegisterGaugeFunc(p+".runs", func() int64 { return int64(sm.Stats().Runs) })
+	// What the merge policy acts on: the most runs whose key ranges cover one
+	// key, in the node's worst tree. runs can grow with the data; this cannot
+	// stay above MaxRuns.
+	reg.RegisterGaugeFunc(p+".read_depth", func() int64 { return int64(sm.Stats().ReadDepth) })
 	// Background-pipeline health: queued frozen memtables waiting on the
-	// flusher and runs beyond MaxRuns waiting on the compactor. Both are
-	// bounded by design; sustained non-zero values mean the disk cannot keep
-	// up with the ingest rate.
+	// flusher and merge work the policy has picked but the compactor has not
+	// done. Both are bounded by design; sustained non-zero values mean the
+	// disk cannot keep up with the ingest rate.
 	reg.RegisterGaugeFunc(p+".immutables", func() int64 { return int64(sm.Stats().Immutables) })
 	reg.RegisterGaugeFunc(p+".compaction_debt", func() int64 { return int64(sm.Stats().CompactionDebt) })
 	return sm

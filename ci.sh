@@ -53,7 +53,7 @@ make chaos-overload-smoke
 echo "chaos-overload-smoke: ok"
 
 if [ "${1:-}" = "-race" ]; then
-	go test -race -short ./internal/core/... ./internal/hyracks/... ./internal/lsm/... ./internal/storage/... ./internal/governor/...
+	go test -race -short ./internal/core/... ./internal/hyracks/... ./internal/lsm/... ./internal/storage/... ./internal/governor/... ./internal/chaos/...
 	# End-to-end replication and restart tests: the promotion/resync and
 	# recovery paths are the most concurrency-sensitive in the stack.
 	go test -race -short -run '(?i)replicat|Restart|FeedMaintains' .

@@ -131,8 +131,11 @@ type Injector struct {
 	hits     map[string]int
 	fired    []string
 	disarmed bool
-	killFn   func(node string)
-	stall    time.Duration
+	// acting counts faults that fired and whose hook has not finished acting
+	// on them yet (killing the node, say); Disarm waits it out.
+	acting sync.WaitGroup
+	killFn func(node string)
+	stall  time.Duration
 }
 
 // NewInjector arms the schedule. killFn is invoked (outside the injector
@@ -151,7 +154,8 @@ func NewInjector(s Schedule, killFn func(node string)) *Injector {
 }
 
 // fire records a hit on point and reports the armed action, if any fault
-// matches this occurrence.
+// matches this occurrence. A caller told ok must call in.acting.Done() once
+// it has acted on the fault.
 func (in *Injector) fire(point string) (Action, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -163,6 +167,7 @@ func (in *Injector) fire(point string) (Action, bool) {
 	for _, f := range in.armed[point] {
 		if f.Hit == h {
 			in.fired = append(in.fired, f.String())
+			in.acting.Add(1) // under in.mu with disarmed unset: ordered before Disarm's Wait
 			return f.Action, true
 		}
 	}
@@ -175,11 +180,14 @@ func (in *Injector) fire(point string) (Action, bool) {
 // must observe the system's state, not inject fresh faults into it. This
 // matters for read-path points in particular: unlike the write-path points,
 // which the workload stops exercising when ingestion stops, verification
-// itself is made of reads.
+// itself is made of reads. It returns only after every fault that had
+// already fired has finished acting, so a kill is either visible to the
+// caller's next look at the cluster or never happens.
 func (in *Injector) Disarm() {
 	in.mu.Lock()
 	in.disarmed = true
 	in.mu.Unlock()
+	in.acting.Wait()
 }
 
 // Fired lists the faults that actually triggered, in firing order.
@@ -227,6 +235,7 @@ func (in *Injector) LSMHook(node string) lsm.FaultHook {
 		if !ok {
 			return nil
 		}
+		defer in.acting.Done()
 		switch act {
 		case ActTorn:
 			// A torn write is a crash mid-write: the node dies with its
@@ -254,6 +263,7 @@ func (in *Injector) FrameHook() func(node, op string, f *hyracks.Frame) {
 		if !ok {
 			return
 		}
+		defer in.acting.Done()
 		switch act {
 		case ActKill:
 			in.kill(node)
@@ -269,6 +279,7 @@ func (in *Injector) FrameHook() func(node, op string, f *hyracks.Frame) {
 func (in *Injector) CoreHook() func(point string) error {
 	return func(point string) error {
 		if _, ok := in.fire("core:" + point); ok {
+			in.acting.Done()
 			return lsm.ErrInjected
 		}
 		return nil
@@ -279,5 +290,8 @@ func (in *Injector) CoreHook() func(point string) error {
 // given intake partition (point "adaptor:p<partition>").
 func (in *Injector) AdaptorCrash(partition int) bool {
 	act, ok := in.fire(fmt.Sprintf("adaptor:p%d", partition))
+	if ok {
+		in.acting.Done()
+	}
 	return ok && act == ActCrash
 }

@@ -301,6 +301,20 @@ func Run(sc Scenario) (*Result, error) {
 	// can overshoot the distinct target — the scan stays the authority.
 	reg := mgr.Registry()
 	prefix := "feed." + conn.ID()
+	// Once the workload has drained the injector is silenced before anything
+	// else. Two reasons. First, verification is itself made of reads (index
+	// scans, id-set scans, digests), so a still-armed read:block fault would
+	// corrupt the measurement rather than the system under test. Second, a
+	// killer fault reached by the still-running background pipeline *after*
+	// drain — a torn flush:bg or merge:bg, say — would kill a node with no
+	// feed left to drive replica promotion, failing invariants for a state no
+	// recovery path was ever given a chance to repair. Such a fault can also
+	// land between the scan that saw the drain and the Disarm itself, so the
+	// drain only counts when it is seen again *after* Disarm (which waits for
+	// a kill in progress): if a node died in that window the scan comes up
+	// short and the loop carries on, disarmed, with the feed still connected
+	// to repair it.
+	disarmed := false
 	for {
 		if conn.State() == core.ConnFailed {
 			res.failf("connection failed: %v", conn.Err())
@@ -310,7 +324,12 @@ func Run(sc Scenario) (*Result, error) {
 		pending, _ := reg.Value(prefix + ".pending_acks")
 		if persisted >= int64(want()) && pending == 0 {
 			if stored := storedIDs(cluster, ds); len(stored) == want() {
-				break
+				if disarmed {
+					break
+				}
+				inj.Disarm()
+				disarmed = true
+				continue
 			}
 		}
 		if time.Now().After(deadline) {
@@ -321,15 +340,7 @@ func Run(sc Scenario) (*Result, error) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// The workload has drained: silence the injector before anything else.
-	// Two reasons. First, verification is itself made of reads (index scans,
-	// id-set scans, digests), so a still-armed read:block fault would corrupt
-	// the measurement rather than the system under test. Second, a killer
-	// fault reached by the still-running background pipeline *after* drain —
-	// during disconnect, say — would kill a node with no feed left to drive
-	// replica promotion, failing invariants for a state no recovery path was
-	// ever given a chance to repair.
-	inj.Disarm()
+	inj.Disarm() // the failure exits above leave it armed
 	res.Degradations = conn.ResyncDegradations()
 	res.Replayed = conn.Metrics.Replayed.Value()
 	res.StoreErrors = conn.Metrics.StoreErrors.Value()

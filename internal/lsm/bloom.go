@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 )
 
@@ -28,12 +27,21 @@ func newBloomFilter(n int) *bloomFilter {
 	return &bloomFilter{bits: make([]uint64, words), nbits: words * 64, k: 7}
 }
 
-func bloomHashes(key []byte) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write(key)
-	h1 := h.Sum64()
-	h.Write([]byte{0x9e})
-	return h1, h.Sum64()
+// bloomHashes returns the two hashes a filter derives its k probes from:
+// 64-bit FNV-1a of key, and of key followed by the byte 0x9e. The values are
+// part of the run format — filters on disk were built with them — and are
+// computed inline so a lookup hashes its key once, without allocating, for
+// every run it probes.
+func bloomHashes(key []byte) (h1, h2 uint64) {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, c := range key {
+		h = (h ^ uint64(c)) * prime64
+	}
+	return h, (h ^ 0x9e) * prime64
 }
 
 // add inserts key into the filter.
@@ -45,9 +53,9 @@ func (b *bloomFilter) add(key []byte) {
 	}
 }
 
-// mayContain reports whether key may be in the set (no false negatives).
-func (b *bloomFilter) mayContain(key []byte) bool {
-	h1, h2 := bloomHashes(key)
+// mayContain reports whether the key whose bloomHashes are h1 and h2 may be
+// in the set (no false negatives).
+func (b *bloomFilter) mayContain(h1, h2 uint64) bool {
 	for i := 0; i < b.k; i++ {
 		pos := (h1 + uint64(i)*h2) % b.nbits
 		if b.bits[pos/64]&(1<<(pos%64)) == 0 {

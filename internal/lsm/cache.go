@@ -119,10 +119,11 @@ func (c *BlockCache) get(k blockKey) []byte {
 	return el.Value.(*cacheEntry).data
 }
 
-// put inserts a validated block, evicting LRU entries from the shard until it
-// fits its slice of the budget. Blocks larger than a whole shard's budget are
-// not cached at all. data must never be mutated after insertion.
-func (c *BlockCache) put(k blockKey, data []byte) {
+// put inserts a validated block. With evict set it evicts LRU entries from
+// the shard until the block fits its slice of the budget; without, the block
+// is kept only if it fits in free space. Blocks larger than a whole shard's
+// budget are not cached at all. data must never be mutated after insertion.
+func (c *BlockCache) put(k blockKey, data []byte, evict bool) {
 	shardCap := c.capacity / cacheShards
 	if int64(len(data)) > shardCap {
 		return
@@ -131,6 +132,10 @@ func (c *BlockCache) put(k blockKey, data []byte) {
 	s.mu.Lock()
 	if _, ok := s.entries[k]; ok {
 		// Another reader cached the same immutable block first.
+		s.mu.Unlock()
+		return
+	}
+	if !evict && s.size+int64(len(data)) > shardCap {
 		s.mu.Unlock()
 		return
 	}

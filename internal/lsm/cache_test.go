@@ -12,7 +12,7 @@ func TestBlockCacheHitMissLedger(t *testing.T) {
 	if got := c.get(k); got != nil {
 		t.Fatalf("get on empty cache returned %q", got)
 	}
-	c.put(k, []byte("block-bytes"))
+	c.put(k, []byte("block-bytes"), true)
 	if got := c.get(k); string(got) != "block-bytes" {
 		t.Fatalf("get after put = %q", got)
 	}
@@ -30,9 +30,9 @@ func TestBlockCacheHitMissLedger(t *testing.T) {
 
 func TestBlockCacheDistinctRunsDistinctBlocks(t *testing.T) {
 	c := NewBlockCache(1 << 20)
-	c.put(blockKey{runID: 1, blockNo: 0}, []byte("r1b0"))
-	c.put(blockKey{runID: 1, blockNo: 1}, []byte("r1b1"))
-	c.put(blockKey{runID: 2, blockNo: 0}, []byte("r2b0"))
+	c.put(blockKey{runID: 1, blockNo: 0}, []byte("r1b0"), true)
+	c.put(blockKey{runID: 1, blockNo: 1}, []byte("r1b1"), true)
+	c.put(blockKey{runID: 2, blockNo: 0}, []byte("r2b0"), true)
 	for _, tc := range []struct {
 		k    blockKey
 		want string
@@ -61,7 +61,7 @@ func TestBlockCacheEvictsLRUWithinBudget(t *testing.T) {
 	// Insert far more than fits.
 	for i := 0; i < 64; i++ {
 		data, k := block(i)
-		c.put(k, data)
+		c.put(k, data, true)
 		if s := c.Stats(); s.Bytes > s.Capacity {
 			t.Fatalf("after insert %d: resident %d exceeds capacity %d", i, s.Bytes, s.Capacity)
 		}
@@ -75,6 +75,20 @@ func TestBlockCacheEvictsLRUWithinBudget(t *testing.T) {
 	if got := c.get(k); !bytes.Equal(got, data) {
 		t.Fatalf("most recent entry evicted; get = %q", got)
 	}
+	// A put that may not evict (a merge's) is dropped by a full shard and
+	// kept by one with room.
+	for i := 64; i < 128; i++ {
+		data, k := block(i)
+		c.put(k, data, false)
+	}
+	if after := c.Stats(); after.Evictions != s.Evictions || after.Bytes > after.Capacity {
+		t.Fatalf("non-evicting puts moved evictions %d -> %d (resident %d of %d)", s.Evictions, after.Evictions, after.Bytes, after.Capacity)
+	}
+	roomy := NewBlockCache(capacity)
+	roomy.put(k, data, false)
+	if got := roomy.get(k); !bytes.Equal(got, data) {
+		t.Fatalf("non-evicting put into free space not kept; get = %q", got)
+	}
 }
 
 // TestBlockCacheOversizedBlockNotCached checks a block larger than a whole
@@ -83,9 +97,9 @@ func TestBlockCacheEvictsLRUWithinBudget(t *testing.T) {
 func TestBlockCacheOversizedBlockNotCached(t *testing.T) {
 	c := NewBlockCache(16 * cacheShards)
 	small := blockKey{runID: 1, blockNo: 0}
-	c.put(small, []byte("keep"))
+	c.put(small, []byte("keep"), true)
 	big := blockKey{runID: 1, blockNo: 1}
-	c.put(big, bytes.Repeat([]byte{'x'}, 17)) // 17 > shard budget 16
+	c.put(big, bytes.Repeat([]byte{'x'}, 17), true) // 17 > shard budget 16
 	if got := c.get(big); got != nil {
 		t.Fatal("oversized block was cached")
 	}
@@ -99,8 +113,8 @@ func TestBlockCacheOversizedBlockNotCached(t *testing.T) {
 func TestBlockCacheDuplicatePut(t *testing.T) {
 	c := NewBlockCache(1 << 20)
 	k := blockKey{runID: 3, blockNo: 9}
-	c.put(k, []byte("abcd"))
-	c.put(k, []byte("abcd"))
+	c.put(k, []byte("abcd"), true)
+	c.put(k, []byte("abcd"), true)
 	if s := c.Stats(); s.Bytes != 4 {
 		t.Fatalf("duplicate put double-counted: Bytes = %d, want 4", s.Bytes)
 	}

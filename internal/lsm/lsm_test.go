@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -101,30 +102,57 @@ func TestAutoFlushOnThreshold(t *testing.T) {
 	}
 }
 
+// TestTieredMerge runs the merge policy end to end under MaxRuns 2. Batches
+// that all cover one keyspace stack up under rule 1 and must end with no
+// more than MaxRuns runs, as they always did; batches of disjoint ascending
+// keys never deepen a read, so only the tier rule merges them — 27 equal
+// flushes climb 1 → 3 → 9 → 27 into a single run. Both lose nothing.
 func TestTieredMerge(t *testing.T) {
-	tr := openTest(t, Options{MaxRuns: 2})
-	for batch := 0; batch < 5; batch++ {
-		for i := 0; i < 50; i++ {
-			tr.Put([]byte(fmt.Sprintf("k-%d-%d", batch, i)), []byte("v"))
+	const maxRuns, perBatch = 2, 50
+	load := func(t *testing.T, batches int, key func(batch, i int) string) (*Tree, Stats) {
+		tr := openTest(t, Options{MaxRuns: maxRuns})
+		for batch := 0; batch < batches; batch++ {
+			for i := 0; i < perBatch; i++ {
+				tr.Put([]byte(key(batch, i)), []byte(fmt.Sprintf("v%d", batch)))
+			}
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := tr.Flush(); err != nil {
-			t.Fatal(err)
+		st := tr.Stats()
+		if st.Merges == 0 {
+			t.Fatal("no merge despite exceeding MaxRuns")
 		}
+		if st.CompactionDebt != 0 || st.ReadDepth > maxRuns {
+			t.Fatalf("Flush returned with debt %d, read depth %d", st.CompactionDebt, st.ReadDepth)
+		}
+		return tr, st
 	}
-	st := tr.Stats()
-	if st.Merges == 0 {
-		t.Fatal("no merge despite exceeding MaxRuns")
-	}
-	if st.Runs > 2 {
-		t.Fatalf("runs after merge = %d, want <= 2", st.Runs)
-	}
-	n, err := tr.Len()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 250 {
-		t.Fatalf("Len after merges = %d, want 250", n)
-	}
+	t.Run("overlapping", func(t *testing.T) {
+		tr, st := load(t, 7, func(_, i int) string { return fmt.Sprintf("k-%03d", i) })
+		if st.Runs > maxRuns {
+			t.Fatalf("runs after merge = %d, want <= %d", st.Runs, maxRuns)
+		}
+		if n, err := tr.Len(); err != nil || n != perBatch {
+			t.Fatalf("Len after merges = %d, %v; want %d", n, err, perBatch)
+		}
+		if v, ok, err := tr.Get([]byte("k-007")); err != nil || !ok || string(v) != "v6" {
+			t.Fatalf("Get(k-007) = %q, %v, %v; want the newest batch's v6", v, ok, err)
+		}
+	})
+	t.Run("disjoint", func(t *testing.T) {
+		const batches = 27 // maxRuns+1 cubed: three full levels
+		tr, st := load(t, batches, func(batch, i int) string { return fmt.Sprintf("k-%03d-%03d", batch, i) })
+		if st.ReadDepth != 1 {
+			t.Fatalf("read depth over disjoint batches = %d, want 1", st.ReadDepth)
+		}
+		if st.Runs != 1 || st.Merges != 9+3+1 {
+			t.Fatalf("%d runs after %d merges, want 1 run after 9+3+1 tier merges", st.Runs, st.Merges)
+		}
+		if n, err := tr.Len(); err != nil || n != batches*perBatch {
+			t.Fatalf("Len after merges = %d, %v; want %d", n, err, batches*perBatch)
+		}
+	})
 }
 
 func TestMergeDropsTombstones(t *testing.T) {
@@ -301,9 +329,36 @@ func TestClosedTreeRejectsOps(t *testing.T) {
 // compared every 25 operations, so a divergence is caught near the operation
 // that caused it. The seeds are fixed: it is the same test on every machine,
 // and a failure names its seed in the subtest.
+//
+// Odd seeds write one 40-key window over and over, so every run overlaps
+// every other and merges take the whole list. Even seeds slide an 8-key
+// window up the keyspace, one key per operation — the shape of a feed of
+// ascending ids — so runs go out of range of older ones, merges stop short
+// of the oldest run, and one delete in four reaches back for a key written
+// long ago: the tombstones such a merge must keep.
 func TestPropertyModelCheck(t *testing.T) {
-	const keyspace = 40
-	keyOf := func(i int) string { return fmt.Sprintf("k%02d", i) }
+	const keyspace, ops = 320, 300
+	keyOf := func(i int) string { return fmt.Sprintf("k%03d", i) }
+	// partial collects the outputs of merges whose window stopped short of
+	// the oldest run — the merges that must keep their tombstones. A window
+	// that ends at the oldest run leaves its output there, so a merge
+	// output (named "...m.lsm") seen anywhere else is one of them.
+	partial := map[string]bool{}
+	notePartial := func(tr *Tree, seed int64) {
+		tr.mu.RLock()
+		defer tr.mu.RUnlock()
+		for i, r := range tr.set.runs {
+			if i < len(tr.set.runs)-1 && strings.HasSuffix(r.path, "m.lsm") {
+				partial[fmt.Sprintf("seed%d/%s", seed, filepath.Base(r.path))] = true
+			}
+		}
+	}
+	defer func() {
+		t.Logf("%d partial merges observed across the seeds", len(partial))
+		if !t.Failed() && len(partial) < 5 {
+			t.Fatalf("the seeds performed %d partial merges; the model check must exercise them", len(partial))
+		}
+	}()
 	for seed := int64(1); seed <= 20; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			opt := Options{Dir: t.TempDir(), MemtableBytes: 1 << 10, MaxRuns: 2}
@@ -357,10 +412,17 @@ func TestPropertyModelCheck(t *testing.T) {
 				checkScan(op, "", "")
 			}
 
-			for op := 1; op <= 300; op++ {
-				key := keyOf(r.Intn(keyspace))
+			for op := 1; op <= ops; op++ {
+				lo, width := 0, 40
+				if seed%2 == 0 {
+					lo, width = op, 8
+				}
+				key := keyOf(lo + r.Intn(width))
 				switch r.Intn(20) {
 				case 0, 1:
+					if r.Intn(4) == 0 {
+						key = keyOf(r.Intn(lo + width))
+					}
 					if err := tr.Delete([]byte(key)); err != nil {
 						t.Fatalf("op %d: Delete: %v", op, err)
 					}
@@ -378,7 +440,7 @@ func TestPropertyModelCheck(t *testing.T) {
 					// certain: the last op per key wins, and one key is put
 					// and then deleted within the batch.
 					b := NewBatch(8)
-					base := r.Intn(keyspace - 3)
+					base := lo + r.Intn(width-3)
 					for i := 0; i < 6; i++ {
 						k := keyOf(base + r.Intn(3))
 						v := fmt.Sprintf("b%d", r.Intn(1000))
@@ -411,6 +473,7 @@ func TestPropertyModelCheck(t *testing.T) {
 					}
 					model[key] = val
 				}
+				notePartial(tr, seed)
 				if op%25 == 0 {
 					checkAll(op)
 				}
@@ -425,13 +488,13 @@ func TestBloomFilterBasics(t *testing.T) {
 		b.add([]byte(fmt.Sprintf("key-%d", i)))
 	}
 	for i := 0; i < 1000; i++ {
-		if !b.mayContain([]byte(fmt.Sprintf("key-%d", i))) {
+		if !b.mayContain(bloomHashes([]byte(fmt.Sprintf("key-%d", i)))) {
 			t.Fatalf("false negative for key-%d", i)
 		}
 	}
 	fp := 0
 	for i := 0; i < 1000; i++ {
-		if b.mayContain([]byte(fmt.Sprintf("other-%d", i))) {
+		if b.mayContain(bloomHashes([]byte(fmt.Sprintf("other-%d", i)))) {
 			fp++
 		}
 	}
@@ -440,7 +503,7 @@ func TestBloomFilterBasics(t *testing.T) {
 	}
 	// Marshal round trip.
 	b2 := unmarshalBloom(b.marshal())
-	if b2 == nil || !b2.mayContain([]byte("key-1")) {
+	if b2 == nil || !b2.mayContain(bloomHashes([]byte("key-1"))) {
 		t.Fatal("marshal round trip lost membership")
 	}
 }
@@ -525,7 +588,7 @@ func benchGetMiss(b *testing.B, bloom bool) {
 	if !bloom {
 		// Defeat the filters: replace each with an always-true filter.
 		tr.mu.Lock()
-		for _, r := range tr.runs {
+		for _, r := range tr.set.runs {
 			for i := range r.bloom.bits {
 				r.bloom.bits[i] = ^uint64(0)
 			}

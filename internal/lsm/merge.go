@@ -29,14 +29,19 @@ type mergedIter struct {
 }
 
 // newMergedIter positions a merge at the first key >= from (nil: the
-// start) over mems and then runs, each ordered newest first.
-func newMergedIter(mems []*memtable, runs []*run, from []byte) *mergedIter {
+// start) over mems and then runs, each ordered newest first. A run whose
+// upper fence lies before from has nothing to yield and is not opened; fill
+// is handed to the run iterators (see run.readBlock).
+func newMergedIter(mems []*memtable, runs []*run, from []byte, fill bool) *mergedIter {
 	m := &mergedIter{its: make([]sortedIter, 0, len(mems)+len(runs))}
 	for _, mem := range mems {
 		m.its = append(m.its, mem.iter(from))
 	}
 	for _, r := range runs {
-		m.its = append(m.its, r.iter(from))
+		if len(r.blocks) == 0 || (from != nil && bytes.Compare(r.last, from) < 0) {
+			continue
+		}
+		m.its = append(m.its, r.iter(from, fill))
 	}
 	m.settle()
 	return m
@@ -92,10 +97,12 @@ func (m *mergedIter) fail() error {
 // merge of mems and runs (each newest first) into a new run file at path and
 // returns the opened run (whose len() is the count of entries written). A
 // flush passes frozen memtables and keeps tombstones, because older runs may
-// still hold the keys they mask; a full merge passes every run and drops
-// them, since no older component remains. The bloom filter is sized by the
-// inputs' pre-dedup entry total. Memory stays O(block): one block per run
-// input plus the block being built.
+// still hold the keys they mask; a merge passes a window of runs and may drop
+// them only when the window ends at the tree's oldest run, since only then
+// does no older component remain. The bloom filter is sized by the inputs'
+// pre-dedup entry total. Memory stays O(block): one block per run input plus
+// the block being built, and the blocks a merge reads never evict others
+// from the cache.
 //
 // Each entry is handed to the writer — which copies its bytes into the block
 // under construction — before the merge advances, so nothing is copied here.
@@ -118,7 +125,7 @@ func writeMergedRun(path string, mems []*memtable, runs []*run, dropTombstones b
 	if err != nil {
 		return nil, err
 	}
-	src := newMergedIter(mems, runs, nil)
+	src := newMergedIter(mems, runs, nil, false)
 	for ; src.valid(); src.next() {
 		e, err := src.curr()
 		if err == nil && !(dropTombstones && e.tombstone) {
@@ -148,4 +155,119 @@ func writeMergedRun(path string, mems []*memtable, runs []*run, dropTombstones b
 		}
 	}
 	return rw.finish()
+}
+
+// tierSpread is how far apart in size two runs of one tier may be: a tier's
+// largest run is at most tierSpread times its smallest. At 2 a group flush of
+// two memtables still tiers with single flushes.
+const tierSpread = 2
+
+// mergePlan is the merge policy's answer for one run list, computed once
+// when the list is published and read from then on by the compactor (the
+// window), Flush and the kicks (debt) and Stats (debt, depth) — none of them
+// compares a key.
+type mergePlan struct {
+	// lo, hi delimit the window runs[lo:hi] to merge next; equal when the
+	// list needs no merge.
+	lo, hi int
+	// depth is the read depth: the largest number of runs whose fences cover
+	// one key, i.e. the most runs a point read may have to open.
+	depth int
+	// debt is the work the policy still wants done: read depth beyond
+	// maxRuns plus, for every tier, its runs beyond maxRuns. Zero exactly
+	// when the window is empty.
+	debt int
+}
+
+// pickMerge is the merge policy: given the fences and sizes of the runs
+// (newest first) it picks the age-contiguous window to merge next. Windows
+// are contiguous in age so that the output can take their place in the list
+// with newest-wins order intact.
+//
+// Rule 1 bounds read amplification. If some key is covered by the fences of
+// more than maxRuns runs, the window runs from the newest of those runs
+// through the oldest run whose fences intersect their combined range: once
+// that range is rewritten, every older run it shadows is where the
+// reclaimable bytes are. Coverage can only rise at a run's first key, so the
+// peak is found by probing those. Runs that all overlap (upserts, random
+// keys) make this "merge everything once there are more than maxRuns"; runs
+// of ascending keys never trigger it.
+//
+// Rule 2 bounds the file count where rule 1 is silent. A tier is a maximal
+// stretch of age-adjacent runs within tierSpread of each other in size; a
+// tier of more than maxRuns runs is merged whole, the newest such tier first.
+// Equal flushes therefore climb 1 → maxRuns+1 → (maxRuns+1)² → …, an entry is
+// rewritten once per level, and the list holds at most maxRuns runs per tier.
+func pickMerge(spans []span, maxRuns int) mergePlan {
+	var p mergePlan
+	for i := 0; i < len(spans); {
+		least, most := spans[i].bytes, spans[i].bytes
+		j := i + 1
+		for ; j < len(spans); j++ {
+			lo, hi := min(least, spans[j].bytes), max(most, spans[j].bytes)
+			if hi > tierSpread*lo {
+				break
+			}
+			least, most = lo, hi
+		}
+		if n := j - i; n > maxRuns {
+			p.debt += n - maxRuns
+			if p.lo == p.hi {
+				p.lo, p.hi = i, j
+			}
+		}
+		i = j
+	}
+
+	var peak []byte
+	for _, s := range spans {
+		if s.bytes == 0 {
+			continue
+		}
+		n := 0
+		for _, o := range spans {
+			if o.covers(s.first) {
+				n++
+			}
+		}
+		if n > p.depth {
+			p.depth, peak = n, s.first
+		}
+	}
+	if p.depth <= maxRuns {
+		return p
+	}
+	p.debt += p.depth - maxRuns
+	p.lo = -1
+	var union span
+	for i, s := range spans {
+		switch {
+		case !s.covers(peak):
+		case p.lo < 0:
+			p.lo, union = i, s
+		default:
+			union.first = minKey(union.first, s.first)
+			union.last = maxKey(union.last, s.last)
+		}
+	}
+	for i := p.lo; i < len(spans); i++ {
+		if spans[i].overlaps(union) {
+			p.hi = i + 1
+		}
+	}
+	return p
+}
+
+func minKey(a, b []byte) []byte {
+	if bytes.Compare(b, a) < 0 {
+		return b
+	}
+	return a
+}
+
+func maxKey(a, b []byte) []byte {
+	if bytes.Compare(b, a) > 0 {
+		return b
+	}
+	return a
 }

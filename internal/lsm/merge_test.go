@@ -49,7 +49,7 @@ func tomb(key string) entry     { return entry{key: []byte(key), tombstone: true
 func runEntries(t *testing.T, r *run) []entry {
 	t.Helper()
 	out := make([]entry, 0, r.len())
-	for it := r.iter(nil); it.valid(); it.next() {
+	for it := r.iter(nil, true); it.valid(); it.next() {
 		ent, err := it.curr()
 		if err != nil {
 			t.Fatalf("curr: %v", err)
@@ -249,16 +249,43 @@ func overlappingRuns(t *testing.T, dir string, nRuns, perRun int, cfg runConfig)
 // TestMergeUnderCacheEviction is the case the merge's old per-entry copy was
 // defending: with 256-byte blocks nearly every next() crosses a block, and a
 // cache far smaller than the inputs evicts the block an entry came from while
-// the merge still compares against (and writes) its bytes. Blocks are never
-// reused or mutated, so the output must still match the model entry for
-// entry.
+// the merge still compares against (and writes) its bytes. A merge does not
+// fill the cache itself, so a reader scanning the same runs beside it keeps
+// the cache churning and the merge picks its blocks up from there whenever
+// they happen to be resident. Blocks are never reused or mutated, so the
+// output must still match the model entry for entry.
 func TestMergeUnderCacheEviction(t *testing.T) {
 	dir := t.TempDir()
 	cache := NewBlockCache(16 << 10)
 	cfg := runConfig{blockBytes: 256, cache: cache}
 	runs, model := overlappingRuns(t, dir, 4, 5000, cfg)
 
+	stop, scanned := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			for _, r := range runs {
+				it := r.iter(nil, true)
+				for it.valid() {
+					it.next()
+				}
+				if err := it.fail(); err != nil {
+					scanned <- err
+					return
+				}
+			}
+			select {
+			case <-stop:
+				scanned <- nil
+				return
+			default:
+			}
+		}
+	}()
 	merged, err := mergeRuns(filepath.Join(dir, "run-000004m.lsm"), runs, cfg)
+	close(stop)
+	if err := <-scanned; err != nil {
+		t.Fatalf("scan beside the merge: %v", err)
+	}
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}

@@ -20,8 +20,9 @@ type Metrics struct {
 	// they wrote.
 	Flushes        metrics.Counter
 	FlushedEntries metrics.Counter
-	// Merges counts full tiered merges; MergedEntries the entries they read
-	// (the inputs' totals, shadowed versions and tombstones included), so
+	// Merges counts background merges, whatever window of runs each took;
+	// MergedEntries the entries they read (the inputs' totals, shadowed
+	// versions and tombstones included), so
 	// MergedEntries / FlushedEntries is the write amplification: how many
 	// times the average flushed entry has been rewritten.
 	Merges        metrics.Counter

@@ -59,12 +59,13 @@ type blockMeta struct {
 // in memory; everything else is read block-at-a-time through the shared
 // BlockCache. A bloom filter prunes point lookups.
 //
-// Runs are reference-counted: the tree's published run list holds one
-// reference, and every read snapshot retains one more for as long as it may
-// touch the file. The last release closes the file handle and signals
-// unused, which the compactor waits on before deleting a merged-away input
-// file — so a reader mid-scan never has a run unlinked under it, and input
-// deletion order (oldest first) stays under the compactor's control.
+// Runs are reference-counted: every published runSet that lists the run
+// holds one reference (readers pin the set, not its runs), and the compactor
+// retains its inputs for the length of a merge. The last release closes the
+// file handle and signals unused, which the compactor waits on before
+// deleting a merged-away input file — so a reader mid-scan never has a run
+// unlinked under it, and input deletion order (oldest first) stays under the
+// compactor's control.
 type run struct {
 	path   string
 	f      *os.File
@@ -73,14 +74,18 @@ type run struct {
 	count  int
 	bloom  *bloomFilter
 	cfg    runConfig
+	// last is the run's largest key: with blocks[0].firstKey it fences the
+	// keys the run can hold. Set once before the run is shared — by the
+	// writer from the last entry it added, or by openRun from the last block.
+	last []byte
 
 	refs   atomic.Int32
 	unused chan struct{} // closed when refs reaches zero
 }
 
 // retain pins the run: its file handle stays open (and its file undeleted)
-// until a matching release. Callers must hold a reference already — either
-// the tree lock while the run is in the published list, or a prior retain.
+// until a matching release. Callers must hold a reference already — their
+// own, or the tree lock while the run is in the published set.
 func (r *run) retain() {
 	r.refs.Add(1)
 }
@@ -94,6 +99,85 @@ func (r *run) release() error {
 	}
 	close(r.unused)
 	return r.f.Close()
+}
+
+// runSet is one published generation of a tree's run list, newest first:
+// immutable once built, replaced (never edited) by every flush and merge.
+// spans[i] fences runs[i] and entries totals their entry counts, both fixed
+// at build so neither a lookup nor Stats walks run internals. A set holds one
+// reference on each of its runs; the tree holds one reference on the current
+// set and every Get and snapshot pins the set it saw with one more — one
+// atomic add however many runs there are. When the last holder leaves, the
+// set drops its run references, which is what lets a merged-away run reach
+// zero and signal unused to the compactor.
+type runSet struct {
+	runs    []*run
+	spans   []span
+	entries int
+	refs    atomic.Int32
+}
+
+// newRunSet builds the set for runs (newest first; the set owns the slice),
+// retaining each run, and returns it holding the caller's one reference.
+func newRunSet(runs []*run) *runSet {
+	s := &runSet{runs: runs, spans: make([]span, len(runs))}
+	for i, r := range runs {
+		r.retain()
+		s.spans[i] = r.span()
+		s.entries += r.len()
+	}
+	s.refs.Store(1)
+	return s
+}
+
+// acquire pins the set. Callers hold the tree lock (the set is current) or a
+// reference already.
+func (s *runSet) acquire() { s.refs.Add(1) }
+
+// release drops one reference; the last one releases every run, reporting
+// the first file-close error.
+func (s *runSet) release() error {
+	if s.refs.Add(-1) != 0 {
+		return nil
+	}
+	var first error
+	for _, r := range s.runs {
+		if err := r.release(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// span is what the merge policy and the read path know about a run without
+// opening it: its data bytes and the closed key interval [first, last] every
+// key in it lies in. bytes is zero exactly for an empty run, which covers
+// nothing (the empty key is a legal key, so nil fences cannot say that).
+type span struct {
+	bytes       int64
+	first, last []byte
+}
+
+func (r *run) span() span {
+	if len(r.blocks) == 0 {
+		return span{}
+	}
+	lb := r.blocks[len(r.blocks)-1]
+	return span{
+		bytes: lb.off + int64(lb.length) - int64(len(runMagic)),
+		first: r.blocks[0].firstKey,
+		last:  r.last,
+	}
+}
+
+// covers reports whether key lies inside the span's fences.
+func (s span) covers(key []byte) bool {
+	return s.bytes > 0 && bytes.Compare(s.first, key) <= 0 && bytes.Compare(key, s.last) <= 0
+}
+
+// overlaps reports whether the two spans share a key position.
+func (s span) overlaps(o span) bool {
+	return s.bytes > 0 && o.bytes > 0 && bytes.Compare(s.first, o.last) <= 0 && bytes.Compare(o.first, s.last) <= 0
 }
 
 // runWriter streams sorted, unique entries into a run file block by block,
@@ -113,6 +197,7 @@ type runWriter struct {
 	index []blockMeta
 	off   int64 // file offset where the current block will land
 	count int
+	last  []byte // the key added last (aliases the caller's entry; see runIter.curr), for the run's upper fence
 }
 
 // newRunWriter starts a run file destined for path. capacityHint sizes the
@@ -146,6 +231,7 @@ func (rw *runWriter) add(e entry) error {
 	rw.bloom.add(e.key)
 	rw.bb.add(e)
 	rw.count++
+	rw.last = e.key
 	if rw.bb.size() >= rw.cfg.blockTarget() {
 		return rw.closeBlock()
 	}
@@ -230,7 +316,11 @@ func (rw *runWriter) finish() (*run, error) {
 		_ = os.Remove(rw.path)
 		return nil, err
 	}
-	return openRun(rw.path, rw.cfg)
+	r, err := openUnfenced(rw.path, rw.cfg)
+	if err == nil && rw.count > 0 {
+		r.last = append([]byte{}, rw.last...)
+	}
+	return r, err
 }
 
 func (rw *runWriter) fail(err error) error {
@@ -251,8 +341,24 @@ func (rw *runWriter) abort() error {
 // openRun loads a run's sparse index and bloom filter from disk. Every
 // trailer length is validated against the file size before any allocation or
 // read, so a corrupt or truncated file fails loudly here rather than
-// triggering an unbounded allocation or a garbage index.
+// triggering an unbounded allocation or a garbage index. The upper fence is
+// not in the file format: it is the last entry of the last block, read here
+// once (CRC-checked, past the cache, outside any tree lock).
 func openRun(path string, cfg runConfig) (*run, error) {
+	r, err := openUnfenced(path, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if r.last, err = r.readLastKey(); err != nil {
+		_ = r.f.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+// openUnfenced is openRun without the last-block read, for the writer that
+// just produced the file and knows its last key.
+func openUnfenced(path string, cfg runConfig) (*run, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: opening run: %w", err)
@@ -263,6 +369,31 @@ func openRun(path string, cfg runConfig) (*run, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// readLastKey returns a copy of the largest key in the run (nil for an empty
+// run), from a private read of the last block.
+func (r *run) readLastKey() ([]byte, error) {
+	if len(r.blocks) == 0 {
+		return nil, nil
+	}
+	bm := r.blocks[len(r.blocks)-1]
+	buf := make([]byte, bm.length)
+	if _, err := r.f.ReadAt(buf, bm.off); err != nil {
+		return nil, fmt.Errorf("lsm: reading last block of %s: %w", r.path, err)
+	}
+	v, err := parseBlock(buf)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: last block of %s: %w", r.path, err)
+	}
+	if v.count() == 0 {
+		return nil, fmt.Errorf("lsm: last block of %s is empty", r.path)
+	}
+	e, err := v.entryAt(v.count() - 1)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: last block of %s: %w", r.path, err)
+	}
+	return append([]byte(nil), e.key...), nil
 }
 
 func loadRun(path string, f *os.File, cfg runConfig) (*run, error) {
@@ -387,10 +518,13 @@ func (r *run) len() int { return r.count }
 // readBlock returns a validated view over block i: from the shared cache if
 // resident (no disk read, no CRC re-check — cached blocks were validated on
 // insert and are immutable), otherwise read from disk, CRC-checked, and
-// cached. The "read:block" fault point fires only on the disk path; an
-// ErrCorruptRead return flips a bit in the freshly read buffer, modelling
-// media corruption the checksum must catch.
-func (r *run) readBlock(i int) (blockView, error) {
+// cached. fill says whether caching it may evict other blocks: lookups and
+// scans fill, a merge does not — it reads every block of runs it is about to
+// delete exactly once, so what it reads may sit in free cache space but must
+// never push out the blocks lookups are using. The "read:block" fault point
+// fires only on the disk path; an ErrCorruptRead return flips a bit in the
+// freshly read buffer, modelling media corruption the checksum must catch.
+func (r *run) readBlock(i int, fill bool) (blockView, error) {
 	bm := r.blocks[i]
 	key := blockKey{runID: r.id, blockNo: uint32(i)}
 	if r.cfg.cache != nil {
@@ -432,7 +566,7 @@ func (r *run) readBlock(i int) (blockView, error) {
 		return blockView{}, fmt.Errorf("lsm: block %d of %s holds %d entries, index says %d", i, r.path, v.count(), bm.entries)
 	}
 	if r.cfg.cache != nil {
-		r.cfg.cache.put(key, buf)
+		r.cfg.cache.put(key, buf, fill)
 	}
 	return v, nil
 }
@@ -445,17 +579,19 @@ func (r *run) findBlock(key []byte) int {
 	}) - 1
 }
 
-// get returns the entry for key if the run contains it. The returned entry
-// aliases (possibly cached) block memory; callers that retain it must copy.
-func (r *run) get(key []byte) (entry, bool, error) {
-	if !r.bloom.mayContain(key) {
+// get returns the entry for key if the run contains it; h1 and h2 are
+// bloomHashes(key), computed once by the caller for every run it probes. The
+// returned entry aliases (possibly cached) block memory; callers that retain
+// it must copy.
+func (r *run) get(key []byte, h1, h2 uint64) (entry, bool, error) {
+	if !r.bloom.mayContain(h1, h2) {
 		return entry{}, false, nil
 	}
 	bi := r.findBlock(key)
 	if bi < 0 {
 		return entry{}, false, nil
 	}
-	v, err := r.readBlock(bi)
+	v, err := r.readBlock(bi, true)
 	if err != nil {
 		return entry{}, false, err
 	}
@@ -476,9 +612,11 @@ func (r *run) get(key []byte) (entry, bool, error) {
 	return e, true, nil
 }
 
-// iter returns an iterator over entries with key >= from.
-func (r *run) iter(from []byte) *runIter {
-	it := &runIter{r: r}
+// iter returns an iterator over entries with key >= from; fill says whether
+// the blocks it reads from disk may evict others from the block cache (see
+// readBlock).
+func (r *run) iter(from []byte, fill bool) *runIter {
+	it := &runIter{r: r, fill: fill}
 	if len(r.blocks) == 0 {
 		return it
 	}
@@ -487,7 +625,7 @@ func (r *run) iter(from []byte) *runIter {
 			it.bi = bi
 		}
 	}
-	v, err := r.readBlock(it.bi)
+	v, err := r.readBlock(it.bi, fill)
 	if err != nil {
 		it.err = err
 		return it
@@ -515,13 +653,14 @@ func (r *run) close() error { return r.release() }
 // fail() after their loop — an errored iterator is indistinguishable from an
 // exhausted one otherwise.
 type runIter struct {
-	r   *run
-	bi  int // current block index
-	v   blockView
-	ei  int // index of the entry after cur within v
-	cur entry
-	ok  bool
-	err error
+	r    *run
+	fill bool
+	bi   int // current block index
+	v    blockView
+	ei   int // index of the entry after cur within v
+	cur  entry
+	ok   bool
+	err  error
 }
 
 // advance loads cur from (bi, ei), crossing block boundaries as needed.
@@ -535,7 +674,7 @@ func (it *runIter) advance() {
 		if it.bi >= len(it.r.blocks) {
 			return
 		}
-		v, err := it.r.readBlock(it.bi)
+		v, err := it.r.readBlock(it.bi, it.fill)
 		if err != nil {
 			it.err = err
 			return

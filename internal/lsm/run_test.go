@@ -33,6 +33,12 @@ func buildBigRun(t *testing.T, dir string, n, valSize int, cfg runConfig) *run {
 	return r
 }
 
+// runGet probes one run the way Tree.Get does: hash once, then the run.
+func runGet(r *run, key []byte) (entry, bool, error) {
+	h1, h2 := bloomHashes(key)
+	return r.get(key, h1, h2)
+}
+
 // TestRunSparseIndexIsOBlocks is the memory-bound structural test: a run's
 // resident index must be one entry per ~32 KiB block, not one per record —
 // the whole point of replacing the old format's full key array.
@@ -59,7 +65,7 @@ func TestRunSparseIndexIsOBlocks(t *testing.T) {
 	// Every key must still be reachable through the sparse index.
 	for _, i := range []int{0, 1, n / 3, n / 2, n - 2, n - 1} {
 		key := []byte(fmt.Sprintf("key-%08d", i))
-		e, ok, err := r.get(key)
+		e, ok, err := runGet(r, key)
 		if err != nil || !ok {
 			t.Fatalf("get(%s) = ok=%v err=%v", key, ok, err)
 		}
@@ -67,10 +73,10 @@ func TestRunSparseIndexIsOBlocks(t *testing.T) {
 			t.Fatalf("get(%s) value %d bytes, want %d", key, len(e.value), valSize)
 		}
 	}
-	if _, ok, err := r.get([]byte("absent")); ok || err != nil {
+	if _, ok, err := runGet(r, []byte("absent")); ok || err != nil {
 		t.Fatalf("get(absent) = ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := r.get([]byte("zzz-beyond-everything")); ok || err != nil {
+	if _, ok, err := runGet(r, []byte("zzz-beyond-everything")); ok || err != nil {
 		t.Fatalf("get(beyond) = ok=%v err=%v", ok, err)
 	}
 }
@@ -83,7 +89,7 @@ func TestRunScanReadBound(t *testing.T) {
 	r := buildBigRun(t, t.TempDir(), n, valSize, runConfig{metrics: m})
 	before := m.BlockReads.Value()
 	got := 0
-	it := r.iter(nil)
+	it := r.iter(nil, true)
 	for ; it.valid(); it.next() {
 		got++
 	}
@@ -119,14 +125,14 @@ func TestRunHotGetsHitCacheZeroReads(t *testing.T) {
 	}
 	// Warm: first get per key may read a block.
 	for _, k := range keys {
-		if _, ok, err := r.get(k); !ok || err != nil {
+		if _, ok, err := runGet(r, k); !ok || err != nil {
 			t.Fatalf("warm get(%s): ok=%v err=%v", k, ok, err)
 		}
 	}
 	before := m.BlockReads.Value()
 	for i := 0; i < 100; i++ {
 		for _, k := range keys {
-			if _, ok, err := r.get(k); !ok || err != nil {
+			if _, ok, err := runGet(r, k); !ok || err != nil {
 				t.Fatalf("hot get(%s): ok=%v err=%v", k, ok, err)
 			}
 		}
@@ -255,11 +261,11 @@ func TestRunReadBlockFaultInjection(t *testing.T) {
 	key := []byte(fmt.Sprintf("key-%08d", 500))
 
 	// 1st read: transient error.
-	if _, _, err := r.get(key); !errors.Is(err, ErrInjected) {
+	if _, _, err := runGet(r, key); !errors.Is(err, ErrInjected) {
 		t.Fatalf("first get error = %v, want ErrInjected", err)
 	}
 	// 2nd read: injected bit flip — checksum failure, marked retryable.
-	_, _, err := r.get(key)
+	_, _, err := runGet(r, key)
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("flipped read error = %v, want ErrChecksum", err)
 	}
@@ -270,7 +276,7 @@ func TestRunReadBlockFaultInjection(t *testing.T) {
 		t.Fatalf("corrupt block bytes landed in the cache: %d resident", s.Bytes)
 	}
 	// 3rd read: clean — disk bytes were never harmed.
-	if _, ok, err := r.get(key); !ok || err != nil {
+	if _, ok, err := runGet(r, key); !ok || err != nil {
 		t.Fatalf("post-fault get: ok=%v err=%v", ok, err)
 	}
 }
@@ -295,7 +301,7 @@ func TestRunIterFailSurfacesReadError(t *testing.T) {
 	if len(r.blocks) < 3 {
 		t.Fatalf("need >= 3 blocks, got %d", len(r.blocks))
 	}
-	it := r.iter(nil)
+	it := r.iter(nil, true)
 	seen := 0
 	for ; it.valid(); it.next() {
 		seen++
@@ -358,7 +364,7 @@ func TestRunMultiBlockIterFrom(t *testing.T) {
 	}
 	for _, start := range []int{0, 1, n / 3, n / 2, n - 1} {
 		from := []byte(fmt.Sprintf("key-%08d", start))
-		it := r.iter(from)
+		it := r.iter(from, true)
 		count := 0
 		expect := start
 		for ; it.valid(); it.next() {
@@ -380,7 +386,7 @@ func TestRunMultiBlockIterFrom(t *testing.T) {
 		}
 	}
 	// A from between two keys starts at the next key.
-	it := r.iter([]byte("key-00000010x"))
+	it := r.iter([]byte("key-00000010x"), true)
 	if !it.valid() {
 		t.Fatal("iter between keys is empty")
 	}

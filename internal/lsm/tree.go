@@ -26,7 +26,12 @@ type Options struct {
 	// backpressure bound, surfaced as Stats.WriteStalls and
 	// Metrics.WriteStalls.
 	MaxImmutables int
-	// MaxRuns triggers a full tiered merge when exceeded; default 4.
+	// MaxRuns bounds, by background merging, the two things a long run list
+	// costs; default 4. No key may lie inside the key ranges of more than
+	// MaxRuns runs, so a point read opens at most that many; and no more
+	// than MaxRuns runs of similar size (within 2x) may sit side by side in
+	// age, so the file count grows with the logarithm of the data, not with
+	// the number of flushes. It does not bound the total run count.
 	MaxRuns int
 	// SyncWAL groups WAL fsyncs: 0 disables syncing (fastest, used by
 	// experiments), 1 syncs every write (durable), n syncs every n writes.
@@ -80,8 +85,13 @@ type Stats struct {
 	Runs int
 	// RunEntries is the total entry count across disk components.
 	RunEntries int
-	// CompactionDebt is the number of runs beyond MaxRuns awaiting the
-	// background merge.
+	// ReadDepth is the largest number of runs whose key ranges cover one
+	// key: the most runs a point read may have to open. The merge policy
+	// keeps it at or below MaxRuns.
+	ReadDepth int
+	// CompactionDebt is the work the merge policy still wants done: read
+	// depth beyond MaxRuns plus, for every tier of similar-sized runs, its
+	// runs beyond MaxRuns. Zero when the background merge has nothing to do.
 	CompactionDebt int
 	// Flushes and Merges count completed background lifecycle operations
 	// since open.
@@ -91,13 +101,15 @@ type Stats struct {
 	WriteStalls int
 }
 
-// Add accumulates o into s, for aggregating statistics across trees.
+// Add accumulates o into s, for aggregating statistics across trees: sums,
+// except ReadDepth, where a reader cares about the worst tree.
 func (s *Stats) Add(o Stats) {
 	s.MemtableEntries += o.MemtableEntries
 	s.MemtableBytes += o.MemtableBytes
 	s.Immutables += o.Immutables
 	s.Runs += o.Runs
 	s.RunEntries += o.RunEntries
+	s.ReadDepth = max(s.ReadDepth, o.ReadDepth)
 	s.CompactionDebt += o.CompactionDebt
 	s.Flushes += o.Flushes
 	s.Merges += o.Merges
@@ -122,19 +134,22 @@ type flushTask struct {
 // immutable queue and continue into a fresh one, a background flusher
 // drains the queue to run files, and a background compactor merges runs —
 // so t.mu is never held across a run write, an fsync, or a merge. Readers
-// take a snapshot (mutable memtable, frozen immutables, retained runs)
+// take a snapshot (mutable memtable, frozen immutables, the pinned run set)
 // under a brief read lock and do all disk reads outside it. Writers block
 // only when MaxImmutables frozen memtables pile up (Stats.WriteStalls).
 type Tree struct {
 	opt Options
 
-	mu      sync.RWMutex
-	mem     *memtable
-	imms    []*flushTask // newest first; the flusher drains from the tail
-	runs    []*run       // newest first
-	wal     *wal         // active segment; rotated with the memtable
-	memSegs []string     // replayed segments backing mem (recovery only)
-	walSeq  int          // last WAL segment number issued
+	mu   sync.RWMutex
+	mem  *memtable
+	imms []*flushTask // newest first; the flusher drains from the tail
+	// set is the published run list, newest first: never nil, never edited,
+	// replaced by publishLocked. plan is the merge policy's answer for it.
+	set     *runSet
+	plan    mergePlan
+	wal     *wal     // active segment; rotated with the memtable
+	memSegs []string // replayed segments backing mem (recovery only)
+	walSeq  int      // last WAL segment number issued
 	// nextWAL is a segment pre-opened by the flusher for the next
 	// rotation, so the common rotation path swaps files under t.mu
 	// without creating one. Nil when no segment is staged.
@@ -146,16 +161,20 @@ type Tree struct {
 	man     *manifest
 	seq     int // last run sequence number issued
 	flushes int
-	merges  int
-	stalls  int
-	closed  bool
+	// committed trails flushes while a published run's manifest commit is
+	// in flight; Flush waits for it to catch up, so a commit that fails is
+	// reported by the wedge that follows rather than missed.
+	committed int
+	merges    int
+	stalls    int
+	closed    bool
 	// bgErr wedges the tree when the background pipeline hits a
 	// non-retryable failure (torn run write, segment retire failure):
 	// mutations and Flush/Merge fail fast, reads keep working, and the
 	// on-disk state stays exactly crash-consistent.
 	bgErr error
-	// forceCompact makes the next compactor pass merge even when the run
-	// count is within MaxRuns; set by Merge.
+	// forceCompact makes the next compactor pass merge every run whatever
+	// the policy says; set by Merge, cleared when that pass publishes.
 	forceCompact bool
 	// stateC is closed and replaced on every state transition (rotation,
 	// flush publish, merge publish, wedge, close). Waiters — writers
@@ -203,6 +222,7 @@ func Open(opt Options) (*Tree, error) {
 	t := &Tree{
 		opt:           opt,
 		mem:           newMemtable(1),
+		set:           newRunSet(nil),
 		stateC:        make(chan struct{}),
 		flushC:        make(chan struct{}, 1),
 		compactC:      make(chan struct{}, 1),
@@ -230,7 +250,7 @@ func Open(opt Options) (*Tree, error) {
 
 	go t.background(t.flushC, t.flusherDone, t.flushStep)
 	go t.background(t.compactC, t.compactorDone, t.compactOnce)
-	if len(t.runs) > t.opt.MaxRuns {
+	if t.plan.debt > 0 {
 		t.kick(t.compactC)
 	}
 	return t, nil
@@ -320,8 +340,13 @@ func (t *Tree) recoverState() (int, error) {
 		}
 	}
 
+	// runs collects the opened runs, newest first, each holding the
+	// reference openRun hands its caller until the set takes its own.
+	var runs []*run
 	fail := func(err error) (int, error) {
-		t.abandonOpen()
+		for _, r := range runs {
+			_ = r.release()
+		}
 		return 0, err
 	}
 
@@ -350,7 +375,7 @@ func (t *Tree) recoverState() (int, error) {
 				}
 				return fail(err)
 			}
-			t.runs = append(t.runs, r)
+			runs = append(runs, r)
 		}
 		// Runs on disk but not in the manifest were published without their
 		// commit record (a crash between the rename and the manifest
@@ -392,7 +417,7 @@ func (t *Tree) recoverState() (int, error) {
 			if err != nil {
 				return fail(err)
 			}
-			t.runs = append(t.runs, r)
+			runs = append(runs, r)
 		}
 	}
 
@@ -436,8 +461,8 @@ func (t *Tree) recoverState() (int, error) {
 	if len(kept) > 0 {
 		floor = fileSeqOf(filepath.Base(kept[0]), "wal-%06d.log") - 1
 	}
-	names := make([]string, len(t.runs))
-	for i, r := range t.runs {
+	names := make([]string, len(runs))
+	for i, r := range runs {
 		names[i] = filepath.Base(r.path)
 	}
 	man, err := newManifest(dir, manSeq+1, names, floor, t.opt.FaultHook, t.opt.Metrics)
@@ -445,20 +470,30 @@ func (t *Tree) recoverState() (int, error) {
 		return fail(err)
 	}
 	t.man = man
+	_ = t.publishLocked(runs).release() // the empty set Open started with
+	for _, r := range runs {
+		_ = r.release() // ours; the set holds its own now
+	}
 	return replayed, nil
 }
 
-// abandonOpen tears down a partially opened tree after a recovery or
-// bootstrap failure, so error paths never leak file handles.
+// abandonOpen tears down an opened tree after a bootstrap failure, so error
+// paths never leak file handles.
 func (t *Tree) abandonOpen() {
-	for _, r := range t.runs {
-		_ = r.release()
-	}
-	t.runs = nil
-	if t.man != nil {
-		_ = t.man.close()
-		t.man = nil
-	}
+	_ = t.publishLocked(nil).release()
+	_ = t.man.close()
+}
+
+// publishLocked replaces the run list: it builds the set for runs (newest
+// first; the set owns the slice and takes its own reference on each run),
+// has the merge policy judge it once, and returns the previous set for the
+// caller to release after dropping t.mu — the last release closes files.
+// Callers hold t.mu (or, in Open, have exclusive access) and bump the state.
+func (t *Tree) publishLocked(runs []*run) (old *runSet) {
+	old = t.set
+	t.set = newRunSet(runs)
+	t.plan = pickMerge(t.set.spans, t.opt.MaxRuns)
+	return old
 }
 
 // newSegment opens the next WAL segment file. Callers hold t.mu (or, in
@@ -636,12 +671,12 @@ func (t *Tree) rotateLocked() error {
 }
 
 // snapshot captures a consistent view of the tree — mutable memtable,
-// frozen immutables (newest first), and retained runs — under a brief read
-// lock. All disk reads happen against the snapshot with no tree lock held;
-// release must be called when done so merged-away runs can be deleted.
+// frozen immutables (newest first), and the pinned run set — under a brief
+// read lock. All disk reads happen against the snapshot with no tree lock
+// held; release must be called when done so merged-away runs can be deleted.
 type snapshot struct {
 	mems []*memtable // newest first: mutable, then immutables
-	runs []*run      // newest first, retained
+	set  *runSet     // pinned
 }
 
 func (t *Tree) snapshot() (*snapshot, error) {
@@ -650,31 +685,24 @@ func (t *Tree) snapshot() (*snapshot, error) {
 	if t.closed {
 		return nil, errClosed()
 	}
-	s := &snapshot{
-		mems: make([]*memtable, 0, 1+len(t.imms)),
-		runs: append([]*run(nil), t.runs...),
-	}
+	s := &snapshot{mems: make([]*memtable, 0, 1+len(t.imms)), set: t.set}
 	s.mems = append(s.mems, t.mem)
 	for _, task := range t.imms {
 		s.mems = append(s.mems, task.mem)
 	}
-	for _, r := range s.runs {
-		r.retain()
-	}
+	s.set.acquire()
 	return s, nil
 }
 
-func (s *snapshot) release() {
-	for _, r := range s.runs {
-		_ = r.release()
-	}
-}
+func (s *snapshot) release() { _ = s.set.release() }
 
 // Get returns the value for key, or ok=false if absent or deleted.
 //
 // The memtable probes run under the tree read lock (pure in-memory, no
-// blocking); only on a memory miss are the runs retained so the disk
-// lookups can proceed with no tree lock held.
+// blocking); only on a memory miss is the run set pinned — one reference,
+// however many runs — so the disk lookups can proceed with no tree lock
+// held. A run whose fences exclude the key costs two comparisons; the key is
+// hashed once for the filters of the runs that remain.
 func (t *Tree) Get(key []byte) (value []byte, ok bool, err error) {
 	t.mu.RLock()
 	if t.closed {
@@ -697,18 +725,16 @@ func (t *Tree) Get(key []byte) (value []byte, ok bool, err error) {
 			return append([]byte(nil), e.value...), true, nil
 		}
 	}
-	runs := append([]*run(nil), t.runs...)
-	for _, r := range runs {
-		r.retain()
-	}
+	set := t.set
+	set.acquire()
 	t.mu.RUnlock()
-	defer func() {
-		for _, r := range runs {
-			_ = r.release()
+	defer set.release()
+	h1, h2 := bloomHashes(key)
+	for i := range set.spans {
+		if !set.spans[i].covers(key) {
+			continue
 		}
-	}()
-	for _, r := range runs {
-		e, found, err := r.get(key)
+		e, found, err := set.runs[i].get(key, h1, h2)
 		if err != nil {
 			return nil, false, err
 		}
@@ -735,7 +761,7 @@ func (t *Tree) Scan(from, to []byte, fn func(key, value []byte) bool) error {
 		return err
 	}
 	defer s.release()
-	it := newMergedIter(s.mems, s.runs, from)
+	it := newMergedIter(s.mems, s.set.runs, from, true)
 	for it.valid() {
 		e, err := it.curr()
 		if err != nil {
@@ -765,9 +791,10 @@ func (t *Tree) Len() (int, error) {
 }
 
 // Flush rotates the memtable (if non-empty) and waits until the background
-// pipeline has drained: no queued immutables and no compaction debt. It is
-// the synchronous checkpoint operation — after a nil return every record
-// accepted before the call is in a run file.
+// pipeline has drained: no queued immutables, the last flush committed to the
+// manifest, and no compaction debt. It is the synchronous checkpoint
+// operation — after a nil return every record accepted before the call is in
+// a committed run file.
 func (t *Tree) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -786,7 +813,7 @@ func (t *Tree) Flush() error {
 				continue
 			}
 		} else if len(t.imms) == 0 {
-			if len(t.runs) <= t.opt.MaxRuns {
+			if t.plan.debt == 0 && t.committed == t.flushes {
 				return nil
 			}
 			t.kick(t.compactC)
@@ -804,26 +831,18 @@ func (t *Tree) Flush() error {
 func (t *Tree) Merge() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return errClosed()
+	if !t.closed && t.bgErr == nil && len(t.set.runs) > 1 {
+		t.forceCompact = true
+		t.kick(t.compactC)
 	}
-	if t.bgErr != nil {
-		return t.bgErr
-	}
-	if len(t.runs) <= 1 {
-		return nil
-	}
-	t.forceCompact = true
-	t.kick(t.compactC)
-	target := t.merges + 1
-	for t.merges < target {
+	for {
 		if t.closed {
 			return errClosed()
 		}
 		if t.bgErr != nil {
 			return t.bgErr
 		}
-		if len(t.runs) <= 1 {
+		if !t.forceCompact {
 			return nil
 		}
 		ch := t.stateC
@@ -831,7 +850,6 @@ func (t *Tree) Merge() error {
 		t.waitState(ch)
 		t.mu.Lock()
 	}
-	return nil
 }
 
 // wedge records a non-retryable background failure: the tree stops
@@ -970,7 +988,7 @@ func (t *Tree) flushTasks(tasks []*flushTask) error {
 	}
 
 	t.mu.Lock()
-	t.runs = append([]*run{r}, t.runs...)
+	old := t.publishLocked(append([]*run{r}, t.set.runs...))
 	// Rotations may have prepended newer tasks while the batch flushed;
 	// the flushed tasks are exactly the oldest len(tasks) entries.
 	t.imms = t.imms[:len(t.imms)-len(tasks)]
@@ -979,9 +997,11 @@ func (t *Tree) flushTasks(tasks []*flushTask) error {
 		m.Flushes.Add(1)
 		m.FlushedEntries.Add(int64(r.len()))
 	}
-	debt := len(t.runs) > t.opt.MaxRuns
+	debt := t.plan.debt > 0
 	t.bumpLocked()
 	t.mu.Unlock()
+	_ = old.release()
+	_ = r.release() // the writer's reference; the set holds its own
 
 	// Commit before destroying: one fsynced manifest record names the run
 	// and advances the WAL floor to the newest flushed segment, and only
@@ -997,6 +1017,10 @@ func (t *Tree) flushTasks(tasks []*flushTask) error {
 	if err := t.man.commitFlush(filepath.Base(path), newest.wal.seq); err != nil {
 		return fmt.Errorf("lsm: flush published but not committed: %v", err)
 	}
+	t.mu.Lock()
+	t.committed++
+	t.bumpLocked()
+	t.mu.Unlock()
 
 	// The run is durable, published, and committed: retire the WAL
 	// segments, oldest first across the whole batch. Any failure wedges
@@ -1029,22 +1053,34 @@ func mergedName(newestInput string) string {
 	return strings.TrimSuffix(newestInput, ".lsm") + "m.lsm"
 }
 
-// compactOnce is the compactor's unit of work, the tiered merge: when the
-// run count exceeds MaxRuns (or Merge forces it), every current run is
-// streamed through the component writer into one replacement run. Input
+// compactOnce is the compactor's unit of work: merge the window of runs the
+// policy picked when the list was last published (every run, when Merge
+// forces it) into one replacement run that takes the window's place. Input
 // files are deleted oldest-first, each only after its last reader releases
-// it. It reports whether the published list still exceeds MaxRuns.
+// it. It reports whether there is more to merge.
 func (t *Tree) compactOnce() (bool, error) {
 	t.mu.Lock()
-	if t.closed || t.bgErr != nil || len(t.runs) <= 1 ||
-		(len(t.runs) <= t.opt.MaxRuns && !t.forceCompact) {
+	lo, hi := t.plan.lo, t.plan.hi
+	forced := t.forceCompact
+	if forced {
+		lo, hi = 0, len(t.set.runs)
+		if hi <= 1 {
+			t.forceCompact = false
+			t.bumpLocked()
+		}
+	}
+	if t.closed || t.bgErr != nil || hi-lo <= 1 {
 		t.mu.Unlock()
 		return false, nil
 	}
-	inputs := append([]*run(nil), t.runs...)
+	inputs := append([]*run(nil), t.set.runs[lo:hi]...)
 	for _, r := range inputs {
 		r.retain()
 	}
+	// Flushes only ever prepend and there is one compactor, so while the
+	// merge runs the window keeps its distance from the tail of the list —
+	// which is how it is found again at publish.
+	older := len(t.set.runs) - hi
 	t.mu.Unlock()
 
 	read := 0
@@ -1053,7 +1089,10 @@ func (t *Tree) compactOnce() (bool, error) {
 		read += r.len()
 		inputNames[i] = filepath.Base(r.path)
 	}
-	nr, err := writeMergedRun(mergedName(inputs[0].path), nil, inputs, true, "merge:bg", t.runCfg())
+	// A tombstone masks versions of its key in older runs. Only a window
+	// that ends at the oldest run has none below it; any other must carry
+	// its tombstones into the output or the key comes back.
+	nr, err := writeMergedRun(mergedName(inputs[0].path), nil, inputs, older == 0, "merge:bg", t.runCfg())
 	if err != nil {
 		for _, r := range inputs {
 			_ = r.release()
@@ -1062,42 +1101,45 @@ func (t *Tree) compactOnce() (bool, error) {
 	}
 
 	t.mu.Lock()
-	// Flushes may have prepended newer runs while the merge ran; the
-	// inputs are exactly the tail of the published list.
-	t.runs = append(t.runs[:len(t.runs)-len(inputs):len(t.runs)-len(inputs)], nr)
+	cur := t.set.runs
+	newer := len(cur) - older - len(inputs)
+	next := make([]*run, 0, len(cur)-len(inputs)+1)
+	next = append(append(append(next, cur[:newer]...), nr), cur[len(cur)-older:]...)
+	old := t.publishLocked(next)
 	t.merges++
-	t.forceCompact = false
+	if forced {
+		t.forceCompact = false
+	}
 	if m := t.opt.Metrics; m != nil {
 		m.Merges.Add(1)
 		m.MergedEntries.Add(int64(read))
 	}
-	debt := len(t.runs) > t.opt.MaxRuns
+	again := t.plan.debt > 0 || t.forceCompact
 	t.bumpLocked()
 	t.mu.Unlock()
+	// Drop the old set's, the writer's and our own references: from here an
+	// input lives exactly as long as the readers that pinned a set listing
+	// it, and signals unused when the last of them leaves.
+	_ = old.release()
+	_ = nr.release()
+	for _, r := range inputs {
+		_ = r.release()
+	}
 
 	// Commit the merge before any input file is deleted: the fsynced
 	// record swaps the inputs for the output in the durable run set. As in
 	// flushTasks, a commit failure must wedge rather than retry (%v severs
 	// ErrInjected) — the output is already published.
 	if err := t.man.commitMerge(filepath.Base(nr.path), inputNames); err != nil {
-		for _, r := range inputs {
-			_ = r.release() // snapshot reference
-			_ = r.release() // published list's reference
-		}
 		return false, fmt.Errorf("lsm: merge published but not committed: %v", err)
 	}
 
-	// Drop the list's and our snapshot's references, then delete input
-	// files oldest-first, each once its last reader is gone. Oldest-first
-	// matters across a crash: a surviving newer input still carries the
-	// tombstones that mask deleted keys in older ones. If the tree closes
-	// mid-wait the remaining files stay on disk — the committed output
-	// shadows them and the next Open sweeps them as orphans, so the state
-	// is merely larger, never wrong.
-	for _, r := range inputs {
-		_ = r.release() // snapshot reference
-		_ = r.release() // published list's reference
-	}
+	// Delete input files oldest-first, each once its last reader is gone.
+	// Oldest-first matters across a crash: a surviving newer input still
+	// carries the tombstones that mask deleted keys in older ones. If the
+	// tree closes mid-wait the remaining files stay on disk — the committed
+	// output shadows them and the next Open sweeps them as orphans, so the
+	// state is merely larger, never wrong.
 	for i := len(inputs) - 1; i >= 0; i-- {
 		select {
 		case <-inputs[i].unused:
@@ -1108,7 +1150,7 @@ func (t *Tree) compactOnce() (bool, error) {
 			return false, err
 		}
 	}
-	return debt, nil
+	return again, nil
 }
 
 // Stats returns the tree's component statistics.
@@ -1119,7 +1161,10 @@ func (t *Tree) Stats() Stats {
 		MemtableEntries: t.mem.len(),
 		MemtableBytes:   t.mem.size(),
 		Immutables:      len(t.imms),
-		Runs:            len(t.runs),
+		Runs:            len(t.set.runs),
+		RunEntries:      t.set.entries,
+		ReadDepth:       t.plan.depth,
+		CompactionDebt:  t.plan.debt,
 		Flushes:         t.flushes,
 		Merges:          t.merges,
 		WriteStalls:     t.stalls,
@@ -1127,12 +1172,6 @@ func (t *Tree) Stats() Stats {
 	for _, task := range t.imms {
 		s.MemtableEntries += task.mem.len()
 		s.MemtableBytes += task.mem.size()
-	}
-	for _, r := range t.runs {
-		s.RunEntries += r.len()
-	}
-	if d := len(t.runs) - t.opt.MaxRuns; d > 0 {
-		s.CompactionDebt = d
 	}
 	return s
 }
@@ -1173,12 +1212,11 @@ func (t *Tree) Close() error {
 			first = err
 		}
 	}
-	for _, r := range t.runs {
-		if err := r.release(); err != nil && first == nil {
-			first = err
-		}
+	// Readers still inside a Get or Scan keep their set, and so its files,
+	// until they leave.
+	if err := t.publishLocked(nil).release(); err != nil && first == nil {
+		first = err
 	}
-	t.runs = nil
 	if t.man != nil {
 		if err := t.man.close(); err != nil && first == nil {
 			first = err
