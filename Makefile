@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fast vet fmt bench-smoke watch-smoke chaos-smoke chaos-restart-smoke chaos-overload-smoke chaos ci
+.PHONY: build test race lint lint-fast vet fmt fuzz-adm bench-smoke watch-smoke chaos-smoke chaos-restart-smoke chaos-overload-smoke chaos ci
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,16 @@ test:
 # -short keeps it fast enough to run on every change.
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/hyracks/... ./internal/lsm/... ./internal/storage/... ./internal/governor/... ./internal/chaos/...
+	$(GO) test -race -short -run '(?i)replicat|Restart|FeedMaintains|SocketAdaptor|FileFeed' .
+
+# Differential fuzzing of the ADM codecs, one target after another for
+# FUZZTIME each (not part of ci.sh, which only replays the checked-in
+# corpora). A finding lands under internal/adm/testdata/fuzz/: commit it.
+FUZZTIME ?= 30s
+fuzz-adm:
+	for t in FuzzSkipValue FuzzScanRecordFields FuzzTranscode FuzzValidateEncoded; do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/adm/ || exit 1; \
+	done
 
 # feedlint enforces the architecture invariants in DESIGN.md.
 lint:

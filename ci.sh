@@ -32,8 +32,9 @@ echo "test: ok"
 echo "bench module: ok"
 
 # Replay the checked-in fuzz corpora (testdata/fuzz seeds run as ordinary
-# tests) for the two codecs with wire formats: ADM records and LSM run
-# blocks. Keeps past crashers fixed without needing a fuzzing budget.
+# tests) for the two codecs with wire formats: ADM records (incl. the
+# Transcode and ValidateEncoded differentials) and LSM run blocks. Keeps past
+# crashers fixed without needing a fuzzing budget; `make fuzz-adm` spends one.
 go test -run Fuzz -count=1 ./internal/adm/ ./internal/lsm/
 echo "fuzz corpus replay: ok"
 
@@ -55,8 +56,11 @@ echo "chaos-overload-smoke: ok"
 if [ "${1:-}" = "-race" ]; then
 	go test -race -short ./internal/core/... ./internal/hyracks/... ./internal/lsm/... ./internal/storage/... ./internal/governor/... ./internal/chaos/...
 	# End-to-end replication and restart tests: the promotion/resync and
-	# recovery paths are the most concurrency-sensitive in the stack.
-	go test -race -short -run '(?i)replicat|Restart|FeedMaintains' .
+	# recovery paths are the most concurrency-sensitive in the stack. The
+	# socket and file adaptors ride along: they hand the pipeline copies out
+	# of a scanner's buffer and a reused scratch, and a record still aliasing
+	# either is a race the detector sees.
+	go test -race -short -run '(?i)replicat|Restart|FeedMaintains|SocketAdaptor|FileFeed' .
 	# The governor's load-shedding path under the race detector: the full
 	# 50-seed overload sweep (the acceptance bar for the governor).
 	go run -race ./cmd/feedchaos -overload -seeds 50 -records 120

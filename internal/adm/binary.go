@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The binary format is a compact tagged encoding used for frames moving
@@ -75,8 +76,54 @@ func AppendValue(dst []byte, v Value) []byte {
 	return dst
 }
 
-// Encode returns the binary encoding of v.
-func Encode(v Value) []byte { return AppendValue(nil, v) }
+// Encode returns the binary encoding of v, in a slice of exactly its size.
+func Encode(v Value) []byte { return AppendValue(make([]byte, 0, encodedLen(v)), v) }
+
+// encodedLen is the number of bytes AppendValue appends for v: its mirror,
+// case for case.
+func encodedLen(v Value) int {
+	n := 1 // tag
+	switch t := v.(type) {
+	case Missing, Null:
+	case Boolean:
+		n++
+	case Int64:
+		n += varintLen(int64(t))
+	case Double:
+		n += 8
+	case String:
+		n += uvarintLen(uint64(len(t))) + len(t)
+	case Datetime:
+		n += varintLen(int64(t))
+	case Point:
+		n += 16
+	case Rectangle:
+		n += 32
+	case *OrderedList:
+		n += uvarintLen(uint64(len(t.Items)))
+		for _, it := range t.Items {
+			n += encodedLen(it)
+		}
+	case *UnorderedList:
+		n += uvarintLen(uint64(len(t.Items)))
+		for _, it := range t.Items {
+			n += encodedLen(it)
+		}
+	case *Record:
+		n += uvarintLen(uint64(len(t.names)))
+		for i, name := range t.names {
+			n += uvarintLen(uint64(len(name))) + len(name) + encodedLen(t.values[i])
+		}
+	default:
+		panic(fmt.Sprintf("adm: unencodable value %T", v))
+	}
+	return n
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the zig-zag length binary.AppendVarint writes for x.
+func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
 
 // Decode decodes a single value from the front of buf, returning the value
 // and the number of bytes consumed.

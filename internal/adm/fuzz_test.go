@@ -133,3 +133,72 @@ func FuzzScanRecordFields(f *testing.F) {
 		}
 	})
 }
+
+// fuzzValidateType has one of everything ValidateEncoded walks on the bytes:
+// a nested open record, a nested closed record, a list of primitives, a bag
+// of records, and optional fields, in an open top level.
+func fuzzValidateType() *RecordType {
+	open := MustRecordType("Open", true, []Field{
+		{Name: "name", Type: TString},
+		{Name: "n", Type: TDouble, Optional: true},
+	})
+	closed := MustRecordType("Closed", false, []Field{
+		{Name: "x", Type: TInt64},
+		{Name: "y", Type: TInt64, Optional: true},
+	})
+	return MustRecordType("T", true, []Field{
+		{Name: "id", Type: TString},
+		{Name: "user", Type: open},
+		{Name: "pos", Type: closed, Optional: true},
+		{Name: "tags", Type: &OrderedListType{Item: TString}, Optional: true},
+		{Name: "refs", Type: &UnorderedListType{Item: closed}, Optional: true},
+	})
+}
+
+// FuzzValidateEncoded: on arbitrary bytes the verdict of ValidateEncoded is
+// the verdict of DecodeOne followed by Validate. The store admits frames on
+// the first and reads them back through the second, so a record one accepts
+// and the other refuses is stored and then unreadable.
+func FuzzValidateEncoded(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s)
+	}
+	for _, text := range []string{
+		`{"id":"a","user":{"name":"u"}}`,
+		`{"id":"a","user":{"name":"u","n":1,"extra":[1,{"k":{{2}}}]},"pos":{"x":1,"y":2},"tags":["a","b"],"refs":{{{"x":1},{"x":2,"y":null}}},"free":{"q":1}}`,
+		`{"id":"a","user":{"name":"u"},"pos":null,"tags":missing}`,
+		`{"id":"a","user":{"name":"u"},"pos":{"x":1,"z":2}}`,
+		`{"id":"a","user":{"name":"u"},"refs":{{{"x":1,"z":2}}}}`,
+		`{"id":"a","user":{"name":"u"},"refs":{{null}}}`,
+		`{"id":"a","user":{"n":1}}`,
+		`{"id":"a","user":{"name":null}}`,
+		`{"id":"a","user":{"name":"u","n":"one"}}`,
+		`{"id":"a","user":{"name":"u"},"tags":["a",1]}`,
+		`{"id":"a","user":{"name":"u"},"tags":{{"a"}}}`,
+		`{"id":"a","user":[1]}`,
+		`{"id":1,"user":{"name":"u"}}`,
+		`{"user":{"name":"u"}}`,
+		wideRecord(validateEncodedMaxFields + 1),
+		`{"id":"a","user":{"name":"u"},"deep":` + nestedLists(validateEncodedMaxDepth+2) + `}`,
+	} {
+		enc, err := Transcode(nil, []byte(text))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add(dupInUndeclared)
+	rt := fuzzValidateType()
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		want := func() error {
+			v, err := DecodeOne(buf)
+			if err != nil {
+				return err
+			}
+			return rt.Validate(v)
+		}()
+		if got := rt.ValidateEncoded(buf); (got == nil) != (want == nil) {
+			t.Fatalf("ValidateEncoded(%x) = %v, DecodeOne+Validate = %v", buf, got, want)
+		}
+	})
+}

@@ -44,9 +44,17 @@ func ParsePrefix(text string) (Value, int, error) {
 	return v, p.pos, nil
 }
 
+// maxNesting bounds how deeply lists and records may nest in textual ADM.
+// Parse and Transcode both recurse once per level, and a feed line may be
+// megabytes of '[': without a bound one hostile line overflows the goroutine
+// stack, which no recover catches. Both readers enforce it with the same
+// error, so nothing deeper ever reaches Decode or SkipValue from a feed.
+const maxNesting = 128
+
 type parser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // lists and records open around pos
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -74,13 +82,8 @@ func (p *parser) peek() byte {
 func (p *parser) value() (Value, error) {
 	p.skipSpace()
 	switch c := p.peek(); {
-	case c == '{':
-		if strings.HasPrefix(p.src[p.pos:], "{{") {
-			return p.unorderedList()
-		}
-		return p.record()
-	case c == '[':
-		return p.orderedList()
+	case c == '{' || c == '[':
+		return p.nested()
 	case c == '"':
 		s, err := p.stringLit()
 		if err != nil {
@@ -123,6 +126,24 @@ func (p *parser) value() (Value, error) {
 	default:
 		return nil, p.errf("unexpected character %q", c)
 	}
+}
+
+// nested parses the list or record opening at the cursor, one level down.
+func (p *parser) nested() (v Value, err error) {
+	if p.depth == maxNesting {
+		return nil, p.errf("nesting deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	switch {
+	case p.peek() == '[':
+		v, err = p.orderedList()
+	case strings.HasPrefix(p.src[p.pos:], "{{"):
+		v, err = p.unorderedList()
+	default:
+		v, err = p.record()
+	}
+	p.depth--
+	return v, err
 }
 
 func (p *parser) expect(c byte) error {

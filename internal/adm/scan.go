@@ -2,6 +2,7 @@ package adm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -52,13 +53,9 @@ func SkipValue(buf []byte) (int, error) {
 		}
 		pos += int(ln)
 	case TagOrderedList, TagUnorderedList:
-		cnt, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, errTruncated(tag)
-		}
-		pos += n
-		if cnt > uint64(len(buf)-pos) {
-			return 0, errTruncated(tag)
+		cnt, pos, err := containerHeader(buf)
+		if err != nil {
+			return 0, err
 		}
 		for i := uint64(0); i < cnt; i++ {
 			used, err := SkipValue(buf[pos:])
@@ -69,29 +66,14 @@ func SkipValue(buf []byte) (int, error) {
 		}
 		return pos, nil
 	case TagRecord:
-		cnt, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, errTruncated(tag)
-		}
-		pos += n
-		if cnt > uint64(len(buf)-pos) {
-			return 0, errTruncated(tag)
+		cnt, pos, err := containerHeader(buf)
+		if err != nil {
+			return 0, err
 		}
 		for i := uint64(0); i < cnt; i++ {
-			ln, n := binary.Uvarint(buf[pos:])
-			if n <= 0 {
-				return 0, errTruncated(tag)
-			}
-			pos += n
-			if uint64(len(buf)-pos) < ln {
-				return 0, errTruncated(tag)
-			}
-			pos += int(ln)
-			used, err := SkipValue(buf[pos:])
-			if err != nil {
+			if _, _, pos, err = fieldAt(buf, pos); err != nil {
 				return 0, err
 			}
-			pos += used
 		}
 		return pos, nil
 	default:
@@ -113,49 +95,81 @@ func ScanRecordFields(buf []byte, fn func(name, encValue []byte) bool) (int, err
 	if len(buf) == 0 || TypeTag(buf[0]) != TagRecord {
 		return 0, fmt.Errorf("adm: scan of non-record value")
 	}
-	pos := 1
-	cnt, n := binary.Uvarint(buf[pos:])
-	if n <= 0 {
-		return 0, errTruncated(TagRecord)
-	}
-	pos += n
-	if cnt > uint64(len(buf)-pos) {
-		return 0, errTruncated(TagRecord)
+	cnt, pos, err := containerHeader(buf)
+	if err != nil {
+		return 0, err
 	}
 	for i := uint64(0); i < cnt; i++ {
-		ln, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, errTruncated(TagRecord)
-		}
-		pos += n
-		if uint64(len(buf)-pos) < ln {
-			return 0, errTruncated(TagRecord)
-		}
-		name := buf[pos : pos+int(ln)]
-		pos += int(ln)
-		used, err := SkipValue(buf[pos:])
+		name, encValue, next, err := fieldAt(buf, pos)
 		if err != nil {
 			return 0, err
 		}
-		if !fn(name, buf[pos:pos+used]) {
-			return pos + used, nil
+		pos = next
+		if !fn(name, encValue) {
+			break
 		}
-		pos += used
 	}
 	return pos, nil
 }
 
-// validateEncodedMaxFields bounds the allocation-free duplicate/seen
-// tracking in ValidateEncoded; larger records fall back to a full decode.
-const validateEncodedMaxFields = 64
+// containerHeader reads the count of the encoded list or record at the front
+// of buf and returns it with the offset of the first item or field.
+func containerHeader(buf []byte) (cnt uint64, pos int, err error) {
+	tag := TypeTag(buf[0])
+	cnt, n := binary.Uvarint(buf[1:])
+	if n <= 0 {
+		return 0, 0, errTruncated(tag)
+	}
+	pos = 1 + n
+	// Each item needs at least one byte.
+	if cnt > uint64(len(buf)-pos) {
+		return 0, 0, errTruncated(tag)
+	}
+	return cnt, pos, nil
+}
+
+// fieldAt splits the record field encoded at buf[pos:] into its name and its
+// structurally verified value, and returns the offset of the next field.
+func fieldAt(buf []byte, pos int) (name, encValue []byte, next int, err error) {
+	ln, n := binary.Uvarint(buf[pos:])
+	if n <= 0 {
+		return nil, nil, 0, errTruncated(TagRecord)
+	}
+	pos += n
+	if uint64(len(buf)-pos) < ln {
+		return nil, nil, 0, errTruncated(TagRecord)
+	}
+	name = buf[pos : pos+int(ln)]
+	pos += int(ln)
+	used, err := SkipValue(buf[pos:])
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return name, buf[pos : pos+used], pos + used, nil
+}
+
+// The allocation-free walk of ValidateEncoded tracks a record's field names
+// in a fixed array per nesting level; a record wider than
+// validateEncodedMaxFields, or values nested deeper than
+// validateEncodedMaxDepth (each level costs a stack frame holding that
+// array), fall back to a full decode.
+const (
+	validateEncodedMaxFields = 64
+	validateEncodedMaxDepth  = 32
+)
 
 // ValidateEncoded reports whether the single encoded value in buf conforms
 // to the record type, with the same outcome as DecodeOne followed by
-// Validate — including rejection of trailing bytes, duplicate field names,
-// and (for closed types) undeclared fields — but without materializing the
-// record for the common case of primitive-typed fields. Records wider than
-// an internal bound, or with declared fields of nested record/list types,
-// transparently fall back to the decoding path.
+// Validate — literally: trailing bytes, malformed encodings, undeclared
+// fields of closed types, and a repeated field name in any record at any
+// depth, declared or not, are rejected as the decoder and Validate reject
+// them — but on the bytes, without materializing anything. Declared nested
+// record types run the same field walk the top level runs, declared list
+// types check each item against the item type, and values the type does not
+// describe (undeclared fields of open records) are walked for what DecodeOne
+// would refuse. Only what exceeds the fixed-size tracking (see
+// validateEncodedMaxFields) or a Type this file does not know is handed to
+// the decoding path, whose verdict is then the reference's by construction.
 func (r *RecordType) ValidateEncoded(buf []byte) error {
 	if len(buf) == 0 {
 		return fmt.Errorf("adm: decode of empty buffer")
@@ -163,80 +177,9 @@ func (r *RecordType) ValidateEncoded(buf []byte) error {
 	if TypeTag(buf[0]) != TagRecord {
 		return fmt.Errorf("adm: value of type %s does not conform to record type %s", TypeTag(buf[0]), r.Name())
 	}
-	if len(r.fields) > validateEncodedMaxFields {
+	consumed, err := r.validateEncodedFields(buf, 0)
+	if errors.Is(err, errValidateFallback) {
 		return r.validateDecoded(buf)
-	}
-	var seen [validateEncodedMaxFields]bool
-	var names [validateEncodedMaxFields][]byte
-	nNames := 0
-	var walkErr error
-	consumed, err := ScanRecordFields(buf, func(name, encValue []byte) bool {
-		// Duplicate field names are invalid regardless of the type; the
-		// decode path rejects them in NewRecord.
-		for i := 0; i < nNames; i++ {
-			if string(names[i]) == string(name) {
-				walkErr = fmt.Errorf("adm: duplicate field %q in record", name)
-				return false
-			}
-		}
-		if nNames < len(names) {
-			names[nNames] = name
-			nNames++
-		} else {
-			walkErr = errValidateFallback
-			return false
-		}
-		idx, declared := r.index[string(name)]
-		if !declared {
-			if !r.open {
-				walkErr = fmt.Errorf("adm: undeclared field %q in closed type %s", name, r.Name())
-				return false
-			}
-			return true
-		}
-		seen[idx] = true
-		f := r.fields[idx]
-		tag := TypeTag(encValue[0])
-		switch tag {
-		case TagMissing:
-			if !f.Optional {
-				walkErr = fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
-				return false
-			}
-			return true
-		case TagNull:
-			if !f.Optional {
-				walkErr = fmt.Errorf("adm: null value for non-optional field %q of type %s", f.Name, r.Name())
-				return false
-			}
-			return true
-		}
-		pt, isPrim := f.Type.(*PrimitiveType)
-		if !isPrim {
-			// Nested record/list types keep their full structural
-			// validation: decode just this field.
-			v, _, err := Decode(encValue)
-			if err != nil {
-				walkErr = err
-				return false
-			}
-			if err := f.Type.Validate(v); err != nil {
-				walkErr = fmt.Errorf("adm: field %q: %w", f.Name, err)
-				return false
-			}
-			return true
-		}
-		if tag != pt.tag && !(pt.tag == TagDouble && tag == TagInt64) {
-			walkErr = fmt.Errorf("adm: field %q: value of type %s does not conform to %s", f.Name, tag, pt.Name())
-			return false
-		}
-		return true
-	})
-	if walkErr == errValidateFallback {
-		return r.validateDecoded(buf)
-	}
-	if walkErr != nil {
-		return walkErr
 	}
 	if err != nil {
 		return err
@@ -244,17 +187,149 @@ func (r *RecordType) ValidateEncoded(buf []byte) error {
 	if consumed != len(buf) {
 		return fmt.Errorf("adm: %d trailing bytes after value", len(buf)-consumed)
 	}
-	for i, f := range r.fields {
-		if !seen[i] && !f.Optional {
-			return fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
+	return nil
+}
+
+// undeclared stands in for the type of a record the schema says nothing
+// about: open, no declared fields. Walking such a record checks exactly what
+// Decode checks beyond structure — that no name repeats, at any depth.
+var undeclared = &RecordType{open: true}
+
+// validateEncodedFields validates the encoded record at the front of buf
+// (its tag already checked) against r, depth levels below the top, and
+// returns the record's encoded length.
+func (r *RecordType) validateEncodedFields(buf []byte, depth int) (int, error) {
+	if len(r.fields) > validateEncodedMaxFields {
+		return 0, errValidateFallback
+	}
+	cnt, pos, err := containerHeader(buf)
+	if err != nil {
+		return 0, err
+	}
+	if cnt > validateEncodedMaxFields {
+		return 0, errValidateFallback
+	}
+	var seen [validateEncodedMaxFields]bool
+	var names [validateEncodedMaxFields][]byte
+	for i := 0; i < int(cnt); i++ {
+		name, encValue, next, err := fieldAt(buf, pos)
+		if err != nil {
+			return 0, err
 		}
+		pos = next
+		// Duplicate field names are invalid regardless of the type; the
+		// decode path rejects them in NewRecord.
+		for _, prev := range names[:i] {
+			if string(prev) == string(name) {
+				return 0, fmt.Errorf("adm: duplicate field %q in record", name)
+			}
+		}
+		names[i] = name
+		idx, declared := r.index[string(name)]
+		if !declared {
+			if !r.open {
+				return 0, fmt.Errorf("adm: undeclared field %q in closed type %s", name, r.Name())
+			}
+			if err := validateEncodedValue(nil, encValue, depth+1); err != nil {
+				return 0, err
+			}
+			continue
+		}
+		seen[idx] = true
+		f := &r.fields[idx]
+		switch TypeTag(encValue[0]) {
+		case TagMissing:
+			if !f.Optional {
+				return 0, fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
+			}
+			continue
+		case TagNull:
+			if !f.Optional {
+				return 0, fmt.Errorf("adm: null value for non-optional field %q of type %s", f.Name, r.Name())
+			}
+			continue
+		}
+		if err := validateEncodedValue(f.Type, encValue, depth+1); err != nil {
+			return 0, fmt.Errorf("adm: field %q: %w", f.Name, err)
+		}
+	}
+	for i := range r.fields {
+		if f := &r.fields[i]; !seen[i] && !f.Optional {
+			return 0, fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
+		}
+	}
+	return pos, nil
+}
+
+// validateEncodedValue is t.Validate on the structurally verified encoded
+// value enc, without decoding it. A nil t is an undeclared value: anything
+// Decode accepts conforms.
+func validateEncodedValue(t Type, enc []byte, depth int) error {
+	if depth > validateEncodedMaxDepth {
+		return errValidateFallback
+	}
+	tag := TypeTag(enc[0])
+	switch t := t.(type) {
+	case nil:
+		switch tag {
+		case TagRecord:
+			_, err := undeclared.validateEncodedFields(enc, depth)
+			return err
+		case TagOrderedList, TagUnorderedList:
+			return validateEncodedItems(nil, "", enc, depth)
+		}
+		return nil
+	case *PrimitiveType:
+		if tag != t.tag && !(t.tag == TagDouble && tag == TagInt64) {
+			return fmt.Errorf("adm: value of type %s does not conform to %s", tag, t.Name())
+		}
+		return nil
+	case *RecordType:
+		if tag != TagRecord {
+			return fmt.Errorf("adm: value of type %s does not conform to record type %s", tag, t.Name())
+		}
+		_, err := t.validateEncodedFields(enc, depth)
+		return err
+	case *OrderedListType:
+		if tag != TagOrderedList {
+			return fmt.Errorf("adm: value of type %s does not conform to %s", tag, t.Name())
+		}
+		return validateEncodedItems(t.Item, "list item", enc, depth)
+	case *UnorderedListType:
+		if tag != TagUnorderedList {
+			return fmt.Errorf("adm: value of type %s does not conform to %s", tag, t.Name())
+		}
+		return validateEncodedItems(t.Item, "bag item", enc, depth)
+	}
+	return errValidateFallback
+}
+
+// validateEncodedItems validates each item of the encoded list enc against
+// the item type.
+func validateEncodedItems(item Type, what string, enc []byte, depth int) error {
+	cnt, pos, err := containerHeader(enc)
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < cnt; i++ {
+		used, err := SkipValue(enc[pos:])
+		if err != nil {
+			return err
+		}
+		if err := validateEncodedValue(item, enc[pos:pos+used], depth+1); err != nil {
+			if item == nil {
+				return err
+			}
+			return fmt.Errorf("adm: %s %d: %w", what, i, err)
+		}
+		pos += used
 	}
 	return nil
 }
 
-// errValidateFallback is an internal sentinel: the byte-level walk hit a
-// record too wide for its fixed-size tracking and the caller should decode.
-var errValidateFallback = fmt.Errorf("adm: validate fallback")
+// errValidateFallback is an internal sentinel: the byte-level walk met
+// something beyond its fixed-size tracking and the caller should decode.
+var errValidateFallback = errors.New("adm: validate fallback")
 
 func (r *RecordType) validateDecoded(buf []byte) error {
 	v, err := DecodeOne(buf)

@@ -183,34 +183,106 @@ func TestValidateEncodedDuplicateField(t *testing.T) {
 	}
 }
 
-func TestValidateEncodedAllocs(t *testing.T) {
-	rt := scanTestType(t, true)
-	enc := Encode((&RecordBuilder{}).
-		Add("id", String("t1")).
-		Add("score", Double(2)).
-		Add("location", Point{X: 3, Y: 4}).
-		MustBuild())
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := rt.ValidateEncoded(enc); err != nil {
-			t.Fatal(err)
+// dupInUndeclared is {"id":"a","z":{"q":null,"q":null}} encoded by hand (the
+// builder refuses a repeated name): the repeat sits inside the value of a
+// field the type does not declare.
+var dupInUndeclared = []byte{
+	byte(TagRecord), 2,
+	2, 'i', 'd', byte(TagString), 1, 'a',
+	1, 'z', byte(TagRecord), 2, 1, 'q', byte(TagNull), 1, 'q', byte(TagNull),
+}
+
+// TestValidateEncodedDuplicateAtDepth: a repeated field name is refused
+// wherever it sits, as DecodeOne refuses it — a record ValidateEncoded let
+// through would be stored and then fail every read.
+func TestValidateEncodedDuplicateAtDepth(t *testing.T) {
+	dupRec := dupInUndeclared[10:] // the {"q":null,"q":null} of the case above
+	field := func(name string, encValue []byte) []byte {
+		buf := []byte{byte(TagRecord), 2, 2, 'i', 'd', byte(TagString), 1, 'a', byte(len(name))}
+		return append(append(buf, name...), encValue...)
+	}
+	list := func(tag TypeTag, items ...[]byte) []byte {
+		buf := []byte{byte(tag), byte(len(items))}
+		for _, it := range items {
+			buf = append(buf, it...)
 		}
+		return buf
+	}
+	rt := MustRecordType("T", true, []Field{
+		{Name: "id", Type: TString},
+		{Name: "nested", Type: MustRecordType("N", true, nil), Optional: true},
+		{Name: "recs", Type: &UnorderedListType{Item: MustRecordType("N", true, nil)}, Optional: true},
 	})
-	if allocs > 0 {
-		t.Fatalf("ValidateEncoded allocates %.1f times per run, want 0", allocs)
+	cases := map[string][]byte{
+		"undeclared record":             dupInUndeclared,
+		"undeclared list of records":    field("z", list(TagOrderedList, Encode(Int64(1)), dupRec)),
+		"undeclared, two levels down":   field("z", field("y", dupRec)),
+		"declared open record":          field("nested", dupRec),
+		"undeclared in declared record": field("nested", field("y", dupRec)),
+		"declared bag of records":       field("recs", list(TagUnorderedList, dupRec)),
+	}
+	for name, enc := range cases {
+		if n, err := SkipValue(enc); err != nil || n != len(enc) {
+			t.Fatalf("%s: the hand-built case is not well-formed: %d of %d, %v", name, n, len(enc), err)
+		}
+		_, derr := DecodeOne(enc)
+		if derr == nil {
+			t.Fatalf("%s: DecodeOne accepted a repeated name", name)
+		}
+		if err := rt.ValidateEncoded(enc); err == nil {
+			t.Errorf("%s: ValidateEncoded accepted what DecodeOne rejects (%v)", name, derr)
+		}
+	}
+}
+
+// benchTweetType is the Tweet type of the benchmark's DDL (bench/spec.go).
+func benchTweetType() *RecordType {
+	user := MustRecordType("TwitterUser", true, []Field{
+		{Name: "screen_name", Type: TString},
+		{Name: "lang", Type: TString},
+		{Name: "friends_count", Type: TInt64},
+		{Name: "statuses_count", Type: TInt64},
+		{Name: "name", Type: TString},
+		{Name: "followers_count", Type: TInt64},
+	})
+	return MustRecordType("Tweet", true, []Field{
+		{Name: "id", Type: TString},
+		{Name: "user", Type: user},
+		{Name: "latitude", Type: TDouble, Optional: true},
+		{Name: "longitude", Type: TDouble, Optional: true},
+		{Name: "created_at", Type: TString},
+		{Name: "message_text", Type: TString},
+		{Name: "country", Type: TString, Optional: true},
+	})
+}
+
+func TestValidateEncodedAllocs(t *testing.T) {
+	tweet, err := Transcode(nil, []byte(tweetLine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withTags := Encode(scanTestRecord(t)) // a declared list and an undeclared field
+	for _, tc := range []struct {
+		rt  *RecordType
+		enc []byte
+	}{{benchTweetType(), tweet}, {scanTestType(t, true), withTags}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := tc.rt.ValidateEncoded(tc.enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("ValidateEncoded on %s allocates %.1f times per run, want 0", tc.rt.Name(), allocs)
+		}
 	}
 }
 
 func BenchmarkValidateEncoded(b *testing.B) {
-	rt := MustRecordType("Tweet", true, []Field{
-		{Name: "id", Type: TString},
-		{Name: "score", Type: TDouble},
-		{Name: "location", Type: TPoint, Optional: true},
-	})
-	enc := Encode((&RecordBuilder{}).
-		Add("id", String("t1")).
-		Add("score", Double(2)).
-		Add("location", Point{X: 3, Y: 4}).
-		MustBuild())
+	rt := benchTweetType()
+	enc, err := Transcode(nil, []byte(tweetLine))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("byte-level", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"os"
@@ -13,12 +14,19 @@ import (
 	"asterixfeeds/internal/hyracks"
 )
 
-// RecordSink receives the ADM records an adaptor produces. Emit may block to
-// exert back-pressure on pull-based adaptors; push-based sources keep
-// sending regardless, which is what the ingestion policies must absorb.
+// RecordSink receives the ADM records an adaptor produces. Either method may
+// block to exert back-pressure on pull-based adaptors; push-based sources
+// keep sending regardless, which is what the ingestion policies must absorb.
 type RecordSink interface {
-	// Emit delivers one parsed record.
+	// Emit delivers one record a generator already holds as a value; it is
+	// EmitEncoded(adm.Encode(rec)).
 	Emit(rec *adm.Record) error
+	// EmitEncoded delivers one record in its binary encoding (adm.Encode,
+	// adm.Transcode). Ownership of enc passes to the sink: the slice is the
+	// record from here on, carried by frames and retained by whoever keeps
+	// one, so the caller must not touch it again and must not hand over
+	// bytes that alias a buffer it reuses.
+	EmitEncoded(enc []byte) error
 }
 
 // Adaptor is one partition's interface to an external data source: it
@@ -78,6 +86,33 @@ func (r *AdaptorRegistry) Lookup(alias string) (AdaptorFactory, bool) {
 	defer r.mu.RUnlock()
 	f, ok := r.factories[alias]
 	return f, ok
+}
+
+// ---------------------------------------------------------------------------
+// The parser half of the line-oriented adaptors (adaptor = transport +
+// parser, §4.1).
+
+// maxLineBytes is the longest line the socket and file adaptors accept.
+const maxLineBytes = 1 << 22
+
+// lineTranscoder turns text lines into encoded records through one scratch
+// buffer reused across lines, so a line costs one allocation: the record.
+type lineTranscoder struct {
+	scratch []byte
+}
+
+// record returns the binary encoding of the ADM record on line, or nil when
+// the line is empty, malformed or not a record (a soft failure: the adaptor
+// skips it). The result is an exact-size copy the caller owns; it aliases
+// neither line — a scanner's buffer, valid only until the next Scan — nor
+// the scratch, which the next line overwrites.
+func (t *lineTranscoder) record(line []byte) []byte {
+	out, err := adm.Transcode(t.scratch[:0], line)
+	if err != nil || adm.TypeTag(out[0]) != adm.TagRecord {
+		return nil
+	}
+	t.scratch = out
+	return append([]byte(nil), out...)
 }
 
 // ---------------------------------------------------------------------------
@@ -194,25 +229,19 @@ func (a *socketAdaptor) stream(sink RecordSink, stop <-chan struct{}) error {
 		return err
 	}
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(make([]byte, 1<<16), maxLineBytes)
+	var lines lineTranscoder
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if line == socketEOS {
+		line := bytes.TrimSpace(sc.Bytes())
+		if string(line) == socketEOS {
 			return nil // source announced a genuine end of stream
 		}
-		v, err := adm.Parse(line)
-		if err != nil {
+		rec := lines.record(line)
+		if rec == nil {
 			// Malformed input is a soft failure: skip the record.
 			continue
 		}
-		rec, ok := v.(*adm.Record)
-		if !ok {
-			continue
-		}
-		if err := sink.Emit(rec); err != nil {
+		if err := sink.EmitEncoded(rec); err != nil {
 			return nil // downstream closed: graceful end
 		}
 		select {
@@ -279,30 +308,21 @@ func (a *fileAdaptor) Start(sink RecordSink, stop <-chan struct{}) error {
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	n := 0
+	sc.Buffer(make([]byte, 1<<16), maxLineBytes)
+	var lines lineTranscoder
 	for sc.Scan() {
 		select {
 		case <-stop:
 			return nil
 		default:
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		v, err := adm.Parse(line)
-		if err != nil {
+		rec := lines.record(bytes.TrimSpace(sc.Bytes()))
+		if rec == nil {
 			continue // soft failure: skip malformed line
 		}
-		rec, ok := v.(*adm.Record)
-		if !ok {
-			continue
-		}
-		if err := sink.Emit(rec); err != nil {
+		if err := sink.EmitEncoded(rec); err != nil {
 			return nil
 		}
-		n++
 	}
 	return sc.Err()
 }

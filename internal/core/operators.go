@@ -144,14 +144,18 @@ func newBatchingSink(joint *Joint, frameCap int, flushEvery time.Duration, cance
 }
 
 // Emit implements RecordSink.
-func (s *batchingSink) Emit(rec *adm.Record) error {
+func (s *batchingSink) Emit(rec *adm.Record) error { return s.EmitEncoded(adm.Encode(rec)) }
+
+// EmitEncoded implements RecordSink: enc joins the frame being batched as it
+// is, not copied.
+func (s *batchingSink) EmitEncoded(enc []byte) error {
 	select {
 	case <-s.canceled:
 		return fmt.Errorf("core: feed collect canceled")
 	default:
 	}
 	s.mu.Lock()
-	s.buf.Append(adm.Encode(rec))
+	s.buf.Append(enc)
 	full := s.buf.Len() >= s.cap
 	var out *hyracks.Frame
 	if full {

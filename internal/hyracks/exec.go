@@ -472,6 +472,14 @@ func (c *Cluster) StartJob(spec *JobSpec) (*JobHandle, error) {
 				closeCancel(r)
 			}()
 			err := c.runTask(j, r.rt, r.in, r.node, r.cancel, spec.ops[r.opID].desc.Name())
+			// Node death reaches a task three ways at once — node.dead, its
+			// own cancel channel (closed on death too), and its input
+			// closing behind an upstream task that saw the cancel — and a
+			// select picks any of them. Whichever it was, the node the task
+			// ran on is gone: that is a failure, not an end or a cancel.
+			if (err == nil || errors.Is(err, ErrJobCanceled)) && isClosed(r.node.dead) {
+				err = fmt.Errorf("%w: %s", ErrNodeFailure, r.node.ID())
+			}
 			if err != nil && !errors.Is(err, ErrJobCanceled) {
 				j.fail(fmt.Errorf("%s[%d] on %s: %w",
 					spec.ops[r.opID].desc.Name(), r.part, r.node.ID(), err))

@@ -1,10 +1,15 @@
 package asterixfeeds
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"asterixfeeds/internal/adm"
 	"asterixfeeds/internal/tweetgen"
 )
 
@@ -90,6 +95,151 @@ func TestSocketAdaptorSourceOutage(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("feed state = %v after source outage, want failed", conn.State())
+}
+
+// tweetGenLines reads n lines off a TweetGen server the way the socket
+// adaptor would: the wire format as the source really writes it.
+func tweetGenLines(t *testing.T, n int, seed int64) []string {
+	t.Helper()
+	srv := tweetgen.NewServer(tweetgen.ConstantPattern(100000, 30*time.Second), seed)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GO\n")); err != nil {
+		t.Fatal(err)
+	}
+	lines := make([]string, 0, n)
+	sc := bufio.NewScanner(conn)
+	for len(lines) < n && sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if len(lines) < n {
+		t.Fatalf("TweetGen server sent %d lines, want %d: %v", len(lines), n, sc.Err())
+	}
+	return lines
+}
+
+// TestSocketAdaptorSoftFailsBadLines pushes good TweetGen lines interleaved
+// with every kind of line the adaptor must skip. Each good record has to be
+// stored and equal adm.Parse of its own line: a record that aliased the
+// scanner's buffer or the adaptor's scratch would be stored with a later
+// line's bytes under its key. Nothing bad may reach the store, and the feed
+// ends on the end-of-stream line instead of reconnecting.
+func TestSocketAdaptorSoftFailsBadLines(t *testing.T) {
+	good := tweetGenLines(t, 400, 81)
+	bad := []string{
+		good[0][:len(good[0])/2], // truncated record
+		`42`,
+		`[1,2]`,
+		``,
+		`   `,
+		`{"id":"dup","id":"dup","created_at":"x","message_text":"y"}`,
+		strings.Repeat("[", 1<<22-2), // the longest line the scanner hands over
+		`{"id":"unterminated`,
+		good[1] + ` trailing`,
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hungUp := make(chan error, 1) // the one result of the serving goroutine
+	go func() {
+		hungUp <- func() error {
+			conn, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			r := bufio.NewReader(conn)
+			if _, err := r.ReadString('\n'); err != nil { // the adaptor's "GO"
+				return err
+			}
+			w := bufio.NewWriter(conn)
+			for i, line := range good {
+				w.WriteString(bad[i%len(bad)])
+				w.WriteByte('\n')
+				w.WriteString(line)
+				if i%7 == 0 {
+					w.WriteByte('\r')
+				}
+				w.WriteByte('\n')
+			}
+			w.WriteString("!EOS\r\n")
+			w.WriteString(good[0] + "\n") // after the end of the stream: never read
+			if err := w.Flush(); err != nil {
+				return err
+			}
+			// An adaptor that honours !EOS hangs up; one that does not keeps
+			// the connection and this read never returns.
+			if _, err := r.ReadByte(); err != io.EOF {
+				return fmt.Errorf("after !EOS the adaptor did not hang up: %v", err)
+			}
+			return nil
+		}()
+	}()
+
+	inst := startTest(t, "A")
+	inst.MustExec(tweetDDL)
+	inst.MustExec(fmt.Sprintf(`use dataverse feeds;
+		create feed BadLines using socket_adaptor ("sockets"="%s");
+		connect feed BadLines to dataset Tweets using policy Basic;`, ln.Addr()))
+
+	select {
+	case err := <-hungUp:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the adaptor never reached !EOS")
+	}
+	waitCount(t, inst, "Tweets", len(good), 20*time.Second)
+
+	want := make(map[string]*adm.Record, len(good))
+	for _, line := range good {
+		v, err := adm.Parse(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := v.(*adm.Record)
+		id, _ := adm.AsString(rec.FieldOr("id", adm.Null{}))
+		want[id] = rec
+	}
+	stored := 0
+	err = inst.ScanDataset("Tweets", func(rec *adm.Record) bool {
+		stored++
+		id, _ := adm.AsString(rec.FieldOr("id", adm.Null{}))
+		if w, ok := want[id]; !ok {
+			t.Errorf("stored a record no good line carried: %s", rec)
+		} else if !adm.Equal(rec, w) {
+			t.Errorf("record %q stored as\n%s\nwant\n%s", id, rec, w)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored != len(good) {
+		t.Errorf("stored %d records, want %d", stored, len(good))
+	}
+	conn, _ := inst.Feeds().Connection("feeds", "BadLines", "Tweets")
+	if n := conn.Metrics.SoftFailures.Value(); n != 0 {
+		t.Errorf("soft_failures = %d, want 0: a bad line reached the store", n)
+	}
+	if n := conn.Metrics.StoreErrors.Value(); n != 0 {
+		t.Errorf("store_errors = %d, want 0", n)
+	}
+	if s := conn.State().String(); s == "failed" {
+		t.Errorf("feed state = %s after a graceful end of stream", s)
+	}
 }
 
 // TestFileFeedAdaptor exercises the built-in file_feed adaptor used by the
