@@ -194,6 +194,7 @@ func newNodeStorage(reg *metrics.Registry, name, dir string, lsmOpt lsm.Options)
 	reg.RegisterCounter(p+".wal_syncs", &lm.WALSyncs)
 	reg.RegisterCounter(p+".flushes", &lm.Flushes)
 	reg.RegisterCounter(p+".flushed_entries", &lm.FlushedEntries)
+	reg.RegisterCounter(p+".extends", &lm.Extends)
 	reg.RegisterCounter(p+".merges", &lm.Merges)
 	reg.RegisterCounter(p+".merged_entries", &lm.MergedEntries)
 	reg.RegisterCounter(p+".block_reads", &lm.BlockReads)
@@ -216,6 +217,7 @@ func newNodeStorage(reg *metrics.Registry, name, dir string, lsmOpt lsm.Options)
 	reg.RegisterGaugeFunc(p+".memtable_bytes", func() int64 { return int64(sm.Stats().MemtableBytes) })
 	reg.RegisterGaugeFunc(p+".memtable_entries", func() int64 { return int64(sm.Stats().MemtableEntries) })
 	reg.RegisterGaugeFunc(p+".runs", func() int64 { return int64(sm.Stats().Runs) })
+	reg.RegisterGaugeFunc(p+".segments", func() int64 { return int64(sm.Stats().Segments) })
 	// What the merge policy acts on: the most runs whose key ranges cover one
 	// key, in the node's worst tree. runs can grow with the data; this cannot
 	// stay above MaxRuns.

@@ -33,8 +33,12 @@ echo "bench module: ok"
 
 # Replay the checked-in fuzz corpora (testdata/fuzz seeds run as ordinary
 # tests) for the two codecs with wire formats: ADM records (incl. the
-# Transcode and ValidateEncoded differentials) and LSM run blocks. Keeps past
-# crashers fixed without needing a fuzzing budget; `make fuzz-adm` spends one.
+# Transcode and ValidateEncoded differentials) and LSM run files — single
+# blocks (FuzzRunBlock) and whole files through the loader (FuzzLoadRun:
+# format 02, one to many segments, torn headers and trailers, garbage tails);
+# `-run Fuzz` picks up every target in the package, so a new one needs no edit
+# here. Keeps past crashers fixed without needing a fuzzing budget; `make
+# fuzz-adm` spends one.
 go test -run Fuzz -count=1 ./internal/adm/ ./internal/lsm/
 echo "fuzz corpus replay: ok"
 

@@ -75,12 +75,17 @@ func (b *bloomFilter) marshal() []byte {
 	return out
 }
 
-// unmarshalBloom reconstructs a filter from marshal's output.
+// unmarshalBloom reconstructs a filter from marshal's output, or returns nil
+// for bytes marshal cannot have written: a filter has at least one word (a
+// probe is taken modulo the bit count) and a sane number of probes.
 func unmarshalBloom(buf []byte) *bloomFilter {
-	if len(buf) < 4 || (len(buf)-4)%8 != 0 {
+	if len(buf) < 4+8 || (len(buf)-4)%8 != 0 {
 		return nil
 	}
 	k := int(binary.LittleEndian.Uint32(buf))
+	if k < 1 || k > 32 {
+		return nil
+	}
 	words := (len(buf) - 4) / 8
 	bits := make([]uint64, words)
 	for i := range bits {

@@ -4,8 +4,10 @@ import "errors"
 
 // FaultHook is consulted at named failure points inside the storage engine:
 // on the write path ("wal.appendBatch", "wal.sync"), in the
-// background pipeline ("flush:bg" before a flushed run's rename publishes
-// it, "merge:bg" before a merged run's rename), on the read path
+// background pipeline ("flush:bg" once a flush has written its blocks and
+// before anything publishes them, "merge:bg" likewise for a merge, then
+// "run:trailer" and "run:header" before the segment's index-to-trailer
+// section and its header are written), on the read path
 // ("read:block" before a run block is read from disk — cache hits never
 // consult it, since no disk is touched), and on the recovery path
 // ("manifest:append" before every manifest edit or snapshot write,
@@ -26,9 +28,12 @@ import "errors"
 //     modelling a crash mid-write. The on-disk tail is torn exactly the way
 //     replay's CRC check expects, and the tree must be abandoned and
 //     reopened, as a crashed node's would be. At the background points
-//     ("flush:bg", "merge:bg") it instead leaves the run's temp file as
-//     crash debris and wedges the whole tree: writers start failing, but
+//     ("flush:bg", "merge:bg") it instead leaves the run's temp file — or,
+//     for a flush extending a run, the headerless tail of that run's file —
+//     as crash debris and wedges the whole tree: writers start failing, but
 //     the files on disk are exactly what a crash at that instant leaves.
+//     At "run:trailer" and "run:header" the same, with the first half of
+//     that write persisted as well.
 //     At "manifest:append" it persists a strict prefix of the manifest
 //     record (or, for a snapshot write, a torn unrenamed temp file) and
 //     wedges the manifest — the torn-tail shapes recovery's fallback scan

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -104,9 +105,11 @@ func TestAutoFlushOnThreshold(t *testing.T) {
 
 // TestTieredMerge runs the merge policy end to end under MaxRuns 2. Batches
 // that all cover one keyspace stack up under rule 1 and must end with no
-// more than MaxRuns runs, as they always did; batches of disjoint ascending
-// keys never deepen a read, so only the tier rule merges them — 27 equal
-// flushes climb 1 → 3 → 9 → 27 into a single run. Both lose nothing.
+// more than MaxRuns runs, as they always did; batches of disjoint keys never
+// deepen a read, so only the tier rule merges them — 27 equal flushes climb
+// 1 → 3 → 9 → 27 into a single run. (The batches descend: each lies below the
+// one before, so no flush can extend the newest run and every one is a file
+// of its own.) Both lose nothing.
 func TestTieredMerge(t *testing.T) {
 	const maxRuns, perBatch = 2, 50
 	load := func(t *testing.T, batches int, key func(batch, i int) string) (*Tree, Stats) {
@@ -142,7 +145,7 @@ func TestTieredMerge(t *testing.T) {
 	})
 	t.Run("disjoint", func(t *testing.T) {
 		const batches = 27 // maxRuns+1 cubed: three full levels
-		tr, st := load(t, batches, func(batch, i int) string { return fmt.Sprintf("k-%03d-%03d", batch, i) })
+		tr, st := load(t, batches, func(batch, i int) string { return fmt.Sprintf("k-%03d-%03d", batches-batch, i) })
 		if st.ReadDepth != 1 {
 			t.Fatalf("read depth over disjoint batches = %d, want 1", st.ReadDepth)
 		}
@@ -336,6 +339,16 @@ func TestClosedTreeRejectsOps(t *testing.T) {
 // ascending ids — so runs go out of range of older ones, merges stop short
 // of the oldest run, and one delete in four reaches back for a key written
 // long ago: the tombstones such a merge must keep.
+//
+// Every fourth seed alternates that with phases of 50 operations that write
+// only at and just above the highest key so far. A flush there extends the
+// newest run's file when its keys all lie above that run, starts a new file
+// when one of them is the run's own last key or a delete reached back, and
+// forced and tier merges fold the segments in between. One operation in
+// twenty of those phases parks a merge just before it publishes and lets a
+// flush of higher keys go by: the flush must leave the merge's inputs alone.
+// (Mutation-checked: extending when the lowest key equals the run's last, or
+// while the run is a merge input, fails these seeds.)
 func TestPropertyModelCheck(t *testing.T) {
 	const keyspace, ops = 320, 300
 	keyOf := func(i int) string { return fmt.Sprintf("k%03d", i) }
@@ -353,15 +366,36 @@ func TestPropertyModelCheck(t *testing.T) {
 			}
 		}
 	}
+	asc := &Metrics{} // of the seeds with ascending phases
+	races := 0
 	defer func() {
 		t.Logf("%d partial merges observed across the seeds", len(partial))
 		if !t.Failed() && len(partial) < 5 {
 			t.Fatalf("the seeds performed %d partial merges; the model check must exercise them", len(partial))
 		}
+		ext, fl, mg := asc.Extends.Value(), asc.Flushes.Value(), asc.Merges.Value()
+		t.Logf("ascending phases: %d flushes, %d of them extends, %d merges, %d flushes beside a parked merge", fl, ext, mg, races)
+		if !t.Failed() && (ext < 20 || fl-ext < 20 || mg < 20 || races < 5) {
+			t.Fatalf("the ascending phases must interleave extends, new files and merges")
+		}
 	}()
 	for seed := int64(1); seed <= 20; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			opt := Options{Dir: t.TempDir(), MemtableBytes: 1 << 10, MaxRuns: 2}
+			// park, when armed, stops the next merge after it has read its
+			// inputs and before it publishes, until release.
+			var armed atomic.Bool
+			parked, release := make(chan struct{}), make(chan struct{})
+			if seed%4 == 0 {
+				opt.Metrics = asc
+				opt.FaultHook = func(op string) error {
+					if op == "merge:bg" && armed.CompareAndSwap(true, false) {
+						parked <- struct{}{}
+						<-release
+					}
+					return nil
+				}
+			}
 			tr, err := Open(opt)
 			if err != nil {
 				t.Fatal(err)
@@ -412,16 +446,44 @@ func TestPropertyModelCheck(t *testing.T) {
 				checkScan(op, "", "")
 			}
 
+			// flushed waits until the flusher has nothing queued or uncommitted.
+			flushed := func(op int) {
+				t.Helper()
+				for {
+					tr.mu.Lock()
+					idle, bgErr, ch := len(tr.imms) == 0 && tr.committed == tr.flushes, tr.bgErr, tr.stateC
+					tr.mu.Unlock()
+					if bgErr != nil {
+						t.Fatalf("op %d: %v", op, bgErr)
+					}
+					if idle {
+						return
+					}
+					<-ch
+				}
+			}
+			top := 0 // the highest key index written so far
 			for op := 1; op <= ops; op++ {
 				lo, width := 0, 40
 				if seed%2 == 0 {
 					lo, width = op, 8
 				}
-				key := keyOf(lo + r.Intn(width))
-				switch r.Intn(20) {
+				ascending := seed%4 == 0 && (op/50)%2 == 1
+				if ascending {
+					lo, width = top, 3
+				}
+				idx := lo + r.Intn(width)
+				key := keyOf(idx)
+				kind := r.Intn(20)
+				if kind == 9 && !ascending {
+					kind = 10
+				}
+				switch kind {
 				case 0, 1:
 					if r.Intn(4) == 0 {
 						key = keyOf(r.Intn(lo + width))
+					} else {
+						top = max(top, idx)
 					}
 					if err := tr.Delete([]byte(key)); err != nil {
 						t.Fatalf("op %d: Delete: %v", op, err)
@@ -440,9 +502,12 @@ func TestPropertyModelCheck(t *testing.T) {
 					// certain: the last op per key wins, and one key is put
 					// and then deleted within the batch.
 					b := NewBatch(8)
-					base := lo + r.Intn(width-3)
+					base := lo + r.Intn(max(width-3, 1))
+					top = max(top, idx)
 					for i := 0; i < 6; i++ {
-						k := keyOf(base + r.Intn(3))
+						ki := base + r.Intn(3)
+						top = max(top, ki)
+						k := keyOf(ki)
 						v := fmt.Sprintf("b%d", r.Intn(1000))
 						b.Put([]byte(k), []byte(v))
 						model[k] = v
@@ -466,12 +531,45 @@ func TestPropertyModelCheck(t *testing.T) {
 					if tr, err = Open(opt); err != nil {
 						t.Fatalf("op %d: reopen: %v", op, err)
 					}
+				case 9:
+					// A flush of keys above every run, beside a parked merge.
+					armed.Store(true)
+					merged := make(chan error, 1)
+					go func(tr *Tree) { merged <- tr.Merge() }(tr)
+					select {
+					case err = <-merged: // nothing to merge
+						armed.Store(false)
+					case <-parked:
+						races++
+						flushed(op)
+						for i := 1; i <= 3; i++ {
+							k, v := keyOf(top+i), fmt.Sprintf("r%d", op)
+							if err := tr.Put([]byte(k), []byte(v)); err != nil {
+								t.Fatalf("op %d: Put: %v", op, err)
+							}
+							model[k] = v
+						}
+						top += 3
+						tr.mu.Lock()
+						err = tr.rotateLocked()
+						tr.mu.Unlock()
+						if err != nil {
+							t.Fatalf("op %d: rotate: %v", op, err)
+						}
+						flushed(op)
+						release <- struct{}{}
+						err = <-merged
+					}
+					if err != nil {
+						t.Fatalf("op %d: Merge: %v", op, err)
+					}
 				default:
 					val := fmt.Sprintf("v%d", r.Intn(1000))
 					if err := tr.Put([]byte(key), []byte(val)); err != nil {
 						t.Fatalf("op %d: Put: %v", op, err)
 					}
 					model[key] = val
+					top = max(top, idx)
 				}
 				notePartial(tr, seed)
 				if op%25 == 0 {
@@ -514,7 +612,7 @@ func TestRunOpenRejectsCorruptFile(t *testing.T) {
 	if err := writeFile(path, []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openRun(path, runConfig{}); err == nil {
+	if _, err := openRun(path, runConfig{}, 0); err == nil {
 		t.Fatal("openRun accepted corrupt file")
 	}
 }
@@ -589,8 +687,10 @@ func benchGetMiss(b *testing.B, bloom bool) {
 		// Defeat the filters: replace each with an always-true filter.
 		tr.mu.Lock()
 		for _, r := range tr.set.runs {
-			for i := range r.bloom.bits {
-				r.bloom.bits[i] = ^uint64(0)
+			for _, bm := range r.blocks {
+				for i := range bm.filter.bits {
+					bm.filter.bits[i] = ^uint64(0)
+				}
 			}
 		}
 		tr.mu.Unlock()

@@ -24,17 +24,24 @@ import (
 //
 // body starts with a kind byte:
 //
-//	manSnapshot: runCount(uvarint) {nameLen(uvarint) name}* floor(uvarint)
+//	manSnapshot: runCount(uvarint) {nameLen(uvarint) name}* floor(uvarint) {end(uvarint)}*
 //	  Full state; always (and only) the first record of a file.
-//	manFlush: nameLen(uvarint) name floor(uvarint)
+//	manFlush: nameLen(uvarint) name floor(uvarint) end(uvarint)
 //	  One composite edit for a flush commit: the named run is prepended to
-//	  the run set AND the floor advances to cover the segments the flush
-//	  retires. One fsynced record makes both facts durable together, so
-//	  there is no window where the segment files may be deleted but their
-//	  retirement is not yet recorded.
-//	manMerge: outLen(uvarint) out inCount(uvarint) {nameLen name}*
+//	  the run set — unless it already heads it, when the flush extended that
+//	  run's file by a segment — AND the floor advances to cover the segments
+//	  the flush retires. One fsynced record makes both facts durable
+//	  together, so there is no window where the segment files may be deleted
+//	  but their retirement is not yet recorded.
+//	manMerge: outLen(uvarint) out inCount(uvarint) {nameLen name}* end(uvarint)
 //	  A merge commit: the inputs leave the run set and the output takes the
 //	  newest input's position.
+//
+// end is the committed length of the named run's file: every byte below it
+// is vouched for (Open fails loudly on any defect there), every byte beyond
+// it belongs to a flush that never committed (Open cuts it off). The ends are
+// absent from records written before run files could grow; zero means
+// "whatever the file holds".
 //
 // A new snapshot file is written (temp + rename + directory fsync) on every
 // Open and again whenever manifestRewriteEvery edits accumulate, so the
@@ -87,6 +94,7 @@ func manifestSeq(base string) (int, bool) {
 // reconstructed by replaying a manifest's records.
 type manState struct {
 	runs  []string
+	ends  map[string]int64 // committed file length per run; 0 = not recorded
 	floor int
 }
 
@@ -100,27 +108,31 @@ func appendUvString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func manSnapshotBody(runs []string, floor int) []byte {
+func manSnapshotBody(st manState) []byte {
 	b := []byte{manSnapshot}
-	b = appendUvarint(b, uint64(len(runs)))
-	for _, r := range runs {
+	b = appendUvarint(b, uint64(len(st.runs)))
+	for _, r := range st.runs {
 		b = appendUvString(b, r)
 	}
-	return appendUvarint(b, uint64(floor))
+	b = appendUvarint(b, uint64(st.floor))
+	for _, r := range st.runs {
+		b = appendUvarint(b, uint64(st.ends[r]))
+	}
+	return b
 }
 
-func manFlushBody(run string, floor int) []byte {
+func manFlushBody(run string, end int64, floor int) []byte {
 	b := appendUvString([]byte{manFlush}, run)
-	return appendUvarint(b, uint64(floor))
+	return appendUvarint(appendUvarint(b, uint64(floor)), uint64(end))
 }
 
-func manMergeBody(output string, inputs []string) []byte {
+func manMergeBody(output string, end int64, inputs []string) []byte {
 	b := appendUvString([]byte{manMerge}, output)
 	b = appendUvarint(b, uint64(len(inputs)))
 	for _, in := range inputs {
 		b = appendUvString(b, in)
 	}
-	return b
+	return appendUvarint(b, uint64(end))
 }
 
 // manRecord frames body with its CRC and length.
@@ -166,6 +178,19 @@ func (d *manDecoder) name() string {
 	return s
 }
 
+// end reads a run's committed length, or 0 where the record predates it.
+func (d *manDecoder) end() int64 {
+	v, n := binary.Uvarint(d.b)
+	if len(d.b) == 0 {
+		return 0
+	} else if n <= 0 || v > 1<<62 {
+		d.ok = false
+		return 0
+	}
+	d.b = d.b[n:]
+	return int64(v)
+}
+
 func (d *manDecoder) done() bool { return d.ok && len(d.b) == 0 }
 
 // parseManifest replays a manifest file's records into the state they
@@ -173,7 +198,7 @@ func (d *manDecoder) done() bool { return d.ok && len(d.b) == 0 }
 // first record, a merge naming an input that is not in the run set. The
 // caller then recovers by verified directory scan instead.
 func parseManifest(data []byte) (manState, bool) {
-	var st manState
+	st := manState{ends: map[string]int64{}}
 	first := true
 	for off := 0; off < len(data); {
 		if len(data)-off < 8 {
@@ -202,11 +227,15 @@ func parseManifest(data []byte) (manState, bool) {
 				st.runs = append(st.runs, d.name())
 			}
 			st.floor = d.uvarint()
+			for _, r := range st.runs {
+				st.ends[r] = d.end()
+			}
 		case kind == manFlush && !first:
 			run := d.name()
 			floor := d.uvarint()
+			st.ends[run] = d.end()
 			if d.ok {
-				st.runs = append([]string{run}, st.runs...)
+				st.runs = flushedInto(st.runs, run)
 				if floor > st.floor {
 					st.floor = floor
 				}
@@ -221,6 +250,7 @@ func parseManifest(data []byte) (manState, bool) {
 			for i := 0; i < n; i++ {
 				inputs[d.name()] = true
 			}
+			st.ends[out] = d.end()
 			if d.ok {
 				st.runs, d.ok = applyMerge(st.runs, out, inputs)
 			}
@@ -236,6 +266,15 @@ func parseManifest(data []byte) (manState, bool) {
 		return manState{}, false // empty file: no snapshot
 	}
 	return st, true
+}
+
+// flushedInto returns the run set after a flush into run: run at its head,
+// where an extending flush found it already.
+func flushedInto(runs []string, run string) []string {
+	if len(runs) > 0 && runs[0] == run {
+		return runs
+	}
+	return append([]string{run}, runs...)
 }
 
 // applyMerge removes the merge's inputs from runs and places the output at
@@ -305,9 +344,10 @@ type manifest struct {
 	path    string
 	fileSeq int
 	edits   int
-	runs    []string // committed run set, newest first
-	floor   int      // segments numbered <= floor are retired
-	dead    bool
+	// The committed state: run set newest first, each run's committed
+	// length, and the floor (segments numbered <= floor are retired).
+	manState
+	dead bool
 	// durable is false while the generation exists only as a lazy
 	// open-time snapshot: the file and its rename have not been fsynced
 	// and the previous generation has not been deleted. Open may stay
@@ -338,15 +378,14 @@ func (m *manifest) gateRelease() {
 // commit pushes the generation to durability before deleting anything. If
 // a crash loses the lazy snapshot, recovery uses the previous generation
 // or the verified scan, both exact for a tree that committed nothing.
-func newManifest(dir string, fileSeq int, runs []string, floor int, fault FaultHook, metrics *Metrics) (*manifest, error) {
+func newManifest(dir string, fileSeq int, st manState, fault FaultHook, metrics *Metrics) (*manifest, error) {
 	m := &manifest{
-		dir:     dir,
-		fault:   fault,
-		metrics: metrics,
-		gateC:   make(chan struct{}, 1),
-		fileSeq: fileSeq,
-		runs:    append([]string(nil), runs...),
-		floor:   floor,
+		dir:      dir,
+		fault:    fault,
+		metrics:  metrics,
+		gateC:    make(chan struct{}, 1),
+		fileSeq:  fileSeq,
+		manState: st,
 	}
 	m.gateRelease() // seed the single commit token
 	m.gateAcquire()
@@ -363,7 +402,7 @@ func newManifest(dir string, fileSeq int, runs []string, floor int, fault FaultH
 func (m *manifest) snapTmpLocked(seq int) (f *os.File, tmp, path string, err error) {
 	path = filepath.Join(m.dir, manifestName(seq))
 	tmp = path + ".tmp"
-	rec := manRecord(manSnapshotBody(m.runs, m.floor))
+	rec := manRecord(manSnapshotBody(m.manState))
 
 	if m.fault != nil {
 		if err := m.fault("manifest:append"); err != nil {
@@ -545,17 +584,17 @@ func (m *manifest) maybeRewriteLocked() error {
 	return m.durableSnapshotLocked(m.fileSeq + 1)
 }
 
-// commitFlush durably records a published run together with the new WAL
-// floor. After a nil return every segment numbered <= floor is retired:
+// commitFlush durably records a published run — its file committed up to
+// end — together with the new WAL floor. After a nil return every segment numbered <= floor is retired:
 // the next Open deletes rather than replays it — which is why callers must
 // not remove any segment file until commitFlush has returned.
-func (m *manifest) commitFlush(run string, floor int) error {
+func (m *manifest) commitFlush(run string, end int64, floor int) error {
 	m.gateAcquire()
 	defer m.gateRelease()
-	if err := m.appendLocked(manFlushBody(run, floor)); err != nil {
+	if err := m.appendLocked(manFlushBody(run, end, floor)); err != nil {
 		return err
 	}
-	m.runs = append([]string{run}, m.runs...)
+	m.runs, m.ends[run] = flushedInto(m.runs, run), end
 	if floor > m.floor {
 		m.floor = floor
 	}
@@ -564,7 +603,7 @@ func (m *manifest) commitFlush(run string, floor int) error {
 
 // commitMerge durably records a merge: inputs out, output in at the newest
 // input's position. Input files may be deleted only after a nil return.
-func (m *manifest) commitMerge(output string, inputs []string) error {
+func (m *manifest) commitMerge(output string, end int64, inputs []string) error {
 	m.gateAcquire()
 	defer m.gateRelease()
 	set := make(map[string]bool, len(inputs))
@@ -575,10 +614,13 @@ func (m *manifest) commitMerge(output string, inputs []string) error {
 	if !ok {
 		return fmt.Errorf("lsm: merge inputs %v not in committed run set %v", inputs, m.runs)
 	}
-	if err := m.appendLocked(manMergeBody(output, inputs)); err != nil {
+	if err := m.appendLocked(manMergeBody(output, end, inputs)); err != nil {
 		return err
 	}
-	m.runs = next
+	for _, in := range inputs {
+		delete(m.ends, in)
+	}
+	m.runs, m.ends[output] = next, end
 	return m.maybeRewriteLocked()
 }
 

@@ -379,8 +379,8 @@ func TestManifestRewriteBounded(t *testing.T) {
 // defect classes the strict parser must refuse (each drops recovery to the
 // directory scan).
 func TestManifestParseRejectsDefects(t *testing.T) {
-	good := manRecord(manSnapshotBody([]string{"run-000001.lsm"}, 3))
-	flush := manRecord(manFlushBody("run-000002.lsm", 5))
+	good := manRecord(manSnapshotBody(manState{runs: []string{"run-000001.lsm"}, ends: map[string]int64{"run-000001.lsm": 3 << 30}, floor: 3}))
+	flush := manRecord(manFlushBody("run-000002.lsm", 4096, 5))
 	cases := map[string][]byte{
 		"empty":                {},
 		"torn record":          good[:len(good)-2],
@@ -394,7 +394,24 @@ func TestManifestParseRejectsDefects(t *testing.T) {
 		}
 	}
 	st, ok := parseManifest(append(append([]byte{}, good...), flush...))
-	if !ok || len(st.runs) != 2 || st.runs[0] != "run-000002.lsm" || st.floor != 5 {
-		t.Fatalf("parseManifest(snapshot+flush) = %+v, %v; want newest-first runs and floor 5", st, ok)
+	if !ok || len(st.runs) != 2 || st.runs[0] != "run-000002.lsm" || st.floor != 5 || st.ends["run-000001.lsm"] != 3<<30 || st.ends["run-000002.lsm"] != 4096 {
+		t.Fatalf("parseManifest(snapshot+flush) = %+v, %v; want newest-first runs, their committed lengths and floor 5", st, ok)
+	}
+	// An extending flush re-commits the run at the head with its new length;
+	// a merge commits its output's and forgets nothing it should keep.
+	more := append(append(append([]byte{}, good...), flush...), manRecord(manFlushBody("run-000002.lsm", 8192, 6))...)
+	more = append(more, manRecord(manMergeBody("run-000002m.lsm", 7000, []string{"run-000002.lsm", "run-000001.lsm"}))...)
+	st, ok = parseManifest(more)
+	if !ok || len(st.runs) != 1 || st.runs[0] != "run-000002m.lsm" || st.floor != 6 || st.ends["run-000002m.lsm"] != 7000 {
+		t.Fatalf("parseManifest(snapshot+flush+extend+merge) = %+v, %v", st, ok)
+	}
+	// Records written before run files could grow carry no lengths: they
+	// parse, and every length reads as zero — whatever the file holds.
+	old := func(body []byte, drop int) []byte { return manRecord(body[:len(body)-drop]) }
+	legacy := append(old(manSnapshotBody(manState{runs: []string{"run-000001.lsm"}, floor: 3}), 1), old(manFlushBody("run-000002.lsm", 0, 5), 1)...)
+	legacy = append(legacy, old(manMergeBody("run-000002m.lsm", 0, []string{"run-000002.lsm", "run-000001.lsm"}), 1)...)
+	st, ok = parseManifest(legacy)
+	if !ok || len(st.runs) != 1 || st.floor != 5 || st.ends["run-000002m.lsm"] != 0 {
+		t.Fatalf("parseManifest(records without lengths) = %+v, %v; want them accepted", st, ok)
 	}
 }

@@ -175,6 +175,16 @@ func (m *memtable) len() int {
 	return m.count
 }
 
+// first returns the smallest key, or nil for an empty memtable.
+func (m *memtable) first() []byte {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if n := m.head.next[0]; n != nil {
+		return n.key
+	}
+	return nil
+}
+
 // iter returns an iterator positioned at the first key >= from.
 func (m *memtable) iter(from []byte) *memtableIter {
 	m.mu.RLock()

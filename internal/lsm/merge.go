@@ -94,8 +94,10 @@ func (m *mergedIter) fail() error {
 }
 
 // writeMergedRun is the tree's one component writer: it drains a newest-wins
-// merge of mems and runs (each newest first) into a new run file at path and
-// returns the opened run (whose len() is the count of entries written). A
+// merge of mems and runs (each newest first) into one segment — the first of a
+// new run file at path, or, when prev is not nil, the next of prev's file, all
+// of whose keys the inputs must lie above — and returns the opened run (for a
+// new file, len() is the count of entries written). A
 // flush passes frozen memtables and keeps tombstones, because older runs may
 // still hold the keys they mask; a merge passes a window of runs and may drop
 // them only when the window ends at the tree's oldest run, since only then
@@ -108,12 +110,13 @@ func (m *mergedIter) fail() error {
 // under construction — before the merge advances, so nothing is copied here.
 //
 // point, when cfg carries a fault hook, names the fault point consulted
-// after the entries are fully written but before the rename publishes the
-// file — the most interesting instant for recovery, since the inputs (WAL
-// segments or older runs) must still carry every record. ErrTornWrite
-// leaves the temp file behind as crash debris for Open to sweep (the caller
-// wedges the tree); any other error aborts it.
-func writeMergedRun(path string, mems []*memtable, runs []*run, dropTombstones bool, point string, cfg runConfig) (*run, error) {
+// after the entries are fully written but before the segment's index and
+// header are — the most interesting instant for recovery, since the inputs
+// (WAL segments or older runs) must still carry every record. ErrTornWrite
+// leaves the temp file, or the headerless tail of prev's file, behind as
+// crash debris for Open to sweep (the caller wedges the tree); any other
+// error aborts it.
+func writeMergedRun(path string, prev *run, mems []*memtable, runs []*run, dropTombstones bool, point string, cfg runConfig) (*run, error) {
 	hint := 0
 	for _, mem := range mems {
 		hint += mem.len()
@@ -121,7 +124,7 @@ func writeMergedRun(path string, mems []*memtable, runs []*run, dropTombstones b
 	for _, r := range runs {
 		hint += r.len()
 	}
-	rw, err := newRunWriter(path, hint, cfg)
+	rw, err := newRunWriter(path, prev, hint, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -146,6 +149,7 @@ func writeMergedRun(path string, mems []*memtable, runs []*run, dropTombstones b
 	if cfg.fault != nil {
 		if err := cfg.fault(point); err != nil {
 			if errors.Is(err, ErrTornWrite) {
+				_ = rw.closeBlock()
 				_ = rw.w.Flush()
 				_ = rw.f.Close()
 			} else {

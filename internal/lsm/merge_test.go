@@ -15,7 +15,7 @@ import (
 // file at path through the bare runWriter — no merge, no tombstone rule —
 // so tests can lay down inputs of any shape.
 func writeRun(path string, entries []entry, cfg runConfig) (*run, error) {
-	rw, err := newRunWriter(path, len(entries), cfg)
+	rw, err := newRunWriter(path, nil, len(entries), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -41,7 +41,7 @@ func buildRun(t *testing.T, dir string, seq int, entries []entry) *run {
 // mergeRuns drives the tree's one component writer the way compactOnce does:
 // a full merge of runs (newest first) that drops tombstones.
 func mergeRuns(path string, runs []*run, cfg runConfig) (*run, error) {
-	return writeMergedRun(path, nil, runs, true, "merge:bg", cfg)
+	return writeMergedRun(path, nil, nil, runs, true, "merge:bg", cfg)
 }
 
 func e(key, value string) entry { return entry{key: []byte(key), value: []byte(value)} }
@@ -157,7 +157,7 @@ func TestMergeRunsAllTombstones(t *testing.T) {
 		t.Fatalf("merged has %d entries, want 0", merged.len())
 	}
 	// The empty run must survive a reopen.
-	re, err := openRun(merged.path, runConfig{})
+	re, err := openRun(merged.path, runConfig{}, 0)
 	if err != nil {
 		t.Fatalf("reopening empty run: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestMergeRunsAllTombstones(t *testing.T) {
 func TestRunWriterAtomicity(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run-000001.lsm")
-	rw, err := newRunWriter(path, 4, runConfig{})
+	rw, err := newRunWriter(path, nil, 4, runConfig{})
 	if err != nil {
 		t.Fatalf("newRunWriter: %v", err)
 	}
@@ -382,7 +382,7 @@ func TestWriteMergedRunMixedComponents(t *testing.T) {
 				defer r.close()
 				runs = append(runs, r)
 			}
-			out, err := writeMergedRun(filepath.Join(dir, "run-000009.lsm"), mems, runs, dropTombstones, "flush:bg", runConfig{})
+			out, err := writeMergedRun(filepath.Join(dir, "run-000009.lsm"), nil, mems, runs, dropTombstones, "flush:bg", runConfig{})
 			if err != nil {
 				t.Fatalf("writeMergedRun: %v", err)
 			}

@@ -17,9 +17,11 @@ type Metrics struct {
 	// WALSyncs counts fsyncs issued by the group-commit policy.
 	WALSyncs metrics.Counter
 	// Flushes counts memtable-to-run flushes; FlushedEntries the entries
-	// they wrote.
+	// they wrote; Extends the flushes among them that added their segment to
+	// the end of the newest run's file instead of starting a new file.
 	Flushes        metrics.Counter
 	FlushedEntries metrics.Counter
+	Extends        metrics.Counter
 	// Merges counts background merges, whatever window of runs each took;
 	// MergedEntries the entries they read (the inputs' totals, shadowed
 	// versions and tombstones included), so

@@ -78,7 +78,9 @@ func TestPickMerge(t *testing.T) {
 }
 
 // TestPickMergeThousandFlushes applies the policy synchronously to 1 000
-// equal flushes of ascending keys: no entry is rewritten more than
+// equal flushes of disjoint keys, each below the one before (ascending ones
+// would extend one file and never reach the policy; see
+// TestAscendingFlushesExtendOneFile): no entry is rewritten more than
 // ⌈log₅ 1000⌉ = 5 times (merge-everything rewrites the first one 250 times)
 // and the list never holds more than MaxRuns runs per size level.
 func TestPickMergeThousandFlushes(t *testing.T) {
@@ -87,7 +89,7 @@ func TestPickMergeThousandFlushes(t *testing.T) {
 	var rewrites []int // per run: how often its entries have been through a merge
 	merged, peakRuns := 0, 0
 	for i := 0; i < flushes; i++ {
-		spans = append([]span{sp(1, fmt.Sprintf("k%04d-a", i), fmt.Sprintf("k%04d-z", i))}, spans...)
+		spans = append([]span{sp(1, fmt.Sprintf("k%04d-a", flushes-i), fmt.Sprintf("k%04d-z", flushes-i))}, spans...)
 		rewrites = append([]int{0}, rewrites...)
 		for {
 			p := pickMerge(spans, maxRuns)
@@ -97,7 +99,7 @@ func TestPickMergeThousandFlushes(t *testing.T) {
 			if p.depth != 1 {
 				t.Fatalf("flush %d: read depth %d over disjoint runs", i, p.depth)
 			}
-			out, most := span{first: spans[p.hi-1].first, last: spans[p.lo].last}, 0
+			out, most := span{first: spans[p.lo].first, last: spans[p.hi-1].last}, 0
 			for j := p.lo; j < p.hi; j++ {
 				out.bytes += spans[j].bytes
 				most = max(most, rewrites[j])
@@ -122,10 +124,12 @@ func TestPickMergeThousandFlushes(t *testing.T) {
 
 // youngOverOld builds the shape a partial merge must get right, in a tree
 // with the default MaxRuns 4: one large old run holding key-00000..00999,
-// then five small flushes of fresh higher keys, the third of which also
-// deletes key-00500. The five are one tier, so the policy merges exactly
-// them; the old run is 30 times their size and stays out of the window, and
-// no key is covered by more than two runs. Returns after the fifth Flush.
+// then five small flushes of fresh higher keys, the first of which also
+// deletes key-00500 — so it cannot extend the old run — and each of the rest
+// lies below the one before. The five are one tier, so the policy merges
+// exactly them; the old run is 30 times their size and stays out of the
+// window, and no key is covered by more than two runs. Returns after the
+// fifth Flush.
 func youngOverOld(t *testing.T, tr *Tree) error {
 	t.Helper()
 	fill(t, tr, 0, 1000, strings.Repeat("o", 100))
@@ -133,8 +137,8 @@ func youngOverOld(t *testing.T, tr *Tree) error {
 		t.Fatal(err)
 	}
 	for batch := 0; batch < 5; batch++ {
-		fill(t, tr, 2000+30*batch, 30, "y")
-		if batch == 2 {
+		fill(t, tr, 2000+30*(4-batch), 30, "y")
+		if batch == 0 {
 			if err := tr.Delete([]byte("key-00500")); err != nil {
 				t.Fatal(err)
 			}
@@ -251,14 +255,13 @@ func TestCrashDuringPartialMergeRecoversExactly(t *testing.T) {
 
 // TestWriteAmplificationBounded is the clock-free guard on the merge
 // policy's cost. Fresh ascending keys — what a feed of time-ordered ids
-// gives every partition — must not be rewritten every time the run list
-// fills up: 200 flushes stay within 4 merge passes per flushed entry
-// (merge-everything-above-MaxRuns spends about 25) and within MaxRuns runs
-// per size level. The same 200 flushes rewriting one keyspace do deepen
-// every read, so they are merged down to MaxRuns runs as before.
+// gives every partition — must not be rewritten at all: each of 200 flushes
+// extends the one run file, and no merge ever runs. The same 200 flushes
+// rewriting one keyspace do deepen every read, so they are merged down to
+// MaxRuns runs as before.
 func TestWriteAmplificationBounded(t *testing.T) {
 	const flushes, perFlush = 200, 40
-	load := func(t *testing.T, key func(flush, i int) string) (Stats, *Metrics) {
+	load := func(t *testing.T, key func(flush, i int) string) (Stats, *Metrics, string) {
 		m := &Metrics{}
 		tr := openTest(t, Options{MemtableBytes: 64 << 10, Metrics: m})
 		val := bytes.Repeat([]byte{'v'}, 100)
@@ -275,24 +278,23 @@ func TestWriteAmplificationBounded(t *testing.T) {
 		if got := m.FlushedEntries.Value(); got != flushes*perFlush {
 			t.Fatalf("flushed %d entries, want %d", got, flushes*perFlush)
 		}
-		return tr.Stats(), m
+		return tr.Stats(), m, tr.opt.Dir
 	}
 	t.Run("ascending", func(t *testing.T) {
-		st, m := load(t, func(f, i int) string { return fmt.Sprintf("key-%04d-%03d", f, i) })
-		amp := float64(m.MergedEntries.Value()) / float64(m.FlushedEntries.Value())
-		t.Logf("%d merges, %.2f merge passes per flushed entry, %d runs, read depth %d", st.Merges, amp, st.Runs, st.ReadDepth)
-		if amp > 4 {
-			t.Fatalf("%.2f merge passes per flushed entry, want <= 4", amp)
+		st, m, dir := load(t, func(f, i int) string { return fmt.Sprintf("key-%04d-%03d", f, i) })
+		if st.Merges != 0 || m.MergedEntries.Value() != 0 {
+			t.Fatalf("%d merges read %d entries; ascending flushes must never be rewritten", st.Merges, m.MergedEntries.Value())
 		}
-		if st.Runs > 4*4 {
-			t.Fatalf("%d runs, want <= 4 x MaxRuns", st.Runs)
+		if st.Runs != 1 || st.Segments != flushes || m.Extends.Value() != flushes-1 || st.ReadDepth != 1 {
+			t.Fatalf("%d runs of %d segments after %d extends, read depth %d; want 1 run of %d segments", st.Runs, st.Segments, m.Extends.Value(), st.ReadDepth, flushes)
 		}
-		if st.ReadDepth != 1 {
-			t.Fatalf("read depth %d over disjoint flushes, want 1", st.ReadDepth)
-		}
+		globOne(t, dir, "run-*.lsm")
 	})
 	t.Run("one keyspace", func(t *testing.T) {
-		st, _ := load(t, func(_, i int) string { return fmt.Sprintf("key-%03d", i) })
+		st, m, _ := load(t, func(_, i int) string { return fmt.Sprintf("key-%03d", i) })
+		if m.Extends.Value() != 0 {
+			t.Fatalf("%d flushes of keys the newest run already holds extended it", m.Extends.Value())
+		}
 		if st.Runs > 4 || st.ReadDepth > 4 {
 			t.Fatalf("%d runs, read depth %d; want both <= MaxRuns", st.Runs, st.ReadDepth)
 		}
@@ -312,15 +314,16 @@ func TestMergeLeavesBlockCacheAlone(t *testing.T) {
 	tr := openTest(t, Options{BlockCache: cache, BlockBytes: 1 << 10, Metrics: m})
 	val := bytes.Repeat([]byte{'v'}, 100)
 	// One old run of some 35 KiB, read until all of it is resident.
-	fill(t, tr, 0, 300, string(val))
+	fill(t, tr, 50000, 300, string(val))
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	wantAll(t, tr, 0, 300, string(val))
+	wantAll(t, tr, 50000, 300, string(val))
 	// Five younger runs of about 100 KiB each — twice the cache between
 	// them, and a tier apart from the old run, which the merge leaves out.
+	// Each lies below the run before it, so none is an extension of it.
 	for batch := 0; batch < 5; batch++ {
-		fill(t, tr, 10000+1000*batch, 900, string(val))
+		fill(t, tr, 10000+1000*(4-batch), 900, string(val))
 		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +335,7 @@ func TestMergeLeavesBlockCacheAlone(t *testing.T) {
 		t.Fatalf("the merge evicted %d blocks", ev)
 	}
 	reads := m.BlockReads.Value()
-	wantAll(t, tr, 0, 300, string(val))
+	wantAll(t, tr, 50000, 300, string(val))
 	if got := m.BlockReads.Value() - reads; got != 0 {
 		t.Fatalf("%d disk reads for blocks that were hot before the merge", got)
 	}

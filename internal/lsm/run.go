@@ -6,16 +6,44 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync/atomic"
 )
 
-// runMagic identifies the on-disk run format: block-structured with a sparse
-// index (format 02; format 01 held a flat entry section indexed entirely in
-// memory).
-var runMagic = []byte("LSMRUN02")
+// A run file is a sequence of segments, each a sorted, self-contained body:
+//
+//	header   magic(8) | segment length u64 LE | crc u32 LE
+//	block*   checksummed blocks of entries (block.go)
+//	index    block count, then (first key, offset, length, entries) per block,
+//	         uvarint-framed; offsets are file offsets
+//	filter   bloom filter over the segment's keys
+//	trailer  index length u32 | filter length u32 | entry count u64 | magic(8)
+//
+// The crc covers the length field, index, filter and trailer (blocks carry
+// their own). Every key of a segment is greater than every key of the one
+// before it, so the file as a whole is one sorted run. The first segment is
+// written to a temp file and renamed into place; a later one is appended by
+// a flush whose keys all lie above the run (Tree.flushTasks): body, fsync,
+// header, fsync, so a header on disk vouches for a body on disk, and the file
+// is valid up to its last complete segment whatever byte a crash stopped at.
+// The flush's manifest record then commits the file's new length. loadRun
+// fails on any defect below the committed length and cuts off what lies
+// beyond it. No committed byte is ever rewritten: a reader's view of the file
+// stays exact while the file grows behind it.
+//
+// A format-02 file is one segment whose header is the bare magic: nothing at
+// its head says where it ends, so it is read as it always was and never grows.
+var (
+	runMagic   = []byte("LSMRUN03")
+	runMagic02 = []byte("LSMRUN02")
+)
+
+// runHeaderLen is the fixed segment header: magic, length, crc.
+const runHeaderLen = 8 + 8 + 4
 
 // defaultBlockBytes is the target encoded block size. A block is closed once
 // it reaches the target, so every block except the last is at least this
@@ -52,32 +80,50 @@ type blockMeta struct {
 	off      int64
 	length   int32
 	entries  int32
+	filter   *bloomFilter // of the segment the block belongs to
 }
 
-// run is an immutable sorted component on disk, organized as checksummed
-// blocks. Only the sparse index (first key per block) and bloom filter live
-// in memory; everything else is read block-at-a-time through the shared
+// run is an immutable view of a sorted component on disk: the segments its
+// file held when the view was made, organized as checksummed blocks. Only the
+// sparse index (first key per block) and the segments' bloom filters live in
+// memory; everything else is read block-at-a-time through the shared
 // BlockCache. A bloom filter prunes point lookups.
 //
-// Runs are reference-counted: every published runSet that lists the run
+// A flush that extends the file publishes a new view (extended) in place of
+// this one; the two share the runFile, and the longer one's index may share
+// this one's backing array — it only ever appends past len(blocks), which no
+// holder of this view reads.
+type run struct {
+	*runFile
+	blocks []blockMeta
+	count  int
+	bytes  int64 // data bytes: the blocks' lengths summed
+	segs   int
+	// end is the file offset just past the last segment, where an extension
+	// starts; 0 for a format-02 file, which cannot grow.
+	end int64
+	// last is the run's largest key: with blocks[0].firstKey it fences the
+	// keys the run can hold. Set once before the run is shared — by the
+	// writer from the last entry it added, or by openRun from the last block.
+	last []byte
+}
+
+// runFile is what every view of one run file shares: the read handle, the
+// block-cache id (block numbers only grow, so resident blocks stay valid as
+// the file does), and the reference count.
+//
+// Runs are reference-counted: every published runSet that lists a view
 // holds one reference (readers pin the set, not its runs), and the compactor
 // retains its inputs for the length of a merge. The last release closes the
 // file handle and signals unused, which the compactor waits on before
 // deleting a merged-away input file — so a reader mid-scan never has a run
 // unlinked under it, and input deletion order (oldest first) stays under the
 // compactor's control.
-type run struct {
-	path   string
-	f      *os.File
-	id     uint64 // process-unique cache key; never reused, so dead runs need no invalidation
-	blocks []blockMeta
-	count  int
-	bloom  *bloomFilter
-	cfg    runConfig
-	// last is the run's largest key: with blocks[0].firstKey it fences the
-	// keys the run can hold. Set once before the run is shared — by the
-	// writer from the last entry it added, or by openRun from the last block.
-	last []byte
+type runFile struct {
+	path string
+	f    *os.File
+	id   uint64 // process-unique cache key; never reused, so dead runs need no invalidation
+	cfg  runConfig
 
 	refs   atomic.Int32
 	unused chan struct{} // closed when refs reaches zero
@@ -86,14 +132,14 @@ type run struct {
 // retain pins the run: its file handle stays open (and its file undeleted)
 // until a matching release. Callers must hold a reference already — their
 // own, or the tree lock while the run is in the published set.
-func (r *run) retain() {
+func (r *runFile) retain() {
 	r.refs.Add(1)
 }
 
 // release drops one reference. The last release closes the file handle and
 // closes unused; only then may the file be deleted (by the compactor, which
 // waits on unused).
-func (r *run) release() error {
+func (r *runFile) release() error {
 	if r.refs.Add(-1) != 0 {
 		return nil
 	}
@@ -111,10 +157,11 @@ func (r *run) release() error {
 // set drops its run references, which is what lets a merged-away run reach
 // zero and signal unused to the compactor.
 type runSet struct {
-	runs    []*run
-	spans   []span
-	entries int
-	refs    atomic.Int32
+	runs     []*run
+	spans    []span
+	entries  int
+	segments int
+	refs     atomic.Int32
 }
 
 // newRunSet builds the set for runs (newest first; the set owns the slice),
@@ -125,6 +172,7 @@ func newRunSet(runs []*run) *runSet {
 		r.retain()
 		s.spans[i] = r.span()
 		s.entries += r.len()
+		s.segments += r.segs
 	}
 	s.refs.Store(1)
 	return s
@@ -162,12 +210,7 @@ func (r *run) span() span {
 	if len(r.blocks) == 0 {
 		return span{}
 	}
-	lb := r.blocks[len(r.blocks)-1]
-	return span{
-		bytes: lb.off + int64(lb.length) - int64(len(runMagic)),
-		first: r.blocks[0].firstKey,
-		last:  r.last,
-	}
+	return span{bytes: r.bytes, first: r.blocks[0].firstKey, last: r.last}
 }
 
 // covers reports whether key lies inside the span's fences.
@@ -180,15 +223,19 @@ func (s span) overlaps(o span) bool {
 	return s.bytes > 0 && o.bytes > 0 && bytes.Compare(s.first, o.last) <= 0 && bytes.Compare(o.first, s.last) <= 0
 }
 
-// runWriter streams sorted, unique entries into a run file block by block,
+// runWriter streams sorted, unique entries into one segment block by block,
 // holding only the current block, the sparse index, and the bloom filter in
-// memory — never the entry set. It writes to path+".tmp" and renames into
-// place on finish, so a crash mid-write leaves nothing that Open's run-*.lsm
-// glob would load; Open sweeps leftover .tmp files. Either finish or abort
-// must be called exactly once.
+// memory — never the entry set. A new file is written to path+".tmp" and
+// renamed into place on finish, so a crash mid-write leaves nothing that
+// Open's run-*.lsm glob would load; Open sweeps leftover .tmp files. A segment
+// that extends prev is written in place at prev.end, where an unfinished one
+// is a tail no header vouches for. Either finish or abort must be called
+// exactly once.
 type runWriter struct {
 	path  string
 	tmp   string
+	prev  *run  // the run this segment extends; nil for a new file
+	base  int64 // file offset of the segment's header
 	f     *os.File
 	w     *bufio.Writer
 	bloom *bloomFilter
@@ -200,27 +247,26 @@ type runWriter struct {
 	last  []byte // the key added last (aliases the caller's entry; see runIter.curr), for the run's upper fence
 }
 
-// newRunWriter starts a run file destined for path. capacityHint sizes the
+// newRunWriter starts a segment: the first of a new file destined for path,
+// or, when prev is not nil, the next of prev's file. capacityHint sizes the
 // bloom filter; overestimating (e.g. the pre-dedup entry total of a merge's
 // inputs) only lowers the false-positive rate.
-func newRunWriter(path string, capacityHint int, cfg runConfig) (*runWriter, error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+func newRunWriter(path string, prev *run, capacityHint int, cfg runConfig) (*runWriter, error) {
+	rw := &runWriter{path: path, tmp: path + ".tmp", prev: prev, bloom: newBloomFilter(capacityHint), cfg: cfg}
+	name, flag := rw.tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY
+	if prev != nil {
+		name, flag, rw.base = prev.path, os.O_WRONLY, prev.end
+	}
+	f, err := os.OpenFile(name, flag, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: creating run: %w", err)
 	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	if _, err := w.Write(runMagic); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return nil, err
+	rw.f, rw.w, rw.off = f, bufio.NewWriterSize(f, 1<<16), rw.base+runHeaderLen
+	// The header is written last; until then its place is a hole.
+	if _, err := f.Seek(rw.off, io.SeekStart); err != nil {
+		return nil, rw.fail(err)
 	}
-	return &runWriter{
-		path: path, tmp: tmp, f: f, w: w,
-		bloom: newBloomFilter(capacityHint),
-		cfg:   cfg,
-		off:   int64(len(runMagic)),
-	}, nil
+	return rw, nil
 }
 
 // add appends one entry; keys must arrive in strictly ascending order. The
@@ -259,64 +305,103 @@ func (rw *runWriter) closeBlock() error {
 	return nil
 }
 
-// finish seals the last block, writes the index section, bloom filter, and
-// trailer, fsyncs, renames the file into place, and returns the opened run.
-// On failure the temp file is cleaned up; the writer must not be reused.
+// finish seals the last block, cuts the file at the segment's end and writes
+// the index section, bloom filter and trailer, then the header, then fsyncs. A
+// new file is then renamed into place and opened; an extension, fsynced before
+// its header as well, is returned as prev's longer view. On failure what was
+// written is discarded; the writer must not be reused.
+//
+// The fault points "run:trailer" and "run:header" precede the two writes:
+// ErrTornWrite persists the first half of that write and leaves the rest as a
+// crash would.
 func (rw *runWriter) finish() (*run, error) {
 	if err := rw.closeBlock(); err != nil {
-		return nil, rw.fail(err)
-	}
-	// Index section: block count, then (first key, offset, length, entries)
-	// per block, all uvarint-framed.
-	var idx []byte
-	var scratch [binary.MaxVarintLen64]byte
-	putUv := func(v uint64) { idx = append(idx, scratch[:binary.PutUvarint(scratch[:], v)]...) }
-	putUv(uint64(len(rw.index)))
-	for _, bm := range rw.index {
-		putUv(uint64(len(bm.firstKey)))
-		idx = append(idx, bm.firstKey...)
-		putUv(uint64(bm.off))
-		putUv(uint64(bm.length))
-		putUv(uint64(bm.entries))
-	}
-	if _, err := rw.w.Write(idx); err != nil {
-		return nil, rw.fail(err)
-	}
-	bb := rw.bloom.marshal()
-	if _, err := rw.w.Write(bb); err != nil {
-		return nil, rw.fail(err)
-	}
-	var trailer [runTrailerLen]byte
-	binary.LittleEndian.PutUint32(trailer[0:], uint32(len(idx)))
-	binary.LittleEndian.PutUint32(trailer[4:], uint32(len(bb)))
-	binary.LittleEndian.PutUint64(trailer[8:], uint64(rw.count))
-	copy(trailer[16:], runMagic)
-	if _, err := rw.w.Write(trailer[:]); err != nil {
 		return nil, rw.fail(err)
 	}
 	if err := rw.w.Flush(); err != nil {
 		return nil, rw.fail(err)
 	}
-	if err := rw.f.Sync(); err != nil {
+	// Index section: block count, then (first key, offset, length, entries)
+	// per block, all uvarint-framed.
+	var meta []byte
+	var scratch [binary.MaxVarintLen64]byte
+	putUv := func(v uint64) { meta = append(meta, scratch[:binary.PutUvarint(scratch[:], v)]...) }
+	putUv(uint64(len(rw.index)))
+	for _, bm := range rw.index {
+		putUv(uint64(len(bm.firstKey)))
+		meta = append(meta, bm.firstKey...)
+		putUv(uint64(bm.off))
+		putUv(uint64(bm.length))
+		putUv(uint64(bm.entries))
+	}
+	var trailer [runTrailerLen]byte
+	binary.LittleEndian.PutUint32(trailer[0:], uint32(len(meta)))
+	bb := rw.bloom.marshal()
+	binary.LittleEndian.PutUint32(trailer[4:], uint32(len(bb)))
+	binary.LittleEndian.PutUint64(trailer[8:], uint64(rw.count))
+	copy(trailer[16:], runMagic)
+	meta = append(append(meta, bb...), trailer[:]...)
+	end := rw.off + int64(len(meta))
+	var hdr [runHeaderLen]byte
+	copy(hdr[:], runMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(end-rw.base))
+	binary.LittleEndian.PutUint32(hdr[16:], crc32.Update(crc32.ChecksumIEEE(hdr[8:16]), crc32.IEEETable, meta))
+	// An earlier attempt may have left bytes beyond this segment's end.
+	if err := rw.f.Truncate(end); err != nil {
 		return nil, rw.fail(err)
 	}
+	for _, wr := range []struct {
+		point string
+		p     []byte
+		off   int64
+		sync  bool
+	}{{"run:trailer", meta, rw.off, rw.prev != nil}, {"run:header", hdr[:], rw.base, true}} {
+		if rw.cfg.fault != nil {
+			if err := rw.cfg.fault(wr.point); errors.Is(err, ErrTornWrite) {
+				_, _ = rw.f.WriteAt(wr.p[:len(wr.p)/2], wr.off)
+				_ = rw.f.Close()
+				return nil, err
+			} else if err != nil {
+				return nil, rw.fail(err)
+			}
+		}
+		if _, err := rw.f.WriteAt(wr.p, wr.off); err != nil {
+			return nil, rw.fail(err)
+		}
+		// In a file that is already live the header must not reach the disk
+		// ahead of the body it vouches for; a temp file is not looked at
+		// until the one fsync before its rename.
+		if wr.sync {
+			if err := rw.f.Sync(); err != nil {
+				return nil, rw.fail(err)
+			}
+		}
+	}
 	if err := rw.f.Close(); err != nil {
-		_ = os.Remove(rw.tmp)
+		if rw.prev == nil {
+			_ = os.Remove(rw.tmp)
+		}
 		return nil, err
 	}
-	if err := os.Rename(rw.tmp, rw.path); err != nil {
-		_ = os.Remove(rw.tmp)
-		return nil, err
+	var r *run
+	var err error
+	if rw.prev != nil {
+		r, err = rw.prev.extended(end, hdr[:])
+	} else {
+		if err := os.Rename(rw.tmp, rw.path); err != nil {
+			_ = os.Remove(rw.tmp)
+			return nil, err
+		}
+		// The rename alone is not durable: without the directory fsync a power
+		// loss could forget the run's name while the flusher goes on to delete
+		// the WAL segments that covered it — silently losing records. Publish
+		// means file bytes AND directory entry on disk.
+		if err := syncDir(filepath.Dir(rw.path)); err != nil {
+			_ = os.Remove(rw.path)
+			return nil, err
+		}
+		r, err = openUnfenced(rw.path, rw.cfg, end)
 	}
-	// The rename alone is not durable: without the directory fsync a power
-	// loss could forget the run's name while the flusher goes on to delete
-	// the WAL segments that covered it — silently losing records. Publish
-	// means file bytes AND directory entry on disk.
-	if err := syncDir(filepath.Dir(rw.path)); err != nil {
-		_ = os.Remove(rw.path)
-		return nil, err
-	}
-	r, err := openUnfenced(rw.path, rw.cfg)
 	if err == nil && rw.count > 0 {
 		r.last = append([]byte{}, rw.last...)
 	}
@@ -324,13 +409,20 @@ func (rw *runWriter) finish() (*run, error) {
 }
 
 func (rw *runWriter) fail(err error) error {
-	_ = rw.f.Close()
-	_ = os.Remove(rw.tmp)
+	_ = rw.abort()
 	return err
 }
 
-// abort discards the partially written run.
+// abort discards the partially written segment: the temp file, or whatever
+// lies past the end of the run being extended.
 func (rw *runWriter) abort() error {
+	if rw.prev != nil {
+		err := rw.f.Truncate(rw.base)
+		if cerr := rw.f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
 	cerr := rw.f.Close()
 	if err := os.Remove(rw.tmp); err != nil {
 		return err
@@ -338,14 +430,13 @@ func (rw *runWriter) abort() error {
 	return cerr
 }
 
-// openRun loads a run's sparse index and bloom filter from disk. Every
-// trailer length is validated against the file size before any allocation or
-// read, so a corrupt or truncated file fails loudly here rather than
-// triggering an unbounded allocation or a garbage index. The upper fence is
+// openRun loads a run's sparse index and bloom filters from disk (loadRun): a
+// corrupt or truncated file fails loudly here rather than triggering an
+// unbounded allocation or a garbage index. The upper fence is
 // not in the file format: it is the last entry of the last block, read here
 // once (CRC-checked, past the cache, outside any tree lock).
-func openRun(path string, cfg runConfig) (*run, error) {
-	r, err := openUnfenced(path, cfg)
+func openRun(path string, cfg runConfig, committed int64) (*run, error) {
+	r, err := openUnfenced(path, cfg, committed)
 	if err != nil {
 		return nil, err
 	}
@@ -358,12 +449,12 @@ func openRun(path string, cfg runConfig) (*run, error) {
 
 // openUnfenced is openRun without the last-block read, for the writer that
 // just produced the file and knows its last key.
-func openUnfenced(path string, cfg runConfig) (*run, error) {
+func openUnfenced(path string, cfg runConfig, committed int64) (*run, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: opening run: %w", err)
 	}
-	r, err := loadRun(path, f, cfg)
+	r, err := loadRun(path, f, cfg, committed)
 	if err != nil {
 		_ = f.Close()
 		return nil, err
@@ -396,73 +487,149 @@ func (r *run) readLastKey() ([]byte, error) {
 	return append([]byte(nil), e.key...), nil
 }
 
-func loadRun(path string, f *os.File, cfg runConfig) (*run, error) {
+// errRunRead marks a run-file read the disk failed, as opposed to bytes that
+// were read and do not check out: never grounds for cutting a file.
+var errRunRead = errors.New("lsm: reading run")
+
+func (r *run) readAt(p []byte, off int64) error {
+	if _, err := r.f.ReadAt(p, off); err != nil {
+		return fmt.Errorf("%w %s at %d: %v", errRunRead, r.path, off, err)
+	}
+	return nil
+}
+
+// loadRun builds the view of the file's segments. committed is the file
+// length the manifest vouches for: every byte below it must check out or the
+// load fails — that is lost data — and every byte beyond it belongs to an
+// extension that never committed, its records still in the WAL, and is cut
+// off. Zero means no manifest speaks for the file (the directory scan, or a
+// format-02 file): then the first segment, which was renamed into place
+// whole, must check out, and the file is cut after the last one that does —
+// but never on a failed read.
+func loadRun(path string, f *os.File, cfg runConfig, committed int64) (*run, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	if st.Size() < int64(len(runMagic))+runTrailerLen {
+	size := st.Size()
+	r := &run{runFile: &runFile{path: path, f: f, id: nextRunID.Add(1), cfg: cfg, unused: make(chan struct{})}}
+	r.refs.Store(1) // the caller's (usually the published list's) reference
+	var hdr [runHeaderLen]byte
+	if _, err := f.ReadAt(hdr[:8], 0); err != nil {
 		return nil, fmt.Errorf("lsm: run %s too small", path)
 	}
-	var trailer [runTrailerLen]byte
-	if _, err := f.ReadAt(trailer[:], st.Size()-runTrailerLen); err != nil {
-		return nil, err
+	if bytes.Equal(hdr[:8], runMagic02) {
+		if err := r.loadSegment(0, size, hdr[:8]); err != nil {
+			return nil, err
+		}
+		r.end = 0
+		return r, nil
 	}
-	if !bytes.Equal(trailer[16:], runMagic) {
-		return nil, fmt.Errorf("lsm: run %s has bad trailer magic", path)
+	limit := size
+	if committed > 0 {
+		if limit = committed; size < committed {
+			return nil, fmt.Errorf("lsm: run %s is %d bytes but %d were committed — refusing to open with lost data", path, size, committed)
+		}
+	}
+	for r.end < limit {
+		err := fmt.Errorf("lsm: run %s has a bad segment header at %d", path, r.end)
+		if limit-r.end >= runHeaderLen {
+			if err := r.readAt(hdr[:], r.end); err != nil {
+				return nil, err
+			}
+			if n := int64(binary.LittleEndian.Uint64(hdr[8:])); bytes.Equal(hdr[:8], runMagic) && n > 0 && n <= limit-r.end {
+				err = r.loadSegment(r.end, r.end+n, hdr[:])
+			}
+		}
+		if err != nil && (committed > 0 || r.end == 0 || errors.Is(err, errRunRead)) {
+			return nil, err
+		} else if err != nil {
+			break
+		}
+	}
+	if r.end < size {
+		return r, os.Truncate(path, r.end)
+	}
+	return r, nil
+}
+
+// loadSegment adds the segment at [start, end) of the file, whose header
+// bytes are hdr, to the view; on error the view is unchanged. Every trailer
+// length is validated against the segment size before any allocation or read.
+func (r *run) loadSegment(start, end int64, hdr []byte) error {
+	body := end - start - int64(len(hdr)) - runTrailerLen
+	if body < 0 {
+		return fmt.Errorf("lsm: run %s too small", r.path)
+	}
+	var trailer [runTrailerLen]byte
+	if err := r.readAt(trailer[:], end-runTrailerLen); err != nil {
+		return err
+	}
+	if !bytes.Equal(trailer[16:], hdr[:8]) {
+		return fmt.Errorf("lsm: run %s has bad trailer magic", r.path)
 	}
 	indexLen := int64(binary.LittleEndian.Uint32(trailer[0:]))
 	bloomLen := int64(binary.LittleEndian.Uint32(trailer[4:]))
 	count := binary.LittleEndian.Uint64(trailer[8:])
-	body := st.Size() - int64(len(runMagic)) - runTrailerLen
 	if indexLen > body || bloomLen > body-indexLen {
-		return nil, fmt.Errorf("lsm: run %s trailer lengths (%d,%d) exceed file size %d", path, indexLen, bloomLen, st.Size())
+		return fmt.Errorf("lsm: run %s trailer lengths (%d,%d) exceed segment size %d", r.path, indexLen, bloomLen, end-start)
 	}
-	indexOff := st.Size() - runTrailerLen - bloomLen - indexLen
+	indexOff := end - runTrailerLen - bloomLen - indexLen
 	tail := make([]byte, indexLen+bloomLen)
-	if _, err := f.ReadAt(tail, indexOff); err != nil {
-		return nil, err
+	if err := r.readAt(tail, indexOff); err != nil {
+		return err
+	}
+	if len(hdr) == runHeaderLen {
+		sum := crc32.Update(crc32.Update(crc32.ChecksumIEEE(hdr[8:16]), crc32.IEEETable, tail), crc32.IEEETable, trailer[:])
+		if sum != binary.LittleEndian.Uint32(hdr[16:]) {
+			return fmt.Errorf("lsm: run %s segment at %d: index, filter or trailer: %w", r.path, start, ErrChecksum)
+		}
 	}
 	bloom := unmarshalBloom(tail[indexLen:])
 	if bloom == nil {
-		return nil, fmt.Errorf("lsm: run %s has corrupt bloom filter", path)
+		return fmt.Errorf("lsm: run %s has corrupt bloom filter", r.path)
 	}
-
-	blocks, err := parseRunIndex(tail[:indexLen], int64(len(runMagic)), indexOff, count)
+	blocks, err := parseRunIndex(r.blocks, tail[:indexLen], start+int64(len(hdr)), indexOff, count, bloom)
 	if err != nil {
-		return nil, fmt.Errorf("lsm: run %s: %w", path, err)
+		return fmt.Errorf("lsm: run %s: %w", r.path, err)
 	}
-	r := &run{
-		path:   path,
-		f:      f,
-		id:     nextRunID.Add(1),
-		blocks: blocks,
-		count:  int(count),
-		bloom:  bloom,
-		cfg:    cfg,
-		unused: make(chan struct{}),
-	}
-	r.refs.Store(1) // the caller's (usually the published list's) reference
-	return r, nil
+	r.blocks, r.count, r.bytes = blocks, r.count+int(count), r.bytes+indexOff-start-int64(len(hdr))
+	r.segs, r.end = r.segs+1, end
+	return nil
 }
 
-// parseRunIndex decodes the sparse index section, validating every block's
-// extent against [dataStart, dataEnd), key ordering, and the trailer's entry
-// count — the index is the only trusted map of the file, so it must be
-// internally consistent before any block is read through it.
-func parseRunIndex(idx []byte, dataStart, dataEnd int64, count uint64) ([]blockMeta, error) {
+// extended returns the view that follows r once a segment has been written
+// at [r.end, end) of its file, holding the caller's reference. Only the one
+// flusher extends, and only the newest view of a file.
+func (r *run) extended(end int64, hdr []byte) (*run, error) {
+	nv := *r
+	if err := nv.loadSegment(r.end, end, hdr); err != nil {
+		return nil, err
+	}
+	nv.retain()
+	return &nv, nil
+}
+
+// parseRunIndex decodes one segment's sparse index section onto blocks (the
+// index of the segments before it), validating every block's extent against
+// [dataStart, dataEnd), key ordering, and the trailer's entry count — the
+// index is the only trusted map of the file, so it must be internally
+// consistent before any block is read through it.
+func parseRunIndex(blocks []blockMeta, idx []byte, dataStart, dataEnd int64, count uint64, filter *bloomFilter) ([]blockMeta, error) {
 	rd := bytes.NewReader(idx)
 	nBlocks, err := binary.ReadUvarint(rd)
 	if err != nil {
 		return nil, fmt.Errorf("index truncated: %w", err)
 	}
 	// Each index entry is at least 4 bytes, so nBlocks is bounded by the
-	// section length — checked before allocating.
+	// section length.
 	if nBlocks > uint64(len(idx)) {
 		return nil, fmt.Errorf("index block count %d exceeds index size %d", nBlocks, len(idx))
 	}
-	blocks := make([]blockMeta, 0, nBlocks)
 	var prevKey []byte
+	if len(blocks) > 0 {
+		prevKey = blocks[len(blocks)-1].firstKey
+	}
 	var prevEnd = dataStart
 	var entries uint64
 	for i := uint64(0); i < nBlocks; i++ {
@@ -489,7 +656,7 @@ func parseRunIndex(idx []byte, dataStart, dataEnd int64, count uint64) ([]blockM
 		if err != nil {
 			return nil, err
 		}
-		if i > 0 && bytes.Compare(key, prevKey) <= 0 {
+		if len(blocks) > 0 && bytes.Compare(key, prevKey) <= 0 {
 			return nil, fmt.Errorf("index block %d first key out of order", i)
 		}
 		if int64(off) != prevEnd || length < blockFooterLen || int64(off)+int64(length) > dataEnd {
@@ -501,7 +668,7 @@ func parseRunIndex(idx []byte, dataStart, dataEnd int64, count uint64) ([]blockM
 		prevKey = key
 		prevEnd = int64(off) + int64(length)
 		entries += n
-		blocks = append(blocks, blockMeta{firstKey: key, off: int64(off), length: int32(length), entries: int32(n)})
+		blocks = append(blocks, blockMeta{firstKey: key, off: int64(off), length: int32(length), entries: int32(n), filter: filter})
 	}
 	if entries != count {
 		return nil, fmt.Errorf("index entry total %d disagrees with trailer count %d", entries, count)
@@ -584,11 +751,8 @@ func (r *run) findBlock(key []byte) int {
 // returned entry aliases (possibly cached) block memory; callers that retain
 // it must copy.
 func (r *run) get(key []byte, h1, h2 uint64) (entry, bool, error) {
-	if !r.bloom.mayContain(h1, h2) {
-		return entry{}, false, nil
-	}
 	bi := r.findBlock(key)
-	if bi < 0 {
+	if bi < 0 || !r.blocks[bi].filter.mayContain(h1, h2) {
 		return entry{}, false, nil
 	}
 	v, err := r.readBlock(bi, true)

@@ -15,7 +15,7 @@ import (
 func buildBigRun(t *testing.T, dir string, n, valSize int, cfg runConfig) *run {
 	t.Helper()
 	path := filepath.Join(dir, "run-000001.lsm")
-	rw, err := newRunWriter(path, n, cfg)
+	rw, err := newRunWriter(path, nil, n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestRunOpenRejectsCorruptTrailerLengths(t *testing.T) {
 		if err := osWriteFile(p, corrupt); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := openRun(p, runConfig{}); err == nil {
+		if _, err := openRun(p, runConfig{}, 0); err == nil {
 			t.Fatalf("%s: openRun accepted the corrupt file", name)
 		}
 	}
@@ -195,7 +195,7 @@ func TestRunOpenTruncated(t *testing.T) {
 		if err := osWriteFile(p, data[:cut]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := openRun(p, runConfig{}); err == nil {
+		if _, err := openRun(p, runConfig{}, 0); err == nil {
 			t.Fatalf("openRun accepted a run truncated to %d of %d bytes", cut, len(data))
 		}
 	}
@@ -329,7 +329,7 @@ func TestMergePropagatesReadError(t *testing.T) {
 		}
 		return nil
 	}
-	rw, err := newRunWriter(filepath.Join(dir, "run-000002.lsm"), 4, failing)
+	rw, err := newRunWriter(filepath.Join(dir, "run-000002.lsm"), nil, 4, failing)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,8 +81,10 @@ type Stats struct {
 	// Immutables is the number of frozen memtables queued for the
 	// background flusher.
 	Immutables int
-	// Runs is the number of immutable disk components.
-	Runs int
+	// Runs is the number of immutable disk components; Segments the sorted
+	// bodies their files hold between them — one per run, plus one for every
+	// flush that extended a run in place.
+	Runs, Segments int
 	// RunEntries is the total entry count across disk components.
 	RunEntries int
 	// ReadDepth is the largest number of runs whose key ranges cover one
@@ -108,6 +110,7 @@ func (s *Stats) Add(o Stats) {
 	s.MemtableBytes += o.MemtableBytes
 	s.Immutables += o.Immutables
 	s.Runs += o.Runs
+	s.Segments += o.Segments
 	s.RunEntries += o.RunEntries
 	s.ReadDepth = max(s.ReadDepth, o.ReadDepth)
 	s.CompactionDebt += o.CompactionDebt
@@ -176,6 +179,15 @@ type Tree struct {
 	// forceCompact makes the next compactor pass merge every run whatever
 	// the policy says; set by Merge, cleared when that pass publishes.
 	forceCompact bool
+	// flushing is set while the flusher appends a segment to runs[0], and
+	// from any flush's publish until its manifest record is durable; merging
+	// is the newest input of the merge in flight and then, until that merge
+	// is committed, its output. Neither worker touches the run the other has
+	// in hand, and the manifest sees a run's records in the order the list
+	// saw the run change: a merge whose window starts at runs[0] waits for
+	// the flush, a flush that finds runs[0] merging starts a new file.
+	flushing bool
+	merging  *run
 	// stateC is closed and replaced on every state transition (rotation,
 	// flush publish, merge publish, wedge, close). Waiters — writers
 	// stalled on backpressure, Flush, Merge — grab the current channel
@@ -367,7 +379,7 @@ func (t *Tree) recoverState() (int, error) {
 		listed := make(map[string]bool, len(st.runs))
 		for _, name := range st.runs {
 			listed[name] = true
-			r, err := openRun(filepath.Join(dir, name), t.runCfg())
+			r, err := openRun(filepath.Join(dir, name), t.runCfg(), st.ends[name])
 			if err != nil {
 				if errors.Is(err, os.ErrNotExist) {
 					return fail(fmt.Errorf("lsm: %s lists run %s but the file is missing — refusing to open with lost data: %w",
@@ -413,7 +425,7 @@ func (t *Tree) recoverState() (int, error) {
 		// the very segments it covers.
 		sort.Sort(sort.Reverse(sort.StringSlice(runFiles)))
 		for _, name := range runFiles {
-			r, err := openRun(name, t.runCfg())
+			r, err := openRun(name, t.runCfg(), 0)
 			if err != nil {
 				return fail(err)
 			}
@@ -461,11 +473,12 @@ func (t *Tree) recoverState() (int, error) {
 	if len(kept) > 0 {
 		floor = fileSeqOf(filepath.Base(kept[0]), "wal-%06d.log") - 1
 	}
-	names := make([]string, len(runs))
+	st = manState{runs: make([]string, len(runs)), ends: map[string]int64{}, floor: floor}
 	for i, r := range runs {
-		names[i] = filepath.Base(r.path)
+		st.runs[i] = filepath.Base(r.path)
+		st.ends[st.runs[i]] = r.end
 	}
-	man, err := newManifest(dir, manSeq+1, names, floor, t.opt.FaultHook, t.opt.Metrics)
+	man, err := newManifest(dir, manSeq+1, st, t.opt.FaultHook, t.opt.Metrics)
 	if err != nil {
 		return fail(err)
 	}
@@ -827,11 +840,12 @@ func (t *Tree) Flush() error {
 	}
 }
 
-// Merge forces a full merge of all disk runs into one and waits for it.
+// Merge forces a full merge of all disk runs into one run of one segment —
+// one sorted file with one index — and waits until it is committed.
 func (t *Tree) Merge() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.closed && t.bgErr == nil && len(t.set.runs) > 1 {
+	if !t.closed && t.bgErr == nil && t.set.segments > 1 {
 		t.forceCompact = true
 		t.kick(t.compactC)
 	}
@@ -842,7 +856,7 @@ func (t *Tree) Merge() error {
 		if t.bgErr != nil {
 			return t.bgErr
 		}
-		if !t.forceCompact {
+		if !t.forceCompact && t.merging == nil {
 			return nil
 		}
 		ch := t.stateC
@@ -968,36 +982,65 @@ func (t *Tree) pendingTasks() []*flushTask {
 	return tasks
 }
 
-// flushTasks writes the batch of frozen memtables (oldest first) to a
-// single run file, publishes it, and retires every covered WAL segment.
+// flushTasks writes the batch of frozen memtables (oldest first) as a
+// single segment, publishes it, and retires every covered WAL segment.
 // Duplicate keys across the batch resolve newest-wins via the same merged
-// iterator reads use; the run takes the newest memtable's sequence number
-// (skipped numbers never become files, which is harmless — only relative
-// order matters). The run write happens with no tree lock held; only the
-// publish step takes it.
+// iterator reads use. When every key lies above the newest run, the segment
+// goes at the end of that run's file and the run's longer view takes its
+// place in the list: a stream of ascending keys stays one run, sorted as it
+// stands, that no merge needs to rewrite. Otherwise the segment starts a new
+// file, which takes the newest memtable's sequence number (skipped numbers
+// never become files, which is harmless — only relative order matters). The
+// write happens with no tree lock held; only the publish step takes it.
 func (t *Tree) flushTasks(tasks []*flushTask) error {
 	newest := tasks[len(tasks)-1]
 	path := filepath.Join(t.opt.Dir, fmt.Sprintf("run-%06d.lsm", newest.seq))
 	mems := make([]*memtable, 0, len(tasks))
+	var low []byte
 	for i := len(tasks) - 1; i >= 0; i-- { // newest first, as reads order them
 		mems = append(mems, tasks[i].mem)
+		if k := tasks[i].mem.first(); low == nil || bytes.Compare(k, low) < 0 {
+			low = k
+		}
 	}
-	r, err := writeMergedRun(path, mems, nil, false, "flush:bg", t.runCfg())
+	var prev *run
+	t.mu.Lock()
+	if rs := t.set.runs; len(rs) > 0 && rs[0].end > 0 && rs[0] != t.merging && bytes.Compare(low, rs[0].last) > 0 {
+		prev, path, t.flushing = rs[0], rs[0].path, true
+	}
+	t.mu.Unlock()
+	defer func() {
+		t.mu.Lock()
+		t.flushing = false
+		t.bumpLocked()
+		t.mu.Unlock()
+	}()
+	r, err := writeMergedRun(path, prev, mems, nil, false, "flush:bg", t.runCfg())
 	if err != nil {
 		return err
 	}
 
 	t.mu.Lock()
-	old := t.publishLocked(append([]*run{r}, t.set.runs...))
+	older := t.set.runs
+	if prev != nil {
+		older = older[1:] // runs[0] is still prev: see Tree.flushing
+	}
+	old := t.publishLocked(append([]*run{r}, older...))
+	t.flushing = true
 	// Rotations may have prepended newer tasks while the batch flushed;
 	// the flushed tasks are exactly the oldest len(tasks) entries.
 	t.imms = t.imms[:len(t.imms)-len(tasks)]
 	t.flushes++
 	if m := t.opt.Metrics; m != nil {
 		m.Flushes.Add(1)
-		m.FlushedEntries.Add(int64(r.len()))
+		flushed := r.len()
+		if prev != nil {
+			m.Extends.Add(1)
+			flushed -= prev.len() // r is prev and the new segment
+		}
+		m.FlushedEntries.Add(int64(flushed))
 	}
-	debt := t.plan.debt > 0
+	debt := t.plan.debt > 0 || t.forceCompact
 	t.bumpLocked()
 	t.mu.Unlock()
 	_ = old.release()
@@ -1014,7 +1057,7 @@ func (t *Tree) flushTasks(tasks []*flushTask) error {
 	// already published, and re-running the whole flush would publish it
 	// twice — hence %v (not %w), deliberately severing the errors.Is chain
 	// to ErrInjected that the flusher's retry loop checks.
-	if err := t.man.commitFlush(filepath.Base(path), newest.wal.seq); err != nil {
+	if err := t.man.commitFlush(filepath.Base(path), r.end, newest.wal.seq); err != nil {
 		return fmt.Errorf("lsm: flush published but not committed: %v", err)
 	}
 	t.mu.Lock()
@@ -1064,16 +1107,24 @@ func (t *Tree) compactOnce() (bool, error) {
 	forced := t.forceCompact
 	if forced {
 		lo, hi = 0, len(t.set.runs)
-		if hi <= 1 {
+		if t.set.segments <= 1 {
+			hi = 0
 			t.forceCompact = false
 			t.bumpLocked()
 		}
 	}
-	if t.closed || t.bgErr != nil || hi-lo <= 1 {
+	if t.closed || t.bgErr != nil || hi == lo {
 		t.mu.Unlock()
 		return false, nil
 	}
+	if lo == 0 && t.flushing {
+		ch := t.stateC
+		t.mu.Unlock()
+		t.waitState(ch)
+		return true, nil
+	}
 	inputs := append([]*run(nil), t.set.runs[lo:hi]...)
+	t.merging = inputs[0]
 	for _, r := range inputs {
 		r.retain()
 	}
@@ -1092,15 +1143,16 @@ func (t *Tree) compactOnce() (bool, error) {
 	// A tombstone masks versions of its key in older runs. Only a window
 	// that ends at the oldest run has none below it; any other must carry
 	// its tombstones into the output or the key comes back.
-	nr, err := writeMergedRun(mergedName(inputs[0].path), nil, inputs, older == 0, "merge:bg", t.runCfg())
+	nr, err := writeMergedRun(mergedName(inputs[0].path), nil, nil, inputs, older == 0, "merge:bg", t.runCfg())
+	t.mu.Lock()
+	t.merging = nr // nil on error
 	if err != nil {
+		t.mu.Unlock()
 		for _, r := range inputs {
 			_ = r.release()
 		}
 		return false, err
 	}
-
-	t.mu.Lock()
 	cur := t.set.runs
 	newer := len(cur) - older - len(inputs)
 	next := make([]*run, 0, len(cur)-len(inputs)+1)
@@ -1130,7 +1182,12 @@ func (t *Tree) compactOnce() (bool, error) {
 	// record swaps the inputs for the output in the durable run set. As in
 	// flushTasks, a commit failure must wedge rather than retry (%v severs
 	// ErrInjected) — the output is already published.
-	if err := t.man.commitMerge(filepath.Base(nr.path), inputNames); err != nil {
+	err = t.man.commitMerge(filepath.Base(nr.path), nr.end, inputNames)
+	t.mu.Lock()
+	t.merging = nil
+	t.bumpLocked()
+	t.mu.Unlock()
+	if err != nil {
 		return false, fmt.Errorf("lsm: merge published but not committed: %v", err)
 	}
 
@@ -1162,6 +1219,7 @@ func (t *Tree) Stats() Stats {
 		MemtableBytes:   t.mem.size(),
 		Immutables:      len(t.imms),
 		Runs:            len(t.set.runs),
+		Segments:        t.set.segments,
 		RunEntries:      t.set.entries,
 		ReadDepth:       t.plan.depth,
 		CompactionDebt:  t.plan.debt,

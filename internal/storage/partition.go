@@ -204,6 +204,10 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 	// Phase B: build one batch per tree and apply them.
 	for i, rec := range recs {
 		pk := fs.pks[i]
+		fs.prim.Put(pk, rec)
+		if nIdx == 0 {
+			continue // nothing hangs off the record this one replaces, so it is not read
+		}
 		if prev, dup := fs.pending[string(pk)]; dup {
 			// An earlier record in this frame used the same key: unhook the
 			// secondary entries it queued. Batch order makes the later Put
@@ -221,7 +225,6 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 			}
 		}
 		fs.pending[string(pk)] = i
-		fs.prim.Put(pk, rec)
 		for j := 0; j < nIdx; j++ {
 			if skey := fs.skeys[i*nIdx+j]; skey != nil {
 				fs.sec[j].Put(skey, pk)
