@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fast vet fmt fuzz-adm bench-smoke watch-smoke chaos-smoke chaos-restart-smoke chaos-overload-smoke chaos ci
+.PHONY: build test race lint lint-fast vet fmt loc fuzz-adm bench-smoke watch-smoke chaos-smoke chaos-restart-smoke chaos-overload-smoke chaos ci
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,22 @@ chaos:
 
 fmt:
 	gofmt -l .
+
+# The number a simplicity PR is judged by: non-test Go lines per package
+# (bench/, examples/ and testdata/ left out) and, with REF=<git-ref>, the
+# lines each package gained and lost since REF.
+LOC_FILES = '*.go' ':!*_test.go' ':!bench' ':!examples' ':!*/testdata/*'
+loc:
+	@git ls-files -co --exclude-standard -- $(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { \
+		d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
+ifdef REF
+	@echo "since $(REF):"
+	@git diff --numstat $(REF) -- $(LOC_FILES) | awk '{ \
+		d = $$3; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; a[d] += $$1; r[d] += $$2; ta += $$1; tr += $$2 } \
+		END { for (d in a) printf "%+7d  (+%d -%d)  %s\n", a[d] - r[d], a[d], r[d], d | "sort -k4"; close("sort -k4"); \
+		printf "%+7d  (+%d -%d)  total\n", ta - tr, ta, tr }'
+endif
 
 # Tier-1 verification in one command.
 ci:

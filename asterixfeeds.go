@@ -124,10 +124,7 @@ func Start(cfg Config) (*Instance, error) {
 	cluster := hyracks.NewCluster(cfg.Hyracks, nodes...)
 	sms := make(map[string]*storage.Manager, len(nodes))
 	for _, n := range nodes {
-		sm := newNodeStorage(reg, n, nodeDir(dataDir, n), cfg.LSM)
-		sms[n] = sm
-		cluster.Node(n).SetService(storage.ServiceName, sm)
-		newNodeGovernor(reg, cluster, n, sm, cfg.Governor)
+		sms[n] = startNode(reg, cluster.Node(n), nodeDir(dataDir, n), cfg.LSM, cfg.Governor)
 	}
 	// Reload a previously persisted catalog (metadata survives restarts
 	// just as stored data does). Absent or unreadable images start fresh.
@@ -181,13 +178,16 @@ func Start(cfg Config) (*Instance, error) {
 
 func nodeDir(root, node string) string { return root + "/" + node }
 
-// newNodeStorage builds a node's storage manager with a private lsm.Metrics
-// shared by every tree the node opens, and publishes the node's storage
-// counters and component gauges under "node.<name>.lsm.*".
-func newNodeStorage(reg *metrics.Registry, name, dir string, lsmOpt lsm.Options) *storage.Manager {
+// startNode gives node n its services: a storage manager whose trees all
+// share one private lsm.Metrics, published under "node.<name>.lsm.*", and
+// the ingestion governor (core.NewNodeGovernor), published under
+// "node.<name>.governor.*".
+func startNode(reg *metrics.Registry, n *hyracks.NodeController, dir string, lsmOpt lsm.Options, govCfg governor.Config) *storage.Manager {
+	name := n.ID()
 	lm := &lsm.Metrics{}
 	lsmOpt.Metrics = lm
 	sm := storage.NewManager(name, dir, lsmOpt)
+	n.SetService(storage.ServiceName, sm)
 	p := "node." + name + ".lsm"
 	reg.RegisterCounter(p+".wal_appends", &lm.WALAppends)
 	reg.RegisterCounter(p+".wal_bytes", &lm.WALBytes)
@@ -214,7 +214,7 @@ func newNodeStorage(reg *metrics.Registry, name, dir string, lsmOpt lsm.Options)
 		reg.RegisterGaugeFunc(p+".cache.evictions", func() int64 { return bc.Stats().Evictions })
 		reg.RegisterGaugeFunc(p+".cache.bytes", func() int64 { return bc.Stats().Bytes })
 	}
-	reg.RegisterGaugeFunc(p+".memtable_bytes", func() int64 { return int64(sm.Stats().MemtableBytes) })
+	reg.RegisterGaugeFunc(p+".memtable_bytes", lm.MemtableBytes.Value)
 	reg.RegisterGaugeFunc(p+".memtable_entries", func() int64 { return int64(sm.Stats().MemtableEntries) })
 	reg.RegisterGaugeFunc(p+".runs", func() int64 { return int64(sm.Stats().Runs) })
 	reg.RegisterGaugeFunc(p+".segments", func() int64 { return int64(sm.Stats().Segments) })
@@ -226,40 +226,11 @@ func newNodeStorage(reg *metrics.Registry, name, dir string, lsmOpt lsm.Options)
 	// flusher and merge work the policy has picked but the compactor has not
 	// done. Both are bounded by design; sustained non-zero values mean the
 	// disk cannot keep up with the ingest rate.
-	reg.RegisterGaugeFunc(p+".immutables", func() int64 { return int64(sm.Stats().Immutables) })
-	reg.RegisterGaugeFunc(p+".compaction_debt", func() int64 { return int64(sm.Stats().CompactionDebt) })
-	return sm
-}
+	reg.RegisterGaugeFunc(p+".immutables", lm.Immutables.Value)
+	reg.RegisterGaugeFunc(p+".compaction_debt", lm.CompactionDebt.Value)
 
-// newNodeGovernor builds a node's ingestion governor, feeds it the byte
-// sources of every layer that buffers ingested data on the node — feed
-// backlogs and spill files (core), memtables (lsm), in-flight frames
-// (hyracks) — plus the LSM backpressure signal, registers it as the node
-// service the intake operators and the elastic controller consult, and
-// publishes its state under "node.<name>.governor.*".
-func newNodeGovernor(reg *metrics.Registry, cluster *hyracks.Cluster, name string, sm *storage.Manager, cfg governor.Config) *governor.Governor {
-	g := governor.New(name, cfg)
-	nc := cluster.Node(name)
-	g.RegisterSource("lsm", func() int64 { return int64(sm.Stats().MemtableBytes) })
-	g.RegisterSource("frames", nc.InFlightFrameBytes)
-	// The node's FeedManager is installed lazily by the first feed scheduled
-	// here, so the source resolves it per call rather than capturing it.
-	g.RegisterSource("feeds", func() int64 {
-		fm, _ := nc.Service(core.FeedManagerService).(*core.FeedManager)
-		if fm == nil {
-			return 0
-		}
-		return fm.TrackedBytes()
-	})
-	// LSM backpressure: frozen memtables queued for flush plus runs awaiting
-	// compaction. Four queued background units count as "at budget", so a
-	// storage layer that cannot keep up throttles intake even while tracked
-	// bytes still look healthy (write stalls are the end state this avoids).
-	g.RegisterSignal("lsm_backpressure", func() float64 {
-		st := sm.Stats()
-		return float64(st.Immutables+st.CompactionDebt) / 4
-	})
-	p := "node." + name + ".governor"
+	g := core.NewNodeGovernor(n, lm, govCfg)
+	p = "node." + name + ".governor"
 	reg.RegisterGaugeFunc(p+".budget_bytes", g.Budget)
 	reg.RegisterGaugeFunc(p+".tracked_bytes", g.TrackedBytes)
 	reg.RegisterGaugeFunc(p+".pressure_permille", func() int64 { return int64(g.Pressure() * 1000) })
@@ -269,8 +240,7 @@ func newNodeGovernor(reg *metrics.Registry, cluster *hyracks.Cluster, name strin
 	reg.RegisterCounter(p+".shed_records", &g.ShedRecords)
 	reg.RegisterCounter(p+".delays", &g.Delays)
 	reg.RegisterCounter(p+".elastic_vetoes", &g.ElasticVetoes)
-	nc.SetService(governor.ServiceName, g)
-	return g
+	return sm
 }
 
 func catalogPath(root string) string { return root + "/catalog.adm" }
@@ -316,9 +286,7 @@ func (in *Instance) AddNode(name string) error {
 	if err != nil {
 		return err
 	}
-	sm := newNodeStorage(in.registry, name, nodeDir(in.dataDir, name), lsm.Options{})
-	n.SetService(storage.ServiceName, sm)
-	newNodeGovernor(in.registry, in.cluster, name, sm, in.govCfg)
+	startNode(in.registry, n, nodeDir(in.dataDir, name), lsm.Options{}, in.govCfg)
 	return nil
 }
 

@@ -6,6 +6,10 @@ set -eu
 go build ./...
 echo "build: ok"
 
+# The number simplicity PRs are judged by, against the previous commit.
+# Informational: it never fails the run.
+make -s loc REF=HEAD~1 || true
+
 go vet ./...
 echo "vet: ok"
 
@@ -22,6 +26,26 @@ if grep -rn "feedlint:allow lockorder" internal/lsm/ >/dev/null 2>&1; then
 	exit 1
 fi
 echo "lsm lockorder suppressions: none"
+
+# Frames and feed buffers are garbage-collected: the header pool this guards
+# against recycled nothing on the feed path (a frame a subscription kept was
+# never put back) and cost three ownership rules. To lift the guard, show an
+# Ablations row in DESIGN.md from interleaved bench/run.sh pairs in which the
+# pool moves an end-to-end metric.
+if grep -rn "sync\.Pool" internal/hyracks internal/core --include='*.go' >/dev/null 2>&1; then
+	echo "sync.Pool is back under internal/hyracks or internal/core:" >&2
+	grep -rn "sync\.Pool" internal/hyracks internal/core --include='*.go' >&2
+	exit 1
+fi
+# The governor sums atomic loads on every call and holds no cache, so it has
+# no use for a clock (the token bucket's is in admission.go/clock.go). A
+# "time" import in governor.go means a TTL or a timestamp came back: the same
+# proof — an Ablations row from interleaved pairs — is what lifts this.
+if grep -n '"time"' internal/governor/governor.go >/dev/null 2>&1; then
+	echo 'internal/governor/governor.go imports "time" again' >&2
+	exit 1
+fi
+echo "frame pool and governor clock: none"
 
 go test ./...
 echo "test: ok"

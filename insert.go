@@ -109,7 +109,7 @@ func (r *insertSourceRuntime) Fail(err error)                 { r.out.Fail(err) 
 func (r *insertSourceRuntime) Run() error {
 	defer r.out.Close()
 	const frameCap = 128
-	f := hyracks.GetFrame(frameCap)
+	f := hyracks.NewFrame(frameCap)
 	for _, rec := range r.op.recs {
 		select {
 		case <-r.ctx.Canceled:
@@ -121,13 +121,12 @@ func (r *insertSourceRuntime) Run() error {
 			if err := r.out.NextFrame(f); err != nil {
 				return err
 			}
-			f = hyracks.GetFrame(frameCap)
+			f = hyracks.NewFrame(frameCap)
 		}
 	}
 	if f.Len() > 0 {
 		return r.out.NextFrame(f)
 	}
-	hyracks.PutFrame(f) // never handed off: safe to recycle
 	return nil
 }
 
@@ -170,13 +169,7 @@ func (r *insertStoreRuntime) NextFrame(f *hyracks.Frame) error {
 	if err := r.part.InsertFrame(f.Records); err != nil {
 		return err
 	}
-	if err := r.out.NextFrame(f); err != nil {
-		return err
-	}
-	// The insert job wires this operator as its terminal sink (out is the
-	// framework's NopWriter), so this task owns the frame at end of life.
-	hyracks.PutFrame(f)
-	return nil
+	return r.out.NextFrame(f)
 }
 
 func (r *insertStoreRuntime) Close() error   { return r.out.Close() }

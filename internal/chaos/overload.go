@@ -115,33 +115,19 @@ func RunOverload(sc OverloadScenario) (*OverloadResult, error) {
 		FrameCapacity:     32,
 	}, nodes...)
 	mgrs := make(map[string]*storage.Manager, len(nodes))
+	lsmGauges := make(map[string]*lsm.Metrics, len(nodes))
 	govs := make(map[string]*governor.Governor, len(nodes))
 	for _, n := range nodes {
+		lm := &lsm.Metrics{}
 		sm := storage.NewManager(n, filepath.Join(dir, n), lsm.Options{
 			MemtableBytes: 8 << 10,
+			Metrics:       lm,
 		})
-		mgrs[n] = sm
+		mgrs[n], lsmGauges[n] = sm, lm
 		nc := cluster.Node(n)
 		nc.SetService(storage.ServiceName, sm)
-		// Wire each node's governor exactly as the instance boot does: feed
-		// backlogs + spill (lazily through the FeedManager service), LSM
-		// memtables, in-flight frames, and the LSM backpressure signal.
-		g := governor.New(n, governor.Config{BudgetBytes: sc.BudgetBytes})
-		g.RegisterSource("lsm", func() int64 { return int64(sm.Stats().MemtableBytes) })
-		g.RegisterSource("frames", nc.InFlightFrameBytes)
-		g.RegisterSource("feeds", func() int64 {
-			fm, _ := nc.Service(core.FeedManagerService).(*core.FeedManager)
-			if fm == nil {
-				return 0
-			}
-			return fm.TrackedBytes()
-		})
-		g.RegisterSignal("lsm_backpressure", func() float64 {
-			st := sm.Stats()
-			return float64(st.Immutables+st.CompactionDebt) / 4
-		})
-		nc.SetService(governor.ServiceName, g)
-		govs[n] = g
+		// The governor the instance boot wires, over the same counters.
+		govs[n] = core.NewNodeGovernor(nc, lm, governor.Config{BudgetBytes: sc.BudgetBytes})
 	}
 
 	catalog := metadata.NewCatalog()
@@ -369,6 +355,11 @@ func RunOverload(sc OverloadScenario) (*OverloadResult, error) {
 	}
 	close(samplerStop)
 	samplerWG.Wait()
+	if res.Passed() {
+		if why := accountingSettled(cluster, mgrs, lsmGauges); why != "" {
+			res.failf("pushed accounting after drain: %s", why)
+		}
+	}
 
 	hiAct := activityOf(mgr, connHi.ID())
 	loAct := activityOf(mgr, connLo.ID())
@@ -378,13 +369,12 @@ func RunOverload(sc OverloadScenario) (*OverloadResult, error) {
 
 	// Invariant 1: bounded memory. The budget bounds the governed term (the
 	// joint backlog the flood would otherwise grow without limit); the 2x
-	// factor covers admission-burst tokens and the pressure-cache staleness
-	// window, and the fixed allowance covers layers that are structurally
-	// bounded regardless of the governor — execution queues are capped at
-	// QueueDepth frames each and memtables at MaxImmutables rotations — but
-	// together exceed the deliberately tiny test budget. None of these
-	// terms scales with flood volume, so an ungoverned backlog still blows
-	// through the bound.
+	// factor covers admission-burst tokens, and the fixed allowance covers
+	// layers that are structurally bounded regardless of the governor —
+	// execution queues are capped at QueueDepth frames each and memtables at
+	// MaxImmutables rotations — but together exceed the deliberately tiny
+	// test budget. None of these terms scales with flood volume, so an
+	// ungoverned backlog still blows through the bound.
 	const fixedOverheadAllowance = 64 << 10
 	bound := 2*sc.BudgetBytes + fixedOverheadAllowance
 	if res.MaxTrackedBytes > bound {
@@ -431,6 +421,33 @@ func RunOverload(sc OverloadScenario) (*OverloadResult, error) {
 		break
 	}
 	return res, nil
+}
+
+// accountingSettled checks, once the feeds have drained, that every node's
+// pushed counters say what a walk over the owners says: no feed backlog or
+// spill bytes, no frame in flight, and the three lsm gauges equal to the
+// storage manager's own sums (memtables legitimately still hold data). The
+// two sides are read a moment apart while flushes still run, so a mismatch
+// is given a second to settle; a counter that drifted never does. It
+// returns the last mismatch, or "".
+func accountingSettled(cluster *hyracks.Cluster, mgrs map[string]*storage.Manager, gauges map[string]*lsm.Metrics) string {
+	var why string
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(5 * time.Millisecond) {
+		why = ""
+		for n, sm := range mgrs {
+			nc, lm, st := cluster.Node(n), gauges[n], sm.Stats()
+			fm := nc.Service(core.FeedManagerService).(*core.FeedManager)
+			got := [5]int64{fm.TrackedBytes(), nc.InFlightFrameBytes(),
+				lm.MemtableBytes.Value(), lm.Immutables.Value(), lm.CompactionDebt.Value()}
+			want := [5]int64{0, 0, int64(st.MemtableBytes), int64(st.Immutables), int64(st.CompactionDebt)}
+			if got != want {
+				why = fmt.Sprintf("node %s: feeds, frames, memtable bytes, immutables, debt = %v, want %v", n, got, want)
+			}
+		}
+		if why == "" || time.Now().After(deadline) {
+			return why
+		}
+	}
 }
 
 // activityOf returns the named connection's activity snapshot.

@@ -63,7 +63,7 @@ func (t *ackTracker) register(partition int) chan *hyracks.Frame {
 // track retains a frame's records at an intake partition and returns their
 // tracking ids, one per record (consecutive: the whole frame is tracked
 // under one lock hold). The record bytes are retained, not copied: records
-// are immutable once in a frame and outlive it (see hyracks.PutFrame).
+// are immutable once in a frame and outlive it.
 func (t *ackTracker) track(partition int, recs [][]byte) []uint64 {
 	ids := make([]uint64, len(recs))
 	t.mu.Lock()

@@ -141,12 +141,8 @@ func NewManager(cluster *hyracks.Cluster, catalog *metadata.Catalog, opt Options
 }
 
 func (m *Manager) installFeedManager(node string) {
-	n := m.cluster.Node(node)
-	if n == nil {
-		return
-	}
-	if n.Service(FeedManagerService) == nil {
-		n.SetService(FeedManagerService, NewFeedManager(node))
+	if n := m.cluster.Node(node); n != nil {
+		feedManagerOn(n)
 	}
 }
 

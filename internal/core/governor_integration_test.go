@@ -13,7 +13,7 @@ import (
 // admission decision for a gated class is metered against a near-empty
 // token bucket, so effectively everything beyond the first burst sheds.
 func overloadedGovernor() *governor.Governor {
-	g := governor.New("A", governor.Config{BudgetBytes: 1, PressureInterval: -1})
+	g := governor.New("A", governor.Config{BudgetBytes: 1})
 	g.RegisterSource("test", func() int64 { return 100 })
 	return g
 }
@@ -132,7 +132,7 @@ func TestGovernorHighPriorityUnaffectedUnderPressure(t *testing.T) {
 // the feed layer's contribution to governor-tracked bytes is exactly zero:
 // the backlog-byte and spill-byte accounts both return to empty.
 func TestGovernorTrackedBytesZeroAtQuiescence(t *testing.T) {
-	g := governor.New("A", governor.Config{PressureInterval: -1})
+	g := governor.New("A", governor.Config{})
 	fm := NewFeedManager("A")
 	g.RegisterSource("feeds", fm.TrackedBytes)
 
@@ -164,7 +164,7 @@ func TestGovernorTrackedBytesZeroAtQuiescence(t *testing.T) {
 // elastic event.
 func TestGovernorVetoesScaleOutOverBudget(t *testing.T) {
 	h := newHarness(t, "A")
-	g := governor.New("A", governor.Config{BudgetBytes: 1, PressureInterval: -1})
+	g := governor.New("A", governor.Config{BudgetBytes: 1})
 	var over atomic.Int64
 	g.RegisterSource("test", over.Load)
 	h.cluster.Node("A").SetService(governor.ServiceName, g)

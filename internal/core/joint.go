@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asterixfeeds/internal/governor"
@@ -55,6 +56,10 @@ type Joint struct {
 	// node is the hosting node; partition the producing task's index.
 	node      string
 	partition int
+	// tracked is the hosting FeedManager's byte counter (a counter of the
+	// joint's own when no FeedManager created it), handed on to every
+	// subscription.
+	tracked *atomic.Int64
 
 	mu     sync.Mutex
 	subs   map[string]*Subscription
@@ -72,6 +77,7 @@ func newJoint(signature, node string, partition int) *Joint {
 		signature:         signature,
 		node:              node,
 		partition:         partition,
+		tracked:           new(atomic.Int64),
 		subs:              make(map[string]*Subscription),
 		subscriberArrived: make(chan struct{}, 1),
 	}
@@ -172,7 +178,7 @@ func (j *Joint) Subscribe(subID string, pol *Policy, spillPath string) (*Subscri
 	if s, ok := j.subs[subID]; ok {
 		return s, nil
 	}
-	s, err := newSubscription(subID, pol, spillPath)
+	s, err := newSubscription(subID, pol, spillPath, j.tracked)
 	if err != nil {
 		return nil, err
 	}
@@ -216,12 +222,7 @@ func (j *Joint) DropSubscription(subID string) {
 // consumes at its own pace (guaranteed delivery + congestion isolation,
 // §5.4.1). Frames are immutable and garbage-collected, so sharing one among
 // several subscribers needs no bookkeeping.
-//
-// The return value reports whether any subscription retained the frame: a
-// false return means the caller remains the frame's sole owner and may
-// recycle its header (hyracks.PutFrame) — record byte slices may still be
-// referenced downstream (spill copies, throttled sub-frames) either way.
-func (j *Joint) Deposit(f *hyracks.Frame) (retained bool) {
+func (j *Joint) Deposit(f *hyracks.Frame) {
 	j.mu.Lock()
 	subs := make([]*Subscription, 0, len(j.subs))
 	for _, s := range j.subs {
@@ -232,30 +233,8 @@ func (j *Joint) Deposit(f *hyracks.Frame) (retained bool) {
 	j.mu.Unlock()
 
 	for _, s := range subs {
-		if s.offer(f) {
-			retained = true
-		}
+		s.offer(f)
 	}
-	return retained
-}
-
-// trackedBytes sums the subscriptions' backlog and spill bytes — the
-// joint's contribution to the node governor's tracked total. Subscriptions
-// are copied out under j.mu and summed outside it: bytesTracked takes each
-// subscription's lock, and offer paths already hold one while querying the
-// governor.
-func (j *Joint) trackedBytes() int64 {
-	j.mu.Lock()
-	subs := make([]*Subscription, 0, len(j.subs))
-	for _, s := range j.subs {
-		subs = append(subs, s)
-	}
-	j.mu.Unlock()
-	var n int64
-	for _, s := range subs {
-		n += s.bytesTracked()
-	}
-	return n
 }
 
 // headClass reports the priority class the joint's producing head should be
@@ -339,8 +318,11 @@ type Subscription struct {
 	backlog int // records currently queued in memory
 	// backlogBytes is the in-memory backlog in bytes; with the spill
 	// file's on-disk footprint it is the subscription's contribution to
-	// the node governor's tracked total.
+	// the node governor's tracked total: tracked is the FeedManager's
+	// counter, published what this subscription last added to it.
 	backlogBytes int64
+	tracked      *atomic.Int64
+	published    int64
 	spill        *spillFile
 	draining     bool
 	closed       bool
@@ -360,9 +342,7 @@ type Subscription struct {
 	// spillLogOnce limits spill-error logging to once per subscription.
 	spillLogOnce sync.Once
 	// adm, when set, is the node governor's admission handle for this
-	// subscription's connection. offer consults it before taking s.mu:
-	// the governor's byte sources walk subscription locks, so deciding
-	// admission under s.mu would close a lock cycle.
+	// subscription's connection.
 	adm *governor.Admission
 }
 
@@ -372,12 +352,13 @@ type queuedFrame struct {
 	arrivedAt time.Time
 }
 
-func newSubscription(id string, pol *Policy, spillPath string) (*Subscription, error) {
+func newSubscription(id string, pol *Policy, spillPath string, tracked *atomic.Int64) (*Subscription, error) {
 	s := &Subscription{
-		id:     id,
-		pol:    pol,
-		notify: make(chan struct{}, 1),
-		rnd:    rand.New(rand.NewSource(int64(len(id)) + 42)),
+		id:      id,
+		pol:     pol,
+		tracked: tracked,
+		notify:  make(chan struct{}, 1),
+		rnd:     rand.New(rand.NewSource(int64(len(id)) + 42)),
 	}
 	if pol.Spill {
 		sf, err := newSpillFile(spillPath, pol.MaxSpillBytes)
@@ -425,23 +406,18 @@ func (s *Subscription) SetAdmission(adm *governor.Admission) {
 	s.mu.Unlock()
 }
 
-func (s *Subscription) admission() *governor.Admission {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.adm
-}
-
-// bytesTracked is the subscription's contribution to the governor's
-// tracked total: in-memory backlog bytes plus the spill file's current
-// on-disk footprint.
-func (s *Subscription) bytesTracked() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// publishLocked adds to the FeedManager's counter the difference between
+// the bytes the subscription holds now — queued in memory and parked in its
+// spill file — and what it last published, so the counter cannot drift from
+// the fields it is derived from. Every critical section that queues,
+// dequeues, spills or drops calls it before releasing s.mu.
+func (s *Subscription) publishLocked() {
 	n := s.backlogBytes
 	if s.spill != nil {
 		n += s.spill.bytes
 	}
-	return n
+	s.tracked.Add(n - s.published)
+	s.published = n
 }
 
 // Stats returns a snapshot of the subscription's counters.
@@ -465,21 +441,15 @@ func (s *Subscription) isDraining() bool {
 
 // offer is the enqueue path called by Joint.Deposit; it applies the node
 // governor's admission decision and then the ingestion policy's
-// excess-record handling (Table 4.2). It reports whether the subscription
-// retained f itself — false when the frame was dropped, throttled into a
-// fresh frame, or copied to the spill file.
-func (s *Subscription) offer(f *hyracks.Frame) (retained bool) {
-	// Admission is decided before s.mu is taken (see the adm field note).
-	shed := false
-	if adm := s.admission(); adm != nil && adm.Admit(int64(f.Bytes()), int64(f.Len())) == governor.Shed {
-		shed = true
-	}
+// excess-record handling (Table 4.2).
+func (s *Subscription) offer(f *hyracks.Frame) {
 	s.mu.Lock()
 	if s.closed || s.draining {
 		s.mu.Unlock()
-		return false
+		return
 	}
 	s.stats.Received += int64(f.Len())
+	shed := s.adm != nil && s.adm.Admit(int64(f.Bytes()), int64(f.Len())) == governor.Shed
 	if shed && (s.pol.Discard || s.pol.Throttle) {
 		// The governor refused admission and the policy permits loss:
 		// shed the whole frame. Non-lossy policies instead fall through
@@ -487,19 +457,14 @@ func (s *Subscription) offer(f *hyracks.Frame) (retained bool) {
 		// Basic, buffering — the blocking head gate is what slows a
 		// non-lossy feed down).
 		s.stats.GovernorShed += int64(f.Len())
-		adm := s.adm
+		s.adm.CountShed(int64(f.Len()))
 		s.mu.Unlock()
-		if adm != nil {
-			adm.CountShed(int64(f.Len()))
-		}
-		return false
+		return
 	}
 	excess := s.backlog >= s.pol.MemoryBudgetRecords || shed
-	var elasticCB func()
 	switch {
 	case !excess:
 		s.enqueueLocked(f)
-		retained = true
 	case s.pol.Discard:
 		// Drop the whole frame until the backlog clears (§7.3.3):
 		// contiguous runs of records go missing.
@@ -512,8 +477,7 @@ func (s *Subscription) offer(f *hyracks.Frame) (retained bool) {
 			// overflow area is broken, not exhausted. Count it (the
 			// console surfaces SpillErrors) and say so once; the frame
 			// still falls back below, so no records are lost.
-			s.stats.SpillErrors++
-			s.logSpillError(err)
+			s.spillErrorLocked(err)
 		}
 		switch {
 		case err == nil && ok:
@@ -527,7 +491,6 @@ func (s *Subscription) offer(f *hyracks.Frame) (retained bool) {
 			// Spill budget exhausted or spill write failed: fall back
 			// to buffering in memory, as the Basic policy would.
 			s.enqueueLocked(f)
-			retained = true
 		}
 	case s.pol.Throttle:
 		s.throttleLocked(f)
@@ -535,19 +498,16 @@ func (s *Subscription) offer(f *hyracks.Frame) (retained bool) {
 		// Basic policy: keep buffering in memory (§7.3.1). Memory
 		// growth is the caller's risk, exactly as in the paper.
 		s.enqueueLocked(f)
-		retained = true
-		if s.pol.Elastic {
-			elasticCB = s.onExcess
-		}
 	}
-	if excess && s.pol.Elastic && elasticCB == nil {
+	var elasticCB func()
+	if excess && s.pol.Elastic {
 		elasticCB = s.onExcess
 	}
+	s.publishLocked()
 	s.mu.Unlock()
 	if elasticCB != nil {
 		elasticCB()
 	}
-	return retained
 }
 
 // pushSpillLocked appends f to the spill file, first consulting the
@@ -561,11 +521,12 @@ func (s *Subscription) pushSpillLocked(f *hyracks.Frame) (bool, error) {
 	return s.spill.push(f)
 }
 
-// logSpillError reports the first spill write failure of this
-// subscription's lifetime; later ones only count.
-func (s *Subscription) logSpillError(err error) {
+// spillErrorLocked counts a spill-file I/O failure and reports the first of
+// this subscription's lifetime; later ones only count.
+func (s *Subscription) spillErrorLocked(err error) {
+	s.stats.SpillErrors++
 	s.spillLogOnce.Do(func() {
-		log.Printf("core: subscription %s: spill write failed: %v; excess frames buffer in memory", s.id, err)
+		log.Printf("core: subscription %s: %v (no frame is lost; later spill failures are only counted)", s.id, err)
 	})
 }
 
@@ -599,9 +560,14 @@ func (s *Subscription) enqueueLocked(f *hyracks.Frame) {
 	}
 }
 
+// spillRetryDelay spaces Next's attempts to read back a spill file whose
+// last read failed.
+const spillRetryDelay = 10 * time.Millisecond
+
 // Next dequeues the next frame, blocking until one is available, the
 // subscription is drained-and-closed (ok=false), or cancel fires (ok=false
-// with canceled=true).
+// with canceled=true). A subscription is not drained while its spill file
+// holds frames: one that cannot be read back is retried, not skipped.
 func (s *Subscription) Next(cancel <-chan struct{}) (f *hyracks.Frame, ok bool) {
 	for {
 		s.mu.Lock()
@@ -617,19 +583,27 @@ func (s *Subscription) Next(cancel <-chan struct{}) (f *hyracks.Frame, ok bool) 
 			// Replenish from spill once memory has room (deferred
 			// processing resumes "as soon as resources are available",
 			// §4.5).
-			s.replenishFromSpillLocked()
+			for s.backlog < s.pol.MemoryBudgetRecords/2 {
+				sf := s.popSpillLocked()
+				if sf == nil {
+					break
+				}
+				s.enqueueLocked(sf)
+			}
+			s.publishLocked()
 			s.mu.Unlock()
 			return f, true
 		}
 		// Memory queue empty: pull directly from spill if present.
-		if s.spill != nil && s.spill.pending() > 0 {
-			sf, err := s.spill.pop()
-			if err == nil && sf != nil {
-				s.mu.Unlock()
-				return sf, true
-			}
+		if sf := s.popSpillLocked(); sf != nil {
+			s.publishLocked()
+			s.mu.Unlock()
+			return sf, true
 		}
-		if s.closed || s.draining {
+		var retry <-chan time.Time
+		if s.spill != nil && s.spill.pending() > 0 {
+			retry = time.After(spillRetryDelay)
+		} else if s.closed || s.draining {
 			s.closed = true
 			s.mu.Unlock()
 			return nil, false
@@ -637,25 +611,25 @@ func (s *Subscription) Next(cancel <-chan struct{}) (f *hyracks.Frame, ok bool) 
 		s.mu.Unlock()
 		select {
 		case <-s.notify:
+		case <-retry:
 		case <-cancel:
 			return nil, false
 		}
 	}
 }
 
-func (s *Subscription) replenishFromSpillLocked() {
+// popSpillLocked reads the oldest spilled frame, or returns nil when there
+// is none or the read failed; a failure is counted and the frame stays where
+// it was for the next attempt.
+func (s *Subscription) popSpillLocked() *hyracks.Frame {
 	if s.spill == nil {
-		return
+		return nil
 	}
-	for s.backlog < s.pol.MemoryBudgetRecords/2 && s.spill.pending() > 0 {
-		f, err := s.spill.pop()
-		if err != nil || f == nil {
-			return
-		}
-		s.queue = append(s.queue, queuedFrame{f, nowFunc()})
-		s.backlog += f.Len()
-		s.backlogBytes += int64(f.Bytes())
+	f, err := s.spill.pop()
+	if err != nil {
+		s.spillErrorLocked(err)
 	}
+	return f
 }
 
 // requeue returns a dequeued frame to the head of the queue. An intake that
@@ -663,12 +637,17 @@ func (s *Subscription) replenishFromSpillLocked() {
 // so the frame stays in the parked subscription state a re-attached intake
 // adopts (the "zombie" adoption of §6.2.2) — records that were never tracked
 // have no replay covering them, so dropping the frame here would lose them.
+// A closed subscription has dropped everything it held and keeps nothing.
 func (s *Subscription) requeue(f *hyracks.Frame) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
 	s.queue = append([]queuedFrame{{f, nowFunc()}}, s.queue...)
 	s.backlog += f.Len()
 	s.backlogBytes += int64(f.Bytes())
-	s.mu.Unlock()
+	s.publishLocked()
 }
 
 // Backlog reports the in-memory backlog in records.
@@ -701,6 +680,7 @@ func (s *Subscription) discardAndClose() {
 	s.backlogBytes = 0
 	sp := s.spill
 	s.spill = nil
+	s.publishLocked()
 	s.mu.Unlock()
 	if sp != nil {
 		sp.close()

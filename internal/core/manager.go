@@ -3,9 +3,12 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"asterixfeeds/internal/governor"
 	"asterixfeeds/internal/hyracks"
+	"asterixfeeds/internal/lsm"
 )
 
 // FeedManagerService is the node-service key under which each node's
@@ -20,6 +23,10 @@ const FeedManagerService = "feed-manager"
 // left behind.
 type FeedManager struct {
 	node string
+	// tracked is the backlog and spill bytes held by every subscription of
+	// every hosted joint: each subscription adds the change in its own share
+	// (Subscription.publishLocked) and withdraws it when it closes.
+	tracked atomic.Int64
 
 	mu     sync.Mutex
 	joints map[jointKey]*Joint
@@ -38,6 +45,40 @@ func NewFeedManager(node string) *FeedManager {
 // Node returns the owning node's name.
 func (m *FeedManager) Node() string { return m.node }
 
+// feedManagerOn returns node n's FeedManager, installing one if the node has
+// none yet.
+func feedManagerOn(n *hyracks.NodeController) *FeedManager {
+	fm, _ := n.Service(FeedManagerService).(*FeedManager)
+	if fm == nil {
+		fm = NewFeedManager(n.ID())
+		n.SetService(FeedManagerService, fm)
+	}
+	return fm
+}
+
+// NewNodeGovernor builds node n's ingestion governor over the three places
+// the node holds ingested bytes — feed backlogs and spill files (the node's
+// FeedManager), memtables (lm, the lsm.Metrics every tree on the node
+// shares), in-flight frames (n itself) — plus the LSM backpressure signal,
+// and registers it as the node service the intake operators and the elastic
+// controller consult. Every source is an atomic load of a counter its owner
+// keeps current.
+func NewNodeGovernor(n *hyracks.NodeController, lm *lsm.Metrics, cfg governor.Config) *governor.Governor {
+	g := governor.New(n.ID(), cfg)
+	g.RegisterSource("lsm", lm.MemtableBytes.Value)
+	g.RegisterSource("frames", n.InFlightFrameBytes)
+	g.RegisterSource("feeds", feedManagerOn(n).TrackedBytes)
+	// LSM backpressure: frozen memtables queued for flush plus runs awaiting
+	// compaction. Four queued background units count as "at budget", so a
+	// storage layer that cannot keep up throttles intake even while tracked
+	// bytes still look healthy (write stalls are the end state this avoids).
+	g.RegisterSignal("lsm_backpressure", func() float64 {
+		return float64(lm.Immutables.Value()+lm.CompactionDebt.Value()) / 4
+	})
+	n.SetService(governor.ServiceName, g)
+	return g
+}
+
 // CreateJoint registers (or returns the existing) joint for the given
 // stream signature and producing partition.
 func (m *FeedManager) CreateJoint(signature string, partition int) *Joint {
@@ -48,6 +89,7 @@ func (m *FeedManager) CreateJoint(signature string, partition int) *Joint {
 		return j
 	}
 	j := newJoint(signature, m.node, partition)
+	j.tracked = &m.tracked
 	m.joints[k] = j
 	return j
 }
@@ -90,23 +132,10 @@ func (m *FeedManager) RemoveJoint(signature string, partition int) {
 	}
 }
 
-// TrackedBytes sums the backlog and spill bytes buffered across every
-// hosted joint — this node's feed-layer contribution to the ingestion
-// governor's memory accounting. Joints are copied out under m.mu and
-// summed outside it, mirroring the joint's own locking discipline.
-func (m *FeedManager) TrackedBytes() int64 {
-	m.mu.Lock()
-	joints := make([]*Joint, 0, len(m.joints))
-	for _, j := range m.joints {
-		joints = append(joints, j)
-	}
-	m.mu.Unlock()
-	var n int64
-	for _, j := range joints {
-		n += j.trackedBytes()
-	}
-	return n
-}
+// TrackedBytes is the backlog and spill bytes buffered across every hosted
+// joint — this node's feed-layer contribution to the ingestion governor's
+// memory accounting. One atomic load.
+func (m *FeedManager) TrackedBytes() int64 { return m.tracked.Load() }
 
 // Joints lists the signatures of hosted joints (for monitoring and tests).
 func (m *FeedManager) Joints() []string {

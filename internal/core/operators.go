@@ -124,7 +124,7 @@ func newBatchingSink(joint *Joint, frameCap int, flushEvery time.Duration, cance
 	s := &batchingSink{
 		joint:    joint,
 		cap:      frameCap,
-		buf:      hyracks.GetFrame(frameCap),
+		buf:      hyracks.NewFrame(frameCap),
 		stopCh:   make(chan struct{}),
 		canceled: canceled,
 	}
@@ -160,7 +160,7 @@ func (s *batchingSink) EmitEncoded(enc []byte) error {
 	var out *hyracks.Frame
 	if full {
 		out = s.buf
-		s.buf = hyracks.GetFrame(s.cap)
+		s.buf = hyracks.NewFrame(s.cap)
 	}
 	s.mu.Unlock()
 	if out != nil {
@@ -174,7 +174,7 @@ func (s *batchingSink) flush() {
 	var out *hyracks.Frame
 	if s.buf.Len() > 0 {
 		out = s.buf
-		s.buf = hyracks.GetFrame(s.cap)
+		s.buf = hyracks.NewFrame(s.cap)
 	}
 	s.mu.Unlock()
 	if out != nil {
@@ -195,10 +195,7 @@ func (s *batchingSink) deposit(out *hyracks.Frame) {
 			s.adm.Wait(int64(out.Bytes()), int64(out.Len()), s.canceled)
 		}
 	}
-	if !s.joint.Deposit(out) {
-		// No subscription kept the frame: recycle its header.
-		hyracks.PutFrame(out)
-	}
+	s.joint.Deposit(out)
 }
 
 func (s *batchingSink) stop() {
@@ -263,6 +260,14 @@ func (r *intakeRuntime) Run() error {
 	if g := governorOf(r.ctx); g != nil {
 		sub.SetAdmission(g.Admission("feed:"+conn.id, conn.pol.Priority))
 	}
+	// Unsubscribed or dropped, the subscription is reachable only from this
+	// intake: whatever it still holds when the intake leaves — a drain cut
+	// short, its spill file — is released with it.
+	defer func() {
+		if sub.isDraining() {
+			sub.discardAndClose()
+		}
+	}()
 
 	// Pump subscription frames into a channel so the main loop can also
 	// service replays and disconnect signals.

@@ -127,8 +127,7 @@ func (a *Admission) Admit(bytes, records int64) Decision {
 		a.countAdmit(bytes, records)
 		return Admit
 	}
-	_, pressure := a.g.load()
-	if pressure < cls.threshold() {
+	if a.g.Pressure() < cls.threshold() {
 		a.refill(cls, true)
 		a.countAdmit(bytes, records)
 		return Admit

@@ -1,7 +1,7 @@
 // Package governor implements node-wide ingestion admission control: a
-// byte-accounted memory budget fed by pluggable byte sources (LSM memtable
-// and immutable-queue bytes, subscription backlog and spill bytes, in-flight
-// frame bytes) and pressure signals (LSM write stalls, compaction debt),
+// byte-accounted memory budget fed by byte sources (LSM memtable and
+// immutable-queue bytes, subscription backlog and spill bytes, in-flight
+// frame bytes) and pressure signals (queued flushes, compaction debt),
 // arbitrating between feeds with per-connection token-bucket admissions and
 // policy-declared priority classes.
 //
@@ -14,8 +14,9 @@
 // the node gracefully instead of growing memory without bound.
 //
 // The package sits beside internal/metrics in the layering DAG: it imports
-// only metrics, and the layers it arbitrates (core, hyracks, storage) feed
-// it through registered closures rather than direct imports. The embedding
+// only metrics, and the layers it arbitrates (core, hyracks, lsm) each
+// publish the bytes they hold into an atomic counter that a registered
+// source loads — the governor never walks, locks or imports them. The embedding
 // instance registers each node's Governor as the "ingestion-governor" node
 // service and publishes its counters as node.<n>.governor.* metric series.
 package governor

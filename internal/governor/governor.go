@@ -3,7 +3,7 @@ package governor
 import (
 	"sort"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"asterixfeeds/internal/metrics"
 )
@@ -17,11 +17,6 @@ const ServiceName = "ingestion-governor"
 // memtables, in-flight frames), not the process heap.
 const DefaultBudgetBytes = 64 << 20
 
-// defaultPressureInterval caches pressure computations: the byte sources
-// walk subscriptions and storage stats, which would be wasteful to redo on
-// every offered frame.
-const defaultPressureInterval = time.Millisecond
-
 // Config tunes a node's Governor.
 type Config struct {
 	// BudgetBytes is the node-wide memory budget; <=0 means
@@ -31,10 +26,6 @@ type Config struct {
 	// forces every admission decision to Admit — the governor watches
 	// without governing. Benchmarks use it to measure ungoverned growth.
 	ObserveOnly bool
-	// PressureInterval bounds how often tracked bytes and pressure are
-	// recomputed; 0 means defaultPressureInterval, negative disables the
-	// cache entirely (every query recomputes — tests use this).
-	PressureInterval time.Duration
 }
 
 type namedSource struct {
@@ -42,36 +33,27 @@ type namedSource struct {
 	fn   func() int64
 }
 
-type namedSignal struct {
-	name string
-	fn   func() float64
-}
-
 // Governor is one node's ingestion arbiter: registered byte sources sum
 // into tracked bytes, registered signals contribute additional pressure,
 // and per-connection Admissions meter intake against the resulting
 // pressure. All methods are safe for concurrent use.
 //
-// Locking discipline: the governor never calls a source, signal, or any
-// other external code while holding one of its own locks — sources
-// routinely take subscription and storage locks, and intake paths query the
-// governor while holding theirs, so a callback under a governor lock would
-// close a lock cycle.
+// A source is an atomic load: each layer that holds bytes publishes its
+// total into a counter as the total changes, so measuring takes no lock —
+// the governor's own included — and an intake path may ask for pressure
+// while holding its own.
 type Governor struct {
 	node    string
 	budget  int64
 	observe bool
-	ttl     time.Duration
 
-	mu      sync.Mutex
-	sources []namedSource
-	signals []namedSignal
-	adms    map[string]*Admission
+	// sources and signals are replaced, never edited, by registration
+	// (serialized by mu), so measure reads them with one load each.
+	sources atomic.Pointer[[]namedSource]
+	signals atomic.Pointer[[]func() float64]
 
-	cacheMu        sync.Mutex
-	cachedAt       time.Time
-	cachedTracked  int64
-	cachedPressure float64
+	mu   sync.Mutex
+	adms map[string]*Admission
 
 	// Decision counters, published by the embedding instance as
 	// node.<n>.governor.* series. AdmittedBytes/AdmittedRecords count
@@ -94,17 +76,15 @@ func New(node string, cfg Config) *Governor {
 	if budget <= 0 {
 		budget = DefaultBudgetBytes
 	}
-	ttl := cfg.PressureInterval
-	if ttl == 0 {
-		ttl = defaultPressureInterval
-	}
-	return &Governor{
+	g := &Governor{
 		node:    node,
 		budget:  budget,
 		observe: cfg.ObserveOnly,
-		ttl:     ttl,
 		adms:    make(map[string]*Admission),
 	}
+	g.sources.Store(new([]namedSource))
+	g.signals.Store(new([]func() float64))
+	return g
 }
 
 // Node returns the owning node's name.
@@ -117,80 +97,56 @@ func (g *Governor) Budget() int64 { return g.budget }
 func (g *Governor) ObserveOnly() bool { return g.observe }
 
 // RegisterSource adds a named byte source to the tracked total. The
-// function is called outside governor locks and must be safe for concurrent
-// use; negative returns count as zero.
+// function runs on every admission decision, so it must be an atomic load
+// (or arithmetic on atomic loads) and take no lock; negative returns count
+// as zero.
 func (g *Governor) RegisterSource(name string, fn func() int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.sources = append(g.sources, namedSource{name, fn})
+	next := append(append([]namedSource(nil), *g.sources.Load()...), namedSource{name, fn})
+	g.sources.Store(&next)
 }
 
-// RegisterSignal adds a named pressure signal: a function returning a
-// pressure contribution on the same scale as bytes/budget (1.0 means "at
-// budget"). Effective pressure is the maximum of the byte pressure and all
-// signals, so a stalling LSM raises pressure even while tracked bytes look
-// healthy.
+// RegisterSignal adds a pressure signal: a function, under the same rule as
+// a source, returning a pressure contribution on the same scale as
+// bytes/budget (1.0 means "at budget"). Effective pressure is the maximum of
+// the byte pressure and all signals, so a stalling LSM raises pressure even
+// while tracked bytes look healthy. The name labels the call; signals are
+// not reported one by one.
 func (g *Governor) RegisterSignal(name string, fn func() float64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.signals = append(g.signals, namedSignal{name, fn})
+	next := append(append([]func() float64(nil), *g.signals.Load()...), fn)
+	g.signals.Store(&next)
 }
 
-// measure recomputes tracked bytes and pressure. Sources and signals are
-// copied out under the lock and invoked outside it (see the locking
-// discipline above).
-func (g *Governor) measure() (tracked int64, pressure float64) {
-	g.mu.Lock()
-	srcs := append([]namedSource(nil), g.sources...)
-	sigs := append([]namedSignal(nil), g.signals...)
-	g.mu.Unlock()
-	for _, s := range srcs {
-		if v := s.fn(); v > 0 {
-			tracked += v
+// measure sums the sources and folds in the signals. bySource, when
+// non-nil, receives each source's clamped contribution.
+func (g *Governor) measure(bySource map[string]int64) (tracked int64, pressure float64) {
+	for _, s := range *g.sources.Load() {
+		v := max(s.fn(), 0)
+		tracked += v
+		if bySource != nil {
+			bySource[s.name] += v
 		}
 	}
 	pressure = float64(tracked) / float64(g.budget)
-	for _, s := range sigs {
-		if v := s.fn(); v > pressure {
-			pressure = v
-		}
-	}
-	return tracked, pressure
-}
-
-// load returns tracked bytes and pressure, recomputing at most once per
-// PressureInterval.
-func (g *Governor) load() (tracked int64, pressure float64) {
-	if g.ttl > 0 {
-		g.cacheMu.Lock()
-		if !g.cachedAt.IsZero() && nowFunc().Sub(g.cachedAt) < g.ttl {
-			t, p := g.cachedTracked, g.cachedPressure
-			g.cacheMu.Unlock()
-			return t, p
-		}
-		g.cacheMu.Unlock()
-	}
-	tracked, pressure = g.measure()
-	if g.ttl > 0 {
-		g.cacheMu.Lock()
-		g.cachedAt = nowFunc()
-		g.cachedTracked = tracked
-		g.cachedPressure = pressure
-		g.cacheMu.Unlock()
+	for _, signal := range *g.signals.Load() {
+		pressure = max(pressure, signal())
 	}
 	return tracked, pressure
 }
 
 // TrackedBytes returns the current sum of all byte sources.
 func (g *Governor) TrackedBytes() int64 {
-	t, _ := g.load()
+	t, _ := g.measure(nil)
 	return t
 }
 
 // Pressure returns the current effective pressure: max(tracked/budget,
 // signals). 1.0 means the node is exactly at budget.
 func (g *Governor) Pressure() float64 {
-	_, p := g.load()
+	_, p := g.measure(nil)
 	return p
 }
 
@@ -224,17 +180,8 @@ func (g *Governor) DropAdmission(name string) {
 
 // SourceBytes reports each registered source's current contribution.
 func (g *Governor) SourceBytes() map[string]int64 {
-	g.mu.Lock()
-	srcs := append([]namedSource(nil), g.sources...)
-	g.mu.Unlock()
-	out := make(map[string]int64, len(srcs))
-	for _, s := range srcs {
-		v := s.fn()
-		if v < 0 {
-			v = 0
-		}
-		out[s.name] += v
-	}
+	out := make(map[string]int64)
+	g.measure(out)
 	return out
 }
 
@@ -264,14 +211,15 @@ type Snapshot struct {
 
 // Snapshot assembles the console view of this governor.
 func (g *Governor) Snapshot() Snapshot {
-	tracked, pressure := g.measure()
+	sources := make(map[string]int64)
+	tracked, pressure := g.measure(sources)
 	s := Snapshot{
 		Node:          g.node,
 		BudgetBytes:   g.budget,
 		TrackedBytes:  tracked,
 		Pressure:      pressure,
 		ObserveOnly:   g.observe,
-		Sources:       g.SourceBytes(),
+		Sources:       sources,
 		AdmittedBytes: g.AdmittedBytes.Value(),
 		ShedRecords:   g.ShedRecords.Value(),
 		Delays:        g.Delays.Value(),

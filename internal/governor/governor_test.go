@@ -18,7 +18,7 @@ func pinClock(t *testing.T) func(time.Duration) {
 }
 
 func newTestGovernor(budget int64) (*Governor, *atomic.Int64) {
-	g := New("n1", Config{BudgetBytes: budget, PressureInterval: -1})
+	g := New("n1", Config{BudgetBytes: budget})
 	var tracked atomic.Int64
 	g.RegisterSource("test", tracked.Load)
 	return g, &tracked
@@ -75,30 +75,6 @@ func TestQuiescentPressureIsZero(t *testing.T) {
 	tracked.Store(0)
 	if g.TrackedBytes() != 0 || g.Pressure() != 0 || g.OverBudget() {
 		t.Fatalf("quiescent governor reports tracked=%d pressure=%v", g.TrackedBytes(), g.Pressure())
-	}
-}
-
-func TestPressureCache(t *testing.T) {
-	advance := pinClock(t)
-	g := New("n1", Config{BudgetBytes: 1 << 20, PressureInterval: 10 * time.Millisecond})
-	var tracked atomic.Int64
-	g.RegisterSource("test", tracked.Load)
-	tracked.Store(100)
-	if got := g.TrackedBytes(); got != 100 {
-		t.Fatalf("first read = %d", got)
-	}
-	tracked.Store(200)
-	if got := g.TrackedBytes(); got != 100 {
-		t.Fatalf("read within TTL = %d, want cached 100", got)
-	}
-	advance(20 * time.Millisecond)
-	if got := g.TrackedBytes(); got != 200 {
-		t.Fatalf("read after TTL = %d, want fresh 200", got)
-	}
-	// Snapshot always measures fresh, bypassing the cache.
-	tracked.Store(300)
-	if s := g.Snapshot(); s.TrackedBytes != 300 {
-		t.Fatalf("snapshot tracked = %d, want fresh 300", s.TrackedBytes)
 	}
 }
 
@@ -230,7 +206,7 @@ func TestOversizedBatchStillProgresses(t *testing.T) {
 
 func TestObserveOnlyAlwaysAdmits(t *testing.T) {
 	pinClock(t)
-	g := New("n1", Config{BudgetBytes: 1 << 10, ObserveOnly: true, PressureInterval: -1})
+	g := New("n1", Config{BudgetBytes: 1 << 10, ObserveOnly: true})
 	var tracked atomic.Int64
 	g.RegisterSource("test", tracked.Load)
 	tracked.Store(1 << 30)

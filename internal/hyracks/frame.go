@@ -1,7 +1,5 @@
 package hyracks
 
-import "sync"
-
 // Frame is the unit of data exchange between operator tasks: a batch of
 // serialized ADM records. Frames are never mutated after being handed to a
 // Writer; operators that need to modify records build new frames.
@@ -21,44 +19,13 @@ func NewFrame(n int) *Frame {
 	return &Frame{Records: make([][]byte, 0, n)}
 }
 
-// framePool recycles Frame headers (the Records slice), not the record byte
-// slices themselves — records routinely outlive their frame (the storage
-// memtable retains them), so only the header is safe to reuse.
-var framePool = sync.Pool{New: func() any { return new(Frame) }}
+// GetFrame is NewFrame and PutFrame does nothing: frames are garbage-
+// collected. The pair outlived the header pool it named only because the
+// benchmark's replay calls it.
+func GetFrame(n int) *Frame { return NewFrame(n) }
 
-// GetFrame returns an empty pooled frame with capacity for at least n
-// records. Pair with PutFrame when this task is the frame's sole owner at
-// end of life.
-func GetFrame(n int) *Frame {
-	f := framePool.Get().(*Frame)
-	if cap(f.Records) < n {
-		f.Records = make([][]byte, 0, n)
-	}
-	return f
-}
-
-// PutFrame recycles a frame header. Ownership rule: only the frame's sole
-// owner may recycle it — never after handing it to a consumer that may
-// retain it (an enqueueing Writer, a Joint.Deposit that reported the frame
-// retained). The contained record byte slices are released, not recycled.
-func PutFrame(f *Frame) {
-	if f == nil {
-		return
-	}
-	f.Reset()
-	framePool.Put(f)
-}
-
-// Reset empties the frame for reuse, dropping record references and ids
-// while keeping the slices' capacity, so a recycled header never carries a
-// tracked frame's ids into an untracked one.
-func (f *Frame) Reset() {
-	for i := range f.Records {
-		f.Records[i] = nil
-	}
-	f.Records = f.Records[:0]
-	f.IDs = f.IDs[:0]
-}
+// PutFrame does nothing; see GetFrame.
+func PutFrame(*Frame) {}
 
 // Append adds a serialized record to the frame.
 func (f *Frame) Append(rec []byte) { f.Records = append(f.Records, rec) }

@@ -668,19 +668,6 @@ func TestFrameHelpers(t *testing.T) {
 	if len(sl.IDs) != 1 || sl.IDs[0] != 11 {
 		t.Fatalf("Slice ids = %v, want [11]", sl.IDs)
 	}
-	f.Reset()
-	if f.Len() != 0 || len(f.IDs) != 0 {
-		t.Fatalf("Reset left %d records, %d ids", f.Len(), len(f.IDs))
-	}
-	// A pooled header must not leak a tracked frame's ids into its next,
-	// untracked, use. (The pool may hand back any header; none may have ids.)
-	tr := GetFrame(2)
-	tr.Append([]byte{1})
-	tr.IDs = append(tr.IDs, 7)
-	PutFrame(tr)
-	if got := GetFrame(2); len(got.IDs) != 0 || got.Len() != 0 {
-		t.Fatalf("GetFrame after PutFrame of a tracked frame: %d records, ids %v", got.Len(), got.IDs)
-	}
 }
 
 func TestBackPressureDoesNotDeadlock(t *testing.T) {

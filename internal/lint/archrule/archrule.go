@@ -68,11 +68,13 @@ var DefaultRules = []Rule{
 	{Pkg: "internal/core", Deny: []string{"internal/aql", "internal/experiments", "."}},
 	// The chaos harness observes the LSM strictly through its fault-hook
 	// surface (Options/FaultHook wiring, the injection sentinels, Open for
-	// content digests). Reaching into anything else would let invariant
-	// checks depend on internals the faults are supposed to stress.
+	// content digests) and the counters a node publishes (Metrics, which the
+	// governor it exercises is wired over). Reaching into anything else would
+	// let invariant checks depend on internals the faults are supposed to
+	// stress.
 	{Pkg: "internal/chaos", Deny: []string{"internal/aql", "internal/experiments", "."},
 		Restrict: map[string][]string{
-			"internal/lsm": {"Options", "FaultHook", "Tree", "Open",
+			"internal/lsm": {"Options", "FaultHook", "Tree", "Open", "Metrics",
 				"ErrInjected", "ErrTornWrite", "ErrCorruptRead"},
 		}},
 	{Pkg: "*", Deny: []string{"cmd"}},

@@ -349,6 +349,33 @@ func TestClosedTreeRejectsOps(t *testing.T) {
 // flush of higher keys go by: the flush must leave the merge's inputs alone.
 // (Mutation-checked: extending when the lowest key equals the run's last, or
 // while the run is a merge input, fails these seeds.)
+// checkPushed asserts that the gauges of m, shared by trees and nothing else,
+// read the sum of what the trees hold — the fields Tree.Stats reports as
+// MemtableBytes, Immutables and CompactionDebt, nothing for a closed tree.
+// Every tree's lock is held across the comparison, so a background flush or
+// merge cannot publish between the two reads.
+func checkPushed(t *testing.T, step string, m *Metrics, trees ...*Tree) {
+	t.Helper()
+	var want treeLoad
+	for _, tr := range trees {
+		tr.mu.RLock()
+		defer tr.mu.RUnlock()
+		if tr.closed {
+			continue
+		}
+		want.memBytes += tr.mem.size()
+		for _, task := range tr.imms {
+			want.memBytes += task.mem.size()
+		}
+		want.imms += len(tr.imms)
+		want.debt += tr.plan.debt
+	}
+	got := treeLoad{int(m.MemtableBytes.Value()), int(m.Immutables.Value()), int(m.CompactionDebt.Value())}
+	if got != want {
+		t.Fatalf("%s: pushed gauges %+v, the trees hold %+v", step, got, want)
+	}
+}
+
 func TestPropertyModelCheck(t *testing.T) {
 	const keyspace, ops = 320, 300
 	keyOf := func(i int) string { return fmt.Sprintf("k%03d", i) }
@@ -381,7 +408,7 @@ func TestPropertyModelCheck(t *testing.T) {
 	}()
 	for seed := int64(1); seed <= 20; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			opt := Options{Dir: t.TempDir(), MemtableBytes: 1 << 10, MaxRuns: 2}
+			opt := Options{Dir: t.TempDir(), MemtableBytes: 1 << 10, MaxRuns: 2, Metrics: &Metrics{}}
 			// park, when armed, stops the next merge after it has read its
 			// inputs and before it publishes, until release.
 			var armed atomic.Bool
@@ -400,7 +427,10 @@ func TestPropertyModelCheck(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer func() { tr.Close() }()
+			defer func() {
+				tr.Close()
+				checkPushed(t, "after the last Close", opt.Metrics, tr)
+			}()
 			model := map[string]string{}
 			r := rand.New(rand.NewSource(seed))
 
@@ -528,6 +558,7 @@ func TestPropertyModelCheck(t *testing.T) {
 					if err := tr.Close(); err != nil {
 						t.Fatalf("op %d: Close: %v", op, err)
 					}
+					checkPushed(t, fmt.Sprintf("op %d: closed", op), opt.Metrics, tr)
 					if tr, err = Open(opt); err != nil {
 						t.Fatalf("op %d: reopen: %v", op, err)
 					}
@@ -572,6 +603,7 @@ func TestPropertyModelCheck(t *testing.T) {
 					top = max(top, idx)
 				}
 				notePartial(tr, seed)
+				checkPushed(t, fmt.Sprintf("op %d", op), opt.Metrics, tr)
 				if op%25 == 0 {
 					checkAll(op)
 				}

@@ -222,7 +222,7 @@ func TestCorruptManifestFallsBackToScan(t *testing.T) {
 
 // TestStartupDebrisSweep plants every debris species one code path must
 // handle — interrupted flush/merge temps, a torn manifest temp, an
-// uncommitted orphan run, an empty staged WAL segment — and checks one
+// uncommitted orphan run, an empty WAL segment — and checks one
 // reopen removes them all without touching a live record.
 func TestStartupDebrisSweep(t *testing.T) {
 	dir := t.TempDir()
@@ -241,12 +241,12 @@ func TestStartupDebrisSweep(t *testing.T) {
 		"run-000097.lsm.tmp",  // interrupted flush or merge output
 		"MANIFEST-000099.tmp", // interrupted manifest snapshot
 		"run-000098.lsm",      // published run whose commit record was lost
-		"wal-000050.log",      // staged segment that lost its rotation race
+		"wal-000050.log",      // segment opened and never written
 	}
 	for _, name := range debris {
 		content := garbage
 		if name == "wal-000050.log" {
-			content = nil // staged segments are empty by construction
+			content = nil
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
 			t.Fatal(err)

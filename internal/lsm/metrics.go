@@ -52,4 +52,13 @@ type Metrics struct {
 	// one per Open plus one each time manifestRewriteEvery edits fold
 	// into a fresh snapshot.
 	ManifestRewrites metrics.Counter
+	// MemtableBytes, Immutables and CompactionDebt are the sums, over the
+	// open trees sharing this Metrics, of the Stats fields of the same
+	// names. Each tree pushes the change in its own share whenever that
+	// share changes and withdraws it on Close, so a reader — the node
+	// governor, on every offered frame — loads three words instead of
+	// locking every tree.
+	MemtableBytes  metrics.Gauge
+	Immutables     metrics.Gauge
+	CompactionDebt metrics.Gauge
 }

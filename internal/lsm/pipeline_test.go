@@ -410,6 +410,71 @@ func TestBackpressureBoundsImmutableQueue(t *testing.T) {
 	}
 }
 
+// TestPushedGaugesFollowTheTrees holds two trees sharing one Metrics in the
+// states the model check passes through too quickly to observe: frozen
+// memtables queued behind a blocked flusher, a wedged tree (which keeps what
+// it holds), one tree closed beside one open, and a reopen that replays an
+// unflushed tail. In each the gauges must read what the trees hold.
+func TestPushedGaugesFollowTheTrees(t *testing.T) {
+	m := &Metrics{}
+	release, fail := make(chan struct{}), errors.New("disk gone")
+	var wedge atomic.Bool
+	optA := Options{Dir: t.TempDir(), MemtableBytes: 1 << 10, MaxImmutables: 2, Metrics: m, FaultHook: func(op string) error {
+		if op == "flush:bg" {
+			<-release
+			if wedge.Load() {
+				return fail
+			}
+		}
+		return nil
+	}}
+	a := openTest(t, optA)
+	optB := Options{Dir: t.TempDir(), MemtableBytes: 1 << 10, Metrics: m}
+	b := openTest(t, optB)
+
+	val := bytes.Repeat([]byte{'v'}, 64)
+	for i := 0; a.Stats().Immutables < 2; i++ {
+		if err := a.Put([]byte(fmt.Sprintf("a%06d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+		checkPushed(t, "filling a", m, a, b)
+	}
+	fill(t, b, 0, 100, "b")
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fill(t, b, 100, 5, "tail")
+	checkPushed(t, "a's flusher blocked on two frozen memtables", m, a, b)
+	if m.Immutables.Value() != 2 || m.MemtableBytes.Value() < 2<<10 {
+		t.Fatalf("gauges read %d immutables, %d memtable bytes with two full memtables queued",
+			m.Immutables.Value(), m.MemtableBytes.Value())
+	}
+
+	wedge.Store(true)
+	close(release)
+	for a.Put([]byte("late"), val) == nil {
+	}
+	checkPushed(t, "a wedged", m, a, b)
+	if m.Immutables.Value() != 2 {
+		t.Fatalf("a wedged tree still queues its memtables; the gauge reads %d", m.Immutables.Value())
+	}
+
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkPushed(t, "a closed, b open", m, a, b)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkPushed(t, "both closed", m, a, b)
+
+	b = openTest(t, optB)
+	checkPushed(t, "b reopened over its unflushed tail", m, a, b)
+	if m.MemtableBytes.Value() == 0 {
+		t.Fatal("the recovery memtable was not published")
+	}
+}
+
 // TestCrashDuringBackgroundFlushRecoversExactly is the unit-level version of
 // the chaos harness's recovery-exactness invariant: a torn write during a
 // background flush (the crash happens after the run's bytes are written but
@@ -482,8 +547,8 @@ func TestCrashDuringBackgroundFlushRecoversExactly(t *testing.T) {
 // in runs and survives reopen.
 //
 // Flush returns once the last run is published; the flusher deletes that
-// run's segments afterwards, off the lock. Close joins the flusher (and
-// drops the pre-staged spare), so the directory is inspected after Close —
+// run's segments afterwards, off the lock. Close joins the flusher, so the
+// directory is inspected after Close —
 // a state the tree reaches by itself, not a race with a background goroutine.
 func TestWALSegmentLifecycle(t *testing.T) {
 	dir := t.TempDir()

@@ -148,15 +148,14 @@ type Tree struct {
 	imms []*flushTask // newest first; the flusher drains from the tail
 	// set is the published run list, newest first: never nil, never edited,
 	// replaced by publishLocked. plan is the merge policy's answer for it.
-	set     *runSet
-	plan    mergePlan
+	set  *runSet
+	plan mergePlan
+	// pushed is this tree's share of the Metrics gauges as last published;
+	// see publishLoadLocked.
+	pushed  treeLoad
 	wal     *wal     // active segment; rotated with the memtable
 	memSegs []string // replayed segments backing mem (recovery only)
 	walSeq  int      // last WAL segment number issued
-	// nextWAL is a segment pre-opened by the flusher for the next
-	// rotation, so the common rotation path swaps files under t.mu
-	// without creating one. Nil when no segment is staged.
-	nextWAL *wal
 	// man is the durable edit log of committed structural changes (run
 	// published, runs merged, segments retired); see manifest.go. It has
 	// its own serialization (a gate token, like wal.gateC) because commits
@@ -259,6 +258,7 @@ func Open(opt Options) (*Tree, error) {
 		return nil, err
 	}
 	t.wal = w
+	t.publishLoadLocked() // the recovery memtable and the reopened plan
 
 	go t.background(t.flushC, t.flusherDone, t.flushStep)
 	go t.background(t.compactC, t.compactorDone, t.compactOnce)
@@ -270,7 +270,7 @@ func Open(opt Options) (*Tree, error) {
 
 // dropDebris removes a file Open has proven unreferenced. Every startup
 // deletion — interrupted-write temp files, orphaned runs, retired WAL
-// segments, empty staged segments — funnels through here, so the sweep
+// segments, empty segments — funnels through here, so the sweep
 // policy (idempotent: a file already gone is fine) lives in one place.
 func dropDebris(path string) error {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
@@ -435,9 +435,9 @@ func (t *Tree) recoverState() (int, error) {
 
 	// Replay the live tail, oldest first, into the recovery memtable. The
 	// replayed files back that memtable until its flush commits. A segment
-	// that yields no records (the active segment after a clean close, a
-	// staged segment that lost its rotation race) is debris: nothing
-	// references it, so it is swept here rather than replayed forever.
+	// that yields no records (the active segment after a clean close) is
+	// debris: nothing references it, so it is swept here rather than
+	// replayed forever.
 	replayed := 0
 	var kept []string
 	for _, seg := range segs {
@@ -527,10 +527,45 @@ func (t *Tree) kick(c chan struct{}) {
 }
 
 // bumpLocked publishes a state transition: everyone blocked in waitState
-// wakes and re-checks. Callers hold t.mu.
+// wakes and re-checks, and the gauges follow the queue and the plan. Callers
+// hold t.mu.
 func (t *Tree) bumpLocked() {
 	close(t.stateC)
 	t.stateC = make(chan struct{})
+	t.publishLoadLocked()
+}
+
+// treeLoad is what one tree contributes to the gauges of a shared Metrics.
+type treeLoad struct{ memBytes, imms, debt int }
+
+// publishLoadLocked adds to the shared gauges the difference between what
+// the tree holds now — nothing, once closed — and what it last published, so
+// the gauges cannot drift from the fields they are derived from. Every
+// change to those fields is followed by a call under the same hold of t.mu:
+// a write calls it directly, every other change goes through bumpLocked.
+func (t *Tree) publishLoadLocked() {
+	m := t.opt.Metrics
+	if m == nil {
+		return
+	}
+	var now treeLoad
+	if !t.closed {
+		now = treeLoad{t.memBytesLocked(), len(t.imms), t.plan.debt}
+	}
+	m.MemtableBytes.Add(int64(now.memBytes - t.pushed.memBytes))
+	m.Immutables.Add(int64(now.imms - t.pushed.imms))
+	m.CompactionDebt.Add(int64(now.debt - t.pushed.debt))
+	t.pushed = now
+}
+
+// memBytesLocked is the footprint of the mutable memtable and the frozen
+// ones queued for flush.
+func (t *Tree) memBytesLocked() int {
+	n := t.mem.size()
+	for _, task := range t.imms {
+		n += task.mem.size()
+	}
+	return n
 }
 
 // waitState blocks until the state channel captured under the lock is
@@ -613,6 +648,7 @@ func (t *Tree) applyBatchLocked(b *Batch) (w *wal, syncDue bool, err error) {
 		return nil, false, err
 	}
 	t.mem.putBatch(b.ops)
+	t.publishLoadLocked()
 	syncDue, err = t.wal.flushDue()
 	if err != nil {
 		return nil, false, err
@@ -656,17 +692,9 @@ func (t *Tree) admitLocked(stalled *bool) (<-chan struct{}, error) {
 // segment is opened first so a failure leaves the tree unchanged. Callers
 // hold t.mu and have verified queue space.
 func (t *Tree) rotateLocked() error {
-	var nw *wal
-	if t.nextWAL != nil {
-		nw = t.nextWAL
-		t.nextWAL = nil
-		t.walSeq++ // consume the staged segment's number
-	} else {
-		var err error
-		nw, err = t.newSegment()
-		if err != nil {
-			return err
-		}
+	nw, err := t.newSegment()
+	if err != nil {
+		return err
 	}
 	if err := t.wal.seal(); err != nil {
 		_ = nw.close()
@@ -921,51 +949,11 @@ func (t *Tree) background(kick <-chan struct{}, done chan<- struct{}, step func(
 // first retire failure), which keeps reopen-time replay correct: a segment
 // is only ever deleted after every older segment's deletion succeeded.
 func (t *Tree) flushStep() (bool, error) {
-	t.prepSegment()
 	tasks := t.pendingTasks()
 	if len(tasks) == 0 {
 		return false, nil
 	}
 	return true, t.flushTasks(tasks)
-}
-
-// prepSegment stages a pre-opened WAL segment for the next rotation, with
-// the file creation done off the tree lock. Only the flusher calls it (a
-// single staging producer), every rotation kicks the flusher, and the
-// fallback path in rotateLocked opens inline — so staging is purely a
-// latency optimization with no correctness weight. Open errors are
-// swallowed here for the same reason: the rotation will retry inline and
-// surface them to the writer.
-func (t *Tree) prepSegment() {
-	t.mu.RLock()
-	if t.closed || t.bgErr != nil || t.nextWAL != nil {
-		t.mu.RUnlock()
-		return
-	}
-	seq := t.walSeq + 1
-	t.mu.RUnlock()
-	path := filepath.Join(t.opt.Dir, fmt.Sprintf("wal-%06d.log", seq))
-	w, err := openWAL(path, t.opt.SyncWAL, t.opt.FaultHook, t.opt.Metrics)
-	if err != nil {
-		return
-	}
-	t.mu.Lock()
-	if !t.closed && t.bgErr == nil && t.nextWAL == nil && t.walSeq+1 == seq {
-		t.nextWAL = w
-		t.mu.Unlock()
-		return
-	}
-	claimed := t.walSeq >= seq
-	t.mu.Unlock()
-	if claimed {
-		// A rotation opened this segment number inline while we raced: the
-		// path now belongs to a live wal, so only close our spare handle —
-		// removing the file would pull it out from under the writer.
-		_ = w.close()
-		return
-	}
-	// Tree closing or wedged with the number unclaimed: drop the stray file.
-	_ = w.discard()
 }
 
 // pendingTasks snapshots the queued immutables, oldest first.
@@ -1216,7 +1204,7 @@ func (t *Tree) Stats() Stats {
 	defer t.mu.RUnlock()
 	s := Stats{
 		MemtableEntries: t.mem.len(),
-		MemtableBytes:   t.mem.size(),
+		MemtableBytes:   t.memBytesLocked(),
 		Immutables:      len(t.imms),
 		Runs:            len(t.set.runs),
 		Segments:        t.set.segments,
@@ -1229,7 +1217,6 @@ func (t *Tree) Stats() Stats {
 	}
 	for _, task := range t.imms {
 		s.MemtableEntries += task.mem.len()
-		s.MemtableBytes += task.mem.size()
 	}
 	return s
 }
@@ -1255,13 +1242,6 @@ func (t *Tree) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var first error
-	if t.nextWAL != nil {
-		// Staged but never used: remove the empty segment file.
-		if err := t.nextWAL.discard(); err != nil {
-			first = err
-		}
-		t.nextWAL = nil
-	}
 	if err := t.wal.close(); err != nil {
 		first = err
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"asterixfeeds/internal/adm"
 	"asterixfeeds/internal/lsm"
@@ -139,6 +140,24 @@ func (m partitionModel) check(t *testing.T, step string, rng *rand.Rand, p *Part
 	}
 }
 
+// checkPushed asserts that the gauges every tree of mgr pushes into lm read
+// what a walk over the open trees (Manager.Stats) adds up to. The two are
+// read a moment apart while flushes and merges still run, so a mismatch gets
+// a moment to settle; a gauge that drifted never does.
+func checkPushed(t *testing.T, step string, lm *lsm.Metrics, mgr *Manager) {
+	t.Helper()
+	var got, want [3]int64
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		st := mgr.Stats()
+		want = [3]int64{int64(st.MemtableBytes), int64(st.Immutables), int64(st.CompactionDebt)}
+		got = [3]int64{lm.MemtableBytes.Value(), lm.Immutables.Value(), lm.CompactionDebt.Value()}
+		if got == want {
+			return
+		}
+	}
+	t.Fatalf("%s: pushed memtable bytes, immutables, debt = %v, the open trees hold %v", step, got, want)
+}
+
 // treeDump is the byte-exact live content of every tree of p.
 func treeDump(t *testing.T, p *Partition) []byte {
 	t.Helper()
@@ -162,7 +181,8 @@ func treeDump(t *testing.T, p *Partition) []byte {
 // TestPartitionMatchesModel drives seeded random histories — frames of
 // 1…128 records with in-frame duplicate keys and replacements of stored
 // keys, frames poisoned by an invalid record, deletes, flushes, close and
-// reopen — and checks the partition against the model after every step.
+// reopen — and checks the partition against the model, and the pushed lsm
+// gauges against the trees, after every step.
 // Every frame is also delivered twice: the second delivery (what
 // at-least-once replay does) must leave every tree byte-identical. Seeds 5
 // and 6 run against a dataset with no secondary index, whose InsertFrame
@@ -182,9 +202,13 @@ func TestPartitionMatchesModel(t *testing.T) {
 			}
 			// A small memtable so the history crosses flushes and merges and
 			// the replace path reads old versions from runs.
-			opt := lsm.Options{MemtableBytes: 16 << 10}
+			lm := &lsm.Metrics{}
+			opt := lsm.Options{MemtableBytes: 16 << 10, Metrics: lm}
 			mgr := NewManager("A", dir, opt)
-			defer func() { mgr.Close() }()
+			defer func() {
+				mgr.Close()
+				checkPushed(t, "after the last Close", lm, mgr)
+			}()
 			p, err := mgr.OpenPartition(ds)
 			if err != nil {
 				t.Fatal(err)
@@ -255,12 +279,14 @@ func TestPartitionMatchesModel(t *testing.T) {
 					if err := mgr.Close(); err != nil {
 						t.Fatalf("%s: %v", step, err)
 					}
+					checkPushed(t, step+", closed", lm, mgr)
 					mgr = NewManager("A", dir, opt)
 					if p, err = mgr.OpenPartition(ds); err != nil {
 						t.Fatalf("%s: %v", step, err)
 					}
 				}
 				model.check(t, step, rng, p)
+				checkPushed(t, step, lm, mgr)
 			}
 		})
 	}

@@ -159,8 +159,8 @@ func (p *Partition) Dataset() *Dataset { return p.ds }
 // tree is touched, so a validation error leaves the partition unmodified.
 // Within a frame, a later record with the same primary key replaces an
 // earlier one, exactly as two one-record frames would. The partition
-// retains the record byte slices; callers recycling frame buffers must not
-// reuse the record bytes afterwards (see hyracks.PutFrame).
+// retains the record byte slices; callers must not reuse the record bytes
+// afterwards.
 func (p *Partition) InsertFrame(recs [][]byte) error {
 	if len(recs) == 0 {
 		return nil
