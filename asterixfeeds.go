@@ -184,7 +184,7 @@ func nodeDir(root, node string) string { return root + "/" + node }
 // "node.<name>.governor.*".
 func startNode(reg *metrics.Registry, n *hyracks.NodeController, dir string, lsmOpt lsm.Options, govCfg governor.Config) *storage.Manager {
 	name := n.ID()
-	lm := &lsm.Metrics{}
+	lm := &lsm.Metrics{BlockReadLatency: metrics.NewLatencyRecorder()}
 	lsmOpt.Metrics = lm
 	sm := storage.NewManager(name, dir, lsmOpt)
 	n.SetService(storage.ServiceName, sm)
@@ -198,6 +198,7 @@ func startNode(reg *metrics.Registry, n *hyracks.NodeController, dir string, lsm
 	reg.RegisterCounter(p+".merges", &lm.Merges)
 	reg.RegisterCounter(p+".merged_entries", &lm.MergedEntries)
 	reg.RegisterCounter(p+".block_reads", &lm.BlockReads)
+	reg.RegisterLatency(p+".block_read", lm.BlockReadLatency)
 	reg.RegisterCounter(p+".write_stalls", &lm.WriteStalls)
 	// Recovery observability: WAL records replayed by tree opens on this
 	// node, wall-clock recovery time, and durable manifest rewrites. After a
@@ -207,12 +208,16 @@ func startNode(reg *metrics.Registry, n *hyracks.NodeController, dir string, lsm
 	reg.RegisterCounter(p+".manifest_rewrites", &lm.ManifestRewrites)
 	// The node-wide block cache (installed by NewManager when the caller
 	// supplied none): hits vs misses give the read path's memory-speed
-	// fraction, bytes tracks residency against the fixed capacity.
+	// fraction, bytes tracks residency against the fixed capacity, and
+	// buffer_allocs — the buffers point reads could not borrow back from
+	// evicted blocks — is flat once the cache is full, but for a step after
+	// each merge.
 	if bc := sm.BlockCache(); bc != nil {
 		reg.RegisterGaugeFunc(p+".cache.hits", func() int64 { return bc.Stats().Hits })
 		reg.RegisterGaugeFunc(p+".cache.misses", func() int64 { return bc.Stats().Misses })
 		reg.RegisterGaugeFunc(p+".cache.evictions", func() int64 { return bc.Stats().Evictions })
 		reg.RegisterGaugeFunc(p+".cache.bytes", func() int64 { return bc.Stats().Bytes })
+		reg.RegisterGaugeFunc(p+".cache.buffer_allocs", func() int64 { return bc.Stats().BufferAllocs })
 	}
 	reg.RegisterGaugeFunc(p+".memtable_bytes", lm.MemtableBytes.Value)
 	reg.RegisterGaugeFunc(p+".memtable_entries", func() int64 { return int64(sm.Stats().MemtableEntries) })

@@ -83,6 +83,10 @@ echo "chaos-overload-smoke: ok"
 
 if [ "${1:-}" = "-race" ]; then
 	go test -race -short ./internal/core/... ./internal/hyracks/... ./internal/lsm/... ./internal/storage/... ./internal/governor/... ./internal/chaos/...
+	# The block cache lends evicted buffers to the next point-read miss; a pin
+	# taken or dropped in the wrong place shows only in some interleavings,
+	# so the two cache hammers run twenty times over.
+	go test -race -count=20 -run 'RecycledBlocks|ConcurrentReadsWithCache' ./internal/lsm/
 	# End-to-end replication and restart tests: the promotion/resync and
 	# recovery paths are the most concurrency-sensitive in the stack. The
 	# socket and file adaptors ride along: they hand the pipeline copies out

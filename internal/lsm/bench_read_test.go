@@ -3,6 +3,7 @@ package lsm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -93,6 +94,41 @@ func BenchmarkReadPath(b *testing.B) {
 		b.StopTimer()
 		reads := m.BlockReads.Value() - before
 		b.ReportMetric(float64(reads)/float64(b.N), "disk-reads/op")
+	})
+
+	b.Run("cold-get-cached", func(b *testing.B) {
+		// A cache of a few dozen of the run's ~180 blocks, full after one pass
+		// over the keys: nearly every get misses and evicts, and must borrow
+		// the evicted block's buffer — one allocation per op, the value.
+		m := &Metrics{}
+		tr := benchTree(b, n, NewBlockCache(1<<20), m)
+		keys := make([][]byte, n)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("key-%08d", i))
+		}
+		for _, i := range rand.Perm(n) {
+			if _, ok, err := tr.Get(keys[i]); !ok || err != nil {
+				b.Fatalf("warm Get(%s): ok=%v err=%v", keys[i], ok, err)
+			}
+		}
+		order := rand.Perm(n)
+		var before, after runtime.MemStats
+		reads := m.BlockReads.Value()
+		b.ReportAllocs()
+		b.ResetTimer()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := tr.Get(keys[order[i%n]]); !ok || err != nil {
+				b.Fatalf("Get: ok=%v err=%v", ok, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		b.StopTimer()
+		b.ReportMetric(float64(m.BlockReads.Value()-reads)/float64(b.N), "disk-reads/op")
+		// allocs/op as the benchmark line prints it: whole objects per op.
+		if allocs := (after.Mallocs - before.Mallocs) / uint64(b.N); allocs > 1 {
+			b.Fatalf("cold cached gets allocate %d objects/op, want 1 — a miss must borrow an evicted buffer", allocs)
+		}
 	})
 
 	b.Run("scan", func(b *testing.B) {

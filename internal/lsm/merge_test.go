@@ -252,8 +252,8 @@ func overlappingRuns(t *testing.T, dir string, nRuns, perRun int, cfg runConfig)
 // the merge still compares against (and writes) its bytes. A merge does not
 // fill the cache itself, so a reader scanning the same runs beside it keeps
 // the cache churning and the merge picks its blocks up from there whenever
-// they happen to be resident. Blocks are never reused or mutated, so the
-// output must still match the model entry for entry.
+// they happen to be resident. Blocks an iterator has seen are never reused or
+// mutated, so the output must still match the model entry for entry.
 func TestMergeUnderCacheEviction(t *testing.T) {
 	dir := t.TempDir()
 	cache := NewBlockCache(16 << 10)

@@ -34,6 +34,10 @@ type Metrics struct {
 	// BlockReads is exactly the cache's work, which is how the read-path
 	// benchmarks assert that hot gets issue zero disk reads.
 	BlockReads metrics.Counter
+	// BlockReadLatency, when non-nil, records the duration of each of those
+	// reads: the ReadAt alone, so a miss that faults in fresh memory shows
+	// as a second mode.
+	BlockReadLatency *metrics.LatencyRecorder
 	// WriteStalls counts writer stall episodes: a mutation arrived while
 	// the memtable was full and MaxImmutables flushes were already queued,
 	// so the writer blocked until the background flusher caught up. This

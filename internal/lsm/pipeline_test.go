@@ -190,6 +190,7 @@ func TestSnapshotConsistencyUnderPipeline(t *testing.T) {
 //     insert's critical section, never after);
 //   - Hits+Misses never exceed Lookups (a lookup is counted before its
 //     outcome);
+//   - the free list never holds more than one shard's budget;
 //
 // and at quiescence the books must balance exactly: Hits+Misses == Lookups,
 // with a nonzero hit count (re-read blocks were served from memory) and
@@ -297,6 +298,10 @@ func TestConcurrentReadsWithCacheUnderPipeline(t *testing.T) {
 			s := cache.Stats()
 			if s.Bytes > s.Capacity {
 				fail("cache over budget mid-race: %d resident, %d capacity", s.Bytes, s.Capacity)
+				return
+			}
+			if free := cache.freeBytes.Load(); free > cache.shardCap() {
+				fail("free list unbounded mid-race: %d bytes, bound %d", free, cache.shardCap())
 				return
 			}
 			if s.Hits+s.Misses > s.Lookups {

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync/atomic"
+	"time"
 )
 
 // A run file is a sequence of segments, each a sorted, self-contained body:
@@ -682,23 +683,67 @@ func parseRunIndex(blocks []blockMeta, idx []byte, dataStart, dataEnd int64, cou
 // len reports the number of entries in the run.
 func (r *run) len() int { return r.count }
 
-// readBlock returns a validated view over block i: from the shared cache if
-// resident (no disk read, no CRC re-check — cached blocks were validated on
-// insert and are immutable), otherwise read from disk, CRC-checked, and
-// cached. fill says whether caching it may evict other blocks: lookups and
-// scans fill, a merge does not — it reads every block of runs it is about to
-// delete exactly once, so what it reads may sit in free cache space but must
-// never push out the blocks lookups are using. The "read:block" fault point
-// fires only on the disk path; an ErrCorruptRead return flips a bit in the
-// freshly read buffer, modelling media corruption the checksum must catch.
+// readBlock returns a validated view over block i for an iterator: from the
+// shared cache if resident (no disk read, no CRC re-check — cached blocks
+// were validated on insert and are immutable), otherwise read from disk into
+// a fresh buffer, CRC-checked, and cached. A hit's pin is never released and
+// a fresh buffer never comes from or goes to the free list, so the view stays
+// valid for as long as anyone holds it (see runIter.curr). fill says whether
+// caching it may evict other blocks: scans fill, a merge does not — it reads
+// every block of runs it is about to delete exactly once, so what it reads
+// may sit in free cache space but must never push out the blocks lookups are
+// using.
 func (r *run) readBlock(i int, fill bool) (blockView, error) {
-	bm := r.blocks[i]
 	key := blockKey{runID: r.id, blockNo: uint32(i)}
 	if r.cfg.cache != nil {
-		if data := r.cfg.cache.get(key); data != nil {
-			return trustedBlock(data), nil
+		if e := r.cfg.cache.get(key); e != nil {
+			return trustedBlock(e.data), nil
 		}
 	}
+	buf := make([]byte, r.blocks[i].length)
+	v, err := r.loadBlock(i, buf)
+	if err == nil && r.cfg.cache != nil {
+		r.cfg.cache.put(key, buf, fill)
+	}
+	return v, err
+}
+
+// pinBlock returns a validated view over block i for a point read, and the
+// pin that keeps its bytes the block's: the caller reads through the view,
+// copies out what it keeps, and only then releases the pin through the
+// cache. A hit pins the resident entry; a miss reads into a buffer borrowed
+// from the cache and inserts it, and a buffer that fails the read goes back
+// unused. A block too large for the cache (or a run without one) is read
+// into a fresh buffer with no pin.
+func (r *run) pinBlock(i int) (blockView, *cacheEntry, error) {
+	c := r.cfg.cache
+	n := r.blocks[i].length
+	if c == nil || int64(n) > c.shardCap() {
+		if c != nil {
+			c.bufferAllocs.Add(1)
+		}
+		v, err := r.loadBlock(i, make([]byte, n))
+		return v, nil, err
+	}
+	key := blockKey{runID: r.id, blockNo: uint32(i)}
+	if e := c.get(key); e != nil {
+		return trustedBlock(e.data), e, nil
+	}
+	e := c.borrow(int(n))
+	if _, err := r.loadBlock(i, e.data); err != nil {
+		c.release(e)
+		return blockView{}, nil, err
+	}
+	e = c.insert(key, e)
+	return trustedBlock(e.data), e, nil
+}
+
+// loadBlock reads block i from disk into buf, which is exactly its length,
+// and validates it. The "read:block" fault point fires here, on the disk
+// path only; an ErrCorruptRead return flips a bit in the freshly read
+// buffer, modelling media corruption the checksum must catch.
+func (r *run) loadBlock(i int, buf []byte) (blockView, error) {
+	bm := r.blocks[i]
 	flip := false
 	if r.cfg.fault != nil {
 		if err := r.cfg.fault("read:block"); err != nil {
@@ -709,12 +754,15 @@ func (r *run) readBlock(i int, fill bool) (blockView, error) {
 			}
 		}
 	}
-	buf := make([]byte, bm.length)
+	start := time.Now()
 	if _, err := r.f.ReadAt(buf, bm.off); err != nil {
 		return blockView{}, fmt.Errorf("lsm: reading block %d of %s: %w", i, r.path, err)
 	}
-	if r.cfg.metrics != nil {
-		r.cfg.metrics.BlockReads.Add(1)
+	if m := r.cfg.metrics; m != nil {
+		m.BlockReads.Add(1)
+		if m.BlockReadLatency != nil {
+			m.BlockReadLatency.Record(time.Since(start))
+		}
 	}
 	if flip {
 		buf[len(buf)/2] ^= 0x40
@@ -732,9 +780,6 @@ func (r *run) readBlock(i int, fill bool) (blockView, error) {
 	if int(binary.LittleEndian.Uint32(buf[len(buf)-blockFooterLen:])) != int(bm.entries) {
 		return blockView{}, fmt.Errorf("lsm: block %d of %s holds %d entries, index says %d", i, r.path, v.count(), bm.entries)
 	}
-	if r.cfg.cache != nil {
-		r.cfg.cache.put(key, buf, fill)
-	}
 	return v, nil
 }
 
@@ -748,17 +793,19 @@ func (r *run) findBlock(key []byte) int {
 
 // get returns the entry for key if the run contains it; h1 and h2 are
 // bloomHashes(key), computed once by the caller for every run it probes. The
-// returned entry aliases (possibly cached) block memory; callers that retain
-// it must copy.
+// entry's key is the argument and its value the caller's own copy, made
+// before the block's pin is released: after that the block's buffer may be
+// lent to another read.
 func (r *run) get(key []byte, h1, h2 uint64) (entry, bool, error) {
 	bi := r.findBlock(key)
 	if bi < 0 || !r.blocks[bi].filter.mayContain(h1, h2) {
 		return entry{}, false, nil
 	}
-	v, err := r.readBlock(bi, true)
+	v, pin, err := r.pinBlock(bi)
 	if err != nil {
 		return entry{}, false, err
 	}
+	defer r.cfg.cache.release(pin)
 	i, err := v.search(key)
 	if err != nil {
 		return entry{}, false, err
@@ -773,7 +820,7 @@ func (r *run) get(key []byte, h1, h2 uint64) (entry, bool, error) {
 	if !bytes.Equal(e.key, key) {
 		return entry{}, false, nil
 	}
-	return e, true, nil
+	return entry{key: key, value: append([]byte(nil), e.value...), tombstone: e.tombstone}, true, nil
 }
 
 // iter returns an iterator over entries with key >= from; fill says whether
@@ -857,10 +904,12 @@ func (it *runIter) advance() {
 
 func (it *runIter) valid() bool { return it.ok }
 
-// curr returns the current entry. Its key and value alias block memory, and
-// block memory is never reused or mutated: readBlock allocates a fresh
-// buffer per disk read and cached blocks are immutable, so eviction only
-// drops the cache's reference. The bytes therefore stay valid after the
+// curr returns the current entry. Its key and value alias block memory that
+// is never reused or mutated: an iterator's miss reads into a fresh buffer,
+// and a hit takes a pin on the cached entry that is never released, so the
+// cache's free list — which recycles only the buffers of point reads, after
+// their last pin — can never lend out a block an iterator has seen; eviction
+// only drops the cache's reference. The bytes therefore stay valid after the
 // iterator advances — even across a block boundary — for as long as the
 // caller holds them, which is what lets the merge compare against a winner's
 // key while advancing past it and lets the run writer consume an entry

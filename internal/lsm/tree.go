@@ -783,9 +783,8 @@ func (t *Tree) Get(key []byte) (value []byte, ok bool, err error) {
 			if e.tombstone {
 				return nil, false, nil
 			}
-			// e.value aliases (possibly cache-resident) block memory shared
-			// with other readers; hand the caller its own copy.
-			return append([]byte(nil), e.value...), true, nil
+			// run.get copied the value out of the block before unpinning it.
+			return e.value, true, nil
 		}
 	}
 	return nil, false, nil
