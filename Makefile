@@ -14,14 +14,18 @@ race:
 	$(GO) test -race -short ./internal/core/... ./internal/hyracks/... ./internal/lsm/... ./internal/storage/... ./internal/governor/... ./internal/chaos/...
 	$(GO) test -race -short -run '(?i)replicat|Restart|FeedMaintains|SocketAdaptor|FileFeed' .
 
-# Differential fuzzing of the ADM codecs, one target after another for
-# FUZZTIME each (not part of ci.sh, which only replays the checked-in
-# corpora). A finding lands under internal/adm/testdata/fuzz/: commit it.
+# Differential fuzzing of the ADM codecs and of the two readers of encoded
+# records built on them (the hash connector, the built-in UDFs' encoded
+# path), one target after another for FUZZTIME each (not part of ci.sh,
+# which only replays the checked-in corpora). A finding lands under the
+# package's testdata/fuzz/: commit it.
 FUZZTIME ?= 30s
 fuzz-adm:
-	for t in FuzzSkipValue FuzzScanRecordFields FuzzTranscode FuzzValidateEncoded; do \
+	for t in FuzzSkipValue FuzzScanRecordFields FuzzTranscode FuzzValidateEncoded FuzzHashEncoded FuzzAppendWithField; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/adm/ || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyHashFunc$$' -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzBuiltinsEncoded$$' -fuzztime $(FUZZTIME) ./internal/core/
 
 # feedlint enforces the architecture invariants in DESIGN.md.
 lint:

@@ -199,7 +199,8 @@ func TestCascadeViaAQLWithAQLFunction(t *testing.T) {
 	waitCount(t, inst, "Tweets", 100, 20*time.Second)
 	waitCount(t, inst, "ProcessedTweets", 100, 20*time.Second)
 
-	// Processed records carry topics extracted by the AQL UDF.
+	// Processed records carry topics. (The built-in addHashTags shadows the
+	// AQL declaration: see TestBuiltinShadowsAQLFunction.)
 	sawTopics := false
 	err := inst.ScanDataset("ProcessedTweets", func(rec *adm.Record) bool {
 		topics, ok := rec.Field("topics")
@@ -221,6 +222,35 @@ func TestCascadeViaAQLWithAQLFunction(t *testing.T) {
 		disconnect feed ProcessedTwitterFeed from dataset ProcessedTweets;
 		disconnect feed TwitterFeed from dataset Tweets;
 	`)
+}
+
+// TestBuiltinShadowsAQLFunction pins the resolution order: a feed's function
+// name is looked up in the function registry before the catalog, so an AQL
+// function declared under a built-in's name (as bench/'s cascade declares
+// addHashTags) is never compiled — the Go built-in runs instead.
+func TestBuiltinShadowsAQLFunction(t *testing.T) {
+	inst := startTest(t, "A")
+	inst.MustExec(tweetDDL)
+	inst.MustExec(`
+		create dataset ProcessedTweets(Tweet) primary key id;
+		create function addHashTags($x) { record-merge($x, {"compiled": true}) };
+		create feed TwitterFeed using tweetgen_adaptor ("rate"="2000", "count"="200", "seed"="13");
+		create secondary feed ProcessedFeed from feed TwitterFeed apply function addHashTags;
+		connect feed TwitterFeed to dataset Tweets using policy Basic;
+		connect feed ProcessedFeed to dataset ProcessedTweets using policy Basic;
+	`)
+	waitCount(t, inst, "ProcessedTweets", 200, 20*time.Second)
+	err := inst.ScanDataset("ProcessedTweets", func(rec *adm.Record) bool {
+		_, topics := rec.Field("topics")
+		_, compiled := rec.Field("compiled")
+		if !topics || compiled {
+			t.Fatalf("record not processed by the built-in addHashTags: %s", rec)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCustomPolicyViaAQL(t *testing.T) {

@@ -57,13 +57,16 @@ echo "bench module: ok"
 
 # Replay the checked-in fuzz corpora (testdata/fuzz seeds run as ordinary
 # tests) for the two codecs with wire formats: ADM records (incl. the
-# Transcode and ValidateEncoded differentials) and LSM run files — single
-# blocks (FuzzRunBlock) and whole files through the loader (FuzzLoadRun:
-# format 02, one to many segments, torn headers and trailers, garbage tails);
-# `-run Fuzz` picks up every target in the package, so a new one needs no edit
-# here. Keeps past crashers fixed without needing a fuzzing budget; `make
-# fuzz-adm` spends one.
-go test -run Fuzz -count=1 ./internal/adm/ ./internal/lsm/
+# Transcode, ValidateEncoded, HashEncoded and AppendWithField differentials)
+# and LSM run files — single blocks (FuzzRunBlock) and whole files through
+# the loader (FuzzLoadRun: format 02, one to many segments, torn headers and
+# trailers, garbage tails) — and for the two readers of encoded records
+# above them: the hash connector against PartitionOf (storage) and the
+# built-in UDFs' encoded path against decode → Apply → encode (core).
+# `-run Fuzz` picks up every target in a listed package, so a new one there
+# needs no edit here; a target in another package does. Keeps past crashers
+# fixed without needing a fuzzing budget; `make fuzz-adm` spends one.
+go test -run Fuzz -count=1 ./internal/adm/ ./internal/lsm/ ./internal/storage/ ./internal/core/
 echo "fuzz corpus replay: ok"
 
 make bench-smoke

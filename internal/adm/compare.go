@@ -1,10 +1,6 @@
 package adm
 
-import (
-	"hash/fnv"
-	"math"
-	"sort"
-)
+import "sort"
 
 // Compare totally orders two ADM values. Values of different type tags order
 // by tag (missing < null < boolean < int64/double < string < ...), except
@@ -158,91 +154,4 @@ func compareRecords(a, b *Record) int {
 		}
 	}
 	return 0
-}
-
-// Hash computes a 64-bit hash of the value, consistent with Equal: equal
-// values hash identically. Int64 and double values that are numerically
-// equal hash identically too.
-func Hash(v Value) uint64 {
-	h := fnv.New64a()
-	hashInto(h, v)
-	return h.Sum64()
-}
-
-type hasher interface {
-	Write(p []byte) (int, error)
-}
-
-func hashInto(h hasher, v Value) {
-	writeByte := func(b byte) { h.Write([]byte{b}) }
-	write64 := func(u uint64) {
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(u >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	switch t := v.(type) {
-	case Missing:
-		writeByte(byte(TagMissing))
-	case Null:
-		writeByte(byte(TagNull))
-	case Boolean:
-		writeByte(byte(TagBoolean))
-		if t {
-			writeByte(1)
-		} else {
-			writeByte(0)
-		}
-	case Int64:
-		// Hash numerics through their float64 representation so that
-		// Int64(1) and Double(1) hash alike, matching Compare.
-		writeByte(0xFE)
-		write64(math.Float64bits(float64(t)))
-	case Double:
-		writeByte(0xFE)
-		write64(math.Float64bits(canonicalFloat(float64(t))))
-	case String:
-		writeByte(byte(TagString))
-		h.Write([]byte(t))
-	case Datetime:
-		writeByte(byte(TagDatetime))
-		write64(uint64(t))
-	case Point:
-		writeByte(byte(TagPoint))
-		write64(math.Float64bits(canonicalFloat(t.X)))
-		write64(math.Float64bits(canonicalFloat(t.Y)))
-	case Rectangle:
-		writeByte(byte(TagRectangle))
-		hashInto(h, t.Low)
-		hashInto(h, t.High)
-	case *OrderedList:
-		writeByte(byte(TagOrderedList))
-		for _, it := range t.Items {
-			hashInto(h, it)
-		}
-	case *UnorderedList:
-		writeByte(byte(TagUnorderedList))
-		for _, it := range sortedItems(t.Items) {
-			hashInto(h, it)
-		}
-	case *Record:
-		writeByte(byte(TagRecord))
-		names := append([]string(nil), t.names...)
-		sort.Strings(names)
-		for _, n := range names {
-			h.Write([]byte(n))
-			writeByte(0)
-			fv, _ := t.Field(n)
-			hashInto(h, fv)
-		}
-	}
-}
-
-// canonicalFloat maps -0 to +0 so that equal floats hash identically.
-func canonicalFloat(f float64) float64 {
-	if f == 0 {
-		return 0
-	}
-	return f
 }

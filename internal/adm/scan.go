@@ -190,11 +190,6 @@ func (r *RecordType) ValidateEncoded(buf []byte) error {
 	return nil
 }
 
-// undeclared stands in for the type of a record the schema says nothing
-// about: open, no declared fields. Walking such a record checks exactly what
-// Decode checks beyond structure — that no name repeats, at any depth.
-var undeclared = &RecordType{open: true}
-
 // validateEncodedFields validates the encoded record at the front of buf
 // (its tag already checked) against r, depth levels below the top, and
 // returns the record's encoded length.
@@ -271,14 +266,11 @@ func validateEncodedValue(t Type, enc []byte, depth int) error {
 	tag := TypeTag(enc[0])
 	switch t := t.(type) {
 	case nil:
-		switch tag {
-		case TagRecord:
-			_, err := undeclared.validateEncodedFields(enc, depth)
-			return err
-		case TagOrderedList, TagUnorderedList:
-			return validateEncodedItems(nil, "", enc, depth)
-		}
-		return nil
+		// What Decode checks beyond structure — that no name repeats, at
+		// any depth — canonicalLen checks too (a value not in canonical
+		// form sends the whole record to the decoding path).
+		_, err := canonicalLen(enc, depth)
+		return err
 	case *PrimitiveType:
 		if tag != t.tag && !(t.tag == TagDouble && tag == TagInt64) {
 			return fmt.Errorf("adm: value of type %s does not conform to %s", tag, t.Name())
@@ -317,9 +309,6 @@ func validateEncodedItems(item Type, what string, enc []byte, depth int) error {
 			return err
 		}
 		if err := validateEncodedValue(item, enc[pos:pos+used], depth+1); err != nil {
-			if item == nil {
-				return err
-			}
 			return fmt.Errorf("adm: %s %d: %w", what, i, err)
 		}
 		pos += used

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -29,6 +31,35 @@ type RecordFunction interface {
 type FrameCoster interface {
 	// FrameDelay reports the simulated evaluation latency of n records.
 	FrameDelay(n int) time.Duration
+}
+
+// EncodedRecordFunction is optionally implemented by RecordFunctions that
+// can run on a record's encoding. The compute stage then calls ApplyEncoded
+// instead of decode → Apply → encode. ApplyEncoded(rec) returns exactly what
+// that round trip returns for rec (applyDecoded): the same bytes, nil when
+// Apply filters the record out, Apply's error word for word — or the
+// decoder's, when rec does not decode to a record. It never modifies rec, and
+// its result is a fresh allocation, one per output record.
+type EncodedRecordFunction interface {
+	ApplyEncoded(rec []byte) ([]byte, error)
+}
+
+// applyDecoded is the compute stage's path for a RecordFunction without
+// ApplyEncoded, and the specification ApplyEncoded is held to.
+func applyDecoded(fn RecordFunction, rec []byte) ([]byte, error) {
+	v, _, err := adm.Decode(rec)
+	if err != nil {
+		return nil, err
+	}
+	in, ok := v.(*adm.Record)
+	if !ok {
+		return nil, fmt.Errorf("assign: value is %s, want record", v.Tag())
+	}
+	res, err := fn.Apply(in)
+	if err != nil || res == nil {
+		return nil, err
+	}
+	return adm.Encode(res), nil
 }
 
 // FuncRecordFunction adapts a closure to RecordFunction.
@@ -61,15 +92,41 @@ func ComposeFunctions(fns ...RecordFunction) RecordFunction {
 		return fns[0]
 	}
 	names := make([]string, len(fns))
+	encs := make([]EncodedRecordFunction, 0, len(fns))
 	for i, f := range fns {
 		names[i] = f.Name()
+		if enc, ok := f.(EncodedRecordFunction); ok {
+			encs = append(encs, enc)
+		}
 	}
-	return &composed{name: strings.Join(names, ":"), fns: fns}
+	c := &composed{name: strings.Join(names, ":"), fns: fns}
+	if len(encs) == len(fns) && len(fns) > 0 {
+		return &encodedComposed{composed: c, encs: encs}
+	}
+	return c
 }
 
 type composed struct {
 	name string
 	fns  []RecordFunction
+}
+
+// encodedComposed is a chain whose every stage has ApplyEncoded: the record
+// stays encoded from one stage to the next.
+type encodedComposed struct {
+	*composed
+	encs []EncodedRecordFunction
+}
+
+func (c *encodedComposed) ApplyEncoded(rec []byte) ([]byte, error) {
+	for _, f := range c.encs {
+		out, err := f.ApplyEncoded(rec)
+		if err != nil || out == nil {
+			return nil, err
+		}
+		rec = out
+	}
+	return rec, nil
 }
 
 func (c *composed) Name() string { return c.name }
@@ -132,9 +189,9 @@ func (r *FunctionRegistry) Lookup(name string) (RecordFunction, bool) {
 
 // AddHashTags returns the paper's running-example UDF (Listing 4.2): it
 // tokenizes message_text, collects "#"-prefixed tokens into an ordered list,
-// and appends it as the topics field.
+// and appends it as the topics field. It implements EncodedRecordFunction.
 func AddHashTags() RecordFunction {
-	return &FuncRecordFunction{
+	return &hashTagsFunc{FuncRecordFunction{
 		FuncName: "addHashTags",
 		Fn: func(rec *adm.Record) (*adm.Record, error) {
 			text, ok := rec.Field("message_text")
@@ -153,17 +210,36 @@ func AddHashTags() RecordFunction {
 			}
 			return rec.WithField("topics", &adm.OrderedList{Items: topics}), nil
 		},
-	}
+	}}
 }
+
+type hashTagsFunc struct{ FuncRecordFunction }
+
+// ApplyEncoded implements EncodedRecordFunction.
+func (f *hashTagsFunc) ApplyEncoded(rec []byte) ([]byte, error) {
+	if text, ok := stringField(rec, "message_text"); ok {
+		var scratch [256]byte
+		if out, err := adm.AppendWithField(nil, rec, "topics", appendHashTags(scratch[:0], text)); err == nil {
+			return out, nil
+		}
+	}
+	// No string message_text, or bytes that do not decode: Apply's error
+	// or the decoder's, exactly.
+	return applyDecoded(f, rec)
+}
+
+// The sentiment lexicon.
+var (
+	positiveWords = map[string]bool{"love": true, "loving": true, "great": true, "good": true, "happy": true, "nice": true, "amazing": true, "like": true}
+	negativeWords = map[string]bool{"hate": true, "bad": true, "awful": true, "angry": true, "sad": true, "terrible": true, "dislike": true, "worst": true}
+)
 
 // SentimentAnalysis returns the example "Java" UDF of §5.3.3: a black-box
 // function computing a sentiment score in [0,1] from the tweet text and
 // appending it as the sentiment field. The score is a deterministic lexicon
-// count so results are reproducible.
+// count so results are reproducible. It implements EncodedRecordFunction.
 func SentimentAnalysis() RecordFunction {
-	positive := map[string]bool{"love": true, "loving": true, "great": true, "good": true, "happy": true, "nice": true, "amazing": true, "like": true}
-	negative := map[string]bool{"hate": true, "bad": true, "awful": true, "angry": true, "sad": true, "terrible": true, "dislike": true, "worst": true}
-	return &FuncRecordFunction{
+	return &sentimentFunc{FuncRecordFunction{
 		FuncName: "tweetlib#sentimentAnalysis",
 		Fn: func(rec *adm.Record) (*adm.Record, error) {
 			text, _ := rec.Field("message_text")
@@ -174,20 +250,40 @@ func SentimentAnalysis() RecordFunction {
 			pos, neg := 0, 0
 			for _, tok := range strings.Fields(strings.ToLower(s)) {
 				tok = strings.Trim(tok, ".,!?#@")
-				if positive[tok] {
+				if positiveWords[tok] {
 					pos++
 				}
-				if negative[tok] {
+				if negativeWords[tok] {
 					neg++
 				}
 			}
-			score := 0.5
-			if pos+neg > 0 {
-				score = float64(pos) / float64(pos+neg)
-			}
-			return rec.WithField("sentiment", adm.Double(score)), nil
+			return rec.WithField("sentiment", adm.Double(sentimentScore(pos, neg))), nil
 		},
+	}}
+}
+
+type sentimentFunc struct{ FuncRecordFunction }
+
+// ApplyEncoded implements EncodedRecordFunction.
+func (f *sentimentFunc) ApplyEncoded(rec []byte) ([]byte, error) {
+	if text, ok := stringField(rec, "message_text"); ok {
+		var score [9]byte
+		score[0] = byte(adm.TagDouble)
+		binary.LittleEndian.PutUint64(score[1:], math.Float64bits(encodedSentiment(text)))
+		if out, err := adm.AppendWithField(nil, rec, "sentiment", score[:]); err == nil {
+			return out, nil
+		}
 	}
+	return applyDecoded(f, rec)
+}
+
+// sentimentScore is the share of positive words among the lexicon's words in
+// a text, 0.5 when it has none.
+func sentimentScore(pos, neg int) float64 {
+	if pos+neg == 0 {
+		return 0.5
+	}
+	return float64(pos) / float64(pos+neg)
 }
 
 // SpinFunction returns a CPU-bound synthetic UDF: a busy-spin loop of the

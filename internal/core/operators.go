@@ -416,12 +416,17 @@ func (o *assignOp) CreateRuntime(ctx *hyracks.TaskContext, out hyracks.Writer) (
 	if err != nil {
 		return nil, err
 	}
+	apply := func(rec []byte) ([]byte, error) { return applyDecoded(o.fn, rec) }
+	if enc, ok := o.fn.(EncodedRecordFunction); ok {
+		apply = enc.ApplyEncoded
+	}
 	return &assignRuntime{
 		op:    o,
 		ctx:   ctx,
 		out:   out,
 		joint: fm.CreateJoint(o.signature, ctx.Partition),
 		mf:    newMetaFeed("assign:"+o.fn.Name(), ctx.NodeID, o.conn.pol, o.conn.Log),
+		apply: apply,
 	}, nil
 }
 
@@ -431,6 +436,9 @@ type assignRuntime struct {
 	out   hyracks.Writer
 	joint *Joint
 	mf    *metaFeed
+	// apply is the UDF over one encoded record: ApplyEncoded when the
+	// function has it, decode → Apply → encode otherwise.
+	apply func(rec []byte) ([]byte, error)
 }
 
 func (r *assignRuntime) Open() error { return r.out.Open() }
@@ -453,23 +461,9 @@ func (r *assignRuntime) NextFrame(f *hyracks.Frame) error {
 	}
 	for i, rec := range f.Records {
 		var produced []byte
-		skipped, fatal := r.mf.guard(rec, func() error {
-			v, _, err := adm.Decode(rec)
-			if err != nil {
-				return err
-			}
-			in, ok := v.(*adm.Record)
-			if !ok {
-				return fmt.Errorf("assign: value is %s, want record", v.Tag())
-			}
-			res, err := r.op.fn.Apply(in)
-			if err != nil {
-				return err
-			}
-			if res != nil {
-				produced = adm.Encode(res)
-			}
-			return nil
+		skipped, fatal := r.mf.guard(rec, func() (err error) {
+			produced, err = r.apply(rec)
+			return err
 		})
 		if fatal != nil {
 			return fatal

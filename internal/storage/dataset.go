@@ -95,36 +95,59 @@ func (d *Dataset) PartitionOf(rec *adm.Record) (int, error) {
 }
 
 func (d *Dataset) primaryKeyHash(rec *adm.Record) (uint64, error) {
-	var h uint64 = 1469598103934665603 // FNV offset basis
+	h := keyHashBasis
 	for _, f := range d.PrimaryKey {
 		v, ok := rec.Field(f)
 		if !ok {
 			return 0, fmt.Errorf("storage: record lacks primary key field %q", f)
 		}
-		h = h*1099511628211 ^ adm.Hash(v)
+		h = foldKeyHash(h, adm.Hash(v))
 	}
 	return h, nil
 }
 
+// keyHashBasis and foldKeyHash combine the hashes of a primary key's fields,
+// in PrimaryKey order. Stored records sit where this put them: it must not
+// change.
+const keyHashBasis uint64 = 1469598103934665603
+
+func foldKeyHash(h, field uint64) uint64 { return h*1099511628211 ^ field }
+
 // KeyHashFunc returns a connector hash function over serialized records,
 // suitable for hyracks.MToNHashPartition: it routes each record to the
-// partition that PartitionOf would choose.
+// partition that PartitionOf would choose for its decoding. It reads the key
+// off the bytes and allocates nothing: a walk of the top-level fields that
+// stops at the key field (one walk per field of a composite key). A record
+// without the key, or bytes that are not a record up to it, hash to 0; the
+// store refuses such records on whichever partition they reach.
 func (d *Dataset) KeyHashFunc() func(rec []byte) uint64 {
 	return func(rec []byte) uint64 {
-		v, _, err := adm.Decode(rec)
-		if err != nil {
-			return 0
-		}
-		r, ok := v.(*adm.Record)
-		if !ok {
-			return 0
-		}
-		h, err := d.primaryKeyHash(r)
-		if err != nil {
-			return 0
+		h := keyHashBasis
+		for _, f := range d.PrimaryKey {
+			fh, ok := encodedFieldHash(rec, f)
+			if !ok {
+				return 0
+			}
+			h = foldKeyHash(h, fh)
 		}
 		return h
 	}
+}
+
+// encodedFieldHash is adm.Hash of the value of rec's top-level field name,
+// read off the bytes; ok is false when the walk up to the field fails, the
+// field is absent, or its value is malformed.
+func encodedFieldHash(rec []byte, name string) (h uint64, ok bool) {
+	_, err := adm.ScanRecordFields(rec, func(n, encValue []byte) bool {
+		if string(n) != name {
+			return true
+		}
+		var herr error
+		h, herr = adm.HashEncoded(encValue)
+		ok = herr == nil
+		return false
+	})
+	return h, ok && err == nil
 }
 
 // ReplicaOf returns the node hosting partition i's replica: the next

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"asterixfeeds/internal/adm"
+	"asterixfeeds/internal/storage"
 	"asterixfeeds/internal/tweetgen"
 )
 
@@ -239,6 +240,113 @@ func TestSocketAdaptorSoftFailsBadLines(t *testing.T) {
 	}
 	if s := conn.State().String(); s == "failed" {
 		t.Errorf("feed state = %s after a graceful end of stream", s)
+	}
+}
+
+// TestSocketAdaptorUpsertsWherePartitionOfPlaced: records written straight
+// into the partitions PartitionOf picks, then upserted under the same keys
+// by a socket feed — whose hash connector reads the key off the encoded
+// bytes — must replace them in place. A connector that routed one key
+// elsewhere would leave it on two partitions.
+func TestSocketAdaptorUpsertsWherePartitionOfPlaced(t *testing.T) {
+	lines := tweetGenLines(t, 300, 91)
+	inst := startTest(t, "A", "B", "C")
+	inst.MustExec(tweetDDL)
+	ds, _ := inst.Catalog().Dataset("feeds", "Tweets")
+	if len(ds.NodeGroup) != 3 {
+		t.Fatalf("Tweets spans %d partitions, want 3", len(ds.NodeGroup))
+	}
+	partition := func(i int) *storage.Partition {
+		sm, err := inst.StorageManager(ds.NodeGroup[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := sm.OpenPartitionIdx(ds, i, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	frames := make([][][]byte, len(ds.NodeGroup))
+	for _, line := range lines {
+		v, err := adm.Parse(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i, err := ds.PartitionOf(v.(*adm.Record))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = append(frames[i], adm.Encode(v))
+	}
+	for i, frame := range frames {
+		if len(frame) == 0 {
+			t.Fatalf("no key placed on partition %d", i)
+		}
+		if err := partition(i).InsertFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil { // the adaptor's "GO"
+			return
+		}
+		w := bufio.NewWriter(conn)
+		for _, line := range lines {
+			w.WriteString(strings.TrimSuffix(line, "}") + `,"version":2}` + "\n")
+		}
+		w.WriteString("!EOS\n")
+		w.Flush()
+		io.Copy(io.Discard, conn) // until the adaptor hangs up
+	}()
+	inst.MustExec(fmt.Sprintf(`use dataverse feeds;
+		create feed Upserts using socket_adaptor ("sockets"="%s");
+		connect feed Upserts to dataset Tweets using policy Basic;`, ln.Addr()))
+
+	var where map[string][]int // key → the partitions holding it
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		upserted := 0
+		where = map[string][]int{}
+		for i := range ds.NodeGroup {
+			err := partition(i).Scan(func(rec *adm.Record) bool {
+				id, _ := adm.AsString(rec.FieldOr("id", adm.Null{}))
+				where[id] = append(where[id], i)
+				if _, ok := rec.Field("version"); ok {
+					upserted++
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if upserted == len(lines) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d records upserted", upserted, len(lines))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if len(where) != len(lines) {
+		t.Fatalf("%d distinct keys stored, want %d", len(where), len(lines))
+	}
+	for id, parts := range where {
+		if len(parts) != 1 {
+			t.Errorf("key %s is on partitions %v", id, parts)
+		}
 	}
 }
 
