@@ -1,6 +1,9 @@
 package chaos
 
-import "math/rand"
+import (
+	"math/rand"
+	"strings"
+)
 
 // The scenario topology is fixed (see runner.go): nodes A (intake), B and C
 // (store), dataset "Chaos" on nodegroup [B, C] with synchronous replication
@@ -25,8 +28,19 @@ type candidate struct {
 	point  string
 	action Action
 	// maxHit bounds the armed hit count: the fault fires somewhere in the
-	// first maxHit occurrences of the point, chosen by the seed.
+	// first maxHit occurrences of the point (from firstHit on), chosen by
+	// the seed.
 	maxHit int
+}
+
+// firstHit is the lowest hit count GenSchedule arms at point. A tree's first
+// manifest:append is the snapshot its Open writes, which restartMenu covers;
+// the workload's faults there hit commits.
+func firstHit(point string) int {
+	if strings.HasSuffix(point, "/manifest:append") {
+		return 2
+	}
+	return 1
 }
 
 var killerMenu = []candidate{
@@ -47,6 +61,15 @@ var killerMenu = []candidate{
 	// find every acknowledged record.
 	{"lsm:B/p000/primary/read:block", ActTorn, 4},
 	{"lsm:C/p001/primary/read:block", ActTorn, 4},
+	// Crash mid-commit: a flush's or merge's manifest record is torn, and the
+	// node dies with the run published but not committed (hits 2–6: see
+	// firstHit). Recovery drops the torn record: the run is an orphan or an
+	// extension past the committed length, and the WAL above the floor
+	// replays it.
+	{"lsm:B/p000/primary/manifest:append", ActTorn, 6},
+	{"lsm:C/p001/primary/manifest:append", ActTorn, 6},
+	{"lsm:B/p000/country_idx/manifest:append", ActTorn, 6},
+	{"lsm:C/r000/primary/manifest:append", ActTorn, 6},
 }
 
 var benignMenu = []candidate{
@@ -119,7 +142,8 @@ func GenSchedule(seed int64) Schedule {
 	var s Schedule
 	pick := func(menu []candidate) Fault {
 		c := menu[rng.Intn(len(menu))]
-		return Fault{Point: c.point, Hit: 1 + rng.Intn(c.maxHit), Action: c.action}
+		lo := firstHit(c.point)
+		return Fault{Point: c.point, Hit: lo + rng.Intn(c.maxHit-lo+1), Action: c.action}
 	}
 	for n := rng.Intn(3); n > 0; n-- {
 		s = append(s, pick(benignMenu))

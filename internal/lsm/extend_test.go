@@ -40,21 +40,10 @@ func wantNoDebris(t *testing.T, dir, how string) {
 	}
 }
 
-func removeManifests(t *testing.T, dir string) {
-	t.Helper()
-	mans, _ := filepath.Glob(filepath.Join(dir, "MANIFEST-*"))
-	for _, m := range mans {
-		if err := os.Remove(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestAscendingFlushesExtendOneFile: 1 000 flushes of ascending keys end as
 // one run in one file that no merge ever touched — beside
 // TestPickMergeThousandFlushes, where the same number of flushes that cannot
-// extend climb the tiers — and the file reads back whole through both
-// recovery paths.
+// extend climb the tiers — and the file reads back whole after a reopen.
 func TestAscendingFlushesExtendOneFile(t *testing.T) {
 	const flushes, perFlush = 1000, 4
 	dir, m := t.TempDir(), &Metrics{}
@@ -85,18 +74,13 @@ func TestAscendingFlushesExtendOneFile(t *testing.T) {
 	if got := m.Extends.Value(); got != flushes-1 || m.Merges.Value() != 0 {
 		t.Fatalf("%d extends, %d merges; want every flush after the first to extend and no merge", got, m.Merges.Value())
 	}
-	for _, how := range []string{"reopen through the manifest", "reopen through the directory scan"} {
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if strings.HasSuffix(how, "scan") {
-			removeManifests(t, dir)
-		}
-		if tr, err = Open(Options{Dir: dir}); err != nil {
-			t.Fatalf("%s: %v", how, err)
-		}
-		check(how)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
 	}
+	if tr, err = Open(Options{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	check("after a reopen")
 }
 
 // TestMergeFoldsSegments: a forced merge means "one sorted file with one
@@ -118,6 +102,7 @@ func TestMergeFoldsSegments(t *testing.T) {
 	if st := tr.Stats(); st.Runs != 1 || st.Segments != 5 {
 		t.Fatalf("%d runs, %d segments before the merge; want 1 and 5", st.Runs, st.Segments)
 	}
+	extended := globOne(t, dir, "run-*.lsm")
 	for pass, wantMerges := range []int64{1, 1} {
 		if err := tr.Merge(); err != nil {
 			t.Fatal(err)
@@ -135,8 +120,8 @@ func TestMergeFoldsSegments(t *testing.T) {
 	if st := tr.Stats(); st.Runs != 1 || st.Segments != 2 {
 		t.Fatalf("%d runs, %d segments after flushing above the merged run; want 1 and 2", st.Runs, st.Segments)
 	}
-	if base := filepath.Base(globOne(t, dir, "run-*.lsm")); !strings.HasSuffix(base, "m.lsm") {
-		t.Fatalf("the surviving file is %s, want the merge output", base)
+	if got := globOne(t, dir, "run-*.lsm"); got == extended {
+		t.Fatalf("the surviving file is %s, the one the merge read; want its output", filepath.Base(got))
 	}
 }
 
@@ -219,10 +204,10 @@ func TestFlushBesideMergeStartsNewFile(t *testing.T) {
 // ("flush:bg"), the index and trailer half written, the header half written,
 // the manifest record torn or refused — once where the flushes extend one
 // file and once where the last one starts a new file. Whichever byte the
-// crash stopped at, a reopen through the manifest and one through the
-// directory scan must both find exactly the acknowledged records, replay
-// exactly the crashed flush's WAL records, leave no debris, and go on
-// extending from where the file's last complete segment ends.
+// crash stopped at, the reopen must find exactly the acknowledged records,
+// replay exactly the crashed flush's WAL records, cut off the extension of a
+// flush that never committed, leave no debris, and go on extending from the
+// committed length.
 func TestCrashDuringFlushRecoversExactly(t *testing.T) {
 	type step struct {
 		start, n int
@@ -268,74 +253,67 @@ func TestCrashDuringFlushRecoversExactly(t *testing.T) {
 					if point != "manifest:append" && inject != ErrTornWrite {
 						continue // a plain error before the commit aborts the flush cleanly: no crash shape
 					}
-					for _, scan := range []bool{false, true} {
-						how := fmt.Sprintf("%s, %v at %s hit %d, scan=%v", name, inject, point, hit, scan)
-						dir := t.TempDir()
-						model, unflushed := drive(t, dir, hookOn(point, hit, inject), steps)
-						if scan {
-							removeManifests(t, dir)
+					how := fmt.Sprintf("%s, %v at %s hit %d", name, inject, point, hit)
+					dir := t.TempDir()
+					model, unflushed := drive(t, dir, hookOn(point, hit, inject), steps)
+					// A flush that dies while extending leaves its bytes at the
+					// end of the run's file, and Open cuts them off — a whole
+					// segment too, when its manifest record was refused or torn
+					// (hit 1 is Open's snapshot, 2 the first flush's record).
+					tornTail := name == "extend" && (point != "manifest:append" && hit > 1 || point == "manifest:append" && hit > 2)
+					var torn int64
+					if st, err := os.Stat(filepath.Join(dir, "run-000001.lsm")); err == nil {
+						torn = st.Size()
+					}
+					m := &Metrics{}
+					tr, err := Open(Options{Dir: dir, Metrics: m})
+					if err != nil {
+						t.Fatalf("%s: reopen: %v", how, err)
+					}
+					if st, err := os.Stat(filepath.Join(dir, "run-000001.lsm")); tornTail && (err != nil || st.Size() >= torn) {
+						t.Fatalf("%s: run-000001.lsm is %d bytes after Open, %d before (%v): the torn extension was not there or not cut", how, st.Size(), torn, err)
+					}
+					verify := func(when string) {
+						t.Helper()
+						for i, tag := range model {
+							wantAll(t, tr, i, 1, tag)
 						}
-						// A flush that dies while extending leaves its bytes at the
-						// end of the run's file, and Open cuts them off — a whole
-						// segment too, when the manifest is there to say that its
-						// flush never committed (hit 1 is Open's snapshot, 2 the
-						// first flush's record).
-						tornTail := name == "extend" && (point != "manifest:append" && hit > 1 ||
-							point == "manifest:append" && hit > 2 && inject != ErrTornWrite && !scan)
-						var torn int64
-						if st, err := os.Stat(filepath.Join(dir, "run-000001.lsm")); err == nil {
-							torn = st.Size()
+						if n, err := tr.Len(); err != nil || n != len(model) {
+							t.Fatalf("%s, %s: Len = %d, %v; want %d", how, when, n, err, len(model))
 						}
-						m := &Metrics{}
-						tr, err := Open(Options{Dir: dir, Metrics: m})
-						if err != nil {
-							t.Fatalf("%s: reopen: %v", how, err)
+					}
+					verify("after the reopen")
+					if got := m.RecoveryReplayed.Value(); got != int64(unflushed) {
+						t.Fatalf("%s: replayed %d WAL records, want the crashed flush's %d", how, got, unflushed)
+					}
+					// Whatever the recovered memtable and the batch after it
+					// flush into (nothing is on disk after a crashed first
+					// Open), the batch after those lies above the newest run
+					// and must extend it.
+					for _, start := range []int{200, 205} {
+						before := m.Extends.Value()
+						fill(t, tr, start, 5, "z")
+						for i := start; i < start+5; i++ {
+							model[i] = "z"
 						}
-						if st, err := os.Stat(filepath.Join(dir, "run-000001.lsm")); tornTail && (err != nil || st.Size() >= torn) {
-							t.Fatalf("%s: run-000001.lsm is %d bytes after Open, %d before (%v): the torn extension was not there or not cut", how, st.Size(), torn, err)
+						if err := tr.Flush(); err != nil {
+							t.Fatalf("%s: %v", how, err)
 						}
-						verify := func(when string) {
-							t.Helper()
-							for i, tag := range model {
-								wantAll(t, tr, i, 1, tag)
-							}
-							if n, err := tr.Len(); err != nil || n != len(model) {
-								t.Fatalf("%s, %s: Len = %d, %v; want %d", how, when, n, err, len(model))
-							}
+						if start == 205 && m.Extends.Value() != before+1 {
+							t.Fatalf("%s: a flush above the newest recovered run did not extend it", how)
 						}
-						verify("after the reopen")
-						if got := m.RecoveryReplayed.Value(); got != int64(unflushed) {
-							t.Fatalf("%s: replayed %d WAL records, want the crashed flush's %d", how, got, unflushed)
-						}
-						// Whatever the recovered memtable and the batch after it
-						// flush into (nothing is on disk after a crashed first
-						// Open), the batch after those lies above the newest run
-						// and must extend it.
-						for _, start := range []int{200, 205} {
-							before := m.Extends.Value()
-							fill(t, tr, start, 5, "z")
-							for i := start; i < start+5; i++ {
-								model[i] = "z"
-							}
-							if err := tr.Flush(); err != nil {
-								t.Fatalf("%s: %v", how, err)
-							}
-							if start == 205 && m.Extends.Value() != before+1 {
-								t.Fatalf("%s: a flush above the newest recovered run did not extend it", how)
-							}
-						}
-						verify("after extending the recovered tree")
-						if err := tr.Close(); err != nil {
-							t.Fatal(err)
-						}
-						wantNoDebris(t, dir, how)
-						if tr, err = Open(Options{Dir: dir}); err != nil {
-							t.Fatalf("%s: second reopen: %v", how, err)
-						}
-						verify("after the second reopen")
-						if err := tr.Close(); err != nil {
-							t.Fatal(err)
-						}
+					}
+					verify("after extending the recovered tree")
+					if err := tr.Close(); err != nil {
+						t.Fatal(err)
+					}
+					wantNoDebris(t, dir, how)
+					if tr, err = Open(Options{Dir: dir}); err != nil {
+						t.Fatalf("%s: second reopen: %v", how, err)
+					}
+					verify("after the second reopen")
+					if err := tr.Close(); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
@@ -367,9 +345,7 @@ func copyDir(t *testing.T, src string) string {
 // file was when its last flush committed. A defect below that length — a
 // flipped bit in a later segment's header, index or filter, a file cut short —
 // is lost data: Open refuses, and leaves the file exactly as it found it.
-// Bytes beyond that length belong to no committed flush and are cut. Without a
-// manifest nothing says what was committed, so the directory scan keeps the
-// segments that check out, as it keeps the files it finds.
+// Bytes beyond that length belong to no committed flush and are cut.
 func TestCommittedBytesAreVouchedFor(t *testing.T) {
 	src := t.TempDir()
 	tr, err := Open(Options{Dir: src, SyncWAL: 1})
@@ -395,59 +371,48 @@ func TestCommittedBytesAreVouchedFor(t *testing.T) {
 		return func(b []byte) []byte { b[off] ^= 0x10; return b }
 	}
 	for name, c := range map[string]struct {
-		damage   func([]byte) []byte
-		wantErr  string // through the manifest; "" = opens
-		scanKeys int    // keys the directory scan comes up with
+		damage  func([]byte) []byte
+		wantErr string // "" = opens
 	}{
-		"second segment's header":  {flip(ends[0] + 3), "bad segment header", 40},
-		"second segment's length":  {flip(ends[0] + 9), "bad segment header", 40},
-		"second segment's index":   {flip(ends[1] - runTrailerLen - 40), "checksum", 40},
-		"third segment's trailer":  {flip(ends[2] - 12), "checksum", 80},
-		"file cut short":           {func(b []byte) []byte { return b[:ends[2]-5] }, "were committed", 80},
-		"file cut at a segment":    {func(b []byte) []byte { return b[:ends[1]] }, "were committed", 80},
-		"garbage after the commit": {func(b []byte) []byte { return append(b, "not a segment"...) }, "", 120},
+		"second segment's header":  {flip(ends[0] + 3), "bad segment header"},
+		"second segment's length":  {flip(ends[0] + 9), "bad segment header"},
+		"second segment's index":   {flip(ends[1] - runTrailerLen - 40), "checksum"},
+		"third segment's trailer":  {flip(ends[2] - 12), "checksum"},
+		"file cut short":           {func(b []byte) []byte { return b[:ends[2]-5] }, "were committed"},
+		"file cut at a segment":    {func(b []byte) []byte { return b[:ends[1]] }, "were committed"},
+		"garbage after the commit": {func(b []byte) []byte { return append(b, "not a segment"...) }, ""},
 	} {
-		for _, scan := range []bool{false, true} {
-			how := fmt.Sprintf("%s, scan=%v", name, scan)
-			dir := copyDir(t, src)
-			path := filepath.Join(dir, "run-000001.lsm")
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data = c.damage(data)
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if scan {
-				removeManifests(t, dir)
-			}
-			tr, err := Open(Options{Dir: dir})
-			if !scan && c.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-					t.Fatalf("%s: Open = %v; want it refused (%q)", how, err, c.wantErr)
-				}
-				if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
-					t.Fatalf("%s: the refused file was changed: %d bytes, were %d", how, len(after), len(data))
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", how, err)
-			}
-			want := 120
-			if scan {
-				want = c.scanKeys
-			}
-			wantAll(t, tr, 0, want, "v")
-			if n, err := tr.Len(); err != nil || n != want {
-				t.Fatalf("%s: Len = %d, %v; want %d", how, n, err, want)
-			}
-			if err := tr.Close(); err != nil {
-				t.Fatal(err)
-			}
-			wantNoDebris(t, dir, how)
+		dir := copyDir(t, src)
+		path := filepath.Join(dir, "run-000001.lsm")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		data = c.damage(data)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Open(Options{Dir: dir})
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("%s: Open = %v; want it refused (%q)", name, err, c.wantErr)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+				t.Fatalf("%s: the refused file was changed: %d bytes, were %d", name, len(after), len(data))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		wantAll(t, tr, 0, 120, "v")
+		if n, err := tr.Len(); err != nil || n != 120 {
+			t.Fatalf("%s: Len = %d, %v; want 120", name, n, err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wantNoDebris(t, dir, name)
 	}
 }
 
@@ -630,67 +595,61 @@ func TestExtendBesideMergesAndScans(t *testing.T) {
 // long it is, so it is never extended; the flush of the replayed tail starts
 // a format-03 file, and the flush after that extends it.
 func TestParentDirectoryOpensAndExtends(t *testing.T) {
-	src := filepath.Join("testdata", "format02")
-	for _, scan := range []bool{false, true} {
-		how := fmt.Sprintf("scan=%v", scan)
-		sub := copyDir(t, src)
-		if scan {
-			removeManifests(t, sub)
-		} else if st, _, ok, err := loadManifest(sub); err != nil || !ok || len(st.runs) != 2 || st.floor != 2 {
-			t.Fatalf("the parent's manifest, which records no file lengths, reads as %+v, %v, %v; want its two runs and floor 2", st, ok, err)
+	sub := copyDir(t, filepath.Join("testdata", "format02"))
+	if st, loaded, _, err := loadManifest(sub); err != nil || loaded == "" || len(st.runs) != 2 || st.floor != 2 {
+		t.Fatalf("the parent's manifest, which records no file lengths, reads as %+v, %q, %v; want its two runs and floor 2", st, loaded, err)
+	}
+	m := &Metrics{}
+	tr, err := Open(Options{Dir: sub, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, extra int) {
+		t.Helper()
+		wantAll(t, tr, 0, 42, "p1")
+		wantAll(t, tr, 43, 57, "p1")
+		wantAll(t, tr, 100, 100, "p2")
+		wantAll(t, tr, 200, 50, "p3")
+		wantAll(t, tr, 250, extra, "new")
+		if n, err := tr.Len(); err != nil || n != 249+extra {
+			t.Fatalf("%s: Len = %d, %v; want %d", when, n, err, 249+extra)
 		}
-		m := &Metrics{}
-		tr, err := Open(Options{Dir: sub, Metrics: m})
-		if err != nil {
-			t.Fatalf("%s: %v", how, err)
-		}
-		check := func(when string, extra int) {
-			t.Helper()
-			wantAll(t, tr, 0, 42, "p1")
-			wantAll(t, tr, 43, 57, "p1")
-			wantAll(t, tr, 100, 100, "p2")
-			wantAll(t, tr, 200, 50, "p3")
-			wantAll(t, tr, 250, extra, "new")
-			if n, err := tr.Len(); err != nil || n != 249+extra {
-				t.Fatalf("%s, %s: Len = %d, %v; want %d", how, when, n, err, 249+extra)
-			}
-		}
-		check("as opened", 0)
-		if st := tr.Stats(); st.Runs != 2 || st.Segments != 2 || m.RecoveryReplayed.Value() != 50 {
-			t.Fatalf("%s: %d runs, %d segments, %d records replayed; want the two format-02 runs and the 50-record tail", how, st.Runs, st.Segments, m.RecoveryReplayed.Value())
-		}
-		if err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if st := tr.Stats(); st.Runs != 3 || m.Extends.Value() != 0 {
-			t.Fatalf("%s: %d runs, %d extends after flushing the tail; a format-02 run must not be extended", how, st.Runs, m.Extends.Value())
-		}
-		fill(t, tr, 250, 30, "new")
-		if err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if st := tr.Stats(); st.Runs != 3 || st.Segments != 4 || m.Extends.Value() != 1 {
-			t.Fatalf("%s: %d runs, %d segments, %d extends; want the new run extended", how, st.Runs, st.Segments, m.Extends.Value())
-		}
-		check("after extending", 30)
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if tr, err = Open(Options{Dir: sub}); err != nil {
-			t.Fatal(err)
-		}
-		check("reopened", 30)
-		// A forced merge rewrites the old files in the current format.
-		if err := tr.Merge(); err != nil {
-			t.Fatal(err)
-		}
-		if st := tr.Stats(); st.Runs != 1 || st.Segments != 1 {
-			t.Fatalf("%s: %d runs, %d segments after Merge", how, st.Runs, st.Segments)
-		}
-		check("merged", 30)
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	check("as opened", 0)
+	if st := tr.Stats(); st.Runs != 2 || st.Segments != 2 || m.RecoveryReplayed.Value() != 50 {
+		t.Fatalf("%d runs, %d segments, %d records replayed; want the two format-02 runs and the 50-record tail", st.Runs, st.Segments, m.RecoveryReplayed.Value())
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.Stats(); st.Runs != 3 || m.Extends.Value() != 0 {
+		t.Fatalf("%d runs, %d extends after flushing the tail; a format-02 run must not be extended", st.Runs, m.Extends.Value())
+	}
+	fill(t, tr, 250, 30, "new")
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.Stats(); st.Runs != 3 || st.Segments != 4 || m.Extends.Value() != 1 {
+		t.Fatalf("%d runs, %d segments, %d extends; want the new run extended", st.Runs, st.Segments, m.Extends.Value())
+	}
+	check("after extending", 30)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tr, err = Open(Options{Dir: sub}); err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", 30)
+	// A forced merge rewrites the old files in the current format.
+	if err := tr.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.Stats(); st.Runs != 1 || st.Segments != 1 {
+		t.Fatalf("%d runs, %d segments after Merge", st.Runs, st.Segments)
+	}
+	check("merged", 30)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -700,9 +659,9 @@ func TestParentDirectoryOpensAndExtends(t *testing.T) {
 // tree, so what it contains is pinned here rather than taken on trust.
 func TestParentDirectoryFixture(t *testing.T) {
 	src := filepath.Join("testdata", "format02")
-	st, seq, ok, err := loadManifest(src)
-	if err != nil || !ok || seq != 1 || st.floor != 2 || len(st.runs) != 2 || st.runs[0] != "run-000002.lsm" || st.runs[1] != "run-000001.lsm" {
-		t.Fatalf("manifest = %+v, seq %d, %v, %v", st, seq, ok, err)
+	st, loaded, newest, err := loadManifest(src)
+	if err != nil || loaded != "MANIFEST-000001" || newest != 1 || st.floor != 2 || len(st.runs) != 2 || st.runs[0] != "run-000002.lsm" || st.runs[1] != "run-000001.lsm" {
+		t.Fatalf("manifest = %+v, loaded %q, newest %d, %v", st, loaded, newest, err)
 	}
 	for name, end := range st.ends {
 		if end != 0 {
@@ -816,39 +775,50 @@ func TestCorruptFilterRefused(t *testing.T) {
 	}
 }
 
-// FuzzLoadRun feeds arbitrary bytes to the loader as a run file. It must not
-// panic and must not allocate more than a small multiple of the file's size,
-// whatever lengths the bytes claim. A file that loads has ascending block
-// keys and in-bounds, back-to-back extents inside its segments, is cut to its
-// last complete segment, and answers a scan and point probes with data or an
-// error, never a panic. The checked-in corpus (testdata/fuzz/FuzzLoadRun) was
-// written by this package's writer: a format-02 file, files of one, two and
-// nine segments, a second segment with half a header, one with half an index
-// section, garbage after the last segment, and the four-byte filter of
-// TestCorruptFilterRefused in both formats.
+// FuzzLoadRun feeds arbitrary bytes to the loader as a run file, with the
+// committed length a manifest would vouch for (0: the whole file), which is
+// how Open loads every listed run. It must not panic, must not allocate more
+// than a small multiple of the file's size whatever lengths the bytes claim,
+// and must never change the file: what lies beyond the committed length is
+// Open's to cut, and a refusal leaves the file as it was. A format-03 file
+// that loads ends at the committed length exactly, has ascending block keys
+// and in-bounds, back-to-back extents inside its segments, and answers a scan
+// and point probes with data or an error, never a panic. The checked-in
+// corpus (testdata/fuzz/FuzzLoadRun) was written by this package's writer: a
+// format-02 file, files of one, two (committed up to the first) and nine
+// segments, a second segment with half a header, one with half an index
+// section, garbage after the last segment (those three committed up to the
+// first segment), and the four-byte filter of TestCorruptFilterRefused in
+// both formats.
 func FuzzLoadRun(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, committed int64) {
 		path := filepath.Join(t.TempDir(), "run-000001.lsm")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r, err := openRun(path, runConfig{}, 0)
+		r, err := openRun(path, runConfig{}, committed)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10+64*uint64(len(data)) {
 			t.Fatalf("loading %d bytes allocated %d", len(data), grew)
+		}
+		if now, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(now, data) {
+			t.Fatalf("loading changed the file (%v): %d bytes, were %d", rerr, len(now), len(data))
 		}
 		if err != nil {
 			return
 		}
 		defer r.close()
-		st, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
+		want := int64(len(data))
+		if committed > 0 {
+			want = committed
 		}
-		if r.end != 0 && r.end != st.Size() {
-			t.Fatalf("segments end at %d, file left %d bytes long", r.end, st.Size())
+		end := r.end
+		if end == 0 { // format 02: one segment, the whole file, no length to commit
+			end = int64(len(data))
+		} else if end != want {
+			t.Fatalf("segments end at %d, want the committed %d", end, want)
 		}
 		var prev blockMeta
 		entries := 0
@@ -856,8 +826,8 @@ func FuzzLoadRun(f *testing.F) {
 			if i > 0 && bytes.Compare(bm.firstKey, prev.firstKey) <= 0 {
 				t.Fatalf("block %d first key %q not above block %d's %q", i, bm.firstKey, i-1, prev.firstKey)
 			}
-			if bm.off < prev.off+int64(prev.length) || bm.length < blockFooterLen || bm.off+int64(bm.length) > st.Size() || bm.filter == nil {
-				t.Fatalf("block %d extent [%d,+%d) after [%d,+%d) in a file of %d", i, bm.off, bm.length, prev.off, prev.length, st.Size())
+			if bm.off < prev.off+int64(prev.length) || bm.length < blockFooterLen || bm.off+int64(bm.length) > end || bm.filter == nil {
+				t.Fatalf("block %d extent [%d,+%d) after [%d,+%d) below %d", i, bm.off, bm.length, prev.off, prev.length, end)
 			}
 			entries += int(bm.entries)
 			prev = bm

@@ -36,9 +36,10 @@ import "errors"
 //     that write persisted as well.
 //     At "manifest:append" it persists a strict prefix of the manifest
 //     record (or, for a snapshot write, a torn unrenamed temp file) and
-//     wedges the manifest — the torn-tail shapes recovery's fallback scan
-//     must absorb. At "recover:replay" both sentinels simply abort the
-//     Open mid-replay, leaving every file in place for the next attempt.
+//     wedges the manifest — the torn tail the next Open drops, recovering
+//     from the records before it. At "recover:replay" both sentinels
+//     simply abort the Open mid-replay, leaving every file in place for
+//     the next attempt.
 //
 // ErrInjected at a background point is retried by the flusher/compactor
 // after a short delay, modelling a transient environmental failure that

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -379,26 +378,36 @@ func checkPushed(t *testing.T, step string, m *Metrics, trees ...*Tree) {
 func TestPropertyModelCheck(t *testing.T) {
 	const keyspace, ops = 320, 300
 	keyOf := func(i int) string { return fmt.Sprintf("k%03d", i) }
-	// partial collects the outputs of merges whose window stopped short of
-	// the oldest run — the merges that must keep their tombstones. A window
-	// that ends at the oldest run leaves its output there, so a merge
-	// output (named "...m.lsm") seen anywhere else is one of them.
-	partial := map[string]bool{}
-	notePartial := func(tr *Tree, seed int64) {
+	// partial counts the merges whose window stopped short of the oldest run
+	// — the merges that must keep their tombstones. Only a merge whose window
+	// ends at the oldest run replaces its file, so the merges published
+	// between two looks at a tree that find the same oldest file were all
+	// partial (a look that finds it changed counts none of them).
+	partial := 0
+	type look struct {
+		tr     *Tree
+		merges int
+		oldest *runFile
+	}
+	var last look
+	notePartial := func(tr *Tree) {
 		tr.mu.RLock()
 		defer tr.mu.RUnlock()
-		for i, r := range tr.set.runs {
-			if i < len(tr.set.runs)-1 && strings.HasSuffix(r.path, "m.lsm") {
-				partial[fmt.Sprintf("seed%d/%s", seed, filepath.Base(r.path))] = true
-			}
+		now := look{tr: tr, merges: tr.merges}
+		if n := len(tr.set.runs); n > 0 {
+			now.oldest = tr.set.runs[n-1].runFile
 		}
+		if now.tr == last.tr && now.oldest == last.oldest {
+			partial += now.merges - last.merges
+		}
+		last = now
 	}
 	asc := &Metrics{} // of the seeds with ascending phases
 	races := 0
 	defer func() {
-		t.Logf("%d partial merges observed across the seeds", len(partial))
-		if !t.Failed() && len(partial) < 5 {
-			t.Fatalf("the seeds performed %d partial merges; the model check must exercise them", len(partial))
+		t.Logf("%d partial merges observed across the seeds", partial)
+		if !t.Failed() && partial < 5 {
+			t.Fatalf("the seeds performed %d partial merges; the model check must exercise them", partial)
 		}
 		ext, fl, mg := asc.Extends.Value(), asc.Flushes.Value(), asc.Merges.Value()
 		t.Logf("ascending phases: %d flushes, %d of them extends, %d merges, %d flushes beside a parked merge", fl, ext, mg, races)
@@ -602,7 +611,7 @@ func TestPropertyModelCheck(t *testing.T) {
 					model[key] = val
 					top = max(top, idx)
 				}
-				notePartial(tr, seed)
+				notePartial(tr)
 				checkPushed(t, fmt.Sprintf("op %d", op), opt.Metrics, tr)
 				if op%25 == 0 {
 					checkAll(op)

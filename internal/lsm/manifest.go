@@ -8,15 +8,16 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// The manifest is the tree's durability keystone: an append-only log of
-// committed structural edits, named MANIFEST-NNNNNN. Open reads the
-// highest-numbered manifest to reconstruct the exact run set and the WAL
-// checkpoint floor (the segment number at or below which every record is
-// durable in a run file), instead of trusting a directory listing and
-// replaying every segment it finds.
+// The manifest is the tree's durability keystone and the only source of what
+// the tree holds: an append-only log of committed structural edits, named
+// MANIFEST-NNNNNN. Open reads the newest generation to reconstruct the exact
+// run set and the WAL checkpoint floor (the segment number at or below which
+// every record is durable in a run file); it never infers either from a
+// directory listing.
 //
 // Record framing, shared by all kinds:
 //
@@ -43,14 +44,13 @@ import (
 // absent from records written before run files could grow; zero means
 // "whatever the file holds".
 //
-// A new snapshot file is written (temp + rename + directory fsync) on every
-// Open and again whenever manifestRewriteEvery edits accumulate, so the
-// manifest never grows with history. Older MANIFEST files are deleted only
-// after the replacement is durable. Any parse failure — torn tail from a
-// crash mid-append, truncation, a corrupt record — discards the manifest
-// entirely and recovery falls back to a verified directory scan; it never
-// falls back to an older manifest generation, whose stale run list could
-// name files that later merges legitimately deleted.
+// A new snapshot file is written on every Open (lazily: see
+// lazySnapshotLocked) and, durably, whenever manifestRewriteEvery edits
+// accumulate, so the manifest never grows with history. Older MANIFEST files
+// are deleted only after the replacement is durable. Because every commit
+// fsyncs its record before anything it supersedes is deleted, a bad last
+// record is an append that never returned and is dropped (parseManifest); a
+// bad record with bytes after it is corruption, and Open refuses.
 const (
 	manSnapshot byte = 1
 	manFlush    byte = 2
@@ -69,25 +69,15 @@ var errManifestDead = errors.New("lsm: manifest closed or wedged")
 
 func manifestName(seq int) string { return fmt.Sprintf("MANIFEST-%06d", seq) }
 
-// manifestSeq parses the sequence number out of a MANIFEST-NNNNNN base name,
-// rejecting temp files and anything else that is not exactly the pattern.
+// manifestSeq parses the sequence number out of a base name manifestName
+// gives, rejecting temp files and anything else it would not write.
 func manifestSeq(base string) (int, bool) {
-	const prefix = "MANIFEST-"
-	if !strings.HasPrefix(base, prefix) {
+	digits, ok := strings.CutPrefix(base, "MANIFEST-")
+	if !ok {
 		return 0, false
 	}
-	digits := base[len(prefix):]
-	if len(digits) < 6 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
+	n, err := strconv.Atoi(digits)
+	return n, err == nil && n >= 0 && manifestName(n) == base
 }
 
 // manState is the run set (newest first) and WAL checkpoint floor
@@ -194,43 +184,47 @@ func (d *manDecoder) end() int64 {
 func (d *manDecoder) done() bool { return d.ok && len(d.b) == 0 }
 
 // parseManifest replays a manifest file's records into the state they
-// describe. ok=false on any defect: torn tail, CRC mismatch, a non-snapshot
-// first record, a merge naming an input that is not in the run set. The
-// caller then recovers by verified directory scan instead.
-func parseManifest(data []byte) (manState, bool) {
-	st := manState{ends: map[string]int64{}}
-	first := true
+// describe. A bad last frame — header cut short, body past the end, CRC
+// failing — is the torn tail of an append that never returned: it is dropped.
+// ok is false when not even the first frame checks out: the snapshot never
+// became durable. Any other defect is an error naming its offset: a bad frame
+// with bytes after it, a first record that is not a snapshot, a merge input
+// that is not in the run set, fields left over.
+func parseManifest(data []byte) (st manState, ok bool, err error) {
+	st = manState{ends: map[string]int64{}}
 	for off := 0; off < len(data); {
-		if len(data)-off < 8 {
-			return manState{}, false
+		rest := data[off:]
+		n := len(rest) + 1 // the frame's length, per its header
+		if len(rest) >= 8 {
+			n = 8 + int(binary.LittleEndian.Uint32(rest[4:]))
 		}
-		wantCRC := binary.LittleEndian.Uint32(data[off:])
-		blen := int(binary.LittleEndian.Uint32(data[off+4:]))
-		if blen == 0 || blen > 1<<24 || off+8+blen > len(data) {
-			return manState{}, false
+		if n == 8 || n > len(rest) || crc32.ChecksumIEEE(rest[8:n]) != binary.LittleEndian.Uint32(rest) {
+			if off == 0 {
+				return manState{}, false, nil
+			} else if n < len(rest) {
+				return manState{}, false, fmt.Errorf("bad record at offset %d, %d bytes before the end", off, len(rest))
+			}
+			return st, true, nil
 		}
-		body := data[off+8 : off+8+blen]
-		if crc32.ChecksumIEEE(body) != wantCRC {
-			return manState{}, false
-		}
-		off += 8 + blen
 
+		body := rest[8:n]
 		d := &manDecoder{b: body[1:], ok: true}
 		switch kind := body[0]; {
-		case kind == manSnapshot && first:
-			n := d.uvarint()
-			if !d.ok || n > 1<<20 {
-				return manState{}, false
+		case kind == manSnapshot && off == 0:
+			count := d.uvarint()
+			if count > 1<<20 {
+				d.ok = false
+				break
 			}
-			st.runs = make([]string, 0, n)
-			for i := 0; i < n; i++ {
+			st.runs = make([]string, 0, count)
+			for i := 0; i < count; i++ {
 				st.runs = append(st.runs, d.name())
 			}
 			st.floor = d.uvarint()
 			for _, r := range st.runs {
 				st.ends[r] = d.end()
 			}
-		case kind == manFlush && !first:
+		case kind == manFlush && off > 0:
 			run := d.name()
 			floor := d.uvarint()
 			st.ends[run] = d.end()
@@ -240,14 +234,15 @@ func parseManifest(data []byte) (manState, bool) {
 					st.floor = floor
 				}
 			}
-		case kind == manMerge && !first:
+		case kind == manMerge && off > 0:
 			out := d.name()
-			n := d.uvarint()
-			if !d.ok || n == 0 || n > 1<<20 {
-				return manState{}, false
+			count := d.uvarint()
+			if count == 0 || count > 1<<20 {
+				d.ok = false
+				break
 			}
-			inputs := make(map[string]bool, n)
-			for i := 0; i < n; i++ {
+			inputs := make(map[string]bool, count)
+			for i := 0; i < count; i++ {
 				inputs[d.name()] = true
 			}
 			st.ends[out] = d.end()
@@ -255,17 +250,14 @@ func parseManifest(data []byte) (manState, bool) {
 				st.runs, d.ok = applyMerge(st.runs, out, inputs)
 			}
 		default:
-			return manState{}, false
+			d.ok = false
 		}
 		if !d.done() {
-			return manState{}, false
+			return manState{}, false, fmt.Errorf("malformed record at offset %d", off)
 		}
-		first = false
+		off += n
 	}
-	if first {
-		return manState{}, false // empty file: no snapshot
-	}
-	return st, true
+	return st, len(data) > 0, nil
 }
 
 // flushedInto returns the run set after a flush into run: run at its head,
@@ -301,32 +293,42 @@ func applyMerge(runs []string, out string, inputs map[string]bool) ([]string, bo
 	return next, true
 }
 
-// loadManifest reads the highest-numbered manifest in dir. ok=false means
-// there is no usable manifest (none exists, or the newest is torn or
-// malformed) and the caller must rebuild state from a verified directory
-// scan. fileSeq is the highest manifest number seen even when ok=false, so
-// the rebuilt snapshot always takes a fresh number.
-func loadManifest(dir string) (st manState, fileSeq int, ok bool, err error) {
+// loadManifest reads the state of the tree in dir from the newest manifest
+// generation whose snapshot is intact, and returns that file's base name as
+// loaded — "" when no generation has one — and the highest generation number
+// present, so the next snapshot always takes a fresh number. Only Open's lazy
+// snapshot can lack an intact one, and the generation before it is still on
+// disk then (see lazySnapshotLocked). A generation that is corrupt is an
+// error, never a reason to look further back.
+func loadManifest(dir string) (st manState, loaded string, newest int, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return manState{}, 0, false, err
+		return manState{}, "", 0, err
 	}
-	newest := ""
+	var gens []int
 	for _, e := range ents {
-		if seq, isMan := manifestSeq(e.Name()); isMan && seq > fileSeq {
-			fileSeq = seq
-			newest = e.Name()
+		if seq, isMan := manifestSeq(e.Name()); isMan {
+			gens = append(gens, seq)
+			newest = max(newest, seq)
 		}
 	}
-	if newest == "" {
-		return manState{}, fileSeq, false, nil
+	sort.Sort(sort.Reverse(sort.IntSlice(gens)))
+	for _, seq := range gens {
+		name := manifestName(seq)
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return manState{}, "", newest, err
+		}
+		st, ok, err := parseManifest(data)
+		if err != nil {
+			return manState{}, "", newest, fmt.Errorf("lsm: %s: %w — refusing to open", path, err)
+		}
+		if ok {
+			return st, name, newest, nil
+		}
 	}
-	data, err := os.ReadFile(filepath.Join(dir, newest))
-	if err != nil {
-		return manState{}, fileSeq, false, err
-	}
-	st, ok = parseManifest(data)
-	return st, fileSeq, ok, nil
+	return manState{}, "", newest, nil
 }
 
 // manifest is the live append handle plus the in-memory mirror of the
@@ -350,12 +352,12 @@ type manifest struct {
 	dead bool
 	// durable is false while the generation exists only as a lazy
 	// open-time snapshot: the file and its rename have not been fsynced
-	// and the previous generation has not been deleted. Open may stay
-	// sync-free because losing a lazy snapshot is harmless — recovery
-	// falls back to the previous generation or the verified scan, both
-	// exact for a tree that committed nothing since. The first commit
-	// (which is about to justify deleting files) completes the push to
-	// durability before its record takes effect.
+	// and the generation Open loaded has not been deleted. Open may stay
+	// sync-free because losing a lazy snapshot is harmless — recovery then
+	// loads that older generation again (loadManifest), exact for a tree
+	// that committed nothing since. The first commit (which is about to
+	// justify deleting files) completes the push to durability before its
+	// record takes effect.
 	durable bool
 }
 
@@ -376,8 +378,9 @@ func (m *manifest) gateRelease() {
 // it open for appending edits. The write is *lazy*: no fsync happens here,
 // so Open never blocks on (or is lock-analyzed into) a sync — the first
 // commit pushes the generation to durability before deleting anything. If
-// a crash loses the lazy snapshot, recovery uses the previous generation
-// or the verified scan, both exact for a tree that committed nothing.
+// a crash loses the lazy snapshot, recovery loads the generation before it,
+// or — for a tree that never had one — finds no run files and replays every
+// segment: both exact for a tree that committed nothing.
 func newManifest(dir string, fileSeq int, st manState, fault FaultHook, metrics *Metrics) (*manifest, error) {
 	m := &manifest{
 		dir:      dir,
@@ -454,10 +457,11 @@ func (m *manifest) installSnapshotLocked(seq int, f *os.File, path string, durab
 
 // lazySnapshotLocked publishes MANIFEST-<seq> by temp + rename with *no*
 // fsync anywhere in its call graph, so Open (its only path) never blocks on
-// a sync. Losing the snapshot in a crash is harmless: recovery then uses
-// the previous generation or the verified scan, both exact for a tree that
-// committed nothing since; the first commit makes the generation durable
-// before anything destructive happens. Callers hold the gate token.
+// a sync. Losing the snapshot in a crash is harmless: Open keeps the
+// generation it loaded until this one is durable, so recovery loads that one
+// again, exact for a tree that committed nothing since; the first commit
+// makes the generation durable before anything destructive happens. Callers
+// hold the gate token.
 func (m *manifest) lazySnapshotLocked(seq int) error {
 	f, tmp, path, err := m.snapTmpLocked(seq)
 	if err != nil {
@@ -535,7 +539,7 @@ func (m *manifest) appendLocked(body []byte) error {
 		if err := m.fault("manifest:append"); err != nil {
 			if errors.Is(err, ErrTornWrite) {
 				// Persist a strict prefix, exactly a crash mid-append: the
-				// next Open finds a torn tail and falls back to the scan.
+				// next Open drops the torn tail and recovers without it.
 				m.dead = true
 				n := len(rec) / 2
 				if _, werr := m.f.Write(rec[:n]); werr != nil {

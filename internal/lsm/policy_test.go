@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -165,9 +164,8 @@ func wantYoungOverOld(t *testing.T, tr *Tree, how string) {
 
 // TestPartialMergeKeepsDeletes: a key put in an old large run and deleted in
 // a young run that a tier merge rewrites without reaching the old run must
-// stay deleted — after the merge, after a reopen through the manifest, and
-// after a reopen through the directory scan. Only a window that ends at the
-// oldest run may drop tombstones.
+// stay deleted — after the merge and after a reopen. Only a window that ends
+// at the oldest run may drop tombstones.
 func TestPartialMergeKeepsDeletes(t *testing.T) {
 	dir := t.TempDir()
 	tr, err := Open(Options{Dir: dir})
@@ -183,33 +181,16 @@ func TestPartialMergeKeepsDeletes(t *testing.T) {
 	}
 	wantYoungOverOld(t, tr, "after the merge")
 
-	reopen := func(how string) {
-		t.Helper()
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if tr, err = Open(Options{Dir: dir}); err != nil {
-			t.Fatalf("%s: %v", how, err)
-		}
-		if st := tr.Stats(); st.Runs != 2 {
-			t.Fatalf("%s: %d runs, want the merge output and the old run", how, st.Runs)
-		}
-		wantYoungOverOld(t, tr, how)
-	}
-	reopen("reopen through the manifest")
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mans, _ := filepath.Glob(filepath.Join(dir, "MANIFEST-*"))
-	if len(mans) == 0 {
-		t.Fatal("no manifest to remove")
+	if tr, err = Open(Options{Dir: dir}); err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range mans {
-		if err := os.Remove(m); err != nil {
-			t.Fatal(err)
-		}
+	if st := tr.Stats(); st.Runs != 2 {
+		t.Fatalf("after a reopen: %d runs, want the merge output and the old run", st.Runs)
 	}
-	reopen("reopen through the directory scan")
+	wantYoungOverOld(t, tr, "after a reopen")
 }
 
 // TestCrashDuringPartialMergeRecoversExactly tears a merge whose window
@@ -229,7 +210,7 @@ func TestCrashDuringPartialMergeRecoversExactly(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if tmps, _ := filepath.Glob(filepath.Join(dir, "run-*m.lsm.tmp")); len(tmps) != 1 {
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "run-*.lsm.tmp")); len(tmps) != 1 {
 		t.Fatalf("torn merge left debris %v, want one merge output temp", tmps)
 	}
 

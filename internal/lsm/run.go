@@ -29,12 +29,11 @@ import (
 // before it, so the file as a whole is one sorted run. The first segment is
 // written to a temp file and renamed into place; a later one is appended by
 // a flush whose keys all lie above the run (Tree.flushTasks): body, fsync,
-// header, fsync, so a header on disk vouches for a body on disk, and the file
-// is valid up to its last complete segment whatever byte a crash stopped at.
-// The flush's manifest record then commits the file's new length. loadRun
-// fails on any defect below the committed length and cuts off what lies
-// beyond it. No committed byte is ever rewritten: a reader's view of the file
-// stays exact while the file grows behind it.
+// header, fsync, so a header on disk vouches for a body on disk. The flush's
+// manifest record then commits the file's new length. loadRun fails on any
+// defect below the committed length, and Open cuts off what lies beyond it. No
+// committed byte is ever rewritten: a reader's view of the file stays exact
+// while the file grows behind it.
 //
 // A format-02 file is one segment whose header is the bare magic: nothing at
 // its head says where it ends, so it is read as it always was and never grows.
@@ -227,11 +226,10 @@ func (s span) overlaps(o span) bool {
 // runWriter streams sorted, unique entries into one segment block by block,
 // holding only the current block, the sparse index, and the bloom filter in
 // memory — never the entry set. A new file is written to path+".tmp" and
-// renamed into place on finish, so a crash mid-write leaves nothing that
-// Open's run-*.lsm glob would load; Open sweeps leftover .tmp files. A segment
-// that extends prev is written in place at prev.end, where an unfinished one
-// is a tail no header vouches for. Either finish or abort must be called
-// exactly once.
+// renamed into place on finish, so a crash mid-write leaves only a .tmp file,
+// which Open sweeps. A segment that extends prev is written in place at
+// prev.end, where an unfinished one lies beyond the committed length, which
+// Open cuts off. Either finish or abort must be called exactly once.
 type runWriter struct {
 	path  string
 	tmp   string
@@ -488,25 +486,19 @@ func (r *run) readLastKey() ([]byte, error) {
 	return append([]byte(nil), e.key...), nil
 }
 
-// errRunRead marks a run-file read the disk failed, as opposed to bytes that
-// were read and do not check out: never grounds for cutting a file.
-var errRunRead = errors.New("lsm: reading run")
-
 func (r *run) readAt(p []byte, off int64) error {
 	if _, err := r.f.ReadAt(p, off); err != nil {
-		return fmt.Errorf("%w %s at %d: %v", errRunRead, r.path, off, err)
+		return fmt.Errorf("lsm: reading run %s at %d: %w", r.path, off, err)
 	}
 	return nil
 }
 
-// loadRun builds the view of the file's segments. committed is the file
-// length the manifest vouches for: every byte below it must check out or the
-// load fails — that is lost data — and every byte beyond it belongs to an
-// extension that never committed, its records still in the WAL, and is cut
-// off. Zero means no manifest speaks for the file (the directory scan, or a
-// format-02 file): then the first segment, which was renamed into place
-// whole, must check out, and the file is cut after the last one that does —
-// but never on a failed read.
+// loadRun builds the view of the file's segments; it reads the file and never
+// writes it. committed is the file length the manifest vouches for, zero for
+// the whole file: every segment below it must check out or the load fails —
+// that is lost data. The view ends at committed; the bytes beyond it belong to
+// an extension that never committed, its records still in the WAL, and Open
+// cuts them off. A format-02 file is one segment and records no length.
 func loadRun(path string, f *os.File, cfg runConfig, committed int64) (*run, error) {
 	st, err := f.Stat()
 	if err != nil {
@@ -533,23 +525,19 @@ func loadRun(path string, f *os.File, cfg runConfig, committed int64) (*run, err
 		}
 	}
 	for r.end < limit {
-		err := fmt.Errorf("lsm: run %s has a bad segment header at %d", path, r.end)
+		var n int64
 		if limit-r.end >= runHeaderLen {
 			if err := r.readAt(hdr[:], r.end); err != nil {
 				return nil, err
 			}
-			if n := int64(binary.LittleEndian.Uint64(hdr[8:])); bytes.Equal(hdr[:8], runMagic) && n > 0 && n <= limit-r.end {
-				err = r.loadSegment(r.end, r.end+n, hdr[:])
-			}
+			n = int64(binary.LittleEndian.Uint64(hdr[8:]))
 		}
-		if err != nil && (committed > 0 || r.end == 0 || errors.Is(err, errRunRead)) {
+		if !bytes.Equal(hdr[:8], runMagic) || n <= 0 || n > limit-r.end {
+			return nil, fmt.Errorf("lsm: run %s has a bad segment header at %d", path, r.end)
+		}
+		if err := r.loadSegment(r.end, r.end+n, hdr[:]); err != nil {
 			return nil, err
-		} else if err != nil {
-			break
 		}
-	}
-	if r.end < size {
-		return r, os.Truncate(path, r.end)
 	}
 	return r, nil
 }

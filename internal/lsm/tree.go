@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -219,9 +218,10 @@ func (t *Tree) runCfg() runConfig {
 }
 
 // Open opens (creating if necessary) the tree in opt.Dir, recovering its
-// committed state from the manifest (or a verified directory scan when the
-// manifest is torn or absent), replaying the live WAL tail, and starting
-// the background flusher and compactor.
+// committed state from the manifest, replaying the live WAL tail, and
+// starting the background flusher and compactor. It refuses, changing no
+// file, when the manifest is corrupt, names a run that is missing or fails
+// its checks, or is absent from a directory that holds run files.
 func Open(opt Options) (*Tree, error) {
 	opt = opt.withDefaults()
 	if opt.Dir == "" {
@@ -307,36 +307,31 @@ func fileSeqOf(base, format string) int {
 	return seq
 }
 
-// recoverState rebuilds the tree from disk: sweep temp debris, load the
-// manifest (falling back to a verified directory scan when it is torn,
-// malformed, or absent), open the committed runs, delete orphaned runs and
-// retired segments, replay the live WAL tail into the recovery memtable,
-// and cap it all with a fresh snapshot manifest. Returns the number of WAL
-// records replayed. On error everything opened so far is closed and every
-// file is left where the next attempt needs it.
+// recoverState rebuilds the tree from its manifest: load the newest intact
+// generation, open the runs it lists, and — once nothing can refuse any more
+// — sweep the debris (temp files, the other generations, orphaned runs, bytes
+// past a run's committed length, retired segments), replay the live WAL tail
+// into the recovery memtable, and cap it all with a fresh snapshot manifest.
+// Returns the number of WAL records replayed. A refusal changes no file; on
+// any error everything opened so far is closed and every file is left where
+// the next attempt needs it.
 func (t *Tree) recoverState() (int, error) {
 	dir := t.opt.Dir
-	if err := sweepTemps(dir); err != nil {
-		return 0, err
-	}
-
-	st, manSeq, manOK, err := loadManifest(dir)
+	st, loaded, manSeq, err := loadManifest(dir)
 	if err != nil {
 		return 0, err
 	}
-	// Generations strictly below the loaded one are never consulted again
-	// (recovery uses the newest manifest or the scan, never an older
-	// file); sweep them so lazy open-time snapshots cannot accumulate.
-	manNames, err := filepath.Glob(filepath.Join(dir, "MANIFEST-*"))
+	runFiles, err := filepath.Glob(filepath.Join(dir, "run-*.lsm"))
 	if err != nil {
 		return 0, err
 	}
-	for _, p := range manNames {
-		if seq, isMan := manifestSeq(filepath.Base(p)); isMan && seq < manSeq {
-			if err := dropDebris(p); err != nil {
-				return 0, err
-			}
-		}
+	// Without a manifest nothing says which run files hold committed data.
+	// With none of them either, the tree is empty and every segment replays.
+	if loaded == "" && len(runFiles) > 0 {
+		return 0, fmt.Errorf("lsm: %s holds %d run files but no manifest — refusing to open: restore its MANIFEST-* file, or, for a directory written before manifests existed, open it once with a release that still recovers by directory scan", dir, len(runFiles))
+	}
+	for _, name := range runFiles {
+		t.seq = max(t.seq, fileSeqOf(filepath.Base(name), "run-%06d"))
 	}
 
 	// Every segment present, ascending. walSeq advances past all of them —
@@ -362,76 +357,77 @@ func (t *Tree) recoverState() (int, error) {
 		return 0, err
 	}
 
-	runFiles, err := filepath.Glob(filepath.Join(dir, "run-*.lsm"))
-	if err != nil {
-		return 0, err
-	}
-	for _, name := range runFiles {
-		if seq := fileSeqOf(filepath.Base(name), "run-%06d"); seq > t.seq {
-			t.seq = seq
+	// The manifest names the exact committed run set, newest first. A listed
+	// run that is missing, or fails below its committed length, is real data
+	// loss — fail loudly rather than silently narrowing the database to
+	// whatever files remain.
+	listed := make(map[string]bool, len(st.runs))
+	for _, name := range st.runs {
+		listed[name] = true
+		r, err := openRun(filepath.Join(dir, name), t.runCfg(), st.ends[name])
+		if err != nil {
+			if errors.Is(err, os.ErrNotExist) {
+				return fail(fmt.Errorf("lsm: %s lists run %s but the file is missing — refusing to open with lost data: %w",
+					loaded, name, err))
+			}
+			return fail(err)
 		}
+		runs = append(runs, r)
 	}
 
-	if manOK {
-		// The manifest names the exact committed run set, newest first. A
-		// listed run that is missing is real data loss — fail loudly rather
-		// than silently narrowing the database to whatever files remain.
-		listed := make(map[string]bool, len(st.runs))
-		for _, name := range st.runs {
-			listed[name] = true
-			r, err := openRun(filepath.Join(dir, name), t.runCfg(), st.ends[name])
-			if err != nil {
-				if errors.Is(err, os.ErrNotExist) {
-					return fail(fmt.Errorf("lsm: %s lists run %s but the file is missing — refusing to open with lost data: %w",
-						manifestName(manSeq), name, err))
-				}
+	// Nothing refuses past this point. Generations other than the loaded one
+	// are older, or newer without an intact snapshot: never consulted again.
+	if err := sweepTemps(dir); err != nil {
+		return fail(err)
+	}
+	manNames, err := filepath.Glob(filepath.Join(dir, "MANIFEST-*"))
+	if err != nil {
+		return fail(err)
+	}
+	for _, p := range manNames {
+		base := filepath.Base(p)
+		if _, isMan := manifestSeq(base); isMan && base != loaded {
+			if err := dropDebris(p); err != nil {
 				return fail(err)
 			}
-			runs = append(runs, r)
-		}
-		// Runs on disk but not in the manifest were published without their
-		// commit record (a crash between the rename and the manifest
-		// append). Their records are still covered — by WAL segments above
-		// the floor for flush orphans, by the surviving inputs for merge
-		// orphans — so they are debris, not data.
-		for _, name := range runFiles {
-			if !listed[filepath.Base(name)] {
-				if err := dropDebris(name); err != nil {
-					return fail(err)
-				}
-			}
-		}
-		// Segments at or below the floor were retired by a committed flush;
-		// only their unlink was lost. Replaying them would double-apply
-		// stale values over newer merged data — delete, never replay.
-		live := segs[:0]
-		for _, seg := range segs {
-			if fileSeqOf(filepath.Base(seg), "wal-%06d.log") <= st.floor {
-				if err := dropDebris(seg); err != nil {
-					return fail(err)
-				}
-				continue
-			}
-			live = append(live, seg)
-		}
-		segs = live
-	} else {
-		// Verified directory scan: name order gives recency (merge outputs
-		// carry their newest input's name plus "m"), every run is opened
-		// with its trailer, index, and bloom filter validated, and every
-		// present segment replays. Correct even for debris the manifest
-		// protocol leaves: an uncommitted merge output shadows its intact
-		// inputs, and an uncommitted flushed run is re-shadowed by replaying
-		// the very segments it covers.
-		sort.Sort(sort.Reverse(sort.StringSlice(runFiles)))
-		for _, name := range runFiles {
-			r, err := openRun(name, t.runCfg(), 0)
-			if err != nil {
-				return fail(err)
-			}
-			runs = append(runs, r)
 		}
 	}
+	// Runs on disk but not in the manifest were published without their
+	// commit record (a crash between the rename and the manifest append, or
+	// a torn append). Their records are still covered — by WAL segments above
+	// the floor for flush orphans, by the surviving inputs for merge orphans
+	// — so they are debris, not data. So are the bytes past a listed run's
+	// committed length: an extending flush that never committed.
+	for _, name := range runFiles {
+		if !listed[filepath.Base(name)] {
+			if err := dropDebris(name); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	for _, r := range runs {
+		fi, err := r.f.Stat()
+		if err == nil && r.end > 0 && fi.Size() > r.end {
+			err = os.Truncate(r.path, r.end)
+		}
+		if err != nil {
+			return fail(err)
+		}
+	}
+	// Segments at or below the floor were retired by a committed flush;
+	// only their unlink was lost. Replaying them would double-apply stale
+	// values over newer merged data — delete, never replay.
+	live := segs[:0]
+	for _, seg := range segs {
+		if fileSeqOf(filepath.Base(seg), "wal-%06d.log") <= st.floor {
+			if err := dropDebris(seg); err != nil {
+				return fail(err)
+			}
+			continue
+		}
+		live = append(live, seg)
+	}
+	segs = live
 
 	// Replay the live tail, oldest first, into the recovery memtable. The
 	// replayed files back that memtable until its flush commits. A segment
@@ -468,7 +464,8 @@ func (t *Tree) recoverState() (int, error) {
 
 	// Cap recovery with a fresh snapshot manifest: the floor sits just
 	// below the oldest segment still owed a replay (everything older is
-	// durable in runs), and older manifest generations are swept.
+	// durable in runs). The loaded generation stays until this one is
+	// durable: its first commit deletes it.
 	floor := t.walSeq
 	if len(kept) > 0 {
 		floor = fileSeqOf(filepath.Base(kept[0]), "wal-%06d.log") - 1
@@ -977,8 +974,9 @@ func (t *Tree) pendingTasks() []*flushTask {
 // place in the list: a stream of ascending keys stays one run, sorted as it
 // stands, that no merge needs to rewrite. Otherwise the segment starts a new
 // file, which takes the newest memtable's sequence number (skipped numbers
-// never become files, which is harmless — only relative order matters). The
-// write happens with no tree lock held; only the publish step takes it.
+// never become files, which is harmless — a name only has to be unused; the
+// manifest says what the files are). The write happens with no tree lock
+// held; only the publish step takes it.
 func (t *Tree) flushTasks(tasks []*flushTask) error {
 	newest := tasks[len(tasks)-1]
 	path := filepath.Join(t.opt.Dir, fmt.Sprintf("run-%06d.lsm", newest.seq))
@@ -1073,16 +1071,6 @@ func (t *Tree) flushTasks(tasks []*flushTask) error {
 	return nil
 }
 
-// mergedName derives the output name for a merge from its newest input:
-// the "m" suffix sorts the output lexicographically *after* that input
-// (newer, correctly shadowing all inputs on reopen) but *before* the next
-// flushed run's higher sequence number (older than any memtable rotated
-// after the merge began). This keeps reopen order correct even when the
-// merge races concurrent flushes, with no shared sequence to coordinate.
-func mergedName(newestInput string) string {
-	return strings.TrimSuffix(newestInput, ".lsm") + "m.lsm"
-}
-
 // compactOnce is the compactor's unit of work: merge the window of runs the
 // policy picked when the list was last published (every run, when Merge
 // forces it) into one replacement run that takes the window's place. Input
@@ -1112,6 +1100,8 @@ func (t *Tree) compactOnce() (bool, error) {
 	}
 	inputs := append([]*run(nil), t.set.runs[lo:hi]...)
 	t.merging = inputs[0]
+	t.seq++
+	path := filepath.Join(t.opt.Dir, fmt.Sprintf("run-%06d.lsm", t.seq))
 	for _, r := range inputs {
 		r.retain()
 	}
@@ -1130,7 +1120,7 @@ func (t *Tree) compactOnce() (bool, error) {
 	// A tombstone masks versions of its key in older runs. Only a window
 	// that ends at the oldest run has none below it; any other must carry
 	// its tombstones into the output or the key comes back.
-	nr, err := writeMergedRun(mergedName(inputs[0].path), nil, nil, inputs, older == 0, "merge:bg", t.runCfg())
+	nr, err := writeMergedRun(path, nil, nil, inputs, older == 0, "merge:bg", t.runCfg())
 	t.mu.Lock()
 	t.merging = nr // nil on error
 	if err != nil {
