@@ -47,6 +47,19 @@ if grep -n '"time"' internal/governor/governor.go >/dev/null 2>&1; then
 fi
 echo "frame pool and governor clock: none"
 
+# Textual ADM has one reader: Transcode, with Parse = DecodeOne(Transcode(…)).
+# The recursive-descent parser lives on only as FuzzTranscode's oracle in
+# parse_oracle_test.go. A second production parser, or a Transcode that hands
+# lines to Parse again, brings back two readers of one grammar to keep in step.
+if grep -rnE 'type[[:space:]]+parser[[:space:]]' internal/adm --include='*.go' --exclude='*_test.go' >/dev/null 2>&1 ||
+	grep -nE '(^|[^[:alnum:]_])Parse\(' internal/adm/transcode.go >/dev/null 2>&1; then
+	echo "a second reader of textual ADM is back in internal/adm:" >&2
+	grep -rnE 'type[[:space:]]+parser[[:space:]]' internal/adm --include='*.go' --exclude='*_test.go' >&2 || true
+	grep -nE '(^|[^[:alnum:]_])Parse\(' internal/adm/transcode.go >&2 || true
+	exit 1
+fi
+echo "textual ADM readers: one"
+
 go test ./...
 echo "test: ok"
 

@@ -155,10 +155,17 @@ func TestLoadDatasetErrors(t *testing.T) {
 	if _, err := inst.LoadDataset("Users", "/no/such/file.adm"); err == nil {
 		t.Error("load from missing file succeeded")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.adm")
-	os.WriteFile(bad, []byte("{broken"), 0o644)
-	if _, err := inst.LoadDataset("Users", bad); err == nil {
-		t.Error("load of malformed file succeeded")
+	// A line that does not read, or reads as something other than a record,
+	// fails the load by its number; blank lines count.
+	for _, c := range []struct{ data, err string }{
+		{"{\"id\": \"u1\"}\n\n  {broken\n", "asterixfeeds: load dataset: line 3: adm: offset 1: expected string"},
+		{"{\"id\": \"u1\"}\n[{\"id\": \"u2\"}]\n", "asterixfeeds: load dataset: line 2: value is orderedlist, want record"},
+	} {
+		bad := filepath.Join(t.TempDir(), "bad.adm")
+		os.WriteFile(bad, []byte(c.data), 0o644)
+		if _, err := inst.LoadDataset("Users", bad); err == nil || err.Error() != c.err {
+			t.Errorf("load of %q: err = %v, want %s", c.data, err, c.err)
+		}
 	}
 	// Records violating the primary key are rejected by the insert job.
 	noKey := filepath.Join(t.TempDir(), "nokey.adm")

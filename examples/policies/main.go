@@ -38,7 +38,7 @@ func main() {
 func runPriorityDemo() error {
 	inst, err := asterixfeeds.Start(asterixfeeds.Config{
 		Nodes:    []string{"nc1"},
-		Hyracks:  hyracks.Config{QueueDepth: 8, FrameCapacity: 32},
+		Hyracks:  hyracks.Config{QueueDepth: 8},
 		Feeds:    core.Options{FrameCapacity: 16},
 		LSM:      lsm.Options{MemtableBytes: 32 << 10},
 		Governor: governor.Config{BudgetBytes: 256 << 10},

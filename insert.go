@@ -27,13 +27,13 @@ func (in *Instance) execInsert(st *aql.InsertInto) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var recs []*adm.Record
+	var recs [][]byte
 	collect := func(item adm.Value) error {
 		rec, ok := item.(*adm.Record)
 		if !ok {
 			return fmt.Errorf("asterixfeeds: insert body produced %s, want record", item.Tag())
 		}
-		recs = append(recs, rec)
+		recs = append(recs, adm.Encode(rec))
 		return nil
 	}
 	switch t := v.(type) {
@@ -65,11 +65,16 @@ func (in *Instance) InsertRecords(dataset string, recs []*adm.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	return in.runInsertJob(ds, recs)
+	enc := make([][]byte, len(recs))
+	for i, rec := range recs {
+		enc[i] = adm.Encode(rec)
+	}
+	return in.runInsertJob(ds, enc)
 }
 
-// runInsertJob builds, schedules, and awaits one insert job.
-func (in *Instance) runInsertJob(ds *storage.Dataset, recs []*adm.Record) error {
+// runInsertJob builds, schedules, and awaits one insert job over encoded
+// records.
+func (in *Instance) runInsertJob(ds *storage.Dataset, recs [][]byte) error {
 	spec := &hyracks.JobSpec{Name: "insert:" + ds.QualifiedName()}
 	src := spec.AddOperator(&insertSourceOp{recs: recs}, hyracks.CountConstraint(1))
 	sink := spec.AddOperator(&insertStoreOp{ds: ds}, hyracks.LocationConstraint(ds.NodeGroup...))
@@ -81,9 +86,9 @@ func (in *Instance) runInsertJob(ds *storage.Dataset, recs []*adm.Record) error 
 	return job.Wait()
 }
 
-// insertSourceOp emits a fixed batch of records and finishes.
+// insertSourceOp emits a fixed batch of encoded records and finishes.
 type insertSourceOp struct {
-	recs []*adm.Record
+	recs [][]byte
 }
 
 // Name implements hyracks.OperatorDescriptor.
@@ -116,7 +121,7 @@ func (r *insertSourceRuntime) Run() error {
 			return nil
 		default:
 		}
-		f.Append(adm.Encode(rec))
+		f.Append(rec)
 		if f.Len() >= frameCap {
 			if err := r.out.NextFrame(f); err != nil {
 				return err

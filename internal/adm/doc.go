@@ -7,15 +7,14 @@
 // Hyracks frames carry those between operators, and the storage layer
 // persists them in LSM components keyed by serialized primary keys.
 //
-// There are two readers of the textual form. Parse builds a Value and is the
-// entry for AQL literals, `load dataset`, the REPL and tests. Transcode
-// writes the binary encoding straight from the text, without building
-// anything, and is what the line-oriented feed adaptors call per record; it
-// appends exactly AppendValue(dst, Parse(text)) and fails exactly when Parse
-// fails, with the same error — FuzzTranscode holds it to that, with Parse as
-// the oracle. Its one fallback: a record with more than 64 fields is handed,
-// whole input, to Parse + AppendValue. Both refuse values nested deeper than
-// 128 lists and records, because both recurse once per level.
+// There is one reader of the textual form. Transcode writes the binary
+// encoding straight from the text, without building anything; the
+// line-oriented feed adaptors and `load dataset` call it per record, and
+// Parse, for callers that want a Value, is DecodeOne of what it writes. The
+// recursive-descent parser that used to be Parse is kept in the tests as a
+// frozen oracle: FuzzTranscode holds Transcode to it — same verdict, same
+// bytes as encoding its Value, same error. Transcode refuses values nested
+// deeper than 128 lists and records, because it recurses once per level.
 //
 // Likewise there are two validators of one contract. Type.Validate checks a
 // Value; RecordType.ValidateEncoded checks the encoded bytes and returns what

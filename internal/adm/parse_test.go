@@ -116,24 +116,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParsePrefix(t *testing.T) {
-	src := `{"id": 1} {"id": 2}`
-	v1, n, err := ParsePrefix(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id, _ := v1.(*Record).Field("id"); id.(Int64) != 1 {
-		t.Fatalf("first record id = %v", id)
-	}
-	v2, _, err := ParsePrefix(src[n:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id, _ := v2.(*Record).Field("id"); id.(Int64) != 2 {
-		t.Fatalf("second record id = %v", id)
-	}
-}
-
 func TestPropertyPrintParseRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -2,7 +2,6 @@ package adm
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -10,47 +9,29 @@ import (
 	"unicode/utf8"
 )
 
-// Transcode reads one textual ADM value from src and appends its binary
-// encoding to dst: exactly the bytes AppendValue(dst, v) would append for
-// v, err := Parse(string(src)), and an error exactly when Parse returns one
-// (the same error, offsets included). On failure it returns dst at its
+// Transcode reads one textual ADM value (the syntax Parse documents) from src
+// and appends its binary encoding to dst. On failure it returns dst at its
 // original length. No Value is built: the bytes are written as the text is
 // read, so a feed adaptor transcoding into a reused buffer allocates nothing
 // per line. src is only read and never retained.
 //
+// It is the one reader of textual ADM: Parse is DecodeOne of what it writes.
+// FuzzTranscode holds it to a frozen recursive-descent parser kept in the
+// tests: the same verdict, the same bytes as encoding that parser's Value, and
+// the same error, offsets included.
+//
 // The binary format puts counts and lengths before what they count, so each
 // list, record and escaped string reserves one byte, writes its content, then
-// patches the byte (patchLen). Duplicate field names are found by comparing
-// each new name with the name spans this record has already written, kept in
-// a fixed array on the stack; a record with more fields than that array holds
-// is handed, whole input, to Parse + AppendValue, whose verdict is then the
-// reference's by construction.
+// patches the byte (patchLen).
 func Transcode(dst, src []byte) ([]byte, error) {
 	t := transcoder{src: src, out: dst}
-	err := t.document()
-	if err == errTranscodeWide {
-		v, err := Parse(string(src))
-		if err != nil {
-			return dst, err
-		}
-		return AppendValue(dst, v), nil
-	}
-	if err != nil {
+	if err := t.document(); err != nil {
 		return dst, err
 	}
 	return t.out, nil
 }
 
-// transcodeMaxFields is the widest record the transcoder tracks names for.
-const transcodeMaxFields = 64
-
-// errTranscodeWide is an internal sentinel: a record wider than
-// transcodeMaxFields was met and the caller should take the Parse path.
-var errTranscodeWide = errors.New("adm: transcode: record too wide")
-
-// transcoder is parser's grammar over a []byte cursor, writing bytes where
-// parser builds Values. The two are kept apart on purpose: Parse is the
-// oracle FuzzTranscode compares against.
+// transcoder is a cursor over the text that writes the encoding as it reads.
 type transcoder struct {
 	src   []byte
 	pos   int
@@ -225,9 +206,18 @@ func (t *transcoder) list(tag TypeTag) error {
 	}
 }
 
+// span is where a field name sits in t.out.
+type span struct{ off, n int }
+
 // record transcodes the fields of a record whose "{" has been consumed. A
-// repeated name is reported where NewRecord would report it for Parse: at the
+// repeated name is reported where NewRecord reports it: the first one, at the
 // closing brace, after any syntax error further on has had its say.
+//
+// Nothing written after a name moves it (a patchLen inside a field's value
+// shifts only bytes of that value), so the names are spans of t.out. The
+// first 64 are compared pairwise from an array on the stack; a wider record
+// indexes its names in a map from the 65th on, NewRecord's O(n) check, so no
+// line costs O(n²).
 func (t *transcoder) record() error {
 	t.out = append(t.out, byte(TagRecord), 0)
 	at := len(t.out) - 1
@@ -236,24 +226,38 @@ func (t *transcoder) record() error {
 		t.pos++
 		return nil
 	}
-	// Where each name written so far sits in t.out. Nothing written after a
-	// name moves it: a patchLen inside a field's value shifts only bytes of
-	// that value.
-	var names [transcodeMaxFields]struct{ off, n int }
-	dup := -1
+	var names [64]span
+	var wide map[string]struct{}
+	dup := span{off: -1}
 	for n := 0; ; n++ {
-		if n == len(names) {
-			return errTranscodeWide
-		}
 		t.skipSpace()
 		off, ln, err := t.stringLit()
 		if err != nil {
 			return err
 		}
-		names[n].off, names[n].n = off, ln
-		for i := 0; i < n && dup < 0; i++ {
-			if string(t.out[names[i].off:names[i].off+names[i].n]) == string(t.out[off:off+ln]) {
-				dup = n
+		name := t.out[off : off+ln]
+		switch {
+		case dup.off >= 0:
+			// Only the first repeat is reported.
+		case n < len(names):
+			for _, s := range names[:n] {
+				if string(t.out[s.off:s.off+s.n]) == string(name) {
+					dup = span{off, ln}
+					break
+				}
+			}
+			names[n] = span{off, ln}
+		default:
+			if wide == nil {
+				wide = make(map[string]struct{}, 2*len(names))
+				for _, s := range names {
+					wide[string(t.out[s.off:s.off+s.n])] = struct{}{}
+				}
+			}
+			if _, seen := wide[string(name)]; seen {
+				dup = span{off, ln}
+			} else {
+				wide[string(name)] = struct{}{}
 			}
 		}
 		if err := t.expect(':'); err != nil {
@@ -268,8 +272,8 @@ func (t *transcoder) record() error {
 			t.pos++
 		case '}':
 			t.pos++
-			if dup >= 0 {
-				return fmt.Errorf("adm: duplicate field %q in record", t.out[names[dup].off:names[dup].off+names[dup].n])
+			if dup.off >= 0 {
+				return fmt.Errorf("adm: duplicate field %q in record", t.out[dup.off:dup.off+dup.n])
 			}
 			t.patchLen(at, n+1)
 			return nil
@@ -418,7 +422,7 @@ func (t *transcoder) stringLit() (off, n int, err error) {
 }
 
 // constructor transcodes datetime("…"), point("…") or rectangle("…") through
-// the helpers Parse uses. The argument is unescaped into the tail of t.out,
+// ParseDatetime, ParsePoint or ParseRectangle. The argument is unescaped into the tail of t.out,
 // read back from there, and the tail dropped again.
 func (t *transcoder) constructor(keyword string) error {
 	if !t.at(keyword) {

@@ -38,28 +38,27 @@ func wideRecord(n int) string {
 func transcodeSeeds() []string {
 	return []string{
 		tweetLine,
-		wideRecord(transcodeMaxFields), wideRecord(transcodeMaxFields + 1),
-		wideRecord(transcodeMaxFields+1) + "x",
+		wideRecord(64), wideRecord(65), wideRecord(65) + "x",
 		nestedLists(maxNesting), nestedLists(maxNesting + 1),
 		strings.Repeat(`{"a":`, maxNesting+1) + `1` + strings.Repeat(`}`, maxNesting+1),
 	}
 }
 
-// checkTranscode is the differential oracle: on src, Transcode must succeed
-// exactly when Parse does; on success append exactly Encode of the parsed
-// value after an untouched prefix; on failure return the prefix as it was,
-// with Parse's own error.
+// checkTranscode is the differential check: on src, Transcode must succeed
+// exactly when parseOracle does; on success append exactly Encode of the
+// oracle's value after an untouched prefix; on failure return the prefix as
+// it was, with the oracle's own error.
 func checkTranscode(t *testing.T, src string) {
 	t.Helper()
 	prefix := []byte("prefix")
 	got, err := Transcode(prefix[:len(prefix):len(prefix)], []byte(src))
-	v, perr := Parse(src)
+	v, perr := parseOracle(src)
 	if (err == nil) != (perr == nil) {
-		t.Fatalf("Transcode(%q) err = %v, Parse err = %v", src, err, perr)
+		t.Fatalf("Transcode(%q) err = %v, oracle err = %v", src, err, perr)
 	}
 	if perr != nil {
 		if err.Error() != perr.Error() {
-			t.Fatalf("Transcode(%q) err = %q, Parse err = %q", src, err, perr)
+			t.Fatalf("Transcode(%q) err = %q, oracle err = %q", src, err, perr)
 		}
 		if string(got) != "prefix" {
 			t.Fatalf("Transcode(%q) failed but returned %q, want the prefix untouched", src, got)
@@ -78,8 +77,8 @@ func checkTranscode(t *testing.T, src string) {
 	}
 }
 
-// FuzzTranscode: for any input, Transcode is Encode(Parse(input)) — same
-// verdict, same bytes, same error.
+// FuzzTranscode: for any input, Transcode is Encode(parseOracle(input)) —
+// same verdict, same bytes, same error.
 func FuzzTranscode(f *testing.F) {
 	for _, s := range transcodeSeeds() {
 		f.Add(s)
@@ -88,8 +87,8 @@ func FuzzTranscode(f *testing.F) {
 }
 
 // TestNestingLimit: one hostile line of '[' used to overflow the goroutine
-// stack (fatal, not recoverable). Both readers now stop at the same depth with
-// the same error, and fast.
+// stack (fatal, not recoverable). Transcode stops at the oracle's depth with
+// the oracle's error, and fast.
 func TestNestingLimit(t *testing.T) {
 	for _, open := range []string{"[", "{{", `{"a":`} {
 		closing := map[string]string{"[": "]", "{{": "}}", `{"a":`: "}"}[open]
@@ -101,28 +100,58 @@ func TestNestingLimit(t *testing.T) {
 			return strings.Repeat(open, depth) + inner + strings.Repeat(closing, depth)
 		}
 		ok, deep := nest(maxNesting), nest(maxNesting+1)
-		if _, err := Parse(ok); err != nil {
-			t.Errorf("Parse of %d nested %q: %v", maxNesting, open, err)
+		if _, err := parseOracle(ok); err != nil {
+			t.Errorf("oracle on %d nested %q: %v", maxNesting, open, err)
 		}
 		if _, err := Transcode(nil, []byte(ok)); err != nil {
 			t.Errorf("Transcode of %d nested %q: %v", maxNesting, open, err)
 		}
-		_, perr := Parse(deep)
+		_, perr := parseOracle(deep)
 		_, terr := Transcode(nil, []byte(deep))
 		if perr == nil || terr == nil || perr.Error() != terr.Error() || !strings.Contains(perr.Error(), "nesting deeper") {
-			t.Errorf("%d nested %q: Parse err = %v, Transcode err = %v, want the same nesting error", maxNesting+1, open, perr, terr)
+			t.Errorf("%d nested %q: oracle err = %v, Transcode err = %v, want the same nesting error", maxNesting+1, open, perr, terr)
 		}
 	}
 	// The largest line a feed scanner hands over.
 	hostile := strings.Repeat("[", 1<<22-1)
 	start := time.Now()
-	_, perr := Parse(hostile)
+	_, perr := parseOracle(hostile)
 	_, terr := Transcode(nil, []byte(hostile))
 	if perr == nil || terr == nil {
-		t.Fatalf("4 MiB of '[' accepted: Parse err = %v, Transcode err = %v", perr, terr)
+		t.Fatalf("4 MiB of '[' accepted: oracle err = %v, Transcode err = %v", perr, terr)
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("4 MiB of '[' took %v to refuse", d)
+	}
+}
+
+// TestWideRecord: past its 64th name a record's names are indexed in a map,
+// so a 4 MiB line of distinct names — the largest a feed scanner hands over —
+// is read in linear time, whether it is accepted or refused for repeating its
+// first name at the end, with the oracle's verdict, bytes and error.
+func TestWideRecord(t *testing.T) {
+	var b strings.Builder
+	b.WriteByte('{')
+	for i := 0; b.Len() < 1<<22-32; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `"f%d":0`, i)
+	}
+	fields := b.String()
+	for _, c := range []struct{ src, err string }{
+		{fields + "}", "<nil>"},
+		{fields + `,"f0":0}`, `adm: duplicate field "f0" in record`},
+	} {
+		start := time.Now()
+		_, err := Transcode(nil, []byte(c.src))
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%d-byte record took %v to read", len(c.src), d)
+		}
+		if fmt.Sprint(err) != c.err {
+			t.Fatalf("%d-byte record: err = %v, want %s", len(c.src), err, c.err)
+		}
+		checkTranscode(t, c.src)
 	}
 }
 

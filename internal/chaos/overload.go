@@ -112,7 +112,6 @@ func RunOverload(sc OverloadScenario) (*OverloadResult, error) {
 		HeartbeatInterval: 5 * time.Millisecond,
 		HeartbeatTimeout:  500 * time.Millisecond,
 		QueueDepth:        8,
-		FrameCapacity:     32,
 	}, nodes...)
 	mgrs := make(map[string]*storage.Manager, len(nodes))
 	lsmGauges := make(map[string]*lsm.Metrics, len(nodes))

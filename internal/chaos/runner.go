@@ -141,7 +141,6 @@ func Run(sc Scenario) (*Result, error) {
 		// of genuinely killed nodes, it never idles a passing run.
 		HeartbeatTimeout: 500 * time.Millisecond,
 		QueueDepth:       8,
-		FrameCapacity:    32,
 		FrameFault:       inj.FrameHook(),
 	}, nodes...)
 	mgrs := make(map[string]*storage.Manager, len(nodes))

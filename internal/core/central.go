@@ -170,8 +170,7 @@ func connID(dataverse, feed, dataset string) string {
 type ConnectOption func(*connectConfig)
 
 type connectConfig struct {
-	computeCount  int
-	metricsWindow time.Duration
+	computeCount int
 }
 
 // WithComputeCount fixes the compute stage's initial degree of parallelism
@@ -180,17 +179,12 @@ func WithComputeCount(n int) ConnectOption {
 	return func(c *connectConfig) { c.computeCount = n }
 }
 
-// WithMetricsWindow overrides the connection's throughput bucket width.
-func WithMetricsWindow(d time.Duration) ConnectOption {
-	return func(c *connectConfig) { c.metricsWindow = d }
-}
-
 // ConnectFeed processes a `connect feed <feed> to dataset <dataset> using
 // policy <policy>` statement: it locates (or builds) the head section,
 // reuses the nearest connected ancestor's feed joint, constructs the tail
 // job (intake → compute* → store), and starts the flow of data (§5.3).
 func (m *Manager) ConnectFeed(dataverse, feedName, datasetName, policyName string, opts ...ConnectOption) (*Connection, error) {
-	cfg := connectConfig{metricsWindow: m.opt.MetricsWindow}
+	var cfg connectConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -293,7 +287,7 @@ func (m *Manager) ConnectFeed(dataverse, feedName, datasetName, policyName strin
 		feed:            feed,
 		ds:              ds,
 		pol:             pol,
-		Metrics:         newConnMetrics(cfg.metricsWindow),
+		Metrics:         newConnMetrics(m.opt.MetricsWindow),
 		Log:             NewExceptionLog(0),
 		sourceSignature: sigs[srcIdx],
 		subID:           id,

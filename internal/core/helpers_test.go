@@ -33,7 +33,6 @@ func newHarness(t testing.TB, nodes ...string) *harness {
 		HeartbeatInterval: 5 * time.Millisecond,
 		HeartbeatTimeout:  30 * time.Millisecond,
 		QueueDepth:        8,
-		FrameCapacity:     32,
 	}, nodes...)
 	for _, n := range nodes {
 		sm := storage.NewManager(n, filepath.Join(dir, n), lsm.Options{})

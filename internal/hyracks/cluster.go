@@ -19,9 +19,6 @@ type Config struct {
 	// QueueDepth is the per-task input queue depth in frames; a full
 	// queue exerts back-pressure on producers.
 	QueueDepth int
-	// FrameCapacity is the default number of records per frame for
-	// operators that batch their output.
-	FrameCapacity int
 	// ScheduleDelay models the job planning and task-dispatch round
 	// trips a distributed Hyracks deployment pays per job submission;
 	// StartJob blocks this long before launching tasks. Zero (the
@@ -57,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 8
-	}
-	if c.FrameCapacity <= 0 {
-		c.FrameCapacity = 128
 	}
 	return c
 }

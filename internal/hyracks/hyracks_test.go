@@ -15,7 +15,6 @@ func testConfig() Config {
 		HeartbeatInterval: 5 * time.Millisecond,
 		HeartbeatTimeout:  30 * time.Millisecond,
 		QueueDepth:        4,
-		FrameCapacity:     16,
 	}
 }
 

@@ -2,9 +2,9 @@ package asterixfeeds
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"os"
-	"strings"
 
 	"asterixfeeds/internal/adm"
 )
@@ -25,23 +25,22 @@ func (in *Instance) LoadDataset(dataset, path string) (int, error) {
 	}
 	defer f.Close()
 
-	var recs []*adm.Record
+	var recs [][]byte
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
-		v, err := adm.Parse(text)
+		rec, err := adm.Transcode(nil, text)
 		if err != nil {
 			return 0, fmt.Errorf("asterixfeeds: load dataset: line %d: %w", line, err)
 		}
-		rec, ok := v.(*adm.Record)
-		if !ok {
-			return 0, fmt.Errorf("asterixfeeds: load dataset: line %d: value is %s, want record", line, v.Tag())
+		if tag := adm.TypeTag(rec[0]); tag != adm.TagRecord {
+			return 0, fmt.Errorf("asterixfeeds: load dataset: line %d: value is %s, want record", line, tag)
 		}
 		recs = append(recs, rec)
 	}

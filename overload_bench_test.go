@@ -59,7 +59,7 @@ func runOverloadPhase(b *testing.B, flood, observeOnly bool) overloadPhaseResult
 		// bounded layers (LSM buffers, QueueDepth-capped in-flight frames)
 		// well inside the budget, so tracked bytes measure the governed
 		// backlog — the term that actually grows with the flood.
-		Hyracks:  hyracks.Config{QueueDepth: 8, FrameCapacity: 32},
+		Hyracks:  hyracks.Config{QueueDepth: 8},
 		Feeds:    core.Options{FrameCapacity: 16},
 		LSM:      lsm.Options{MemtableBytes: 32 << 10},
 		Governor: governor.Config{BudgetBytes: overloadBudget, ObserveOnly: observeOnly},
