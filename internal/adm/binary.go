@@ -126,8 +126,35 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
 
 // Decode decodes a single value from the front of buf, returning the value
-// and the number of bytes consumed.
+// and the number of bytes consumed. The value shares one copy of exactly its
+// own bytes — not of buf, nor of what follows the value in it: every field
+// name and String inside the value is a substring of that copy, so retaining
+// any one of them keeps the whole copy alive.
 func Decode(buf []byte) (Value, int, error) {
+	n, err := SkipValue(buf)
+	if err != nil {
+		// Not one well-formed value: let the decoder find what is wrong, where
+		// it finds it, so that the error is its own.
+		n = len(buf)
+	}
+	return decode(buf[:n], string(buf[:n]))
+}
+
+// DecodeOne decodes exactly one value from buf, rejecting trailing bytes.
+// The value shares one copy of buf, as Decode's shares one of its span.
+func DecodeOne(buf []byte) (Value, error) {
+	v, n, err := decode(buf, string(buf))
+	if err != nil {
+		return nil, err
+	}
+	if n != len(buf) {
+		return nil, fmt.Errorf("adm: %d trailing bytes after value", len(buf)-n)
+	}
+	return v, nil
+}
+
+// decode is Decode on buf, cutting the value's strings from s, a copy of buf.
+func decode(buf []byte, s string) (Value, int, error) {
 	if len(buf) == 0 {
 		return nil, 0, fmt.Errorf("adm: decode of empty buffer")
 	}
@@ -164,7 +191,7 @@ func Decode(buf []byte) (Value, int, error) {
 		if uint64(len(buf)-pos) < ln {
 			return nil, 0, errTruncated(tag)
 		}
-		return String(string(buf[pos : pos+int(ln)])), pos + int(ln), nil
+		return String(s[pos : pos+int(ln)]), pos + int(ln), nil
 	case TagDatetime:
 		v, n := binary.Varint(buf[pos:])
 		if n <= 0 {
@@ -199,7 +226,7 @@ func Decode(buf []byte) (Value, int, error) {
 		}
 		items := make([]Value, 0, capHint(cnt))
 		for i := uint64(0); i < cnt; i++ {
-			it, used, err := Decode(buf[pos:])
+			it, used, err := decode(buf[pos:], s[pos:])
 			if err != nil {
 				return nil, 0, err
 			}
@@ -230,9 +257,9 @@ func Decode(buf []byte) (Value, int, error) {
 			if uint64(len(buf)-pos) < ln {
 				return nil, 0, errTruncated(tag)
 			}
-			names = append(names, string(buf[pos:pos+int(ln)]))
+			names = append(names, s[pos:pos+int(ln)])
 			pos += int(ln)
-			fv, used, err := Decode(buf[pos:])
+			fv, used, err := decode(buf[pos:], s[pos:])
 			if err != nil {
 				return nil, 0, err
 			}
@@ -246,18 +273,6 @@ func Decode(buf []byte) (Value, int, error) {
 		return rec, pos, nil
 	}
 	return nil, 0, fmt.Errorf("adm: unknown tag 0x%02x", buf[0])
-}
-
-// DecodeOne decodes exactly one value from buf, rejecting trailing bytes.
-func DecodeOne(buf []byte) (Value, error) {
-	v, n, err := Decode(buf)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(buf) {
-		return nil, fmt.Errorf("adm: %d trailing bytes after value", len(buf)-n)
-	}
-	return v, nil
 }
 
 func errTruncated(tag TypeTag) error {

@@ -1,6 +1,7 @@
 package adm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -197,6 +198,75 @@ func TestDecodeRejectsAbsurdCounts(t *testing.T) {
 		buf := []byte{byte(tag), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
 		if _, err := DecodeOne(buf); err == nil {
 			t.Errorf("tag %s: absurd count accepted", tag)
+		}
+	}
+}
+
+// TestRecordIndexBoundary: records of up to maxUnindexedFields fields find
+// fields and refuse repeated names by scanning, wider ones through a map.
+// Both must agree — on Field, on the first repeat NewRecord reports, and with
+// the decoder and the transcoder — on either side of the boundary, at the
+// top level and nested.
+func TestRecordIndexBoundary(t *testing.T) {
+	for n := maxUnindexedFields - 1; n <= maxUnindexedFields+2; n++ {
+		names := make([]string, n)
+		values := make([]Value, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("f%d", i)
+			values[i] = Int64(i)
+		}
+		rec := MustRecord(names, values)
+		if (rec.index == nil) != (n <= maxUnindexedFields) {
+			t.Fatalf("%d fields: index map present = %v", n, rec.index != nil)
+		}
+		for _, v := range []Value{rec, MustRecord([]string{"outer"}, []Value{rec})} {
+			got, err := DecodeOne(Encode(v))
+			if err != nil || !Equal(got, v) {
+				t.Fatalf("%d fields: round trip = %v, %v", n, got, err)
+			}
+			r := got.(*Record)
+			if outer, ok := r.Field("outer"); ok {
+				r = outer.(*Record)
+			}
+			for i, name := range names {
+				if fv, ok := r.Field(name); !ok || fv != Int64(i) {
+					t.Fatalf("%d fields: Field(%q) = %v, %v", n, name, fv, ok)
+				}
+			}
+			if _, ok := r.Field("absent"); ok {
+				t.Fatalf("%d fields: Field of an absent name reported present", n)
+			}
+		}
+
+		// Repeat the second name last, then the first name too: the first
+		// repeat in field order is the one reported, by every reader.
+		dupNames := append(append([]string(nil), names...), "f1", "f0")
+		dupValues := append(append([]Value(nil), values...), Null{}, Null{})
+		want := `adm: duplicate field "f1" in record`
+		if _, err := NewRecord(dupNames, dupValues); err == nil || err.Error() != want {
+			t.Fatalf("%d fields: NewRecord = %v, want %s", n, err, want)
+		}
+		enc := []byte{byte(TagRecord), byte(len(dupNames))}
+		text := "{"
+		for i, name := range dupNames {
+			enc = append(append(append(enc, byte(len(name))), name...), Encode(dupValues[i])...)
+			if i > 0 {
+				text += ","
+			}
+			text += fmt.Sprintf("%q:%v", name, dupValues[i])
+		}
+		text += "}"
+		nested := append([]byte{byte(TagRecord), 1, 5}, "outer"...)
+		nested = append(nested, enc...)
+		for _, b := range [][]byte{enc, nested} {
+			if _, err := DecodeOne(b); err == nil || err.Error() != want {
+				t.Fatalf("%d fields: DecodeOne = %v, want %s", n, err, want)
+			}
+		}
+		for _, line := range []string{text, `{"outer":` + text + `}`} {
+			if _, err := Transcode(nil, []byte(line)); err == nil || err.Error() != want {
+				t.Fatalf("%d fields: Transcode(%s) = %v, want %s", n, line, err, want)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package adm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,8 +65,13 @@ type UnorderedList struct {
 type Record struct {
 	names  []string
 	values []Value
-	index  map[string]int
+	index  map[string]int // name -> position; nil up to maxUnindexedFields
 }
+
+// maxUnindexedFields is the widest record without a name index: up to this
+// many fields, a lookup scans the names and NewRecord compares them
+// pairwise, which costs less than building a map.
+const maxUnindexedFields = 8
 
 // Tag implements Value.
 func (Missing) Tag() TypeTag { return TagMissing }
@@ -183,15 +189,24 @@ func NewRecord(names []string, values []Value) (*Record, error) {
 	if len(names) != len(values) {
 		return nil, fmt.Errorf("adm: record has %d names but %d values", len(names), len(values))
 	}
-	idx := make(map[string]int, len(names))
+	var idx map[string]int
+	if len(names) > maxUnindexedFields {
+		idx = make(map[string]int, len(names))
+	}
 	for i, n := range names {
-		if _, dup := idx[n]; dup {
+		dup := false
+		if idx == nil {
+			dup = slices.Contains(names[:i], n)
+		} else {
+			_, dup = idx[n]
+			idx[n] = i
+		}
+		if dup {
 			return nil, fmt.Errorf("adm: duplicate field %q in record", n)
 		}
 		if values[i] == nil {
 			return nil, fmt.Errorf("adm: nil value for field %q", n)
 		}
-		idx[n] = i
 	}
 	return &Record{names: names, values: values, index: idx}, nil
 }
@@ -224,9 +239,20 @@ func (b *RecordBuilder) Build() (*Record, error) { return NewRecord(b.names, b.v
 // MustBuild constructs the record, panicking on error.
 func (b *RecordBuilder) MustBuild() *Record { return MustRecord(b.names, b.values) }
 
+// fieldIndex returns the position of the named field, and whether it is
+// present.
+func (r *Record) fieldIndex(name string) (int, bool) {
+	if r.index != nil {
+		i, ok := r.index[name]
+		return i, ok
+	}
+	i := slices.Index(r.names, name)
+	return i, i >= 0
+}
+
 // Field returns the value of the named field, and whether it is present.
 func (r *Record) Field(name string) (Value, bool) {
-	i, ok := r.index[name]
+	i, ok := r.fieldIndex(name)
 	if !ok {
 		return Missing{}, false
 	}
@@ -256,7 +282,7 @@ func (r *Record) FieldAt(i int) (string, Value) { return r.names[i], r.values[i]
 func (r *Record) WithField(name string, v Value) *Record {
 	names := append([]string(nil), r.names...)
 	values := append([]Value(nil), r.values...)
-	if i, ok := r.index[name]; ok {
+	if i, ok := r.fieldIndex(name); ok {
 		values[i] = v
 	} else {
 		names = append(names, name)
@@ -267,7 +293,7 @@ func (r *Record) WithField(name string, v Value) *Record {
 
 // WithoutField returns a copy of the record with the named field removed.
 func (r *Record) WithoutField(name string) *Record {
-	i, ok := r.index[name]
+	i, ok := r.fieldIndex(name)
 	if !ok {
 		return r
 	}

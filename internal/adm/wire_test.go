@@ -56,3 +56,30 @@ func writeWire(b *strings.Builder, v adm.Value) {
 	}
 	b.WriteByte('}')
 }
+
+// TestDecodeOneTweetGenAllocs: a decoded TweetGen record shares one copy of
+// its bytes — its field names and strings are substrings of it, and records
+// this narrow carry no name index — so a point read's decode allocates the
+// copy, the records' headers and slices, and one box per value. The record
+// owns that copy: overwriting the input afterwards changes nothing.
+func TestDecodeOneTweetGenAllocs(t *testing.T) {
+	tweet := tweetgen.NewGenerator(1, 0).Next()
+	enc := adm.Encode(tweet)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := adm.DecodeOne(enc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 20 {
+		t.Errorf("DecodeOne of a TweetGen record allocates %.0f times, want ≤ 20", allocs)
+	}
+	v, err := adm.DecodeOne(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range enc {
+		enc[i] = 0xFF
+	}
+	if !adm.Equal(v, tweet) {
+		t.Fatalf("decoded record changed with its input:\n got %v\nwant %v", v, tweet)
+	}
+}

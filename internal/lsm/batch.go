@@ -12,10 +12,12 @@ type batchOp struct {
 // fsync — group commit), and a sorted skiplist insertion pass that reuses
 // the predecessor search across adjacent keys.
 //
-// Ownership: the tree takes ownership of the key and value slices handed to
-// Put and Delete — they are stored in the memtable without copying, so the
-// caller must not modify them afterwards. Reset drops the references, making
-// the Batch itself (not the slices) safe to reuse for the next frame.
+// Ownership: keys are copied, values are owned. The memtable copies each new
+// key into memory it owns, so a key slice is the caller's again once
+// ApplyBatch returns. A value is stored by reference: the tree takes
+// ownership of every value slice handed to Put, and the caller must not
+// modify it afterwards. Reset drops the references, making the Batch itself
+// safe to reuse for the next frame.
 type Batch struct {
 	ops []batchOp
 }

@@ -3,11 +3,21 @@ package lsm
 import (
 	"bytes"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 )
 
 const maxSkipHeight = 12
+
+// Chunk sizes of a memtable's node slab, level-pointer slab and key arena.
+// Each starts at its minimum and doubles up to its cap, so a nearly empty
+// memtable stays small and a full one allocates once per few hundred
+// entries. A node averages 4/3 level pointers.
+const (
+	nodeChunkMin, nodeChunkMax = 16, 512
+	linkChunkMin, linkChunkMax = 32, 1024
+	keyChunkMin, keyChunkMax   = 512, 32 << 10
+)
 
 // entry is a single versioned key/value pair; a nil value with tombstone set
 // records a delete.
@@ -28,6 +38,13 @@ type entry struct {
 // load-bearing and it returned.) Memtables frozen onto the immutable queue
 // receive no further writes, so their reads are contention-free in
 // practice.
+//
+// The memtable owns its nodes and its keys: nodes and their level pointers
+// are carved from slabs, and each new key is copied into a byte arena, one
+// allocation per chunk rather than per entry. Replacing a key reuses its
+// node and copies nothing, so the arena holds the distinct keys size()
+// counts plus the unused tail of its current chunk. Every chunk dies with
+// the memtable. Values are retained by reference, never copied.
 type memtable struct {
 	mu     sync.RWMutex
 	head   *skipNode
@@ -35,6 +52,11 @@ type memtable struct {
 	rnd    *rand.Rand
 	bytes  int
 	count  int
+
+	nodes []skipNode  // current node slab; nodes are taken from its tail
+	links []*skipNode // current level-pointer slab
+	keys  []byte      // current key chunk
+	arena int         // bytes of key chunks allocated so far
 }
 
 type skipNode struct {
@@ -56,6 +78,49 @@ func (m *memtable) randomHeight() int {
 		h++
 	}
 	return h
+}
+
+// nextChunk is the size of the chunk that follows one of size prev: twice
+// it, within [lo, hi].
+func nextChunk(prev, lo, hi int) int {
+	return min(max(2*prev, lo), hi)
+}
+
+// newNode takes a node of height h from the node slab and its level
+// pointers from the link slab, starting a new chunk of either when it is
+// spent. A chunk is never reallocated, so pointers into it stay valid.
+func (m *memtable) newNode(h int) *skipNode {
+	if len(m.nodes) == cap(m.nodes) {
+		m.nodes = make([]skipNode, 0, nextChunk(cap(m.nodes), nodeChunkMin, nodeChunkMax))
+	}
+	if cap(m.links)-len(m.links) < h {
+		m.links = make([]*skipNode, 0, nextChunk(cap(m.links), linkChunkMin, linkChunkMax))
+	}
+	m.nodes = m.nodes[:len(m.nodes)+1]
+	n := &m.nodes[len(m.nodes)-1]
+	at := len(m.links)
+	m.links = m.links[:at+h]
+	n.next = m.links[at : at+h : at+h]
+	return n
+}
+
+// copyKey copies key into the arena. The copy's capacity ends with it, so an
+// append to a key handed out by a read cannot reach the key after it. A key
+// larger than a whole chunk gets an allocation of its own. The copy is never
+// nil, even for an empty key: first() reports an empty memtable as nil.
+func (m *memtable) copyKey(key []byte) []byte {
+	if cap(m.keys) == 0 || cap(m.keys)-len(m.keys) < len(key) {
+		size := nextChunk(cap(m.keys), keyChunkMin, keyChunkMax)
+		if len(key) > size {
+			m.arena += len(key)
+			return append(make([]byte, 0, len(key)), key...)
+		}
+		m.keys = make([]byte, 0, size)
+		m.arena += size
+	}
+	at := len(m.keys)
+	m.keys = append(m.keys, key...)
+	return m.keys[at:len(m.keys):len(m.keys)]
 }
 
 // seekFrom advances update to key's predecessor at every level, resuming
@@ -82,7 +147,8 @@ func (m *memtable) seekFrom(key []byte, update *[maxSkipHeight]*skipNode) {
 
 // insertAt inserts or replaces key at the position update describes; update
 // must have been positioned by seekFrom(key, update). After return, update
-// still holds valid predecessors for any key >= the inserted one.
+// still holds valid predecessors for any key >= the inserted one. A new node
+// gets a copy of key; a replacement keeps the node's own.
 func (m *memtable) insertAt(key, value []byte, tombstone bool, update *[maxSkipHeight]*skipNode) {
 	if nxt := update[0].next[0]; nxt != nil && bytes.Equal(nxt.key, key) {
 		m.bytes += len(value) - len(nxt.value)
@@ -97,10 +163,8 @@ func (m *memtable) insertAt(key, value []byte, tombstone bool, update *[maxSkipH
 		}
 		m.height = h
 	}
-	node := &skipNode{
-		entry: entry{key: key, value: value, tombstone: tombstone},
-		next:  make([]*skipNode, h),
-	}
+	node := m.newNode(h)
+	node.entry = entry{key: m.copyKey(key), value: value, tombstone: tombstone}
 	for lvl := 0; lvl < h; lvl++ {
 		node.next[lvl] = update[lvl].next[lvl]
 		update[lvl].next[lvl] = node
@@ -130,9 +194,7 @@ func (m *memtable) putBatch(ops []batchOp) {
 	if len(ops) == 0 {
 		return
 	}
-	sort.SliceStable(ops, func(i, j int) bool {
-		return bytes.Compare(ops[i].key, ops[j].key) < 0
-	})
+	slices.SortStableFunc(ops, func(a, b batchOp) int { return bytes.Compare(a.key, b.key) })
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var update [maxSkipHeight]*skipNode

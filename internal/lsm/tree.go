@@ -575,18 +575,19 @@ func (t *Tree) waitState(ch <-chan struct{}) {
 	}
 }
 
-// Put inserts or replaces key with value: a batch of one. The batch owns
-// its slices, so the caller's key and value are copied.
+// Put inserts or replaces key with value: a batch of one. The tree owns the
+// values it stores, so the caller's value is copied; the memtable copies
+// the key itself.
 func (t *Tree) Put(key, value []byte) error {
 	b := NewBatch(1)
-	b.Put(append([]byte(nil), key...), append([]byte(nil), value...))
+	b.Put(key, append([]byte(nil), value...))
 	return t.ApplyBatch(b)
 }
 
 // Delete removes key (by writing a tombstone): a batch of one.
 func (t *Tree) Delete(key []byte) error {
 	b := NewBatch(1)
-	b.Delete(append([]byte(nil), key...))
+	b.Delete(key)
 	return t.ApplyBatch(b)
 }
 
@@ -605,8 +606,9 @@ func (t *Tree) Delete(key []byte) error {
 // if a background flush already retired that segment, the record is durable
 // in a run file and the fsync succeeds vacuously.
 //
-// The tree takes ownership of the batch's key and value slices (see Batch);
-// the Batch itself may be Reset and reused once ApplyBatch returns.
+// The tree copies the batch's keys and takes ownership of its value slices
+// (see Batch); the Batch itself may be Reset and reused once ApplyBatch
+// returns.
 func (t *Tree) ApplyBatch(b *Batch) error {
 	if b == nil || len(b.ops) == 0 {
 		return nil

@@ -131,35 +131,31 @@ func (w *wal) appendBatch(ops []batchOp) error {
 	if w.broken {
 		return ErrWALBroken
 	}
-	body := w.scratch[:0]
-	body = append(body, byte(walBatch))
-	body = binary.AppendUvarint(body, uint64(len(ops)))
+	// The whole record is assembled in scratch, the CRC in front of the
+	// body it covers, and written at once.
+	rec := append(w.scratch[:0], 0, 0, 0, 0)
+	rec = append(rec, byte(walBatch))
+	rec = binary.AppendUvarint(rec, uint64(len(ops)))
 	for _, op := range ops {
-		body = append(body, byte(op.kind))
-		body = binary.AppendUvarint(body, uint64(len(op.key)))
-		body = binary.AppendUvarint(body, uint64(len(op.value)))
-		body = append(body, op.key...)
-		body = append(body, op.value...)
+		rec = append(rec, byte(op.kind))
+		rec = binary.AppendUvarint(rec, uint64(len(op.key)))
+		rec = binary.AppendUvarint(rec, uint64(len(op.value)))
+		rec = append(rec, op.key...)
+		rec = append(rec, op.value...)
 	}
-	w.scratch = body[:0]
+	w.scratch = rec[:0]
+	body := rec[4:]
+	binary.LittleEndian.PutUint32(rec, crc32.ChecksumIEEE(body))
 
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(body))
 	if w.fault != nil {
 		if err := w.fault("wal.appendBatch"); err != nil {
 			if errors.Is(err, ErrTornWrite) {
-				rec := make([]byte, 0, 4+len(body))
-				rec = append(rec, crcBuf[:]...)
-				rec = append(rec, body...)
 				return w.tearWrite(rec)
 			}
 			return err
 		}
 	}
-	if _, err := w.w.Write(crcBuf[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(body); err != nil {
+	if _, err := w.w.Write(rec); err != nil {
 		return err
 	}
 	if w.metrics != nil {

@@ -207,3 +207,51 @@ func TestInsertFrameConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertFrameAllocs: in steady state a frame's keys cost nothing on a
+// dataset without indexes — the trees copy them out of scratch — and one
+// allocation per record on an indexed one, where every secondary entry keeps
+// its record's primary key as its value.
+func TestInsertFrameAllocs(t *testing.T) {
+	const perFrame, runs = 128, 20
+	plain := testDataset()
+	plain.Indexes = nil
+	for _, tc := range []struct {
+		ds       *Dataset
+		maxAlloc float64
+	}{
+		{plain, 1},
+		{testDataset(), perFrame + 2},
+	} {
+		m := NewManager("A", t.TempDir(), lsm.Options{MemtableBytes: 1 << 30})
+		t.Cleanup(func() { m.Close() })
+		p, err := m.OpenPartition(tc.ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fresh keys every frame, encoded up front: the partition retains
+		// the record bytes.
+		frames := make([][][]byte, 2*runs+2)
+		for f := range frames {
+			frames[f] = make([][]byte, perFrame)
+			for r := range frames[f] {
+				pt := &adm.Point{X: float64(r), Y: float64(f)}
+				frames[f][r] = adm.Encode(tweetRec(fmt.Sprintf("f%03d-r%03d", f, r), "u", pt))
+			}
+		}
+		next := 0
+		insert := func() {
+			if err := p.InsertFrame(frames[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for next < runs { // warm: scratch, batches and memtable chunks grown
+			insert()
+		}
+		if allocs := testing.AllocsPerRun(runs, insert); allocs > tc.maxAlloc {
+			t.Errorf("%d indexes: InsertFrame of %d records allocates %.1f times, want ≤ %.0f",
+				len(tc.ds.Indexes), perFrame, allocs, tc.maxAlloc)
+		}
+	}
+}

@@ -25,8 +25,8 @@ type Manager struct {
 	lsmOpt lsm.Options
 
 	mu         sync.Mutex
-	partitions map[string]*Partition // "qualifiedName#idx" -> partition
-	opening    map[string]*openSlot  // opens in flight, same keys
+	partitions map[partKey]*Partition
+	opening    map[partKey]*openSlot // opens in flight, same keys
 	closed     bool
 }
 
@@ -53,8 +53,8 @@ func NewManager(nodeID, dir string, lsmOpt lsm.Options) *Manager {
 		nodeID:     nodeID,
 		dir:        dir,
 		lsmOpt:     lsmOpt,
-		partitions: make(map[string]*Partition),
-		opening:    make(map[string]*openSlot),
+		partitions: make(map[partKey]*Partition),
+		opening:    make(map[partKey]*openSlot),
 	}
 }
 
@@ -68,8 +68,11 @@ func (m *Manager) NodeID() string { return m.nodeID }
 // Dir returns the manager's root directory.
 func (m *Manager) Dir() string { return m.dir }
 
-func partKey(qualifiedName string, idx int) string {
-	return fmt.Sprintf("%s#%d", qualifiedName, idx)
+// partKey names one partition a manager holds: the dataset's qualified name
+// and the partition index.
+type partKey struct {
+	dataset string
+	idx     int
 }
 
 // OpenPartition opens (creating if needed) this node's own partition of ds:
@@ -103,7 +106,7 @@ func (m *Manager) OpenPartitionIdx(ds *Dataset, idx int, replica bool) (*Partiti
 	if idx < 0 || idx >= len(ds.NodeGroup) {
 		return nil, fmt.Errorf("storage: partition index %d out of range for %s", idx, ds.QualifiedName())
 	}
-	key := partKey(ds.QualifiedName(), idx)
+	key := partKey{ds.QualifiedName(), idx}
 	for {
 		m.mu.Lock()
 		if m.closed {
@@ -154,7 +157,7 @@ func (m *Manager) OpenPartitionIdx(ds *Dataset, idx int, replica bool) (*Partiti
 
 // waitOpening blocks until no open of key is in flight, so a removal can
 // never delete a directory out from under a concurrent open.
-func (m *Manager) waitOpening(key string) {
+func (m *Manager) waitOpening(key partKey) {
 	for {
 		m.mu.Lock()
 		s, ok := m.opening[key]
@@ -224,7 +227,7 @@ func (m *Manager) OpenPartitions(refs []PartitionRef, workers int) error {
 func (m *Manager) PartitionIdx(qualifiedName string, idx int) *Partition {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.partitions[partKey(qualifiedName, idx)]
+	return m.partitions[partKey{qualifiedName, idx}]
 }
 
 // Partition returns the already-open partition of the named dataset with
@@ -234,22 +237,11 @@ func (m *Manager) Partition(qualifiedName string) *Partition {
 	defer m.mu.Unlock()
 	var best *Partition
 	for key, p := range m.partitions {
-		if key == partKey(qualifiedName, p.Index()) && keyDataset(key) == qualifiedName {
-			if best == nil || p.Index() < best.Index() {
-				best = p
-			}
+		if key.dataset == qualifiedName && (best == nil || p.Index() < best.Index()) {
+			best = p
 		}
 	}
 	return best
-}
-
-func keyDataset(key string) string {
-	for i := len(key) - 1; i >= 0; i-- {
-		if key[i] == '#' {
-			return key[:i]
-		}
-	}
-	return key
 }
 
 // RemovePartitionIdx closes, forgets, and deletes from disk partition idx of
@@ -258,7 +250,7 @@ func keyDataset(key string) string {
 // replica copy so a retry starts from an empty tree instead of a torn one.
 // Removing a partition that is not open just deletes its directory.
 func (m *Manager) RemovePartitionIdx(ds *Dataset, idx int, replica bool) error {
-	key := partKey(ds.QualifiedName(), idx)
+	key := partKey{ds.QualifiedName(), idx}
 	m.waitOpening(key)
 	m.mu.Lock()
 	p := m.partitions[key]
@@ -287,7 +279,7 @@ func (m *Manager) DropPartition(qualifiedName string) error {
 	m.mu.Lock()
 	var victims []*Partition
 	for key, p := range m.partitions {
-		if keyDataset(key) == qualifiedName {
+		if key.dataset == qualifiedName {
 			victims = append(victims, p)
 			delete(m.partitions, key)
 		}

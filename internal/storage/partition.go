@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,38 +38,85 @@ type encFieldRef struct {
 }
 
 // frameScratch is per-partition scratch reused across InsertFrame calls so
-// the steady-state frame path allocates only what the memtable retains
-// (keys, batch growth) — not per-call bookkeeping.
+// the steady-state frame path allocates only what the memtable retains by
+// reference — not per-call bookkeeping, and not keys, which the trees copy.
 type frameScratch struct {
-	fields  []encFieldRef  // field scan of the current record
-	pks     [][]byte       // per-record encoded primary key
-	skeys   [][]byte       // per-record secondary keys, flattened nIdx per record
-	pending map[string]int // pk -> latest record index within this frame
-	prim    *lsm.Batch
-	sec     []*lsm.Batch // parallel to ds.Indexes
+	fields []encFieldRef // field scan of the current record
+	pks    [][]byte      // per-record encoded primary key
+	skeys  [][]byte      // per-record secondary keys, flattened nIdx per record
+	keys   []byte        // bytes of the keys the trees copy
+	byKey  []int         // record indexes, stably sorted by primary key
+	prev   []int         // per record: the frame's latest earlier record with its primary key, or -1
+	prim   *lsm.Batch
+	sec    []*lsm.Batch // parallel to ds.Indexes
 }
 
-// release drops references retained from the last frame (the memtable now
-// owns the key slices) while keeping slice capacity for the next call.
+// release drops references retained from the last frame while keeping
+// slice capacity for the next call. The trees hold copies of the keys, so
+// the key bytes are reused.
 func (fs *frameScratch) release() {
-	for i := range fs.fields {
-		fs.fields[i] = encFieldRef{}
-	}
+	clear(fs.fields)
 	fs.fields = fs.fields[:0]
-	for i := range fs.pks {
-		fs.pks[i] = nil
-	}
+	clear(fs.pks)
 	fs.pks = fs.pks[:0]
-	for i := range fs.skeys {
-		fs.skeys[i] = nil
-	}
+	clear(fs.skeys)
 	fs.skeys = fs.skeys[:0]
-	for k := range fs.pending {
-		delete(fs.pending, k)
-	}
+	fs.keys = fs.keys[:0]
+	fs.byKey = fs.byKey[:0]
+	fs.prev = fs.prev[:0]
 	fs.prim.Reset()
 	for _, b := range fs.sec {
 		b.Reset()
+	}
+}
+
+// secondaryKey builds in fs.keys the key that the package function
+// secondaryKey builds from a decoded record, but from the encoded value of
+// the indexed field. nil means the field is absent/null and the record is
+// simply not indexed.
+func (fs *frameScratch) secondaryKey(ix IndexDecl, encField, pk []byte) ([]byte, error) {
+	if len(encField) == 0 {
+		return nil, nil
+	}
+	tag := adm.TypeTag(encField[0])
+	if tag == adm.TagNull || tag == adm.TagMissing {
+		return nil, nil
+	}
+	at := len(fs.keys)
+	switch ix.Kind {
+	case BTree:
+		fs.keys = append(fs.keys, encField...)
+	case RTree:
+		if tag != adm.TagPoint || len(encField) < 17 {
+			return nil, fmt.Errorf("storage: rtree index %q over non-point value %s", ix.Name, tag)
+		}
+		pt := adm.Point{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(encField[1:9])),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(encField[9:17])),
+		}
+		fs.keys = appendCellPrefix(fs.keys, cellOf(pt))
+		fs.keys = binary.BigEndian.AppendUint64(fs.keys, math.Float64bits(pt.X))
+		fs.keys = binary.BigEndian.AppendUint64(fs.keys, math.Float64bits(pt.Y))
+	default:
+		return nil, fmt.Errorf("storage: unknown index kind %d", ix.Kind)
+	}
+	fs.keys = append(fs.keys, pk...)
+	return fs.keys[at:len(fs.keys):len(fs.keys)], nil
+}
+
+// linkRepeats sets prev[i] to the latest record before i in the frame with
+// the same primary key, or -1: a stable sort of the record indexes by key
+// puts every record right after its predecessor.
+func (fs *frameScratch) linkRepeats() {
+	for i := range fs.pks {
+		fs.byKey = append(fs.byKey, i)
+		fs.prev = append(fs.prev, -1)
+	}
+	slices.SortStableFunc(fs.byKey, func(a, b int) int { return bytes.Compare(fs.pks[a], fs.pks[b]) })
+	for k := 1; k < len(fs.byKey); k++ {
+		if i, j := fs.byKey[k], fs.byKey[k-1]; bytes.Equal(fs.pks[i], fs.pks[j]) {
+			fs.prev[i] = j
+		}
 	}
 }
 
@@ -87,7 +136,7 @@ func (fs *frameScratch) scan(rec []byte) error {
 // fault-injection harness can target one tree of one partition.
 func openPartition(ds *Dataset, idx int, dir string, lsmOpt lsm.Options) (*Partition, error) {
 	p := &Partition{ds: ds, idx: idx, secondaries: make(map[string]*lsm.Tree)}
-	p.frame = frameScratch{pending: make(map[string]int), prim: lsm.NewBatch(0)}
+	p.frame = frameScratch{prim: lsm.NewBatch(0)}
 	for range ds.Indexes {
 		p.frame.sec = append(p.frame.sec, lsm.NewBatch(0))
 	}
@@ -184,31 +233,43 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 		if err := fs.scan(rec); err != nil {
 			return dataErr(err)
 		}
-		pk, err := primaryKeyFromFields(p.ds, fs.fields)
+		// The primary tree copies the key, so on a dataset without indexes
+		// it is scratch. Every secondary entry keeps its record's key as its
+		// value, so on an indexed dataset the key is one exact-size
+		// allocation, shared by all of that record's entries.
+		var pk []byte
+		var err error
+		if nIdx == 0 {
+			at := len(fs.keys)
+			fs.keys, err = appendPrimaryKey(fs.keys, p.ds, fs.fields)
+			pk = fs.keys[at:len(fs.keys):len(fs.keys)]
+		} else {
+			pk, err = appendPrimaryKey(nil, p.ds, fs.fields)
+		}
 		if err != nil {
 			return dataErr(err)
 		}
 		fs.pks = append(fs.pks, pk)
 		for _, ix := range p.ds.Indexes {
-			skey, ok, err := secondaryKeyEncoded(ix, findField(fs.fields, ix.Field), pk)
+			skey, err := fs.secondaryKey(ix, findField(fs.fields, ix.Field), pk)
 			if err != nil {
 				return dataErr(err)
-			}
-			if !ok {
-				skey = nil
 			}
 			fs.skeys = append(fs.skeys, skey)
 		}
 	}
 
 	// Phase B: build one batch per tree and apply them.
+	if nIdx > 0 {
+		fs.linkRepeats()
+	}
 	for i, rec := range recs {
 		pk := fs.pks[i]
 		fs.prim.Put(pk, rec)
 		if nIdx == 0 {
 			continue // nothing hangs off the record this one replaces, so it is not read
 		}
-		if prev, dup := fs.pending[string(pk)]; dup {
+		if prev := fs.prev[i]; prev >= 0 {
 			// An earlier record in this frame used the same key: unhook the
 			// secondary entries it queued. Batch order makes the later Put
 			// win when old and new keys coincide.
@@ -224,7 +285,6 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 				return err
 			}
 		}
-		fs.pending[string(pk)] = i
 		for j := 0; j < nIdx; j++ {
 			if skey := fs.skeys[i*nIdx+j]; skey != nil {
 				fs.sec[j].Put(skey, pk)
@@ -254,11 +314,11 @@ func (p *Partition) unhookStored(fs *frameScratch, pk, stored []byte) error {
 		return err
 	}
 	for j, ix := range p.ds.Indexes {
-		skey, present, err := secondaryKeyEncoded(ix, findField(fs.fields, ix.Field), pk)
+		skey, err := fs.secondaryKey(ix, findField(fs.fields, ix.Field), pk)
 		if err != nil {
 			return err
 		}
-		if present {
+		if skey != nil {
 			fs.sec[j].Delete(skey)
 		}
 	}
@@ -286,57 +346,26 @@ func findField(fields []encFieldRef, name string) []byte {
 	return nil
 }
 
-// primaryKeyFromFields concatenates the raw encoded primary key fields —
-// byte-identical to Dataset.PrimaryKeyOf on the decoded record, since the
-// encoding is canonical.
-func primaryKeyFromFields(ds *Dataset, fields []encFieldRef) ([]byte, error) {
+// appendPrimaryKey appends to dst the raw encoded primary key fields,
+// concatenated — byte-identical to Dataset.PrimaryKeyOf on the decoded
+// record, since the encoding is canonical. It grows dst at most once —
+// exactly, when dst is nil — and on error returns dst unchanged.
+func appendPrimaryKey(dst []byte, ds *Dataset, fields []encFieldRef) ([]byte, error) {
 	total := 0
 	for _, f := range ds.PrimaryKey {
 		enc := findField(fields, f)
 		if enc == nil || adm.TypeTag(enc[0]) == adm.TagMissing || adm.TypeTag(enc[0]) == adm.TagNull {
-			return nil, fmt.Errorf("storage: record lacks primary key field %q", f)
+			return dst, fmt.Errorf("storage: record lacks primary key field %q", f)
 		}
 		total += len(enc)
 	}
-	pk := make([]byte, 0, total)
+	if cap(dst)-len(dst) < total {
+		dst = append(make([]byte, 0, 2*cap(dst)+total), dst...)
+	}
 	for _, f := range ds.PrimaryKey {
-		pk = append(pk, findField(fields, f)...)
+		dst = append(dst, findField(fields, f)...)
 	}
-	return pk, nil
-}
-
-// secondaryKeyEncoded builds the same key as secondaryKey, but from the
-// field's encoded bytes instead of a decoded value. ok=false means the
-// field is absent/null and the record is simply not indexed.
-func secondaryKeyEncoded(ix IndexDecl, encField, pk []byte) (key []byte, ok bool, err error) {
-	if len(encField) == 0 {
-		return nil, false, nil
-	}
-	tag := adm.TypeTag(encField[0])
-	if tag == adm.TagNull || tag == adm.TagMissing {
-		return nil, false, nil
-	}
-	switch ix.Kind {
-	case BTree:
-		key = make([]byte, 0, len(encField)+len(pk))
-		key = append(key, encField...)
-	case RTree:
-		if tag != adm.TagPoint || len(encField) < 17 {
-			return nil, false, fmt.Errorf("storage: rtree index %q over non-point value %s", ix.Name, tag)
-		}
-		pt := adm.Point{
-			X: math.Float64frombits(binary.LittleEndian.Uint64(encField[1:9])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(encField[9:17])),
-		}
-		key = cellPrefix(cellOf(pt))
-		var buf [16]byte
-		binary.BigEndian.PutUint64(buf[0:], math.Float64bits(pt.X))
-		binary.BigEndian.PutUint64(buf[8:], math.Float64bits(pt.Y))
-		key = append(key, buf[:]...)
-	default:
-		return nil, false, fmt.Errorf("storage: unknown index kind %d", ix.Kind)
-	}
-	return append(key, pk...), true, nil
+	return dst, nil
 }
 
 // Delete removes the record with the given primary key fields: like a
@@ -502,7 +531,7 @@ func (p *Partition) SearchRTree(indexName string, rect adm.Rectangle) ([]*adm.Re
 	var out []*adm.Record
 	var innerErr error
 	for _, cell := range cellsCovering(rect) {
-		prefix := cellPrefix(cell)
+		prefix := appendCellPrefix(nil, cell)
 		upper := prefixUpperBound(prefix)
 		err := t.Scan(prefix, upper, func(key, pk []byte) bool {
 			pt, ok := pointFromRTreeKey(key)
@@ -663,7 +692,7 @@ func (p *Partition) Close() error {
 // encoding (or grid cell for rtree) concatenated with the primary key, so
 // duplicate field values remain distinct entries. ok=false means the field
 // is absent/null and the record is simply not indexed. The write path keys
-// from encoded bytes (secondaryKeyEncoded); this decode-side derivation is
+// from encoded bytes (frameScratch.secondaryKey); this decode-side derivation is
 // VerifyIndexes' independent statement of what that must have produced.
 func secondaryKey(ix IndexDecl, rec *adm.Record, pk []byte) (key []byte, ok bool, err error) {
 	v, present := rec.Field(ix.Field)
@@ -678,7 +707,7 @@ func secondaryKey(ix IndexDecl, rec *adm.Record, pk []byte) (key []byte, ok bool
 		if !isPt {
 			return nil, false, fmt.Errorf("storage: rtree index %q over non-point value %s", ix.Name, v.Tag())
 		}
-		key = cellPrefix(cellOf(pt))
+		key = appendCellPrefix(nil, cellOf(pt))
 		// Embed the exact point for in-index filtering.
 		var buf [16]byte
 		binary.BigEndian.PutUint64(buf[0:], math.Float64bits(pt.X))

@@ -32,12 +32,10 @@ func cellOf(p adm.Point) cell {
 	}
 }
 
-// cellPrefix encodes a cell as an order-preserving 8-byte key prefix.
-func cellPrefix(c cell) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint32(buf[0:], uint32(c.X)^0x80000000)
-	binary.BigEndian.PutUint32(buf[4:], uint32(c.Y)^0x80000000)
-	return buf[:]
+// appendCellPrefix appends a cell's order-preserving 8-byte key prefix.
+func appendCellPrefix(dst []byte, c cell) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(c.X)^0x80000000)
+	return binary.BigEndian.AppendUint32(dst, uint32(c.Y)^0x80000000)
 }
 
 // cellsCovering enumerates the grid cells intersecting rect.

@@ -396,3 +396,26 @@ func TestPropertyInsertLookupRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPartitionIdxDoesNotAllocate: every routed lookup finds its partition
+// through PartitionIdx, so it must not build a key to do so.
+func TestPartitionIdxDoesNotAllocate(t *testing.T) {
+	ds := testDataset()
+	m := NewManager("A", t.TempDir(), lsm.Options{})
+	t.Cleanup(func() { m.Close() })
+	p, err := m.OpenPartition(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := ds.QualifiedName()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if m.PartitionIdx(name, 0) != p {
+			t.Fatal("PartitionIdx lost the open partition")
+		}
+	}); allocs != 0 {
+		t.Errorf("PartitionIdx allocates %.1f times per call, want 0", allocs)
+	}
+	if m.Partition(name) != p || m.PartitionIdx(name, 1) != nil {
+		t.Fatal("Partition/PartitionIdx disagree with the open set")
+	}
+}
