@@ -103,6 +103,10 @@ if [ "${1:-}" = "-race" ]; then
 	# taken or dropped in the wrong place shows only in some interleavings,
 	# so the two cache hammers run twenty times over.
 	go test -race -count=20 -run 'RecycledBlocks|ConcurrentReadsWithCache' ./internal/lsm/
+	# Partition readers take no lock: reads beside a frame parked inside a
+	# WAL append, and the model history with concurrent readers checking
+	# every read, run twenty times over for the same reason.
+	go test -race -short -count=20 -run 'BesideStalled|PartitionMatchesModel' ./internal/storage/
 	# End-to-end replication and restart tests: the promotion/resync and
 	# recovery paths are the most concurrency-sensitive in the stack. The
 	# socket and file adaptors ride along: they hand the pipeline copies out

@@ -40,7 +40,7 @@ func benchTree(b *testing.B, n int, cache *BlockCache, m *Metrics) *Tree {
 // BenchmarkReadPath is the read-path acceptance benchmark: hot gets must be
 // served entirely from the block cache (zero disk reads per op — asserted,
 // not just measured), cold gets pay one block read each, and a full scan
-// reads each 32 KiB block exactly once. The hot/cold ratio is the headline
+// reads each defaultBlockBytes block exactly once. The hot/cold ratio is the headline
 // number behind "read path at memory speed".
 func BenchmarkReadPath(b *testing.B) {
 	const n = 50000
@@ -97,7 +97,7 @@ func BenchmarkReadPath(b *testing.B) {
 	})
 
 	b.Run("cold-get-cached", func(b *testing.B) {
-		// A cache of a few dozen of the run's ~180 blocks, full after one pass
+		// A cache of about 128 of the run's ~730 blocks, full after one pass
 		// over the keys: nearly every get misses and evicts, and must borrow
 		// the evicted block's buffer — one allocation per op, the value.
 		m := &Metrics{}
@@ -151,7 +151,7 @@ func BenchmarkReadPath(b *testing.B) {
 			reads := m.BlockReads.Value() - before
 			// Each entry costs ~119 block bytes (12-byte key + 100-byte value
 			// + flags + two length varints + its 4-byte offset-table slot); a
-			// full scan must read each ~32 KiB block exactly once.
+			// full scan must read each defaultBlockBytes block exactly once.
 			if bound := int64(n*119/defaultBlockBytes) + 2; reads > bound {
 				b.Fatalf("scan issued %d block reads, bound %d", reads, bound)
 			}

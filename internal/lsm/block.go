@@ -10,7 +10,7 @@ import (
 )
 
 // Run files are block-structured: entries are packed into fixed-target-size
-// blocks (~32 KiB by default), each independently checksummed, so the read
+// blocks (~8 KiB by default), each independently checksummed, so the read
 // path touches one block — not one entry — per disk read, and a block is the
 // unit the shared BlockCache holds.
 //

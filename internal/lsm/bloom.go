@@ -6,9 +6,12 @@ import (
 )
 
 // bloomFilter is a classic Bloom filter sized for a target false-positive
-// rate, used to skip runs that cannot contain a key.
+// rate, used to skip runs that cannot contain a key. Its bitmap is kept in
+// the serialized layout — bit i is bit i%8 of byte i/8, which is what the
+// little-endian 64-bit words on disk amount to — so a filter loaded from a
+// run aliases the bytes the run read instead of copying them.
 type bloomFilter struct {
-	bits  []uint64
+	bits  []byte // a whole number of 64-bit words
 	nbits uint64
 	k     int
 }
@@ -24,7 +27,7 @@ func newBloomFilter(n int) *bloomFilter {
 		m = 64
 	}
 	words := (m + 63) / 64
-	return &bloomFilter{bits: make([]uint64, words), nbits: words * 64, k: 7}
+	return &bloomFilter{bits: make([]byte, 8*words), nbits: words * 64, k: 7}
 }
 
 // bloomHashes returns the two hashes a filter derives its k probes from:
@@ -49,7 +52,7 @@ func (b *bloomFilter) add(key []byte) {
 	h1, h2 := bloomHashes(key)
 	for i := 0; i < b.k; i++ {
 		pos := (h1 + uint64(i)*h2) % b.nbits
-		b.bits[pos/64] |= 1 << (pos % 64)
+		b.bits[pos/8] |= 1 << (pos % 8)
 	}
 }
 
@@ -58,26 +61,24 @@ func (b *bloomFilter) add(key []byte) {
 func (b *bloomFilter) mayContain(h1, h2 uint64) bool {
 	for i := 0; i < b.k; i++ {
 		pos := (h1 + uint64(i)*h2) % b.nbits
-		if b.bits[pos/64]&(1<<(pos%64)) == 0 {
+		if b.bits[pos/8]&(1<<(pos%8)) == 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// marshal serializes the filter.
-func (b *bloomFilter) marshal() []byte {
-	out := make([]byte, 4+8*len(b.bits))
-	binary.LittleEndian.PutUint32(out, uint32(b.k))
-	for i, w := range b.bits {
-		binary.LittleEndian.PutUint64(out[4+8*i:], w)
-	}
-	return out
+// appendTo appends the serialized filter to dst: the probe count, then the
+// bitmap.
+func (b *bloomFilter) appendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.k))
+	return append(dst, b.bits...)
 }
 
-// unmarshalBloom reconstructs a filter from marshal's output, or returns nil
-// for bytes marshal cannot have written: a filter has at least one word (a
-// probe is taken modulo the bit count) and a sane number of probes.
+// unmarshalBloom reconstructs a filter from appendTo's output, aliasing buf,
+// or returns nil for bytes appendTo cannot have written: a filter has at least
+// one word (a probe is taken modulo the bit count) and a sane number of
+// probes.
 func unmarshalBloom(buf []byte) *bloomFilter {
 	if len(buf) < 4+8 || (len(buf)-4)%8 != 0 {
 		return nil
@@ -86,10 +87,6 @@ func unmarshalBloom(buf []byte) *bloomFilter {
 	if k < 1 || k > 32 {
 		return nil
 	}
-	words := (len(buf) - 4) / 8
-	bits := make([]uint64, words)
-	for i := range bits {
-		bits[i] = binary.LittleEndian.Uint64(buf[4+8*i:])
-	}
-	return &bloomFilter{bits: bits, nbits: uint64(words) * 64, k: k}
+	bits := buf[4:len(buf):len(buf)]
+	return &bloomFilter{bits: bits, nbits: uint64(len(bits)) * 8, k: k}
 }

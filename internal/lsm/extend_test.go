@@ -760,7 +760,7 @@ func TestCorruptFilterRefused(t *testing.T) {
 			t.Errorf("unmarshalBloom(%v) accepted: k=%d, %d bits", buf[:4], f.k, f.nbits)
 		}
 	}
-	if unmarshalBloom(newBloomFilter(1).marshal()) == nil {
+	if unmarshalBloom(newBloomFilter(1).appendTo(nil)) == nil {
 		t.Fatal("the smallest filter the writer makes is refused")
 	}
 	// The same four bytes inside a run file, in either format.

@@ -641,7 +641,7 @@ func TestBloomFilterBasics(t *testing.T) {
 		t.Fatalf("false positive rate %d/1000, want < 10%%", fp)
 	}
 	// Marshal round trip.
-	b2 := unmarshalBloom(b.marshal())
+	b2 := unmarshalBloom(b.appendTo(nil))
 	if b2 == nil || !b2.mayContain(bloomHashes([]byte("key-1"))) {
 		t.Fatal("marshal round trip lost membership")
 	}
@@ -730,7 +730,7 @@ func benchGetMiss(b *testing.B, bloom bool) {
 		for _, r := range tr.set.runs {
 			for _, bm := range r.blocks {
 				for i := range bm.filter.bits {
-					bm.filter.bits[i] = ^uint64(0)
+					bm.filter.bits[i] = 0xFF
 				}
 			}
 		}

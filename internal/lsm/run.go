@@ -28,12 +28,13 @@ import (
 // their own). Every key of a segment is greater than every key of the one
 // before it, so the file as a whole is one sorted run. The first segment is
 // written to a temp file and renamed into place; a later one is appended by
-// a flush whose keys all lie above the run (Tree.flushTasks): body, fsync,
-// header, fsync, so a header on disk vouches for a body on disk. The flush's
-// manifest record then commits the file's new length. loadRun fails on any
-// defect below the committed length, and Open cuts off what lies beyond it. No
-// committed byte is ever rewritten: a reader's view of the file stays exact
-// while the file grows behind it.
+// a flush whose keys all lie above the run (Tree.flushTasks): body, header,
+// one fsync. The flush's manifest record then commits the file's new length,
+// and only a committed length is ever read — loadRun fails on any defect
+// below it, and Open cuts off what lies beyond it — so a header whose body
+// had not reached the disk before a crash is never looked at. No committed
+// byte is ever rewritten: a reader's view of the file stays exact while the
+// file grows behind it.
 //
 // A format-02 file is one segment whose header is the bare magic: nothing at
 // its head says where it ends, so it is read as it always was and never grows.
@@ -48,8 +49,9 @@ const runHeaderLen = 8 + 8 + 4
 // defaultBlockBytes is the target encoded block size. A block is closed once
 // it reaches the target, so every block except the last is at least this
 // large — which bounds a run's block count at ⌈bytes/target⌉ and therefore a
-// full scan at that many reads.
-const defaultBlockBytes = 32 << 10
+// full scan at that many reads. A point read fetches and checks one block, so
+// the target is what a cold lookup reads to return one record.
+const defaultBlockBytes = 8 << 10
 
 // runTrailerLen is the fixed trailer: index length, bloom length, entry
 // count, magic.
@@ -76,7 +78,7 @@ func (c runConfig) blockTarget() int {
 // it holds. This — not the keys themselves — is all a run keeps resident, so
 // per-run memory is O(blocks), not O(entries).
 type blockMeta struct {
-	firstKey []byte
+	firstKey []byte // capped sub-slice of its segment's index section, as read
 	off      int64
 	length   int32
 	entries  int32
@@ -240,10 +242,13 @@ type runWriter struct {
 	bloom *bloomFilter
 	cfg   runConfig
 	bb    blockBuilder
-	index []blockMeta
-	off   int64 // file offset where the current block will land
-	count int
-	last  []byte // the key added last (aliases the caller's entry; see runIter.curr), for the run's upper fence
+	// index is the segment's index section as closeBlock builds it, one
+	// serialized entry per block; blocks counts them.
+	index  []byte
+	blocks int
+	off    int64 // file offset where the current block will land
+	count  int
+	last   []byte // the key added last (aliases the caller's entry; see runIter.curr), for the run's upper fence
 }
 
 // newRunWriter starts a segment: the first of a new file destined for path,
@@ -283,8 +288,9 @@ func (rw *runWriter) add(e entry) error {
 	return nil
 }
 
-// closeBlock seals the in-progress block: emit its bytes, record its sparse
-// index entry, reset the builder.
+// closeBlock seals the in-progress block: emit its bytes, append its sparse
+// index entry — (first key, offset, length, entries), uvarint-framed — to the
+// index section, reset the builder.
 func (rw *runWriter) closeBlock() error {
 	if rw.bb.count() == 0 {
 		return nil
@@ -293,12 +299,12 @@ func (rw *runWriter) closeBlock() error {
 	if _, err := rw.w.Write(buf); err != nil {
 		return err
 	}
-	rw.index = append(rw.index, blockMeta{
-		firstKey: append([]byte(nil), rw.bb.firstKey...),
-		off:      rw.off,
-		length:   int32(len(buf)),
-		entries:  int32(rw.bb.count()),
-	})
+	rw.index = binary.AppendUvarint(rw.index, uint64(len(rw.bb.firstKey)))
+	rw.index = append(rw.index, rw.bb.firstKey...)
+	rw.index = binary.AppendUvarint(rw.index, uint64(rw.off))
+	rw.index = binary.AppendUvarint(rw.index, uint64(len(buf)))
+	rw.index = binary.AppendUvarint(rw.index, uint64(rw.bb.count()))
+	rw.blocks++
 	rw.off += int64(len(buf))
 	rw.bb.reset()
 	return nil
@@ -306,9 +312,9 @@ func (rw *runWriter) closeBlock() error {
 
 // finish seals the last block, cuts the file at the segment's end and writes
 // the index section, bloom filter and trailer, then the header, then fsyncs. A
-// new file is then renamed into place and opened; an extension, fsynced before
-// its header as well, is returned as prev's longer view. On failure what was
-// written is discarded; the writer must not be reused.
+// new file is then renamed into place and opened; an extension is returned as
+// prev's longer view. On failure what was written is discarded; the writer
+// must not be reused.
 //
 // The fault points "run:trailer" and "run:header" precede the two writes:
 // ErrTornWrite persists the first half of that write and leaves the rest as a
@@ -320,26 +326,17 @@ func (rw *runWriter) finish() (*run, error) {
 	if err := rw.w.Flush(); err != nil {
 		return nil, rw.fail(err)
 	}
-	// Index section: block count, then (first key, offset, length, entries)
-	// per block, all uvarint-framed.
-	var meta []byte
-	var scratch [binary.MaxVarintLen64]byte
-	putUv := func(v uint64) { meta = append(meta, scratch[:binary.PutUvarint(scratch[:], v)]...) }
-	putUv(uint64(len(rw.index)))
-	for _, bm := range rw.index {
-		putUv(uint64(len(bm.firstKey)))
-		meta = append(meta, bm.firstKey...)
-		putUv(uint64(bm.off))
-		putUv(uint64(bm.length))
-		putUv(uint64(bm.entries))
-	}
+	// Index section: block count, then the entries closeBlock serialized.
+	meta := make([]byte, 0, binary.MaxVarintLen64+len(rw.index)+4+len(rw.bloom.bits)+runTrailerLen)
+	meta = append(binary.AppendUvarint(meta, uint64(rw.blocks)), rw.index...)
+	indexLen := len(meta)
+	meta = rw.bloom.appendTo(meta)
 	var trailer [runTrailerLen]byte
-	binary.LittleEndian.PutUint32(trailer[0:], uint32(len(meta)))
-	bb := rw.bloom.marshal()
-	binary.LittleEndian.PutUint32(trailer[4:], uint32(len(bb)))
+	binary.LittleEndian.PutUint32(trailer[0:], uint32(indexLen))
+	binary.LittleEndian.PutUint32(trailer[4:], uint32(len(meta)-indexLen))
 	binary.LittleEndian.PutUint64(trailer[8:], uint64(rw.count))
 	copy(trailer[16:], runMagic)
-	meta = append(append(meta, bb...), trailer[:]...)
+	meta = append(meta, trailer[:]...)
 	end := rw.off + int64(len(meta))
 	var hdr [runHeaderLen]byte
 	copy(hdr[:], runMagic)
@@ -353,8 +350,7 @@ func (rw *runWriter) finish() (*run, error) {
 		point string
 		p     []byte
 		off   int64
-		sync  bool
-	}{{"run:trailer", meta, rw.off, rw.prev != nil}, {"run:header", hdr[:], rw.base, true}} {
+	}{{"run:trailer", meta, rw.off}, {"run:header", hdr[:], rw.base}} {
 		if rw.cfg.fault != nil {
 			if err := rw.cfg.fault(wr.point); errors.Is(err, ErrTornWrite) {
 				_, _ = rw.f.WriteAt(wr.p[:len(wr.p)/2], wr.off)
@@ -367,14 +363,11 @@ func (rw *runWriter) finish() (*run, error) {
 		if _, err := rw.f.WriteAt(wr.p, wr.off); err != nil {
 			return nil, rw.fail(err)
 		}
-		// In a file that is already live the header must not reach the disk
-		// ahead of the body it vouches for; a temp file is not looked at
-		// until the one fsync before its rename.
-		if wr.sync {
-			if err := rw.f.Sync(); err != nil {
-				return nil, rw.fail(err)
-			}
-		}
+	}
+	// One fsync, before the rename of a new file and before the manifest
+	// commit of an extension: nothing reads the segment until one of those.
+	if err := rw.f.Sync(); err != nil {
+		return nil, rw.fail(err)
 	}
 	if err := rw.f.Close(); err != nil {
 		if rw.prev == nil {
@@ -564,6 +557,8 @@ func (r *run) loadSegment(start, end int64, hdr []byte) error {
 		return fmt.Errorf("lsm: run %s trailer lengths (%d,%d) exceed segment size %d", r.path, indexLen, bloomLen, end-start)
 	}
 	indexOff := end - runTrailerLen - bloomLen - indexLen
+	// One buffer per segment: the bloom filter and every block's first key
+	// alias it.
 	tail := make([]byte, indexLen+bloomLen)
 	if err := r.readAt(tail, indexOff); err != nil {
 		return err
@@ -603,17 +598,32 @@ func (r *run) extended(end int64, hdr []byte) (*run, error) {
 // index of the segments before it), validating every block's extent against
 // [dataStart, dataEnd), key ordering, and the trailer's entry count — the
 // index is the only trusted map of the file, so it must be internally
-// consistent before any block is read through it.
+// consistent before any block is read through it. Each first key is a capped
+// sub-slice of idx, so the segment's keys cost no allocation of their own and
+// idx must never be written again; blocks grows at most once.
 func parseRunIndex(blocks []blockMeta, idx []byte, dataStart, dataEnd int64, count uint64, filter *bloomFilter) ([]blockMeta, error) {
-	rd := bytes.NewReader(idx)
-	nBlocks, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, fmt.Errorf("index truncated: %w", err)
+	rest := idx
+	uvarint := func() (uint64, bool) {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return 0, false
+		}
+		rest = rest[n:]
+		return v, true
 	}
-	// Each index entry is at least 4 bytes, so nBlocks is bounded by the
-	// section length.
-	if nBlocks > uint64(len(idx)) {
+	nBlocks, ok := uvarint()
+	if !ok {
+		return nil, fmt.Errorf("index truncated")
+	}
+	// Each index entry is at least 4 bytes (four uvarints), so the section
+	// length bounds nBlocks, and with it the one growth of blocks below.
+	if nBlocks > uint64(len(rest)/4) {
 		return nil, fmt.Errorf("index block count %d exceeds index size %d", nBlocks, len(idx))
+	}
+	if free := cap(blocks) - len(blocks); uint64(free) < nBlocks {
+		grown := make([]blockMeta, len(blocks), max(2*cap(blocks), len(blocks)+int(nBlocks)))
+		copy(grown, blocks)
+		blocks = grown
 	}
 	var prevKey []byte
 	if len(blocks) > 0 {
@@ -622,28 +632,20 @@ func parseRunIndex(blocks []blockMeta, idx []byte, dataStart, dataEnd int64, cou
 	var prevEnd = dataStart
 	var entries uint64
 	for i := uint64(0); i < nBlocks; i++ {
-		klen, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("index truncated at block %d: %w", i, err)
+		klen, ok := uvarint()
+		if !ok {
+			return nil, fmt.Errorf("index truncated at block %d", i)
 		}
-		if klen > uint64(rd.Len()) {
+		if klen > uint64(len(rest)) {
 			return nil, fmt.Errorf("index block %d key length %d exceeds remaining index", i, klen)
 		}
-		key := make([]byte, klen)
-		if _, err := rd.Read(key); err != nil {
-			return nil, err
-		}
-		off, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
-		}
-		length, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
-		}
-		n, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
+		key := rest[:klen:klen]
+		rest = rest[klen:]
+		off, ok1 := uvarint()
+		length, ok2 := uvarint()
+		n, ok3 := uvarint()
+		if !ok1 || !ok2 || !ok3 {
+			return nil, fmt.Errorf("index truncated at block %d", i)
 		}
 		if len(blocks) > 0 && bytes.Compare(key, prevKey) <= 0 {
 			return nil, fmt.Errorf("index block %d first key out of order", i)
@@ -846,7 +848,7 @@ func (r *run) iter(from []byte, fill bool) *runIter {
 func (r *run) close() error { return r.release() }
 
 // runIter iterates a run in key order, block at a time: one disk read (or
-// cache hit) per ~32 KiB of data instead of one per entry. The current entry
+// cache hit) per ~8 KiB of data instead of one per entry. The current entry
 // is prefetched so valid/key stay error-free; a read or decode failure
 // parks the iterator invalid with a sticky error that callers MUST check via
 // fail() after their loop — an errored iterator is indistinguishable from an

@@ -40,8 +40,8 @@ func runGet(r *run, key []byte) (entry, bool, error) {
 }
 
 // TestRunSparseIndexIsOBlocks is the memory-bound structural test: a run's
-// resident index must be one entry per ~32 KiB block, not one per record —
-// the whole point of replacing the old format's full key array.
+// resident index must be one entry per defaultBlockBytes block, not one per
+// record — the whole point of replacing the old format's full key array.
 func TestRunSparseIndexIsOBlocks(t *testing.T) {
 	const n, valSize = 20000, 100
 	r := buildBigRun(t, t.TempDir(), n, valSize, runConfig{})
@@ -52,8 +52,8 @@ func TestRunSparseIndexIsOBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every block but the last is closed at >= the 32 KiB target, so the
-	// block count is bounded by ceil(fileSize/target) — and the file size
+	// Every block but the last is closed at >= the defaultBlockBytes target,
+	// so the block count is bounded by ceil(fileSize/target) — and the file size
 	// itself bounds the data section.
 	maxBlocks := int(st.Size()/defaultBlockBytes) + 1
 	if len(r.blocks) > maxBlocks {
@@ -392,5 +392,133 @@ func TestRunMultiBlockIterFrom(t *testing.T) {
 	}
 	if ent, _ := it.curr(); string(ent.key) != "key-00000011" {
 		t.Fatalf("iter between keys starts at %q, want key-00000011", ent.key)
+	}
+}
+
+// TestSegmentBookkeepingAllocsPerSegment: what a run keeps per block — its
+// sparse-index entry — costs allocations per segment, not per block. A
+// segment's first keys alias the index section, which loadSegment reads in
+// one piece, and its block list grows at most once; the writer serializes
+// the index entries into one growing section instead of copying each first
+// key.
+func TestSegmentBookkeepingAllocsPerSegment(t *testing.T) {
+	cfg := runConfig{blockBytes: 256}
+	dir := t.TempDir()
+	r := buildBigRun(t, dir, 4000, 100, cfg)
+	if len(r.blocks) < 1000 {
+		t.Fatalf("%d blocks; the test wants over a thousand", len(r.blocks))
+	}
+	var hdr [runHeaderLen]byte
+	if err := r.readAt(hdr[:], 0); err != nil {
+		t.Fatal(err)
+	}
+	load := testing.AllocsPerRun(20, func() {
+		nv := run{runFile: r.runFile}
+		if err := nv.loadSegment(0, r.end, hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if load > 6 {
+		t.Errorf("loadSegment of %d blocks allocates %.0f objects, want a handful", len(r.blocks), load)
+	}
+
+	// A second segment above the first, then the view extended by it.
+	rw, err := newRunWriter(r.path, r, 4000, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte{'v'}, 100)
+	for i := 0; i < 4000; i++ {
+		if err := rw.add(entry{key: []byte(fmt.Sprintf("lay-%08d", i)), value: val}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r2, err := rw.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.release()
+	if err := r.readAt(hdr[:], r.end); err != nil {
+		t.Fatal(err)
+	}
+	extend := testing.AllocsPerRun(20, func() {
+		nv, err := r.extended(r2.end, hdr[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = nv.release()
+	})
+	if extend > 6 {
+		t.Errorf("extended by %d blocks allocates %.0f objects, want a handful", len(r2.blocks)-len(r.blocks), extend)
+	}
+
+	// Writing a segment: sixteen times the blocks must not cost anywhere near
+	// one allocation per extra block.
+	write := func(blocks int) (allocs float64, got int) {
+		entries := make([]entry, blocks*2)
+		for i := range entries {
+			entries[i] = entry{key: []byte(fmt.Sprintf("key-%08d", i)), value: bytes.Repeat([]byte{'v'}, 130)}
+		}
+		allocs = testing.AllocsPerRun(3, func() {
+			rw, err := newRunWriter(filepath.Join(dir, fmt.Sprintf("w%d.lsm", blocks)), nil, len(entries), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if err := rw.add(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got = rw.blocks
+			w, err := rw.finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = w.close()
+		})
+		return allocs, got
+	}
+	small, nSmall := write(64)
+	large, nLarge := write(1024)
+	if extra := large - small; extra > float64(nLarge-nSmall)/8 {
+		t.Errorf("a segment of %d blocks allocates %.0f objects, one of %d blocks %.0f: %.0f more for %d more blocks",
+			nLarge, large, nSmall, small, extra, nLarge-nSmall)
+	}
+}
+
+// TestFirstKeysAliasTheIndexSection: every block's first key is a sub-slice
+// of the index section it was parsed from — a write there shows in that
+// block's key and in no other — capped, so appending to one key cannot
+// reach the bytes after it.
+func TestFirstKeysAliasTheIndexSection(t *testing.T) {
+	r := buildBigRun(t, t.TempDir(), 2000, 100, runConfig{blockBytes: 1024})
+	var trailer [runTrailerLen]byte
+	if err := r.readAt(trailer[:], r.end-runTrailerLen); err != nil {
+		t.Fatal(err)
+	}
+	last := r.blocks[len(r.blocks)-1]
+	dataEnd := last.off + int64(last.length)
+	idx := make([]byte, binary.LittleEndian.Uint32(trailer[0:]))
+	if err := r.readAt(idx, dataEnd); err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := parseRunIndex(nil, idx, r.blocks[0].off, dataEnd, uint64(r.len()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(blocks))
+	for i, bm := range blocks {
+		if !bytes.Equal(bm.firstKey, r.blocks[i].firstKey) || cap(bm.firstKey) != len(bm.firstKey) {
+			t.Fatalf("block %d first key %q (cap %d), the open run has %q", i, bm.firstKey, cap(bm.firstKey), r.blocks[i].firstKey)
+		}
+		keys[i] = string(bm.firstKey)
+	}
+	mid := len(blocks) / 2
+	at := bytes.Index(idx, blocks[mid].firstKey)
+	idx[at+len(blocks[mid].firstKey)-1] ^= 0xFF
+	for i, bm := range blocks {
+		if changed := string(bm.firstKey) != keys[i]; changed != (i == mid) {
+			t.Fatalf("a write to block %d's key in the index section changed block %d's key: %v", mid, i, changed)
+		}
 	}
 }

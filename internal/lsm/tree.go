@@ -35,7 +35,7 @@ type Options struct {
 	// SyncWAL groups WAL fsyncs: 0 disables syncing (fastest, used by
 	// experiments), 1 syncs every write (durable), n syncs every n writes.
 	SyncWAL int
-	// BlockBytes is the target encoded size of a run block; default 32 KiB.
+	// BlockBytes is the target encoded size of a run block; default 8 KiB.
 	// Smaller blocks mean finer cache granularity and more sparse-index
 	// entries; larger blocks amortize per-read overhead across more entries.
 	BlockBytes int
@@ -142,6 +142,13 @@ type flushTask struct {
 type Tree struct {
 	opt Options
 
+	// wmu serializes writers: ApplyBatch from admission to its memtable
+	// insert, and every rotation. So the active segment and memtable a writer
+	// was admitted to stay put while it appends to the segment with t.mu
+	// released, and readers wait only for the memtable insert — never for
+	// the log write, nor for a fault hook parked inside it. Taken before
+	// t.mu.
+	wmu  sync.Mutex
 	mu   sync.RWMutex
 	mem  *memtable
 	imms []*flushTask // newest first; the flusher drains from the tail
@@ -592,17 +599,19 @@ func (t *Tree) Delete(key []byte) error {
 }
 
 // ApplyBatch is the tree's one write path. It applies every operation in b
-// under a single lock acquisition: one composite WAL record (one CRC)
-// followed by a sorted skiplist insertion that reuses the predecessor search
-// across adjacent keys. Operations land in the memtable with the same
-// last-writer-wins outcome as applying them in order.
+// as one unit: one composite WAL record (one CRC) followed, under a single
+// hold of the tree lock, by a sorted skiplist insertion that reuses the
+// predecessor search across adjacent keys. Operations land in the memtable
+// with the same last-writer-wins outcome as applying them in order, and a
+// reader sees all of them or none.
 //
 // The commit is two-phase group commit: the WAL append and memtable update
-// run under the tree lock; the (at most one, per Options.SyncWAL) fsync that
-// acknowledges durability runs after it is released, so durability waits
-// never stall readers. A mutation may therefore be visible to readers before
+// run in the writer's turn (t.wmu), only the insert under the tree lock; the
+// (at most one, per Options.SyncWAL) fsync that acknowledges durability runs
+// after the turn ends, so neither log writes nor durability waits stall
+// readers. A mutation may therefore be visible to readers before
 // it is durable — the caller must not ack until ApplyBatch returns nil. The
-// fsync targets the segment the record landed in (captured under the lock):
+// fsync targets the segment the record landed in (captured in the turn):
 // if a background flush already retired that segment, the record is durable
 // in a run file and the fsync succeeds vacuously.
 //
@@ -626,33 +635,44 @@ func (t *Tree) ApplyBatch(b *Batch) error {
 // applyBatchLocked is the under-lock half of ApplyBatch: it admits the
 // write (rotating or stalling per admitLocked), appends to the WAL, and
 // updates the memtable, reporting the segment the record landed in and
-// whether the caller owes the group-commit fsync once the lock is released.
+// whether the caller owes the group-commit fsync once the locks are
+// released. Only admission and the memtable insert take t.mu; t.wmu, held
+// throughout, keeps t.wal and t.mem the ones admission saw.
 func (t *Tree) applyBatchLocked(b *Batch) (w *wal, syncDue bool, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	stalled := false
-	for {
-		ch, err := t.admitLocked(&stalled)
-		if err != nil {
-			return nil, false, err
-		}
-		if ch == nil {
-			break
-		}
-		t.mu.Unlock()
-		t.waitState(ch)
-		t.mu.Lock()
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	if err := t.admit(); err != nil {
+		return nil, false, err
 	}
 	if err := t.wal.appendBatch(b.ops); err != nil {
 		return nil, false, err
 	}
+	t.mu.Lock()
 	t.mem.putBatch(b.ops)
 	t.publishLoadLocked()
+	t.mu.Unlock()
 	syncDue, err = t.wal.flushDue()
 	if err != nil {
 		return nil, false, err
 	}
 	return t.wal, syncDue, nil
+}
+
+// admit gates one write under t.mu, waiting with the lock released while
+// admitLocked asks the writer to stall. Callers hold t.wmu.
+func (t *Tree) admit() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	stalled := false
+	for {
+		ch, err := t.admitLocked(&stalled)
+		if ch == nil || err != nil {
+			return err
+		}
+		t.mu.Unlock()
+		t.waitState(ch)
+		t.mu.Lock()
+	}
 }
 
 // admitLocked gates one mutation. While the memtable is at its threshold it
@@ -689,7 +709,7 @@ func (t *Tree) admitLocked(stalled *bool) (<-chan struct{}, error) {
 // rotateLocked freezes the current memtable (with its WAL segment) onto the
 // immutable queue and installs a fresh memtable over a new segment. The new
 // segment is opened first so a failure leaves the tree unchanged. Callers
-// hold t.mu and have verified queue space.
+// hold t.wmu and t.mu and have verified queue space.
 func (t *Tree) rotateLocked() error {
 	nw, err := t.newSegment()
 	if err != nil {
@@ -846,7 +866,10 @@ func (t *Tree) Flush() error {
 		}
 		if t.mem.len() > 0 {
 			if len(t.imms) < t.opt.MaxImmutables {
-				if err := t.rotateLocked(); err != nil {
+				t.mu.Unlock()
+				err := t.rotateForFlush()
+				t.mu.Lock()
+				if err != nil {
 					return err
 				}
 				continue
@@ -864,6 +887,20 @@ func (t *Tree) Flush() error {
 		t.waitState(ch)
 		t.mu.Lock()
 	}
+}
+
+// rotateForFlush is Flush's rotation, taken in a writer's turn: it rotates
+// if the memtable still holds entries and the queue still has room once the
+// turn is Flush's, and otherwise leaves the re-check to Flush's loop.
+func (t *Tree) rotateForFlush() error {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed || t.mem.len() == 0 || len(t.imms) >= t.opt.MaxImmutables {
+		return nil
+	}
+	return t.rotateLocked()
 }
 
 // Merge forces a full merge of all disk runs into one run of one segment —
@@ -1230,6 +1267,9 @@ func (t *Tree) Close() error {
 	<-t.flusherDone
 	<-t.compactorDone
 
+	// A writer admitted before the close may still be appending to t.wal.
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var first error

@@ -45,8 +45,8 @@ type wal struct {
 	// append, n>1 syncs every n appends. An append is one batch, so
 	// syncEvery=1 is group commit: one deferred fsync per batch rather
 	// than one per record. The commit is two-phase: appends
-	// and the threshold decision (flushDue) happen under the tree lock,
-	// the fsync itself (fsync) after it is released.
+	// and the threshold decision (flushDue) happen in a writer's turn
+	// (Tree.wmu), the fsync itself (fsync) after the turn ends.
 	syncEvery int
 	pending   int
 	// gateC is the group-commit gate: a one-token semaphore serializing
@@ -166,12 +166,12 @@ func (w *wal) appendBatch(ops []batchOp) error {
 	return nil
 }
 
-// flushDue is the buffered half of group commit. Called with the tree
-// lock held after a successful append, it decides whether this append
+// flushDue is the buffered half of group commit. Called in the writer's
+// turn (Tree.wmu) after a successful append, it decides whether this append
 // crossed the syncEvery threshold and, if so, flushes the buffered
 // records to the OS. The fsync itself is the caller's to run via fsync —
-// after releasing the tree lock — so a stalled disk blocks only the
-// committers waiting on durability, never the lock.
+// after its turn ends — so a stalled disk blocks only the committers
+// waiting on durability, never a lock.
 func (w *wal) flushDue() (bool, error) {
 	if w.syncEvery <= 0 || w.pending < w.syncEvery {
 		return false, nil
@@ -207,8 +207,8 @@ func (w *wal) fsync() error {
 
 // seal flushes buffered records to the OS when the segment stops being the
 // active one: after a rotation only fsync and discard touch it, and both
-// reach the file directly. Called with the tree lock held; the buffered
-// writer is only ever used under that lock.
+// reach the file directly. Called in a writer's turn (Tree.wmu), the only
+// place the buffered writer is ever used.
 func (w *wal) seal() error {
 	return w.w.Flush()
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -96,7 +97,7 @@ func (m partitionModel) check(t *testing.T, step string, rng *rand.Rand, p *Part
 		user := adm.String(fmt.Sprintf("u%d", u))
 		var want []string
 		for id, r := range m {
-			if v, _ := r.Field("user_name"); adm.Equal(v, user) {
+			if hasUser(user)(r) {
 				want = append(want, id)
 			}
 		}
@@ -116,14 +117,11 @@ func (m partitionModel) check(t *testing.T, step string, rng *rand.Rand, p *Part
 		}
 	}
 	for q := 0; q < 3; q++ {
-		lo := adm.Point{X: float64(rng.Intn(40) - 25), Y: float64(rng.Intn(20) - 12)}
-		rect := adm.Rectangle{Low: lo, High: adm.Point{X: lo.X + float64(rng.Intn(30)), Y: lo.Y + float64(rng.Intn(15))}}
+		rect := randomRect(rng)
 		var want []string
 		for id, r := range m {
-			if v, ok := r.Field("location"); ok {
-				if pt, isPt := v.(adm.Point); isPt && rect.Contains(pt) {
-					want = append(want, id)
-				}
+			if inRect(rect)(r) {
+				want = append(want, id)
 			}
 		}
 		sort.Strings(want)
@@ -138,6 +136,144 @@ func (m partitionModel) check(t *testing.T, step string, rng *rand.Rand, p *Part
 	if err := p.VerifyIndexes(); err != nil {
 		t.Fatalf("%s: %v", step, err)
 	}
+}
+
+// randomRect draws a query rectangle over modelRecord's grid and beyond it.
+func randomRect(rng *rand.Rand) adm.Rectangle {
+	lo := adm.Point{X: float64(rng.Intn(40) - 25), Y: float64(rng.Intn(20) - 12)}
+	return adm.Rectangle{Low: lo, High: adm.Point{X: lo.X + float64(rng.Intn(30)), Y: lo.Y + float64(rng.Intn(15))}}
+}
+
+// hasUser and inRect are the two index searches' tests, on a model record.
+func hasUser(user adm.Value) func(*adm.Record) bool {
+	return func(r *adm.Record) bool { v, _ := r.Field("user_name"); return adm.Equal(v, user) }
+}
+
+func inRect(rect adm.Rectangle) func(*adm.Record) bool {
+	return func(r *adm.Record) bool {
+		v, _ := r.Field("location")
+		pt, isPt := v.(adm.Point)
+		return isPt && rect.Contains(pt)
+	}
+}
+
+// concurrentReads reads p from two goroutines, while one step moves it from
+// model before to model after, until the returned stop is called; stop
+// reports the first read the partition's read consistency does not allow.
+// A frame reaches each tree as one batch, so a Lookup sees the step all or
+// nothing. Count and the index searches walk a tree, and a walk sees each
+// record as it stands when the walk passes it: every record once, in a
+// version from before or after (one that passes the search), and none
+// missing that the step leaves where it was. Only a record the step inserts,
+// deletes or moves to another index key may be missed.
+func concurrentReads(p *Partition, before, after partitionModel, seed int64) (stop func() error) {
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	for r := int64(0); r < 2; r++ {
+		rng := rand.New(rand.NewSource(seed + r))
+		go func() {
+			for {
+				if err := readOnce(p, before, after, rng); err != nil {
+					errs <- err
+					return
+				}
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+			}
+		}()
+	}
+	return func() error {
+		close(done)
+		err := <-errs
+		if err2 := <-errs; err == nil {
+			err = err2
+		}
+		return err
+	}
+}
+
+// readOnce makes one random read of p and checks it against before and
+// after (see concurrentReads).
+func readOnce(p *Partition, before, after partitionModel, rng *rand.Rand) error {
+	indexed := len(p.ds.Indexes) > 0
+	switch rng.Intn(4) {
+	case 0:
+		kept, either := 0, len(after)
+		for id := range before {
+			if _, ok := after[id]; ok {
+				kept++
+			} else {
+				either++
+			}
+		}
+		n, err := p.Count()
+		if err != nil || n < kept || n > either {
+			return fmt.Errorf("Count = %d, %v; %d records are stored before and after the step, %d before or after", n, err, kept, either)
+		}
+	case 1:
+		if indexed {
+			user := adm.String(fmt.Sprintf("u%d", rng.Intn(modelUsers)))
+			got, err := p.SearchBTree("userIdx", user)
+			return checkSearch(fmt.Sprintf("SearchBTree(%s)", user), got, err, before, after, "user_name", hasUser(user))
+		}
+	case 2:
+		if indexed {
+			rect := randomRect(rng)
+			got, err := p.SearchRTree("locationIndex", rect)
+			return checkSearch(fmt.Sprintf("SearchRTree(%v)", rect), got, err, before, after, "location", inRect(rect))
+		}
+	}
+	id := modelID(rng.Intn(modelKeys))
+	got, ok, err := p.Lookup([]adm.Value{adm.String(id)})
+	if err != nil || !(sameVersion(got, ok, before[id]) || sameVersion(got, ok, after[id])) {
+		return fmt.Errorf("Lookup(%s) = %v, %v, %v; before the step %v, after %v", id, got, ok, err, before[id], after[id])
+	}
+	return nil
+}
+
+// sameVersion reports whether a read of (got, ok) is want, nil meaning
+// absent.
+func sameVersion(got *adm.Record, ok bool, want *adm.Record) bool {
+	if want == nil {
+		return !ok
+	}
+	return ok && adm.Equal(got, want)
+}
+
+// checkSearch checks the answer of one search, made while a step ran, of the
+// index over field, whose records must all pass match (see
+// concurrentReads).
+func checkSearch(what string, got []*adm.Record, err error, before, after partitionModel, field string, match func(*adm.Record) bool) error {
+	if err != nil {
+		return fmt.Errorf("%s: %v", what, err)
+	}
+	seen := map[string]bool{}
+	for _, r := range got {
+		v, _ := r.Field("id")
+		id := string(v.(adm.String))
+		if seen[id] {
+			return fmt.Errorf("%s returned %s twice", what, id)
+		}
+		seen[id] = true
+		if !match(r) || !(sameVersion(r, true, before[id]) || sameVersion(r, true, after[id])) {
+			return fmt.Errorf("%s returned %v; before the step %v, after %v", what, r, before[id], after[id])
+		}
+	}
+	for id, b := range before {
+		a, ok := after[id]
+		if !ok || seen[id] || !match(b) || !match(a) {
+			continue
+		}
+		vb, _ := b.Field(field)
+		if va, _ := a.Field(field); adm.Equal(vb, va) {
+			return fmt.Errorf("%s missed %s, which the step leaves at the same index key", what, id)
+		}
+	}
+	return nil
 }
 
 // checkPushed asserts that the gauges every tree of mgr pushes into lm read
@@ -182,7 +318,9 @@ func treeDump(t *testing.T, p *Partition) []byte {
 // 1…128 records with in-frame duplicate keys and replacements of stored
 // keys, frames poisoned by an invalid record, deletes, flushes, close and
 // reopen — and checks the partition against the model, and the pushed lsm
-// gauges against the trees, after every step.
+// gauges against the trees, after every step. While a frame or a delete
+// runs, two readers check every read against the model before and after it
+// (concurrentReads): the readers take no partition lock.
 // Every frame is also delivered twice: the second delivery (what
 // at-least-once replay does) must leave every tree byte-identical. Seeds 5
 // and 6 run against a dataset with no secondary index, whose InsertFrame
@@ -214,7 +352,11 @@ func TestPartitionMatchesModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			model := partitionModel{}
-			for i := 0; i < 60; i++ {
+			steps := 60
+			if testing.Short() {
+				steps = 30 // the race tier runs this test twenty times
+			}
+			for i := 0; i < steps; i++ {
 				step := fmt.Sprintf("seed %d step %d", seed, i)
 				switch op := rng.Intn(10); {
 				case op < 5: // a frame
@@ -234,6 +376,9 @@ func TestPartitionMatchesModel(t *testing.T) {
 						written[modelID(k)] = rec
 					}
 					step += fmt.Sprintf(" (frame of %d, %d distinct keys)", n, len(written))
+					after := maps.Clone(model)
+					maps.Copy(after, written)
+					stop := concurrentReads(p, model, after, seed*1000+int64(i))
 					if err := p.InsertFrame(frame); err != nil {
 						t.Fatalf("%s: %v", step, err)
 					}
@@ -244,9 +389,10 @@ func TestPartitionMatchesModel(t *testing.T) {
 					if twice := treeDump(t, p); !bytes.Equal(once, twice) {
 						t.Fatalf("%s: delivering the frame twice changed a tree", step)
 					}
-					for id, rec := range written {
-						model[id] = rec
+					if err := stop(); err != nil {
+						t.Fatalf("%s: a concurrent read: %v", step, err)
 					}
+					model = after
 				case op < 7: // a frame one invalid record poisons
 					n := 1 + rng.Intn(16)
 					frame := make([][]byte, n)
@@ -265,10 +411,16 @@ func TestPartitionMatchesModel(t *testing.T) {
 				case op < 8:
 					id := modelID(rng.Intn(modelKeys))
 					step += " (delete " + id + ")"
+					after := maps.Clone(model)
+					delete(after, id)
+					stop := concurrentReads(p, model, after, seed*1000+int64(i))
 					if err := p.Delete([]adm.Value{adm.String(id)}); err != nil {
 						t.Fatalf("%s: %v", step, err)
 					}
-					delete(model, id)
+					if err := stop(); err != nil {
+						t.Fatalf("%s: a concurrent read: %v", step, err)
+					}
+					model = after
 				case op < 9:
 					step += " (flush)"
 					if err := p.Flush(); err != nil {

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -17,19 +18,32 @@ import (
 // Partition is one hash partition of a dataset: a primary LSM tree keyed by
 // encoded primary key, plus one LSM tree per secondary index. All trees for
 // a partition live under one directory on the hosting node.
+//
+// Readers take no partition lock, and their consistency is per record, as
+// AsterixDB's is. Each tree applies a frame's batch atomically, so a Lookup
+// sees a frame all or nothing. Scan, Count and the index searches walk a
+// tree beside the writers: they see each record in one committed version,
+// every record no concurrent frame touches, and a record a concurrent frame
+// inserts, deletes or moves to another index key perhaps not at all. A frame
+// reaches the secondaries after the primary, so the searches check every
+// hit against the primary record it names (see indexed).
 type Partition struct {
 	ds  *Dataset
 	idx int
 
+	// mu serializes the writers — InsertFrame and Delete — and gives
+	// VerifyIndexes, Flush and Close a cut that no frame is halfway through.
+	// No reader takes it.
 	mu          sync.Mutex
 	primary     *lsm.Tree
-	secondaries map[string]*lsm.Tree
-	inserted    int64
-	// closed is atomic so Stats can read it without mu, which InsertFrame
-	// holds across durable writes; every other reader already holds mu.
-	closed atomic.Bool
-	frame  frameScratch // reusable InsertFrame state, guarded by mu
+	secondaries map[string]*lsm.Tree // fixed at open
+	inserted    atomic.Int64
+	closed      atomic.Bool
+	frame       frameScratch // reusable InsertFrame state, guarded by mu
 }
+
+// errPartitionClosed is what every operation on a closed partition returns.
+var errPartitionClosed = errors.New("storage: partition closed")
 
 // encFieldRef is one (name, encoded value) pair captured while scanning a
 // serialized record; both slices alias the record's bytes.
@@ -87,12 +101,9 @@ func (fs *frameScratch) secondaryKey(ix IndexDecl, encField, pk []byte) ([]byte,
 	case BTree:
 		fs.keys = append(fs.keys, encField...)
 	case RTree:
-		if tag != adm.TagPoint || len(encField) < 17 {
+		pt, ok := encodedPoint(encField)
+		if !ok {
 			return nil, fmt.Errorf("storage: rtree index %q over non-point value %s", ix.Name, tag)
-		}
-		pt := adm.Point{
-			X: math.Float64frombits(binary.LittleEndian.Uint64(encField[1:9])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(encField[9:17])),
 		}
 		fs.keys = appendCellPrefix(fs.keys, cellOf(pt))
 		fs.keys = binary.BigEndian.AppendUint64(fs.keys, math.Float64bits(pt.X))
@@ -102,6 +113,18 @@ func (fs *frameScratch) secondaryKey(ix IndexDecl, encField, pk []byte) ([]byte,
 	}
 	fs.keys = append(fs.keys, pk...)
 	return fs.keys[at:len(fs.keys):len(fs.keys)], nil
+}
+
+// encodedPoint reads the point an encoded value holds; ok is false for any
+// other value.
+func encodedPoint(enc []byte) (pt adm.Point, ok bool) {
+	if len(enc) < 17 || adm.TypeTag(enc[0]) != adm.TagPoint {
+		return adm.Point{}, false
+	}
+	return adm.Point{
+		X: math.Float64frombits(binary.LittleEndian.Uint64(enc[1:9])),
+		Y: math.Float64frombits(binary.LittleEndian.Uint64(enc[9:17])),
+	}, true
 }
 
 // linkRepeats sets prev[i] to the latest record before i in the frame with
@@ -217,7 +240,7 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
-		return fmt.Errorf("storage: partition closed")
+		return errPartitionClosed
 	}
 	fs := &p.frame
 	defer fs.release()
@@ -291,17 +314,19 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 			}
 		}
 	}
-	// p.mu spans every tree's group-commit fsync: a record's primary and
-	// secondary entries must change atomically with respect to readers and
-	// other frames, so the partition accepts stalling on the trees' disks.
-	//feedlint:allow lockorder -- frame-level atomicity across primary and secondaries requires p.mu over durable writes
+	// p.mu spans every tree's group-commit fsync: the old records this frame
+	// unhooked must stay the stored ones until its secondary batches land, so
+	// no other writer may run in between, and the partition's writers accept
+	// stalling on the trees' disks. Readers never take p.mu; they wait on no
+	// fsync and no frame.
+	//feedlint:allow lockorder -- p.mu serializes writers only; a frame's old-record reads and its applies to every tree must not interleave with another frame's
 	if err := p.primary.ApplyBatch(fs.prim); err != nil {
 		return err
 	}
 	if err := p.applySecondaries(fs); err != nil {
 		return err
 	}
-	p.inserted += int64(len(recs))
+	p.inserted.Add(int64(len(recs)))
 	return nil
 }
 
@@ -383,7 +408,7 @@ func (p *Partition) Delete(pkValues []adm.Value) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
-		return fmt.Errorf("storage: partition closed")
+		return errPartitionClosed
 	}
 	old, ok, err := p.primary.Get(pk)
 	if err != nil || !ok {
@@ -401,23 +426,29 @@ func (p *Partition) Delete(pkValues []adm.Value) error {
 	return p.primary.ApplyBatch(fs.prim)
 }
 
-// Lookup returns the record with the given primary key fields.
+// Lookup returns the record with the given primary key fields. It takes no
+// partition lock: the decode, too, runs beside the writers.
 func (p *Partition) Lookup(pkValues []adm.Value) (*adm.Record, bool, error) {
 	var pk []byte
 	for _, v := range pkValues {
 		pk = adm.AppendValue(pk, v)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed.Load() {
-		return nil, false, fmt.Errorf("storage: partition closed")
-	}
 	val, ok, err := p.primary.Get(pk)
 	if err != nil || !ok {
-		return nil, false, err
+		return nil, false, p.readErr(err)
 	}
 	rec, err := decodeStored(val)
 	return rec, err == nil, err
+}
+
+// readErr reports a tree's read error, as errPartitionClosed once the
+// partition is closed: a reader that raced Close sees the closed tree's
+// error, and reports what the partition's other operations do.
+func (p *Partition) readErr(err error) error {
+	if err != nil && p.closed.Load() {
+		return errPartitionClosed
+	}
+	return err
 }
 
 // decodeStored decodes a value read from the primary tree, which must be a
@@ -435,13 +466,9 @@ func decodeStored(val []byte) (*adm.Record, error) {
 }
 
 // Scan invokes fn for every record in the partition in primary key order.
-// fn returning false stops early.
+// fn returning false stops early. Frames applied during the scan may or may
+// not be seen (see Partition).
 func (p *Partition) Scan(fn func(rec *adm.Record) bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed.Load() {
-		return fmt.Errorf("storage: partition closed")
-	}
 	var scanErr error
 	err := p.primary.Scan(nil, nil, func(_, val []byte) bool {
 		rec, err := decodeStored(val)
@@ -454,35 +481,52 @@ func (p *Partition) Scan(fn func(rec *adm.Record) bool) error {
 	if scanErr != nil {
 		return scanErr
 	}
-	return err
+	return p.readErr(err)
 }
 
 // Count reports the number of live records.
 func (p *Partition) Count() (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed.Load() {
-		return 0, fmt.Errorf("storage: partition closed")
-	}
-	return p.primary.Len()
+	n, err := p.primary.Len()
+	return n, p.readErr(err)
 }
 
 // Inserted reports the number of records written by successful InsertFrame
 // calls since open (a cheap counter; unlike Count it does not scan).
 func (p *Partition) Inserted() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inserted
+	return p.inserted.Load()
 }
 
-// SearchBTree returns the primary keys of records whose indexed field equals
-// value, using the named btree index.
-func (p *Partition) SearchBTree(indexName string, value adm.Value) ([]*adm.Record, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed.Load() {
-		return nil, fmt.Errorf("storage: partition closed")
+// indexed reads the primary record pk names for a hit of an index search,
+// and keeps it only if match accepts the record's encoded field — the
+// search's own test, made again against the primary. Without p.mu a frame
+// may have replaced the record after the index entry was read, or before
+// the frame reached the index: either way the entry is stale, and the
+// record is not an answer.
+func (p *Partition) indexed(pk []byte, field string, match func(enc []byte) bool) (*adm.Record, error) {
+	val, found, err := p.primary.Get(pk)
+	if err != nil || !found {
+		return nil, err
 	}
+	var enc []byte
+	if _, err := adm.ScanRecordFields(val, func(name, v []byte) bool {
+		if string(name) != field {
+			return true
+		}
+		enc = v
+		return false
+	}); err != nil {
+		return nil, err
+	}
+	if !match(enc) {
+		return nil, nil
+	}
+	return decodeStored(val)
+}
+
+// SearchBTree returns the records whose indexed field equals value, using
+// the named btree index: each one's stored field is checked to still equal
+// value (see indexed).
+func (p *Partition) SearchBTree(indexName string, value adm.Value) ([]*adm.Record, error) {
 	ix, ok := p.ds.Index(indexName)
 	if !ok || ix.Kind != BTree {
 		return nil, fmt.Errorf("storage: no btree index %q on %s", indexName, p.ds.QualifiedName())
@@ -490,75 +534,74 @@ func (p *Partition) SearchBTree(indexName string, value adm.Value) ([]*adm.Recor
 	t := p.secondaries[indexName]
 	prefix := adm.Encode(value)
 	upper := prefixUpperBound(prefix)
+	equal := func(enc []byte) bool { return bytes.Equal(enc, prefix) }
 	var out []*adm.Record
 	var innerErr error
 	err := t.Scan(prefix, upper, func(_, pk []byte) bool {
-		val, found, err := p.primary.Get(pk)
+		rec, err := p.indexed(pk, ix.Field, equal)
 		if err != nil {
 			innerErr = err
 			return false
 		}
-		if !found {
-			return true
+		if rec != nil {
+			out = append(out, rec)
 		}
-		rec, err := decodeStored(val)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		out = append(out, rec)
 		return true
 	})
 	if innerErr != nil {
-		return nil, innerErr
+		return nil, p.readErr(innerErr)
 	}
-	return out, err
+	return out, p.readErr(err)
 }
 
 // SearchRTree returns records whose indexed point field lies within rect,
-// using the named rtree index.
+// using the named rtree index: each one's stored point is checked to still
+// lie there (see indexed). The grid cells are scanned one after another, so
+// a record a frame moved between two of them may be met twice; it is
+// returned once.
 func (p *Partition) SearchRTree(indexName string, rect adm.Rectangle) ([]*adm.Record, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed.Load() {
-		return nil, fmt.Errorf("storage: partition closed")
-	}
 	ix, ok := p.ds.Index(indexName)
 	if !ok || ix.Kind != RTree {
 		return nil, fmt.Errorf("storage: no rtree index %q on %s", indexName, p.ds.QualifiedName())
 	}
 	t := p.secondaries[indexName]
+	inRect := func(enc []byte) bool {
+		pt, ok := encodedPoint(enc)
+		return ok && rect.Contains(pt)
+	}
+	cells := cellsCovering(rect)
+	var seen map[string]bool
+	if len(cells) > 1 {
+		seen = make(map[string]bool)
+	}
 	var out []*adm.Record
 	var innerErr error
-	for _, cell := range cellsCovering(rect) {
+	for _, cell := range cells {
 		prefix := appendCellPrefix(nil, cell)
 		upper := prefixUpperBound(prefix)
 		err := t.Scan(prefix, upper, func(key, pk []byte) bool {
 			pt, ok := pointFromRTreeKey(key)
-			if !ok || !rect.Contains(pt) {
+			if !ok || !rect.Contains(pt) || seen[string(pk)] {
 				return true
 			}
-			val, found, err := p.primary.Get(pk)
+			rec, err := p.indexed(pk, ix.Field, inRect)
 			if err != nil {
 				innerErr = err
 				return false
 			}
-			if !found {
-				return true
+			if rec != nil {
+				out = append(out, rec)
+				if seen != nil {
+					seen[string(pk)] = true
+				}
 			}
-			rec, err := decodeStored(val)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			out = append(out, rec)
 			return true
 		})
 		if innerErr != nil {
-			return nil, innerErr
+			return nil, p.readErr(innerErr)
 		}
 		if err != nil {
-			return nil, err
+			return nil, p.readErr(err)
 		}
 	}
 	return out, nil
@@ -573,7 +616,7 @@ func (p *Partition) VerifyIndexes() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
-		return fmt.Errorf("storage: partition closed")
+		return errPartitionClosed
 	}
 	expect := make(map[string]int, len(p.ds.Indexes))
 	var checkErr error
