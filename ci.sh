@@ -60,6 +60,19 @@ if grep -rnE 'type[[:space:]]+parser[[:space:]]' internal/adm --include='*.go' -
 fi
 echo "textual ADM readers: one"
 
+# Binary ADM has one checker: SkipValue. Decode, DecodeOne, HashEncoded,
+# AppendWithField and ValidateEncoded take its verdict — only AppendValue's
+# bytes pass — and never work it out again. A decode fallback, or a second walk
+# that works out canonical form again, brings back readers that can disagree
+# on which bytes are a value.
+binforks='errValidateFallback|validateDecoded|appendWithFieldDecoded|canonicalLen'
+if grep -rnE "$binforks" internal/adm --include='*.go' --exclude='*_test.go' >/dev/null 2>&1; then
+	echo "a second checker of binary ADM is back in internal/adm:" >&2
+	grep -rnE "$binforks" internal/adm --include='*.go' --exclude='*_test.go' >&2 || true
+	exit 1
+fi
+echo "binary ADM: one checker"
+
 go test ./...
 echo "test: ok"
 
@@ -69,8 +82,9 @@ echo "test: ok"
 echo "bench module: ok"
 
 # Replay the checked-in fuzz corpora (testdata/fuzz seeds run as ordinary
-# tests) for the two codecs with wire formats: ADM records (incl. the
-# Transcode, ValidateEncoded, HashEncoded and AppendWithField differentials)
+# tests) for the two codecs with wire formats: ADM records (SkipValue held to
+# Decode's verdict and to AppendValue's bytes, and the Transcode,
+# ValidateEncoded, HashEncoded and AppendWithField differentials)
 # and LSM run files — single blocks (FuzzRunBlock) and whole files through
 # the loader (FuzzLoadRun: format 02, one to many segments, torn headers and
 # trailers, garbage tails) — and for the two readers of encoded records

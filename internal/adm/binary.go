@@ -21,7 +21,11 @@ import (
 //	list    := uvarint count, values...
 //	record  := uvarint count, (string name, value)...
 //
-// The encoding is self-describing: no schema is needed to decode.
+// The encoding is self-describing: no schema is needed to decode. Each value
+// has one encoding, the one AppendValue writes: every varint in minimal form,
+// a boolean byte 0 or 1, and no field name twice in any record. SkipValue
+// checks this rule, and no reader accepts other bytes, so a key read off a
+// record's bytes is the key AppendValue builds from its decoded value.
 
 // AppendValue appends the binary encoding of v to dst and returns the
 // extended slice.
@@ -126,165 +130,94 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
 
 // Decode decodes a single value from the front of buf, returning the value
-// and the number of bytes consumed. The value shares one copy of exactly its
+// and the number of bytes consumed. It accepts exactly the values SkipValue
+// accepts, and fails with its error. The value shares one copy of exactly its
 // own bytes — not of buf, nor of what follows the value in it: every field
 // name and String inside the value is a substring of that copy, so retaining
 // any one of them keeps the whole copy alive.
 func Decode(buf []byte) (Value, int, error) {
 	n, err := SkipValue(buf)
 	if err != nil {
-		// Not one well-formed value: let the decoder find what is wrong, where
-		// it finds it, so that the error is its own.
-		n = len(buf)
+		return nil, 0, err
 	}
-	return decode(buf[:n], string(buf[:n]))
+	v, _ := decode(buf[:n], string(buf[:n]))
+	return v, n, nil
 }
 
 // DecodeOne decodes exactly one value from buf, rejecting trailing bytes.
 // The value shares one copy of buf, as Decode's shares one of its span.
 func DecodeOne(buf []byte) (Value, error) {
-	v, n, err := decode(buf, string(buf))
-	if err != nil {
+	if err := checkOne(buf); err != nil {
 		return nil, err
 	}
-	if n != len(buf) {
-		return nil, fmt.Errorf("adm: %d trailing bytes after value", len(buf)-n)
-	}
+	v, _ := decode(buf, string(buf))
 	return v, nil
 }
 
-// decode is Decode on buf, cutting the value's strings from s, a copy of buf.
-func decode(buf []byte, s string) (Value, int, error) {
-	if len(buf) == 0 {
-		return nil, 0, fmt.Errorf("adm: decode of empty buffer")
-	}
-	tag := TypeTag(buf[0])
-	pos := 1
-	switch tag {
+// decode builds the value at the front of buf, bytes SkipValue accepted, and
+// returns it with its length, cutting its strings from s, a copy of buf.
+func decode(buf []byte, s string) (Value, int) {
+	f64 := func(off int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])) }
+	switch tag := TypeTag(buf[0]); tag {
 	case TagMissing:
-		return Missing{}, pos, nil
+		return Missing{}, 1
 	case TagNull:
-		return Null{}, pos, nil
+		return Null{}, 1
 	case TagBoolean:
-		if len(buf) < pos+1 {
-			return nil, 0, errTruncated(tag)
-		}
-		return Boolean(buf[pos] != 0), pos + 1, nil
+		return Boolean(buf[1] == 1), 2
 	case TagInt64:
-		v, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return nil, 0, errTruncated(tag)
-		}
-		return Int64(v), pos + n, nil
-	case TagDouble:
-		if len(buf) < pos+8 {
-			return nil, 0, errTruncated(tag)
-		}
-		bits := binary.LittleEndian.Uint64(buf[pos:])
-		return Double(math.Float64frombits(bits)), pos + 8, nil
-	case TagString:
-		ln, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return nil, 0, errTruncated(tag)
-		}
-		pos += n
-		if uint64(len(buf)-pos) < ln {
-			return nil, 0, errTruncated(tag)
-		}
-		return String(s[pos : pos+int(ln)]), pos + int(ln), nil
+		v, n := binary.Varint(buf[1:])
+		return Int64(v), 1 + n
 	case TagDatetime:
-		v, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return nil, 0, errTruncated(tag)
-		}
-		return Datetime(v), pos + n, nil
+		v, n := binary.Varint(buf[1:])
+		return Datetime(v), 1 + n
+	case TagDouble:
+		return Double(f64(1)), 9
+	case TagString:
+		ln, n := binary.Uvarint(buf[1:])
+		pos := 1 + n
+		return String(s[pos : pos+int(ln)]), pos + int(ln)
 	case TagPoint:
-		if len(buf) < pos+16 {
-			return nil, 0, errTruncated(tag)
-		}
-		x := math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
-		y := math.Float64frombits(binary.LittleEndian.Uint64(buf[pos+8:]))
-		return Point{x, y}, pos + 16, nil
+		return Point{f64(1), f64(9)}, 17
 	case TagRectangle:
-		if len(buf) < pos+32 {
-			return nil, 0, errTruncated(tag)
-		}
-		f := func(off int) float64 {
-			return math.Float64frombits(binary.LittleEndian.Uint64(buf[pos+off:]))
-		}
-		return Rectangle{Point{f(0), f(8)}, Point{f(16), f(24)}}, pos + 32, nil
+		return Rectangle{Point{f64(1), f64(9)}, Point{f64(17), f64(25)}}, 33
 	case TagOrderedList, TagUnorderedList:
-		cnt, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return nil, 0, errTruncated(tag)
-		}
-		pos += n
-		// Each item needs at least one byte; reject counts the buffer
-		// cannot possibly hold (and cap the pre-allocation regardless).
-		if cnt > uint64(len(buf)-pos) {
-			return nil, 0, errTruncated(tag)
-		}
-		items := make([]Value, 0, capHint(cnt))
-		for i := uint64(0); i < cnt; i++ {
-			it, used, err := decode(buf[pos:], s[pos:])
-			if err != nil {
-				return nil, 0, err
-			}
-			items = append(items, it)
+		cnt, n := binary.Uvarint(buf[1:])
+		pos := 1 + n
+		items := make([]Value, cnt)
+		for i := range items {
+			var used int
+			items[i], used = decode(buf[pos:], s[pos:])
 			pos += used
 		}
 		if tag == TagOrderedList {
-			return &OrderedList{Items: items}, pos, nil
+			return &OrderedList{Items: items}, pos
 		}
-		return &UnorderedList{Items: items}, pos, nil
+		return &UnorderedList{Items: items}, pos
 	case TagRecord:
-		cnt, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return nil, 0, errTruncated(tag)
-		}
-		pos += n
-		if cnt > uint64(len(buf)-pos) {
-			return nil, 0, errTruncated(tag)
-		}
-		names := make([]string, 0, capHint(cnt))
-		values := make([]Value, 0, capHint(cnt))
-		for i := uint64(0); i < cnt; i++ {
+		cnt, n := binary.Uvarint(buf[1:])
+		pos := 1 + n
+		r := &Record{names: make([]string, cnt), values: make([]Value, cnt)}
+		for i := range r.names {
 			ln, n := binary.Uvarint(buf[pos:])
-			if n <= 0 {
-				return nil, 0, errTruncated(tag)
-			}
 			pos += n
-			if uint64(len(buf)-pos) < ln {
-				return nil, 0, errTruncated(tag)
-			}
-			names = append(names, s[pos:pos+int(ln)])
+			r.names[i] = s[pos : pos+int(ln)]
 			pos += int(ln)
-			fv, used, err := decode(buf[pos:], s[pos:])
-			if err != nil {
-				return nil, 0, err
-			}
-			values = append(values, fv)
+			var used int
+			r.values[i], used = decode(buf[pos:], s[pos:])
 			pos += used
 		}
-		rec, err := NewRecord(names, values)
-		if err != nil {
-			return nil, 0, err
+		if cnt > maxUnindexedFields {
+			r.index = make(map[string]int, cnt)
+			for i, name := range r.names {
+				r.index[name] = i
+			}
 		}
-		return rec, pos, nil
+		return r, pos
 	}
-	return nil, 0, fmt.Errorf("adm: unknown tag 0x%02x", buf[0])
+	panic(fmt.Sprintf("adm: decode of unchecked tag 0x%02x", buf[0]))
 }
 
 func errTruncated(tag TypeTag) error {
 	return fmt.Errorf("adm: truncated %s value", tag)
-}
-
-// capHint bounds decode-time pre-allocation so a corrupt count in a small
-// buffer cannot demand a huge allocation.
-func capHint(cnt uint64) int {
-	const max = 4096
-	if cnt > max {
-		return max
-	}
-	return int(cnt)
 }

@@ -16,10 +16,12 @@
 // bytes as encoding its Value, same error. Transcode refuses values nested
 // deeper than 128 lists and records, because it recurses once per level.
 //
-// Likewise there are two validators of one contract. Type.Validate checks a
-// Value; RecordType.ValidateEncoded checks the encoded bytes and returns what
-// DecodeOne followed by Validate would, without decoding — the store's
-// per-record check. It falls back to exactly that pair for records wider than
-// 64 fields, values nested deeper than 32 levels, and Types it does not know;
-// FuzzValidateEncoded compares the two verdicts on arbitrary bytes.
+// The binary form has one checker too. SkipValue accepts exactly the bytes
+// AppendValue writes — minimal varints, booleans 0 or 1, no field name twice
+// in any record — and Decode, DecodeOne, HashEncoded and AppendWithField
+// take its verdict and its errors. There are two validators of one type
+// contract: Type.Validate checks a Value; RecordType.ValidateEncoded checks
+// the encoded bytes and returns what DecodeOne followed by Validate would,
+// without decoding — the store's per-record check. FuzzSkipValue and
+// FuzzValidateEncoded hold them to Decode on arbitrary bytes.
 package adm

@@ -2,7 +2,6 @@ package adm
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -23,14 +22,11 @@ func Hash(v Value) uint64 {
 // ordered lists hash in place without allocating; records and unordered
 // lists, which hash over their sorted names or items, are decoded first.
 func HashEncoded(enc []byte) (uint64, error) {
-	h := fnvOffset64
-	n, err := h.encoded(enc)
-	if err != nil {
+	if err := checkOne(enc); err != nil {
 		return 0, err
 	}
-	if n != len(enc) {
-		return 0, fmt.Errorf("adm: %d trailing bytes after value", len(enc)-n)
-	}
+	h := fnvOffset64
+	h.encoded(enc)
 	return uint64(h), nil
 }
 
@@ -136,92 +132,56 @@ func (h *fnv64a) value(v Value) {
 	}
 }
 
-// encoded hashes the value at the front of buf as value would hash its
-// decoding, and returns its length. Its checks are Decode's, in Decode's
-// order, with Decode's errors.
-func (h *fnv64a) encoded(buf []byte) (int, error) {
-	if len(buf) == 0 {
-		return 0, fmt.Errorf("adm: decode of empty buffer")
-	}
-	tag := TypeTag(buf[0])
+// encoded hashes the value at the front of buf, bytes SkipValue accepted, as
+// value would hash its decoding, and returns its length.
+func (h *fnv64a) encoded(buf []byte) int {
 	f64 := func(off int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])) }
-	switch tag {
+	switch tag := TypeTag(buf[0]); tag {
 	case TagMissing, TagNull:
 		h.add(byte(tag))
-		return 1, nil
+		return 1
 	case TagBoolean:
-		if len(buf) < 2 {
-			return 0, errTruncated(tag)
-		}
-		h.boolean(buf[1] != 0)
-		return 2, nil
+		h.boolean(buf[1] == 1)
+		return 2
 	case TagInt64, TagDatetime:
 		v, n := binary.Varint(buf[1:])
-		if n <= 0 {
-			return 0, errTruncated(tag)
-		}
 		if tag == TagInt64 {
 			h.number(float64(v))
 		} else {
 			h.add(byte(TagDatetime))
 			h.add64(uint64(v))
 		}
-		return 1 + n, nil
+		return 1 + n
 	case TagDouble:
-		if len(buf) < 9 {
-			return 0, errTruncated(tag)
-		}
 		h.number(f64(1))
-		return 9, nil
+		return 9
 	case TagString:
 		ln, n := binary.Uvarint(buf[1:])
-		if n <= 0 {
-			return 0, errTruncated(tag)
-		}
 		pos := 1 + n
-		if uint64(len(buf)-pos) < ln {
-			return 0, errTruncated(tag)
-		}
 		h.add(byte(TagString))
 		h.addBytes(buf[pos : pos+int(ln)])
-		return pos + int(ln), nil
+		return pos + int(ln)
 	case TagPoint:
-		if len(buf) < 17 {
-			return 0, errTruncated(tag)
-		}
 		h.point(f64(1), f64(9))
-		return 17, nil
+		return 17
 	case TagRectangle:
-		if len(buf) < 33 {
-			return 0, errTruncated(tag)
-		}
 		h.add(byte(TagRectangle))
 		h.point(f64(1), f64(9))
 		h.point(f64(17), f64(25))
-		return 33, nil
+		return 33
 	case TagOrderedList:
-		cnt, pos, err := containerHeader(buf)
-		if err != nil {
-			return 0, err
-		}
+		cnt, n := binary.Uvarint(buf[1:])
+		pos := 1 + n
 		h.add(byte(TagOrderedList))
 		for i := uint64(0); i < cnt; i++ {
-			n, err := h.encoded(buf[pos:])
-			if err != nil {
-				return 0, err
-			}
-			pos += n
+			pos += h.encoded(buf[pos:])
 		}
-		return pos, nil
-	case TagUnorderedList, TagRecord:
-		v, n, err := Decode(buf)
-		if err != nil {
-			return 0, err
-		}
-		h.value(v)
-		return n, nil
+		return pos
 	}
-	return 0, fmt.Errorf("adm: unknown tag 0x%02x", buf[0])
+	// An unordered list or a record; buf is checked, so Decode cannot fail.
+	v, n, _ := Decode(buf)
+	h.value(v)
+	return n
 }
 
 // canonicalFloat maps -0 to +0 so that equal floats hash identically.

@@ -37,17 +37,16 @@ func TestAppendWithField(t *testing.T) {
 		rec  []byte
 		name string
 	}{
-		"append":               {mustTranscode(`{"id":"x","message_text":"#a #b"}`), "topics"},
-		"replace first":        {mustTranscode(`{"topics":[],"id":"x"}`), "topics"},
-		"replace middle":       {mustTranscode(`{"id":"x","topics":["#old","#older"],"n":1}`), "topics"},
-		"replace last":         {mustTranscode(`{"id":"x","topics":null}`), "topics"},
-		"empty record":         {mustTranscode(`{}`), "topics"},
-		"empty name":           {mustTranscode(`{"":1}`), ""},
-		"trailing bytes":       {append(mustTranscode(`{"id":"x"}`), 0xFF, 0xFF), "topics"},
-		"wide (decoded)":       {mustTranscode(wideRecord(validateEncodedMaxFields + 70)), "topics"},
-		"deep (decoded)":       {mustTranscode(`{"d":` + nestedLists(validateEncodedMaxDepth+2) + `}`), "topics"},
-		"true as 2 (decoded)":  {[]byte{byte(TagRecord), 1, 1, 'b', byte(TagBoolean), 2}, "topics"},
-		"long count (decoded)": {[]byte{byte(TagRecord), 0x81, 0x00, 1, 'b', byte(TagNull)}, "b"},
+		"append":         {mustTranscode(`{"id":"x","message_text":"#a #b"}`), "topics"},
+		"replace first":  {mustTranscode(`{"topics":[],"id":"x"}`), "topics"},
+		"replace middle": {mustTranscode(`{"id":"x","topics":["#old","#older"],"n":1}`), "topics"},
+		"replace last":   {mustTranscode(`{"id":"x","topics":null}`), "topics"},
+		"empty record":   {mustTranscode(`{}`), "topics"},
+		"empty name":     {mustTranscode(`{"":1}`), ""},
+		"trailing bytes": {append(mustTranscode(`{"id":"x"}`), 0xFF, 0xFF), "topics"},
+		"wide":           {mustTranscode(wideRecord(1000)), "topics"},
+		"wide, replace":  {mustTranscode(wideRecord(1000)), "f999"},
+		"deep":           {mustTranscode(`{"d":` + nestedLists(127) + `}`), "topics"},
 	}
 	for name, c := range cases {
 		want, err := appendWithFieldReference([]byte("pre"), c.rec, c.name, topics)
@@ -71,6 +70,8 @@ func TestAppendWithField(t *testing.T) {
 		"repeat two down":     dupInUndeclared,
 		"repeat in a list":    append([]byte{byte(TagRecord), 1, 1, 'l', byte(TagOrderedList), 1}, dupInUndeclared...),
 		"unknown tag in list": {byte(TagRecord), 1, 1, 'l', byte(TagOrderedList), 1, 0x7F},
+		"true as 2":           {byte(TagRecord), 1, 1, 'b', byte(TagBoolean), 2},
+		"long count":          {byte(TagRecord), 0x81, 0x00, 1, 'b', byte(TagNull)},
 	}
 	for name, rec := range refused {
 		_, werr := appendWithFieldReference(nil, rec, "topics", topics)
@@ -113,8 +114,8 @@ func FuzzAppendWithField(f *testing.F) {
 	for _, text := range []string{
 		`{"id":"a","message_text":"#x y","topics":["#x"]}`,
 		`{"id":"a","user":{"name":"u","n":1,"extra":[1,{"k":{{2}}}]},"tags":["a","b"]}`,
-		wideRecord(validateEncodedMaxFields + 1),
-		`{"d":` + nestedLists(validateEncodedMaxDepth+2) + `}`,
+		wideRecord(65),
+		`{"d":` + nestedLists(40) + `}`,
 	} {
 		enc, err := Transcode(nil, []byte(text))
 		if err != nil {

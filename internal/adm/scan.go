@@ -2,22 +2,24 @@ package adm
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
-// This file provides byte-level access to encoded values: skipping, walking
-// record fields, and validating against a RecordType — all without
-// materializing Values. The storage write path uses these to validate
-// records and extract index keys straight from the serialized bytes,
-// avoiding a decode→re-encode round trip.
+// This file provides byte-level access to encoded values: checking and
+// skipping them, walking record fields, and validating against a RecordType
+// — all without materializing Values. The storage write path uses these to
+// validate records and extract index keys straight from the serialized
+// bytes, avoiding a decode→re-encode round trip.
 
 // SkipValue returns the encoded length of the single value at the front of
-// buf, verifying that the encoding is structurally well-formed (no truncated
-// payloads, no unknown tags).
+// buf when Decode accepts it, and Decode's error when it does not. It is the
+// one check of the binary format: the bytes must be those AppendValue writes
+// — whole payloads, known tags, minimal varints, booleans 0 or 1 — and no
+// record at any depth may repeat a field name. Decode, DecodeOne,
+// HashEncoded, AppendWithField and ValidateEncoded take its verdict.
 func SkipValue(buf []byte) (int, error) {
 	if len(buf) == 0 {
-		return 0, fmt.Errorf("adm: skip of empty buffer")
+		return 0, fmt.Errorf("adm: decode of empty buffer")
 	}
 	tag := TypeTag(buf[0])
 	pos := 1
@@ -25,15 +27,18 @@ func SkipValue(buf []byte) (int, error) {
 	case TagMissing, TagNull:
 		return pos, nil
 	case TagBoolean:
-		pos++
-		if len(buf) < pos {
+		if len(buf) < 2 {
 			return 0, errTruncated(tag)
 		}
-		return pos, nil
+		if buf[1] > 1 {
+			return 0, fmt.Errorf("adm: boolean byte 0x%02x is neither 0 nor 1", buf[1])
+		}
+		return 2, nil
 	case TagInt64, TagDatetime:
-		_, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return 0, errTruncated(tag)
+		// A zig-zag varint is a uvarint underneath.
+		_, n, err := uvarint(buf[pos:], tag)
+		if err != nil {
+			return 0, err
 		}
 		return pos + n, nil
 	case TagDouble:
@@ -43,15 +48,15 @@ func SkipValue(buf []byte) (int, error) {
 	case TagRectangle:
 		pos += 32
 	case TagString:
-		ln, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, errTruncated(tag)
+		ln, n, err := uvarint(buf[pos:], tag)
+		if err != nil {
+			return 0, err
 		}
 		pos += n
 		if uint64(len(buf)-pos) < ln {
 			return 0, errTruncated(tag)
 		}
-		pos += int(ln)
+		return pos + int(ln), nil
 	case TagOrderedList, TagUnorderedList:
 		cnt, pos, err := containerHeader(buf)
 		if err != nil {
@@ -66,16 +71,7 @@ func SkipValue(buf []byte) (int, error) {
 		}
 		return pos, nil
 	case TagRecord:
-		cnt, pos, err := containerHeader(buf)
-		if err != nil {
-			return 0, err
-		}
-		for i := uint64(0); i < cnt; i++ {
-			if _, _, pos, err = fieldAt(buf, pos); err != nil {
-				return 0, err
-			}
-		}
-		return pos, nil
+		return scanRecord(buf, nil)
 	default:
 		return 0, fmt.Errorf("adm: unknown tag 0x%02x", buf[0])
 	}
@@ -85,29 +81,98 @@ func SkipValue(buf []byte) (int, error) {
 	return pos, nil
 }
 
+// checkOne is DecodeOne's verdict on buf: SkipValue's, and no trailing bytes.
+func checkOne(buf []byte) error {
+	n, err := SkipValue(buf)
+	if err == nil {
+		err = trailing(buf, n)
+	}
+	return err
+}
+
+// trailing refuses what follows the n-byte value at the front of buf.
+func trailing(buf []byte, n int) error {
+	if n != len(buf) {
+		return fmt.Errorf("adm: %d trailing bytes after value", len(buf)-n)
+	}
+	return nil
+}
+
 // ScanRecordFields walks the top-level fields of the encoded record at the
 // front of buf, invoking fn with each field's name and encoded value — both
-// sub-slices of buf, valid only until buf is modified. fn returning false
-// stops the walk early (without error). Returns the total encoded length of
-// the record, or, on an early stop, the bytes consumed up to and including
-// the last visited field.
+// sub-slices of buf, valid only until buf is modified, each value one that
+// SkipValue accepts. fn returning false stops the walk early (without
+// error). Returns the total encoded length of the record, or, on an early
+// stop, the bytes consumed up to and including the last visited field. A
+// walk that reaches the end fails exactly when SkipValue fails, a repeated
+// field name included; one that fn stops leaves the rest unchecked and
+// reports no repeat.
 func ScanRecordFields(buf []byte, fn func(name, encValue []byte) bool) (int, error) {
 	if len(buf) == 0 || TypeTag(buf[0]) != TagRecord {
 		return 0, fmt.Errorf("adm: scan of non-record value")
 	}
+	return scanRecord(buf, fn)
+}
+
+// scanRecord is ScanRecordFields on a record whose tag is checked, and
+// SkipValue's record case when fn is nil. Field names go in a stack array
+// and, past it, in a map built on the first overflow; like Decode, it
+// reports the first repeat only once every field has passed.
+func scanRecord(buf []byte, fn func(name, encValue []byte) bool) (int, error) {
 	cnt, pos, err := containerHeader(buf)
 	if err != nil {
 		return 0, err
 	}
-	for i := uint64(0); i < cnt; i++ {
-		name, encValue, next, err := fieldAt(buf, pos)
+	var names [16][]byte
+	var wide map[string]struct{}
+	var dup []byte
+	repeated := false
+	for i := 0; i < int(cnt); i++ {
+		ln, n, err := uvarint(buf[pos:], TagRecord)
 		if err != nil {
 			return 0, err
 		}
-		pos = next
-		if !fn(name, encValue) {
-			break
+		pos += n
+		if uint64(len(buf)-pos) < ln {
+			return 0, errTruncated(TagRecord)
 		}
+		name := buf[pos : pos+int(ln)]
+		pos += int(ln)
+		used, err := SkipValue(buf[pos:])
+		if err != nil {
+			return 0, err
+		}
+		pos += used
+		switch {
+		case repeated:
+			// Only the first repeat is reported.
+		case i < len(names):
+			for _, prev := range names[:i] {
+				if string(prev) == string(name) {
+					dup, repeated = name, true
+					break
+				}
+			}
+			names[i] = name
+		default:
+			if wide == nil {
+				wide = make(map[string]struct{}, 2*len(names))
+				for _, n := range names {
+					wide[string(n)] = struct{}{}
+				}
+			}
+			if _, seen := wide[string(name)]; seen {
+				dup, repeated = name, true
+			} else {
+				wide[string(name)] = struct{}{}
+			}
+		}
+		if fn != nil && !fn(name, buf[pos-used:pos]) {
+			return pos, nil
+		}
+	}
+	if repeated {
+		return 0, fmt.Errorf("adm: duplicate field %q in record", dup)
 	}
 	return pos, nil
 }
@@ -116,9 +181,9 @@ func ScanRecordFields(buf []byte, fn func(name, encValue []byte) bool) (int, err
 // of buf and returns it with the offset of the first item or field.
 func containerHeader(buf []byte) (cnt uint64, pos int, err error) {
 	tag := TypeTag(buf[0])
-	cnt, n := binary.Uvarint(buf[1:])
-	if n <= 0 {
-		return 0, 0, errTruncated(tag)
+	cnt, n, err := uvarint(buf[1:], tag)
+	if err != nil {
+		return 0, 0, err
 	}
 	pos = 1 + n
 	// Each item needs at least one byte.
@@ -128,187 +193,82 @@ func containerHeader(buf []byte) (cnt uint64, pos int, err error) {
 	return cnt, pos, nil
 }
 
-// fieldAt splits the record field encoded at buf[pos:] into its name and its
-// structurally verified value, and returns the offset of the next field.
-func fieldAt(buf []byte, pos int) (name, encValue []byte, next int, err error) {
-	ln, n := binary.Uvarint(buf[pos:])
+// uvarint reads the uvarint at the front of buf — a count, a length or the
+// zig-zag number of a value of type tag — in the minimal form AppendValue
+// writes: any longer form ends in a zero byte.
+func uvarint(buf []byte, tag TypeTag) (uint64, int, error) {
+	if len(buf) > 0 && buf[0] < 0x80 {
+		return uint64(buf[0]), 1, nil // the common case, without binary.Uvarint's loop
+	}
+	u, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, nil, 0, errTruncated(TagRecord)
+		return 0, 0, errTruncated(tag)
 	}
-	pos += n
-	if uint64(len(buf)-pos) < ln {
-		return nil, nil, 0, errTruncated(TagRecord)
+	if n > 1 && buf[n-1] == 0 {
+		return 0, 0, fmt.Errorf("adm: overlong varint in %s value", tag)
 	}
-	name = buf[pos : pos+int(ln)]
-	pos += int(ln)
-	used, err := SkipValue(buf[pos:])
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return name, buf[pos : pos+used], pos + used, nil
+	return u, n, nil
 }
-
-// The allocation-free walk of ValidateEncoded tracks a record's field names
-// in a fixed array per nesting level; a record wider than
-// validateEncodedMaxFields, or values nested deeper than
-// validateEncodedMaxDepth (each level costs a stack frame holding that
-// array), fall back to a full decode.
-const (
-	validateEncodedMaxFields = 64
-	validateEncodedMaxDepth  = 32
-)
 
 // ValidateEncoded reports whether the single encoded value in buf conforms
 // to the record type, with the same outcome as DecodeOne followed by
-// Validate — literally: trailing bytes, malformed encodings, undeclared
-// fields of closed types, and a repeated field name in any record at any
-// depth, declared or not, are rejected as the decoder and Validate reject
-// them — but on the bytes, without materializing anything. Declared nested
-// record types run the same field walk the top level runs, declared list
-// types check each item against the item type, and values the type does not
-// describe (undeclared fields of open records) are walked for what DecodeOne
-// would refuse. Only what exceeds the fixed-size tracking (see
-// validateEncodedMaxFields) or a Type this file does not know is handed to
-// the decoding path, whose verdict is then the reference's by construction.
+// Validate, but on the bytes, without materializing anything. SkipValue's
+// walk of the record gives DecodeOne's verdict and hands each field on the
+// way to the type rules, whose verdict counts only once the bytes have
+// passed: declared nested record types run the same rules the top level
+// runs, declared list types check each item against the item type, and
+// values the type does not describe (undeclared fields of open records) need
+// nothing more.
 func (r *RecordType) ValidateEncoded(buf []byte) error {
-	if len(buf) == 0 {
-		return fmt.Errorf("adm: decode of empty buffer")
+	if len(buf) == 0 || TypeTag(buf[0]) != TagRecord {
+		if err := checkOne(buf); err != nil {
+			return err
+		}
+		return conforms(r, buf)
 	}
-	if TypeTag(buf[0]) != TagRecord {
-		return fmt.Errorf("adm: value of type %s does not conform to record type %s", TypeTag(buf[0]), r.Name())
-	}
-	consumed, err := r.validateEncodedFields(buf, 0)
-	if errors.Is(err, errValidateFallback) {
-		return r.validateDecoded(buf)
+	n, err, typeErr := r.scanConforming(buf)
+	if err == nil {
+		err = trailing(buf, n)
 	}
 	if err != nil {
 		return err
 	}
-	if consumed != len(buf) {
-		return fmt.Errorf("adm: %d trailing bytes after value", len(buf)-consumed)
-	}
-	return nil
+	return typeErr
 }
 
-// validateEncodedFields validates the encoded record at the front of buf
-// (its tag already checked) against r, depth levels below the top, and
-// returns the record's encoded length.
-func (r *RecordType) validateEncodedFields(buf []byte, depth int) (int, error) {
-	if len(r.fields) > validateEncodedMaxFields {
-		return 0, errValidateFallback
-	}
-	cnt, pos, err := containerHeader(buf)
-	if err != nil {
-		return 0, err
-	}
-	if cnt > validateEncodedMaxFields {
-		return 0, errValidateFallback
-	}
-	var seen [validateEncodedMaxFields]bool
-	var names [validateEncodedMaxFields][]byte
-	for i := 0; i < int(cnt); i++ {
-		name, encValue, next, err := fieldAt(buf, pos)
-		if err != nil {
-			return 0, err
-		}
-		pos = next
-		// Duplicate field names are invalid regardless of the type; the
-		// decode path rejects them in NewRecord.
-		for _, prev := range names[:i] {
-			if string(prev) == string(name) {
-				return 0, fmt.Errorf("adm: duplicate field %q in record", name)
-			}
-		}
-		names[i] = name
-		idx, declared := r.index[string(name)]
-		if !declared {
-			if !r.open {
-				return 0, fmt.Errorf("adm: undeclared field %q in closed type %s", name, r.Name())
-			}
-			if err := validateEncodedValue(nil, encValue, depth+1); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		seen[idx] = true
-		f := &r.fields[idx]
-		switch TypeTag(encValue[0]) {
-		case TagMissing:
-			if !f.Optional {
-				return 0, fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
-			}
-			continue
-		case TagNull:
-			if !f.Optional {
-				return 0, fmt.Errorf("adm: null value for non-optional field %q of type %s", f.Name, r.Name())
-			}
-			continue
-		}
-		if err := validateEncodedValue(f.Type, encValue, depth+1); err != nil {
-			return 0, fmt.Errorf("adm: field %q: %w", f.Name, err)
-		}
-	}
-	for i := range r.fields {
-		if f := &r.fields[i]; !seen[i] && !f.Optional {
-			return 0, fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
-		}
-	}
-	return pos, nil
-}
-
-// validateEncodedValue is t.Validate on the structurally verified encoded
-// value enc, without decoding it. A nil t is an undeclared value: anything
-// Decode accepts conforms.
-func validateEncodedValue(t Type, enc []byte, depth int) error {
-	if depth > validateEncodedMaxDepth {
-		return errValidateFallback
-	}
+// conforms is t.Validate on enc, a value SkipValue accepted, without
+// decoding it.
+func conforms(t Type, enc []byte) error {
 	tag := TypeTag(enc[0])
-	switch t := t.(type) {
-	case nil:
-		// What Decode checks beyond structure — that no name repeats, at
-		// any depth — canonicalLen checks too (a value not in canonical
-		// form sends the whole record to the decoding path).
-		_, err := canonicalLen(enc, depth)
-		return err
+	var item Type
+	var listTag TypeTag
+	var what string
+	switch tt := t.(type) {
 	case *PrimitiveType:
-		if tag != t.tag && !(t.tag == TagDouble && tag == TagInt64) {
-			return fmt.Errorf("adm: value of type %s does not conform to %s", tag, t.Name())
+		if tag != tt.tag && !(tt.tag == TagDouble && tag == TagInt64) {
+			return fmt.Errorf("adm: value of type %s does not conform to %s", tag, tt.Name())
 		}
 		return nil
 	case *RecordType:
 		if tag != TagRecord {
-			return fmt.Errorf("adm: value of type %s does not conform to record type %s", tag, t.Name())
+			return fmt.Errorf("adm: value of type %s does not conform to record type %s", tag, tt.Name())
 		}
-		_, err := t.validateEncodedFields(enc, depth)
-		return err
+		_, _, typeErr := tt.scanConforming(enc) // enc is checked: no other error
+		return typeErr
 	case *OrderedListType:
-		if tag != TagOrderedList {
-			return fmt.Errorf("adm: value of type %s does not conform to %s", tag, t.Name())
-		}
-		return validateEncodedItems(t.Item, "list item", enc, depth)
+		item, listTag, what = tt.Item, TagOrderedList, "list item"
 	case *UnorderedListType:
-		if tag != TagUnorderedList {
-			return fmt.Errorf("adm: value of type %s does not conform to %s", tag, t.Name())
-		}
-		return validateEncodedItems(t.Item, "bag item", enc, depth)
+		item, listTag, what = tt.Item, TagUnorderedList, "bag item"
 	}
-	return errValidateFallback
-}
-
-// validateEncodedItems validates each item of the encoded list enc against
-// the item type.
-func validateEncodedItems(item Type, what string, enc []byte, depth int) error {
-	cnt, pos, err := containerHeader(enc)
-	if err != nil {
-		return err
+	// Type is sealed: t is one of the two list types.
+	if tag != listTag {
+		return fmt.Errorf("adm: value of type %s does not conform to %s", tag, t.Name())
 	}
+	// enc is checked, so neither the header nor an item can fail.
+	cnt, pos, _ := containerHeader(enc)
 	for i := uint64(0); i < cnt; i++ {
-		used, err := SkipValue(enc[pos:])
-		if err != nil {
-			return err
-		}
-		if err := validateEncodedValue(item, enc[pos:pos+used], depth+1); err != nil {
+		used, _ := SkipValue(enc[pos:])
+		if err := conforms(item, enc[pos:pos+used]); err != nil {
 			return fmt.Errorf("adm: %s %d: %w", what, i, err)
 		}
 		pos += used
@@ -316,14 +276,56 @@ func validateEncodedItems(item Type, what string, enc []byte, depth int) error {
 	return nil
 }
 
-// errValidateFallback is an internal sentinel: the byte-level walk met
-// something beyond its fixed-size tracking and the caller should decode.
-var errValidateFallback = errors.New("adm: validate fallback")
-
-func (r *RecordType) validateDecoded(buf []byte) error {
-	v, err := DecodeOne(buf)
-	if err != nil {
-		return err
+// scanConforming is scanRecord on the record enc, returning its length and
+// error, with r.Validate's verdict on each field it hands over: typeErr is
+// the first field that does not conform, or else the first required field
+// that is absent.
+func (r *RecordType) scanConforming(enc []byte) (n int, err, typeErr error) {
+	var small [16]bool
+	seen := small[:]
+	if len(r.fields) > len(small) {
+		seen = make([]bool, len(r.fields))
 	}
-	return r.Validate(v)
+	n, err = scanRecord(enc, func(name, encValue []byte) bool {
+		if typeErr == nil {
+			typeErr = r.conformsField(name, encValue, seen)
+		}
+		return true
+	})
+	for i := 0; typeErr == nil && i < len(r.fields); i++ {
+		if f := &r.fields[i]; !seen[i] && !f.Optional {
+			typeErr = fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
+		}
+	}
+	return n, err, typeErr
+}
+
+// conformsField is r.Validate's rule for one field of a record, marking in
+// seen the declared field it is.
+func (r *RecordType) conformsField(name, encValue []byte, seen []bool) error {
+	idx, declared := r.index[string(name)]
+	if !declared {
+		if !r.open {
+			return fmt.Errorf("adm: undeclared field %q in closed type %s", name, r.Name())
+		}
+		return nil
+	}
+	seen[idx] = true
+	f := &r.fields[idx]
+	switch TypeTag(encValue[0]) {
+	case TagMissing:
+		if !f.Optional {
+			return fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
+		}
+		return nil
+	case TagNull:
+		if !f.Optional {
+			return fmt.Errorf("adm: null value for non-optional field %q of type %s", f.Name, r.Name())
+		}
+		return nil
+	}
+	if err := conforms(f.Type, encValue); err != nil {
+		return fmt.Errorf("adm: field %q: %w", f.Name, err)
+	}
+	return nil
 }

@@ -221,16 +221,70 @@ func TestValidateEncodedDuplicateAtDepth(t *testing.T) {
 		"undeclared in declared record": field("nested", field("y", dupRec)),
 		"declared bag of records":       field("recs", list(TagUnorderedList, dupRec)),
 	}
+	want := `adm: duplicate field "q" in record`
 	for name, enc := range cases {
-		if n, err := SkipValue(enc); err != nil || n != len(enc) {
-			t.Fatalf("%s: the hand-built case is not well-formed: %d of %d, %v", name, n, len(enc), err)
+		if _, err := SkipValue(enc); err == nil || err.Error() != want {
+			t.Errorf("%s: SkipValue = %v, want %s", name, err, want)
 		}
-		_, derr := DecodeOne(enc)
-		if derr == nil {
-			t.Fatalf("%s: DecodeOne accepted a repeated name", name)
+		if _, err := DecodeOne(enc); err == nil || err.Error() != want {
+			t.Errorf("%s: DecodeOne = %v, want %s", name, err, want)
 		}
-		if err := rt.ValidateEncoded(enc); err == nil {
-			t.Errorf("%s: ValidateEncoded accepted what DecodeOne rejects (%v)", name, derr)
+		if err := rt.ValidateEncoded(enc); err == nil || err.Error() != want {
+			t.Errorf("%s: ValidateEncoded = %v, want %s", name, err, want)
+		}
+	}
+}
+
+// TestBinaryReadersShareOneVerdict: every reader of encoded values takes
+// SkipValue's verdict, so on bytes AppendValue would never write they all
+// fail, and with the same text. Trailing bytes are the one rule of readers
+// that take exactly one value: SkipValue and AppendWithField, which read the
+// value at the front of their input, accept its prefix.
+func TestBinaryReadersShareOneVerdict(t *testing.T) {
+	rec := func(name string, enc ...byte) []byte {
+		return append([]byte{byte(TagRecord), 1, byte(len(name))}, append([]byte(name), enc...)...)
+	}
+	valid := Encode(MustRecord([]string{"id"}, []Value{String("x")}))
+	cases := []struct {
+		name   string
+		enc    []byte
+		want   string
+		prefix int // the length SkipValue reports when only trailing bytes are wrong
+	}{
+		{"overlong count", []byte{byte(TagRecord), 0x80, 0x00}, "adm: overlong varint in record value", 0},
+		{"overlong name length", []byte{byte(TagRecord), 1, 0x81, 0x00, 'b', byte(TagNull)}, "adm: overlong varint in record value", 0},
+		{"overlong string length", rec("s", byte(TagString), 0x81, 0x00, 'x'), "adm: overlong varint in string value", 0},
+		{"overlong int64", rec("n", byte(TagInt64), 0x80, 0x00), "adm: overlong varint in int64 value", 0},
+		{"overlong datetime", rec("t", byte(TagDatetime), 0x82, 0x80, 0x00), "adm: overlong varint in datetime value", 0},
+		{"boolean byte 2", rec("b", byte(TagBoolean), 2), "adm: boolean byte 0x02 is neither 0 nor 1", 0},
+		{"repeat at top", []byte{byte(TagRecord), 2, 1, 'q', byte(TagNull), 1, 'q', byte(TagNull)}, `adm: duplicate field "q" in record`, 0},
+		{"repeat two levels down", rec("a", rec("b", dupInUndeclared[10:]...)...), `adm: duplicate field "q" in record`, 0},
+		{"repeat in a list", rec("l", append([]byte{byte(TagOrderedList), 1}, dupInUndeclared...)...), `adm: duplicate field "q" in record`, 0},
+		{"truncation", valid[:len(valid)-1], "adm: truncated string value", 0},
+		{"unknown tag", rec("u", 0x7F), "adm: unknown tag 0x7f", 0},
+		{"trailing bytes", append(append([]byte(nil), valid...), 0xFF), "adm: 1 trailing bytes after value", len(valid)},
+	}
+	open := MustRecordType("Open", true, nil)
+	for _, c := range cases {
+		errs := map[string]error{}
+		_, errs["DecodeOne"] = DecodeOne(c.enc)
+		errs["ValidateEncoded"] = open.ValidateEncoded(c.enc)
+		_, errs["HashEncoded"] = HashEncoded(c.enc)
+		n, skipErr := SkipValue(c.enc)
+		out, appendErr := AppendWithField([]byte("pre"), c.enc, "topics", Encode(Null{}))
+		if c.prefix == 0 {
+			errs["SkipValue"], errs["AppendWithField"] = skipErr, appendErr
+			if string(out) != "pre" {
+				t.Errorf("%s: AppendWithField changed dst on failure: %q", c.name, out)
+			}
+		} else if skipErr != nil || n != c.prefix || appendErr != nil {
+			t.Errorf("%s: SkipValue = %d, %v; AppendWithField: %v; want the %d-byte prefix accepted",
+				c.name, n, skipErr, appendErr, c.prefix)
+		}
+		for reader, err := range errs {
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s: %s = %v, want %s", c.name, reader, err, c.want)
+			}
 		}
 	}
 }

@@ -68,6 +68,9 @@ type Type interface {
 	// Validate reports whether v conforms to the type.
 	Validate(v Value) error
 	fmt.Stringer
+	// sealed keeps the implementations to this package's four, the ones
+	// ValidateEncoded's walk knows.
+	sealed()
 }
 
 // PrimitiveType is the Type of scalars such as string, int64 and point.
@@ -113,6 +116,8 @@ func PrimitiveFor(tag TypeTag) *PrimitiveType {
 	}
 	return nil
 }
+
+func (*PrimitiveType) sealed() {}
 
 // Tag implements Type.
 func (p *PrimitiveType) Tag() TypeTag { return p.tag }
@@ -184,6 +189,8 @@ func MustRecordType(name string, open bool, fields []Field) *RecordType {
 	}
 	return rt
 }
+
+func (*RecordType) sealed() {}
 
 // Tag implements Type.
 func (r *RecordType) Tag() TypeTag { return TagRecord }
@@ -278,6 +285,8 @@ type OrderedListType struct {
 	Item Type
 }
 
+func (*OrderedListType) sealed() {}
+
 // Tag implements Type.
 func (l *OrderedListType) Tag() TypeTag { return TagOrderedList }
 
@@ -306,6 +315,8 @@ type UnorderedListType struct {
 	// Item is the element type.
 	Item Type
 }
+
+func (*UnorderedListType) sealed() {}
 
 // Tag implements Type.
 func (l *UnorderedListType) Tag() TypeTag { return TagUnorderedList }

@@ -131,6 +131,52 @@ func TestInsertFrameGarbageRejected(t *testing.T) {
 	}
 }
 
+// TestInsertFrameRefusesOverlongVarints: a key read off a record's bytes is
+// only the key Lookup and the index searches build when those bytes are the
+// one encoding AppendValue writes. A string whose length is written long
+// (0x81 0x00 is 1) — in the primary key, or in the value of an indexed field
+// — must be refused as a data error with the partition untouched; stored, it
+// would sit under a key no read builds, and an upsert of the same key would
+// add a second record beside it.
+func TestInsertFrameRefusesOverlongVarints(t *testing.T) {
+	fields := [][2]string{{"id", "a"}, {"user_name", "u"}, {"message_text", "m"}}
+	encode := func(long string) []byte {
+		enc := []byte{byte(adm.TagRecord), byte(len(fields))}
+		for _, f := range fields {
+			enc = append(enc, byte(len(f[0])))
+			enc = append(enc, f[0]...)
+			if f[0] == long {
+				enc = append(enc, byte(adm.TagString), 0x81, 0x00)
+			} else {
+				enc = append(enc, byte(adm.TagString), byte(len(f[1])))
+			}
+			enc = append(enc, f[1]...)
+		}
+		return enc
+	}
+	for _, long := range []string{"id", "user_name"} {
+		p := openTestPartition(t, testDataset())
+		if err := p.InsertFrame([][]byte{encode(long)}); !IsDataError(err) {
+			t.Fatalf("%s written long: InsertFrame = %v, want a data error", long, err)
+		}
+		if n, _ := p.Count(); n != 0 {
+			t.Fatalf("%s written long: Count = %d after the refused frame, want 0", long, n)
+		}
+		if err := p.InsertFrame([][]byte{encode("")}); err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := p.Count(); n != 1 {
+			t.Fatalf("%s written long: Count = %d after one upsert, want 1", long, n)
+		}
+		if _, ok, err := p.Lookup([]adm.Value{adm.String("a")}); !ok || err != nil {
+			t.Fatalf("%s written long: Lookup(a) = %v, %v", long, ok, err)
+		}
+		if got, err := p.SearchBTree("userIdx", adm.String("u")); len(got) != 1 || err != nil {
+			t.Fatalf("%s written long: SearchBTree(u) = %d results, %v; want 1", long, len(got), err)
+		}
+	}
+}
+
 // TestInsertFrameConcurrent drives InsertFrame concurrently across several
 // partitions — and concurrently with readers on each partition — to give the
 // race detector a workout over the batched write path.

@@ -373,8 +373,10 @@ func findField(fields []encFieldRef, name string) []byte {
 
 // appendPrimaryKey appends to dst the raw encoded primary key fields,
 // concatenated — byte-identical to Dataset.PrimaryKeyOf on the decoded
-// record, since the encoding is canonical. It grows dst at most once —
-// exactly, when dst is nil — and on error returns dst unchanged.
+// record, because each value has one encoding: adm.SkipValue, whose verdict
+// ValidateEncoded and ScanRecordFields take, refuses any bytes AppendValue
+// would not write. It grows dst at most once — exactly, when dst is nil —
+// and on error returns dst unchanged.
 func appendPrimaryKey(dst []byte, ds *Dataset, fields []encFieldRef) ([]byte, error) {
 	total := 0
 	for _, f := range ds.PrimaryKey {
