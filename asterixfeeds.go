@@ -197,6 +197,7 @@ func startNode(reg *metrics.Registry, n *hyracks.NodeController, dir string, lsm
 	reg.RegisterCounter(p+".extends", &lm.Extends)
 	reg.RegisterCounter(p+".merges", &lm.Merges)
 	reg.RegisterCounter(p+".merged_entries", &lm.MergedEntries)
+	reg.RegisterCounter(p+".stale_dropped", &lm.StaleDropped)
 	reg.RegisterCounter(p+".block_reads", &lm.BlockReads)
 	reg.RegisterLatency(p+".block_read", lm.BlockReadLatency)
 	reg.RegisterCounter(p+".write_stalls", &lm.WriteStalls)

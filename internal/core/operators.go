@@ -627,9 +627,12 @@ func (r *storeRuntime) deliverAcks(acks []uint64) {
 // the MetaFeed guard, which isolates the failing record (soft-failure
 // semantics, §5.3.1) instead of rejecting its neighbours. The retry is safe
 // after any failure: InsertFrame validates a frame before touching a tree,
-// so a data error leaves the partition untouched, and LSM puts are
-// idempotent upserts, so after an IO error mid-frame the retry converges to
-// the same state.
+// so a data error leaves the partition untouched; and it writes blind —
+// it reads nothing, so what a failed attempt left behind changes nothing it
+// writes — so after an IO error mid-frame the retry puts the same primary
+// and secondary entries again, and converges. The entries of the versions
+// it replaced are stale either way, refused by searches and dropped by
+// merges.
 func (r *storeRuntime) NextFrame(f *hyracks.Frame) error {
 	conn := r.op.conn
 	persisted := 0

@@ -225,7 +225,8 @@ func TestBlockCacheRecyclesAfterLastPin(t *testing.T) {
 // borrows the buffer of the block its insert evicts. The cache holds a few
 // dozen of the run's ~600 blocks, so after one warm-up pass over every key
 // nearly every cold Get misses and evicts; the block-read duration recorder
-// is on, its reservoir full.
+// is on, its reservoir full. View, the same read without the copy,
+// allocates nothing.
 func TestGetAllocatesOnlyItsValue(t *testing.T) {
 	cache := NewBlockCache(128 << 10) // 8 KiB per shard: one or two 4 KiB blocks
 	m := &Metrics{BlockReadLatency: metrics.NewLatencyRecorderCap(64)}
@@ -271,6 +272,20 @@ func TestGetAllocatesOnlyItsValue(t *testing.T) {
 	hot := testing.AllocsPerRun(runs, func() { get(keys[7]) })
 	if hot != 1 {
 		t.Errorf("a hot Get allocates %v objects, want 1 (the value)", hot)
+	}
+
+	// View is Get without the copy: it allocates nothing, cold or hot.
+	view := func(k []byte) {
+		same := false
+		if ok, err := tr.View(k, func(v []byte) { same = bytes.Equal(v, val) }); err != nil || !ok || !same {
+			t.Fatalf("View(%s) = %v, %v, value as stored %v", k, ok, err, same)
+		}
+	}
+	if cold := testing.AllocsPerRun(runs, func() { view(keys[rnd.Intn(n)]) }); cold != 0 {
+		t.Errorf("a cold View allocates %v objects, want 0", cold)
+	}
+	if hot := testing.AllocsPerRun(runs, func() { view(keys[7]) }); hot != 0 {
+		t.Errorf("a hot View allocates %v objects, want 0", hot)
 	}
 }
 

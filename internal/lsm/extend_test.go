@@ -837,7 +837,7 @@ func FuzzLoadRun(f *testing.F) {
 		}
 		it := r.iter(nil, false)
 		for ; it.valid(); it.next() {
-			_, _, _ = r.get(it.key(), 0, 0)
+			_, _, _ = r.view(it.key(), 0, 0, func([]byte) {})
 		}
 		_ = it.fail()
 	})

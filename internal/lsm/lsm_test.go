@@ -481,6 +481,12 @@ func TestPropertyModelCheck(t *testing.T) {
 					if err != nil || ok != live || string(v) != want {
 						t.Fatalf("op %d: Get(%s) = %q,%v,%v; model %q,%v", op, k, v, ok, err, want, live)
 					}
+					// View answers the same, with the value in place.
+					same := !live
+					ok, err = tr.View([]byte(k), func(v []byte) { same = string(v) == want })
+					if err != nil || ok != live || !same {
+						t.Fatalf("op %d: View(%s) = %v,%v, value as modelled %v; model %q,%v", op, k, ok, err, same, want, live)
+					}
 				}
 				checkScan(op, "", "")
 			}

@@ -104,7 +104,8 @@ func (m *mergedIter) fail() error {
 // does no older component remain. The bloom filter is sized by the inputs'
 // pre-dedup entry total. Memory stays O(block): one block per run input plus
 // the block being built, and the blocks a merge reads never evict others
-// from the cache.
+// from the cache. stale, the tree's merge filter, is passed by merges only
+// (see Options.Stale): a flush writes every entry it is handed.
 //
 // Each entry is handed to the writer — which copies its bytes into the block
 // under construction — before the merge advances, so nothing is copied here.
@@ -116,7 +117,7 @@ func (m *mergedIter) fail() error {
 // leaves the temp file, or the headerless tail of prev's file, behind as
 // crash debris for Open to sweep (the caller wedges the tree); any other
 // error aborts it.
-func writeMergedRun(path string, prev *run, mems []*memtable, runs []*run, dropTombstones bool, point string, cfg runConfig) (*run, error) {
+func writeMergedRun(path string, prev *run, mems []*memtable, runs []*run, dropTombstones bool, stale func(key, value []byte) bool, point string, cfg runConfig) (*run, error) {
 	hint := 0
 	for _, mem := range mems {
 		hint += mem.len()
@@ -129,9 +130,14 @@ func writeMergedRun(path string, prev *run, mems []*memtable, runs []*run, dropT
 		return nil, err
 	}
 	src := newMergedIter(mems, runs, nil, false)
+	var dropped int64
 	for ; src.valid(); src.next() {
 		e, err := src.curr()
-		if err == nil && !(dropTombstones && e.tombstone) {
+		switch {
+		case err != nil, e.tombstone && dropTombstones:
+		case !e.tombstone && stale != nil && stale(e.key, e.value):
+			dropped++
+		default:
 			err = rw.add(e)
 		}
 		if err != nil {
@@ -158,7 +164,11 @@ func writeMergedRun(path string, prev *run, mems []*memtable, runs []*run, dropT
 			return nil, err
 		}
 	}
-	return rw.finish()
+	r, err := rw.finish()
+	if err == nil && cfg.metrics != nil {
+		cfg.metrics.StaleDropped.Add(dropped)
+	}
+	return r, err
 }
 
 // tierSpread is how far apart in size two runs of one tier may be: a tier's

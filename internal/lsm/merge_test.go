@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -41,7 +42,7 @@ func buildRun(t *testing.T, dir string, seq int, entries []entry) *run {
 // mergeRuns drives the tree's one component writer the way compactOnce does:
 // a full merge of runs (newest first) that drops tombstones.
 func mergeRuns(path string, runs []*run, cfg runConfig) (*run, error) {
-	return writeMergedRun(path, nil, nil, runs, true, "merge:bg", cfg)
+	return writeMergedRun(path, nil, nil, runs, true, nil, "merge:bg", cfg)
 }
 
 func e(key, value string) entry { return entry{key: []byte(key), value: []byte(value)} }
@@ -382,7 +383,7 @@ func TestWriteMergedRunMixedComponents(t *testing.T) {
 				defer r.close()
 				runs = append(runs, r)
 			}
-			out, err := writeMergedRun(filepath.Join(dir, "run-000009.lsm"), nil, mems, runs, dropTombstones, "flush:bg", runConfig{})
+			out, err := writeMergedRun(filepath.Join(dir, "run-000009.lsm"), nil, mems, runs, dropTombstones, nil, "flush:bg", runConfig{})
 			if err != nil {
 				t.Fatalf("writeMergedRun: %v", err)
 			}
@@ -398,5 +399,121 @@ func TestWriteMergedRunMixedComponents(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// staleKeys is a merge filter that calls the given keys stale and records
+// every entry it is asked about.
+type staleKeys struct {
+	mu    sync.Mutex
+	stale map[string]bool
+	asked []string
+}
+
+func (f *staleKeys) filter(key, _ []byte) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.asked = append(f.asked, string(key))
+	return f.stale[string(key)]
+}
+
+func (f *staleKeys) questions() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.asked...)
+}
+
+// TestMergeFilter: a merge — never a flush — leaves out every live entry the
+// tree's merge filter calls stale, and asks it about no tombstone; with a
+// filter, Merge rewrites even a tree of one segment.
+func TestMergeFilter(t *testing.T) {
+	f := &staleKeys{stale: map[string]bool{"s1": true, "s2": true}}
+	m := &Metrics{}
+	tr := openTest(t, Options{Metrics: m, Stale: f.filter})
+	for _, k := range []string{"l1", "s1", "s2", "gone"} {
+		if err := tr.Put([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Delete([]byte("gone")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if asked := f.questions(); len(asked) != 0 {
+		t.Fatalf("a flush asked the merge filter about %q", asked)
+	}
+	if n, _ := tr.Len(); n != 3 {
+		t.Fatalf("after the flush the tree holds %d live keys, want 3", n)
+	}
+	if st := tr.Stats(); st.Runs != 1 || st.Segments != 1 {
+		t.Fatalf("after one flush: %d runs, %d segments; want one", st.Runs, st.Segments)
+	}
+	if err := tr.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if asked := f.questions(); fmt.Sprint(asked) != "[l1 s1 s2]" {
+		t.Fatalf("the merge asked about %q, want the live entries l1, s1, s2", asked)
+	}
+	if n := m.StaleDropped.Value(); n != 2 || tr.Stats().Merges != 1 {
+		t.Fatalf("Merge ran %d merges dropping %d entries; want one merge dropping s1 and s2", tr.Stats().Merges, n)
+	}
+	var live []string
+	if err := tr.Scan(nil, nil, func(k, _ []byte) bool { live = append(live, string(k)); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(live) != "[l1]" {
+		t.Fatalf("after the merge the tree holds %q, want l1", live)
+	}
+}
+
+// TestMergeFilterWindowRevealsOlderCopy: a merge whose window stops short of
+// the oldest run drops a stale entry only from the window, so an older copy
+// of the key below it comes back into view. That copy is just as stale —
+// the filter's owner refuses it at read by the same rule — and the merge
+// that reaches the oldest run drops it.
+func TestMergeFilterWindowRevealsOlderCopy(t *testing.T) {
+	f := &staleKeys{stale: map[string]bool{"k": true}}
+	m := &Metrics{}
+	tr := openTest(t, Options{Metrics: m, MaxRuns: 2, Stale: f.filter})
+	flush := func(kv ...string) {
+		t.Helper()
+		for i := 0; i < len(kv); i += 2 {
+			if err := tr.Put([]byte(kv[i]), []byte(kv[i+1])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The oldest run is large and holds the first copy of k. Three one-entry
+	// runs follow, each starting a file of its own (a key at or below the
+	// newest run's last); they make a tier of three, one more than MaxRuns,
+	// and no key is covered by more than two runs, so the merge takes that
+	// tier and stops above the oldest run.
+	var big []string
+	for i := 0; i < 200; i++ {
+		big = append(big, fmt.Sprintf("a%03d", i), "v")
+	}
+	flush(append(big, "k", "old", "z", "v")...)
+	flush("k", "new")
+	flush("b", "v")
+	flush("a", "v")
+	if st := tr.Stats(); st.Merges != 1 || st.Runs != 2 {
+		t.Fatalf("%d merges left %d runs; want one merge of the three small runs", st.Merges, st.Runs)
+	}
+	if n := m.StaleDropped.Value(); n != 1 {
+		t.Fatalf("the merge dropped %d entries, want the newer k", n)
+	}
+	if v, ok, err := tr.Get([]byte("k")); err != nil || !ok || string(v) != "old" {
+		t.Fatalf("Get(k) = %q, %v, %v; want the older copy, old", v, ok, err)
+	}
+	if err := tr.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := tr.Get([]byte("k")); err != nil || ok || m.StaleDropped.Value() != 2 {
+		t.Fatalf("after a full merge Get(k) = %v, %v with %d dropped; want k gone, 2 dropped", ok, err, m.StaleDropped.Value())
 	}
 }

@@ -29,6 +29,9 @@ type Metrics struct {
 	// times the average flushed entry has been rewritten.
 	Merges        metrics.Counter
 	MergedEntries metrics.Counter
+	// StaleDropped counts the live entries merges left out because the
+	// tree's merge filter called them stale (Options.Stale).
+	StaleDropped metrics.Counter
 	// BlockReads counts run blocks read from disk (ReadAt calls on the read
 	// path). Cache hits do not count — the gap between lookups and
 	// BlockReads is exactly the cache's work, which is how the read-path

@@ -47,8 +47,9 @@ func recycleVersion(k, val []byte) (int64, error) {
 // blocks. Writers, flushes and merges churn the run set throughout, and one
 // block read in 256 is corrupted. No reader may ever see bytes of another
 // block; under -race the detector also reports a read into a buffer a stale
-// holder still reads. It fails if run.get releases its pin before copying the
-// value, or if a hit does not pin.
+// holder still reads. Every other point read is a View, which checks the
+// value in place before it returns. It fails if run.view releases its pin
+// before fn returns, or if a hit does not pin.
 func TestRecycledBlocksNeverLeak(t *testing.T) {
 	cache := NewBlockCache(16 * 704)
 	var reads atomic.Int64
@@ -87,22 +88,33 @@ func TestRecycledBlocksNeverLeak(t *testing.T) {
 	// check reads key i and holds the answer to the model: a version no
 	// older than the one committed before the read and no newer than the one
 	// that may have been in flight after it.
+	var views atomic.Int64
 	check := func(i int) {
 		lo := committed[i].Load()
-		val, ok, err := tr.Get(keys[i])
+		var v int64
+		var verr error
+		var ok bool
+		var err error
+		read := "Get"
+		if views.Add(1)%2 == 0 {
+			read = "View"
+			ok, err = tr.View(keys[i], func(val []byte) { v, verr = recycleVersion(keys[i], val) })
+		} else {
+			var val []byte
+			val, ok, err = tr.Get(keys[i])
+			v, verr = recycleVersion(keys[i], val)
+		}
 		hi := committed[i].Load() + 1
 		switch {
 		case err != nil && transient(err):
 		case err != nil:
-			fail("Get %s: %v", keys[i], err)
+			fail("%s %s: %v", read, keys[i], err)
 		case !ok:
-			fail("Get %s: missing", keys[i])
-		default:
-			if v, err := recycleVersion(keys[i], val); err != nil {
-				fail("Get: %v", err)
-			} else if v < lo || v > hi {
-				fail("Get %s = version %d, model allows [%d, %d]", keys[i], v, lo, hi)
-			}
+			fail("%s %s: missing", read, keys[i])
+		case verr != nil:
+			fail("%s: %v", read, verr)
+		case v < lo || v > hi:
+			fail("%s %s = version %d, model allows [%d, %d]", read, keys[i], v, lo, hi)
 		}
 	}
 

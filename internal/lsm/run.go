@@ -781,36 +781,34 @@ func (r *run) findBlock(key []byte) int {
 	}) - 1
 }
 
-// get returns the entry for key if the run contains it; h1 and h2 are
-// bloomHashes(key), computed once by the caller for every run it probes. The
-// entry's key is the argument and its value the caller's own copy, made
-// before the block's pin is released: after that the block's buffer may be
-// lent to another read.
-func (r *run) get(key []byte, h1, h2 uint64) (entry, bool, error) {
+// view looks key up in the run; h1 and h2 are bloomHashes(key), computed
+// once by the caller for every run it probes. found reports whether the run
+// holds an entry for key, live whether that entry is a value rather than a
+// tombstone; a value is handed to fn inside its block, whose pin is released
+// only when fn returns: after that the block's buffer may be lent to another
+// read.
+func (r *run) view(key []byte, h1, h2 uint64, fn func(value []byte)) (found, live bool, err error) {
 	bi := r.findBlock(key)
 	if bi < 0 || !r.blocks[bi].filter.mayContain(h1, h2) {
-		return entry{}, false, nil
+		return false, false, nil
 	}
 	v, pin, err := r.pinBlock(bi)
 	if err != nil {
-		return entry{}, false, err
+		return false, false, err
 	}
 	defer r.cfg.cache.release(pin)
 	i, err := v.search(key)
-	if err != nil {
-		return entry{}, false, err
-	}
-	if i >= v.count() {
-		return entry{}, false, nil
+	if err != nil || i >= v.count() {
+		return false, false, err
 	}
 	e, err := v.entryAt(i)
-	if err != nil {
-		return entry{}, false, err
+	if err != nil || !bytes.Equal(e.key, key) {
+		return false, false, err
 	}
-	if !bytes.Equal(e.key, key) {
-		return entry{}, false, nil
+	if !e.tombstone {
+		fn(e.value)
 	}
-	return entry{key: key, value: append([]byte(nil), e.value...), tombstone: e.tombstone}, true, nil
+	return true, !e.tombstone, nil
 }
 
 // iter returns an iterator over entries with key >= from; fill says whether

@@ -33,10 +33,14 @@ func buildBigRun(t *testing.T, dir string, n, valSize int, cfg runConfig) *run {
 	return r
 }
 
-// runGet probes one run the way Tree.Get does: hash once, then the run.
+// runGet probes one run the way Tree.View does — hash once, then the run —
+// and copies the value out, as Get does.
 func runGet(r *run, key []byte) (entry, bool, error) {
 	h1, h2 := bloomHashes(key)
-	return r.get(key, h1, h2)
+	e := entry{key: key}
+	found, live, err := r.view(key, h1, h2, func(v []byte) { e.value = append([]byte(nil), v...) })
+	e.tombstone = found && !live
+	return e, found, err
 }
 
 // TestRunSparseIndexIsOBlocks is the memory-bound structural test: a run's

@@ -51,6 +51,17 @@ type Options struct {
 	// Metrics, when non-nil, receives WAL/flush/merge counter updates;
 	// one Metrics value may be shared by many trees. See Metrics.
 	Metrics *Metrics
+	// Stale, when non-nil, is the merge filter: a merge — never a flush —
+	// asks it about every live entry it reads and leaves out each one it
+	// reports stale (Metrics.StaleDropped). Only a caller to whom an entry is
+	// a claim it can check elsewhere sets it, and then under two rules: an
+	// entry it calls stale may be dropped at any moment, because a write that
+	// makes it true again writes a newer copy; and when it cannot tell — an
+	// error, a source not open — it keeps the entry. A merge window that does
+	// not end at the oldest run may then reveal an older copy of a dropped
+	// key, which is just as stale. With a filter, Merge rewrites even a tree
+	// of one segment.
+	Stale func(key, value []byte) bool
 }
 
 func (o Options) withDefaults() Options {
@@ -756,34 +767,41 @@ func (t *Tree) snapshot() (*snapshot, error) {
 
 func (s *snapshot) release() { _ = s.set.release() }
 
-// Get returns the value for key, or ok=false if absent or deleted.
+// Get returns a copy of the value for key, or ok=false if absent or deleted:
+// View, plus the copy.
+func (t *Tree) Get(key []byte) (value []byte, ok bool, err error) {
+	ok, err = t.View(key, func(v []byte) { value = append([]byte(nil), v...) })
+	return value, ok, err
+}
+
+// View is the tree's one point read: it reports whether key is live and, if
+// it is, hands its value to fn. The value is the tree's own memory — a
+// memtable entry, or a block pinned until fn returns — so fn must neither
+// keep nor modify it. fn runs with no tree lock held, and the read allocates
+// nothing beyond what a block cache miss costs.
 //
 // The memtable probes run under the tree read lock (pure in-memory, no
 // blocking); only on a memory miss is the run set pinned — one reference,
 // however many runs — so the disk lookups can proceed with no tree lock
 // held. A run whose fences exclude the key costs two comparisons; the key is
 // hashed once for the filters of the runs that remain.
-func (t *Tree) Get(key []byte) (value []byte, ok bool, err error) {
+func (t *Tree) View(key []byte, fn func(value []byte)) (bool, error) {
 	t.mu.RLock()
 	if t.closed {
 		t.mu.RUnlock()
-		return nil, false, errClosed()
+		return false, errClosed()
 	}
-	if e, found := t.mem.get(key); found {
+	e, found := t.mem.get(key)
+	for i := 0; !found && i < len(t.imms); i++ {
+		e, found = t.imms[i].mem.get(key)
+	}
+	if found {
 		t.mu.RUnlock()
 		if e.tombstone {
-			return nil, false, nil
+			return false, nil
 		}
-		return append([]byte(nil), e.value...), true, nil
-	}
-	for _, task := range t.imms {
-		if e, found := task.mem.get(key); found {
-			t.mu.RUnlock()
-			if e.tombstone {
-				return nil, false, nil
-			}
-			return append([]byte(nil), e.value...), true, nil
-		}
+		fn(e.value) // a memtable never changes a value it holds
+		return true, nil
 	}
 	set := t.set
 	set.acquire()
@@ -794,19 +812,11 @@ func (t *Tree) Get(key []byte) (value []byte, ok bool, err error) {
 		if !set.spans[i].covers(key) {
 			continue
 		}
-		e, found, err := set.runs[i].get(key, h1, h2)
-		if err != nil {
-			return nil, false, err
-		}
-		if found {
-			if e.tombstone {
-				return nil, false, nil
-			}
-			// run.get copied the value out of the block before unpinning it.
-			return e.value, true, nil
+		if found, live, err := set.runs[i].view(key, h1, h2, fn); err != nil || found {
+			return live, err
 		}
 	}
-	return nil, false, nil
+	return false, nil
 }
 
 // Scan invokes fn for every live key in [from, to) in key order; a nil to
@@ -904,11 +914,12 @@ func (t *Tree) rotateForFlush() error {
 }
 
 // Merge forces a full merge of all disk runs into one run of one segment —
-// one sorted file with one index — and waits until it is committed.
+// one sorted file with one index, every entry the merge filter calls stale
+// left out — and waits until it is committed.
 func (t *Tree) Merge() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.closed && t.bgErr == nil && t.set.segments > 1 {
+	if !t.closed && t.bgErr == nil && !t.mergedLocked() {
 		t.forceCompact = true
 		t.kick(t.compactC)
 	}
@@ -927,6 +938,13 @@ func (t *Tree) Merge() error {
 		t.waitState(ch)
 		t.mu.Lock()
 	}
+}
+
+// mergedLocked reports whether a forced merge would change nothing: the runs
+// are one segment, and no merge filter would look at its entries again — or
+// there are no runs. Callers hold t.mu.
+func (t *Tree) mergedLocked() bool {
+	return t.set.segments == 0 || t.set.segments == 1 && t.opt.Stale == nil
 }
 
 // wedge records a non-retryable background failure: the tree stops
@@ -1039,7 +1057,7 @@ func (t *Tree) flushTasks(tasks []*flushTask) error {
 		t.bumpLocked()
 		t.mu.Unlock()
 	}()
-	r, err := writeMergedRun(path, prev, mems, nil, false, "flush:bg", t.runCfg())
+	r, err := writeMergedRun(path, prev, mems, nil, false, nil, "flush:bg", t.runCfg())
 	if err != nil {
 		return err
 	}
@@ -1121,7 +1139,7 @@ func (t *Tree) compactOnce() (bool, error) {
 	forced := t.forceCompact
 	if forced {
 		lo, hi = 0, len(t.set.runs)
-		if t.set.segments <= 1 {
+		if t.mergedLocked() {
 			hi = 0
 			t.forceCompact = false
 			t.bumpLocked()
@@ -1159,7 +1177,7 @@ func (t *Tree) compactOnce() (bool, error) {
 	// A tombstone masks versions of its key in older runs. Only a window
 	// that ends at the oldest run has none below it; any other must carry
 	// its tombstones into the output or the key comes back.
-	nr, err := writeMergedRun(path, nil, nil, inputs, older == 0, "merge:bg", t.runCfg())
+	nr, err := writeMergedRun(path, nil, nil, inputs, older == 0, t.opt.Stale, "merge:bg", t.runCfg())
 	t.mu.Lock()
 	t.merging = nr // nil on error
 	if err != nil {

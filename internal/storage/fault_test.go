@@ -327,3 +327,59 @@ func TestStatsDoesNotQueueBehindDurableWrite(t *testing.T) {
 		t.Fatalf("InsertFrame: %v", err)
 	}
 }
+
+// TestUpsertRetryAfterSecondaryErrorConverges: an upsert frame that moves t1
+// from alice to bob fails on userIdx's WAL after the primary took it, and is
+// retried the way the store operator retries it. A retry that read the
+// record it replaced would read bob — its own first attempt — and never
+// learn of alice's entry. The blind retry puts the same entries again: the
+// indexes check out, the search refuses alice's entry, and one merge of
+// userIdx drops it.
+func TestUpsertRetryAfterSecondaryErrorConverges(t *testing.T) {
+	var armed atomic.Bool
+	lm := &lsm.Metrics{}
+	m := NewManager("A", t.TempDir(), lsm.Options{Metrics: lm, FaultHook: func(op string) error {
+		if strings.HasSuffix(op, "userIdx/wal.appendBatch") && armed.CompareAndSwap(true, false) {
+			return lsm.ErrInjected
+		}
+		return nil
+	}})
+	defer m.Close()
+	p, err := m.OpenPartition(testDataset())
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertRecs(t, p, tweetRec("t1", "alice", nil))
+
+	armed.Store(true)
+	frame := encodeFrame(tweetRec("t1", "bob", nil))
+	if err := p.InsertFrame(frame); !errors.Is(err, lsm.ErrInjected) {
+		t.Fatalf("InsertFrame under the fault = %v, want ErrInjected", err)
+	}
+	if err := p.InsertFrame(frame[:1]); err != nil {
+		t.Fatalf("the retry: %v", err)
+	}
+	if err := p.VerifyIndexes(); err != nil {
+		t.Fatalf("after the retry: %v", err)
+	}
+	if ids, err := searchIDs(p.SearchBTree("userIdx", adm.String("alice"))); err != nil || ids != "" {
+		t.Fatalf("SearchBTree(alice) = %q, %v; want nothing", ids, err)
+	}
+	if ids, err := searchIDs(p.SearchBTree("userIdx", adm.String("bob"))); err != nil || ids != "t1" {
+		t.Fatalf("SearchBTree(bob) = %q, %v; want t1", ids, err)
+	}
+
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	idx := p.secondaries["userIdx"]
+	if err := idx.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := idx.Len(); err != nil || n != 1 {
+		t.Fatalf("userIdx holds %d entries after a merge (%v), want 1: bob's", n, err)
+	}
+	if n := lm.StaleDropped.Value(); n != 1 {
+		t.Fatalf("the merge dropped %d stale entries, want 1: alice's", n)
+	}
+}

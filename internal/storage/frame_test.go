@@ -18,7 +18,8 @@ func encodeFrame(recs ...*adm.Record) [][]byte {
 }
 
 // TestInsertFrameReplacesStored verifies a frame replacing previously stored
-// records unhooks their old secondary index entries.
+// records leaves their old secondary index entries stale: no search returns
+// the record through them.
 func TestInsertFrameReplacesStored(t *testing.T) {
 	p := openTestPartition(t, testDataset())
 	if err := p.InsertFrame(encodeFrame(tweetRec("t1", "alice", &adm.Point{X: 1, Y: 1}))); err != nil {
@@ -44,7 +45,7 @@ func TestInsertFrameReplacesStored(t *testing.T) {
 
 // TestInsertFrameInFrameDuplicate verifies that when one frame carries two
 // records with the same primary key, the later record wins and the earlier
-// one leaves no secondary index residue — exactly as two one-record frames.
+// one's secondary entries are stale — exactly as two one-record frames.
 func TestInsertFrameInFrameDuplicate(t *testing.T) {
 	p := openTestPartition(t, testDataset())
 	err := p.InsertFrame(encodeFrame(

@@ -25,7 +25,9 @@ const (
 func modelID(k int) string { return fmt.Sprintf("k%03d", k) }
 
 // modelRecord draws a record for key k: a random user, and a location that
-// is a point on a small grid, absent, or null.
+// is a point on a small half-unit grid — 48 rtree cells of four points, so
+// two versions of a record often share a cell at different points — absent,
+// or null.
 func modelRecord(rng *rand.Rand, k int) *adm.Record {
 	b := (&adm.RecordBuilder{}).
 		Add("id", adm.String(modelID(k))).
@@ -36,7 +38,7 @@ func modelRecord(rng *rand.Rand, k int) *adm.Record {
 	case 1:
 		b.Add("location", adm.Null{})
 	default:
-		b.Add("location", adm.Point{X: float64(rng.Intn(40) - 20), Y: float64(rng.Intn(20) - 10)})
+		b.Add("location", adm.Point{X: float64(rng.Intn(24)-12) / 2, Y: float64(rng.Intn(16)-8) / 2})
 	}
 	return b.MustBuild()
 }
@@ -138,10 +140,16 @@ func (m partitionModel) check(t *testing.T, step string, rng *rand.Rand, p *Part
 	}
 }
 
-// randomRect draws a query rectangle over modelRecord's grid and beyond it.
+// randomRect draws a query rectangle over modelRecord's grid and beyond it;
+// one in two lies inside one rtree cell, where a record that moved within
+// the cell has a stale entry and a live one that both lie in the rectangle.
 func randomRect(rng *rand.Rand) adm.Rectangle {
-	lo := adm.Point{X: float64(rng.Intn(40) - 25), Y: float64(rng.Intn(20) - 12)}
-	return adm.Rectangle{Low: lo, High: adm.Point{X: lo.X + float64(rng.Intn(30)), Y: lo.Y + float64(rng.Intn(15))}}
+	lo := adm.Point{X: float64(rng.Intn(14) - 9), Y: float64(rng.Intn(10) - 6)}
+	if rng.Intn(2) == 0 {
+		lo = adm.Point{X: float64(rng.Intn(12) - 6), Y: float64(rng.Intn(8) - 4)}
+		return adm.Rectangle{Low: lo, High: adm.Point{X: lo.X + 0.5, Y: lo.Y + 0.5}}
+	}
+	return adm.Rectangle{Low: lo, High: adm.Point{X: lo.X + float64(rng.Intn(10)), Y: lo.Y + float64(rng.Intn(7))}}
 }
 
 // hasUser and inRect are the two index searches' tests, on a model record.
@@ -294,24 +302,49 @@ func checkPushed(t *testing.T, step string, lm *lsm.Metrics, mgr *Manager) {
 	t.Fatalf("%s: pushed memtable bytes, immutables, debt = %v, the open trees hold %v", step, got, want)
 }
 
-// treeDump is the byte-exact live content of every tree of p.
+// treeDump is the byte-exact content of p: every primary entry, and every
+// secondary entry the liveness rule calls live. Stale entries are left out:
+// a merge may drop them at any moment.
 func treeDump(t *testing.T, p *Partition) []byte {
 	t.Helper()
 	var out bytes.Buffer
-	dump := func(name string, tr *lsm.Tree) {
+	var fs frameScratch
+	dump := func(name string, tr *lsm.Tree, keep func(k, v []byte) bool) {
 		fmt.Fprintf(&out, "[%s]", name)
 		if err := tr.Scan(nil, nil, func(k, v []byte) bool {
-			fmt.Fprintf(&out, "%x=%x;", k, v)
+			if keep(k, v) {
+				fmt.Fprintf(&out, "%x=%x;", k, v)
+			}
 			return true
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dump("primary", p.primary)
+	dump("primary", p.primary, func(k, v []byte) bool { return true })
 	for _, ix := range p.ds.Indexes {
-		dump(ix.Name, p.secondaries[ix.Name])
+		dump(ix.Name, p.secondaries[ix.Name], func(k, pk []byte) bool {
+			live, err := p.liveEntry(&fs, ix, k, pk, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return live
+		})
 	}
 	return out.Bytes()
+}
+
+// checkCompacted flushes p and merges every secondary tree: with no frame
+// running, the merge filters drop every stale entry, and each secondary must
+// hold exactly the entries of the records stored.
+func checkCompacted(t *testing.T, step string, p *Partition) {
+	t.Helper()
+	if err := p.Flush(); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	mergeSecondaries(t, p)
+	if stale, err := p.CheckIndexes(); err != nil || stale != 0 {
+		t.Fatalf("%s: after a merge of every secondary, CheckIndexes = %d stale entries, %v; want none", step, stale, err)
+	}
 }
 
 // TestPartitionMatchesModel drives seeded random histories — frames of
@@ -320,12 +353,14 @@ func treeDump(t *testing.T, p *Partition) []byte {
 // reopen — and checks the partition against the model, and the pushed lsm
 // gauges against the trees, after every step. While a frame or a delete
 // runs, two readers check every read against the model before and after it
-// (concurrentReads): the readers take no partition lock.
-// Every frame is also delivered twice: the second delivery (what
-// at-least-once replay does) must leave every tree byte-identical. Seeds 5
-// and 6 run against a dataset with no secondary index, whose InsertFrame
-// does not read the records it replaces: the same duplicates inside a frame
-// and across frames must still end as the model says.
+// (concurrentReads): the readers take no partition lock. Beside one frame in
+// three a full merge of every secondary runs too, its filter probing the
+// primary the frame is writing. Every frame is also delivered twice: the
+// second delivery (what at-least-once replay does) must leave every tree
+// byte-identical but for stale entries. At the end of each history, one
+// merge of every secondary leaves exactly the live entries. Seeds 5 and 6
+// run against a dataset with no secondary index: the same duplicates inside
+// a frame and across frames must still end as the model says.
 func TestPartitionMatchesModel(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5, 6} {
 		name := fmt.Sprintf("seed%d", seed)
@@ -338,8 +373,8 @@ func TestPartitionMatchesModel(t *testing.T) {
 			if seed > 4 {
 				ds.Indexes = nil
 			}
-			// A small memtable so the history crosses flushes and merges and
-			// the replace path reads old versions from runs.
+			// A small memtable so the history crosses flushes and merges, and
+			// stale entries and the records that make them stale lie in runs.
 			lm := &lsm.Metrics{}
 			opt := lsm.Options{MemtableBytes: 16 << 10, Metrics: lm}
 			mgr := NewManager("A", dir, opt)
@@ -379,8 +414,25 @@ func TestPartitionMatchesModel(t *testing.T) {
 					after := maps.Clone(model)
 					maps.Copy(after, written)
 					stop := concurrentReads(p, model, after, seed*1000+int64(i))
+					merged := make(chan error, 1)
+					if rng.Intn(3) == 0 {
+						go func(p *Partition) {
+							for _, tr := range p.secondaries {
+								if err := tr.Merge(); err != nil {
+									merged <- err
+									return
+								}
+							}
+							merged <- nil
+						}(p)
+					} else {
+						merged <- nil
+					}
 					if err := p.InsertFrame(frame); err != nil {
 						t.Fatalf("%s: %v", step, err)
+					}
+					if err := <-merged; err != nil {
+						t.Fatalf("%s: a merge beside the frame: %v", step, err)
 					}
 					once := treeDump(t, p)
 					if err := p.InsertFrame(frame); err != nil {
@@ -440,6 +492,8 @@ func TestPartitionMatchesModel(t *testing.T) {
 				model.check(t, step, rng, p)
 				checkPushed(t, step, lm, mgr)
 			}
+			checkCompacted(t, fmt.Sprintf("seed %d, end", seed), p)
+			model.check(t, fmt.Sprintf("seed %d, compacted", seed), rng, p)
 		})
 	}
 }

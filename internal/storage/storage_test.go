@@ -106,7 +106,7 @@ func TestUpsertReplaces(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("Count after upsert = %d, want 1", n)
 	}
-	// The old secondary entry must be unhooked.
+	// The old secondary entry is stale: the search must refuse it.
 	recs, err := p.SearchBTree("userIdx", adm.String("alice"))
 	if err != nil {
 		t.Fatal(err)
