@@ -85,6 +85,17 @@ if grep -rnE "$blindforks" internal/storage --include='*.go' --exclude='*_test.g
 fi
 echo "upserts: blind"
 
+# A socket frame leaves when its source pauses: the adaptor scans its
+# connection through pauseReader, which flushes the sink before the read
+# after a short one. Scanning the connection directly leaves paced records
+# waiting on the collect stage's 10 ms flush tick again.
+if grep -nE 'bufio\.NewScanner\(conn\)' internal/core/adaptor.go >/dev/null 2>&1; then
+	echo "the socket adaptor scans its connection without the pause reader:" >&2
+	grep -nE 'bufio\.NewScanner\(conn\)' internal/core/adaptor.go >&2 || true
+	exit 1
+fi
+echo "socket frames: leave on a pause"
+
 go test ./...
 echo "test: ok"
 

@@ -17,7 +17,7 @@ type ackTracker struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]*pendingRecord
+	pending map[uint64]pendingRecord
 	// replay channels, one per intake partition, drained by the intake
 	// runtime's main loop.
 	replayCh map[int]chan *hyracks.Frame
@@ -26,6 +26,8 @@ type ackTracker struct {
 	replayed int64
 }
 
+// pendingRecord is held in the map by value: one tracked record costs no
+// allocation of its own.
 type pendingRecord struct {
 	payload   []byte
 	partition int
@@ -43,7 +45,7 @@ func newAckTracker(timeout time.Duration) *ackTracker {
 	}
 	return &ackTracker{
 		timeout:  timeout,
-		pending:  make(map[uint64]*pendingRecord),
+		pending:  make(map[uint64]pendingRecord),
 		replayCh: make(map[int]chan *hyracks.Frame),
 	}
 }
@@ -72,7 +74,7 @@ func (t *ackTracker) track(partition int, recs [][]byte) []uint64 {
 	for i, rec := range recs {
 		t.nextID++
 		ids[i] = t.nextID
-		t.pending[t.nextID] = &pendingRecord{payload: rec, partition: partition, sentAt: now}
+		t.pending[t.nextID] = pendingRecord{payload: rec, partition: partition, sentAt: now}
 	}
 	return ids
 }
@@ -122,6 +124,7 @@ func (t *ackTracker) sweep(now time.Time) (replayedNow int, dropped int) {
 		}
 		pr.replays++
 		pr.sentAt = now
+		t.pending[id] = pr
 		f := frames[pr.partition]
 		if f == nil {
 			f = hyracks.NewFrame(8)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -27,6 +28,11 @@ type RecordSink interface {
 	// one, so the caller must not touch it again and must not hand over
 	// bytes that alias a buffer it reuses.
 	EmitEncoded(enc []byte) error
+	// Flush sends on at once the records emitted so far instead of holding
+	// them for a fuller frame. An adaptor calls it when it sees its source
+	// pause; one that cannot see a pause need not call it, and the sink's
+	// flush tick bounds how long a record waits.
+	Flush()
 }
 
 // Adaptor is one partition's interface to an external data source: it
@@ -228,7 +234,7 @@ func (a *socketAdaptor) stream(sink RecordSink, stop <-chan struct{}) error {
 	if _, err := conn.Write([]byte("GO\n")); err != nil {
 		return err
 	}
-	sc := bufio.NewScanner(conn)
+	sc := bufio.NewScanner(&pauseReader{r: conn, flush: sink.Flush})
 	sc.Buffer(make([]byte, 1<<16), maxLineBytes)
 	var lines lineTranscoder
 	for sc.Scan() {
@@ -261,6 +267,30 @@ func (a *socketAdaptor) stream(sink RecordSink, stop <-chan struct{}) error {
 	// The connection dropped without an end-of-stream marker: treat it as
 	// a source outage and let Start retry.
 	return fmt.Errorf("core: socket adaptor %s: connection lost mid-stream", a.addr)
+}
+
+// pauseReader is the socket adaptor's view of its connection: before any
+// read that follows a short read, it flushes the sink. A read that did not
+// fill its buffer drained everything the source had sent, and the scanner
+// reads again only once it has emitted every whole line of that data — so
+// the records emitted since are the source's burst, and they leave as one
+// frame now rather than on the collect stage's flush tick. A flood's reads
+// fill the buffer, so its frames still leave full.
+type pauseReader struct {
+	r     io.Reader
+	flush func()
+	short bool // the last read returned less than it was asked for
+}
+
+// Read implements io.Reader.
+func (p *pauseReader) Read(b []byte) (int, error) {
+	if p.short {
+		p.short = false
+		p.flush()
+	}
+	n, err := p.r.Read(b)
+	p.short = err == nil && n < len(b)
+	return n, err
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,8 +62,11 @@ type Joint struct {
 	// subscription.
 	tracked *atomic.Int64
 
-	mu     sync.Mutex
-	subs   map[string]*Subscription
+	mu sync.Mutex
+	// subs is replaced whenever a subscription joins or leaves and never
+	// written in place, so Deposit ranges over the slice it read under mu
+	// without copying it per frame.
+	subs   []*Subscription
 	closed bool
 	// deposited counts frames seen, for monitoring.
 	depositedFrames  int64
@@ -78,7 +82,6 @@ func newJoint(signature, node string, partition int) *Joint {
 		node:              node,
 		partition:         partition,
 		tracked:           new(atomic.Int64),
-		subs:              make(map[string]*Subscription),
 		subscriberArrived: make(chan struct{}, 1),
 	}
 }
@@ -117,8 +120,8 @@ func (j *Joint) Subscribers() []string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	out := make([]string, 0, len(j.subs))
-	for id := range j.subs {
-		out = append(out, id)
+	for _, s := range j.subs {
+		out = append(out, s.id)
 	}
 	sort.Strings(out)
 	return out
@@ -128,8 +131,19 @@ func (j *Joint) Subscribers() []string {
 func (j *Joint) Subscription(subID string) (*Subscription, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	s, ok := j.subs[subID]
-	return s, ok
+	_, s := j.lookupLocked(subID)
+	return s, s != nil
+}
+
+// lookupLocked returns the registered subscription with the given id and its
+// index in subs, or nil.
+func (j *Joint) lookupLocked(subID string) (int, *Subscription) {
+	for i, s := range j.subs {
+		if s.id == subID {
+			return i, s
+		}
+	}
+	return -1, nil
 }
 
 // HasSubscribers reports whether any subscription is registered.
@@ -175,14 +189,14 @@ func (j *Joint) Subscribe(subID string, pol *Policy, spillPath string) (*Subscri
 	if j.closed {
 		return nil, fmt.Errorf("core: joint %s is closed", j.signature)
 	}
-	if s, ok := j.subs[subID]; ok {
+	if _, s := j.lookupLocked(subID); s != nil {
 		return s, nil
 	}
 	s, err := newSubscription(subID, pol, spillPath, j.tracked)
 	if err != nil {
 		return nil, err
 	}
-	j.subs[subID] = s
+	j.subs = append(j.subs[:len(j.subs):len(j.subs)], s) // a new array: see subs
 	select {
 	case j.subscriberArrived <- struct{}{}:
 	default:
@@ -193,13 +207,7 @@ func (j *Joint) Subscribe(subID string, pol *Policy, spillPath string) (*Subscri
 // Unsubscribe begins a graceful detach: the subscription receives no new
 // frames but its buffered backlog remains consumable until drained (§5.5).
 func (j *Joint) Unsubscribe(subID string) {
-	j.mu.Lock()
-	s, ok := j.subs[subID]
-	if ok {
-		delete(j.subs, subID)
-	}
-	j.mu.Unlock()
-	if ok {
+	if s := j.remove(subID); s != nil {
 		s.drainAndClose()
 	}
 }
@@ -207,15 +215,20 @@ func (j *Joint) Unsubscribe(subID string) {
 // DropSubscription removes a subscription discarding its backlog; used when
 // a connection terminates abnormally.
 func (j *Joint) DropSubscription(subID string) {
-	j.mu.Lock()
-	s, ok := j.subs[subID]
-	if ok {
-		delete(j.subs, subID)
-	}
-	j.mu.Unlock()
-	if ok {
+	if s := j.remove(subID); s != nil {
 		s.discardAndClose()
 	}
+}
+
+// remove unregisters and returns the subscription with the given id, or nil.
+func (j *Joint) remove(subID string) *Subscription {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	i, s := j.lookupLocked(subID)
+	if s != nil {
+		j.subs = slices.Delete(slices.Clone(j.subs), i, i+1) // a new array: see subs
+	}
+	return s
 }
 
 // Deposit routes one frame to every live subscription; each queues it and
@@ -224,10 +237,7 @@ func (j *Joint) DropSubscription(subID string) {
 // several subscribers needs no bookkeeping.
 func (j *Joint) Deposit(f *hyracks.Frame) {
 	j.mu.Lock()
-	subs := make([]*Subscription, 0, len(j.subs))
-	for _, s := range j.subs {
-		subs = append(subs, s)
-	}
+	subs := j.subs
 	j.depositedFrames++
 	j.depositedRecords += int64(f.Len())
 	j.mu.Unlock()
@@ -261,7 +271,7 @@ func (j *Joint) close() {
 	j.mu.Lock()
 	j.closed = true
 	subs := j.subs
-	j.subs = make(map[string]*Subscription)
+	j.subs = nil
 	j.mu.Unlock()
 	for _, s := range subs {
 		s.discardAndClose()
@@ -314,7 +324,7 @@ type Subscription struct {
 	pol *Policy
 
 	mu      sync.Mutex
-	queue   []queuedFrame
+	queue   frameQueue
 	backlog int // records currently queued in memory
 	// backlogBytes is the in-memory backlog in bytes; with the spill
 	// file's on-disk footprint it is the subscription's contribution to
@@ -350,6 +360,48 @@ type Subscription struct {
 type queuedFrame struct {
 	frame     *hyracks.Frame
 	arrivedAt time.Time
+}
+
+// frameQueue is a subscription's in-memory queue: a ring of frames. A pop
+// advances head, so the array is reused instead of slid off and regrown,
+// and pushFront puts a frame back in the slot the last pop freed.
+type frameQueue struct {
+	buf  []queuedFrame // len(buf) is 0 or a power of two
+	head int
+	n    int
+}
+
+func (q *frameQueue) push(e queuedFrame) {
+	q.grow()
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = e
+	q.n++
+}
+
+func (q *frameQueue) pushFront(e queuedFrame) {
+	q.grow()
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = e
+	q.n++
+}
+
+// pop removes the oldest entry; the queue must not be empty.
+func (q *frameQueue) pop() queuedFrame {
+	e := q.buf[q.head]
+	q.buf[q.head] = queuedFrame{} // the ring must not keep the frame alive
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return e
+}
+
+// grow doubles a full ring, unwrapping it into the new array.
+func (q *frameQueue) grow() {
+	if q.n < len(q.buf) {
+		return
+	}
+	buf := make([]queuedFrame, max(8, 2*len(q.buf)))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 func newSubscription(id string, pol *Policy, spillPath string, tracked *atomic.Int64) (*Subscription, error) {
@@ -551,7 +603,7 @@ func (s *Subscription) throttleLocked(f *hyracks.Frame) {
 }
 
 func (s *Subscription) enqueueLocked(f *hyracks.Frame) {
-	s.queue = append(s.queue, queuedFrame{f, nowFunc()})
+	s.queue.push(queuedFrame{f, nowFunc()})
 	s.backlog += f.Len()
 	s.backlogBytes += int64(f.Bytes())
 	select {
@@ -571,10 +623,9 @@ const spillRetryDelay = 10 * time.Millisecond
 func (s *Subscription) Next(cancel <-chan struct{}) (f *hyracks.Frame, ok bool) {
 	for {
 		s.mu.Lock()
-		if len(s.queue) > 0 {
-			q := s.queue[0]
+		if s.queue.n > 0 {
+			q := s.queue.pop()
 			f = q.frame
-			s.queue = s.queue[1:]
 			s.backlog -= f.Len()
 			s.backlogBytes -= int64(f.Bytes())
 			if s.latency != nil {
@@ -644,7 +695,7 @@ func (s *Subscription) requeue(f *hyracks.Frame) {
 	if s.closed {
 		return
 	}
-	s.queue = append([]queuedFrame{{f, nowFunc()}}, s.queue...)
+	s.queue.pushFront(queuedFrame{f, nowFunc()})
 	s.backlog += f.Len()
 	s.backlogBytes += int64(f.Bytes())
 	s.publishLocked()
@@ -675,7 +726,7 @@ func (s *Subscription) discardAndClose() {
 	s.mu.Lock()
 	s.closed = true
 	s.draining = true
-	s.queue = nil
+	s.queue = frameQueue{}
 	s.backlog = 0
 	s.backlogBytes = 0
 	sp := s.spill

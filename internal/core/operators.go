@@ -24,7 +24,9 @@ func governorOf(ctx *hyracks.TaskContext) *governor.Governor {
 func osMkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 
 // defaultFlushInterval bounds how long a partially filled frame sits in a
-// collect buffer before being pushed out, so low-rate feeds stay live.
+// collect buffer before being pushed out, so low-rate feeds stay live. An
+// adaptor that sees its source pause (the socket adaptor) flushes sooner;
+// the tick is the bound for generators, which cannot see one.
 const defaultFlushInterval = 10 * time.Millisecond
 
 // ---------------------------------------------------------------------------
@@ -105,7 +107,9 @@ func (r *collectRuntime) frameCap() int {
 }
 
 // batchingSink batches emitted records into frames and deposits them into a
-// joint, flushing on size or on a timer.
+// joint. A frame leaves when it is full, when the adaptor calls Flush, or on
+// the flush tick. Each new frame is sized for twice the one that left, up to
+// cap, so a paced source's small frames do not each pay for cap slots.
 type batchingSink struct {
 	joint    *Joint
 	cap      int
@@ -134,7 +138,7 @@ func newBatchingSink(joint *Joint, frameCap int, flushEvery time.Duration, cance
 		for {
 			select {
 			case <-t.C:
-				s.flush()
+				s.Flush()
 			case <-s.stopCh:
 				return
 			}
@@ -156,11 +160,9 @@ func (s *batchingSink) EmitEncoded(enc []byte) error {
 	}
 	s.mu.Lock()
 	s.buf.Append(enc)
-	full := s.buf.Len() >= s.cap
 	var out *hyracks.Frame
-	if full {
-		out = s.buf
-		s.buf = hyracks.NewFrame(s.cap)
+	if s.buf.Len() >= s.cap {
+		out = s.takeLocked()
 	}
 	s.mu.Unlock()
 	if out != nil {
@@ -169,17 +171,25 @@ func (s *batchingSink) EmitEncoded(enc []byte) error {
 	return nil
 }
 
-func (s *batchingSink) flush() {
+// Flush implements RecordSink: the frame being batched leaves now.
+func (s *batchingSink) Flush() {
 	s.mu.Lock()
 	var out *hyracks.Frame
 	if s.buf.Len() > 0 {
-		out = s.buf
-		s.buf = hyracks.NewFrame(s.cap)
+		out = s.takeLocked()
 	}
 	s.mu.Unlock()
 	if out != nil {
 		s.deposit(out)
 	}
+}
+
+// takeLocked returns the frame being batched, which holds at least one
+// record, and starts the next one with room for twice as many, up to cap.
+func (s *batchingSink) takeLocked() *hyracks.Frame {
+	out := s.buf
+	s.buf = hyracks.NewFrame(min(s.cap, 2*out.Len()))
+	return out
 }
 
 // deposit hands one batched frame to the joint, first passing the head
@@ -200,7 +210,7 @@ func (s *batchingSink) deposit(out *hyracks.Frame) {
 
 func (s *batchingSink) stop() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
-	s.flush()
+	s.Flush()
 }
 
 // ---------------------------------------------------------------------------

@@ -187,25 +187,73 @@ func (r *router) NextFrame(f *Frame) error {
 		if n == 1 {
 			return r.queues[0].send(f, r.canceled)
 		}
-		buckets := make([]Frame, n)
-		for k, rec := range f.Records {
-			b := &buckets[r.keyHash(rec)%uint64(n)]
-			b.Records = append(b.Records, rec)
-			if len(f.IDs) > 0 {
-				b.IDs = append(b.IDs, f.IDs[k])
-			}
-		}
-		for i := range buckets {
-			if len(buckets[i].Records) == 0 {
-				continue
-			}
-			if err := r.queues[i].send(&buckets[i], r.canceled); err != nil {
-				return err
-			}
-		}
-		return nil
+		return r.hashSplit(f)
 	}
 	return fmt.Errorf("hyracks: unknown connector strategy %d", r.strategy)
+}
+
+// hashSplit sends each consumer the records of f whose key hashes to it, in
+// frame order, each with its id. It counts every consumer's records first,
+// then cuts all buckets out of one Records array and one IDs array, so a
+// frame costs three allocations whether it holds one record or 128. The
+// per-record destinations and the counts live on the stack for frames and
+// fan-outs up to the arrays' sizes.
+func (r *router) hashSplit(f *Frame) error {
+	n := len(r.queues)
+	var destBuf [256]int32
+	var countBuf [64]int
+	dest, count := destBuf[:0], countBuf[:0]
+	if len(f.Records) > len(destBuf) {
+		dest = make([]int32, 0, len(f.Records))
+	}
+	if n > len(countBuf) {
+		count = make([]int, 0, n)
+	}
+	count = count[:n]
+	for _, rec := range f.Records {
+		d := int32(r.keyHash(rec) % uint64(n))
+		dest = append(dest, d)
+		count[d]++
+	}
+	// count[i] becomes bucket i's first slot; filling the buckets advances
+	// it to one past the bucket's last.
+	buckets := make([]Frame, n)
+	recs := make([][]byte, len(f.Records))
+	var ids []uint64
+	if len(f.IDs) > 0 {
+		ids = make([]uint64, len(f.IDs))
+	}
+	end := 0
+	for i, c := range count {
+		end += c
+		count[i] = end - c
+	}
+	for k, d := range dest {
+		pos := count[d]
+		recs[pos] = f.Records[k]
+		if ids != nil {
+			ids[pos] = f.IDs[k]
+		}
+		count[d]++
+	}
+	lo := 0
+	for i, hi := range count {
+		if hi == lo {
+			continue
+		}
+		// Full slice expressions: a consumer appending to its bucket
+		// must not write into the next one.
+		b := &buckets[i]
+		b.Records = recs[lo:hi:hi]
+		if ids != nil {
+			b.IDs = ids[lo:hi:hi]
+		}
+		lo = hi
+		if err := r.queues[i].send(b, r.canceled); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Close implements Writer: releases every consumer queue exactly once.

@@ -301,6 +301,72 @@ func TestHashPartitionRoutesByKey(t *testing.T) {
 	})
 }
 
+// TestHashRouterAllocsPerFrame: the hash connector cuts every consumer's
+// bucket out of one records array and one ids array, so a frame of 1, 5 or
+// 128 records costs at most three allocations. Each bucket keeps its
+// records in frame order, each with its own id, and appending to one
+// bucket leaves the next one alone.
+func TestHashRouterAllocsPerFrame(t *testing.T) {
+	c := NewCluster(testConfig(), "A", "B", "C")
+	defer c.Close()
+	queues := make([]*inQueue, 3)
+	for i, n := range []string{"A", "B", "C"} {
+		queues[i] = &inQueue{ch: make(chan *Frame, 1), node: c.Node(n), producers: 1}
+	}
+	r := &router{strategy: MToNHashPartition, keyHash: leUint64Hash, queues: queues}
+	for _, size := range []int{1, 5, 128} {
+		in := NewFrame(size)
+		for k := 0; k < size; k++ {
+			key := uint64(k*7 + 1) // keys out of step with the consumer count
+			in.Append(binary.LittleEndian.AppendUint64(nil, key))
+			in.IDs = append(in.IDs, trackedID(key))
+		}
+		var out [3]*Frame
+		route := func() {
+			if err := r.NextFrame(in); err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range queues {
+				out[i] = nil
+				select {
+				case out[i] = <-q.ch:
+				default:
+				}
+			}
+		}
+		if n := testing.AllocsPerRun(100, route); n > 3 {
+			t.Fatalf("%d-record frame: %.1f allocations, want at most 3", size, n)
+		}
+		route()
+		got := 0
+		for i, f := range out {
+			if f == nil {
+				continue
+			}
+			prev := -1
+			for k, rec := range f.Records {
+				key := binary.LittleEndian.Uint64(rec)
+				pos := int(key-1) / 7
+				if key%3 != uint64(i) || f.IDs[k] != trackedID(key) || pos <= prev {
+					t.Fatalf("%d-record frame, consumer %d: key %d at %d with id %#x", size, i, key, k, f.IDs[k])
+				}
+				prev = pos
+			}
+			got += f.Len()
+		}
+		if got != size {
+			t.Fatalf("%d-record frame: consumers got %d records", size, got)
+		}
+		if out[0] != nil && out[1] != nil {
+			_ = append(out[0].Records, []byte("x"))
+			_ = append(out[0].IDs, 0)
+			if rec := out[1].Records[0]; len(rec) != 8 || out[1].IDs[0] != trackedID(binary.LittleEndian.Uint64(rec)) {
+				t.Fatalf("%d-record frame: appending to one bucket wrote into the next", size)
+			}
+		}
+	}
+}
+
 func TestRandomPartitionBalances(t *testing.T) {
 	c := NewCluster(testConfig(), "A", "B")
 	defer c.Close()
