@@ -96,6 +96,19 @@ if grep -nE 'bufio\.NewScanner\(conn\)' internal/core/adaptor.go >/dev/null 2>&1
 fi
 echo "socket frames: leave on a pause"
 
+# An intake is one goroutine looping on Subscription.Next: frames, replays
+# and the end of the stream all arrive through its subscription. A replay
+# channel, a poll for pending acks or a pump goroutine brings back the gaps
+# between goroutines where both at-least-once bugs of DESIGN.md *Fault
+# tolerance* lived.
+intakeforks='replayCh|drainPendingReplays|pumpDone'
+if grep -rnE "$intakeforks" internal/core --include='*.go' --exclude='*_test.go' >/dev/null 2>&1; then
+	echo "the intake's pump, replay channel or ack poll is back in internal/core:" >&2
+	grep -rnE "$intakeforks" internal/core --include='*.go' --exclude='*_test.go' >&2 || true
+	exit 1
+fi
+echo "intake: one goroutine"
+
 go test ./...
 echo "test: ok"
 
@@ -147,6 +160,10 @@ if [ "${1:-}" = "-race" ]; then
 	# the compactor while frames write it.
 	go test -race -short -count=20 -run 'BesideStalled|PartitionMatchesModel|UpsertRetry|MergeDropsStale|MergeFilterKeeps' ./internal/storage/
 	go test -race -count=20 -run 'MergeFilter' ./internal/lsm/
+	# The intake's one loop: replays through the subscription, the wake on
+	# the ack that empties the tracker, a disconnect that precedes
+	# Subscribe, and one goroutine per intake instance.
+	go test -race -count=20 -run 'IntakeIsOneGoroutine|SubscriptionReplays|ReplayDroppedIsCounted|IntakeDrainsWhenDisconnectPrecedesSubscribe|AckTracker' ./internal/core/
 	# End-to-end replication and restart tests: the promotion/resync and
 	# recovery paths are the most concurrency-sensitive in the stack. The
 	# socket and file adaptors ride along: they hand the pipeline copies out

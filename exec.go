@@ -303,7 +303,7 @@ func (in *Instance) showFeedsValue() *adm.OrderedList {
 			"collectedTotal", "computedTotal", "persistedTotal",
 			"collectRate", "computeRate", "persistRate",
 			"backlog", "pendingAcks", "softFailures", "storeErrors",
-			"replayed", "discarded", "throttledOut", "spilledTotal",
+			"replayed", "replayDropped", "discarded", "throttledOut", "spilledTotal",
 			"spilledBytes", "spillErrors", "latencyP50Ms", "latencyP99Ms",
 		}
 		values := []adm.Value{
@@ -315,7 +315,7 @@ func (in *Instance) showFeedsValue() *adm.OrderedList {
 			adm.Double(a.CollectRate), adm.Double(a.ComputeRate), adm.Double(a.PersistRate),
 			adm.Int64(int64(a.Backlog)), adm.Int64(int64(a.PendingAcks)),
 			adm.Int64(a.SoftFailures), adm.Int64(a.StoreErrors),
-			adm.Int64(a.Replayed), adm.Int64(a.Discarded), adm.Int64(a.ThrottledOut),
+			adm.Int64(a.Replayed), adm.Int64(a.ReplayDropped), adm.Int64(a.Discarded), adm.Int64(a.ThrottledOut),
 			adm.Int64(a.SpilledTotal), adm.Int64(a.SpilledBytes), adm.Int64(a.SpillErrors),
 			adm.Double(float64(a.LatencyP50) / 1e6), adm.Double(float64(a.LatencyP99) / 1e6),
 		}

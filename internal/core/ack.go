@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"asterixfeeds/internal/hyracks"
+	"asterixfeeds/internal/metrics"
 )
 
 // ackTracker implements the at-least-once machinery of §5.6 for one feed
@@ -18,9 +19,9 @@ type ackTracker struct {
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]pendingRecord
-	// replay channels, one per intake partition, drained by the intake
-	// runtime's main loop.
-	replayCh map[int]chan *hyracks.Frame
+	// subs holds each intake partition's subscription: sweep hands it the
+	// partition's replays, and the ack that empties pending wakes it.
+	subs map[int]*Subscription
 
 	acked    int64
 	replayed int64
@@ -44,22 +45,22 @@ func newAckTracker(timeout time.Duration) *ackTracker {
 		timeout = time.Second
 	}
 	return &ackTracker{
-		timeout:  timeout,
-		pending:  make(map[uint64]pendingRecord),
-		replayCh: make(map[int]chan *hyracks.Frame),
+		timeout: timeout,
+		pending: make(map[uint64]pendingRecord),
+		subs:    make(map[int]*Subscription),
 	}
 }
 
-// register creates (or returns) the replay channel for an intake partition.
-func (t *ackTracker) register(partition int) chan *hyracks.Frame {
+// attach makes sub the way in for an intake partition's replays, and keeps
+// sub open once drained while records are pending. An intake attaches the
+// subscription it subscribed or re-attached to.
+func (t *ackTracker) attach(partition int, sub *Subscription) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ch, ok := t.replayCh[partition]; ok {
-		return ch
-	}
-	ch := make(chan *hyracks.Frame, 16)
-	t.replayCh[partition] = ch
-	return ch
+	t.subs[partition] = sub
+	t.mu.Unlock()
+	sub.mu.Lock()
+	sub.tracker = t
+	sub.mu.Unlock()
 }
 
 // track retains a frame's records at an intake partition and returns their
@@ -85,10 +86,24 @@ func (t *ackTracker) track(partition int, recs [][]byte) []uint64 {
 func (t *ackTracker) ack(ids []uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	n := len(t.pending)
 	for _, id := range ids {
 		if _, ok := t.pending[id]; ok {
 			delete(t.pending, id)
 			t.acked++
+		}
+	}
+	if n > 0 && len(t.pending) == 0 {
+		t.wakeDrainedLocked()
+	}
+}
+
+// wakeDrainedLocked wakes the drained subscriptions, whose Next waits for
+// the last pending record to go.
+func (t *ackTracker) wakeDrainedLocked() {
+	for _, s := range t.subs {
+		if s.isDraining() {
+			s.wake()
 		}
 	}
 }
@@ -107,9 +122,9 @@ func (t *ackTracker) stats() (acked, replayed int64) {
 	return t.acked, t.replayed
 }
 
-// sweep finds overdue records, re-stamps them, and enqueues replay frames to
-// their intake partitions. Records exceeding maxReplays are dropped (and
-// counted by the caller via the returned count).
+// sweep finds overdue records, re-stamps them, and hands replay frames to
+// their intake partitions' subscriptions. Records exceeding maxReplays are
+// dropped (and counted by the caller via the returned count).
 func (t *ackTracker) sweep(now time.Time) (replayedNow int, dropped int) {
 	t.mu.Lock()
 	frames := make(map[int]*hyracks.Frame)
@@ -135,35 +150,36 @@ func (t *ackTracker) sweep(now time.Time) (replayedNow int, dropped int) {
 		replayedNow++
 	}
 	t.replayed += int64(replayedNow)
-	chans := make(map[int]chan *hyracks.Frame, len(frames))
+	if dropped > 0 && len(t.pending) == 0 {
+		t.wakeDrainedLocked()
+	}
+	subs := make(map[int]*Subscription, len(frames))
 	for p := range frames {
-		chans[p] = t.replayCh[p]
+		subs[p] = t.subs[p]
 	}
 	t.mu.Unlock()
 
+	// A partition with no subscription yet, or one that refuses the frame,
+	// leaves the records pending; they are swept again.
 	for p, f := range frames {
-		ch := chans[p]
-		if ch == nil {
-			continue
-		}
-		select {
-		case ch <- f:
-		default:
-			// Intake busy or gone; the records stay pending and will be
-			// swept again.
+		if s := subs[p]; s != nil {
+			s.replay(f)
 		}
 	}
 	return replayedNow, dropped
 }
 
-// runSweeper periodically sweeps until stop closes.
-func (t *ackTracker) runSweeper(stop <-chan struct{}) {
+// runSweeper periodically sweeps until stop closes, counting the records it
+// gives up on in dropped.
+func (t *ackTracker) runSweeper(stop <-chan struct{}, dropped *metrics.Counter) {
 	tick := time.NewTicker(t.timeout / 2)
 	defer tick.Stop()
 	for {
 		select {
 		case <-tick.C:
-			t.sweep(nowFunc())
+			if _, n := t.sweep(nowFunc()); n > 0 {
+				dropped.Add(int64(n))
+			}
 		case <-stop:
 			return
 		}

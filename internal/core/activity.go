@@ -35,6 +35,7 @@ func (m *Manager) registerConnMetricsLocked(conn *Connection) {
 	r.RegisterCounter(p+".soft_failures", &conn.Metrics.SoftFailures)
 	r.RegisterCounter(p+".store_errors", &conn.Metrics.StoreErrors)
 	r.RegisterCounter(p+".replayed", &conn.Metrics.Replayed)
+	r.RegisterCounter(p+".replay_dropped", &conn.Metrics.ReplayDropped)
 	r.RegisterLatency(p+".latency", conn.Metrics.IngestionLatency)
 	r.RegisterGaugeFunc(p+".backlog", func() int64 {
 		return int64(m.connSubscriptionStats(conn).Backlog)
@@ -142,18 +143,19 @@ type FeedActivity struct {
 	ComputeRate    float64 `json:"computeRate"`
 	PersistRate    float64 `json:"persistRate"`
 
-	Backlog      int    `json:"backlog"`
-	PendingAcks  int    `json:"pendingAcks"`
-	SoftFailures int64  `json:"softFailures"`
-	StoreErrors  int64  `json:"storeErrors"`
-	Replayed     int64  `json:"replayed"`
-	Discarded    int64  `json:"discarded"`
-	ThrottledOut int64  `json:"throttledOut"`
-	SpilledTotal int64  `json:"spilledTotal"`
-	SpilledBytes int64  `json:"spilledBytes"`
-	SpillErrors  int64  `json:"spillErrors"`
-	GovernorShed int64  `json:"governorShed"`
-	Priority     string `json:"priority"`
+	Backlog       int    `json:"backlog"`
+	PendingAcks   int    `json:"pendingAcks"`
+	SoftFailures  int64  `json:"softFailures"`
+	StoreErrors   int64  `json:"storeErrors"`
+	Replayed      int64  `json:"replayed"`
+	ReplayDropped int64  `json:"replayDropped"`
+	Discarded     int64  `json:"discarded"`
+	ThrottledOut  int64  `json:"throttledOut"`
+	SpilledTotal  int64  `json:"spilledTotal"`
+	SpilledBytes  int64  `json:"spilledBytes"`
+	SpillErrors   int64  `json:"spillErrors"`
+	GovernorShed  int64  `json:"governorShed"`
+	Priority      string `json:"priority"`
 
 	LatencyP50 time.Duration `json:"latencyP50Ns"`
 	LatencyP99 time.Duration `json:"latencyP99Ns"`
@@ -196,10 +198,11 @@ func (m *Manager) feedActivityOf(c *Connection) FeedActivity {
 		ComputeRate:    c.Metrics.Computed.LatestRate(),
 		PersistRate:    c.Metrics.Persisted.LatestRate(),
 
-		PendingAcks:  c.PendingAcks(),
-		SoftFailures: c.Metrics.SoftFailures.Value(),
-		StoreErrors:  c.Metrics.StoreErrors.Value(),
-		Replayed:     c.Metrics.Replayed.Value(),
+		PendingAcks:   c.PendingAcks(),
+		SoftFailures:  c.Metrics.SoftFailures.Value(),
+		StoreErrors:   c.Metrics.StoreErrors.Value(),
+		Replayed:      c.Metrics.Replayed.Value(),
+		ReplayDropped: c.Metrics.ReplayDropped.Value(),
 
 		LatencyP50: c.Metrics.IngestionLatency.Quantile(0.5),
 		LatencyP99: c.Metrics.IngestionLatency.Quantile(0.99),

@@ -312,7 +312,7 @@ func (m *Manager) ConnectFeed(dataverse, feedName, datasetName, policyName strin
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
-			conn.tracker.runSweeper(conn.trackerStop)
+			conn.tracker.runSweeper(conn.trackerStop, &conn.Metrics.ReplayDropped)
 		}()
 	}
 
@@ -680,8 +680,26 @@ func (m *Manager) teardownConnLocked(conn *Connection, graceful bool) {
 	job := conn.tailJob
 	conn.mu.Unlock()
 
+	var joints []*Joint
+	if p, ok := m.produced[conn.sourceSignature]; ok {
+		for part, loc := range p.locs {
+			if fm := m.feedManagerAt(loc); fm != nil {
+				if j, ok := fm.Joint(conn.sourceSignature, part); ok {
+					joints = append(joints, j)
+				}
+			}
+		}
+	}
 	if graceful {
+		// Each intake drains its subscription and ends (one subscribing
+		// after this sees disconnecting closed and unsubscribes itself).
 		conn.signalDisconnect()
+		var drained []*Subscription
+		for _, j := range joints {
+			if s := j.Unsubscribe(conn.subID); s != nil {
+				drained = append(drained, s)
+			}
+		}
 		if job != nil {
 			select {
 			case <-job.Done():
@@ -690,20 +708,18 @@ func (m *Manager) teardownConnLocked(conn *Connection, graceful bool) {
 				<-job.Done()
 			}
 		}
+		// A drain no intake finished is released here.
+		for _, s := range drained {
+			s.discardAndClose()
+		}
 	} else if job != nil {
 		job.Cancel()
 		<-job.Done()
 	}
 
 	// Drop this connection's subscription at the source joints.
-	if p, ok := m.produced[conn.sourceSignature]; ok {
-		for part, loc := range p.locs {
-			if fm := m.feedManagerAt(loc); fm != nil {
-				if j, ok := fm.Joint(conn.sourceSignature, part); ok {
-					j.DropSubscription(conn.subID)
-				}
-			}
-		}
+	for _, j := range joints {
+		j.DropSubscription(conn.subID)
 	}
 	for _, st := range conn.stages {
 		m.dropProductionLocked(st.signature, conn.id)

@@ -69,6 +69,9 @@ type ConnMetrics struct {
 	StoreErrors metrics.Counter
 	// Replayed counts at-least-once replays.
 	Replayed metrics.Counter
+	// ReplayDropped counts at-least-once records given up on after
+	// maxReplays replays went unacknowledged: records lost.
+	ReplayDropped metrics.Counter
 	// IngestionLatency samples record latency from intake to store.
 	IngestionLatency *metrics.LatencyRecorder
 }

@@ -206,10 +206,14 @@ func (j *Joint) Subscribe(subID string, pol *Policy, spillPath string) (*Subscri
 
 // Unsubscribe begins a graceful detach: the subscription receives no new
 // frames but its buffered backlog remains consumable until drained (§5.5).
-func (j *Joint) Unsubscribe(subID string) {
-	if s := j.remove(subID); s != nil {
+// It returns the subscription, now reachable only through its intake, or
+// nil when none was registered.
+func (j *Joint) Unsubscribe(subID string) *Subscription {
+	s := j.remove(subID)
+	if s != nil {
 		s.drainAndClose()
 	}
+	return s
 }
 
 // DropSubscription removes a subscription discarding its backlog; used when
@@ -354,7 +358,18 @@ type Subscription struct {
 	// adm, when set, is the node governor's admission handle for this
 	// subscription's connection.
 	adm *governor.Admission
+	// replays wait beside the queue, and leave Next before it: frames the
+	// tracker replays (ackTracker.sweep), outside the ledger, the backlog
+	// and the governor's bytes, which counted their records on arrival.
+	replays frameQueue
+	// tracker, set by ackTracker.attach, keeps a drained subscription open
+	// while it holds pending records, so their replays have a way in.
+	tracker *ackTracker
 }
+
+// maxReplayFrames bounds the replays waiting on a stalled or dead intake;
+// the records of a refused one stay pending and are swept again.
+const maxReplayFrames = 16
 
 // queuedFrame is one entry of a subscription's in-memory queue.
 type queuedFrame struct {
@@ -606,10 +621,7 @@ func (s *Subscription) enqueueLocked(f *hyracks.Frame) {
 	s.queue.push(queuedFrame{f, nowFunc()})
 	s.backlog += f.Len()
 	s.backlogBytes += int64(f.Bytes())
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
+	s.wake()
 }
 
 // spillRetryDelay spaces Next's attempts to read back a spill file whose
@@ -618,11 +630,19 @@ const spillRetryDelay = 10 * time.Millisecond
 
 // Next dequeues the next frame, blocking until one is available, the
 // subscription is drained-and-closed (ok=false), or cancel fires (ok=false
-// with canceled=true). A subscription is not drained while its spill file
-// holds frames: one that cannot be read back is retried, not skipped.
+// with canceled=true). Replay frames, which carry their tracking ids, come
+// before queued frames, which carry none. A subscription is not drained
+// while its spill file holds frames: one that cannot be read back is
+// retried, not skipped. Nor is it drained while its connection's tracker
+// holds pending records; the ack that empties the tracker wakes Next.
 func (s *Subscription) Next(cancel <-chan struct{}) (f *hyracks.Frame, ok bool) {
 	for {
 		s.mu.Lock()
+		if s.replays.n > 0 {
+			f = s.replays.pop().frame
+			s.mu.Unlock()
+			return f, true
+		}
 		if s.queue.n > 0 {
 			q := s.queue.pop()
 			f = q.frame
@@ -652,14 +672,25 @@ func (s *Subscription) Next(cancel <-chan struct{}) (f *hyracks.Frame, ok bool) 
 			return sf, true
 		}
 		var retry <-chan time.Time
-		if s.spill != nil && s.spill.pending() > 0 {
+		var held *ackTracker // drained, but for the tracker's pending records
+		switch {
+		case s.spill != nil && s.spill.pending() > 0:
 			retry = time.After(spillRetryDelay)
-		} else if s.closed || s.draining {
+		case s.closed || s.draining && s.tracker == nil:
+			s.closed = true
+			s.mu.Unlock()
+			return nil, false
+		case s.draining:
+			held = s.tracker
+		}
+		s.mu.Unlock()
+		// The tracker is read without s.mu: its lock comes before ours.
+		if held != nil && held.pendingCount() == 0 {
+			s.mu.Lock()
 			s.closed = true
 			s.mu.Unlock()
 			return nil, false
 		}
-		s.mu.Unlock()
 		select {
 		case <-s.notify:
 		case <-retry:
@@ -701,6 +732,26 @@ func (s *Subscription) requeue(f *hyracks.Frame) {
 	s.publishLocked()
 }
 
+// replay puts a replay frame beside the queue, unless the subscription is
+// closed or already holds maxReplayFrames.
+func (s *Subscription) replay(f *hyracks.Frame) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || s.replays.n >= maxReplayFrames {
+		return
+	}
+	s.replays.push(queuedFrame{frame: f})
+	s.wake()
+}
+
+// wake makes a blocked Next look again; one signal waiting is enough.
+func (s *Subscription) wake() {
+	select {
+	case s.notify <- struct{}{}:
+	default:
+	}
+}
+
 // Backlog reports the in-memory backlog in records.
 func (s *Subscription) Backlog() int {
 	s.mu.Lock()
@@ -714,19 +765,18 @@ func (s *Subscription) drainAndClose() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
+	s.wake()
 }
 
-// discardAndClose closes immediately, dropping buffered frames and any
-// spill file.
+// discardAndClose closes immediately, dropping buffered frames, waiting
+// replays and any spill file. The replays' records stay pending in the
+// tracker.
 func (s *Subscription) discardAndClose() {
 	s.mu.Lock()
 	s.closed = true
 	s.draining = true
 	s.queue = frameQueue{}
+	s.replays = frameQueue{}
 	s.backlog = 0
 	s.backlogBytes = 0
 	sp := s.spill
@@ -736,8 +786,5 @@ func (s *Subscription) discardAndClose() {
 	if sp != nil {
 		sp.close()
 	}
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
+	s.wake()
 }

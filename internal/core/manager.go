@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"asterixfeeds/internal/governor"
 	"asterixfeeds/internal/hyracks"
@@ -30,6 +29,9 @@ type FeedManager struct {
 
 	mu     sync.Mutex
 	joints map[jointKey]*Joint
+	// created is closed, and replaced, whenever CreateJoint registers a
+	// joint; WaitJoint waits on it.
+	created chan struct{}
 }
 
 type jointKey struct {
@@ -39,7 +41,7 @@ type jointKey struct {
 
 // NewFeedManager creates the feed manager for node.
 func NewFeedManager(node string) *FeedManager {
-	return &FeedManager{node: node, joints: make(map[jointKey]*Joint)}
+	return &FeedManager{node: node, joints: make(map[jointKey]*Joint), created: make(chan struct{})}
 }
 
 // Node returns the owning node's name.
@@ -91,6 +93,8 @@ func (m *FeedManager) CreateJoint(signature string, partition int) *Joint {
 	j := newJoint(signature, m.node, partition)
 	j.tracked = &m.tracked
 	m.joints[k] = j
+	close(m.created)
+	m.created = make(chan struct{})
 	return j
 }
 
@@ -103,18 +107,22 @@ func (m *FeedManager) Joint(signature string, partition int) (*Joint, bool) {
 	return j, ok
 }
 
-// WaitJoint polls for a joint to appear, returning nil if cancel fires
+// WaitJoint waits for a joint to appear, returning nil if cancel fires
 // first. Tail jobs may be scheduled moments before their head job has
 // registered its joints.
 func (m *FeedManager) WaitJoint(signature string, partition int, cancel <-chan struct{}) *Joint {
 	for {
-		if j, ok := m.Joint(signature, partition); ok {
+		m.mu.Lock()
+		j, ok := m.joints[jointKey{signature, partition}]
+		created := m.created
+		m.mu.Unlock()
+		if ok {
 			return j
 		}
 		select {
 		case <-cancel:
 			return nil
-		case <-time.After(2 * time.Millisecond):
+		case <-created:
 		}
 	}
 }

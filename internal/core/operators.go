@@ -278,62 +278,38 @@ func (r *intakeRuntime) Run() error {
 			sub.discardAndClose()
 		}
 	}()
-
-	// Pump subscription frames into a channel so the main loop can also
-	// service replays and disconnect signals.
-	frames := make(chan *hyracks.Frame)
-	pumpDone := make(chan struct{})
-	go func() {
-		defer close(frames)
-		for {
-			f, ok := sub.Next(r.ctx.Canceled)
-			if !ok {
-				return
-			}
-			select {
-			case frames <- f:
-			case <-r.ctx.Canceled:
-				// The frame is already out of the subscription queue but
-				// not yet handed downstream: put it back so the adopted
-				// subscription still holds it for the next intake.
-				sub.requeue(f)
-				return
-			case <-pumpDone:
-				sub.requeue(f)
-				return
-			}
-		}
-	}()
-	defer close(pumpDone)
-
-	// Watch for a graceful disconnect: unsubscribe so the subscription
-	// drains its backlog and then reports closed.
-	unsubDone := make(chan struct{})
-	go func() {
-		select {
-		case <-conn.disconnecting:
-			joint.Unsubscribe(conn.subID)
-		case <-unsubDone:
-		}
-	}()
-	defer close(unsubDone)
-
-	var replay <-chan *hyracks.Frame
 	if conn.tracker != nil {
-		replay = conn.tracker.register(r.ctx.Partition)
+		conn.tracker.attach(r.ctx.Partition, sub)
+	}
+	// A disconnect unsubscribes the subscriptions it finds at the source
+	// joints; one that began before this Subscribe found none, so drain
+	// here.
+	select {
+	case <-conn.disconnecting:
+		joint.Unsubscribe(conn.subID)
+	default:
 	}
 
+	// One loop takes everything from the subscription: frames, replays,
+	// and the end of the stream, which with at-least-once comes only once
+	// no record is pending.
 	for {
+		// A canceled intake takes no more frames: what is queued stays for
+		// the intake that adopts the subscription.
 		select {
-		case f, ok := <-frames:
-			if !ok {
-				// Upstream closed gracefully (disconnect drain, or the
-				// adaptor's source is exhausted). Tracked records may still
-				// be awaiting acknowledgment — closing the pipeline now
-				// would orphan their replays and break at-least-once.
-				return r.drainPendingReplays(replay)
-			}
-			out := f
+		case <-r.ctx.Canceled:
+			return nil
+		default:
+		}
+		f, ok := sub.Next(r.ctx.Canceled)
+		if !ok {
+			return nil
+		}
+		out := f
+		if len(f.IDs) > 0 {
+			// A replay: frames in joints carry no ids.
+			conn.Metrics.Replayed.Add(int64(f.Len()))
+		} else {
 			if conn.tracker != nil {
 				// A new header over the subscription's record slice: f may
 				// be shared with other subscribers, the ids are this
@@ -341,47 +317,17 @@ func (r *intakeRuntime) Run() error {
 				out = &hyracks.Frame{Records: f.Records, IDs: conn.tracker.track(r.ctx.Partition, f.Records)}
 			}
 			conn.Metrics.Collected.Add(int64(f.Len()))
-			if err := r.out.NextFrame(out); err != nil {
-				return nil
+		}
+		if err := r.out.NextFrame(out); err != nil {
+			// The job is ending. A tracked frame is left to its replay; an
+			// untracked one has none, so it goes back to the subscription
+			// the next intake adopts.
+			if len(out.IDs) == 0 {
+				sub.requeue(f)
 			}
-		case f := <-replay:
-			conn.Metrics.Replayed.Add(int64(f.Len()))
-			if err := r.out.NextFrame(f); err != nil {
-				return nil
-			}
-		case <-r.ctx.Canceled:
 			return nil
 		}
 	}
-}
-
-// drainPendingReplays keeps the intake→store path open after the upstream
-// source closed, servicing ack-timeout replays until no tracked record is
-// pending. Without this, a record lost downstream (node death, dropped ack)
-// near the end of the stream would be replayed into a pipeline that no
-// longer exists and silently dropped once it exceeded its replay budget.
-// Termination is bounded: every pending record is either acked or dropped
-// by the sweeper after maxReplays attempts.
-func (r *intakeRuntime) drainPendingReplays(replay <-chan *hyracks.Frame) error {
-	conn := r.op.conn
-	if conn.tracker == nil {
-		return nil
-	}
-	for conn.tracker.pendingCount() > 0 {
-		select {
-		case f := <-replay:
-			conn.Metrics.Replayed.Add(int64(f.Len()))
-			if err := r.out.NextFrame(f); err != nil {
-				return nil
-			}
-		case <-r.ctx.Canceled:
-			return nil
-		case <-time.After(5 * time.Millisecond):
-			// Re-check: acks may have arrived, or another partition's
-			// records may be the only ones left pending.
-		}
-	}
-	return nil
 }
 
 func spillDir(ctx *hyracks.TaskContext) string {

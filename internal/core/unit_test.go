@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -306,9 +307,21 @@ func TestExceptionLogRing(t *testing.T) {
 	}
 }
 
+// closedCh is a closed channel: a Next given it as cancel returns what is
+// waiting and does not block.
+func closedCh() <-chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}
+
 func TestAckTrackerLifecycle(t *testing.T) {
 	tr := newAckTracker(50 * time.Millisecond)
-	ch := tr.register(0)
+	sub, err := newSubscription("s", &Policy{MemoryBudgetRecords: 100}, "", new(atomic.Int64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.attach(0, sub)
 	r2 := []byte("r2")
 	ids := tr.track(0, [][]byte{[]byte("r1"), r2})
 	id1, id2 := ids[0], ids[1]
@@ -331,13 +344,12 @@ func TestAckTrackerLifecycle(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("replayed = %d, want 1", n)
 	}
-	select {
-	case f := <-ch:
-		if f.Len() != 1 || len(f.IDs) != 1 || f.IDs[0] != id2 || &f.Records[0][0] != &r2[0] {
-			t.Fatalf("replay frame wrong: ids %v records %q (want the retained bytes, not a copy)", f.IDs, f.Records)
-		}
-	default:
+	f, ok := sub.Next(closedCh())
+	if !ok {
 		t.Fatal("no replay frame delivered")
+	}
+	if f.Len() != 1 || len(f.IDs) != 1 || f.IDs[0] != id2 || &f.Records[0][0] != &r2[0] {
+		t.Fatalf("replay frame wrong: ids %v records %q (want the retained bytes, not a copy)", f.IDs, f.Records)
 	}
 	acked, replayed := tr.stats()
 	if acked != 1 || replayed != 1 {
@@ -347,17 +359,18 @@ func TestAckTrackerLifecycle(t *testing.T) {
 
 func TestAckTrackerDropsAfterMaxReplays(t *testing.T) {
 	tr := newAckTracker(time.Nanosecond)
-	tr.register(0)
+	sub, err := newSubscription("s", &Policy{MemoryBudgetRecords: 100}, "", new(atomic.Int64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.attach(0, sub)
 	tr.track(0, [][]byte{[]byte("r")})
 	dropped := 0
 	for i := 0; i < maxReplays+2; i++ {
 		_, d := tr.sweep(time.Now().Add(time.Hour))
 		dropped += d
-		// Drain the replay channel so frames don't pile up.
-		select {
-		case <-tr.replayCh[0]:
-		default:
-		}
+		// Take the replay so frames don't pile up.
+		sub.Next(closedCh())
 	}
 	if dropped != 1 || tr.pendingCount() != 0 {
 		t.Fatalf("dropped = %d pending = %d", dropped, tr.pendingCount())

@@ -171,17 +171,6 @@ func (r *router) NextFrame(f *Frame) error {
 		q := r.queues[r.rr%len(r.queues)]
 		r.rr++
 		return q.send(f, r.canceled)
-	case MToNReplicate:
-		for i, q := range r.queues {
-			out := f
-			if i > 0 {
-				out = f.Clone()
-			}
-			if err := q.send(out, r.canceled); err != nil {
-				return err
-			}
-		}
-		return nil
 	case MToNHashPartition:
 		n := len(r.queues)
 		if n == 1 {
@@ -270,54 +259,6 @@ func (r *router) Close() error {
 // framework invokes when the task unwinds.
 func (r *router) Fail(error) { _ = r.Close() }
 
-// multiWriter fans a producer's output to several routers (one per outbound
-// connector).
-type multiWriter struct {
-	outs []Writer
-}
-
-// Open implements Writer.
-func (m *multiWriter) Open() error {
-	for _, o := range m.outs {
-		if err := o.Open(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// NextFrame implements Writer.
-func (m *multiWriter) NextFrame(f *Frame) error {
-	for i, o := range m.outs {
-		out := f
-		if i > 0 {
-			out = f.Clone()
-		}
-		if err := o.NextFrame(out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close implements Writer.
-func (m *multiWriter) Close() error {
-	var first error
-	for _, o := range m.outs {
-		if err := o.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Fail implements Writer.
-func (m *multiWriter) Fail(err error) {
-	for _, o := range m.outs {
-		o.Fail(err)
-	}
-}
-
 // StartJob validates, schedules, and launches a job's tasks, returning a
 // handle immediately. Task errors fail the job and cancel its other tasks.
 func (c *Cluster) StartJob(spec *JobSpec) (*JobHandle, error) {
@@ -397,29 +338,33 @@ func (c *Cluster) StartJob(spec *JobSpec) (*JobHandle, error) {
 		inQueues[opID] = qs
 	}
 
-	// Build per-task output writers.
-	outbound := make(map[OperatorID][]Connector)
+	// Build per-task output writers: a router over the operator's outbound
+	// connector (Validate allows at most one), else a NopWriter.
+	outbound := make(map[OperatorID]Connector)
 	for _, conn := range spec.conn {
-		outbound[conn.From.Op] = append(outbound[conn.From.Op], conn)
+		outbound[conn.From.Op] = conn
 	}
 
 	type task struct {
-		opID    OperatorID
-		part    int
-		node    *NodeController
-		out     Writer
-		routers []*router
-		in      *inQueue
+		opID   OperatorID
+		part   int
+		node   *NodeController
+		out    Writer
+		router *router // out when the operator has an outbound connector
+		in     *inQueue
+	}
+	// release frees the consumer queues a task's router feeds.
+	release := func(tk *task) {
+		if tk.router != nil {
+			_ = tk.router.Close()
+		}
 	}
 	var tasks []*task
 	for opID := range spec.ops {
 		id := OperatorID(opID)
 		for p, loc := range locations[opID] {
-			node := c.Node(loc)
-			tk := &task{opID: id, part: p, node: node}
-			conns := outbound[id]
-			var outs []Writer
-			for _, conn := range conns {
+			tk := &task{opID: id, part: p, node: c.Node(loc), out: NopWriter{}}
+			if conn, ok := outbound[id]; ok {
 				rt := &router{
 					strategy: conn.Strategy,
 					keyHash:  conn.KeyHash,
@@ -430,16 +375,7 @@ func (c *Cluster) StartJob(spec *JobSpec) (*JobHandle, error) {
 				if conn.Strategy == OneToOne && len(rt.queues) != len(locations[opID]) {
 					return nil, fmt.Errorf("hyracks: job %q: OneToOne connector between operators of unequal parallelism", spec.Name)
 				}
-				tk.routers = append(tk.routers, rt)
-				outs = append(outs, rt)
-			}
-			switch len(outs) {
-			case 0:
-				tk.out = NopWriter{}
-			case 1:
-				tk.out = outs[0]
-			default:
-				tk.out = &multiWriter{outs: outs}
+				tk.out, tk.router = rt, rt
 			}
 			if qs, ok := inQueues[id]; ok {
 				tk.in = qs[p]
@@ -475,14 +411,10 @@ func (c *Cluster) StartJob(spec *JobSpec) (*JobHandle, error) {
 			// Release all queues the already-built routers feed so that
 			// nothing deadlocks, then report.
 			for _, r := range runnables {
-				for _, rt := range r.routers {
-					_ = rt.Close()
-				}
+				release(r.task)
 				closeCancel(r)
 			}
-			for _, r := range tk.routers {
-				_ = r.Close()
-			}
+			release(tk)
 			return nil, fmt.Errorf("hyracks: job %q: creating %s[%d]: %w",
 				spec.Name, spec.ops[tk.opID].desc.Name(), tk.part, err)
 		}
@@ -514,9 +446,7 @@ func (c *Cluster) StartJob(spec *JobSpec) (*JobHandle, error) {
 		go func() {
 			defer j.doneWG.Done()
 			defer func() {
-				for _, rt := range r.routers {
-					_ = rt.Close()
-				}
+				release(r.task)
 				closeCancel(r)
 			}()
 			err := c.runTask(j, r.rt, r.in, r.node, r.cancel, spec.ops[r.opID].desc.Name())

@@ -53,18 +53,6 @@ func (f *Frame) Slice(lo, hi int) *Frame {
 	return out
 }
 
-// Clone returns a deep copy of the frame.
-func (f *Frame) Clone() *Frame {
-	out := NewFrame(f.Len())
-	out.IDs = append(out.IDs, f.IDs...)
-	for _, r := range f.Records {
-		cp := make([]byte, len(r))
-		copy(cp, r)
-		out.Append(cp)
-	}
-	return out
-}
-
 // Writer is the push-based dataflow interface between operator tasks,
 // mirroring Hyracks' IFrameWriter. A producer calls Open once, NextFrame any
 // number of times, and then exactly one of Close (graceful end of stream) or

@@ -286,7 +286,7 @@ func TestHashPartitionRoutesByKey(t *testing.T) {
 			}
 		}
 
-		for _, strategy := range []ConnectorStrategy{OneToOne, MToNRandomPartition, MToNReplicate, MToNHashPartition} {
+		for _, strategy := range []ConnectorStrategy{OneToOne, MToNRandomPartition, MToNHashPartition} {
 			r := &router{strategy: strategy, keyHash: leUint64Hash, queues: queues}
 			bad := &Frame{Records: in.Records[:2], IDs: in.IDs[:1]}
 			if err := r.NextFrame(bad); err == nil {
@@ -388,28 +388,6 @@ func TestRandomPartitionBalances(t *testing.T) {
 	defer sink.mu.Unlock()
 	if len(sink.recs["A"]) == 0 || len(sink.recs["B"]) == 0 {
 		t.Fatalf("round robin left a consumer idle: A=%d B=%d", len(sink.recs["A"]), len(sink.recs["B"]))
-	}
-}
-
-func TestReplicateDeliversToAll(t *testing.T) {
-	c := NewCluster(testConfig(), "A", "B")
-	defer c.Close()
-
-	spec := &JobSpec{Name: "repl"}
-	sink := newCollectOp()
-	gen := spec.AddOperator(&genOp{count: 50}, CountConstraint(1))
-	col := spec.AddOperator(sink, LocationConstraint("A", "B"))
-	spec.Connect(gen, col, MToNReplicate, nil)
-
-	j, err := c.StartJob(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.total() != 100 {
-		t.Fatalf("replicate delivered %d, want 100", sink.total())
 	}
 }
 
@@ -606,6 +584,18 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	if err := noHash.Validate(); err == nil {
 		t.Error("hash connector without KeyHash validated")
 	}
+
+	// An operator's output goes through one connector; there is no
+	// fan-out writer behind a second one.
+	fanOut := &JobSpec{Name: "fanout"}
+	src := fanOut.AddOperator(&genOp{}, CountConstraint(1))
+	c1 := fanOut.AddOperator(newCollectOp(), CountConstraint(1))
+	c2 := fanOut.AddOperator(newCollectOp(), CountConstraint(1))
+	fanOut.Connect(src, c1, OneToOne, nil)
+	fanOut.Connect(src, c2, OneToOne, nil)
+	if err := fanOut.Validate(); err == nil {
+		t.Error("second outbound connector validated")
+	}
 }
 
 func TestPinToDeadNodeIsRejected(t *testing.T) {
@@ -706,28 +696,18 @@ func TestFrameHelpers(t *testing.T) {
 	if f.Len() != 2 || f.Bytes() != 3 {
 		t.Fatalf("Len/Bytes = %d/%d", f.Len(), f.Bytes())
 	}
-	cl := f.Clone()
-	cl.Records[0][0] = 9
-	if f.Records[0][0] != 1 {
-		t.Fatal("Clone shares record storage")
-	}
 	sl := f.Slice(1, 2)
 	if sl.Len() != 1 || sl.Records[0][0] != 3 {
 		t.Fatalf("Slice = %v", sl.Records)
 	}
-	if len(cl.IDs) != 0 || len(sl.IDs) != 0 {
-		t.Fatalf("untracked frame grew ids: Clone %v, Slice %v", cl.IDs, sl.IDs)
+	if len(sl.IDs) != 0 {
+		t.Fatalf("untracked frame grew ids: Slice %v", sl.IDs)
 	}
 
 	// The IDs column stays aligned with Records through every helper.
 	f.IDs = []uint64{10, 11}
 	if f.Bytes() != 3+2*8 {
 		t.Fatalf("tracked Bytes = %d, want records + 8 per id", f.Bytes())
-	}
-	cl = f.Clone()
-	cl.IDs[0] = 99
-	if len(cl.IDs) != 2 || cl.IDs[1] != 11 || f.IDs[0] != 10 {
-		t.Fatalf("Clone ids = %v (source %v)", cl.IDs, f.IDs)
 	}
 	sl = f.Slice(1, 2)
 	if len(sl.IDs) != 1 || sl.IDs[0] != 11 {

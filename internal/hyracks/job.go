@@ -100,8 +100,6 @@ const (
 	// MToNRandomPartition routes records round-robin across consumer
 	// partitions.
 	MToNRandomPartition
-	// MToNReplicate delivers every frame to every consumer partition.
-	MToNReplicate
 )
 
 // Connector joins a producer operator to a consumer operator.
@@ -156,6 +154,7 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("hyracks: job %q has no operators", s.Name)
 	}
 	inbound := make(map[OperatorID]int)
+	outbound := make(map[OperatorID]int)
 	for _, c := range s.conn {
 		if int(c.From.Op) >= len(s.ops) || int(c.To.Op) >= len(s.ops) {
 			return fmt.Errorf("hyracks: job %q connector references unknown operator", s.Name)
@@ -167,10 +166,16 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("hyracks: job %q hash connector without KeyHash", s.Name)
 		}
 		inbound[c.To.Op]++
+		outbound[c.From.Op]++
 	}
 	for to, n := range inbound {
 		if n > 1 {
 			return fmt.Errorf("hyracks: job %q operator %d has %d inbound connectors; at most 1 supported", s.Name, to, n)
+		}
+	}
+	for from, n := range outbound {
+		if n > 1 {
+			return fmt.Errorf("hyracks: job %q operator %d has %d outbound connectors; at most 1 supported", s.Name, from, n)
 		}
 	}
 	return nil
