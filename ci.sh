@@ -162,8 +162,9 @@ if [ "${1:-}" = "-race" ]; then
 	go test -race -count=20 -run 'MergeFilter' ./internal/lsm/
 	# The intake's one loop: replays through the subscription, the wake on
 	# the ack that empties the tracker, a disconnect that precedes
-	# Subscribe, and one goroutine per intake instance.
-	go test -race -count=20 -run 'IntakeIsOneGoroutine|SubscriptionReplays|ReplayDroppedIsCounted|IntakeDrainsWhenDisconnectPrecedesSubscribe|AckTracker' ./internal/core/
+	# Subscribe (also with a parked subscription left by a tail rebuild),
+	# and one goroutine per intake instance.
+	go test -race -count=20 -run 'IntakeIsOneGoroutine|SubscriptionReplays|ReplayDroppedIsCounted|IntakeDrainsWhenDisconnectPrecedesSubscribe|DisconnectDrainsParkedSubscription|AckTracker' ./internal/core/
 	# End-to-end replication and restart tests: the promotion/resync and
 	# recovery paths are the most concurrency-sensitive in the stack. The
 	# socket and file adaptors ride along: they hand the pipeline copies out

@@ -27,9 +27,10 @@ type Options struct {
 	// ElasticInterval is how often elastic connections are evaluated.
 	ElasticInterval time.Duration
 	// FaultHook, when non-nil, is consulted at the feed manager's own
-	// failure points ("ack:<node>" before ack delivery, "resync:insert"
-	// per record during replica re-sync, "spill:push" before a
-	// subscription spill write). A non-nil return injects that failure.
+	// failure points ("ack:<node>" before ack delivery, "subscribe:<node>"
+	// before an intake subscribes, "resync:insert" per record during
+	// replica re-sync, "spill:push" before a subscription spill write). A
+	// non-nil return injects that failure.
 	// Only fault-injection harnesses set this (see internal/chaos).
 	FaultHook func(point string) error
 	// Registry, when non-nil, is the named-metric registry the manager
@@ -691,13 +692,14 @@ func (m *Manager) teardownConnLocked(conn *Connection, graceful bool) {
 		}
 	}
 	if graceful {
-		// Each intake drains its subscription and ends (one subscribing
-		// after this sees disconnecting closed and unsubscribes itself).
+		// Each intake drains its subscription and ends. The subscription
+		// drains where it is registered, so an intake that re-attaches to
+		// it after this still takes its backlog; one subscribing after
+		// this sees disconnecting closed and drains itself.
 		conn.signalDisconnect()
-		var drained []*Subscription
 		for _, j := range joints {
-			if s := j.Unsubscribe(conn.subID); s != nil {
-				drained = append(drained, s)
+			if s, ok := j.Subscription(conn.subID); ok {
+				s.drainAndClose()
 			}
 		}
 		if job != nil {
@@ -707,10 +709,6 @@ func (m *Manager) teardownConnLocked(conn *Connection, graceful bool) {
 				job.Cancel()
 				<-job.Done()
 			}
-		}
-		// A drain no intake finished is released here.
-		for _, s := range drained {
-			s.discardAndClose()
 		}
 	} else if job != nil {
 		job.Cancel()

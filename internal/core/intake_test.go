@@ -216,11 +216,11 @@ func (o *sinkOp) CreateRuntime(*hyracks.TaskContext, hyracks.Writer) (hyracks.Op
 	}), nil
 }
 
-// TestIntakeDrainsWhenDisconnectPrecedesSubscribe: a disconnect unsubscribes
-// what it finds at the source joints. An intake that subscribes (here,
-// re-attaches to a parked subscription) after the disconnect began must
-// unsubscribe itself, drain the backlog and end its job — not wait for the
-// teardown's timeout to cancel it.
+// TestIntakeDrainsWhenDisconnectPrecedesSubscribe: a disconnect drains what
+// it finds at the source joints. An intake that subscribes (here,
+// re-attaches to a parked subscription no teardown marked) after the
+// disconnect began must drain it itself, deliver the backlog and end its
+// job — not wait for the teardown's timeout to cancel it.
 func TestIntakeDrainsWhenDisconnectPrecedesSubscribe(t *testing.T) {
 	cluster := hyracks.NewCluster(hyracks.Config{QueueDepth: 8}, "A")
 	defer cluster.Close()
@@ -268,7 +268,77 @@ func TestIntakeDrainsWhenDisconnectPrecedesSubscribe(t *testing.T) {
 	if sink.recs != 10 {
 		t.Fatalf("drain delivered %d records, want the 10 parked", sink.recs)
 	}
-	if joint.HasSubscribers() || fm.TrackedBytes() != 0 {
-		t.Fatalf("after the drain: subscribers %v, tracked bytes %d; want none", joint.Subscribers(), fm.TrackedBytes())
+	// Still registered: the teardown drops it once the job has ended.
+	if sub, ok := joint.Subscription(conn.subID); !ok || !sub.isDraining() || sub.Backlog() != 0 || fm.TrackedBytes() != 0 {
+		t.Fatalf("after the drain: subscription %v (registered %v), tracked bytes %d; want it drained and empty", sub, ok, fm.TrackedBytes())
+	}
+}
+
+// TestDisconnectDrainsParkedSubscription: a tail rebuilt just before a
+// graceful disconnect leaves its subscription parked at the source joint,
+// holding what arrived while no intake ran. The disconnect runs between
+// the new job's start and its intake's Subscribe. It must drain the parked
+// subscription where it is registered, so the late intake re-attaches to
+// it and every record reaches the store.
+func TestDisconnectDrainsParkedSubscription(t *testing.T) {
+	const records = 300
+	h := newHarness(t, "A")
+	ds := h.declareTweetDataset("Tweets")
+	h.declarePrimaryFeed("F", makeGen(records, time.Millisecond), 1, "")
+	var parked atomic.Pointer[Subscription]
+	atSubscribe := make(chan struct{})
+	h.mgr.opt.FaultHook = func(point string) error {
+		p := parked.Load()
+		if point != "subscribe:A" || p == nil {
+			return nil
+		}
+		close(atSubscribe)
+		// Hold the intake until the disconnect has marked the parked
+		// subscription.
+		for deadline := time.Now().Add(10 * time.Second); !p.isDraining() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}
+	conn, err := h.mgr.ConnectFeed("feeds", "F", "Tweets", "AtLeastOnce")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "the first records stored", func() bool { return h.datasetCount(ds) >= 20 })
+	joint, ok := feedManagerOn(h.cluster.Node("A")).Joint(conn.sourceSignature, 0)
+	if !ok {
+		t.Fatal("no source joint")
+	}
+	sub, ok := joint.Subscription(conn.subID)
+	if !ok {
+		t.Fatal("no subscription at the source joint")
+	}
+	parked.Store(sub)
+
+	h.mgr.mu.Lock()
+	err = h.mgr.rebuildTailLocked(conn)
+	h.mgr.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-atSubscribe:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the rebuilt intake never reached Subscribe")
+	}
+	waitFor(t, 10*time.Second, "every record deposited", func() bool {
+		_, n := joint.Deposited()
+		return n == records
+	})
+	if sub.Backlog() == 0 {
+		t.Fatal("the parked subscription holds nothing: the test lost its interleaving")
+	}
+	if err := h.mgr.DisconnectFeed("feeds", "F", "Tweets"); err != nil {
+		t.Fatal(err)
+	}
+	// A disconnect stops persisting, and the store acks what it no longer
+	// writes: every record reached the store once its id was acked.
+	if acked, _ := conn.tracker.stats(); conn.Metrics.Collected.Total() != records || acked != records {
+		t.Fatalf("intakes took %d records and the store acked %d, want all %d", conn.Metrics.Collected.Total(), acked, records)
 	}
 }

@@ -206,14 +206,10 @@ func (j *Joint) Subscribe(subID string, pol *Policy, spillPath string) (*Subscri
 
 // Unsubscribe begins a graceful detach: the subscription receives no new
 // frames but its buffered backlog remains consumable until drained (§5.5).
-// It returns the subscription, now reachable only through its intake, or
-// nil when none was registered.
-func (j *Joint) Unsubscribe(subID string) *Subscription {
-	s := j.remove(subID)
-	if s != nil {
+func (j *Joint) Unsubscribe(subID string) {
+	if s := j.remove(subID); s != nil {
 		s.drainAndClose()
 	}
-	return s
 }
 
 // DropSubscription removes a subscription discarding its backlog; used when
@@ -255,12 +251,13 @@ func (j *Joint) Deposit(f *hyracks.Frame) {
 // gated at: the maximum class over non-lossy subscribers (their intake can
 // only be slowed, not shed). ok is false when every subscriber is lossy —
 // then the head must not block, because the subscriptions shed refused
-// frames themselves.
+// frames themselves. A draining subscriber takes no new frames, so it does
+// not count.
 func (j *Joint) headClass() (cls governor.Class, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for _, s := range j.subs {
-		if s.pol.Discard || s.pol.Throttle {
+		if s.pol.Discard || s.pol.Throttle || s.isDraining() {
 			continue
 		}
 		if !ok || s.pol.Priority > cls {

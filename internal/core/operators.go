@@ -222,8 +222,9 @@ func (s *batchingSink) stop() {
 
 type intakeOp struct {
 	conn *Connection
-	// fault is the manager's injection hook (Options.FaultHook); installed
-	// on the subscription as its spill fault. Nil in production.
+	// fault is the manager's injection hook (Options.FaultHook); consulted
+	// before subscribing, and installed on the subscription as its spill
+	// fault. Nil in production.
 	fault func(point string) error
 }
 
@@ -258,6 +259,11 @@ func (r *intakeRuntime) Run() error {
 	if joint == nil {
 		return nil // canceled while waiting
 	}
+	if r.op.fault != nil {
+		if err := r.op.fault("subscribe:" + r.ctx.NodeID); err != nil {
+			return err
+		}
+	}
 	spillPath := filepath.Join(spillDir(r.ctx), fmt.Sprintf("%s-p%d.spill", sanitize(conn.subID), r.ctx.Partition))
 	sub, err := joint.Subscribe(conn.subID, conn.pol, spillPath)
 	if err != nil {
@@ -270,23 +276,16 @@ func (r *intakeRuntime) Run() error {
 	if g := governorOf(r.ctx); g != nil {
 		sub.SetAdmission(g.Admission("feed:"+conn.id, conn.pol.Priority))
 	}
-	// Unsubscribed or dropped, the subscription is reachable only from this
-	// intake: whatever it still holds when the intake leaves — a drain cut
-	// short, its spill file — is released with it.
-	defer func() {
-		if sub.isDraining() {
-			sub.discardAndClose()
-		}
-	}()
 	if conn.tracker != nil {
 		conn.tracker.attach(r.ctx.Partition, sub)
 	}
-	// A disconnect unsubscribes the subscriptions it finds at the source
-	// joints; one that began before this Subscribe found none, so drain
-	// here.
+	// A disconnect drains the subscriptions it finds at the source joints;
+	// one that began before this Subscribe may have found none, so drain
+	// here. The subscription stays registered: the disconnect drops it
+	// once this job has ended.
 	select {
 	case <-conn.disconnecting:
-		joint.Unsubscribe(conn.subID)
+		sub.drainAndClose()
 	default:
 	}
 
