@@ -109,6 +109,26 @@ if grep -rnE "$intakeforks" internal/core --include='*.go' --exclude='*_test.go'
 fi
 echo "intake: one goroutine"
 
+# A frame is stored in one call: InsertFrame names every record it refuses,
+# and the store stage puts the survivors in one more call. Re-slicing a frame
+# into one-record frames brings back the retry that costs one WAL append per
+# record per tree (381 for a frame of 128 with one refusal, against 3).
+if grep -rnE 'Records\[[[:alnum:]_]+ *: *[[:alnum:]_]+ *\+ *1\]' internal/core --include='*.go' --exclude='*_test.go' >/dev/null 2>&1; then
+	echo "a one-record re-slice of a frame is back in internal/core:" >&2
+	grep -rnE 'Records\[[[:alnum:]_]+ *: *[[:alnum:]_]+ *\+ *1\]' internal/core --include='*.go' --exclude='*_test.go' >&2 || true
+	exit 1
+fi
+# Every writer of a dataset partition opens it, and its replica, through
+# core.OpenStoreTarget, by the task's partition index. Storage's
+# OpenPartition takes the node's first slot in the nodegroup: wrong after a
+# promotion, and it never opens the replica.
+if grep -nE 'OpenPartition\(' ./*.go 2>/dev/null | grep -v '_test\.go:' >/dev/null 2>&1; then
+	echo "a root-package writer opens its partition with OpenPartition again:" >&2
+	grep -nE 'OpenPartition\(' ./*.go | grep -v '_test\.go:' >&2 || true
+	exit 1
+fi
+echo "store: one call per frame, one store target"
+
 go test ./...
 echo "test: ok"
 
@@ -158,13 +178,16 @@ if [ "${1:-}" = "-race" ]; then
 	# every read, run twenty times over for the same reason. So do the blind
 	# retry and the secondaries' merge filters, which probe the primary from
 	# the compactor while frames write it.
-	go test -race -short -count=20 -run 'BesideStalled|PartitionMatchesModel|UpsertRetry|MergeDropsStale|MergeFilterKeeps' ./internal/storage/
+	go test -race -short -count=20 -run 'BesideStalled|PartitionMatchesModel|UpsertRetry|MergeDropsStale|MergeFilterKeeps|NamesEveryRefusal|FaultFallback' ./internal/storage/
 	go test -race -count=20 -run 'MergeFilter' ./internal/lsm/
 	# The intake's one loop: replays through the subscription, the wake on
 	# the ack that empties the tracker, a disconnect that precedes
 	# Subscribe (also with a parked subscription left by a tail rebuild),
 	# and one goroutine per intake instance.
 	go test -race -count=20 -run 'IntakeIsOneGoroutine|SubscriptionReplays|ReplayDroppedIsCounted|IntakeDrainsWhenDisconnectPrecedesSubscribe|DisconnectDrainsParkedSubscription|AckTracker' ./internal/core/
+	# The store stage's one call per frame: refusals as soft failures in
+	# frame order, their acks beside the survivors' one insert.
+	go test -race -count=20 -run 'StoreRefusal' ./internal/core/
 	# End-to-end replication and restart tests: the promotion/resync and
 	# recovery paths are the most concurrency-sensitive in the stack. The
 	# socket and file adaptors ride along: they hand the pipeline copies out

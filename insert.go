@@ -6,6 +6,7 @@ import (
 
 	"asterixfeeds/internal/adm"
 	"asterixfeeds/internal/aql"
+	"asterixfeeds/internal/core"
 	"asterixfeeds/internal/hyracks"
 	"asterixfeeds/internal/storage"
 )
@@ -77,7 +78,7 @@ func (in *Instance) InsertRecords(dataset string, recs []*adm.Record) error {
 func (in *Instance) runInsertJob(ds *storage.Dataset, recs [][]byte) error {
 	spec := &hyracks.JobSpec{Name: "insert:" + ds.QualifiedName()}
 	src := spec.AddOperator(&insertSourceOp{recs: recs}, hyracks.CountConstraint(1))
-	sink := spec.AddOperator(&insertStoreOp{ds: ds}, hyracks.LocationConstraint(ds.NodeGroup...))
+	sink := spec.AddOperator(&insertStoreOp{ds: ds, cluster: in.cluster}, hyracks.LocationConstraint(ds.NodeGroup...))
 	spec.Connect(src, sink, hyracks.MToNHashPartition, ds.KeyHashFunc())
 	job, err := in.cluster.StartJob(spec)
 	if err != nil {
@@ -135,12 +136,13 @@ func (r *insertSourceRuntime) Run() error {
 	return nil
 }
 
-// insertStoreOp inserts incoming records into the local dataset partition,
-// updating its secondary indexes; unlike the feed store operator it has no
-// soft-failure sandbox: a bad record fails the statement, as a conventional
-// insert would.
+// insertStoreOp inserts incoming records into the task's partition and its
+// replica, opened as the feed store stage opens them (core.OpenStoreTarget);
+// unlike that stage it has no soft-failure sandbox: a bad record fails the
+// statement, as a conventional insert would.
 type insertStoreOp struct {
-	ds *storage.Dataset
+	ds      *storage.Dataset
+	cluster *hyracks.Cluster
 }
 
 // Name implements hyracks.OperatorDescriptor.
@@ -148,20 +150,16 @@ func (o *insertStoreOp) Name() string { return "IndexInsert(" + o.ds.QualifiedNa
 
 // CreateRuntime implements hyracks.OperatorDescriptor.
 func (o *insertStoreOp) CreateRuntime(ctx *hyracks.TaskContext, out hyracks.Writer) (hyracks.OperatorRuntime, error) {
-	sm, _ := ctx.Service(storage.ServiceName).(*storage.Manager)
-	if sm == nil {
-		return nil, fmt.Errorf("asterixfeeds: node %s has no storage manager", ctx.NodeID)
-	}
-	part, err := sm.OpenPartition(o.ds)
+	target, err := core.OpenStoreTarget(ctx, o.cluster, o.ds)
 	if err != nil {
 		return nil, err
 	}
-	return &insertStoreRuntime{out: out, part: part}, nil
+	return &insertStoreRuntime{out: out, target: target}, nil
 }
 
 type insertStoreRuntime struct {
-	out  hyracks.Writer
-	part *storage.Partition
+	out    hyracks.Writer
+	target *core.StoreTarget
 }
 
 func (r *insertStoreRuntime) Open() error { return r.out.Open() }
@@ -171,7 +169,7 @@ func (r *insertStoreRuntime) NextFrame(f *hyracks.Frame) error {
 	// one pass per index (group commit). InsertFrame validates every record
 	// before mutating anything, so a bad record fails the statement without
 	// a partial prefix landing in the indexes.
-	if err := r.part.InsertFrame(f.Records); err != nil {
+	if err := r.target.InsertFrame(f.Records); err != nil {
 		return err
 	}
 	return r.out.NextFrame(f)

@@ -677,9 +677,7 @@ func (m *Manager) sweepKeepAlivesLocked() {
 // teardownConnLocked stops a connection's tail (gracefully draining when
 // graceful) and releases its productions and head reference.
 func (m *Manager) teardownConnLocked(conn *Connection, graceful bool) {
-	conn.mu.Lock()
-	job := conn.tailJob
-	conn.mu.Unlock()
+	job := conn.tail()
 
 	var joints []*Joint
 	if p, ok := m.produced[conn.sourceSignature]; ok {

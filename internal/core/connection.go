@@ -255,6 +255,13 @@ func (c *Connection) setState(s ConnState) {
 	c.mu.Unlock()
 }
 
+// tail returns the connection's tail job, or nil.
+func (c *Connection) tail() *hyracks.JobHandle {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.tailJob
+}
+
 func (c *Connection) signalDisconnect() {
 	c.discOnce.Do(func() { close(c.disconnecting) })
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -500,7 +501,7 @@ func TestComputeNodeFailureRecovery(t *testing.T) {
 	intake, _, _ := conn.Locations()
 	victim := ""
 	for _, c := range compute {
-		if !containsStr(intake, c) && c != "A" && c != "B" {
+		if !slices.Contains(intake, c) && c != "A" && c != "B" {
 			victim = c
 			break
 		}
@@ -518,7 +519,7 @@ func TestComputeNodeFailureRecovery(t *testing.T) {
 			return false
 		}
 		_, newCompute, _ := conn.Locations()
-		return !containsStr(newCompute, victim)
+		return !slices.Contains(newCompute, victim)
 	})
 	n := h.datasetCount(ds)
 	waitFor(t, 15*time.Second, "ingestion resumed after recovery", func() bool {
@@ -540,7 +541,7 @@ func TestStoreNodeFailureTerminatesFeed(t *testing.T) {
 	// Kill a store node that hosts no intake.
 	intake, _, _ := conn.Locations()
 	victim := "B"
-	if containsStr(intake, "B") {
+	if slices.Contains(intake, "B") {
 		victim = "A"
 	}
 	if err := h.cluster.KillNode(victim); err != nil {
@@ -641,7 +642,7 @@ func TestAtLeastOnceDeliveryAcrossComputeFailure(t *testing.T) {
 	intake, _, _ := conn.Locations()
 	victim := ""
 	for _, c := range compute {
-		if c != "A" && !containsStr(intake, c) {
+		if c != "A" && !slices.Contains(intake, c) {
 			victim = c
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,7 +90,7 @@ func TestRecoveryDurationsRecorded(t *testing.T) {
 	intake, compute, _ := conn.Locations()
 	victim := ""
 	for _, c := range compute {
-		if c != "A" && !containsStr(intake, c) {
+		if c != "A" && !slices.Contains(intake, c) {
 			victim = c
 		}
 	}

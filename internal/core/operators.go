@@ -483,81 +483,64 @@ func (o *storeOp) Name() string { return "Store(" + o.ds.QualifiedName() + ")" }
 
 // CreateRuntime implements hyracks.OperatorDescriptor.
 func (o *storeOp) CreateRuntime(ctx *hyracks.TaskContext, out hyracks.Writer) (hyracks.OperatorRuntime, error) {
-	sm, ok := ctx.Service(storage.ServiceName).(*storage.Manager)
-	if !ok || sm == nil {
-		return nil, fmt.Errorf("core: node %s has no storage manager", ctx.NodeID)
-	}
-	// The task's partition index equals its position in the nodegroup
-	// (the store stage is location-constrained to the nodegroup in order).
-	part, err := sm.OpenPartitionIdx(o.ds, ctx.Partition, false)
+	target, err := OpenStoreTarget(ctx, o.cluster, o.ds)
 	if err != nil {
 		return nil, err
 	}
-	rt := &storeRuntime{
-		op:   o,
-		ctx:  ctx,
-		out:  out,
-		part: part,
-		mf:   newMetaFeed("store:"+o.ds.QualifiedName(), ctx.NodeID, o.conn.pol, o.conn.Log),
+	mf := newMetaFeed("store:"+o.ds.QualifiedName(), ctx.NodeID, o.conn.pol, o.conn.Log)
+	return &storeRuntime{StoreTarget: target, op: o, ctx: ctx, out: out, mf: mf}, nil
+}
+
+// StoreTarget is where a task writing a dataset puts its frames: partition
+// ctx.Partition on the task's node and, under synchronous replication, its
+// replica on the next nodegroup member. Feed and statement writers share it.
+type StoreTarget struct {
+	part, replica *storage.Partition
+	replicaNode   *hyracks.NodeController
+}
+
+// OpenStoreTarget opens the target of ctx, a task location-constrained to
+// ds's nodegroup in order, so that its index is its partition's even on a
+// node holding two. A dead replica node degrades to unreplicated writes.
+func OpenStoreTarget(ctx *hyracks.TaskContext, cluster *hyracks.Cluster, ds *storage.Dataset) (*StoreTarget, error) {
+	sm, _ := ctx.Service(storage.ServiceName).(*storage.Manager)
+	if sm == nil {
+		return nil, fmt.Errorf("core: node %s has no storage manager", ctx.NodeID)
 	}
-	// Synchronous replication: open the replica partition on the next
-	// nodegroup member. A dead replica node degrades to unreplicated
-	// writes rather than blocking ingestion.
-	if replicaNode := o.ds.ReplicaOf(ctx.Partition); replicaNode != "" && replicaNode != ctx.NodeID && o.cluster != nil {
-		if n := o.cluster.Node(replicaNode); n != nil && n.Alive() {
-			if rsm, ok := n.Service(storage.ServiceName).(*storage.Manager); ok && rsm != nil {
-				rp, err := rsm.OpenPartitionIdx(o.ds, ctx.Partition, true)
-				if err == nil {
-					rt.replica = rp
-					rt.replicaNode = n
-				}
+	part, err := sm.OpenPartitionIdx(ds, ctx.Partition, false)
+	if err != nil {
+		return nil, err
+	}
+	t := &StoreTarget{part: part}
+	if n := cluster.Node(ds.ReplicaOf(ctx.Partition)); n != nil && n.ID() != ctx.NodeID && n.Alive() {
+		if rsm, _ := n.Service(storage.ServiceName).(*storage.Manager); rsm != nil {
+			if t.replica, err = rsm.OpenPartitionIdx(ds, ctx.Partition, true); err == nil {
+				t.replicaNode = n
 			}
 		}
 	}
-	return rt, nil
+	return t, nil
+}
+
+// InsertFrame writes recs as one frame (one batch, WAL record and fsync per
+// tree) to the partition, then, while its node lives, to the replica: the
+// in-process stand-in for a replication RPC.
+func (t *StoreTarget) InsertFrame(recs [][]byte) error {
+	if err := t.part.InsertFrame(recs); err != nil || t.replicaNode == nil || !t.replicaNode.Alive() {
+		return err
+	}
+	return t.replica.InsertFrame(recs)
 }
 
 type storeRuntime struct {
-	op          *storeOp
-	ctx         *hyracks.TaskContext
-	out         hyracks.Writer
-	part        *storage.Partition
-	replica     *storage.Partition
-	replicaNode *hyracks.NodeController
-	mf          *metaFeed
-	// acks is per-task scratch for the ids of a frame retried record by
-	// record (one task goroutine drives NextFrame, so no locking).
-	acks []uint64
+	*StoreTarget
+	op  *storeOp
+	ctx *hyracks.TaskContext
+	out hyracks.Writer
+	mf  *metaFeed
 }
 
 func (r *storeRuntime) Open() error { return r.out.Open() }
-
-// insert writes recs as one frame — one batch per index, one WAL record and
-// a group-committed fsync per tree — to the partition and, under synchronous
-// replication, to the replica partition (the in-process stand-in for a
-// replication RPC). A persist observer, when installed, then sees each
-// stored record decoded.
-func (r *storeRuntime) insert(recs [][]byte) error {
-	if err := r.part.InsertFrame(recs); err != nil {
-		return err
-	}
-	if r.replica != nil && r.replicaNode.Alive() {
-		if err := r.replica.InsertFrame(recs); err != nil {
-			return err
-		}
-	}
-	if obs := r.op.conn.onPersist.Load(); obs != nil {
-		for _, rec := range recs {
-			// InsertFrame validated rec as a record of the dataset's type.
-			if v, err := adm.DecodeOne(rec); err == nil {
-				if stored, ok := v.(*adm.Record); ok {
-					(*obs)(stored)
-				}
-			}
-		}
-	}
-	return nil
-}
 
 // deliverAcks sends one grouped ack message for this frame (§5.6's windowed
 // encoding). An injected "ack:<node>" fault models the ack message being
@@ -565,7 +548,6 @@ func (r *storeRuntime) insert(recs [][]byte) error {
 // replays them and the idempotent upsert absorbs the duplicates — the
 // at-least-once guarantee must hold regardless.
 func (r *storeRuntime) deliverAcks(acks []uint64) {
-	conn := r.op.conn
 	if len(acks) == 0 {
 		return
 	}
@@ -574,69 +556,84 @@ func (r *storeRuntime) deliverAcks(acks []uint64) {
 			return // ack message dropped
 		}
 	}
-	conn.tracker.ack(acks)
+	r.op.conn.tracker.ack(acks)
 }
 
-// NextFrame stores the frame. The whole frame is tried first; when that
-// fails, the same records are retried as frames of one record each under
-// the MetaFeed guard, which isolates the failing record (soft-failure
-// semantics, §5.3.1) instead of rejecting its neighbours. The retry is safe
-// after any failure: InsertFrame validates a frame before touching a tree,
-// so a data error leaves the partition untouched; and it writes blind —
-// it reads nothing, so what a failed attempt left behind changes nothing it
-// writes — so after an IO error mid-frame the retry puts the same primary
-// and secondary entries again, and converges. The entries of the versions
-// it replaced are stale either way, refused by searches and dropped by
-// merges.
+// NextFrame stores the frame in one call. When the partition refuses
+// records (leaving itself untouched), softFail slices the frame past them,
+// §5.3.1's MetaFeed, and the survivors go in one more call. An environmental
+// error (WAL write, fsync, replica IO) retries them once; the blind write
+// converges. Records that still fail are not their own fault: they stay
+// un-acked, for the at-least-once sweeper to replay. A persist observer,
+// when installed, then sees each stored record decoded.
 func (r *storeRuntime) NextFrame(f *hyracks.Frame) error {
 	conn := r.op.conn
-	persisted := 0
-	acks := f.IDs // every id is acked unless the retry below withholds it
-	switch {
-	case !conn.storeEnabled.Load():
+	if !conn.storeEnabled.Load() {
 		// Disconnected-but-kept-alive: records flow for child feeds but are
 		// not persisted here. Ack so intake memory frees.
-	case r.insert(f.Records) == nil:
-		persisted = f.Len()
-	default:
-		acks = r.acks[:0]
-		for i, rec := range f.Records {
-			var envErr error
-			skipped, fatal := r.mf.guard(rec, func() error {
-				err := r.insert(f.Records[i : i+1])
-				if err != nil && !storage.IsDataError(err) {
-					envErr = err
+		r.deliverAcks(f.IDs)
+		return r.out.NextFrame(f)
+	}
+	recs, acks := f.Records, f.IDs
+	keep := 0 // acks[:keep] are the refused records': acked whatever the rest meet
+	err := r.InsertFrame(recs)
+	if refused, ok := err.(*storage.DataError); ok {
+		if recs, acks, keep, err = r.softFail(f, refused.Refused); err != nil {
+			return err
+		}
+		err = r.InsertFrame(recs)
+	}
+	if err != nil {
+		err = r.InsertFrame(recs)
+	}
+	if err != nil {
+		conn.Metrics.StoreErrors.Add(int64(len(recs)))
+		acks = acks[:keep]
+	} else {
+		conn.Metrics.Persisted.Add(int64(len(recs)))
+		if obs := conn.onPersist.Load(); obs != nil {
+			for _, rec := range recs {
+				// InsertFrame validated rec as a record of the dataset's type.
+				v, _ := adm.DecodeOne(rec)
+				if stored, ok := v.(*adm.Record); ok {
+					(*obs)(stored)
 				}
-				return err
-			})
-			switch {
-			case fatal != nil:
-				return fatal
-			case !skipped:
-				persisted++
-			case envErr != nil:
-				// Environmental failure (WAL write, fsync, replica IO): not
-				// the record's fault, so acking it as a soft failure would
-				// silently lose it. Leave it un-acked — the at-least-once
-				// sweeper replays it and the idempotent upsert converges.
-				conn.Metrics.StoreErrors.Add(1)
-				continue
-			default:
-				// A soft-failed record is still acknowledged: at-least-once
-				// covers loss, not unprocessable input.
-				conn.Metrics.SoftFailures.Add(1)
-			}
-			if len(f.IDs) > 0 {
-				acks = append(acks, f.IDs[i])
 			}
 		}
-		r.acks = acks
-	}
-	if persisted > 0 {
-		conn.Metrics.Persisted.Add(int64(persisted))
 	}
 	r.deliverAcks(acks)
 	return r.out.NextFrame(f)
+}
+
+// softFail puts each record of f through the MetaFeed guard in frame order:
+// a refused one fails with its cause, any other succeeds (resetting the
+// consecutive count). It returns the others, and the ids to ack: first the
+// keep ids of the refused (at-least-once covers loss, not unprocessable
+// input), then the others'.
+func (r *storeRuntime) softFail(f *hyracks.Frame, refused []storage.Refusal) (recs [][]byte, acks []uint64, keep int, fatal error) {
+	var ids []uint64
+	for i, rec := range f.Records {
+		var cause error
+		if len(refused) > 0 && refused[0].Pos == i {
+			cause, refused = refused[0].Err, refused[1:]
+		}
+		if _, fatal := r.mf.guard(rec, func() error { return cause }); fatal != nil {
+			return nil, nil, 0, fatal
+		}
+		if cause == nil {
+			recs = append(recs, rec)
+		} else {
+			r.op.conn.Metrics.SoftFailures.Add(1)
+		}
+		switch {
+		case f.IDs == nil:
+		case cause == nil:
+			ids = append(ids, f.IDs[i])
+		default:
+			acks = append(acks, f.IDs[i])
+		}
+	}
+	return recs, append(acks, ids...), len(acks), nil
 }
 
 func (r *storeRuntime) Close() error   { return r.out.Close() }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"asterixfeeds/internal/adm"
+	"asterixfeeds/internal/hyracks"
 	"asterixfeeds/internal/storage"
 )
 
@@ -94,16 +95,22 @@ func (m *Manager) handleNodeDeath(node string) {
 	}
 }
 
+// cancelAndWait cancels job, if any, and waits up to 5 s for it to end.
+func cancelAndWait(job *hyracks.JobHandle) {
+	if job == nil {
+		return
+	}
+	job.Cancel()
+	select {
+	case <-job.Done():
+	case <-time.After(5 * time.Second):
+	}
+}
+
 // rebuildHeadLocked re-schedules a head whose collect node died, replacing
 // dead locations with substitutes.
 func (m *Manager) rebuildHeadLocked(h *headInfo, deadNode string) {
-	if h.job != nil {
-		h.job.Cancel()
-		select {
-		case <-h.job.Done():
-		case <-time.After(5 * time.Second):
-		}
-	}
+	cancelAndWait(h.job)
 	// Remove surviving joints of the old head: pipelines will re-attach to
 	// the new ones.
 	m.dropProductionLocked(h.signature, "head:"+h.signature)
@@ -126,16 +133,7 @@ func (m *Manager) rebuildHeadLocked(h *headInfo, deadNode string) {
 // parallelism (conn.computeCount) is preserved; startTailLocked places the
 // stage exclusively on live nodes, which is what substitutes dead ones.
 func (m *Manager) rebuildTailLocked(conn *Connection) error {
-	conn.mu.Lock()
-	job := conn.tailJob
-	conn.mu.Unlock()
-	if job != nil {
-		job.Cancel()
-		select {
-		case <-job.Done():
-		case <-time.After(5 * time.Second):
-		}
-	}
+	cancelAndWait(conn.tail())
 	return m.startTailLocked(conn)
 }
 
@@ -220,16 +218,7 @@ func (m *Manager) promoteReplicasLocked(conn *Connection) error {
 	ds := conn.ds
 	// Stop the tail first: no store task may be writing while the
 	// nodegroup mutates.
-	conn.mu.Lock()
-	job := conn.tailJob
-	conn.mu.Unlock()
-	if job != nil {
-		job.Cancel()
-		select {
-		case <-job.Done():
-		case <-time.After(5 * time.Second):
-		}
-	}
+	cancelAndWait(conn.tail())
 	for i, nodeName := range ds.NodeGroup {
 		n := m.cluster.Node(nodeName)
 		if n != nil && n.Alive() {
@@ -342,15 +331,6 @@ func (m *Manager) anyDeadLocked(locs []string) bool {
 	for _, l := range locs {
 		n := m.cluster.Node(l)
 		if n == nil || !n.Alive() {
-			return true
-		}
-	}
-	return false
-}
-
-func containsStr(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
 			return true
 		}
 	}

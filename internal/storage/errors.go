@@ -1,24 +1,30 @@
 package storage
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+	"strings"
+)
 
-// DataError marks a failure caused by the record itself — validation,
-// malformed encoding, a missing primary key — rather than by the
-// environment (WAL write, fsync, node state). Ingestion policy treats the
-// two differently: a data error is a soft failure (log, skip, ack under
-// the feed's soft-failure policy) while an environmental error must leave
-// the record un-acked so the at-least-once protocol replays it.
-type DataError struct{ Err error }
+// DataError is InsertFrame's refusal of records for their own bytes —
+// invalid, malformed or lacking a primary key — not for the environment (WAL
+// write, fsync, node state). It names each by its position in the frame,
+// with its cause, and the partition is untouched. A refused record is a soft
+// failure; an environmental error leaves the records un-acked for replay.
+type DataError struct{ Refused []Refusal }
 
-func (e *DataError) Error() string { return e.Err.Error() }
-func (e *DataError) Unwrap() error { return e.Err }
+// Refusal names one refused record: its position in the frame, and why.
+type Refusal struct {
+	Pos int
+	Err error
+}
 
-// dataErr wraps err as a DataError; nil stays nil.
-func dataErr(err error) error {
-	if err == nil {
-		return nil
+func (e *DataError) Error() string {
+	msgs := make([]string, len(e.Refused))
+	for i, r := range e.Refused {
+		msgs[i] = fmt.Sprintf("record %d: %v", r.Pos, r.Err)
 	}
-	return &DataError{Err: err}
+	return "storage: refused " + strings.Join(msgs, "; ")
 }
 
 // IsDataError reports whether err is (or wraps) a DataError.

@@ -51,11 +51,74 @@ func TestDataErrorClassification(t *testing.T) {
 	}
 }
 
+// TestInsertFrameNamesEveryRefusal: a 128-record frame with refusals at
+// positions 0, 64 and 127 gets one DataError that names all three, with the
+// partition untouched, and the 125 survivors then cost one WAL append per
+// tree — one call, where a retry of one-record frames costs one per record
+// per tree (381 for a frame of 128 with one refusal).
+func TestInsertFrameNamesEveryRefusal(t *testing.T) {
+	lm := &lsm.Metrics{}
+	m := NewManager("A", t.TempDir(), lsm.Options{Metrics: lm})
+	defer m.Close()
+	ds := testDataset()
+	p, err := m.OpenPartition(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertRecs(t, p, tweetRec("kept", "alice", nil))
+	appends := lm.WALAppends.Value()
+
+	frame := frameOf(0, 128)
+	frame[0] = adm.Encode((&adm.RecordBuilder{}).Add("id", adm.String("x")).MustBuild())
+	frame[64] = adm.Encode((&adm.RecordBuilder{}).Add("user_name", adm.String("u")).Add("message_text", adm.String("m")).MustBuild())
+	frame[127] = []byte{0xEE, 0x01}
+	err = p.InsertFrame(frame)
+	var de *DataError
+	if !errors.As(err, &de) || !IsDataError(err) {
+		t.Fatalf("InsertFrame = %v, want a DataError", err)
+	}
+	var pos []int
+	for _, r := range de.Refused {
+		if r.Err == nil {
+			t.Fatalf("refusal of record %d has no cause", r.Pos)
+		}
+		pos = append(pos, r.Pos)
+		if want := fmt.Sprintf("record %d: %v", r.Pos, r.Err); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+	if fmt.Sprint(pos) != "[0 64 127]" {
+		t.Fatalf("refused positions = %v, want [0 64 127]", pos)
+	}
+	if n, err := p.Count(); err != nil || n != 1 {
+		t.Fatalf("Count = %d, %v after the refusal; want 1 (partition untouched)", n, err)
+	}
+	if err := p.VerifyIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	if got := lm.WALAppends.Value(); got != appends {
+		t.Fatalf("the refused frame appended %d WAL records, want 0", got-appends)
+	}
+
+	survivors := append(append([][]byte(nil), frame[1:64]...), frame[65:127]...)
+	if err := p.InsertFrame(survivors); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := lm.WALAppends.Value()-appends, int64(1+len(ds.Indexes)); got != want {
+		t.Fatalf("the survivors cost %d WAL appends, want %d: one per tree", got, want)
+	}
+	if n, err := p.Count(); err != nil || n != 126 {
+		t.Fatalf("Count = %d, %v; want 126", n, err)
+	}
+	if err := p.VerifyIndexes(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestInsertFrameFaultFallbackNoLossNoPhantoms: a frame whose batched
-// insert dies on an environmental fault is retried as frames of one record
-// each (exactly what storeRuntime's guarded fallback does), and the
-// partition ends with every record exactly once — none lost, none phantom,
-// secondaries consistent.
+// insert dies on an environmental fault is retried once, whole (exactly
+// what storeRuntime does), and the partition ends with every record exactly
+// once — none lost, none phantom, secondaries consistent.
 func TestInsertFrameFaultFallbackNoLossNoPhantoms(t *testing.T) {
 	ds := testDataset()
 	armed := false
@@ -86,11 +149,9 @@ func TestInsertFrameFaultFallbackNoLossNoPhantoms(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fault fired %d times, want 1", fired)
 	}
-	// The guarded fallback: the same frame, one record per frame.
-	for i := range frame {
-		if err := p.InsertFrame(frame[i : i+1]); err != nil {
-			t.Fatal(err)
-		}
+	// The store stage's retry: the same frame, once.
+	if err := p.InsertFrame(frame); err != nil {
+		t.Fatal(err)
 	}
 
 	n, err := p.Count()
@@ -101,7 +162,7 @@ func TestInsertFrameFaultFallbackNoLossNoPhantoms(t *testing.T) {
 		t.Fatalf("Count = %d, want 20 (no loss, no phantoms)", n)
 	}
 	if err := p.VerifyIndexes(); err != nil {
-		t.Fatalf("index consistency after fallback: %v", err)
+		t.Fatalf("index consistency after the retry: %v", err)
 	}
 }
 
@@ -356,7 +417,7 @@ func TestUpsertRetryAfterSecondaryErrorConverges(t *testing.T) {
 	if err := p.InsertFrame(frame); !errors.Is(err, lsm.ErrInjected) {
 		t.Fatalf("InsertFrame under the fault = %v, want ErrInjected", err)
 	}
-	if err := p.InsertFrame(frame[:1]); err != nil {
+	if err := p.InsertFrame(frame); err != nil {
 		t.Fatalf("the retry: %v", err)
 	}
 	if err := p.VerifyIndexes(); err != nil {

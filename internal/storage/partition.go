@@ -145,6 +145,41 @@ func (fs *frameScratch) scan(rec []byte) error {
 	return err
 }
 
+// add validates rec as a record of ds and appends its keys to pks and
+// skeys. The primary tree copies the key, so on a dataset without indexes it
+// is scratch. Every secondary entry keeps its record's key as its value, so
+// on an indexed dataset the key is one exact-size allocation, shared by all
+// of that record's entries.
+func (fs *frameScratch) add(ds *Dataset, rec []byte) error {
+	if err := ds.Type.ValidateEncoded(rec); err != nil {
+		return err
+	}
+	if err := fs.scan(rec); err != nil {
+		return err
+	}
+	var pk []byte
+	var err error
+	if len(ds.Indexes) == 0 {
+		at := len(fs.keys)
+		fs.keys, err = appendPrimaryKey(fs.keys, ds, fs.fields)
+		pk = fs.keys[at:len(fs.keys):len(fs.keys)]
+	} else {
+		pk, err = appendPrimaryKey(nil, ds, fs.fields)
+	}
+	if err != nil {
+		return err
+	}
+	fs.pks = append(fs.pks, pk)
+	for _, ix := range ds.Indexes {
+		skey, err := fs.secondaryKey(ix, findField(fs.fields, ix.Field), pk)
+		if err != nil {
+			return err
+		}
+		fs.skeys = append(fs.skeys, skey)
+	}
+	return nil
+}
+
 // openPartition opens (creating if needed) partition idx of ds under dir.
 // When lsmOpt carries a FaultHook, each tree's failure points are prefixed
 // with "<partition-dir>/<tree>/" (e.g. "p001/primary/wal.appendBatch") so a
@@ -241,7 +276,8 @@ func (p *Partition) Dataset() *Dataset { return p.ds }
 // the entire frame (group commit).
 //
 // Validation and key extraction complete for the whole frame before any
-// tree is touched, so a validation error leaves the partition unmodified.
+// tree is touched, so a frame with records that fail them is refused, with
+// the partition unmodified, by a *DataError that names every such record.
 // Within a frame, a later record with the same primary key replaces an
 // earlier one, exactly as two one-record frames would. The write is blind:
 // nothing is read, and the secondary entries of a version the frame
@@ -260,45 +296,21 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 	}
 	fs := &p.frame
 	defer fs.release()
-	nIdx := len(p.ds.Indexes)
 
 	// Phase A: validate every record and derive all keys, mutating nothing.
-	// Failures here are data errors: caused by the frame's bytes, with the
-	// partition untouched.
-	for _, rec := range recs {
-		if err := p.ds.Type.ValidateEncoded(rec); err != nil {
-			return dataErr(err)
+	// It goes on past a refused record, to name every one.
+	var refused []Refusal
+	for i, rec := range recs {
+		if err := fs.add(p.ds, rec); err != nil {
+			refused = append(refused, Refusal{Pos: i, Err: err})
 		}
-		if err := fs.scan(rec); err != nil {
-			return dataErr(err)
-		}
-		// The primary tree copies the key, so on a dataset without indexes
-		// it is scratch. Every secondary entry keeps its record's key as its
-		// value, so on an indexed dataset the key is one exact-size
-		// allocation, shared by all of that record's entries.
-		var pk []byte
-		var err error
-		if nIdx == 0 {
-			at := len(fs.keys)
-			fs.keys, err = appendPrimaryKey(fs.keys, p.ds, fs.fields)
-			pk = fs.keys[at:len(fs.keys):len(fs.keys)]
-		} else {
-			pk, err = appendPrimaryKey(nil, p.ds, fs.fields)
-		}
-		if err != nil {
-			return dataErr(err)
-		}
-		fs.pks = append(fs.pks, pk)
-		for _, ix := range p.ds.Indexes {
-			skey, err := fs.secondaryKey(ix, findField(fs.fields, ix.Field), pk)
-			if err != nil {
-				return dataErr(err)
-			}
-			fs.skeys = append(fs.skeys, skey)
-		}
+	}
+	if refused != nil {
+		return &DataError{Refused: refused}
 	}
 
 	// Phase B: build one batch per tree and apply them.
+	nIdx := len(p.ds.Indexes)
 	for i, rec := range recs {
 		pk := fs.pks[i]
 		fs.prim.Put(pk, rec)
