@@ -171,14 +171,16 @@ if [ "${1:-}" = "-race" ]; then
 	go test -race -short ./internal/core/... ./internal/hyracks/... ./internal/lsm/... ./internal/storage/... ./internal/governor/... ./internal/chaos/...
 	# The block cache lends evicted buffers to the next point-read miss; a pin
 	# taken or dropped in the wrong place shows only in some interleavings,
-	# so the two cache hammers run twenty times over.
-	go test -race -count=20 -run 'RecycledBlocks|ConcurrentReadsWithCache' ./internal/lsm/
+	# so the two cache hammers run twenty times over. So does the memtable
+	# filter hammer: point reads against batches and rotations on one tree.
+	go test -race -count=20 -run 'RecycledBlocks|ConcurrentReadsWithCache|MemtableFilterHammer' ./internal/lsm/
 	# Partition readers take no lock: reads beside a frame parked inside a
 	# WAL append, and the model history with concurrent readers checking
 	# every read, run twenty times over for the same reason. So do the blind
 	# retry and the secondaries' merge filters, which probe the primary from
-	# the compactor while frames write it.
-	go test -race -short -count=20 -run 'BesideStalled|PartitionMatchesModel|UpsertRetry|MergeDropsStale|MergeFilterKeeps|NamesEveryRefusal|FaultFallback' ./internal/storage/
+	# the compactor while frames write it, and Lookup's decode inside the
+	# block its read pinned, held while later misses recycle that block.
+	go test -race -short -count=20 -run 'BesideStalled|PartitionMatchesModel|UpsertRetry|MergeDropsStale|MergeFilterKeeps|NamesEveryRefusal|FaultFallback|LookupOutlivesRecycledBlocks' ./internal/storage/
 	go test -race -count=20 -run 'MergeFilter' ./internal/lsm/
 	# The intake's one loop: replays through the subscription, the wake on
 	# the ack that empties the tracker, a disconnect that precedes

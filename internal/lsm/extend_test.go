@@ -691,8 +691,8 @@ func TestParentDirectoryFixture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.end != 0 || r.segs != 1 || r.len() != want.entries {
-			t.Fatalf("%s: end %d, %d segments, %d entries; want one format-02 segment of %d", name, r.end, r.segs, r.len(), want.entries)
+		if r.end != 0 || len(r.segs) != 1 || r.len() != want.entries {
+			t.Fatalf("%s: end %d, %d segments, %d entries; want one format-02 segment of %d", name, r.end, len(r.segs), r.len(), want.entries)
 		}
 		next, tombstones := want.first, 0
 		it := r.iter(nil, false)
@@ -826,11 +826,16 @@ func FuzzLoadRun(f *testing.F) {
 			if i > 0 && bytes.Compare(bm.firstKey, prev.firstKey) <= 0 {
 				t.Fatalf("block %d first key %q not above block %d's %q", i, bm.firstKey, i-1, prev.firstKey)
 			}
-			if bm.off < prev.off+int64(prev.length) || bm.length < blockFooterLen || bm.off+int64(bm.length) > end || bm.filter == nil {
+			if bm.off < prev.off+int64(prev.length) || bm.length < blockFooterLen || bm.off+int64(bm.length) > end {
 				t.Fatalf("block %d extent [%d,+%d) after [%d,+%d) below %d", i, bm.off, bm.length, prev.off, prev.length, end)
 			}
 			entries += int(bm.entries)
 			prev = bm
+		}
+		for i, seg := range r.segs {
+			if seg.filter == nil || seg.start > len(r.blocks) || i > 0 && seg.start < r.segs[i-1].start {
+				t.Fatalf("segment %d of %d starts at block %d of %d (filter %v)", i, len(r.segs), seg.start, len(r.blocks), seg.filter != nil)
+			}
 		}
 		if entries != r.len() || (len(r.blocks) > 0) != (r.span().bytes > 0) {
 			t.Fatalf("%d entries indexed, len() %d, span %+v", entries, r.len(), r.span())
@@ -841,4 +846,104 @@ func FuzzLoadRun(f *testing.F) {
 		}
 		_ = it.fail()
 	})
+}
+
+// TestMultiSegmentPointReads: a run extended over several segments, each of
+// several blocks, with gaps inside every segment (odd keys) and between
+// them. Every key the run holds is found in its own segment with one block
+// read; keys in the gaps, below the first fence and above the last are
+// absent; and a key its segment's filter rejects costs no block read. The
+// same holds after a reopen, which loads the segments from the file.
+func TestMultiSegmentPointReads(t *testing.T) {
+	const segs, span, held = 5, 1000, 400 // segment s holds the even keys of [s*span, s*span+held)
+	dir, m := t.TempDir(), &Metrics{}
+	opt := Options{Dir: dir, Metrics: m, BlockBytes: 256}
+	tr, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { tr.Close() }()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
+	for s := 0; s < segs; s++ {
+		for i := s * span; i < s*span+held; i += 2 {
+			if err := tr.Put(key(i), key(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(how string) {
+		t.Helper()
+		if st := tr.Stats(); st.Runs != 1 || st.Segments != segs {
+			t.Fatalf("%s: %d runs of %d segments; want one of %d", how, st.Runs, st.Segments, segs)
+		}
+		r := tr.set.runs[0]
+		for s, seg := range r.segs {
+			end := len(r.blocks)
+			if s+1 < segs {
+				end = r.segs[s+1].start
+			}
+			if end-seg.start < 3 {
+				t.Fatalf("%s: segment %d has %d blocks; want several", how, s, end-seg.start)
+			}
+		}
+		view := func(k []byte) (found bool, reads int64) {
+			t.Helper()
+			before := m.BlockReads.Value()
+			ok, err := tr.View(k, func(v []byte) {
+				if !bytes.Equal(v, k) {
+					t.Fatalf("%s: View(%s) = %q", how, k, v)
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s: View(%s): %v", how, k, err)
+			}
+			return ok, m.BlockReads.Value() - before
+		}
+		rejected := 0
+		for i := -1; i <= segs*span; i++ {
+			k := key(i)
+			if i < 0 {
+				k = []byte("key-") // below every key
+			}
+			inSeg := i >= 0 && i%span < held && i/span < segs
+			want := inSeg && i%2 == 0
+			if wantSeg := min(i/span, segs-1); i >= 0 && r.segmentOf(k) != wantSeg {
+				t.Fatalf("%s: segmentOf(%s) = %d, want %d", how, k, r.segmentOf(k), wantSeg)
+			}
+			found, reads := view(k)
+			if found != want {
+				t.Fatalf("%s: View(%s) found %v, want %v", how, k, found, want)
+			}
+			h1, h2 := bloomHashes(k)
+			switch si := r.segmentOf(k); {
+			case want && reads != 1:
+				t.Fatalf("%s: View(%s) read %d blocks, want 1", how, k, reads)
+			case !want && (si < 0 || !r.segs[si].filter.mayContain(h1, h2)):
+				rejected++
+				if reads != 0 {
+					t.Fatalf("%s: View(%s) read %d blocks past a filter that rejects it", how, k, reads)
+				}
+			}
+		}
+		if rejected < segs*span/2 {
+			t.Fatalf("%s: filters rejected only %d absent keys", how, rejected)
+		}
+		for _, k := range []string{"", "a", "key-99999", "z"} {
+			if found, _ := view([]byte(k)); found {
+				t.Fatalf("%s: View(%q) found a key outside the fences", how, k)
+			}
+		}
+	}
+	check("after the flushes")
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opt.Metrics = m
+	if tr, err = Open(opt); err != nil {
+		t.Fatal(err)
+	}
+	check("after a reopen")
 }

@@ -706,8 +706,10 @@ func BenchmarkGetFromRuns(b *testing.B) {
 	}
 }
 
-// BenchmarkGetWithBloom and BenchmarkGetWithoutBloom ablate the per-run
-// bloom filters on point lookups that miss every run.
+// BenchmarkGetMissWithBloom and BenchmarkGetMissWithoutBloom ablate the
+// runs' bloom filters on point lookups that miss all of 8 runs. The runs
+// overlap, so every missing key lies inside every run's fences and each run
+// is asked: with filters a miss reads no block, without them one per run.
 func BenchmarkGetMissWithBloom(b *testing.B) {
 	benchGetMiss(b, true)
 }
@@ -722,30 +724,38 @@ func benchGetMiss(b *testing.B, bloom bool) {
 		b.Fatal(err)
 	}
 	defer tr.Close()
+	const perRun = 2000
 	for run := 0; run < 8; run++ {
-		for i := 0; i < 2000; i++ {
-			tr.Put([]byte(fmt.Sprintf("run%d-key%05d", run, i)), []byte("v"))
+		for i := 0; i < perRun; i++ {
+			tr.Put([]byte(fmt.Sprintf("key%05d-run%d", i, run)), []byte("v"))
 		}
 		if err := tr.Flush(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	if st := tr.Stats(); st.Runs != 8 {
+		b.Fatalf("%d runs, want 8", st.Runs)
+	}
 	if !bloom {
 		// Defeat the filters: replace each with an always-true filter.
 		tr.mu.Lock()
 		for _, r := range tr.set.runs {
-			for _, bm := range r.blocks {
-				for i := range bm.filter.bits {
-					bm.filter.bits[i] = 0xFF
+			for _, seg := range r.segs {
+				for i := range seg.filter.bits {
+					seg.filter.bits[i] = 0xFF
 				}
 			}
 		}
 		tr.mu.Unlock()
 	}
+	absent := make([][]byte, perRun) // between the runs' keys, inside every run's fences
+	for i := range absent {
+		absent[i] = []byte(fmt.Sprintf("key%05d-absent", i))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok, err := tr.Get([]byte(fmt.Sprintf("absent-%09d", i))); err != nil || ok {
+		if ok, err := tr.View(absent[i%perRun], func([]byte) {}); err != nil || ok {
 			b.Fatal("unexpected hit")
 		}
 	}

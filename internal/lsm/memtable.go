@@ -45,6 +45,12 @@ type entry struct {
 // node and copies nothing, so the arena holds the distinct keys size()
 // counts plus the unused tail of its current chunk. Every chunk dies with
 // the memtable. Values are retained by reference, never copied.
+//
+// Every key that has a node — a tombstone's too, for a delete must hide the
+// older versions in the runs below — is in the memtable's key filter, so a
+// point read of a key it never held is answered without walking the
+// skiplist. The filter is written under mu's write lock and read under its
+// read lock, like the nodes.
 type memtable struct {
 	mu     sync.RWMutex
 	head   *skipNode
@@ -52,6 +58,7 @@ type memtable struct {
 	rnd    *rand.Rand
 	bytes  int
 	count  int
+	filter memFilter
 
 	nodes []skipNode  // current node slab; nodes are taken from its tail
 	links []*skipNode // current level-pointer slab
@@ -64,11 +71,14 @@ type skipNode struct {
 	next []*skipNode
 }
 
-func newMemtable(seed int64) *memtable {
+// newMemtable returns an empty memtable whose key filter is sized for
+// filterKeys keys (see newMemFilter).
+func newMemtable(seed int64, filterKeys int) *memtable {
 	return &memtable{
 		head:   &skipNode{next: make([]*skipNode, maxSkipHeight)},
 		height: 1,
 		rnd:    rand.New(rand.NewSource(seed)),
+		filter: newMemFilter(filterKeys),
 	}
 }
 
@@ -165,6 +175,8 @@ func (m *memtable) insertAt(key, value []byte, tombstone bool, update *[maxSkipH
 	}
 	node := m.newNode(h)
 	node.entry = entry{key: m.copyKey(key), value: value, tombstone: tombstone}
+	hash, _ := bloomHashes(key)
+	m.filter.add(hash)
 	for lvl := 0; lvl < h; lvl++ {
 		node.next[lvl] = update[lvl].next[lvl]
 		update[lvl].next[lvl] = node
@@ -207,10 +219,14 @@ func (m *memtable) putBatch(ops []batchOp) {
 	}
 }
 
-// get returns the entry for key, if present (including tombstones).
-func (m *memtable) get(key []byte) (entry, bool) {
+// get returns the entry for key, if present (including tombstones); h is
+// bloomHashes(key)'s first hash. A key the filter rejects costs no node read.
+func (m *memtable) get(key []byte, h uint64) (entry, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if !m.filter.mayContain(h) {
+		return entry{}, false
+	}
 	n := m.head
 	for lvl := m.height - 1; lvl >= 0; lvl-- {
 		for n.next[lvl] != nil && bytes.Compare(n.next[lvl].key, key) < 0 {

@@ -372,7 +372,7 @@ func TestWriteMergedRunMixedComponents(t *testing.T) {
 			var runs []*run
 			for i, layer := range layers {
 				if i < 2 {
-					m := newMemtable(int64(i + 1))
+					m := newMemtable(int64(i+1), 0)
 					for _, ent := range layer {
 						m.put(ent.key, ent.value, ent.tombstone)
 					}

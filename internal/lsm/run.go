@@ -82,7 +82,15 @@ type blockMeta struct {
 	off      int64
 	length   int32
 	entries  int32
-	filter   *bloomFilter // of the segment the block belongs to
+}
+
+// segment is one segment of a run view: where its blocks start in the view's
+// index, and its bloom filter. Segments partition the run's key range in
+// file order, so the segment that may hold a key is the last one whose first
+// block's first key is not above it.
+type segment struct {
+	start  int
+	filter *bloomFilter
 }
 
 // run is an immutable view of a sorted component on disk: the segments its
@@ -92,15 +100,15 @@ type blockMeta struct {
 // BlockCache. A bloom filter prunes point lookups.
 //
 // A flush that extends the file publishes a new view (extended) in place of
-// this one; the two share the runFile, and the longer one's index may share
-// this one's backing array — it only ever appends past len(blocks), which no
-// holder of this view reads.
+// this one; the two share the runFile, and the longer one's index and segment
+// list may share this one's backing arrays — it only ever appends past
+// len(blocks) and len(segs), which no holder of this view reads.
 type run struct {
 	*runFile
 	blocks []blockMeta
+	segs   []segment
 	count  int
 	bytes  int64 // data bytes: the blocks' lengths summed
-	segs   int
 	// end is the file offset just past the last segment, where an extension
 	// starts; 0 for a format-02 file, which cannot grow.
 	end int64
@@ -174,7 +182,7 @@ func newRunSet(runs []*run) *runSet {
 		r.retain()
 		s.spans[i] = r.span()
 		s.entries += r.len()
-		s.segments += r.segs
+		s.segments += len(r.segs)
 	}
 	s.refs.Store(1)
 	return s
@@ -573,12 +581,13 @@ func (r *run) loadSegment(start, end int64, hdr []byte) error {
 	if bloom == nil {
 		return fmt.Errorf("lsm: run %s has corrupt bloom filter", r.path)
 	}
-	blocks, err := parseRunIndex(r.blocks, tail[:indexLen], start+int64(len(hdr)), indexOff, count, bloom)
+	blocks, err := parseRunIndex(r.blocks, tail[:indexLen], start+int64(len(hdr)), indexOff, count)
 	if err != nil {
 		return fmt.Errorf("lsm: run %s: %w", r.path, err)
 	}
+	r.segs = append(r.segs, segment{start: len(r.blocks), filter: bloom})
 	r.blocks, r.count, r.bytes = blocks, r.count+int(count), r.bytes+indexOff-start-int64(len(hdr))
-	r.segs, r.end = r.segs+1, end
+	r.end = end
 	return nil
 }
 
@@ -601,7 +610,7 @@ func (r *run) extended(end int64, hdr []byte) (*run, error) {
 // consistent before any block is read through it. Each first key is a capped
 // sub-slice of idx, so the segment's keys cost no allocation of their own and
 // idx must never be written again; blocks grows at most once.
-func parseRunIndex(blocks []blockMeta, idx []byte, dataStart, dataEnd int64, count uint64, filter *bloomFilter) ([]blockMeta, error) {
+func parseRunIndex(blocks []blockMeta, idx []byte, dataStart, dataEnd int64, count uint64) ([]blockMeta, error) {
 	rest := idx
 	uvarint := func() (uint64, bool) {
 		v, n := binary.Uvarint(rest)
@@ -659,7 +668,7 @@ func parseRunIndex(blocks []blockMeta, idx []byte, dataStart, dataEnd int64, cou
 		prevKey = key
 		prevEnd = int64(off) + int64(length)
 		entries += n
-		blocks = append(blocks, blockMeta{firstKey: key, off: int64(off), length: int32(length), entries: int32(n), filter: filter})
+		blocks = append(blocks, blockMeta{firstKey: key, off: int64(off), length: int32(length), entries: int32(n)})
 	}
 	if entries != count {
 		return nil, fmt.Errorf("index entry total %d disagrees with trailer count %d", entries, count)
@@ -773,23 +782,49 @@ func (r *run) loadBlock(i int, buf []byte) (blockView, error) {
 	return v, nil
 }
 
-// findBlock returns the index of the block that may contain key: the last
-// block whose first key is <= key, or -1 if key precedes the whole run.
-func (r *run) findBlock(key []byte) int {
-	return sort.Search(len(r.blocks), func(i int) bool {
-		return bytes.Compare(r.blocks[i].firstKey, key) > 0
+// findBlock returns the index of the block among blocks[lo:hi] that may
+// contain key: the last whose first key is <= key, or lo-1 if key precedes
+// them all.
+func (r *run) findBlock(key []byte, lo, hi int) int {
+	return lo + sort.Search(hi-lo, func(i int) bool {
+		return bytes.Compare(r.blocks[lo+i].firstKey, key) > 0
+	}) - 1
+}
+
+// segmentOf returns the index of the segment that may hold key: the last
+// whose first key is <= key, or -1 if key precedes the run. A run of one
+// segment, which every merge and every flush that does not extend writes,
+// needs no search: its one segment is the answer, and the block search
+// refuses a key below it. A segment with no blocks sorts as its successor's
+// first key, or above every key when it is the last.
+func (r *run) segmentOf(key []byte) int {
+	if len(r.segs) == 1 {
+		return 0
+	}
+	return sort.Search(len(r.segs), func(i int) bool {
+		b := r.segs[i].start
+		return b == len(r.blocks) || bytes.Compare(r.blocks[b].firstKey, key) > 0
 	}) - 1
 }
 
 // view looks key up in the run; h1 and h2 are bloomHashes(key), computed
-// once by the caller for every run it probes. found reports whether the run
-// holds an entry for key, live whether that entry is a value rather than a
-// tombstone; a value is handed to fn inside its block, whose pin is released
-// only when fn returns: after that the block's buffer may be lent to another
-// read.
+// once by the caller for every filter it asks. The key's segment's filter is
+// asked before that segment's blocks are searched. found reports whether the
+// run holds an entry for key, live whether that entry is a value rather than
+// a tombstone; a value is handed to fn inside its block, whose pin is
+// released only when fn returns: after that the block's buffer may be lent
+// to another read.
 func (r *run) view(key []byte, h1, h2 uint64, fn func(value []byte)) (found, live bool, err error) {
-	bi := r.findBlock(key)
-	if bi < 0 || !r.blocks[bi].filter.mayContain(h1, h2) {
+	si := r.segmentOf(key)
+	if si < 0 || !r.segs[si].filter.mayContain(h1, h2) {
+		return false, false, nil
+	}
+	lo, hi := r.segs[si].start, len(r.blocks)
+	if si+1 < len(r.segs) {
+		hi = r.segs[si+1].start
+	}
+	bi := r.findBlock(key, lo, hi)
+	if bi < lo {
 		return false, false, nil
 	}
 	v, pin, err := r.pinBlock(bi)
@@ -820,7 +855,7 @@ func (r *run) iter(from []byte, fill bool) *runIter {
 		return it
 	}
 	if from != nil {
-		if bi := r.findBlock(from); bi > 0 {
+		if bi := r.findBlock(from, 0, len(r.blocks)); bi > 0 {
 			it.bi = bi
 		}
 	}

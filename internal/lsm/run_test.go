@@ -506,7 +506,7 @@ func TestFirstKeysAliasTheIndexSection(t *testing.T) {
 	if err := r.readAt(idx, dataEnd); err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := parseRunIndex(nil, idx, r.blocks[0].off, dataEnd, uint64(r.len()), nil)
+	blocks, err := parseRunIndex(nil, idx, r.blocks[0].off, dataEnd, uint64(r.len()))
 	if err != nil {
 		t.Fatal(err)
 	}

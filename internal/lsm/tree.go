@@ -250,7 +250,7 @@ func Open(opt Options) (*Tree, error) {
 	}
 	t := &Tree{
 		opt:           opt,
-		mem:           newMemtable(1),
+		mem:           newMemtable(1, 0),
 		set:           newRunSet(nil),
 		stateC:        make(chan struct{}),
 		flushC:        make(chan struct{}, 1),
@@ -733,7 +733,7 @@ func (t *Tree) rotateLocked() error {
 	t.seq++
 	task := &flushTask{mem: t.mem, wal: t.wal, segs: t.memSegs, seq: t.seq}
 	t.imms = append([]*flushTask{task}, t.imms...)
-	t.mem = newMemtable(int64(t.walSeq))
+	t.mem = newMemtable(int64(t.walSeq), 2*t.mem.len())
 	t.wal = nw
 	t.memSegs = nil
 	t.bumpLocked()
@@ -780,20 +780,24 @@ func (t *Tree) Get(key []byte) (value []byte, ok bool, err error) {
 // keep nor modify it. fn runs with no tree lock held, and the read allocates
 // nothing beyond what a block cache miss costs.
 //
-// The memtable probes run under the tree read lock (pure in-memory, no
-// blocking); only on a memory miss is the run set pinned — one reference,
-// however many runs — so the disk lookups can proceed with no tree lock
-// held. A run whose fences exclude the key costs two comparisons; the key is
-// hashed once for the filters of the runs that remain.
+// At every level a filter is asked before anything is searched. The key is
+// hashed once, for every filter the read asks. The memtable probes run under
+// the tree read lock (pure in-memory, no blocking), and each memtable's key
+// filter answers most of the keys it never held without a skiplist walk.
+// Only on a memory miss is the run set pinned — one reference, however many
+// runs — so the disk lookups can proceed with no tree lock held. A run whose
+// fences exclude the key costs two comparisons; in the others the key's
+// segment's filter is asked before that segment's blocks are searched.
 func (t *Tree) View(key []byte, fn func(value []byte)) (bool, error) {
+	h1, h2 := bloomHashes(key)
 	t.mu.RLock()
 	if t.closed {
 		t.mu.RUnlock()
 		return false, errClosed()
 	}
-	e, found := t.mem.get(key)
+	e, found := t.mem.get(key, h1)
 	for i := 0; !found && i < len(t.imms); i++ {
-		e, found = t.imms[i].mem.get(key)
+		e, found = t.imms[i].mem.get(key, h1)
 	}
 	if found {
 		t.mu.RUnlock()
@@ -807,7 +811,6 @@ func (t *Tree) View(key []byte, fn func(value []byte)) (bool, error) {
 	set.acquire()
 	t.mu.RUnlock()
 	defer set.release()
-	h1, h2 := bloomHashes(key)
 	for i := range set.spans {
 		if !set.spans[i].covers(key) {
 			continue

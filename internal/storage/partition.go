@@ -376,12 +376,9 @@ func appendPrimaryKey(dst []byte, ds *Dataset, fields []encFieldRef) ([]byte, er
 // tombstone, written blind like a frame. The record's secondary entries stay
 // behind, stale (see Partition).
 func (p *Partition) Delete(pkValues []adm.Value) error {
-	if len(pkValues) != len(p.ds.PrimaryKey) {
-		return fmt.Errorf("storage: %d key values for %d-field primary key", len(pkValues), len(p.ds.PrimaryKey))
-	}
-	var pk []byte
-	for _, v := range pkValues {
-		pk = adm.AppendValue(pk, v)
+	pk, err := p.primaryKey(pkValues)
+	if err != nil {
+		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -391,19 +388,35 @@ func (p *Partition) Delete(pkValues []adm.Value) error {
 	return p.primary.Delete(pk)
 }
 
-// Lookup returns the record with the given primary key fields. It takes no
-// partition lock: the decode, too, runs beside the writers.
-func (p *Partition) Lookup(pkValues []adm.Value) (*adm.Record, bool, error) {
+// primaryKey encodes the primary key fields of one record, refusing a
+// number of fields the dataset's key does not have.
+func (p *Partition) primaryKey(pkValues []adm.Value) ([]byte, error) {
+	if len(pkValues) != len(p.ds.PrimaryKey) {
+		return nil, fmt.Errorf("storage: %d key values for %d-field primary key", len(pkValues), len(p.ds.PrimaryKey))
+	}
 	var pk []byte
 	for _, v := range pkValues {
 		pk = adm.AppendValue(pk, v)
 	}
-	val, ok, err := p.primary.Get(pk)
+	return pk, nil
+}
+
+// Lookup returns the record with the given primary key fields. It takes no
+// partition lock: the decode, too, runs beside the writers. The record is
+// decoded inside the tree's point read, from the stored bytes in place, and
+// keeps none of them: the decode's own copy is the only one.
+func (p *Partition) Lookup(pkValues []adm.Value) (*adm.Record, bool, error) {
+	pk, err := p.primaryKey(pkValues)
+	if err != nil {
+		return nil, false, err
+	}
+	var rec *adm.Record
+	var decodeErr error
+	ok, err := p.primary.View(pk, func(val []byte) { rec, decodeErr = decodeStored(val) })
 	if err != nil || !ok {
 		return nil, false, p.readErr(err)
 	}
-	rec, err := decodeStored(val)
-	return rec, err == nil, err
+	return rec, decodeErr == nil, decodeErr
 }
 
 // readErr reports a tree's read error, as errPartitionClosed once the
