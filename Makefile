@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fast vet fmt loc fuzz-adm bench-smoke watch-smoke chaos-smoke chaos-restart-smoke chaos-overload-smoke chaos ci
+.PHONY: build test race lint vet fmt loc fuzz-adm bench-smoke watch-smoke chaos-smoke chaos-restart-smoke chaos-overload-smoke chaos ci
 
 build:
 	$(GO) build ./...
@@ -30,12 +30,6 @@ fuzz-adm:
 # feedlint enforces the architecture invariants in DESIGN.md.
 lint:
 	$(GO) run ./cmd/feedlint ./...
-
-# Same checks, faster loads: -faststd type-checks against the compiler's
-# exported package data instead of re-checking stdlib sources, and -v
-# prints where the time went. Use during edit-lint loops.
-lint-fast:
-	$(GO) run ./cmd/feedlint -faststd -v ./...
 
 vet:
 	$(GO) vet ./...

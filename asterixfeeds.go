@@ -62,6 +62,7 @@ type Instance struct {
 	registry *metrics.Registry
 	dataDir  string
 	ownDir   bool
+	lsmOpt   lsm.Options
 	govCfg   governor.Config
 
 	mu        sync.Mutex
@@ -95,31 +96,6 @@ func Start(cfg Config) (*Instance, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 		cfg.Feeds.Registry = reg
-	}
-	if cfg.Hyracks.FrameObserver == nil {
-		// Pre-resolve the boot nodes' counters so the steady-state frame
-		// path is two atomic adds, no registry lookup. The map is read-only
-		// after this loop; nodes added later fall back to the locked
-		// registry lookup.
-		type nodeTraffic struct{ frames, records *metrics.Counter }
-		traffic := make(map[string]nodeTraffic, len(nodes))
-		for _, n := range nodes {
-			traffic[n] = nodeTraffic{
-				frames:  reg.Counter("node." + n + ".frames"),
-				records: reg.Counter("node." + n + ".records"),
-			}
-		}
-		cfg.Hyracks.FrameObserver = func(node, _ string, f *hyracks.Frame) {
-			t, ok := traffic[node]
-			if !ok {
-				t = nodeTraffic{
-					frames:  reg.Counter("node." + node + ".frames"),
-					records: reg.Counter("node." + node + ".records"),
-				}
-			}
-			t.frames.Add(1)
-			t.records.Add(int64(f.Len()))
-		}
 	}
 	cluster := hyracks.NewCluster(cfg.Hyracks, nodes...)
 	sms := make(map[string]*storage.Manager, len(nodes))
@@ -168,6 +144,7 @@ func Start(cfg Config) (*Instance, error) {
 		registry:  reg,
 		dataDir:   dataDir,
 		ownDir:    ownDir,
+		lsmOpt:    cfg.LSM,
 		govCfg:    cfg.Governor,
 		dataverse: "Default",
 	}
@@ -181,9 +158,12 @@ func nodeDir(root, node string) string { return root + "/" + node }
 // startNode gives node n its services: a storage manager whose trees all
 // share one private lsm.Metrics, published under "node.<name>.lsm.*", and
 // the ingestion governor (core.NewNodeGovernor), published under
-// "node.<name>.governor.*".
+// "node.<name>.governor.*". The node's frame traffic, counted by the node
+// itself, is published as "node.<name>.frames" and "node.<name>.records".
 func startNode(reg *metrics.Registry, n *hyracks.NodeController, dir string, lsmOpt lsm.Options, govCfg governor.Config) *storage.Manager {
 	name := n.ID()
+	reg.RegisterCounter("node."+name+".frames", &n.Frames)
+	reg.RegisterCounter("node."+name+".records", &n.Records)
 	lm := &lsm.Metrics{BlockReadLatency: metrics.NewLatencyRecorder()}
 	lsmOpt.Metrics = lm
 	sm := storage.NewManager(name, dir, lsmOpt)
@@ -292,7 +272,7 @@ func (in *Instance) AddNode(name string) error {
 	if err != nil {
 		return err
 	}
-	startNode(in.registry, n, nodeDir(in.dataDir, name), lsm.Options{}, in.govCfg)
+	startNode(in.registry, n, nodeDir(in.dataDir, name), in.lsmOpt, in.govCfg)
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"asterixfeeds/internal/adm"
 	"asterixfeeds/internal/core"
 	"asterixfeeds/internal/hyracks"
+	"asterixfeeds/internal/lsm"
 )
 
 func startTest(t *testing.T, nodes ...string) *Instance {
@@ -389,6 +390,39 @@ func TestAddNodeAndKillNode(t *testing.T) {
 	}
 	if got := inst.Cluster().AliveNodes(); len(got) != 1 || got[0] != "A" {
 		t.Fatalf("alive = %v", got)
+	}
+}
+
+// TestAddNodeKeepsLSMOptions: a node added at run time opens its trees
+// with the instance's lsm.Options, as the boot nodes do, and publishes its
+// frame traffic under the same names.
+func TestAddNodeKeepsLSMOptions(t *testing.T) {
+	inst, err := Start(Config{Nodes: []string{"A"}, LSM: lsm.Options{SyncWAL: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	if err := inst.AddNode("B"); err != nil {
+		t.Fatal(err)
+	}
+	// The dataset's nodegroup is every live node, B included.
+	inst.MustExec(`use dataverse feeds;
+		create type U as open { id: string };
+		create dataset Users(U) primary key id;`)
+	var b strings.Builder
+	b.WriteString("insert into dataset Users ( [")
+	for i := 0; i < 40; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, `{"id": "u-%d"}`, i)
+	}
+	b.WriteString("] );")
+	inst.MustExec(b.String())
+	for _, name := range []string{"node.B.lsm.wal_syncs", "node.B.frames", "node.B.records"} {
+		if v, ok := inst.Registry().Value(name); !ok || v == 0 {
+			t.Errorf("%s = %d (registered %v), want > 0", name, v, ok)
+		}
 	}
 }
 

@@ -10,11 +10,28 @@ echo "build: ok"
 # Informational: it never fails the run.
 make -s loc REF=HEAD~1 || true
 
+# go vet is the lock-copy gate: its copylocks check refuses a sync value
+# copied by value (parameter, receiver, assignment). feedlint has no copy of
+# that rule.
 go vet ./...
 echo "vet: ok"
 
 go run ./cmd/feedlint ./...
 echo "feedlint: ok"
+
+# One checker per lock rule: go vet owns lock copies, lockorder owns a lock
+# held into a send at every call depth, and the loader resolves stdlib
+# imports one way (from source). A mutexcheck package or a -faststd importer
+# brings back a second checker of the same rule, or a second importer for
+# the same packages.
+if [ -d internal/lint/mutexcheck ] ||
+	grep -rnE 'faststd|FastStd' cmd/feedlint internal/lint >/dev/null 2>&1; then
+	echo "a second lock checker or stdlib importer is back in feedlint:" >&2
+	ls -d internal/lint/mutexcheck >&2 2>/dev/null || true
+	grep -rnE 'faststd|FastStd' cmd/feedlint internal/lint >&2 || true
+	exit 1
+fi
+echo "lock rules: one checker each"
 
 # The background flush/compaction pipeline was specifically built so the LSM
 # needs no lockorder waivers: no disk I/O happens under the tree lock. Keep

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	feedlint [-list] [-v] [-faststd] [dir ...]
+//	feedlint [-list] [-v] [dir ...]
 //
 // With no arguments (or "./..."), feedlint analyzes the module containing
 // the current directory. A directory argument selects the module
@@ -14,10 +14,9 @@
 // exercised. Findings print as "file:line: [rule] message"; any finding
 // makes the exit status 1.
 //
-// -v reports per-analyzer wall time and any files the loader skipped
-// because of build constraints. -faststd resolves stdlib imports from
-// compiled export data instead of type-checking $GOROOT/src — much
-// faster, used by `make lint-fast`.
+// -v reports the load time, per-analyzer wall time, and any files the
+// loader skipped because of build constraints. Stdlib imports are
+// type-checked from $GOROOT/src, so feedlint needs no build cache.
 //
 // Stale `//feedlint:allow` directives — waivers that no longer suppress
 // anything — are reported as warnings on stderr but do not change the
@@ -38,7 +37,6 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	verbose := flag.Bool("v", false, "report per-analyzer timings and loader skips")
-	fastStd := flag.Bool("faststd", false, "resolve stdlib imports from export data (faster; needs a primed build cache)")
 	flag.Parse()
 
 	as := all.Analyzers()
@@ -52,7 +50,7 @@ func main() {
 	roots := moduleRoots(flag.Args())
 	exit := 0
 	for _, root := range roots {
-		findings, err := run(root, as, *fastStd, *verbose)
+		findings, err := run(root, as, *verbose)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "feedlint:", err)
 			os.Exit(2)
@@ -87,7 +85,7 @@ func moduleRoots(args []string) []string {
 }
 
 // run lints the module containing dir and returns its findings.
-func run(dir string, as []lint.Analyzer, fastStd, verbose bool) ([]lint.Finding, error) {
+func run(dir string, as []lint.Analyzer, verbose bool) ([]lint.Finding, error) {
 	st, err := os.Stat(dir)
 	if err != nil {
 		return nil, err
@@ -100,7 +98,6 @@ func run(dir string, as []lint.Analyzer, fastStd, verbose bool) ([]lint.Finding,
 	if err != nil {
 		return nil, err
 	}
-	loader.FastStd = fastStd
 	loadStart := time.Now()
 	pkgs, err := loader.LoadAll()
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"asterixfeeds/internal/metrics"
 )
 
 // Config tunes cluster timing and dataflow parameters. The zero value is
@@ -36,13 +38,6 @@ type Config struct {
 	// task or kill the node; node liveness is rechecked after it returns
 	// so an injected kill lands exactly on the frame boundary.
 	FrameFault func(node, op string, f *Frame)
-	// FrameObserver, when non-nil, runs at every consumer frame boundary
-	// with the hosting node's ID, the operator's name, and the frame about
-	// to be delivered. Unlike FrameFault it must be side-effect-free on
-	// the dataflow: it exists so an embedding layer can count per-node
-	// frame traffic without hyracks importing a metrics package. Nil (the
-	// default) keeps the uninstrumented path branch-predictable.
-	FrameObserver func(node, op string, f *Frame)
 }
 
 func (c Config) withDefaults() Config {
@@ -108,6 +103,9 @@ type NodeController struct {
 	// tasks but not yet dequeued — the execution layer's contribution to
 	// the ingestion governor's memory accounting.
 	inflight atomic.Int64
+	// Frames and Records count the frames, and the records in them, that
+	// this node's consumer tasks dequeued: its share of the frame traffic.
+	Frames, Records metrics.Counter
 
 	mu       sync.Mutex
 	services map[string]any

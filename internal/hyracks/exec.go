@@ -538,9 +538,8 @@ func (c *Cluster) runTask(j *JobHandle, rt OperatorRuntime, in *inQueue, node *N
 				return rt.Close()
 			}
 			node.addInFlight(-int64(f.Bytes()))
-			if ob := c.cfg.FrameObserver; ob != nil {
-				ob(node.ID(), opName, f)
-			}
+			node.Frames.Add(1)
+			node.Records.Add(int64(f.Len()))
 			if ff := c.cfg.FrameFault; ff != nil {
 				ff(node.ID(), opName, f)
 				// The hook may have killed this node: recheck liveness so

@@ -79,11 +79,14 @@ func (r *genRuntime) Run() error {
 type collectOp struct {
 	mu       sync.Mutex
 	recs     map[string][]uint64 // per node
+	frames   map[string]int64    // per node
 	tracked  int
 	badPairs int
 }
 
-func newCollectOp() *collectOp { return &collectOp{recs: make(map[string][]uint64)} }
+func newCollectOp() *collectOp {
+	return &collectOp{recs: make(map[string][]uint64), frames: make(map[string]int64)}
+}
 
 func (c *collectOp) Name() string { return "collect" }
 
@@ -123,6 +126,7 @@ func (r *collectRuntime) Open() error { return r.out.Open() }
 
 func (r *collectRuntime) NextFrame(f *Frame) error {
 	r.op.mu.Lock()
+	r.op.frames[r.ctx.NodeID]++
 	for i, rec := range f.Records {
 		key := binary.LittleEndian.Uint64(rec)
 		r.op.recs[r.ctx.NodeID] = append(r.op.recs[r.ctx.NodeID], key)
@@ -201,6 +205,39 @@ func TestSimpleJobOneToOne(t *testing.T) {
 	}
 	if j.Status() != JobFinished {
 		t.Fatalf("status = %v, want finished", j.Status())
+	}
+}
+
+// TestNodeCountsFrameTraffic: each node counts the frames, and the records
+// in them, that its consumer tasks dequeued — here exactly what the
+// collector tasks on that node received.
+func TestNodeCountsFrameTraffic(t *testing.T) {
+	nodes := []string{"A", "B"}
+	c := NewCluster(testConfig(), nodes...)
+	defer c.Close()
+
+	spec := &JobSpec{Name: "traffic"}
+	sink := newCollectOp()
+	gen := spec.AddOperator(&genOp{count: 101}, LocationConstraint(nodes...))
+	col := spec.AddOperator(sink, LocationConstraint(nodes...))
+	spec.Connect(gen, col, MToNHashPartition, leUint64Hash)
+
+	j, err := c.StartJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	for _, n := range nodes {
+		node := c.Node(n)
+		frames, records := node.Frames.Value(), node.Records.Value()
+		if frames == 0 || frames != sink.frames[n] || records != int64(len(sink.recs[n])) {
+			t.Errorf("node %s counted %d frames, %d records; its collector received %d frames, %d records",
+				n, frames, records, sink.frames[n], len(sink.recs[n]))
+		}
 	}
 }
 

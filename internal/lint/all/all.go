@@ -13,7 +13,6 @@ import (
 	"asterixfeeds/internal/lint/goleak"
 	"asterixfeeds/internal/lint/hooknil"
 	"asterixfeeds/internal/lint/lockorder"
-	"asterixfeeds/internal/lint/mutexcheck"
 	"asterixfeeds/internal/lint/simclock"
 )
 
@@ -22,7 +21,6 @@ import (
 func Analyzers() []lint.Analyzer {
 	return []lint.Analyzer{
 		archrule.New(nil),
-		mutexcheck.New(),
 		goleak.New(nil),
 		errdrop.New(nil),
 		simclock.New(nil),

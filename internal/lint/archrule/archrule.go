@@ -45,7 +45,7 @@ type Rule struct {
 //   - internal/storage may import only adm, lsm, and metrics
 //   - internal/hyracks (the dataflow engine) may import only metrics and,
 //     in particular, must never import the feed runtime in internal/core
-//     (frame-traffic counting goes through Config.FrameObserver instead)
+//     (each node counts its own frame traffic in metrics counters)
 //   - internal/metadata may import only adm, lsm, and storage
 //   - internal/core (the feed runtime) must not reach up into the query
 //     layer (aql), the experiment harness, or the module root: the HTTP

@@ -4,8 +4,8 @@
 // depends on invariants no compiler checks: layering between the dataflow
 // engine, storage, and the feed runtime; lock discipline on hot paths; and
 // goroutine hygiene in the ingestion pipeline. Analyzers live in
-// subpackages — per-package checks (archrule, mutexcheck, goleak,
-// errdrop, simclock) and whole-module interprocedural checks built on the
+// subpackages — per-package checks (archrule, goleak, errdrop,
+// simclock) and whole-module interprocedural checks built on the
 // internal/lint/ipa call-graph engine (lockorder, hooknil, chanhygiene) —
 // are registered in internal/lint/all and driven by cmd/feedlint.
 package lint

@@ -1,6 +1,6 @@
 // Package hooknil enforces the nil-safe hook contract interprocedurally:
 // every call through an optional hook field (lsm.Options.FaultHook,
-// hyracks.Config.FrameObserver, core.Options.Registry's gauge funcs, …)
+// hyracks.Config.FrameFault, core.Options.Registry's gauge funcs, …)
 // must be dominated by a nil check, or live inside a function declared as
 // a nil-safe wrapper.
 //

@@ -17,35 +17,19 @@ import (
 
 // sharedFset positions every file any Loader in this process parses or
 // imports. Sharing one FileSet (token.FileSet is safe for concurrent use)
-// is what lets the expensive stdlib importers below be memoized across
-// loaders: a types.Package produced for one fixture module is reusable by
-// the next, instead of re-type-checking the standard library per module.
+// is what lets the stdlib importer below be memoized across loaders: a
+// types.Package produced for one fixture module is reusable by the next,
+// instead of re-type-checking the standard library per module.
 var sharedFset = token.NewFileSet()
 
-// stdImporters hands out the process-wide stdlib importers. The "source"
-// importer type-checks the standard library from $GOROOT/src (no build
-// cache needed); the "gc" importer reads compiled export data and is an
-// order of magnitude faster, but depends on the toolchain's build cache
-// (feedlint -faststd). Both memoize imported packages internally, and both
-// are serialized by stdMu because neither documents concurrency safety.
-var stdImporters struct {
-	once   sync.Once
-	source types.ImporterFrom
-	gc     types.ImporterFrom
-}
+// stdImporter is the process-wide stdlib importer: go/importer's "source"
+// compiler, which type-checks the standard library from $GOROOT/src and so
+// needs no build cache and no subprocess. It memoizes imported packages
+// internally; stdMu serializes it because it does not document
+// concurrency safety.
+var stdImporter = importer.ForCompiler(sharedFset, "source", nil).(types.ImporterFrom)
 
 var stdMu sync.Mutex
-
-func stdImporter(fast bool) types.ImporterFrom {
-	stdImporters.once.Do(func() {
-		stdImporters.source = importer.ForCompiler(sharedFset, "source", nil).(types.ImporterFrom)
-		stdImporters.gc = importer.ForCompiler(sharedFset, "gc", nil).(types.ImporterFrom)
-	})
-	if fast {
-		return stdImporters.gc
-	}
-	return stdImporters.source
-}
 
 // SkippedFile records a source file the loader excluded from analysis,
 // with the build constraint that excluded it. feedlint -v prints these so
@@ -59,18 +43,14 @@ type SkippedFile struct {
 
 // Loader parses and type-checks every package of one Go module using only
 // the standard library. Stdlib imports are resolved from source via
-// go/importer's "source" compiler by default (no build cache or export
-// data required) or from gc export data when FastStd is set;
-// module-internal imports are resolved recursively by the loader itself.
+// go/importer's "source" compiler (no build cache or export data
+// required); module-internal imports are resolved recursively by the
+// loader itself.
 type Loader struct {
 	// RootDir is the absolute directory containing go.mod.
 	RootDir string
 	// Module is the module path declared in go.mod.
 	Module string
-	// FastStd, when set before the first Load, resolves stdlib imports
-	// from compiled export data instead of type-checking $GOROOT/src.
-	// Much faster, but requires a primed toolchain build cache.
-	FastStd bool
 	// Skipped lists files excluded by build constraints, in load order.
 	Skipped []SkippedFile
 
@@ -295,5 +275,5 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	// per-root goroutines in cmd/feedlint) over its internal cache.
 	stdMu.Lock()
 	defer stdMu.Unlock()
-	return stdImporter(l.FastStd).ImportFrom(path, dir, mode)
+	return stdImporter.ImportFrom(path, dir, mode)
 }

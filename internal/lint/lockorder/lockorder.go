@@ -1,6 +1,5 @@
 // Package lockorder builds the module's global lock-acquisition graph and
-// enforces two invariants mutexcheck cannot see across function
-// boundaries:
+// enforces two invariants, within one function and across call chains:
 //
 //  1. lock acquisition order forms a DAG. An edge A → B exists when any
 //     path acquires B (directly or through any chain of calls, including
@@ -8,9 +7,13 @@
 //     can acquire the locks in opposite orders and deadlock. This is the
 //     lockdep approach, keyed by struct field rather than lock instance.
 //  2. no path holds a sync.Mutex/RWMutex into a blocking operation — a
-//     channel send, select, WaitGroup.Wait, Cond.Wait, or file Sync
-//     reached through a call chain. (Direct sends under a held lock are
-//     mutexcheck's finding; lockorder owns everything deeper.)
+//     channel send (a bare one, or a send clause of a select with no
+//     default), WaitGroup.Wait, Cond.Wait, or file Sync — made in the
+//     function itself or reached through a call chain. With bounded
+//     inter-node queues (back-pressure by design, §5.3), a send on a full
+//     one stalls with the lock held.
+//
+// Locks copied by value are go vet's copylocks finding, not this one.
 package lockorder
 
 import (
@@ -34,7 +37,7 @@ func (*Analyzer) Name() string { return "lockorder" }
 
 // Doc implements lint.Analyzer.
 func (*Analyzer) Doc() string {
-	return "lock-order cycles (deadlock risk) and locks held into blocking operations, across call chains"
+	return "lock-order cycles (deadlock risk) and locks held into blocking operations, in a function or across call chains"
 }
 
 // reportedKinds are the blocking kinds flagged under a held lock — the
@@ -104,10 +107,9 @@ func (s *scanner) scanStmts(stmts []ast.Stmt, held heldSet) {
 	}
 }
 
-// scanStmt walks one statement in source order, mirroring mutexcheck's
-// state discipline: compound statements get a copy of the held set
-// (assumed lock-balanced), and a deferred Unlock keeps the lock held to
-// the end of the body.
+// scanStmt walks one statement in source order: compound statements get a
+// copy of the held set (assumed lock-balanced), and a deferred Unlock
+// keeps the lock held to the end of the body.
 func (s *scanner) scanStmt(st ast.Stmt, held heldSet) {
 	switch st := st.(type) {
 	case *ast.ExprStmt:
@@ -123,10 +125,9 @@ func (s *scanner) scanStmt(st ast.Stmt, held heldSet) {
 	case *ast.IncDecStmt:
 		s.processExpr(st.X, held)
 	case *ast.SendStmt:
-		// The direct send-under-lock finding belongs to mutexcheck; calls
-		// inside the operands still matter here.
 		s.processExpr(st.Chan, held)
 		s.processExpr(st.Value, held)
+		s.reportSend(st, held)
 	case *ast.GoStmt:
 		// The goroutine runs under its own (empty) lock state, and the
 		// spawned call's effects are not the spawner's.
@@ -195,11 +196,29 @@ func (s *scanner) scanStmt(st ast.Stmt, held heldSet) {
 			}
 		}
 	case *ast.SelectStmt:
+		// With a default clause the select cannot block, so its send
+		// clauses are not reported.
+		hasDefault := false
 		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				s.scanStmts(cc.Body, held.clone())
-			}
+			hasDefault = hasDefault || c.(*ast.CommClause).Comm == nil
 		}
+		for _, c := range st.Body.List {
+			cc := c.(*ast.CommClause)
+			if send, ok := cc.Comm.(*ast.SendStmt); ok && !hasDefault {
+				s.reportSend(send, held)
+			}
+			s.scanStmts(cc.Body, held.clone())
+		}
+	}
+}
+
+// reportSend reports a channel send made in this function under each
+// held lock.
+func (s *scanner) reportSend(send *ast.SendStmt, held heldSet) {
+	pos := s.pkg.Fset.Position(send.Arrow)
+	for key, info := range held {
+		s.reportOnce(key, pos, ipa.KindSend, pos, fmt.Sprintf("%s while holding %s (locked at line %d); a full queue blocks with the lock held",
+			ipa.KindSend, info.expr, info.pos.Line))
 	}
 }
 

@@ -1,12 +1,5 @@
 package pkg
 
-// GetPtr reads through a pointer receiver: no copy.
-func (g *Guarded) GetPtr() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
-}
-
 // SendAfterUnlock snapshots under the lock and sends outside it.
 func SendAfterUnlock(g *Guarded, ch chan int) {
 	g.mu.Lock()
@@ -16,7 +9,7 @@ func SendAfterUnlock(g *Guarded, ch chan int) {
 }
 
 // NonBlockingSend may send while locked, but the default clause keeps the
-// select from blocking indefinitely.
+// select from blocking.
 func NonBlockingSend(g *Guarded, ch chan int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -26,8 +19,13 @@ func NonBlockingSend(g *Guarded, ch chan int) {
 	}
 }
 
-// NewGuarded constructs a fresh value: composite literals are not copies.
-func NewGuarded() *Guarded {
-	g := Guarded{n: 1}
-	return &g
+// SendInSpawnedGoroutine spawns the send under the lock; the goroutine
+// runs under its own lock state, so the spawner does not block.
+func SendInSpawnedGoroutine(g *Guarded, ch chan int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	v := g.n
+	go func() {
+		ch <- v
+	}()
 }
