@@ -146,6 +146,18 @@ if grep -nE 'OpenPartition\(' ./*.go 2>/dev/null | grep -v '_test\.go:' >/dev/nu
 fi
 echo "store: one call per frame, one store target"
 
+# An acked write has left the process: the WAL writes each batch straight to
+# its segment file. A buffered writer in front of the file brings back acks
+# that a process crash loses, and the seal and flushes that buffer needs.
+if grep -n 'bufio\.NewWriter' internal/lsm/wal.go >/dev/null 2>&1 ||
+	grep -rn 'seal(' internal/lsm --include='*.go' --exclude='*_test.go' >/dev/null 2>&1; then
+	echo "a buffered WAL writer or its seal is back in internal/lsm:" >&2
+	grep -n 'bufio\.NewWriter' internal/lsm/wal.go >&2 || true
+	grep -rn 'seal(' internal/lsm --include='*.go' --exclude='*_test.go' >&2 || true
+	exit 1
+fi
+echo "wal: each append reaches the OS"
+
 go test ./...
 echo "test: ok"
 
@@ -213,6 +225,11 @@ if [ "${1:-}" = "-race" ]; then
 	# of a scanner's buffer and a reused scratch, and a record still aliasing
 	# either is a race the detector sees.
 	go test -race -short -run '(?i)replicat|Restart|FeedMaintains|SocketAdaptor|FileFeed' .
+	# The two process-kill tests: a child acks writes at SyncWAL 0 and is
+	# sent SIGKILL; a reopen must find every acked record. Five times each,
+	# so an ack that runs ahead of its write shows.
+	go test -race -count=5 -run 'AckedBatchesSurviveSIGKILL' ./internal/lsm/
+	go test -race -count=5 -run 'AckedInsertsSurviveSIGKILL' .
 	# The governor's load-shedding path under the race detector: the full
 	# 50-seed overload sweep (the acceptance bar for the governor).
 	go run -race ./cmd/feedchaos -overload -seeds 50 -records 120

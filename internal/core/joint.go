@@ -343,9 +343,6 @@ type Subscription struct {
 	// latency, when set, samples each dequeued frame's queueing delay —
 	// the intake-side component of ingestion latency (Table 7.1).
 	latency *metrics.LatencyRecorder
-	// onExcess is invoked when the Elastic policy observes a backlog
-	// beyond budget; the Central Feed Manager installs it.
-	onExcess func()
 	// spillFault, when set, is consulted (point "spill:push") before each
 	// spill-file write; fault-injection harnesses use it to exercise the
 	// spill error path.
@@ -442,14 +439,6 @@ func (s *Subscription) ID() string { return s.id }
 func (s *Subscription) SetLatencyRecorder(r *metrics.LatencyRecorder) {
 	s.mu.Lock()
 	s.latency = r
-	s.mu.Unlock()
-}
-
-// SetExcessCallback installs the elastic-policy callback fired on sustained
-// excess.
-func (s *Subscription) SetExcessCallback(fn func()) {
-	s.mu.Lock()
-	s.onExcess = fn
 	s.mu.Unlock()
 }
 
@@ -563,15 +552,8 @@ func (s *Subscription) offer(f *hyracks.Frame) {
 		// growth is the caller's risk, exactly as in the paper.
 		s.enqueueLocked(f)
 	}
-	var elasticCB func()
-	if excess && s.pol.Elastic {
-		elasticCB = s.onExcess
-	}
 	s.publishLocked()
 	s.mu.Unlock()
-	if elasticCB != nil {
-		elasticCB()
-	}
 }
 
 // pushSpillLocked appends f to the spill file, first consulting the

@@ -564,8 +564,11 @@ func (r *storeRuntime) deliverAcks(acks []uint64) {
 // §5.3.1's MetaFeed, and the survivors go in one more call. An environmental
 // error (WAL write, fsync, replica IO) retries them once; the blind write
 // converges. Records that still fail are not their own fault: they stay
-// un-acked, for the at-least-once sweeper to replay. A persist observer,
-// when installed, then sees each stored record decoded.
+// un-acked, for the at-least-once sweeper to replay. A record is acked only
+// after the call that stored it returns, when its WAL record is in the
+// segment file (and fsynced, at lsm.Options.SyncWAL > 0): the ack survives a
+// crash of this process, and at SyncWAL > 0 of its host too. A persist
+// observer, when installed, then sees each stored record decoded.
 func (r *storeRuntime) NextFrame(f *hyracks.Frame) error {
 	conn := r.op.conn
 	if !conn.storeEnabled.Load() {

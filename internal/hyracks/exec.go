@@ -128,17 +128,6 @@ func (q *inQueue) send(f *Frame, canceled <-chan struct{}) error {
 		return nil // drop: receiver is gone
 	case <-canceled:
 		return ErrJobCanceled
-	default:
-	}
-	// Slow path: block until one of the above unblocks.
-	select {
-	case q.ch <- f:
-		q.node.addInFlight(int64(f.Bytes()))
-		return nil
-	case <-q.node.dead:
-		return nil
-	case <-canceled:
-		return ErrJobCanceled
 	}
 }
 

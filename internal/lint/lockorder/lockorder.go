@@ -196,18 +196,30 @@ func (s *scanner) scanStmt(st ast.Stmt, held heldSet) {
 			}
 		}
 	case *ast.SelectStmt:
-		// With a default clause the select cannot block, so its send
-		// clauses are not reported.
+		// Every clause's channel and send value evaluate when the select
+		// is entered, before it chooses, so their calls run under the held
+		// locks ahead of any clause body. With a default clause the select
+		// cannot block, so its send clauses are not reported.
 		hasDefault := false
 		for _, c := range st.Body.List {
 			hasDefault = hasDefault || c.(*ast.CommClause).Comm == nil
 		}
 		for _, c := range st.Body.List {
-			cc := c.(*ast.CommClause)
-			if send, ok := cc.Comm.(*ast.SendStmt); ok && !hasDefault {
-				s.reportSend(send, held)
+			switch comm := c.(*ast.CommClause).Comm.(type) {
+			case *ast.SendStmt:
+				s.processExpr(comm.Chan, held)
+				s.processExpr(comm.Value, held)
+				if !hasDefault {
+					s.reportSend(comm, held)
+				}
+			case *ast.ExprStmt: // case <-ch:
+				s.processExpr(comm.X, held)
+			case *ast.AssignStmt: // case v := <-ch:
+				s.processExpr(comm.Rhs[0], held)
 			}
-			s.scanStmts(cc.Body, held.clone())
+		}
+		for _, c := range st.Body.List {
+			s.scanStmts(c.(*ast.CommClause).Body, held.clone())
 		}
 	}
 }

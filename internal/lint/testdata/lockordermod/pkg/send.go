@@ -52,3 +52,36 @@ func SendInClosure(g *Guarded, ch chan int) func() {
 		ch <- g.n
 	}
 }
+
+// sendValue, recvFrom and recvOn block on the group before they return a
+// select clause's operand.
+func sendValue(wg *sync.WaitGroup) int {
+	wg.Wait()
+	return 0
+}
+
+func recvFrom(wg *sync.WaitGroup, ch chan int) chan int {
+	wg.Wait()
+	return ch
+}
+
+func recvOn(wg *sync.WaitGroup, ch chan int) chan int {
+	wg.Wait()
+	return ch
+}
+
+// SelectOperandsUnderLock blocks while locked in the calls that compute its
+// clauses' operands: they run when the select is entered, whichever clause
+// it then picks. The default clause keeps the send itself unreported.
+func SelectOperandsUnderLock(g *Guarded, ch chan int, wg *sync.WaitGroup) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	select {
+	case ch <- sendValue(wg):
+	case v := <-recvFrom(wg, ch):
+		return v
+	case <-recvOn(wg, ch):
+	default:
+	}
+	return 0
+}

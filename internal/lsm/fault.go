@@ -53,8 +53,9 @@ var (
 	// ErrTornWrite instructs the WAL to persist a torn (prefix-only) record
 	// and wedge itself, simulating a crash mid-write.
 	ErrTornWrite = errors.New("lsm: injected torn write")
-	// ErrWALBroken is returned by every WAL operation after a torn write has
-	// wedged the log. The owning tree must be discarded and reopened.
+	// ErrWALBroken is returned by every WAL operation after a torn or failed
+	// write has wedged the log. The owning tree must be discarded and
+	// reopened.
 	ErrWALBroken = errors.New("lsm: wal broken by torn write")
 	// ErrCorruptRead, returned by a hook at "read:block", makes the run flip
 	// one bit in the freshly read block — modelling media corruption the

@@ -247,7 +247,6 @@ func TestWALRecovery(t *testing.T) {
 	tr.Delete([]byte("k050"))
 	// Simulate a crash: close file handles without flushing the memtable.
 	tr.mu.Lock()
-	tr.wal.w.Flush()
 	tr.wal.f.Close()
 	tr.mu.Unlock()
 
@@ -274,7 +273,6 @@ func TestWALTornTailIgnored(t *testing.T) {
 	tr, _ := Open(Options{Dir: dir})
 	tr.Put([]byte("good"), []byte("1"))
 	tr.mu.Lock()
-	tr.wal.w.Flush()
 	// Append garbage simulating a torn write.
 	tr.wal.f.Write([]byte{0xde, 0xad, 0xbe})
 	tr.wal.f.Close()

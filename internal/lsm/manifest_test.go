@@ -85,7 +85,7 @@ func TestRetiredSegmentNotReplayed(t *testing.T) {
 	// Resurrect the retired segment with a stale value, simulating the lost
 	// unlink: the flush commit is durable, the delete never happened.
 	seg := filepath.Join(dir, "wal-000001.log")
-	w, err := openWAL(seg, 1, nil, nil)
+	w, err := openWAL(seg, true, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

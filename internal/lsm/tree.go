@@ -32,8 +32,11 @@ type Options struct {
 	// age, so the file count grows with the logarithm of the data, not with
 	// the number of flushes. It does not bound the total run count.
 	MaxRuns int
-	// SyncWAL groups WAL fsyncs: 0 disables syncing (fastest, used by
-	// experiments), 1 syncs every write (durable), n syncs every n writes.
+	// SyncWAL chooses whether a WAL append is fsynced. 0 never fsyncs (used
+	// by experiments): an acked batch is in the OS, so it survives a process
+	// crash but not a host crash. Any positive value fsyncs each batch before
+	// ApplyBatch returns, so an ack survives both. It is an int, not a bool,
+	// so callers that set it to 1 keep compiling.
 	SyncWAL int
 	// BlockBytes is the target encoded size of a run block; default 8 KiB.
 	// Smaller blocks mean finer cache granularity and more sparse-index
@@ -529,7 +532,7 @@ func (t *Tree) publishLocked(runs []*run) (old *runSet) {
 func (t *Tree) newSegment() (*wal, error) {
 	t.walSeq++
 	path := filepath.Join(t.opt.Dir, fmt.Sprintf("wal-%06d.log", t.walSeq))
-	return openWAL(path, t.opt.SyncWAL, t.opt.FaultHook, t.opt.Metrics)
+	return openWAL(path, t.opt.SyncWAL > 0, t.opt.FaultHook, t.opt.Metrics)
 }
 
 // kick nudges a background worker without blocking; a pending kick is
@@ -618,8 +621,8 @@ func (t *Tree) Delete(key []byte) error {
 //
 // The commit is two-phase group commit: the WAL append and memtable update
 // run in the writer's turn (t.wmu), only the insert under the tree lock; the
-// (at most one, per Options.SyncWAL) fsync that acknowledges durability runs
-// after the turn ends, so neither log writes nor durability waits stall
+// fsync that acknowledges durability (one per batch when Options.SyncWAL > 0)
+// runs after the turn ends, so neither log writes nor durability waits stall
 // readers. A mutation may therefore be visible to readers before
 // it is durable — the caller must not ack until ApplyBatch returns nil. The
 // fsync targets the segment the record landed in (captured in the turn):
@@ -662,7 +665,7 @@ func (t *Tree) applyBatchLocked(b *Batch) (w *wal, syncDue bool, err error) {
 	t.mem.putBatch(b.ops)
 	t.publishLoadLocked()
 	t.mu.Unlock()
-	syncDue, err = t.wal.flushDue()
+	syncDue, err = t.wal.syncDue()
 	if err != nil {
 		return nil, false, err
 	}
@@ -724,10 +727,6 @@ func (t *Tree) admitLocked(stalled *bool) (<-chan struct{}, error) {
 func (t *Tree) rotateLocked() error {
 	nw, err := t.newSegment()
 	if err != nil {
-		return err
-	}
-	if err := t.wal.seal(); err != nil {
-		_ = nw.close()
 		return err
 	}
 	t.seq++

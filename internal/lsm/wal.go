@@ -29,26 +29,26 @@ const (
 
 // wal is one write-ahead log segment: every mutation is appended (and
 // optionally synced) before it is applied to the memtable, giving
-// record-level durability and crash recovery by replay. A Tree rotates
-// through segments — each memtable incarnation owns exactly one — so a
-// segment is retired (discard) as a unit once its memtable's flushed run
-// is durable, instead of truncating a shared log in place.
+// record-level durability and crash recovery by replay. An append is one
+// write of the whole record to the file, so a batch is in the OS when its
+// append returns and a process crash keeps it; only a host crash before the
+// fsync can lose it. A Tree rotates through segments — each memtable
+// incarnation owns exactly one — so a segment is retired (discard) as a unit
+// once its memtable's flushed run is durable, instead of truncating a shared
+// log in place.
 type wal struct {
 	f    *os.File
-	w    *bufio.Writer
 	path string
 	// seq is the segment number parsed from the file name; the flusher
 	// records it as the manifest's checkpoint floor when the segment is
 	// retired, so replay knows exactly where durable history ends.
 	seq int
-	// syncEvery groups fsyncs: 0 disables syncing (tests), 1 syncs every
-	// append, n>1 syncs every n appends. An append is one batch, so
-	// syncEvery=1 is group commit: one deferred fsync per batch rather
-	// than one per record. The commit is two-phase: appends
-	// and the threshold decision (flushDue) happen in a writer's turn
-	// (Tree.wmu), the fsync itself (fsync) after the turn ends.
-	syncEvery int
-	pending   int
+	// sync makes every append owe one fsync (Options.SyncWAL > 0). An
+	// append is one batch, so this is group commit: one fsync per batch
+	// rather than one per record. The commit is two-phase: the append and
+	// syncDue run in a writer's turn (Tree.wmu), the fsync itself (fsync)
+	// after the turn ends.
+	sync bool
 	// gateC is the group-commit gate: a one-token semaphore serializing
 	// fsync (and the segment's teardown) so concurrent committers queue on
 	// the durability wait without holding the tree lock. A channel rather
@@ -72,14 +72,14 @@ type wal struct {
 }
 
 // openWAL opens (creating if needed) the WAL segment at path for appending.
-func openWAL(path string, syncEvery int, fault FaultHook, m *Metrics) (*wal, error) {
+func openWAL(path string, sync bool, fault FaultHook, m *Metrics) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: opening wal: %w", err)
 	}
 	var seq int
 	fmt.Sscanf(filepath.Base(path), "wal-%06d.log", &seq)
-	w := &wal{f: f, w: bufio.NewWriterSize(f, 1<<16), path: path, seq: seq, syncEvery: syncEvery, fault: fault, metrics: m, gateC: make(chan struct{}, 1)}
+	w := &wal{f: f, path: path, seq: seq, sync: sync, fault: fault, metrics: m, gateC: make(chan struct{}, 1)}
 	w.gateRelease() // seed the single group-commit token
 	return w, nil
 }
@@ -96,20 +96,17 @@ func (w *wal) gateRelease() {
 	}
 }
 
-// tearWrite persists a strict prefix of record (the complete encoded bytes
-// of one WAL record, CRC included), flushes it to the OS, and wedges the
-// log: the on-disk tail now looks exactly like a crash mid-write, and every
-// later operation on this WAL reports ErrWALBroken.
+// tearWrite writes a strict prefix of record (the complete encoded bytes
+// of one WAL record, CRC included) to the file and wedges the log: the
+// on-disk tail now looks exactly like a crash mid-write, and every later
+// operation on this WAL reports ErrWALBroken.
 func (w *wal) tearWrite(record []byte) error {
 	w.broken = true
 	n := len(record) / 2
 	if n == 0 {
 		n = 1
 	}
-	if _, err := w.w.Write(record[:n]); err != nil {
-		return err
-	}
-	if err := w.w.Flush(); err != nil {
+	if _, err := w.f.Write(record[:n]); err != nil {
 		return err
 	}
 	return ErrTornWrite
@@ -121,9 +118,7 @@ func (w *wal) tearWrite(record []byte) error {
 //	  { opkind(1) klen(uvarint) vlen(uvarint) key value }*
 //
 // The CRC covers the entire body, so a torn tail invalidates the batch as a
-// unit and replay drops it atomically. The batch counts as a single append
-// toward syncEvery: group commit defers (at most) one fsync to the end of
-// the batch instead of paying one per record.
+// unit and replay drops it atomically.
 func (w *wal) appendBatch(ops []batchOp) error {
 	if len(ops) == 0 {
 		return nil
@@ -132,7 +127,7 @@ func (w *wal) appendBatch(ops []batchOp) error {
 		return ErrWALBroken
 	}
 	// The whole record is assembled in scratch, the CRC in front of the
-	// body it covers, and written at once.
+	// body it covers, and written to the file at once.
 	rec := append(w.scratch[:0], 0, 0, 0, 0)
 	rec = append(rec, byte(walBatch))
 	rec = binary.AppendUvarint(rec, uint64(len(ops)))
@@ -155,25 +150,26 @@ func (w *wal) appendBatch(ops []batchOp) error {
 			return err
 		}
 	}
-	if _, err := w.w.Write(rec); err != nil {
+	if _, err := w.f.Write(rec); err != nil {
+		// The failed write may have left part of the record in the file,
+		// and replay stops there: a record appended behind it would be
+		// acked but never replayed, so the log wedges instead.
+		w.broken = true
 		return err
 	}
 	if w.metrics != nil {
 		w.metrics.WALAppends.Add(1)
 		w.metrics.WALBytes.Add(int64(4 + len(body)))
 	}
-	w.pending++
 	return nil
 }
 
-// flushDue is the buffered half of group commit. Called in the writer's
-// turn (Tree.wmu) after a successful append, it decides whether this append
-// crossed the syncEvery threshold and, if so, flushes the buffered
-// records to the OS. The fsync itself is the caller's to run via fsync —
-// after its turn ends — so a stalled disk blocks only the committers
-// waiting on durability, never a lock.
-func (w *wal) flushDue() (bool, error) {
-	if w.syncEvery <= 0 || w.pending < w.syncEvery {
+// syncDue reports whether the batch just appended owes an fsync. Called in
+// the writer's turn (Tree.wmu) after a successful append; the fsync itself
+// is the caller's to run via fsync — after its turn ends — so a stalled disk
+// blocks only the committers waiting on durability, never a lock.
+func (w *wal) syncDue() (bool, error) {
+	if !w.sync {
 		return false, nil
 	}
 	if w.fault != nil {
@@ -181,17 +177,13 @@ func (w *wal) flushDue() (bool, error) {
 			return false, err
 		}
 	}
-	w.pending = 0
-	if err := w.w.Flush(); err != nil {
-		return false, err
-	}
 	if w.metrics != nil {
 		w.metrics.WALSyncs.Add(1)
 	}
 	return true, nil
 }
 
-// fsync durably persists records already flushed by flushDue. It must be
+// fsync durably persists the records appended so far. It must be
 // called without the tree lock — committers queue on the gate token, not
 // on any mutex, so a stalled disk never blocks readers or other writers.
 // A dead segment's records are already durable in a run file, so the
@@ -205,15 +197,7 @@ func (w *wal) fsync() error {
 	return w.f.Sync()
 }
 
-// seal flushes buffered records to the OS when the segment stops being the
-// active one: after a rotation only fsync and discard touch it, and both
-// reach the file directly. Called in a writer's turn (Tree.wmu), the only
-// place the buffered writer is ever used.
-func (w *wal) seal() error {
-	return w.w.Flush()
-}
-
-// close flushes and closes the segment file, leaving it on disk for replay.
+// close closes the segment file, leaving it on disk for replay.
 func (w *wal) close() error {
 	w.gateAcquire()
 	defer w.gateRelease()
@@ -221,14 +205,10 @@ func (w *wal) close() error {
 		return nil
 	}
 	w.dead = true
-	if err := w.w.Flush(); err != nil {
-		_ = w.f.Close()
-		return err
-	}
 	return w.f.Close()
 }
 
-// discard retires a sealed segment whose memtable's run is durable: the
+// discard retires a rotated-out segment whose memtable's run is durable: the
 // segment's records are redundant, so the file is closed and deleted. Any
 // committer still waiting on fsync for this segment completes vacuously —
 // its record's durability is now the run file's.

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -87,9 +88,8 @@ func TestWALBatchRecovery(t *testing.T) {
 	if err := tr.ApplyBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash: flush OS buffers, close handles, skip memtable flush.
+	// Simulate a crash: close handles, skip memtable flush.
 	tr.mu.Lock()
-	tr.wal.w.Flush()
 	tr.wal.f.Close()
 	tr.mu.Unlock()
 
@@ -140,13 +140,7 @@ func TestWALBatchTornTailAtomic(t *testing.T) {
 	if err := tr.Put([]byte("single"), []byte("s")); err != nil {
 		t.Fatal(err)
 	}
-	// The one-op batch ends where the buffered writer stands now.
-	tr.mu.Lock()
-	err = tr.wal.w.Flush()
-	tr.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The one-op batch ends where the segment file ends now.
 	batchSeg := newestSeg(t, dir)
 	if batchSeg == preSeg {
 		t.Fatalf("reopen did not rotate to a new segment (still %s)", preSeg)
@@ -283,13 +277,13 @@ func legacyWALRecord(kind walRecordKind, key, value []byte) []byte {
 // that a torn legacy record at the tail is dropped like any torn record.
 func TestWALMixedRecordKindsReplayInOrder(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(filepath.Join(dir, "wal-000001.log"), 0, nil, nil)
+	w, err := openWAL(filepath.Join(dir, "wal-000001.log"), false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	legacy := func(kind walRecordKind, key, value string) {
 		t.Helper()
-		if _, err := w.w.Write(legacyWALRecord(kind, []byte(key), []byte(value))); err != nil {
+		if _, err := w.f.Write(legacyWALRecord(kind, []byte(key), []byte(value))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,7 +305,7 @@ func TestWALMixedRecordKindsReplayInOrder(t *testing.T) {
 	// 5. legacy put after the last batch, then a torn legacy record
 	legacy(walPut, "c", "3")
 	torn := legacyWALRecord(walPut, []byte("torn"), []byte("never"))
-	if _, err := w.w.Write(torn[:len(torn)-2]); err != nil {
+	if _, err := w.f.Write(torn[:len(torn)-2]); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -347,22 +341,42 @@ func TestWALMixedRecordKindsReplayInOrder(t *testing.T) {
 	}
 }
 
-// TestWALBatchGroupCommitSyncs verifies a batch counts as one append toward
-// syncEvery: with SyncWAL=1, one ApplyBatch leaves nothing pending (the
-// deferred group-commit fsync ran), regardless of batch size.
+// TestWALBatchGroupCommitSyncs verifies a batch is one fsync: with
+// SyncWAL=1, each ApplyBatch pays exactly one WAL fsync regardless of its
+// size, and with SyncWAL=0 none.
 func TestWALBatchGroupCommitSyncs(t *testing.T) {
-	tr := openTest(t, Options{SyncWAL: 1})
-	b := NewBatch(100)
-	for i := 0; i < 100; i++ {
-		b.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
+	for _, tc := range []struct{ syncWAL, want int }{{0, 0}, {1, 3}} {
+		m := &Metrics{}
+		tr := openTest(t, Options{SyncWAL: tc.syncWAL, Metrics: m})
+		for round := 0; round < 3; round++ {
+			b := NewBatch(100)
+			for i := 0; i < 100; i++ {
+				b.Put([]byte(fmt.Sprintf("k%d-%03d", round, i)), []byte("v"))
+			}
+			if err := tr.ApplyBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := m.WALSyncs.Value(); got != int64(tc.want) {
+			t.Fatalf("SyncWAL=%d: %d WAL fsyncs after 3 batches, want %d", tc.syncWAL, got, tc.want)
+		}
 	}
-	if err := tr.ApplyBatch(b); err != nil {
+}
+
+// TestWALFailedWriteWedges fails a segment's write: it may have left part of
+// a record in the file, where replay stops, so every later append must be
+// refused rather than acked and never replayed.
+func TestWALFailedWriteWedges(t *testing.T) {
+	w, err := openWAL(filepath.Join(t.TempDir(), "wal-000001.log"), false, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	tr.mu.Lock()
-	pending := tr.wal.pending
-	tr.mu.Unlock()
-	if pending != 0 {
-		t.Fatalf("wal.pending = %d after synced batch, want 0 (one deferred fsync per batch)", pending)
+	w.f.Close()
+	op := []batchOp{{walPut, []byte("k"), []byte("v")}}
+	if err := w.appendBatch(op); err == nil || errors.Is(err, ErrWALBroken) {
+		t.Fatalf("append to a closed file = %v, want its write error", err)
+	}
+	if err := w.appendBatch(op); !errors.Is(err, ErrWALBroken) {
+		t.Fatalf("append after a failed write = %v, want ErrWALBroken", err)
 	}
 }
