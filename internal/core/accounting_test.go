@@ -207,7 +207,7 @@ func TestSubscriptionSpillIOErrorsLoseNothing(t *testing.T) {
 	if st := s.Stats(); st.SpilledTotal == 0 || st.SpilledFrames == 0 {
 		t.Fatalf("nothing spilled: %+v", st)
 	}
-	j.Unsubscribe("c")
+	s.drainAndClose()
 	for {
 		f, ok := s.Next(stop)
 		if !ok {
@@ -239,7 +239,7 @@ func TestSubscriptionSpillIOErrorsLoseNothing(t *testing.T) {
 // TestTrackedBytesHammer runs, under each lossy and non-lossy policy and a
 // governor small enough to refuse most of the traffic, every call that moves
 // a subscription's bytes at once: deposits, dequeues, requeues, spill
-// push/pop/replenish, new subscriptions, Unsubscribe with a drain and
+// push/pop/replenish, new subscriptions, a drain in place and
 // DropSubscription. The FeedManager's counter is never negative, equals the
 // walk over the subscriptions whenever the workers pause, and is zero when
 // everything is dropped.
@@ -322,7 +322,7 @@ func TestTrackedBytesHammer(t *testing.T) {
 							j.DropSubscription(id)
 							continue
 						}
-						j.Unsubscribe(id)
+						s.drainAndClose()
 						for {
 							if _, ok := s.Next(nil); !ok {
 								break

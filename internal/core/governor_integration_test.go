@@ -37,7 +37,7 @@ func TestGovernorShedLedgerExactness(t *testing.T) {
 		f.Append([]byte{byte(i)})
 		j.Deposit(f)
 	}
-	delivered := drainAll(j, s, "c")
+	delivered := drainAll(s)
 	st := s.Stats()
 	if st.GovernorShed == 0 {
 		t.Fatal("over-budget governor shed nothing from a Discard feed")
@@ -81,7 +81,7 @@ func TestGovernorShedConvertsToSpillForNonLossyPolicy(t *testing.T) {
 	if st := s.Stats(); st.SpilledTotal == 0 {
 		t.Fatalf("governor pressure did not force spilling: %+v", st)
 	}
-	delivered := drainAll(j, s, "c")
+	delivered := drainAll(s)
 	st := s.Stats()
 	if delivered != int64(offered) {
 		t.Fatalf("delivered %d of %d (non-lossy policy must not lose records under pressure)", delivered, offered)
@@ -120,7 +120,7 @@ func TestGovernorHighPriorityUnaffectedUnderPressure(t *testing.T) {
 	if st := hi.Stats(); st.GovernorShed != 0 {
 		t.Fatalf("high-priority feed shed %d records under pressure, want 0", st.GovernorShed)
 	}
-	if hiDelivered := drainAll(j, hi, "hi"); hiDelivered != int64(offered) {
+	if hiDelivered := drainAll(hi); hiDelivered != int64(offered) {
 		t.Fatalf("high-priority feed kept %d of %d records", hiDelivered, offered)
 	}
 	if st := lo.Stats(); st.GovernorShed == 0 {
@@ -151,7 +151,7 @@ func TestGovernorTrackedBytesZeroAtQuiescence(t *testing.T) {
 	if tracked := g.TrackedBytes(); tracked <= 0 {
 		t.Fatalf("governor tracked %d bytes with a live backlog, want > 0", tracked)
 	}
-	if delivered := drainAll(j, s, "c"); delivered != int64(offered) {
+	if delivered := drainAll(s); delivered != int64(offered) {
 		t.Fatalf("delivered %d of %d", delivered, offered)
 	}
 	if tracked := g.TrackedBytes(); tracked != 0 {

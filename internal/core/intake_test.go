@@ -327,8 +327,7 @@ func TestDisconnectDrainsParkedSubscription(t *testing.T) {
 		t.Fatal("the rebuilt intake never reached Subscribe")
 	}
 	waitFor(t, 10*time.Second, "every record deposited", func() bool {
-		_, n := joint.Deposited()
-		return n == records
+		return sub.Stats().Received == records
 	})
 	if sub.Backlog() == 0 {
 		t.Fatal("the parked subscription holds nothing: the test lost its interleaving")

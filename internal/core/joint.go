@@ -68,9 +68,6 @@ type Joint struct {
 	// without copying it per frame.
 	subs   []*Subscription
 	closed bool
-	// deposited counts frames seen, for monitoring.
-	depositedFrames  int64
-	depositedRecords int64
 	// subscriberArrived signals WaitForSubscriber.
 	subscriberArrived chan struct{}
 }
@@ -153,13 +150,6 @@ func (j *Joint) HasSubscribers() bool {
 	return len(j.subs) > 0
 }
 
-// Deposited reports the total frames and records deposited.
-func (j *Joint) Deposited() (frames, records int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.depositedFrames, j.depositedRecords
-}
-
 // WaitForSubscriber blocks until the joint has at least one subscriber or
 // cancel fires; it implements the deferred adaptor start of §5.3.1 (a
 // collect instance creates its adaptor only once there is a request for its
@@ -204,14 +194,6 @@ func (j *Joint) Subscribe(subID string, pol *Policy, spillPath string) (*Subscri
 	return s, nil
 }
 
-// Unsubscribe begins a graceful detach: the subscription receives no new
-// frames but its buffered backlog remains consumable until drained (§5.5).
-func (j *Joint) Unsubscribe(subID string) {
-	if s := j.remove(subID); s != nil {
-		s.drainAndClose()
-	}
-}
-
 // DropSubscription removes a subscription discarding its backlog; used when
 // a connection terminates abnormally.
 func (j *Joint) DropSubscription(subID string) {
@@ -238,8 +220,6 @@ func (j *Joint) remove(subID string) *Subscription {
 func (j *Joint) Deposit(f *hyracks.Frame) {
 	j.mu.Lock()
 	subs := j.subs
-	j.depositedFrames++
-	j.depositedRecords += int64(f.Len())
 	j.mu.Unlock()
 
 	for _, s := range subs {

@@ -8,10 +8,11 @@ import (
 	"asterixfeeds/internal/hyracks"
 )
 
-// drainAll unsubscribes and consumes every remaining frame (memory and
-// spill), returning the delivered record count.
-func drainAll(j *Joint, s *Subscription, id string) int64 {
-	j.Unsubscribe(id)
+// drainAll drains the subscription, as a graceful disconnect does, and
+// consumes every remaining frame (memory and spill), returning the delivered
+// record count.
+func drainAll(s *Subscription) int64 {
+	s.drainAndClose()
 	stop := make(chan struct{})
 	var delivered int64
 	for {
@@ -72,7 +73,7 @@ func TestSubscriptionStatsDrainInvariant(t *testing.T) {
 				}
 			}
 
-			delivered := drainAll(j, s, "c")
+			delivered := drainAll(s)
 			st := s.Stats()
 			if st.Received != offered {
 				t.Fatalf("Received = %d, want %d (every offered record counted)", st.Received, offered)
@@ -135,7 +136,7 @@ func TestSubscriptionSpillErrorFallsBackToMemory(t *testing.T) {
 		t.Fatalf("fault hook saw points %v, want spill:push", points)
 	}
 
-	if delivered := drainAll(j, s, "c"); delivered != offered {
+	if delivered := drainAll(s); delivered != offered {
 		t.Fatalf("delivered %d of %d records after spill failures", delivered, offered)
 	}
 }

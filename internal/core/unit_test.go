@@ -409,9 +409,8 @@ func TestJointModesAndDelivery(t *testing.T) {
 	if !ok1 || !ok2 || g1.Len() != 2 || g2.Len() != 2 {
 		t.Fatal("guaranteed delivery violated")
 	}
-	frames, records := j.Deposited()
-	if frames != 1 || records != 2 {
-		t.Fatalf("deposited = %d frames %d records", frames, records)
+	if r1, r2 := s1.Stats().Received, s2.Stats().Received; r1 != 2 || r2 != 2 {
+		t.Fatalf("received = %d and %d records, want 2 each", r1, r2)
 	}
 	if got := j.Subscribers(); len(got) != 2 || got[0] != "c1" {
 		t.Fatalf("subscribers = %v", got)
@@ -468,7 +467,7 @@ func TestSubscriptionUnsubscribeDrains(t *testing.T) {
 		f.Append([]byte{byte(i)})
 		j.Deposit(f)
 	}
-	j.Unsubscribe("c")
+	s.drainAndClose()
 	// New deposits are not delivered.
 	f := hyracks.NewFrame(1)
 	f.Append([]byte{99})

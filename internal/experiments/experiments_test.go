@@ -179,6 +179,12 @@ func TestPoliciesShape(t *testing.T) {
 		t.Errorf("Spill persisted %d < Discard %d",
 			byName["Spill"].PersistedTotal, byName["Discard"].PersistedTotal)
 	}
+	// Sampled after a full drain, every record the intake took is stored.
+	for _, r := range rows {
+		if r.PersistedTotal != r.CollectedTotal {
+			t.Errorf("%s persisted %d of the %d records it collected", r.Policy, r.PersistedTotal, r.CollectedTotal)
+		}
+	}
 	var buf bytes.Buffer
 	RenderPolicies(&buf, rows)
 	if !strings.Contains(buf.String(), "[Discard]") {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"asterixfeeds"
 	"asterixfeeds/internal/adm"
 	"asterixfeeds/internal/core"
 	"asterixfeeds/internal/metadata"
@@ -26,8 +25,10 @@ type PolicyRunResult struct {
 	// the offered load (Figure 7.2's square wave) and the persisted
 	// output (Figures 7.3-7.7).
 	ArrivalSeries, PersistedSeries []int64
-	// PersistedTotal is the total records persisted.
-	PersistedTotal int64
+	// CollectedTotal / PersistedTotal are the total records the intake
+	// took and the store persisted. Sampled after a full drain, they are
+	// equal unless a store failed.
+	CollectedTotal, PersistedTotal int64
 	// Discarded / ThrottledOut / Spilled count the policy's
 	// excess-record handling.
 	Discarded, ThrottledOut, Spilled int64
@@ -142,58 +143,69 @@ func runPolicy(cfg Fig7Config, policy string, observer func(*adm.Record)) (*Poli
 		conn.SetPersistObserver(observer)
 	}
 
-	total := pattern.TotalDuration() + cfg.Scale.Window
-	time.Sleep(total)
-	// Allow backlog/spill to drain a little before sampling (deferred
-	// processing is part of Spill's story).
-	time.Sleep(cfg.Scale.RunFor / 2)
-
-	res := &PolicyRunResult{
+	time.Sleep(pattern.TotalDuration() + cfg.Scale.Window)
+	// Sample once the connection has drained. Spill's deferred processing is
+	// part of its story: sampled after a fixed wait, its unfinished backlog
+	// would decide how it compares with the policies that drop records.
+	act, err := drain(inst.Feeds(), conn.ID())
+	if err != nil {
+		return nil, err
+	}
+	return &PolicyRunResult{
 		Policy:            policy,
 		Window:            cfg.Scale.Window,
 		ArrivalSeries:     conn.Metrics.Collected.Series(),
 		PersistedSeries:   conn.Metrics.Persisted.Series(),
-		PersistedTotal:    conn.Metrics.Persisted.Total(),
-		LatencyP50:        conn.Metrics.IngestionLatency.Quantile(0.5),
-		LatencyP99:        conn.Metrics.IngestionLatency.Quantile(0.99),
-		FinalComputeCount: conn.ComputeCount(),
-		ElasticEvents:     conn.ElasticEvents(),
-	}
-	st := subscriptionStats(inst, conn)
-	res.Discarded = st.Discarded
-	res.ThrottledOut = st.ThrottledOut
-	res.Spilled = st.SpilledTotal
-	return res, nil
+		CollectedTotal:    act.CollectedTotal,
+		PersistedTotal:    act.PersistedTotal,
+		Discarded:         act.Discarded,
+		ThrottledOut:      act.ThrottledOut,
+		Spilled:           act.SpilledTotal,
+		LatencyP50:        act.LatencyP50,
+		LatencyP99:        act.LatencyP99,
+		FinalComputeCount: act.ComputeCount,
+		ElasticEvents:     act.ElasticEvents,
+	}, nil
 }
 
-// subscriptionStats aggregates the connection's intake-side policy counters.
-func subscriptionStats(inst *asterixfeeds.Instance, conn *core.Connection) core.SubscriptionStats {
-	var total core.SubscriptionStats
-	intake, _, _ := conn.Locations()
-	for part, loc := range intake {
-		node := inst.Cluster().Node(loc)
-		if node == nil {
-			continue
+// drainTimeout bounds how long a policy run waits for its connection's
+// backlog and spill file to empty once the workload has ended; drainSettle is
+// how long it then waits for a store that has stopped persisting.
+const (
+	drainTimeout = time.Minute
+	drainSettle  = time.Second
+)
+
+// drain waits until connection id's intake backlog and spill file are empty
+// and every record the intake took has been stored or has failed to store,
+// and returns the connection's activity then. Records still between intake
+// and store once nothing has been persisted for drainSettle are lost, and the
+// activity shows it. A backlog or spill file that is not empty after
+// drainTimeout is an error that says what is left.
+func drain(m *core.Manager, id string) (core.FeedActivity, error) {
+	deadline := time.Now().Add(drainTimeout)
+	persisted, since := int64(-1), time.Now()
+	for {
+		var act core.FeedActivity
+		for _, a := range m.FeedActivity() {
+			if a.Connection == id {
+				act = a
+			}
 		}
-		fm, _ := node.Service(core.FeedManagerService).(*core.FeedManager)
-		if fm == nil {
-			continue
+		queued := act.Backlog > 0 || act.SpilledBytes > 0
+		if !queued && act.CollectedTotal == act.PersistedTotal+act.StoreErrors {
+			return act, nil
 		}
-		// The source signature is the head joint (primary feed).
-		j, ok := fm.Joint("feeds."+conn.Feed().Name, part)
-		if !ok {
-			continue
+		if queued || act.PersistedTotal != persisted {
+			persisted, since = act.PersistedTotal, time.Now()
+		} else if time.Since(since) >= drainSettle {
+			return act, nil
 		}
-		if s, ok := j.Subscription(conn.ID()); ok {
-			st := s.Stats()
-			total.Discarded += st.Discarded
-			total.ThrottledOut += st.ThrottledOut
-			total.SpilledTotal += st.SpilledTotal
-			total.Received += st.Received
-			total.Backlog += st.Backlog
+		if time.Now().After(deadline) {
+			return act, fmt.Errorf("experiments: %s not drained after %v: %d records in its backlog, %d bytes in its spill file", id, drainTimeout, act.Backlog, act.SpilledBytes)
 		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	return total
 }
 
 // PatternResult holds a Figures 7.9/7.10 run: which record sequence numbers

@@ -1,41 +1,60 @@
 package lsm
 
-import (
-	"encoding/binary"
-	"math"
-)
-
-// bloomFilter is a classic Bloom filter sized for a target false-positive
-// rate, used to skip runs that cannot contain a key. Its bitmap is kept in
-// the serialized layout — bit i is bit i%8 of byte i/8, which is what the
-// little-endian 64-bit words on disk amount to — so a filter loaded from a
-// run aliases the bytes the run read instead of copying them.
-type bloomFilter struct {
-	bits  []byte // a whole number of 64-bit words
-	nbits uint64
-	k     int
+// keyFilter is the tree's one key filter, a memtable's and a run segment's
+// alike: a Bloom filter blocked to cache lines. A key's 7 bits all lie in one
+// 512-bit line, so asking the filter costs one cache miss, not seven. Line
+// and bits come from the key's keyHash, which a read computes once for every
+// filter it asks.
+//
+// The bitmap is kept as a segment stores it, its 64-bit words little-endian:
+// bit b of a line is bit b%8 of the line's byte b/8. So a segment writes the
+// bitmap as it is, and a filter loaded from a segment aliases the bytes the
+// load read. The zero filter has no bitmap and answers "maybe" to every key:
+// it is the filter of a segment written before format 04, whose bitmap was
+// built another way and is not read.
+type keyFilter struct {
+	bits  []byte // a power of two of filterLine-byte lines; nil: the zero filter
+	shift uint   // 64 - log2(line count)
 }
 
-// newBloomFilter sizes a filter for n keys at roughly 1% false positives.
-func newBloomFilter(n int) *bloomFilter {
-	if n < 1 {
-		n = 1
+// filterLine is the bytes of one line: 512 bits.
+const filterLine = 64
+
+// newKeyFilter sizes a filter for n keys: the smallest power of two of bits
+// not below 10n, and at least one line, so 10 to 20 bits a key. A filter
+// that holds more keys than it was sized for only answers "maybe" more often.
+func newKeyFilter(n int) keyFilter {
+	bits, shift := uint64(8*filterLine), uint(64)
+	for bits < 10*uint64(max(n, 0)) {
+		bits <<= 1
+		shift--
 	}
-	// m = -n ln p / (ln 2)^2 with p = 0.01.
-	m := uint64(math.Ceil(-float64(n) * math.Log(0.01) / (math.Ln2 * math.Ln2)))
-	if m < 64 {
-		m = 64
-	}
-	words := (m + 63) / 64
-	return &bloomFilter{bits: make([]byte, 8*words), nbits: words * 64, k: 7}
+	return keyFilter{bits: make([]byte, bits/8), shift: shift}
 }
 
-// bloomHashes returns the two hashes a filter derives its k probes from:
-// 64-bit FNV-1a of key, and of key followed by the byte 0x9e. The values are
-// part of the run format — filters on disk were built with them — and are
-// computed inline so a lookup hashes its key once, without allocating, for
-// every run it probes.
-func bloomHashes(key []byte) (h1, h2 uint64) {
+// loadKeyFilter returns the filter whose stored bitmap is b, aliasing it. ok
+// is false for bytes newKeyFilter cannot have made: a length that is not a
+// power of two of whole lines.
+func loadKeyFilter(b []byte) (f keyFilter, ok bool) {
+	lines := len(b) / filterLine
+	if lines == 0 || len(b)%filterLine != 0 || lines&(lines-1) != 0 {
+		return keyFilter{}, false
+	}
+	f = keyFilter{bits: b, shift: 64}
+	for ; lines > 1; lines >>= 1 {
+		f.shift--
+	}
+	return f, true
+}
+
+// keyHash is the hash every key filter takes: 64-bit FNV-1a of key, finished
+// by the splitmix64 finalizer. FNV-1a alone will not do: it multiplies, so
+// its low bits depend only on the low bits of the key's bytes, and probes
+// taken from them let 4–9 % of absent keys through a filter sized for 0.1 %.
+// The value is part of the run format — format-04 filters on disk were built
+// with it — and is computed inline so a read hashes its key once, without
+// allocating.
+func keyHash(key []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -44,114 +63,41 @@ func bloomHashes(key []byte) (h1, h2 uint64) {
 	for _, c := range key {
 		h = (h ^ uint64(c)) * prime64
 	}
-	return h, (h ^ 0x9e) * prime64
-}
-
-// memFilter is a memtable's key filter: a Bloom filter blocked to cache
-// lines. A key's 7 bits all lie in one 512-bit line, so asking the filter
-// costs one cache miss, not seven. It never leaves memory, so it derives its
-// probes its own way: line and bits come from the splitmix64 finalizer of the
-// key's first bloomHash. They cannot come from the hashes directly: FNV-1a
-// multiplies, so a hash's low bits depend only on the low bits of the key's
-// bytes, and the second hash is the first times one multiply — probes taken
-// from them let 4–9 % of absent keys through a filter sized for 0.1 %. A
-// filter that holds more keys than it was sized for only answers "maybe" more
-// often.
-type memFilter struct {
-	words []uint64 // 8 a line
-	shift uint     // 64 - log2(line count)
-}
-
-// memFilterFloor is the fewest keys a memtable's filter is sized for.
-const memFilterFloor = 1024
-
-// newMemFilter sizes a filter for n keys, at least memFilterFloor: the
-// largest power of two of bits not above 10n, so 5 to 10 bits a key. A
-// memtable's filter is sized for twice the keys its predecessor took; while
-// it holds no more than those, that is 10 or more bits a key.
-func newMemFilter(n int) memFilter {
-	bits, shift := uint64(512), uint(64)
-	for 2*bits <= 10*uint64(max(n, memFilterFloor)) {
-		bits <<= 1
-		shift--
-	}
-	return memFilter{words: make([]uint64, bits/64), shift: shift}
-}
-
-// line returns the line of the key whose first bloomHash is h, and the mixed
-// hash whose 9-bit fields at 7-bit steps, i = 0..6, are its bits in the line.
-// The line number is the hash's top bits, above every field but in filters
-// of more than 8 192 lines.
-func (f *memFilter) line(h uint64) ([]uint64, uint64) {
 	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
 	h = (h ^ h>>27) * 0x94d049bb133111eb
-	h ^= h >> 31
-	at := h >> f.shift * 8
-	return f.words[at : at+8 : at+8], h
+	return h ^ h>>31
 }
 
-// add inserts the key whose first bloomHash is h.
-func (f *memFilter) add(h uint64) {
-	line, g := f.line(h)
+// line returns the line of the key whose keyHash is h: the hash's top bits.
+// The key's bits in the line are the hash's 9-bit fields at 7-bit steps,
+// i = 0..6, which the line number lies above but in filters of more than
+// 8 192 lines.
+func (f *keyFilter) line(h uint64) []byte {
+	at := h >> f.shift * filterLine
+	return f.bits[at : at+filterLine : at+filterLine]
+}
+
+// add inserts the key whose keyHash is h.
+func (f *keyFilter) add(h uint64) {
+	line := f.line(h)
 	for i := uint64(0); i < 7; i++ {
-		bit := g >> (7 * i) & 511
-		line[bit/64] |= 1 << (bit % 64)
+		bit := h >> (7 * i) & 511
+		line[bit/8] |= 1 << (bit % 8)
 	}
 }
 
-// mayContain reports whether the key whose first bloomHash is h may have been
-// added (no false negatives).
-func (f *memFilter) mayContain(h uint64) bool {
-	line, g := f.line(h)
+// mayContain reports whether the key whose keyHash is h may have been added
+// (no false negatives).
+func (f *keyFilter) mayContain(h uint64) bool {
+	if f.bits == nil {
+		return true
+	}
+	line := f.line(h)
 	for i := uint64(0); i < 7; i++ {
-		bit := g >> (7 * i) & 511
-		if line[bit/64]&(1<<(bit%64)) == 0 {
+		bit := h >> (7 * i) & 511
+		if line[bit/8]&(1<<(bit%8)) == 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// add inserts key into the filter.
-func (b *bloomFilter) add(key []byte) {
-	h1, h2 := bloomHashes(key)
-	for i := 0; i < b.k; i++ {
-		pos := (h1 + uint64(i)*h2) % b.nbits
-		b.bits[pos/8] |= 1 << (pos % 8)
-	}
-}
-
-// mayContain reports whether the key whose bloomHashes are h1 and h2 may be
-// in the set (no false negatives).
-func (b *bloomFilter) mayContain(h1, h2 uint64) bool {
-	for i := 0; i < b.k; i++ {
-		pos := (h1 + uint64(i)*h2) % b.nbits
-		if b.bits[pos/8]&(1<<(pos%8)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// appendTo appends the serialized filter to dst: the probe count, then the
-// bitmap.
-func (b *bloomFilter) appendTo(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.k))
-	return append(dst, b.bits...)
-}
-
-// unmarshalBloom reconstructs a filter from appendTo's output, aliasing buf,
-// or returns nil for bytes appendTo cannot have written: a filter has at least
-// one word (a probe is taken modulo the bit count) and a sane number of
-// probes.
-func unmarshalBloom(buf []byte) *bloomFilter {
-	if len(buf) < 4+8 || (len(buf)-4)%8 != 0 {
-		return nil
-	}
-	k := int(binary.LittleEndian.Uint32(buf))
-	if k < 1 || k > 32 {
-		return nil
-	}
-	bits := buf[4:len(buf):len(buf)]
-	return &bloomFilter{bits: bits, nbits: uint64(len(bits)) * 8, k: k}
 }

@@ -9,6 +9,7 @@
 // all its keys lie above the newest run, when it is appended to that run's
 // file (run.go). Every committed byte is immutable; a file only ever grows
 // at its end, and the manifest records how much of it is committed, so a
-// stream of ascending keys stays one run that no merge rewrites. Reads consult the memtable and then runs from newest to oldest,
-// pruned by each run's key fences and bloom filters.
+// stream of ascending keys stays one run that no merge rewrites. Reads consult
+// the memtables and then runs from newest to oldest, pruned by each run's key
+// fences and by one kind of key filter, in every memtable and run segment.
 package lsm

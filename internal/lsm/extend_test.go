@@ -590,6 +590,117 @@ func TestExtendBesideMergesAndScans(t *testing.T) {
 // TestParentDirectoryOpensAndExtends opens testdata/format02, a directory
 // written by the commit before segments existed (two flushes of 100 keys, one
 // delete, then 50 puts left in the WAL; testdata/README.md has the generator,
+// asFormat03 rewrites the one-segment format-04 run file at path as format
+// 03 wrote it, and returns the new file length. Format 03 differs only in
+// its magic and its filter section: a probe count and the bitmap of a
+// classic Bloom filter. The bitmap written here is all zeros, so a loader
+// that parsed it would turn every key away.
+func asFormat03(t *testing.T, path string) int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil || !bytes.HasPrefix(data, runMagic) || int64(binary.LittleEndian.Uint64(data[8:])) != int64(len(data)) {
+		t.Fatalf("%s: %v, or not one format-04 segment", path, err)
+	}
+	trailer := data[len(data)-runTrailerLen:]
+	indexLen := int(binary.LittleEndian.Uint32(trailer[0:]))
+	filterLen := int(binary.LittleEndian.Uint32(trailer[4:]))
+	indexOff := len(data) - runTrailerLen - filterLen - indexLen
+	index := data[indexOff : indexOff+indexLen]
+	oldFilter := append([]byte{7, 0, 0, 0}, make([]byte, 8*40)...)
+	seg := segmentBytes(runMagic03, index, oldFilter, binary.LittleEndian.Uint64(trailer[8:]))
+	// segmentBytes writes a segment with no blocks: put the blocks back
+	// between its header and its index, then redo the header's length and
+	// its checksum, which covers that length.
+	blocks := data[runHeaderLen:indexOff]
+	out := append(append(append([]byte(nil), seg[:runHeaderLen]...), blocks...), seg[runHeaderLen:]...)
+	binary.LittleEndian.PutUint64(out[8:], uint64(len(out)))
+	meta := out[runHeaderLen+len(blocks):]
+	binary.LittleEndian.PutUint32(out[16:], crc32.Update(crc32.ChecksumIEEE(out[8:16]), crc32.IEEETable, meta))
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(out))
+}
+
+// TestFormat03FileOpensAndExtends: a run file whose segment is format 03
+// opens, its filter is not read, and every key in it is found. A flush of
+// keys above it extends the file with a format-04 segment, and a reopen
+// finds the keys of both segments; a merge rewrites the file as format 04.
+func TestFormat03FileOpensAndExtends(t *testing.T) {
+	dir, m := t.TempDir(), &Metrics{}
+	tr, err := Open(Options{Dir: dir, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, tr, 0, 300, "old")
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, loaded, _, err := loadManifest(dir)
+	if err != nil || len(st.runs) != 1 {
+		t.Fatalf("manifest %+v, %v; want one run", st, err)
+	}
+	name := st.runs[0]
+	st.ends[name] = asFormat03(t, filepath.Join(dir, name))
+	if err := os.WriteFile(filepath.Join(dir, loaded), manRecord(manSnapshotBody(st)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	segment := func(when string, i int) segment {
+		t.Helper()
+		r := tr.set.runs[0]
+		if s := tr.Stats(); s.Runs != 1 || s.Segments != i+1 {
+			t.Fatalf("%s: %d runs of %d segments", when, s.Runs, s.Segments)
+		}
+		return r.segs[i]
+	}
+	if tr, err = Open(Options{Dir: dir, Metrics: m}); err != nil {
+		t.Fatal(err)
+	}
+	if f := segment("opened", 0).filter; f.bits != nil {
+		t.Fatalf("the format-03 segment has a %d-byte filter; want the zero filter", len(f.bits))
+	}
+	wantAll(t, tr, 0, 300, "old")
+	fill(t, tr, 300, 100, "new")
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Extends.Value() != 1 {
+		t.Fatalf("%d extends; want the format-03 file extended", m.Extends.Value())
+	}
+	if f := segment("extended", 1).filter; f.bits == nil {
+		t.Fatal("the appended segment has no filter")
+	}
+	end := tr.set.runs[0].end
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil || !bytes.HasPrefix(data, runMagic03) || int64(len(data)) != end {
+		t.Fatalf("%s: %v; want a format-03 head and %d bytes", name, err, end)
+	}
+	if next := data[st.ends[name]:]; !bytes.HasPrefix(next, runMagic) || !bytes.HasSuffix(next, runMagic) {
+		t.Fatalf("the segment appended at %d is not format 04: %q", st.ends[name], next[:8])
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tr, err = Open(Options{Dir: dir, Metrics: m}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { tr.Close() }()
+	segment("reopened", 1)
+	wantAll(t, tr, 0, 300, "old")
+	wantAll(t, tr, 300, 100, "new")
+	if err := tr.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if f := segment("merged", 0).filter; f.bits == nil {
+		t.Fatal("the merged segment has no filter")
+	}
+	wantAll(t, tr, 0, 300, "old")
+	wantAll(t, tr, 300, 100, "new")
+}
+
 // TestParentDirectoryFixture audits the files): its format-02 runs read as one
 // segment each and every record is there. A format-02 file says nowhere how
 // long it is, so it is never extended; the flush of the replayed tail starts
@@ -745,33 +856,50 @@ func segmentBytes(magic []byte, index, filter []byte, count uint64) []byte {
 	return append(hdr, meta...)
 }
 
-// TestCorruptFilterRefused: a filter section of four bytes (no words: every
-// probe would divide by zero) or with an absurd probe count is refused when
-// the run is loaded — it used to load and kill the process at the first
-// lookup.
+// TestCorruptFilterRefused: a format-04 filter section that is not a power
+// of two of whole 64-byte lines — empty, four bytes, a part line, three
+// lines — is refused when the run is loaded; a probe would otherwise index
+// past the bitmap or never reach part of it. Formats 02 and 03 stored a
+// filter of another layout, which is not read, so the same bytes load there
+// and the segment answers "maybe" to every key.
 func TestCorruptFilterRefused(t *testing.T) {
-	for _, buf := range [][]byte{
-		{7, 0, 0, 0},
-		append([]byte{0, 0, 0, 0}, make([]byte, 8)...),
-		append([]byte{33, 0, 0, 0}, make([]byte, 8)...),
-		append([]byte{0xff, 0xff, 0xff, 0xff}, make([]byte, 8)...),
-	} {
-		if f := unmarshalBloom(buf); f != nil {
-			t.Errorf("unmarshalBloom(%v) accepted: k=%d, %d bits", buf[:4], f.k, f.nbits)
+	for _, n := range []int{0, 4, 100, 3 * filterLine, 6 * filterLine} {
+		if f, ok := loadKeyFilter(make([]byte, n)); ok {
+			t.Errorf("loadKeyFilter of %d bytes accepted: %d bytes, shift %d", n, len(f.bits), f.shift)
 		}
 	}
-	if unmarshalBloom(newBloomFilter(1).appendTo(nil)) == nil {
-		t.Fatal("the smallest filter the writer makes is refused")
+	for _, n := range []int{0, 1, 51, 52, 1000} {
+		bits := newKeyFilter(n).bits
+		if f, ok := loadKeyFilter(bits); !ok || f.shift != newKeyFilter(n).shift {
+			t.Fatalf("the %d-byte filter the writer makes for %d keys is refused, or loads with shift %d", len(bits), n, f.shift)
+		}
 	}
-	// The same four bytes inside a run file, in either format.
-	for _, magic := range [][]byte{runMagic02, runMagic} {
+	open := func(magic, filter []byte) (*run, error) {
 		path := filepath.Join(t.TempDir(), "run-000001.lsm")
-		if err := os.WriteFile(path, segmentBytes(magic, []byte{0}, []byte{7, 0, 0, 0}, 0), 0o644); err != nil {
+		if err := os.WriteFile(path, segmentBytes(magic, []byte{0}, filter, 0), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := openRun(path, runConfig{}, 0); err == nil || !strings.Contains(err.Error(), "bloom") {
-			t.Fatalf("openRun of a %s file with a 4-byte filter = %v, want it refused as a corrupt filter", magic, err)
+		return openRun(path, runConfig{}, 0)
+	}
+	for _, n := range []int{0, 4, 100, 3 * filterLine} {
+		if _, err := open(runMagic, make([]byte, n)); err == nil || !strings.Contains(err.Error(), "key filter") {
+			t.Fatalf("openRun of a format-04 file with a %d-byte filter = %v, want it refused as a corrupt key filter", n, err)
 		}
+	}
+	r, err := open(runMagic, make([]byte, filterLine))
+	if err != nil {
+		t.Fatalf("a format-04 file with a one-line filter: %v", err)
+	}
+	r.close()
+	for _, magic := range [][]byte{runMagic02, runMagic03} {
+		r, err := open(magic, []byte{7, 0, 0, 0})
+		if err != nil {
+			t.Fatalf("openRun of a %s file with a 4-byte filter: %v; an old filter is not read", magic, err)
+		}
+		if f := r.segs[0].filter; f.bits != nil || !f.mayContain(keyHash([]byte("any"))) {
+			t.Fatalf("a %s segment has a %d-byte filter; want the zero filter", magic, len(f.bits))
+		}
+		r.close()
 	}
 }
 
@@ -785,11 +913,13 @@ func TestCorruptFilterRefused(t *testing.T) {
 // and in-bounds, back-to-back extents inside its segments, and answers a scan
 // and point probes with data or an error, never a panic. The checked-in
 // corpus (testdata/fuzz/FuzzLoadRun) was written by this package's writer: a
-// format-02 file, files of one, two (committed up to the first) and nine
+// format-03 file, files of one, two (committed up to the first) and nine
 // segments, a second segment with half a header, one with half an index
 // section, garbage after the last segment (those three committed up to the
-// first segment), and the four-byte filter of TestCorruptFilterRefused in
-// both formats.
+// first segment), and a four-byte filter in formats 02 and 03; and in format
+// 04 a file of one segment and two, and a filter section of 100 bytes (not a
+// whole number of lines) and of three lines (not a power of two of them),
+// which must be refused.
 func FuzzLoadRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, committed int64) {
 		path := filepath.Join(t.TempDir(), "run-000001.lsm")
@@ -833,8 +963,13 @@ func FuzzLoadRun(f *testing.F) {
 			prev = bm
 		}
 		for i, seg := range r.segs {
-			if seg.filter == nil || seg.start > len(r.blocks) || i > 0 && seg.start < r.segs[i-1].start {
-				t.Fatalf("segment %d of %d starts at block %d of %d (filter %v)", i, len(r.segs), seg.start, len(r.blocks), seg.filter != nil)
+			if seg.start > len(r.blocks) || i > 0 && seg.start < r.segs[i-1].start {
+				t.Fatalf("segment %d of %d starts at block %d of %d", i, len(r.segs), seg.start, len(r.blocks))
+			}
+			if f := seg.filter; f.bits != nil {
+				if g, ok := loadKeyFilter(f.bits); !ok || g.shift != f.shift {
+					t.Fatalf("segment %d has a %d-byte filter with shift %d", i, len(f.bits), f.shift)
+				}
 			}
 		}
 		if entries != r.len() || (len(r.blocks) > 0) != (r.span().bytes > 0) {
@@ -842,7 +977,7 @@ func FuzzLoadRun(f *testing.F) {
 		}
 		it := r.iter(nil, false)
 		for ; it.valid(); it.next() {
-			_, _, _ = r.view(it.key(), 0, 0, func([]byte) {})
+			_, _, _ = r.view(it.key(), keyHash(it.key()), func([]byte) {})
 		}
 		_ = it.fail()
 	})
@@ -917,11 +1052,10 @@ func TestMultiSegmentPointReads(t *testing.T) {
 			if found != want {
 				t.Fatalf("%s: View(%s) found %v, want %v", how, k, found, want)
 			}
-			h1, h2 := bloomHashes(k)
 			switch si := r.segmentOf(k); {
 			case want && reads != 1:
 				t.Fatalf("%s: View(%s) read %d blocks, want 1", how, k, reads)
-			case !want && (si < 0 || !r.segs[si].filter.mayContain(h1, h2)):
+			case !want && (si < 0 || !r.segs[si].filter.mayContain(keyHash(k))):
 				rejected++
 				if reads != 0 {
 					t.Fatalf("%s: View(%s) read %d blocks past a filter that rejects it", how, k, reads)

@@ -58,7 +58,7 @@ type memtable struct {
 	rnd    *rand.Rand
 	bytes  int
 	count  int
-	filter memFilter
+	filter keyFilter
 
 	nodes []skipNode  // current node slab; nodes are taken from its tail
 	links []*skipNode // current level-pointer slab
@@ -71,14 +71,19 @@ type skipNode struct {
 	next []*skipNode
 }
 
+// memFilterFloor is the fewest keys a memtable's filter is sized for.
+const memFilterFloor = 512
+
 // newMemtable returns an empty memtable whose key filter is sized for
-// filterKeys keys (see newMemFilter).
-func newMemtable(seed int64, filterKeys int) *memtable {
+// prevKeys keys, the count of the memtable it follows, and at least
+// memFilterFloor (see newKeyFilter). While it holds no more than twice
+// those, that is 5 or more bits a key.
+func newMemtable(seed int64, prevKeys int) *memtable {
 	return &memtable{
 		head:   &skipNode{next: make([]*skipNode, maxSkipHeight)},
 		height: 1,
 		rnd:    rand.New(rand.NewSource(seed)),
-		filter: newMemFilter(filterKeys),
+		filter: newKeyFilter(max(prevKeys, memFilterFloor)),
 	}
 }
 
@@ -175,8 +180,7 @@ func (m *memtable) insertAt(key, value []byte, tombstone bool, update *[maxSkipH
 	}
 	node := m.newNode(h)
 	node.entry = entry{key: m.copyKey(key), value: value, tombstone: tombstone}
-	hash, _ := bloomHashes(key)
-	m.filter.add(hash)
+	m.filter.add(keyHash(key))
 	for lvl := 0; lvl < h; lvl++ {
 		node.next[lvl] = update[lvl].next[lvl]
 		update[lvl].next[lvl] = node
@@ -220,7 +224,7 @@ func (m *memtable) putBatch(ops []batchOp) {
 }
 
 // get returns the entry for key, if present (including tombstones); h is
-// bloomHashes(key)'s first hash. A key the filter rejects costs no node read.
+// keyHash(key). A key the filter rejects costs no node read.
 func (m *memtable) get(key []byte, h uint64) (entry, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -12,8 +12,7 @@ import (
 
 // memGet is m.get with the key's hash taken here.
 func memGet(m *memtable, key []byte) (entry, bool) {
-	h, _ := bloomHashes(key)
-	return m.get(key, h)
+	return m.get(key, keyHash(key))
 }
 
 // TestApplyBatchCopiesKeysPerChunk: a batch of fresh keys into a warm
@@ -180,7 +179,7 @@ func TestMemtableFilterSkipsTheSkiplist(t *testing.T) {
 	var rejected []byte
 	for i := 500; rejected == nil; i++ {
 		k := []byte(fmt.Sprintf("k%05d", i))
-		if h, _ := bloomHashes(k); !m.filter.mayContain(h) {
+		if !m.filter.mayContain(keyHash(k)) {
 			rejected = k
 		}
 	}
@@ -228,7 +227,7 @@ func TestMemtableFilterAfterReopen(t *testing.T) {
 	}
 	for i := 0; i < 600; i++ {
 		k := []byte(fmt.Sprintf("key-%05d", i))
-		if h, _ := bloomHashes(k); (i >= 100 || deleted[i]) && !tr.mem.filter.mayContain(h) {
+		if (i >= 100 || deleted[i]) && !tr.mem.filter.mayContain(keyHash(k)) {
 			t.Fatalf("%s replayed but not in the memtable's filter", k)
 		}
 		if ok, err := tr.View(k, func([]byte) {}); err != nil || ok == deleted[i] {
@@ -373,16 +372,16 @@ func TestMemtableFilterHammer(t *testing.T) {
 }
 
 // TestMemtableFilterSizing: the first memtable after Open has a filter of
-// the floor's size, and a rotation sizes the next one's for twice the keys
-// of the memtable it replaces — the largest power of two of bits not above
-// ten a key.
+// the floor's size, and a rotation sizes the next one's for the keys of the
+// memtable it replaces — the smallest power of two of bits not below ten a
+// key, which is five or more a key for twice those keys.
 func TestMemtableFilterSizing(t *testing.T) {
-	bits := func(m *memtable) int { return 64 * len(m.filter.words) }
+	bits := func(m *memtable) int { return 8 * len(m.filter.bits) }
 	if got := bits(newMemtable(1, 0)); got != 8192 {
-		t.Fatalf("a filter for no keys has %d bits, want 8 192 (1 024 keys)", got)
+		t.Fatalf("a filter after no keys has %d bits, want 8 192 (512 keys)", got)
 	}
-	if got := bits(newMemtable(1, 7000)); got != 65536 {
-		t.Fatalf("a filter for 7 000 keys has %d bits, want 65 536", got)
+	if got := bits(newMemtable(1, 3500)); got != 65536 {
+		t.Fatalf("a filter after 3 500 keys has %d bits, want 65 536", got)
 	}
 	tr := openTest(t, Options{MemtableBytes: 1 << 30})
 	if got := bits(tr.mem); got != 8192 {
@@ -398,26 +397,25 @@ func TestMemtableFilterSizing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := bits(tr.mem); got != 32768 {
-		t.Fatalf("after a rotation of 3 000 keys the filter has %d bits, want 32 768 (6 000 keys)", got)
+		t.Fatalf("after a rotation of 3 000 keys the filter has %d bits, want 32 768", got)
 	}
 }
 
-// TestMemFilterFalsePositives: a memtable's filter holding the keys it
-// expects — half of what it was sized for — lets under 1 % of absent keys
-// through, for keys that differ only in their last digits. Probes that
-// masked the low bits of the hashes let 4–9 % through.
+// TestMemFilterFalsePositives: a key filter holding the keys it was sized
+// for lets under 1 % of absent keys through, for keys that differ only in
+// their last digits. Probes that masked the low bits of FNV-1a let 4–9 %
+// through.
 func TestMemFilterFalsePositives(t *testing.T) {
 	for _, n := range []int{1000, 7000} {
 		for _, form := range []string{"%012d", "key%05d-run"} {
-			f := newMemFilter(2 * n)
+			f := newKeyFilter(n)
 			for i := 0; i < n; i++ {
-				h, _ := bloomHashes([]byte(fmt.Sprintf(form, 2*i)))
-				f.add(h)
+				f.add(keyHash([]byte(fmt.Sprintf(form, 2*i))))
 			}
 			const absent = 20000
 			maybe := 0
 			for i := 0; i < absent; i++ {
-				if h, _ := bloomHashes([]byte(fmt.Sprintf(form, 2*i+1))); f.mayContain(h) {
+				if f.mayContain(keyHash([]byte(fmt.Sprintf(form, 2*i+1)))) {
 					maybe++
 				}
 			}

@@ -101,7 +101,7 @@ func (m *mergedIter) fail() error {
 // flush passes frozen memtables and keeps tombstones, because older runs may
 // still hold the keys they mask; a merge passes a window of runs and may drop
 // them only when the window ends at the tree's oldest run, since only then
-// does no older component remain. The bloom filter is sized by the inputs'
+// does no older component remain. The key filter is sized by the inputs'
 // pre-dedup entry total. Memory stays O(block): one block per run input plus
 // the block being built, and the blocks a merge reads never evict others
 // from the cache. stale, the tree's merge filter, is passed by merges only

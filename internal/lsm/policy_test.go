@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -319,20 +318,5 @@ func TestMergeLeavesBlockCacheAlone(t *testing.T) {
 	wantAll(t, tr, 50000, 300, string(val))
 	if got := m.BlockReads.Value() - reads; got != 0 {
 		t.Fatalf("%d disk reads for blocks that were hot before the merge", got)
-	}
-}
-
-// TestBloomHashesMatchFNV: filters already on disk were built with
-// hash/fnv's 64-bit FNV-1a; the inline hash must produce the same pair.
-func TestBloomHashesMatchFNV(t *testing.T) {
-	for _, key := range [][]byte{nil, {}, {0}, []byte("k"), []byte("key-00042"), bytes.Repeat([]byte{0xff, 0x9e}, 300)} {
-		h := fnv.New64a()
-		h.Write(key)
-		want1 := h.Sum64()
-		h.Write([]byte{0x9e})
-		want2 := h.Sum64()
-		if h1, h2 := bloomHashes(key); h1 != want1 || h2 != want2 {
-			t.Fatalf("bloomHashes(%q) = %#x, %#x; hash/fnv gives %#x, %#x", key, h1, h2, want1, want2)
-		}
 	}
 }

@@ -21,7 +21,8 @@ import (
 //	block*   checksummed blocks of entries (block.go)
 //	index    block count, then (first key, offset, length, entries) per block,
 //	         uvarint-framed; offsets are file offsets
-//	filter   bloom filter over the segment's keys
+//	filter   the segment's key filter: its bitmap's 64-bit words, little-endian
+//	         (keyFilter), a power of two of 64-byte lines
 //	trailer  index length u32 | filter length u32 | entry count u64 | magic(8)
 //
 // The crc covers the length field, index, filter and trailer (blocks carry
@@ -36,10 +37,17 @@ import (
 // byte is ever rewritten: a reader's view of the file stays exact while the
 // file grows behind it.
 //
-// A format-02 file is one segment whose header is the bare magic: nothing at
-// its head says where it ends, so it is read as it always was and never grows.
+// A segment's magic names its format. Format 04 stores keyFilter. Formats 02
+// and 03 stored a Bloom filter of another layout and hash, which is not read:
+// such a segment gets the zero filter, which answers "maybe" to every key,
+// until a merge rewrites it. Format 03 differs from 04 only in that filter,
+// so a flush may extend a format-03 file; the segment it appends is format
+// 04. A format-02 file is one segment whose header is the bare magic: nothing
+// at its head says where it ends, so it is read as it always was and never
+// grows.
 var (
-	runMagic   = []byte("LSMRUN03")
+	runMagic   = []byte("LSMRUN04")
+	runMagic03 = []byte("LSMRUN03")
 	runMagic02 = []byte("LSMRUN02")
 )
 
@@ -53,7 +61,7 @@ const runHeaderLen = 8 + 8 + 4
 // the target is what a cold lookup reads to return one record.
 const defaultBlockBytes = 8 << 10
 
-// runTrailerLen is the fixed trailer: index length, bloom length, entry
+// runTrailerLen is the fixed trailer: index length, filter length, entry
 // count, magic.
 const runTrailerLen = 4 + 4 + 8 + 8
 
@@ -85,19 +93,19 @@ type blockMeta struct {
 }
 
 // segment is one segment of a run view: where its blocks start in the view's
-// index, and its bloom filter. Segments partition the run's key range in
-// file order, so the segment that may hold a key is the last one whose first
+// index, and its key filter. Segments partition the run's key range in file
+// order, so the segment that may hold a key is the last one whose first
 // block's first key is not above it.
 type segment struct {
 	start  int
-	filter *bloomFilter
+	filter keyFilter
 }
 
 // run is an immutable view of a sorted component on disk: the segments its
 // file held when the view was made, organized as checksummed blocks. Only the
-// sparse index (first key per block) and the segments' bloom filters live in
+// sparse index (first key per block) and the segments' key filters live in
 // memory; everything else is read block-at-a-time through the shared
-// BlockCache. A bloom filter prunes point lookups.
+// BlockCache. A key filter prunes point lookups.
 //
 // A flush that extends the file publishes a new view (extended) in place of
 // this one; the two share the runFile, and the longer one's index and segment
@@ -234,22 +242,22 @@ func (s span) overlaps(o span) bool {
 }
 
 // runWriter streams sorted, unique entries into one segment block by block,
-// holding only the current block, the sparse index, and the bloom filter in
+// holding only the current block, the sparse index, and the key filter in
 // memory — never the entry set. A new file is written to path+".tmp" and
 // renamed into place on finish, so a crash mid-write leaves only a .tmp file,
 // which Open sweeps. A segment that extends prev is written in place at
 // prev.end, where an unfinished one lies beyond the committed length, which
 // Open cuts off. Either finish or abort must be called exactly once.
 type runWriter struct {
-	path  string
-	tmp   string
-	prev  *run  // the run this segment extends; nil for a new file
-	base  int64 // file offset of the segment's header
-	f     *os.File
-	w     *bufio.Writer
-	bloom *bloomFilter
-	cfg   runConfig
-	bb    blockBuilder
+	path   string
+	tmp    string
+	prev   *run  // the run this segment extends; nil for a new file
+	base   int64 // file offset of the segment's header
+	f      *os.File
+	w      *bufio.Writer
+	filter keyFilter
+	cfg    runConfig
+	bb     blockBuilder
 	// index is the segment's index section as closeBlock builds it, one
 	// serialized entry per block; blocks counts them.
 	index  []byte
@@ -261,10 +269,10 @@ type runWriter struct {
 
 // newRunWriter starts a segment: the first of a new file destined for path,
 // or, when prev is not nil, the next of prev's file. capacityHint sizes the
-// bloom filter; overestimating (e.g. the pre-dedup entry total of a merge's
+// key filter; overestimating (e.g. the pre-dedup entry total of a merge's
 // inputs) only lowers the false-positive rate.
 func newRunWriter(path string, prev *run, capacityHint int, cfg runConfig) (*runWriter, error) {
-	rw := &runWriter{path: path, tmp: path + ".tmp", prev: prev, bloom: newBloomFilter(capacityHint), cfg: cfg}
+	rw := &runWriter{path: path, tmp: path + ".tmp", prev: prev, filter: newKeyFilter(capacityHint), cfg: cfg}
 	name, flag := rw.tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY
 	if prev != nil {
 		name, flag, rw.base = prev.path, os.O_WRONLY, prev.end
@@ -286,7 +294,7 @@ func newRunWriter(path string, prev *run, capacityHint int, cfg runConfig) (*run
 // always at least the target (bar the final one) and at most the target plus
 // one entry.
 func (rw *runWriter) add(e entry) error {
-	rw.bloom.add(e.key)
+	rw.filter.add(keyHash(e.key))
 	rw.bb.add(e)
 	rw.count++
 	rw.last = e.key
@@ -319,7 +327,7 @@ func (rw *runWriter) closeBlock() error {
 }
 
 // finish seals the last block, cuts the file at the segment's end and writes
-// the index section, bloom filter and trailer, then the header, then fsyncs. A
+// the index section, key filter and trailer, then the header, then fsyncs. A
 // new file is then renamed into place and opened; an extension is returned as
 // prev's longer view. On failure what was written is discarded; the writer
 // must not be reused.
@@ -335,10 +343,10 @@ func (rw *runWriter) finish() (*run, error) {
 		return nil, rw.fail(err)
 	}
 	// Index section: block count, then the entries closeBlock serialized.
-	meta := make([]byte, 0, binary.MaxVarintLen64+len(rw.index)+4+len(rw.bloom.bits)+runTrailerLen)
+	meta := make([]byte, 0, binary.MaxVarintLen64+len(rw.index)+len(rw.filter.bits)+runTrailerLen)
 	meta = append(binary.AppendUvarint(meta, uint64(rw.blocks)), rw.index...)
 	indexLen := len(meta)
-	meta = rw.bloom.appendTo(meta)
+	meta = append(meta, rw.filter.bits...)
 	var trailer [runTrailerLen]byte
 	binary.LittleEndian.PutUint32(trailer[0:], uint32(indexLen))
 	binary.LittleEndian.PutUint32(trailer[4:], uint32(len(meta)-indexLen))
@@ -430,7 +438,7 @@ func (rw *runWriter) abort() error {
 	return cerr
 }
 
-// openRun loads a run's sparse index and bloom filters from disk (loadRun): a
+// openRun loads a run's sparse index and key filters from disk (loadRun): a
 // corrupt or truncated file fails loudly here rather than triggering an
 // unbounded allocation or a garbage index. The upper fence is
 // not in the file format: it is the last entry of the last block, read here
@@ -533,7 +541,7 @@ func loadRun(path string, f *os.File, cfg runConfig, committed int64) (*run, err
 			}
 			n = int64(binary.LittleEndian.Uint64(hdr[8:]))
 		}
-		if !bytes.Equal(hdr[:8], runMagic) || n <= 0 || n > limit-r.end {
+		if !bytes.Equal(hdr[:8], runMagic) && !bytes.Equal(hdr[:8], runMagic03) || n <= 0 || n > limit-r.end {
 			return nil, fmt.Errorf("lsm: run %s has a bad segment header at %d", path, r.end)
 		}
 		if err := r.loadSegment(r.end, r.end+n, hdr[:]); err != nil {
@@ -559,33 +567,52 @@ func (r *run) loadSegment(start, end int64, hdr []byte) error {
 		return fmt.Errorf("lsm: run %s has bad trailer magic", r.path)
 	}
 	indexLen := int64(binary.LittleEndian.Uint32(trailer[0:]))
-	bloomLen := int64(binary.LittleEndian.Uint32(trailer[4:]))
+	filterLen := int64(binary.LittleEndian.Uint32(trailer[4:]))
 	count := binary.LittleEndian.Uint64(trailer[8:])
-	if indexLen > body || bloomLen > body-indexLen {
-		return fmt.Errorf("lsm: run %s trailer lengths (%d,%d) exceed segment size %d", r.path, indexLen, bloomLen, end-start)
+	if indexLen > body || filterLen > body-indexLen {
+		return fmt.Errorf("lsm: run %s trailer lengths (%d,%d) exceed segment size %d", r.path, indexLen, filterLen, end-start)
 	}
-	indexOff := end - runTrailerLen - bloomLen - indexLen
-	// One buffer per segment: the bloom filter and every block's first key
-	// alias it.
-	tail := make([]byte, indexLen+bloomLen)
-	if err := r.readAt(tail, indexOff); err != nil {
+	indexOff := end - runTrailerLen - filterLen - indexLen
+	// One buffer per segment, the filter first, so its lines start where the
+	// allocation does: a format-04 filter and every block's first key alias
+	// it. An older segment's filter is read for the checksum only, format 02's
+	// not at all.
+	format04, keep := bytes.Equal(hdr[:8], runMagic), int64(0)
+	if format04 {
+		keep = filterLen
+	}
+	tail := make([]byte, keep+indexLen)
+	filter, index := tail[:keep:keep], tail[keep:]
+	if err := r.readAt(index, indexOff); err != nil {
 		return err
 	}
 	if len(hdr) == runHeaderLen {
-		sum := crc32.Update(crc32.Update(crc32.ChecksumIEEE(hdr[8:16]), crc32.IEEETable, tail), crc32.IEEETable, trailer[:])
+		if !format04 {
+			filter = make([]byte, filterLen)
+		}
+		if err := r.readAt(filter, indexOff+indexLen); err != nil {
+			return err
+		}
+		sum := crc32.ChecksumIEEE(hdr[8:16])
+		for _, b := range [][]byte{index, filter, trailer[:]} {
+			sum = crc32.Update(sum, crc32.IEEETable, b)
+		}
 		if sum != binary.LittleEndian.Uint32(hdr[16:]) {
 			return fmt.Errorf("lsm: run %s segment at %d: index, filter or trailer: %w", r.path, start, ErrChecksum)
 		}
 	}
-	bloom := unmarshalBloom(tail[indexLen:])
-	if bloom == nil {
-		return fmt.Errorf("lsm: run %s has corrupt bloom filter", r.path)
+	var kf keyFilter
+	if format04 {
+		var ok bool
+		if kf, ok = loadKeyFilter(filter); !ok {
+			return fmt.Errorf("lsm: run %s has a corrupt key filter of %d bytes", r.path, filterLen)
+		}
 	}
-	blocks, err := parseRunIndex(r.blocks, tail[:indexLen], start+int64(len(hdr)), indexOff, count)
+	blocks, err := parseRunIndex(r.blocks, index, start+int64(len(hdr)), indexOff, count)
 	if err != nil {
 		return fmt.Errorf("lsm: run %s: %w", r.path, err)
 	}
-	r.segs = append(r.segs, segment{start: len(r.blocks), filter: bloom})
+	r.segs = append(r.segs, segment{start: len(r.blocks), filter: kf})
 	r.blocks, r.count, r.bytes = blocks, r.count+int(count), r.bytes+indexOff-start-int64(len(hdr))
 	r.end = end
 	return nil
@@ -807,16 +834,16 @@ func (r *run) segmentOf(key []byte) int {
 	}) - 1
 }
 
-// view looks key up in the run; h1 and h2 are bloomHashes(key), computed
-// once by the caller for every filter it asks. The key's segment's filter is
+// view looks key up in the run; h is keyHash(key), computed once by the
+// caller for every filter it asks. The key's segment's filter is
 // asked before that segment's blocks are searched. found reports whether the
 // run holds an entry for key, live whether that entry is a value rather than
 // a tombstone; a value is handed to fn inside its block, whose pin is
 // released only when fn returns: after that the block's buffer may be lent
 // to another read.
-func (r *run) view(key []byte, h1, h2 uint64, fn func(value []byte)) (found, live bool, err error) {
+func (r *run) view(key []byte, h uint64, fn func(value []byte)) (found, live bool, err error) {
 	si := r.segmentOf(key)
-	if si < 0 || !r.segs[si].filter.mayContain(h1, h2) {
+	if si < 0 || !r.segs[si].filter.mayContain(h) {
 		return false, false, nil
 	}
 	lo, hi := r.segs[si].start, len(r.blocks)

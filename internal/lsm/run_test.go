@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -36,9 +37,8 @@ func buildBigRun(t *testing.T, dir string, n, valSize int, cfg runConfig) *run {
 // runGet probes one run the way Tree.View does — hash once, then the run —
 // and copies the value out, as Get does.
 func runGet(r *run, key []byte) (entry, bool, error) {
-	h1, h2 := bloomHashes(key)
 	e := entry{key: key}
-	found, live, err := r.view(key, h1, h2, func(v []byte) { e.value = append([]byte(nil), v...) })
+	found, live, err := r.view(key, keyHash(key), func(v []byte) { e.value = append([]byte(nil), v...) })
 	e.tombstone = found && !live
 	return e, found, err
 }
@@ -397,6 +397,33 @@ func TestRunMultiBlockIterFrom(t *testing.T) {
 	if ent, _ := it.curr(); string(ent.key) != "key-00000011" {
 		t.Fatalf("iter between keys starts at %q, want key-00000011", ent.key)
 	}
+}
+
+// TestLoadedFilterIsHeldOnce: loading a segment allocates its filter's
+// bytes once — the filter aliases the buffer the load read, not a decoded
+// copy — and a segment of n keys holds 10 to 20 filter bits a key.
+func TestLoadedFilterIsHeldOnce(t *testing.T) {
+	const n = 100000
+	r := buildBigRun(t, t.TempDir(), n, 4, runConfig{})
+	f := r.segs[0].filter
+	if bits := 8 * len(f.bits); bits < 10*n || bits >= 20*n {
+		t.Fatalf("%d keys have %d filter bits", n, bits)
+	}
+	var hdr [runHeaderLen]byte
+	if err := r.readAt(hdr[:], 0); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nv := run{runFile: r.runFile}
+	if err := nv.loadSegment(0, r.end, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(f.bits))*3/2 {
+		t.Fatalf("loading a segment with a %d-byte filter and %d blocks allocated %d bytes", len(f.bits), len(nv.blocks), grew)
+	}
+	t.Logf("%d keys: %.2f filter bytes a key", n, float64(len(f.bits))/n)
 }
 
 // TestSegmentBookkeepingAllocsPerSegment: what a run keeps per block — its

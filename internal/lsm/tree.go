@@ -732,7 +732,7 @@ func (t *Tree) rotateLocked() error {
 	t.seq++
 	task := &flushTask{mem: t.mem, wal: t.wal, segs: t.memSegs, seq: t.seq}
 	t.imms = append([]*flushTask{task}, t.imms...)
-	t.mem = newMemtable(int64(t.walSeq), 2*t.mem.len())
+	t.mem = newMemtable(int64(t.walSeq), t.mem.len())
 	t.wal = nw
 	t.memSegs = nil
 	t.bumpLocked()
@@ -788,15 +788,15 @@ func (t *Tree) Get(key []byte) (value []byte, ok bool, err error) {
 // fences exclude the key costs two comparisons; in the others the key's
 // segment's filter is asked before that segment's blocks are searched.
 func (t *Tree) View(key []byte, fn func(value []byte)) (bool, error) {
-	h1, h2 := bloomHashes(key)
+	h := keyHash(key)
 	t.mu.RLock()
 	if t.closed {
 		t.mu.RUnlock()
 		return false, errClosed()
 	}
-	e, found := t.mem.get(key, h1)
+	e, found := t.mem.get(key, h)
 	for i := 0; !found && i < len(t.imms); i++ {
-		e, found = t.imms[i].mem.get(key, h1)
+		e, found = t.imms[i].mem.get(key, h)
 	}
 	if found {
 		t.mu.RUnlock()
@@ -814,7 +814,7 @@ func (t *Tree) View(key []byte, fn func(value []byte)) (bool, error) {
 		if !set.spans[i].covers(key) {
 			continue
 		}
-		if found, live, err := set.runs[i].view(key, h1, h2, fn); err != nil || found {
+		if found, live, err := set.runs[i].view(key, h, fn); err != nil || found {
 			return live, err
 		}
 	}
