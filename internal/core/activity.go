@@ -67,17 +67,7 @@ func (m *Manager) registerConnMetricsLocked(conn *Connection) {
 // counters across its partitions' subscriptions.
 func (m *Manager) connSubscriptionStats(conn *Connection) SubscriptionStats {
 	var total SubscriptionStats
-	m.eachSubscription(conn, func(_ int, _ string, st SubscriptionStats) {
-		total.Backlog += st.Backlog
-		total.SpilledFrames += st.SpilledFrames
-		total.SpilledBytes += st.SpilledBytes
-		total.Received += st.Received
-		total.Discarded += st.Discarded
-		total.ThrottledOut += st.ThrottledOut
-		total.SpilledTotal += st.SpilledTotal
-		total.SpillErrors += st.SpillErrors
-		total.GovernorShed += st.GovernorShed
-	})
+	m.eachSubscription(conn, func(_ int, _ string, st SubscriptionStats) { total.add(st) })
 	return total
 }
 
@@ -107,17 +97,9 @@ func (m *Manager) eachSubscription(conn *Connection, fn func(part int, node stri
 
 // PartitionActivity is one intake partition's live subscription counters.
 type PartitionActivity struct {
-	Partition     int    `json:"partition"`
-	Node          string `json:"node"`
-	Backlog       int    `json:"backlog"`
-	SpilledFrames int    `json:"spilledFrames"`
-	SpilledBytes  int64  `json:"spilledBytes"`
-	Received      int64  `json:"received"`
-	Discarded     int64  `json:"discarded"`
-	ThrottledOut  int64  `json:"throttledOut"`
-	SpilledTotal  int64  `json:"spilledTotal"`
-	SpillErrors   int64  `json:"spillErrors"`
-	GovernorShed  int64  `json:"governorShed"`
+	Partition int    `json:"partition"`
+	Node      string `json:"node"`
+	SubscriptionStats
 }
 
 // FeedActivity is one connection's monitoring snapshot: lifecycle state,
@@ -212,27 +194,12 @@ func (m *Manager) feedActivityOf(c *Connection) FeedActivity {
 	if err := c.Err(); err != nil {
 		a.Error = err.Error()
 	}
+	var sum SubscriptionStats
 	m.eachSubscription(c, func(part int, node string, st SubscriptionStats) {
-		a.Partitions = append(a.Partitions, PartitionActivity{
-			Partition:     part,
-			Node:          node,
-			Backlog:       st.Backlog,
-			SpilledFrames: st.SpilledFrames,
-			SpilledBytes:  st.SpilledBytes,
-			Received:      st.Received,
-			Discarded:     st.Discarded,
-			ThrottledOut:  st.ThrottledOut,
-			SpilledTotal:  st.SpilledTotal,
-			SpillErrors:   st.SpillErrors,
-			GovernorShed:  st.GovernorShed,
-		})
-		a.Backlog += st.Backlog
-		a.Discarded += st.Discarded
-		a.ThrottledOut += st.ThrottledOut
-		a.SpilledTotal += st.SpilledTotal
-		a.SpilledBytes += st.SpilledBytes
-		a.SpillErrors += st.SpillErrors
-		a.GovernorShed += st.GovernorShed
+		a.Partitions = append(a.Partitions, PartitionActivity{Partition: part, Node: node, SubscriptionStats: st})
+		sum.add(st)
 	})
+	a.Backlog, a.Discarded, a.ThrottledOut = sum.Backlog, sum.Discarded, sum.ThrottledOut
+	a.SpilledTotal, a.SpilledBytes, a.SpillErrors, a.GovernorShed = sum.SpilledTotal, sum.SpilledBytes, sum.SpillErrors, sum.GovernorShed
 	return a
 }

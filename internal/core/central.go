@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"asterixfeeds/internal/adm"
 	"asterixfeeds/internal/governor"
 	"asterixfeeds/internal/hyracks"
 	"asterixfeeds/internal/metadata"
@@ -172,12 +173,20 @@ type ConnectOption func(*connectConfig)
 
 type connectConfig struct {
 	computeCount int
+	onPersist    func(*adm.Record)
 }
 
 // WithComputeCount fixes the compute stage's initial degree of parallelism
 // (default: one per live node, as in the paper).
 func WithComputeCount(n int) ConnectOption {
 	return func(c *connectConfig) { c.computeCount = n }
+}
+
+// WithPersistObserver has fn observe every record the connection persists,
+// from its first: fn is called, possibly from several store partitions at
+// once, after the record's frame is stored.
+func WithPersistObserver(fn func(*adm.Record)) ConnectOption {
+	return func(c *connectConfig) { c.onPersist = fn }
 }
 
 // ConnectFeed processes a `connect feed <feed> to dataset <dataset> using
@@ -294,6 +303,7 @@ func (m *Manager) ConnectFeed(dataverse, feedName, datasetName, policyName strin
 		subID:           id,
 		disconnecting:   make(chan struct{}),
 		state:           ConnConnected,
+		onPersist:       cfg.onPersist,
 	}
 	conn.storeEnabled.Store(true)
 	for _, st := range stages[srcIdx:] {

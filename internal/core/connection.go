@@ -116,9 +116,9 @@ type Connection struct {
 	// storeEnabled gates persistence; cleared by a disconnect that must
 	// keep the pipeline alive for child feeds.
 	storeEnabled atomic.Bool
-	// onPersist, when set, observes each persisted record (used by the
-	// experiment harness for Figures 7.9/7.10).
-	onPersist atomic.Pointer[func(*adm.Record)]
+	// onPersist, when set, observes each persisted record (see
+	// WithPersistObserver).
+	onPersist func(*adm.Record)
 
 	// tracker implements at-least-once delivery when the policy asks.
 	tracker     *ackTracker
@@ -229,16 +229,6 @@ func (c *Connection) addElasticEvent(msg string) {
 	c.mu.Lock()
 	c.elasticEvents = append(c.elasticEvents, msg)
 	c.mu.Unlock()
-}
-
-// SetPersistObserver installs fn to observe every record persisted through
-// this connection. Pass nil to remove.
-func (c *Connection) SetPersistObserver(fn func(*adm.Record)) {
-	if fn == nil {
-		c.onPersist.Store(nil)
-		return
-	}
-	c.onPersist.Store(&fn)
 }
 
 // PendingAcks reports records awaiting at-least-once acknowledgment.

@@ -11,7 +11,10 @@ import (
 // (scale-out); a persistently idle backlog shrinks it again (scale-in).
 // Re-structuring cancels and re-schedules the tail job; the feed joints and
 // their subscriptions survive in the FeedManagers, so the revived intake
-// adopts the buffered backlog and no collected records are lost.
+// adopts the buffered backlog and no record still in a subscription is
+// lost. Records the canceled tail had already taken — between intake and
+// store — are lost unless the policy is at-least-once, whose tracker
+// replays them.
 
 const (
 	// scaleOutAfter is how many consecutive over-budget observations

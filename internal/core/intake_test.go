@@ -341,3 +341,60 @@ func TestDisconnectDrainsParkedSubscription(t *testing.T) {
 		t.Fatalf("intakes took %d records and the store acked %d, want all %d", conn.Metrics.Collected.Total(), acked, records)
 	}
 }
+
+// TestCollectedCountsARequeuedFrameOnce: an untracked frame the downstream
+// refuses goes back to the subscription, and the intake that takes it again
+// counts it. Collected must count each record sent once, not once per take.
+func TestCollectedCountsARequeuedFrameOnce(t *testing.T) {
+	cluster := hyracks.NewCluster(hyracks.Config{QueueDepth: 8}, "A")
+	defer cluster.Close()
+	fm := feedManagerOn(cluster.Node("A"))
+	joint := fm.CreateJoint("feeds.F", 0)
+	conn := &Connection{
+		id:              "feeds.F->D",
+		pol:             &Policy{MemoryBudgetRecords: 1000},
+		Metrics:         newConnMetrics(time.Second),
+		sourceSignature: "feeds.F",
+		subID:           "feeds.F->D",
+		disconnecting:   make(chan struct{}),
+	}
+	if _, err := joint.Subscribe(conn.subID, conn.pol, ""); err != nil {
+		t.Fatal(err)
+	}
+	const frames, perFrame = 5, 2
+	for i := 0; i < frames; i++ {
+		f := hyracks.NewFrame(perFrame)
+		f.Append([]byte("a"))
+		f.Append([]byte("b"))
+		joint.Deposit(f)
+	}
+	// Draining: each intake ends once the subscription is empty.
+	conn.signalDisconnect()
+
+	ctx := &hyracks.TaskContext{NodeID: "A", Node: cluster.Node("A"), Canceled: make(chan struct{})}
+	refused := 0
+	refuse := hyracks.FuncWriter(func(f *hyracks.Frame) error {
+		refused += f.Len()
+		return errors.New("downstream refuses")
+	})
+	if err := (&intakeRuntime{op: &intakeOp{conn: conn}, ctx: ctx, out: refuse}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if refused != perFrame {
+		t.Fatalf("the refusing downstream was offered %d records, want one frame of %d", refused, perFrame)
+	}
+	took := 0
+	accept := hyracks.FuncWriter(func(f *hyracks.Frame) error {
+		took += f.Len()
+		return nil
+	})
+	if err := (&intakeRuntime{op: &intakeOp{conn: conn}, ctx: ctx, out: accept}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if took != frames*perFrame {
+		t.Fatalf("the second intake handed on %d records, want all %d", took, frames*perFrame)
+	}
+	if got := conn.Metrics.Collected.Total(); got != frames*perFrame {
+		t.Fatalf("Collected = %d for %d records sent", got, frames*perFrame)
+	}
+}

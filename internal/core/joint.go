@@ -270,29 +270,42 @@ func (j *Joint) close() {
 // delivered, discarded, throttled away, or shed by the node governor.
 type SubscriptionStats struct {
 	// Backlog is the current in-memory backlog in records.
-	Backlog int
+	Backlog int `json:"backlog"`
 	// SpilledFrames is the number of frames currently parked on disk.
-	SpilledFrames int
+	SpilledFrames int `json:"spilledFrames"`
 	// SpilledBytes is the number of bytes currently parked on disk.
-	SpilledBytes int64
+	SpilledBytes int64 `json:"spilledBytes"`
 	// Received counts records offered to the live subscription, before any
 	// policy action.
-	Received int64
+	Received int64 `json:"received"`
 	// Discarded counts records dropped by the Discard policy.
-	Discarded int64
+	Discarded int64 `json:"discarded"`
 	// ThrottledOut counts records sampled away by the Throttle policy.
-	ThrottledOut int64
+	ThrottledOut int64 `json:"throttledOut"`
 	// SpilledTotal counts records that went through the spill file.
-	SpilledTotal int64
+	SpilledTotal int64 `json:"spilledTotal"`
 	// SpillErrors counts spill-file write failures. The affected frames
 	// fall back to in-memory buffering (no records are lost), but a
 	// non-zero value means the disk overflow area is not doing its job.
-	SpillErrors int64
+	SpillErrors int64 `json:"spillErrors"`
 	// GovernorShed counts records dropped because the node governor
 	// refused admission while the node was over its memory budget. Only
 	// lossy policies (Discard, Throttle) shed this way; non-lossy
 	// policies divert refused frames to spill or keep buffering instead.
-	GovernorShed int64
+	GovernorShed int64 `json:"governorShed"`
+}
+
+// add sums o into s, counter by counter.
+func (s *SubscriptionStats) add(o SubscriptionStats) {
+	s.Backlog += o.Backlog
+	s.SpilledFrames += o.SpilledFrames
+	s.SpilledBytes += o.SpilledBytes
+	s.Received += o.Received
+	s.Discarded += o.Discarded
+	s.ThrottledOut += o.ThrottledOut
+	s.SpilledTotal += o.SpilledTotal
+	s.SpillErrors += o.SpillErrors
+	s.GovernorShed += o.GovernorShed
 }
 
 // Subscription is one consumer's registration with a feed joint: an

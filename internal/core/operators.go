@@ -305,26 +305,30 @@ func (r *intakeRuntime) Run() error {
 			return nil
 		}
 		out := f
-		if len(f.IDs) > 0 {
+		switch {
+		case len(f.IDs) > 0:
 			// A replay: frames in joints carry no ids.
 			conn.Metrics.Replayed.Add(int64(f.Len()))
-		} else {
-			if conn.tracker != nil {
-				// A new header over the subscription's record slice: f may
-				// be shared with other subscribers, the ids are this
-				// connection's alone.
-				out = &hyracks.Frame{Records: f.Records, IDs: conn.tracker.track(r.ctx.Partition, f.Records)}
-			}
+		case conn.tracker != nil:
+			// A new header over the subscription's record slice: f may be
+			// shared with other subscribers, the ids are this connection's
+			// alone.
+			out = &hyracks.Frame{Records: f.Records, IDs: conn.tracker.track(r.ctx.Partition, f.Records)}
 			conn.Metrics.Collected.Add(int64(f.Len()))
 		}
 		if err := r.out.NextFrame(out); err != nil {
 			// The job is ending. A tracked frame is left to its replay; an
 			// untracked one has none, so it goes back to the subscription
-			// the next intake adopts.
+			// the next intake adopts, which counts it.
 			if len(out.IDs) == 0 {
 				sub.requeue(f)
 			}
 			return nil
+		}
+		if len(out.IDs) == 0 {
+			// An untracked frame counts once it has left: a refused one
+			// was requeued above and is counted by the intake that takes it.
+			conn.Metrics.Collected.Add(int64(f.Len()))
 		}
 	}
 }
@@ -594,12 +598,12 @@ func (r *storeRuntime) NextFrame(f *hyracks.Frame) error {
 		acks = acks[:keep]
 	} else {
 		conn.Metrics.Persisted.Add(int64(len(recs)))
-		if obs := conn.onPersist.Load(); obs != nil {
+		if obs := conn.onPersist; obs != nil {
 			for _, rec := range recs {
 				// InsertFrame validated rec as a record of the dataset's type.
 				v, _ := adm.DecodeOne(rec)
 				if stored, ok := v.(*adm.Record); ok {
-					(*obs)(stored)
+					obs(stored)
 				}
 			}
 		}

@@ -135,12 +135,9 @@ func runPolicy(cfg Fig7Config, policy string, observer func(*adm.Record)) (*Poli
 	// Connect with a single compute partition so the wave's high level
 	// genuinely exceeds capacity (the Elastic policy may then grow it).
 	conn, err := inst.Feeds().ConnectFeed("feeds", "WaveFeed", "Tweets", "Exp_"+policy,
-		core.WithComputeCount(1))
+		core.WithComputeCount(1), core.WithPersistObserver(observer))
 	if err != nil {
 		return nil, err
-	}
-	if observer != nil {
-		conn.SetPersistObserver(observer)
 	}
 
 	time.Sleep(pattern.TotalDuration() + cfg.Scale.Window)

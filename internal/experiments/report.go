@@ -13,9 +13,13 @@ import (
 // RenderTable51 prints Table 5.1's rows.
 func RenderTable51(w io.Writer, rows []Table51Row) {
 	fmt.Fprintln(w, "Table 5.1 — Execution time for different methods for insertion of records")
-	fmt.Fprintf(w, "%-36s %18s\n", "Method", "Avg time/record (ms)")
+	fmt.Fprintf(w, "%-36s %20s %12s\n", "Method", "Avg time/record (ms)", "Set-up (ms)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-36s %18.3f\n", r.Method, r.AvgMsPerRecord)
+		setup := "-"
+		if r.SetupMs > 0 {
+			setup = fmt.Sprintf("%.3f", r.SetupMs)
+		}
+		fmt.Fprintf(w, "%-36s %20.3f %12s\n", r.Method, r.AvgMsPerRecord, setup)
 	}
 }
 

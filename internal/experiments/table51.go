@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"asterixfeeds"
@@ -16,8 +17,14 @@ import (
 type Table51Row struct {
 	// Method labels the mechanism.
 	Method string
-	// AvgMsPerRecord is the mean end-to-end cost per record.
+	// AvgMsPerRecord is the mean end-to-end cost per record. For the feed it
+	// is the time from its first persisted record to its last, over the
+	// records after the first.
 	AvgMsPerRecord float64
+	// SetupMs is the feed's set-up: the time from the connect call to its
+	// first persisted record. Zero for the batch rows, which pay set-up
+	// per statement, inside AvgMsPerRecord.
+	SetupMs float64
 	// Records is how many records the measurement covered.
 	Records int
 }
@@ -58,7 +65,10 @@ func table51Instance() (*asterixfeeds.Instance, error) {
 // Table51 reproduces Table 5.1: execution time per record for batch inserts
 // of varying size versus continuous feed ingestion. Each insert statement
 // pays compilation and job scheduling; the feed pays one pipeline setup for
-// the whole stream.
+// the whole stream, reported apart from its per-record cost. The feed's
+// times are taken as the store persists each record, so they include no
+// polling; records persist a frame at a time, so the first frame's store
+// time falls in the set-up.
 func Table51(cfg Table51Config) ([]Table51Row, error) {
 	var rows []Table51Row
 
@@ -124,33 +134,43 @@ func Table51(cfg Table51Config) ([]Table51Row, error) {
 	if err := preload(inst, "Users", cfg.Preload); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	_, err = inst.Exec(fmt.Sprintf(`use dataverse feeds;
-		create feed UsersFeed using tweetgen_adaptor ("rate"="1000000", "count"="%d", "seed"="11");
-		connect feed UsersFeed to dataset Users using policy Basic;`, cfg.Records))
-	if err != nil {
+	if _, err := inst.Exec(fmt.Sprintf(`use dataverse feeds;
+		create feed UsersFeed using tweetgen_adaptor ("rate"="1000000", "count"="%d", "seed"="11");`, cfg.Records)); err != nil {
 		return nil, err
 	}
-	deadline := start.Add(60 * time.Second)
-	target := cfg.Preload + cfg.Records
-	for time.Now().Before(deadline) {
-		n, err := inst.DatasetCount("Users")
-		if err != nil {
-			return nil, err
+	var mu sync.Mutex
+	var first, last time.Time
+	persisted := 0
+	done := make(chan struct{})
+	stamp := func(*adm.Record) {
+		now := time.Now()
+		mu.Lock()
+		defer mu.Unlock()
+		if persisted == 0 {
+			first = now
 		}
-		if n >= target {
-			break
+		last = now
+		if persisted++; persisted == cfg.Records {
+			close(done)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	elapsed := time.Since(start)
-	n, _ := inst.DatasetCount("Users")
-	if n < target {
-		return nil, fmt.Errorf("experiments: feed ingested %d of %d records", n-cfg.Preload, cfg.Records)
+	start := time.Now()
+	if _, err := inst.Feeds().ConnectFeed("feeds", "UsersFeed", "Users", "Basic", core.WithPersistObserver(stamp)); err != nil {
+		return nil, err
+	}
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if persisted < cfg.Records {
+		return nil, fmt.Errorf("experiments: feed ingested %d of %d records", persisted, cfg.Records)
 	}
 	rows = append(rows, Table51Row{
 		Method:         "Data Feed",
-		AvgMsPerRecord: float64(elapsed) / float64(time.Millisecond) / float64(cfg.Records),
+		AvgMsPerRecord: float64(last.Sub(first)) / float64(time.Millisecond) / float64(max(cfg.Records-1, 1)),
+		SetupMs:        float64(first.Sub(start)) / float64(time.Millisecond),
 		Records:        cfg.Records,
 	})
 	return rows, nil

@@ -29,16 +29,14 @@ type blockKey struct {
 // regardless of which partition or index they belong to. Only CRC-validated
 // blocks are inserted, so a hit can skip checksum re-verification.
 //
-// The cache owns the memory of the blocks point reads load. An entry counts
-// pins: the cache holds one while the entry is resident, and every reader
-// between get (or insert) and release holds one more. Eviction drops the
-// cache's pin; whoever drops the last one puts the entry, buffer and all, on
-// the free list, where the next point-read miss borrows it instead of
-// allocating. A buffer is therefore rewritten only once nobody can be reading
-// it. Iterators keep the older rule: their misses read into fresh buffers
-// and their pins are never released, so a block an iterator has seen is
-// never recycled — it goes to the garbage collector after eviction, and the
-// bytes a scan callback or a merge holds stay valid as long as it holds them.
+// The cache owns the memory of every block a read loads, and every read —
+// a point read, a scan, a merge — follows one rule: pin, read, release. An
+// entry counts pins: the cache holds one while the entry is resident, and
+// every reader between get (or borrow) and release holds one more. Eviction
+// drops the cache's pin; whoever drops the last one puts the entry, buffer
+// and all, on the free list, where the next miss borrows it instead of
+// allocating. A buffer is therefore rewritten only once nobody can be
+// reading it, and a reader's bytes are the block's only until its release.
 type BlockCache struct {
 	shards [cacheShards]cacheShard
 	// bytes mirrors the sum of shard sizes for lock-free Stats reads. Each
@@ -68,13 +66,13 @@ type cacheShard struct {
 	size    int64      // resident bytes in this shard
 }
 
-// cacheEntry is one block's bytes and its place in a shard's LRU. refs is 64
-// bits wide so iterator pins, which are never released, cannot wrap it.
+// cacheEntry is one block's bytes and its place in a shard's LRU. refs
+// counts its pins: the cache's while resident, and one per reader.
 type cacheEntry struct {
 	key        blockKey
 	data       []byte
 	prev, next *cacheEntry
-	refs       atomic.Int64
+	refs       atomic.Int32
 }
 
 // NewBlockCache builds a cache bounded at capacity bytes (minimum one shard's
@@ -95,11 +93,10 @@ func NewBlockCache(capacity int64) *BlockCache {
 // it holds exactly at quiescence, and Hits+Misses ≤ Lookups at every instant
 // (a racing lookup is counted before its outcome lands). Bytes never exceeds
 // Capacity at any instant. The concurrent read hammer asserts all three.
-// BufferAllocs counts the block buffers point reads had to make because the
-// free list had none to lend: while the cache grows toward Capacity, for a
-// block too large to cache, and to replace buffers still pinned — by readers
-// in flight, or for good by an iterator (a merge pins every resident block it
-// reads) — or too small. Once the cache is full it grows only after merges.
+// BufferAllocs counts the block buffers reads had to make because the free
+// list had none to lend: while the cache grows toward Capacity, for a block
+// too large to cache, and to replace buffers still pinned by readers in
+// flight, or too small. Once the cache is full it stays nearly flat.
 type CacheStats struct {
 	Hits         int64
 	Misses       int64
@@ -179,7 +176,7 @@ func (c *BlockCache) recycle(e *cacheEntry) {
 }
 
 // borrow returns an entry off the LRU, pinned once for the caller, whose
-// data is an n-byte buffer for a point read to fill: the free list's top if
+// data is an n-byte buffer for a read to fill: the free list's top if
 // its buffer is large enough, else a new one (counted in BufferAllocs). The
 // caller inserts it or releases it.
 func (c *BlockCache) borrow(n int) *cacheEntry {
@@ -201,12 +198,15 @@ func (c *BlockCache) borrow(n int) *cacheEntry {
 	return e
 }
 
-// insert makes the borrowed entry e, loaded and validated, resident under k,
-// evicting least-recently-used entries of its shard until it fits, and
-// returns the resident entry pinned for the caller: e with its borrow pin,
-// or — when another reader inserted the same block first — that reader's
-// entry, newly pinned, with e released. e must fit a shard (shardCap).
-func (c *BlockCache) insert(k blockKey, e *cacheEntry) *cacheEntry {
+// insert makes the borrowed entry e, loaded and validated, resident under k
+// and returns the entry the caller reads, pinned for it: e with its borrow
+// pin, or — when another reader inserted the same block first — that
+// reader's entry, newly pinned, with e released. With evict set it evicts
+// least-recently-used entries of k's shard until e fits; without, e is made
+// resident only if it fits in the shard's free space, and otherwise stays
+// the caller's alone, to go to the free list on its release. e must fit a
+// shard (shardCap).
+func (c *BlockCache) insert(k blockKey, e *cacheEntry, evict bool) *cacheEntry {
 	s := c.shard(k)
 	s.mu.Lock()
 	if old, ok := s.entries[k]; ok {
@@ -215,36 +215,13 @@ func (c *BlockCache) insert(k blockKey, e *cacheEntry) *cacheEntry {
 		c.release(e)
 		return old
 	}
-	e.key = k
-	e.refs.Add(1) // the cache's pin
-	c.admitLocked(s, e)
+	if evict || s.size+int64(len(e.data)) <= c.shardCap() {
+		e.key = k
+		e.refs.Add(1) // the cache's pin
+		c.admitLocked(s, e)
+	}
 	s.mu.Unlock()
 	return e
-}
-
-// put inserts a validated block an iterator read into a fresh buffer. With
-// evict set it evicts LRU entries from the shard until the block fits its
-// slice of the budget; without, the block is kept only if it fits in free
-// space. Blocks larger than a whole shard's budget are not cached at all.
-// The entry carries the iterator's pin, which is never released, so data is
-// never recycled; it must never be mutated after insertion.
-func (c *BlockCache) put(k blockKey, data []byte, evict bool) {
-	if int64(len(data)) > c.shardCap() {
-		return
-	}
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[k]; ok {
-		// Another reader cached the same immutable block first.
-		return
-	}
-	if !evict && s.size+int64(len(data)) > c.shardCap() {
-		return
-	}
-	e := &cacheEntry{key: k, data: data}
-	e.refs.Store(2) // the cache's pin and the iterator's
-	c.admitLocked(s, e)
 }
 
 // admitLocked links e at the front of s, evicting from the back until s is

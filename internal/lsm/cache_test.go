@@ -19,12 +19,18 @@ func cached(c *BlockCache, k blockKey) []byte {
 	return e.data
 }
 
-// insertBytes puts data under k the way a point read does: into a borrowed
-// entry, inserted, then unpinned.
+// insertBytes puts data under k the way a read that fills does: into a
+// borrowed entry, inserted, then unpinned.
 func insertBytes(c *BlockCache, k blockKey, data []byte) *cacheEntry {
+	return readBytes(c, k, data, true)
+}
+
+// readBytes is a read's miss of k: data loaded into a borrowed entry,
+// inserted — evicting others only if evict is set — then unpinned.
+func readBytes(c *BlockCache, k blockKey, data []byte, evict bool) *cacheEntry {
 	e := c.borrow(len(data))
 	copy(e.data, data)
-	e = c.insert(k, e)
+	e = c.insert(k, e, evict)
 	c.release(e)
 	return e
 }
@@ -35,9 +41,9 @@ func TestBlockCacheHitMissLedger(t *testing.T) {
 	if got := cached(c, k); got != nil {
 		t.Fatalf("get on empty cache returned %q", got)
 	}
-	c.put(k, []byte("block-bytes"), true)
+	insertBytes(c, k, []byte("block-bytes"))
 	if got := cached(c, k); string(got) != "block-bytes" {
-		t.Fatalf("get after put = %q", got)
+		t.Fatalf("get after insert = %q", got)
 	}
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 || s.Lookups != 2 {
@@ -53,8 +59,8 @@ func TestBlockCacheHitMissLedger(t *testing.T) {
 
 func TestBlockCacheDistinctRunsDistinctBlocks(t *testing.T) {
 	c := NewBlockCache(1 << 20)
-	c.put(blockKey{runID: 1, blockNo: 0}, []byte("r1b0"), true)
-	c.put(blockKey{runID: 1, blockNo: 1}, []byte("r1b1"), true)
+	insertBytes(c, blockKey{runID: 1, blockNo: 0}, []byte("r1b0"))
+	insertBytes(c, blockKey{runID: 1, blockNo: 1}, []byte("r1b1"))
 	insertBytes(c, blockKey{runID: 2, blockNo: 0}, []byte("r2b0"))
 	for _, tc := range []struct {
 		k    blockKey
@@ -81,14 +87,10 @@ func TestBlockCacheEvictsLRUWithinBudget(t *testing.T) {
 	block := func(i int) ([]byte, blockKey) {
 		return []byte(fmt.Sprintf("%04d", i)), blockKey{runID: 7, blockNo: uint32(i)}
 	}
-	// Insert far more than fits, half through each path.
+	// Insert far more than fits.
 	for i := 0; i < 64; i++ {
 		data, k := block(i)
-		if i%2 == 0 {
-			c.put(k, data, true)
-		} else {
-			insertBytes(c, k, data)
-		}
+		insertBytes(c, k, data)
 		if s := c.Stats(); s.Bytes > s.Capacity {
 			t.Fatalf("after insert %d: resident %d exceeds capacity %d", i, s.Bytes, s.Capacity)
 		}
@@ -102,33 +104,43 @@ func TestBlockCacheEvictsLRUWithinBudget(t *testing.T) {
 	if got := cached(c, k); !bytes.Equal(got, data) {
 		t.Fatalf("most recent entry evicted; get = %q", got)
 	}
-	// A put that may not evict (a merge's) is dropped by a full shard and
-	// kept by one with room.
+	// An insert that may not evict (a merge's) is dropped by a full shard,
+	// its buffer going to the free list, and kept by one with room.
+	dropped := 0
 	for i := 64; i < 128; i++ {
 		data, k := block(i)
-		c.put(k, data, false)
+		if e := readBytes(c, k, data, false); e.refs.Load() == 0 {
+			dropped++ // not resident, and released
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("a full cache kept every non-evicting insert")
 	}
 	if after := c.Stats(); after.Evictions != s.Evictions || after.Bytes > after.Capacity {
-		t.Fatalf("non-evicting puts moved evictions %d -> %d (resident %d of %d)", s.Evictions, after.Evictions, after.Bytes, after.Capacity)
+		t.Fatalf("non-evicting inserts moved evictions %d -> %d (resident %d of %d)", s.Evictions, after.Evictions, after.Bytes, after.Capacity)
 	}
 	roomy := NewBlockCache(capacity)
-	roomy.put(k, data, false)
+	readBytes(roomy, k, data, false)
 	if got := cached(roomy, k); !bytes.Equal(got, data) {
-		t.Fatalf("non-evicting put into free space not kept; get = %q", got)
+		t.Fatalf("non-evicting insert into free space not kept; get = %q", got)
 	}
 }
 
 // TestBlockCacheOversizedBlockNotCached checks a block larger than a whole
-// shard budget is skipped rather than evicting the entire shard for an entry
-// that cannot pay for itself.
+// shard budget is read into a buffer of its own, with no pin, rather than
+// evicting the entire shard for an entry that cannot pay for itself.
 func TestBlockCacheOversizedBlockNotCached(t *testing.T) {
 	c := NewBlockCache(16 * cacheShards)
 	small := blockKey{runID: 1, blockNo: 0}
-	c.put(small, []byte("keep"), true)
-	big := blockKey{runID: 1, blockNo: 1}
-	c.put(big, bytes.Repeat([]byte{'x'}, 17), true) // 17 > shard budget 16
-	if got := cached(c, big); got != nil {
-		t.Fatal("oversized block was cached")
+	insertBytes(c, small, []byte("keep"))
+	r := buildBigRun(t, t.TempDir(), 100, 10, runConfig{cache: c}) // blocks far above the 16-byte shard budget
+	allocs := c.Stats().BufferAllocs
+	v, pin, err := r.pinBlock(0, true)
+	if err != nil || pin != nil || v.count() != int(r.blocks[0].entries) {
+		t.Fatalf("pinBlock of an oversized block = %d entries, pin %v, %v", v.count(), pin, err)
+	}
+	if s := c.Stats(); s.Bytes != 4 || s.BufferAllocs != allocs+1 {
+		t.Fatalf("oversized block cached (%d bytes resident) or not counted (%d buffers made)", s.Bytes, s.BufferAllocs-allocs)
 	}
 	if got := cached(c, small); string(got) != "keep" {
 		t.Fatalf("small entry displaced by rejected oversized block; get = %q", got)
@@ -141,14 +153,14 @@ func TestBlockCacheOversizedBlockNotCached(t *testing.T) {
 func TestBlockCacheDuplicatePut(t *testing.T) {
 	c := NewBlockCache(1 << 20)
 	k := blockKey{runID: 3, blockNo: 9}
-	c.put(k, []byte("abcd"), true)
-	c.put(k, []byte("abcd"), true)
+	insertBytes(c, k, []byte("abcd"))
+	insertBytes(c, k, []byte("abcd"))
 	if s := c.Stats(); s.Bytes != 4 {
-		t.Fatalf("duplicate put double-counted: Bytes = %d, want 4", s.Bytes)
+		t.Fatalf("duplicate insert double-counted: Bytes = %d, want 4", s.Bytes)
 	}
 	loser := c.borrow(4)
 	copy(loser.data, "abcd")
-	won := c.insert(k, loser)
+	won := c.insert(k, loser, true)
 	defer c.release(won)
 	if won == loser || string(won.data) != "abcd" {
 		t.Fatalf("losing insert returned its own entry (%v) or other bytes %q", won == loser, won.data)
@@ -161,10 +173,10 @@ func TestBlockCacheDuplicatePut(t *testing.T) {
 	}
 }
 
-// TestBlockCacheRecyclesAfterLastPin follows one point-read buffer through
-// its life: inserted, pinned by a reader, evicted while pinned — when it
-// must not be lent out — and on the reader's release put on the free list
-// and lent to the next miss. A buffer an iterator has seen is never lent.
+// TestBlockCacheRecyclesAfterLastPin follows one buffer through its life:
+// inserted, pinned by a reader, evicted while pinned — when it must not be
+// lent out — and on the reader's release put on the free list and lent to
+// the next miss. An iterator's pin follows the same rule.
 func TestBlockCacheRecyclesAfterLastPin(t *testing.T) {
 	const capacity = 64 * cacheShards // per-shard budget: 64 bytes
 	c := NewBlockCache(capacity)
@@ -207,16 +219,17 @@ func TestBlockCacheRecyclesAfterLastPin(t *testing.T) {
 		t.Fatalf("BufferAllocs %d after a borrow from an empty free list, want %d", got, allocs+1)
 	}
 
-	// An iterator's hit pins for good: evicted, its entry is never lent.
+	// An iterator's hit pins only until it moves on: evicted, its entry is
+	// lent like any other.
 	c = NewBlockCache(capacity)
 	seen := insertBytes(c, k, bytes.Repeat([]byte{'a'}, 40))
-	_ = c.get(k) // an iterator's hit: never released
+	c.release(c.get(k)) // an iterator's hit, released when it leaves the block
 	insertBytes(c, rivals[0], bytes.Repeat([]byte{'b'}, 40))
-	insertBytes(c, rivals[1], bytes.Repeat([]byte{'c'}, 40))
-	for e := c.free; e != nil; e = e.next {
-		if e == seen {
-			t.Fatal("a block an iterator pinned reached the free list")
-		}
+	if c.free != seen {
+		t.Fatal("a block an iterator had pinned did not reach the free list")
+	}
+	if e := c.borrow(40); e != seen {
+		t.Fatal("the next miss did not borrow the block an iterator had pinned")
 	}
 }
 
@@ -296,7 +309,7 @@ func TestBlockCacheFreeListBounded(t *testing.T) {
 	c := NewBlockCache(capacity)
 	for i := 0; i < 200; i++ {
 		insertBytes(c, blockKey{runID: 9, blockNo: uint32(i)}, bytes.Repeat([]byte{'x'}, 30))
-		c.put(blockKey{runID: 10, blockNo: uint32(i)}, bytes.Repeat([]byte{'y'}, 30), true)
+		readBytes(c, blockKey{runID: 10, blockNo: uint32(i)}, bytes.Repeat([]byte{'y'}, 30), i%2 == 0)
 		if free := c.freeBytes.Load(); free > c.shardCap() {
 			t.Fatalf("after %d inserts the free list holds %d bytes, bound %d", i+1, free, c.shardCap())
 		}

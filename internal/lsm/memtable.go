@@ -308,3 +308,6 @@ func (it *memtableIter) next() {
 
 // fail is always nil: a memtable read cannot fail.
 func (it *memtableIter) fail() error { return nil }
+
+// close is a no-op: a memtable's bytes live as long as the memtable.
+func (it *memtableIter) close() {}

@@ -9,13 +9,15 @@ import (
 // sortedIter is the one shape a sorted component is read through, whether it
 // is a memtable (memtableIter) or a run (runIter): valid/key never fail, a
 // read error parks the iterator invalid and fail() reports it, so a loop
-// that drains one MUST check fail() after exhaustion.
+// that drains one MUST check fail() after exhaustion. An entry's bytes are
+// valid until the iterator moves on; close releases what it holds.
 type sortedIter interface {
 	valid() bool
 	key() []byte
 	curr() (entry, error)
 	next()
 	fail() error
+	close()
 }
 
 // mergedIter is the tree's one k-way merge: a newest-wins stream over
@@ -31,7 +33,7 @@ type mergedIter struct {
 // newMergedIter positions a merge at the first key >= from (nil: the
 // start) over mems and then runs, each ordered newest first. A run whose
 // upper fence lies before from has nothing to yield and is not opened; fill
-// is handed to the run iterators (see run.readBlock).
+// is handed to the run iterators (see run.pinBlock). The caller closes it.
 func newMergedIter(mems []*memtable, runs []*run, from []byte, fill bool) *mergedIter {
 	m := &mergedIter{its: make([]sortedIter, 0, len(mems)+len(runs))}
 	for _, mem := range mems {
@@ -67,20 +69,30 @@ func (m *mergedIter) curr() (entry, error) {
 	return m.its[m.win].curr()
 }
 
-// next advances every iterator past the current key. The key aliases the
-// winner's component and stays readable while the winner itself moves on:
-// see runIter.curr for why.
+// next advances every iterator past the current key, the winner last: the
+// others compare against the winner's key, which is the bytes of the block
+// the winner stands in only until it moves. A component holds each key
+// once, so the winner takes one step.
 func (m *mergedIter) next() {
 	if m.win < 0 {
 		return
 	}
-	key := m.its[m.win].key()
-	for _, it := range m.its {
-		for it.valid() && bytes.Equal(it.key(), key) {
+	win := m.its[m.win]
+	key := win.key()
+	for i, it := range m.its {
+		for i != m.win && it.valid() && bytes.Equal(it.key(), key) {
 			it.next()
 		}
 	}
+	win.next()
 	m.settle()
+}
+
+// close releases the blocks the components stand in.
+func (m *mergedIter) close() {
+	for _, it := range m.its {
+		it.close()
+	}
 }
 
 // fail reports the first sticky read error across the components.
@@ -130,6 +142,7 @@ func writeMergedRun(path string, prev *run, mems []*memtable, runs []*run, dropT
 		return nil, err
 	}
 	src := newMergedIter(mems, runs, nil, false)
+	defer src.close()
 	var dropped int64
 	for ; src.valid(); src.next() {
 		e, err := src.curr()

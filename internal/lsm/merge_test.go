@@ -50,11 +50,15 @@ func tomb(key string) entry     { return entry{key: []byte(key), tombstone: true
 func runEntries(t *testing.T, r *run) []entry {
 	t.Helper()
 	out := make([]entry, 0, r.len())
-	for it := r.iter(nil, true); it.valid(); it.next() {
+	it := r.iter(nil, true)
+	defer it.close()
+	for ; it.valid(); it.next() {
 		ent, err := it.curr()
 		if err != nil {
 			t.Fatalf("curr: %v", err)
 		}
+		// The entry's bytes are the block's only until the iterator moves on.
+		ent.key, ent.value = bytes.Clone(ent.key), bytes.Clone(ent.value)
 		out = append(out, ent)
 	}
 	return out

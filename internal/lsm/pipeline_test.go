@@ -193,8 +193,10 @@ func TestSnapshotConsistencyUnderPipeline(t *testing.T) {
 //   - the free list never holds more than one shard's budget;
 //
 // and at quiescence the books must balance exactly: Hits+Misses == Lookups,
-// with a nonzero hit count (re-read blocks were served from memory) and
-// nonzero evictions (the tiny budget was actually enforced). Because run IDs
+// every resident block holds the cache's pin alone (scans and merges
+// released theirs), with a nonzero hit count (re-read blocks were served
+// from memory) and nonzero evictions (the tiny budget was actually
+// enforced). Because run IDs
 // are process-unique and run files immutable, compaction needs no cache
 // invalidation — stale blocks just age out — which is exactly what this test
 // stresses by merging while readers hold hot keys.
@@ -338,6 +340,9 @@ func TestConcurrentReadsWithCacheUnderPipeline(t *testing.T) {
 	s := cache.Stats()
 	if s.Hits+s.Misses != s.Lookups {
 		t.Fatalf("ledger does not balance at quiescence: hits=%d misses=%d lookups=%d", s.Hits, s.Misses, s.Lookups)
+	}
+	if pinned, resident := extraPins(cache); pinned != 0 {
+		t.Fatalf("pins do not balance at quiescence: %d of %d resident blocks hold a reader's pin", pinned, resident)
 	}
 	if s.Hits == 0 {
 		t.Fatal("no cache hits despite systematic re-reads")

@@ -264,7 +264,7 @@ type runWriter struct {
 	blocks int
 	off    int64 // file offset where the current block will land
 	count  int
-	last   []byte // the key added last (aliases the caller's entry; see runIter.curr), for the run's upper fence
+	last   []byte // a copy of the key added last, for the run's upper fence
 }
 
 // newRunWriter starts a segment: the first of a new file destined for path,
@@ -297,7 +297,7 @@ func (rw *runWriter) add(e entry) error {
 	rw.filter.add(keyHash(e.key))
 	rw.bb.add(e)
 	rw.count++
-	rw.last = e.key
+	rw.last = append(rw.last[:0], e.key...)
 	if rw.bb.size() >= rw.cfg.blockTarget() {
 		return rw.closeBlock()
 	}
@@ -411,7 +411,7 @@ func (rw *runWriter) finish() (*run, error) {
 		r, err = openUnfenced(rw.path, rw.cfg, end)
 	}
 	if err == nil && rw.count > 0 {
-		r.last = append([]byte{}, rw.last...)
+		r.last = rw.last
 	}
 	return r, err
 }
@@ -709,39 +709,18 @@ func parseRunIndex(blocks []blockMeta, idx []byte, dataStart, dataEnd int64, cou
 // len reports the number of entries in the run.
 func (r *run) len() int { return r.count }
 
-// readBlock returns a validated view over block i for an iterator: from the
-// shared cache if resident (no disk read, no CRC re-check — cached blocks
-// were validated on insert and are immutable), otherwise read from disk into
-// a fresh buffer, CRC-checked, and cached. A hit's pin is never released and
-// a fresh buffer never comes from or goes to the free list, so the view stays
-// valid for as long as anyone holds it (see runIter.curr). fill says whether
-// caching it may evict other blocks: scans fill, a merge does not — it reads
-// every block of runs it is about to delete exactly once, so what it reads
-// may sit in free cache space but must never push out the blocks lookups are
-// using.
-func (r *run) readBlock(i int, fill bool) (blockView, error) {
-	key := blockKey{runID: r.id, blockNo: uint32(i)}
-	if r.cfg.cache != nil {
-		if e := r.cfg.cache.get(key); e != nil {
-			return trustedBlock(e.data), nil
-		}
-	}
-	buf := make([]byte, r.blocks[i].length)
-	v, err := r.loadBlock(i, buf)
-	if err == nil && r.cfg.cache != nil {
-		r.cfg.cache.put(key, buf, fill)
-	}
-	return v, err
-}
-
-// pinBlock returns a validated view over block i for a point read, and the
-// pin that keeps its bytes the block's: the caller reads through the view,
-// copies out what it keeps, and only then releases the pin through the
-// cache. A hit pins the resident entry; a miss reads into a buffer borrowed
-// from the cache and inserts it, and a buffer that fails the read goes back
-// unused. A block too large for the cache (or a run without one) is read
-// into a fresh buffer with no pin.
-func (r *run) pinBlock(i int) (blockView, *cacheEntry, error) {
+// pinBlock returns a validated view over block i, and the pin that keeps its
+// bytes the block's: the caller reads through the view, copies out what it
+// keeps, and only then releases the pin through the cache. A hit pins the
+// resident entry; a miss reads into a buffer borrowed from the cache and
+// inserts it, and a buffer that fails the read goes back unused. fill says
+// whether the insert may evict other blocks: point reads and scans fill, a
+// merge does not — it reads every block of runs it is about to delete
+// exactly once, so what it reads may sit in free cache space but must never
+// push out the blocks lookups are using; a block it cannot keep goes to the
+// free list on its release. A block too large for the cache (or a run
+// without one) is read into a fresh buffer with no pin.
+func (r *run) pinBlock(i int, fill bool) (blockView, *cacheEntry, error) {
 	c := r.cfg.cache
 	n := r.blocks[i].length
 	if c == nil || int64(n) > c.shardCap() {
@@ -760,7 +739,7 @@ func (r *run) pinBlock(i int) (blockView, *cacheEntry, error) {
 		c.release(e)
 		return blockView{}, nil, err
 	}
-	e = c.insert(key, e)
+	e = c.insert(key, e, fill)
 	return trustedBlock(e.data), e, nil
 }
 
@@ -854,7 +833,7 @@ func (r *run) view(key []byte, h uint64, fn func(value []byte)) (found, live boo
 	if bi < lo {
 		return false, false, nil
 	}
-	v, pin, err := r.pinBlock(bi)
+	v, pin, err := r.pinBlock(bi, true)
 	if err != nil {
 		return false, false, err
 	}
@@ -873,9 +852,8 @@ func (r *run) view(key []byte, h uint64, fn func(value []byte)) (found, live boo
 	return true, !e.tombstone, nil
 }
 
-// iter returns an iterator over entries with key >= from; fill says whether
-// the blocks it reads from disk may evict others from the block cache (see
-// readBlock).
+// iter returns an iterator over entries with key >= from; fill is handed to
+// pinBlock for every block it reads.
 func (r *run) iter(from []byte, fill bool) *runIter {
 	it := &runIter{r: r, fill: fill}
 	if len(r.blocks) == 0 {
@@ -886,16 +864,14 @@ func (r *run) iter(from []byte, fill bool) *runIter {
 			it.bi = bi
 		}
 	}
-	v, err := r.readBlock(it.bi, fill)
-	if err != nil {
-		it.err = err
+	if !it.load() {
 		return it
 	}
-	it.v = v
 	if from != nil {
-		i, err := v.search(from)
+		i, err := it.v.search(from)
 		if err != nil {
 			it.err = err
+			it.close()
 			return it
 		}
 		it.ei = i
@@ -908,20 +884,34 @@ func (r *run) iter(from []byte, fill bool) *runIter {
 func (r *run) close() error { return r.release() }
 
 // runIter iterates a run in key order, block at a time: one disk read (or
-// cache hit) per ~8 KiB of data instead of one per entry. The current entry
-// is prefetched so valid/key stay error-free; a read or decode failure
-// parks the iterator invalid with a sticky error that callers MUST check via
-// fail() after their loop — an errored iterator is indistinguishable from an
-// exhausted one otherwise.
+// cache hit) per ~8 KiB of data instead of one per entry. It holds the pin
+// of the block it stands in, and releases it when it moves to the next
+// block, runs out, fails or is closed. The current entry is prefetched so
+// valid/key stay error-free; a read or decode failure parks the iterator
+// invalid with a sticky error that callers MUST check via fail() after
+// their loop — an errored iterator is indistinguishable from an exhausted
+// one otherwise.
 type runIter struct {
 	r    *run
 	fill bool
 	bi   int // current block index
 	v    blockView
-	ei   int // index of the entry after cur within v
+	pin  *cacheEntry // v's pin; nil once released, or for an unpinned block
+	ei   int         // index of the entry after cur within v
 	cur  entry
 	ok   bool
 	err  error
+}
+
+// load pins block bi into v and reports whether it could.
+func (it *runIter) load() bool {
+	v, pin, err := it.r.pinBlock(it.bi, it.fill)
+	if err != nil {
+		it.err = err
+		return false
+	}
+	it.v, it.pin, it.ei = v, pin, 0
+	return true
 }
 
 // advance loads cur from (bi, ei), crossing block boundaries as needed.
@@ -931,39 +921,34 @@ func (it *runIter) advance() {
 		return
 	}
 	for it.ei >= it.v.count() {
+		it.close()
 		it.bi++
-		if it.bi >= len(it.r.blocks) {
+		if it.bi >= len(it.r.blocks) || !it.load() {
 			return
 		}
-		v, err := it.r.readBlock(it.bi, it.fill)
-		if err != nil {
-			it.err = err
-			return
-		}
-		it.v = v
-		it.ei = 0
 	}
 	e, err := it.v.entryAt(it.ei)
 	if err != nil {
 		it.err = err
+		it.close()
 		return
 	}
 	it.cur = e
 	it.ok = true
 }
 
+// close releases the pin of the block the iterator stands in; a closed
+// iterator must not be read.
+func (it *runIter) close() {
+	it.r.cfg.cache.release(it.pin)
+	it.pin = nil
+}
+
 func (it *runIter) valid() bool { return it.ok }
 
-// curr returns the current entry. Its key and value alias block memory that
-// is never reused or mutated: an iterator's miss reads into a fresh buffer,
-// and a hit takes a pin on the cached entry that is never released, so the
-// cache's free list — which recycles only the buffers of point reads, after
-// their last pin — can never lend out a block an iterator has seen; eviction
-// only drops the cache's reference. The bytes therefore stay valid after the
-// iterator advances — even across a block boundary — for as long as the
-// caller holds them, which is what lets the merge compare against a winner's
-// key while advancing past it and lets the run writer consume an entry
-// without a private copy. Callers that retain an entry pin its whole block.
+// curr returns the current entry. Its key and value alias the pinned block
+// and are valid only until the iterator moves on or is closed: a caller
+// that keeps them past that copies them.
 func (it *runIter) curr() (entry, error) {
 	if it.err != nil {
 		return entry{}, it.err

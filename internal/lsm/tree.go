@@ -822,10 +822,13 @@ func (t *Tree) View(key []byte, fn func(value []byte)) (bool, error) {
 }
 
 // Scan invokes fn for every live key in [from, to) in key order; a nil to
-// means unbounded. fn returning false stops the scan early. The scan runs
-// against a snapshot: rotations and merges during the scan are invisible,
-// and no tree lock is held across fn or any disk read. Mutations racing
-// the scan in the still-mutable memtable may or may not be observed.
+// means unbounded. fn returning false stops the scan early. As with View,
+// key and value are valid only until fn returns: they alias a cached block
+// whose buffer may be lent to another read once the scan moves on, so fn
+// copies what it keeps. The scan runs against a snapshot: rotations and
+// merges during the scan are invisible, and no tree lock is held across fn
+// or any disk read. Mutations racing the scan in the still-mutable memtable
+// may or may not be observed.
 func (t *Tree) Scan(from, to []byte, fn func(key, value []byte) bool) error {
 	s, err := t.snapshot()
 	if err != nil {
@@ -833,6 +836,7 @@ func (t *Tree) Scan(from, to []byte, fn func(key, value []byte) bool) error {
 	}
 	defer s.release()
 	it := newMergedIter(s.mems, s.set.runs, from, true)
+	defer it.close()
 	for it.valid() {
 		e, err := it.curr()
 		if err != nil {
