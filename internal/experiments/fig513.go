@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"asterixfeeds/internal/adm"
 	"asterixfeeds/internal/core"
 	"asterixfeeds/internal/metadata"
 )
@@ -32,7 +33,8 @@ type Fig513Config struct {
 	// 50 ms split per overlap — here a spin unit is SpinIterations loop
 	// iterations.
 	TotalCostUnits int
-	// SpinIterations is the busy-loop length of one cost unit.
+	// SpinIterations is the busy-loop length of one cost unit. The
+	// default is the length that takes SpinUnit of CPU on this host.
 	SpinIterations int
 	// RateTwps is the per-adaptor tweet rate (overload the CPU).
 	RateTwps int
@@ -42,16 +44,41 @@ type Fig513Config struct {
 	Repetitions int
 }
 
+// SpinUnit is the CPU time of one default cost unit. f3 then costs
+// 50 × 2.5 µs = 125 µs a record, so one compute partition keeps up with
+// 8 000 records/s, a third of the 25 000 twps each adaptor offers: the
+// feeds are overloaded by their UDFs whatever the rest of the pipeline
+// costs and however fast the host's CPU is.
+const SpinUnit = 2500 * time.Nanosecond
+
 // DefaultFig513Config returns scaled-down defaults.
 func DefaultFig513Config(s Scale) Fig513Config {
 	return Fig513Config{
 		Scale:          s,
 		Overlaps:       []int{20, 40, 60, 80},
 		TotalCostUnits: 50,
-		SpinIterations: 2000,
+		SpinIterations: spinIterationsFor(SpinUnit),
 		RateTwps:       25000,
 		Repetitions:    2,
 	}
+}
+
+// spinIterationsFor returns the busy-loop length of core.SpinFunction that
+// takes d of CPU on this host. It times the loop five times and keeps the
+// fastest, so a host busy during the measurement does not shorten the unit.
+func spinIterationsFor(d time.Duration) int {
+	const probe = 1 << 20
+	fn := core.SpinFunction("calibrate", probe)
+	var rec adm.Record
+	fastest := time.Duration(1<<63 - 1)
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		if _, err := fn.Apply(&rec); err != nil {
+			panic(err)
+		}
+		fastest = min(fastest, time.Since(start))
+	}
+	return max(1, int(int64(probe)*int64(d)/int64(max(fastest, 1))))
 }
 
 // Fig513 reproduces Figure 5.13 (and the setup of Table 5.2): for each
