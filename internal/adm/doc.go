@@ -20,8 +20,15 @@
 // AppendValue writes — minimal varints, booleans 0 or 1, no field name twice
 // in any record — and Decode, DecodeOne, HashEncoded and AppendWithField
 // take its verdict and its errors. There are two validators of one type
-// contract: Type.Validate checks a Value; RecordType.ValidateEncoded checks
+// contract: Type.Validate checks a Value; RecordType.ValidateFields checks
 // the encoded bytes and returns what DecodeOne followed by Validate would,
-// without decoding — the store's per-record check. FuzzSkipValue and
-// FuzzValidateEncoded hold them to Decode on arbitrary bytes.
+// without decoding — the store's per-record check. It is SkipValue's record
+// walk given the type: each nested record or list is checked against its
+// declared type in the descent that skips it, and the top-level fields are
+// handed to a callback on the way, so the store walks a record once.
+// ValidateEncoded is ValidateFields without the callback. FuzzSkipValue and
+// FuzzValidateEncoded hold them to Decode on arbitrary bytes, and the fuzz
+// target holds ValidateFields to the two-walk validator it replaced, kept in
+// the tests as a frozen oracle: same verdict, same error text, and the
+// fields ScanRecordFields hands over.
 package adm

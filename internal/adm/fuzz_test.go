@@ -2,6 +2,8 @@ package adm
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -141,10 +143,31 @@ func fuzzValidateType() *RecordType {
 	})
 }
 
+// fuzzClosedType is a closed top level declaring more fields than the
+// walk's stack marks hold, most of them optional.
+func fuzzClosedType() *RecordType {
+	fields := []Field{{Name: "id", Type: TString}, {Name: "user", Type: fuzzValidateType().fields[1].Type}}
+	for i := 0; i < 16; i++ {
+		fields = append(fields, Field{Name: fmt.Sprintf("f%d", i), Type: TInt64, Optional: true})
+	}
+	return MustRecordType("C", false, fields)
+}
+
+// fieldSpan is where a field handed over by a walk sits in its record.
+type fieldSpan struct{ name, nameLen, enc, encLen int }
+
+// spanIn locates name and enc, sub-slices of buf, in buf.
+func spanIn(buf, name, enc []byte) fieldSpan {
+	return fieldSpan{cap(buf) - cap(name), len(name), cap(buf) - cap(enc), len(enc)}
+}
+
 // FuzzValidateEncoded: on arbitrary bytes the verdict of ValidateEncoded is
 // the verdict of DecodeOne followed by Validate. The store admits frames on
 // the first and reads them back through the second, so a record one accepts
-// and the other refuses is stored and then unreadable.
+// and the other refuses is stored and then unreadable. ValidateFields gives
+// the frozen two-walk validator's verdict and error text, and the fields it
+// hands over of a record it accepts are ScanRecordFields' fields: the same
+// spans of the same bytes, in the same order.
 func FuzzValidateEncoded(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
@@ -161,6 +184,7 @@ func FuzzValidateEncoded(f *testing.F) {
 		`{"id":"a","user":{"name":"u","n":"one"}}`,
 		`{"id":"a","user":{"name":"u"},"tags":["a",1]}`,
 		`{"id":"a","user":{"name":"u"},"tags":{{"a"}}}`,
+		`{"id":"a","user":{"name":"u"},"tags":[1,2],"refs":{{{"x":1,"z":2},{"z":3}}}}`,
 		`{"id":"a","user":[1]}`,
 		`{"id":1,"user":{"name":"u"}}`,
 		`{"user":{"name":"u"}}`,
@@ -174,7 +198,14 @@ func FuzzValidateEncoded(f *testing.F) {
 		f.Add(enc)
 	}
 	f.Add(dupInUndeclared)
+	// A type error, then bytes cut short: the byte error wins.
+	typeThenCut, err := Transcode(nil, []byte(`{"id":1,"user":{"name":"u"}}`))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(typeThenCut[:len(typeThenCut)-1])
 	rt := fuzzValidateType()
+	closed := fuzzClosedType()
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		want := func() error {
 			v, err := DecodeOne(buf)
@@ -185,6 +216,26 @@ func FuzzValidateEncoded(f *testing.F) {
 		}()
 		if got := rt.ValidateEncoded(buf); (got == nil) != (want == nil) {
 			t.Fatalf("ValidateEncoded(%x) = %v, DecodeOne+Validate = %v", buf, got, want)
+		}
+		for _, typ := range []*RecordType{rt, closed} {
+			var got []fieldSpan
+			err := typ.ValidateFields(buf, func(name, enc []byte) { got = append(got, spanIn(buf, name, enc)) })
+			if oracle := validateOracle(typ, buf); fmt.Sprint(err) != fmt.Sprint(oracle) {
+				t.Fatalf("%s: ValidateFields(%x) = %v, the two-walk oracle = %v", typ.Name(), buf, err, oracle)
+			}
+			if err != nil {
+				continue
+			}
+			var scanned []fieldSpan
+			if _, err := ScanRecordFields(buf, func(name, enc []byte) bool {
+				scanned = append(scanned, spanIn(buf, name, enc))
+				return true
+			}); err != nil {
+				t.Fatalf("%s: ValidateFields accepted %x, ScanRecordFields refuses it: %v", typ.Name(), buf, err)
+			}
+			if !slices.Equal(got, scanned) {
+				t.Fatalf("%s: ValidateFields handed over %v, ScanRecordFields %v", typ.Name(), got, scanned)
+			}
 		}
 	})
 }

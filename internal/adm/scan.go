@@ -16,31 +16,50 @@ import (
 // one check of the binary format: the bytes must be those AppendValue writes
 // — whole payloads, known tags, minimal varints, booleans 0 or 1 — and no
 // record at any depth may repeat a field name. Decode, DecodeOne,
-// HashEncoded, AppendWithField and ValidateEncoded take its verdict.
+// HashEncoded, AppendWithField and ValidateFields take its verdict.
 func SkipValue(buf []byte) (int, error) {
+	n, err, _ := skip(buf, nil)
+	return n, err
+}
+
+// skip is SkipValue applying the rules of t, when t is not nil, in the same
+// descent: typeErr is t.Validate's verdict on the value, and counts only
+// when err is nil. Once a value breaks a rule, the rest of it gets the byte
+// checks alone.
+func skip(buf []byte, t Type) (n int, err, typeErr error) {
 	if len(buf) == 0 {
-		return 0, fmt.Errorf("adm: decode of empty buffer")
+		return 0, fmt.Errorf("adm: decode of empty buffer"), nil
 	}
 	tag := TypeTag(buf[0])
+	if t != nil && tag != t.Tag() && !(tag == TagInt64 && t.Tag() == TagDouble) {
+		if n, err, _ = skip(buf, nil); err != nil {
+			return 0, err, nil
+		}
+		what := ""
+		if t.Tag() == TagRecord {
+			what = "record type "
+		}
+		return n, nil, fmt.Errorf("adm: value of type %s does not conform to %s%s", tag, what, t.Name())
+	}
 	pos := 1
 	switch tag {
 	case TagMissing, TagNull:
-		return pos, nil
+		return pos, nil, nil
 	case TagBoolean:
 		if len(buf) < 2 {
-			return 0, errTruncated(tag)
+			return 0, errTruncated(tag), nil
 		}
 		if buf[1] > 1 {
-			return 0, fmt.Errorf("adm: boolean byte 0x%02x is neither 0 nor 1", buf[1])
+			return 0, fmt.Errorf("adm: boolean byte 0x%02x is neither 0 nor 1", buf[1]), nil
 		}
-		return 2, nil
+		return 2, nil, nil
 	case TagInt64, TagDatetime:
 		// A zig-zag varint is a uvarint underneath.
 		_, n, err := uvarint(buf[pos:], tag)
 		if err != nil {
-			return 0, err
+			return 0, err, nil
 		}
-		return pos + n, nil
+		return pos + n, nil, nil
 	case TagDouble:
 		pos += 8
 	case TagPoint:
@@ -50,35 +69,47 @@ func SkipValue(buf []byte) (int, error) {
 	case TagString:
 		ln, n, err := uvarint(buf[pos:], tag)
 		if err != nil {
-			return 0, err
+			return 0, err, nil
 		}
 		pos += n
 		if uint64(len(buf)-pos) < ln {
-			return 0, errTruncated(tag)
+			return 0, errTruncated(tag), nil
 		}
-		return pos + int(ln), nil
+		return pos + int(ln), nil, nil
 	case TagOrderedList, TagUnorderedList:
 		cnt, pos, err := containerHeader(buf)
 		if err != nil {
-			return 0, err
+			return 0, err, nil
+		}
+		var item Type
+		what := "list item"
+		switch lt := t.(type) {
+		case *OrderedListType:
+			item = lt.Item
+		case *UnorderedListType:
+			item, what = lt.Item, "bag item"
 		}
 		for i := uint64(0); i < cnt; i++ {
-			used, err := SkipValue(buf[pos:])
+			used, err, itemErr := skip(buf[pos:], item)
 			if err != nil {
-				return 0, err
+				return 0, err, nil
+			}
+			if itemErr != nil {
+				typeErr, item = fmt.Errorf("adm: %s %d: %w", what, i, itemErr), nil
 			}
 			pos += used
 		}
-		return pos, nil
+		return pos, nil, typeErr
 	case TagRecord:
-		return scanRecord(buf, nil)
+		rt, _ := t.(*RecordType)
+		return scanRecord(buf, rt, nil)
 	default:
-		return 0, fmt.Errorf("adm: unknown tag 0x%02x", buf[0])
+		return 0, fmt.Errorf("adm: unknown tag 0x%02x", buf[0]), nil
 	}
 	if len(buf) < pos {
-		return 0, errTruncated(tag)
+		return 0, errTruncated(tag), nil
 	}
-	return pos, nil
+	return pos, nil, nil
 }
 
 // checkOne is DecodeOne's verdict on buf: SkipValue's, and no trailing bytes.
@@ -111,36 +142,51 @@ func ScanRecordFields(buf []byte, fn func(name, encValue []byte) bool) (int, err
 	if len(buf) == 0 || TypeTag(buf[0]) != TagRecord {
 		return 0, fmt.Errorf("adm: scan of non-record value")
 	}
-	return scanRecord(buf, fn)
+	n, err, _ := scanRecord(buf, nil, fn)
+	return n, err
 }
 
-// scanRecord is ScanRecordFields on a record whose tag is checked, and
-// SkipValue's record case when fn is nil. Field names go in a stack array
-// and, past it, in a map built on the first overflow; like Decode, it
-// reports the first repeat only once every field has passed.
-func scanRecord(buf []byte, fn func(name, encValue []byte) bool) (int, error) {
+// scanRecord is the one record walk, on a record whose tag is checked:
+// SkipValue's record case when r and fn are nil, ScanRecordFields with fn,
+// and with r it applies r's rules to each field in the descent that checks
+// its bytes, as skip does. Field names go in a stack array and, past it, in
+// a map built on the first overflow; like Decode, it reports the first
+// repeat only once every field has passed.
+func scanRecord(buf []byte, r *RecordType, fn func(name, encValue []byte) bool) (n int, err, typeErr error) {
 	cnt, pos, err := containerHeader(buf)
 	if err != nil {
-		return 0, err
+		return 0, err, nil
 	}
 	var names [16][]byte
 	var wide map[string]struct{}
 	var dup []byte
 	repeated := false
+	var small [16]bool
+	seen := small[:]
+	if r != nil && len(r.fields) > len(small) {
+		seen = make([]bool, len(r.fields))
+	}
 	for i := 0; i < int(cnt); i++ {
 		ln, n, err := uvarint(buf[pos:], TagRecord)
 		if err != nil {
-			return 0, err
+			return 0, err, nil
 		}
 		pos += n
 		if uint64(len(buf)-pos) < ln {
-			return 0, errTruncated(TagRecord)
+			return 0, errTruncated(TagRecord), nil
 		}
 		name := buf[pos : pos+int(ln)]
 		pos += int(ln)
-		used, err := SkipValue(buf[pos:])
+		var t Type
+		if r != nil && typeErr == nil {
+			t, typeErr = r.field(i, name, buf[pos:], seen)
+		}
+		used, err, valueErr := skip(buf[pos:], t)
 		if err != nil {
-			return 0, err
+			return 0, err, nil
+		}
+		if valueErr != nil {
+			typeErr = fmt.Errorf("adm: field %q: %w", name, valueErr)
 		}
 		pos += used
 		switch {
@@ -168,13 +214,45 @@ func scanRecord(buf []byte, fn func(name, encValue []byte) bool) (int, error) {
 			}
 		}
 		if fn != nil && !fn(name, buf[pos-used:pos]) {
-			return pos, nil
+			return pos, nil, typeErr
 		}
 	}
 	if repeated {
-		return 0, fmt.Errorf("adm: duplicate field %q in record", dup)
+		return 0, fmt.Errorf("adm: duplicate field %q in record", dup), nil
 	}
-	return pos, nil
+	for i := 0; r != nil && typeErr == nil && i < len(r.fields); i++ {
+		if f := &r.fields[i]; !seen[i] && !f.Optional {
+			typeErr = fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
+		}
+	}
+	return pos, nil, typeErr
+}
+
+// field is r's rule for the field name, the i-th of its record, whose value
+// enc begins: the type the value must have, or nil when any value passes, or
+// the rule the field breaks. It marks a declared field in seen, looking for
+// it first at its own position.
+func (r *RecordType) field(i int, name, enc []byte, seen []bool) (Type, error) {
+	if i >= len(r.fields) || r.fields[i].Name != string(name) {
+		var declared bool
+		if i, declared = r.index[string(name)]; !declared {
+			if !r.open {
+				return nil, fmt.Errorf("adm: undeclared field %q in closed type %s", name, r.Name())
+			}
+			return nil, nil
+		}
+	}
+	seen[i] = true
+	f := &r.fields[i]
+	switch {
+	case len(enc) == 0 || TypeTag(enc[0]) > TagNull:
+		return f.Type, nil // the walk refuses an empty enc
+	case f.Optional:
+		return nil, nil
+	case TypeTag(enc[0]) == TagMissing:
+		return nil, fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
+	}
+	return nil, fmt.Errorf("adm: null value for non-optional field %q of type %s", f.Name, r.Name())
 }
 
 // containerHeader reads the count of the encoded list or record at the front
@@ -212,21 +290,29 @@ func uvarint(buf []byte, tag TypeTag) (uint64, int, error) {
 
 // ValidateEncoded reports whether the single encoded value in buf conforms
 // to the record type, with the same outcome as DecodeOne followed by
-// Validate, but on the bytes, without materializing anything. SkipValue's
-// walk of the record gives DecodeOne's verdict and hands each field on the
-// way to the type rules, whose verdict counts only once the bytes have
-// passed: declared nested record types run the same rules the top level
-// runs, declared list types check each item against the item type, and
-// values the type does not describe (undeclared fields of open records) need
-// nothing more.
+// Validate, but on the bytes, without materializing anything. It is
+// ValidateFields without a callback.
 func (r *RecordType) ValidateEncoded(buf []byte) error {
-	if len(buf) == 0 || TypeTag(buf[0]) != TagRecord {
-		if err := checkOne(buf); err != nil {
-			return err
+	return r.ValidateFields(buf, nil)
+}
+
+// ValidateFields is ValidateEncoded handing each top-level field of the
+// record to fn, when fn is not nil, as ScanRecordFields does; the fields are
+// whole only when it returns nil. One walk gives DecodeOne's verdict and
+// applies the type rules, whose verdict counts only once the bytes have
+// passed, to each nested value in the descent that checks its bytes.
+func (r *RecordType) ValidateFields(buf []byte, fn func(name, enc []byte)) error {
+	var n int
+	var err, typeErr error
+	if len(buf) > 0 && TypeTag(buf[0]) == TagRecord {
+		var visit func(name, enc []byte) bool
+		if fn != nil {
+			visit = func(name, enc []byte) bool { fn(name, enc); return true }
 		}
-		return conforms(r, buf)
+		n, err, typeErr = scanRecord(buf, r, visit)
+	} else {
+		n, err, typeErr = skip(buf, r)
 	}
-	n, err, typeErr := r.scanConforming(buf)
 	if err == nil {
 		err = trailing(buf, n)
 	}
@@ -234,98 +320,4 @@ func (r *RecordType) ValidateEncoded(buf []byte) error {
 		return err
 	}
 	return typeErr
-}
-
-// conforms is t.Validate on enc, a value SkipValue accepted, without
-// decoding it.
-func conforms(t Type, enc []byte) error {
-	tag := TypeTag(enc[0])
-	var item Type
-	var listTag TypeTag
-	var what string
-	switch tt := t.(type) {
-	case *PrimitiveType:
-		if tag != tt.tag && !(tt.tag == TagDouble && tag == TagInt64) {
-			return fmt.Errorf("adm: value of type %s does not conform to %s", tag, tt.Name())
-		}
-		return nil
-	case *RecordType:
-		if tag != TagRecord {
-			return fmt.Errorf("adm: value of type %s does not conform to record type %s", tag, tt.Name())
-		}
-		_, _, typeErr := tt.scanConforming(enc) // enc is checked: no other error
-		return typeErr
-	case *OrderedListType:
-		item, listTag, what = tt.Item, TagOrderedList, "list item"
-	case *UnorderedListType:
-		item, listTag, what = tt.Item, TagUnorderedList, "bag item"
-	}
-	// Type is sealed: t is one of the two list types.
-	if tag != listTag {
-		return fmt.Errorf("adm: value of type %s does not conform to %s", tag, t.Name())
-	}
-	// enc is checked, so neither the header nor an item can fail.
-	cnt, pos, _ := containerHeader(enc)
-	for i := uint64(0); i < cnt; i++ {
-		used, _ := SkipValue(enc[pos:])
-		if err := conforms(item, enc[pos:pos+used]); err != nil {
-			return fmt.Errorf("adm: %s %d: %w", what, i, err)
-		}
-		pos += used
-	}
-	return nil
-}
-
-// scanConforming is scanRecord on the record enc, returning its length and
-// error, with r.Validate's verdict on each field it hands over: typeErr is
-// the first field that does not conform, or else the first required field
-// that is absent.
-func (r *RecordType) scanConforming(enc []byte) (n int, err, typeErr error) {
-	var small [16]bool
-	seen := small[:]
-	if len(r.fields) > len(small) {
-		seen = make([]bool, len(r.fields))
-	}
-	n, err = scanRecord(enc, func(name, encValue []byte) bool {
-		if typeErr == nil {
-			typeErr = r.conformsField(name, encValue, seen)
-		}
-		return true
-	})
-	for i := 0; typeErr == nil && i < len(r.fields); i++ {
-		if f := &r.fields[i]; !seen[i] && !f.Optional {
-			typeErr = fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
-		}
-	}
-	return n, err, typeErr
-}
-
-// conformsField is r.Validate's rule for one field of a record, marking in
-// seen the declared field it is.
-func (r *RecordType) conformsField(name, encValue []byte, seen []bool) error {
-	idx, declared := r.index[string(name)]
-	if !declared {
-		if !r.open {
-			return fmt.Errorf("adm: undeclared field %q in closed type %s", name, r.Name())
-		}
-		return nil
-	}
-	seen[idx] = true
-	f := &r.fields[idx]
-	switch TypeTag(encValue[0]) {
-	case TagMissing:
-		if !f.Optional {
-			return fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
-		}
-		return nil
-	case TagNull:
-		if !f.Optional {
-			return fmt.Errorf("adm: null value for non-optional field %q of type %s", f.Name, r.Name())
-		}
-		return nil
-	}
-	if err := conforms(f.Type, encValue); err != nil {
-		return fmt.Errorf("adm: field %q: %w", f.Name, err)
-	}
-	return nil
 }

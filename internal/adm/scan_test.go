@@ -328,7 +328,25 @@ func TestValidateEncodedAllocs(t *testing.T) {
 		if allocs > 0 {
 			t.Errorf("ValidateEncoded on %s allocates %.1f times per run, want 0", tc.rt.Name(), allocs)
 		}
+		var c fieldCollector
+		allocs = testing.AllocsPerRun(100, func() {
+			c.fields = c.fields[:0]
+			if err := tc.rt.ValidateFields(tc.enc, c.collect); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("ValidateFields on %s allocates %.1f times per run, want 0", tc.rt.Name(), allocs)
+		}
 	}
+}
+
+// fieldCollector keeps the fields ValidateFields hands its collect method,
+// as the store's frame scratch does.
+type fieldCollector struct{ fields [][2][]byte }
+
+func (c *fieldCollector) collect(name, enc []byte) {
+	c.fields = append(c.fields, [2][]byte{name, enc})
 }
 
 func BenchmarkValidateEncoded(b *testing.B) {
@@ -341,6 +359,16 @@ func BenchmarkValidateEncoded(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := rt.ValidateEncoded(enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("with-fields", func(b *testing.B) {
+		b.ReportAllocs()
+		var c fieldCollector
+		for i := 0; i < b.N; i++ {
+			c.fields = c.fields[:0]
+			if err := rt.ValidateFields(enc, c.collect); err != nil {
 				b.Fatal(err)
 			}
 		}

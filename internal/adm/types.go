@@ -69,7 +69,7 @@ type Type interface {
 	Validate(v Value) error
 	fmt.Stringer
 	// sealed keeps the implementations to this package's four, the ones
-	// ValidateEncoded's walk knows.
+	// the record walk of ValidateFields knows.
 	sealed()
 }
 

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -298,6 +300,135 @@ func TestInsertFrameAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(runs, insert); allocs > tc.maxAlloc {
 			t.Errorf("%d indexes: InsertFrame of %d records allocates %.1f times, want ≤ %.0f",
+				len(tc.ds.Indexes), perFrame, allocs, tc.maxAlloc)
+		}
+	}
+}
+
+// TestInsertFrameRefusalTexts: one frame mixes good records with one refusal
+// of each kind. Each refused record is named by its position with the exact
+// text the store has always given, and the partition is left untouched. The
+// Tweet's user is a closed nested record and its tags a list of strings: one
+// of each shape the type check walks.
+func TestInsertFrameRefusalTexts(t *testing.T) {
+	user := adm.MustRecordType("User", false, []adm.Field{
+		{Name: "screen_name", Type: adm.TString},
+		{Name: "friends_count", Type: adm.TInt64},
+	})
+	ds := testDataset()
+	ds.Indexes = nil
+	ds.Type = adm.MustRecordType("Tweet", true, []adm.Field{
+		{Name: "id", Type: adm.TString},
+		{Name: "user", Type: user},
+		{Name: "tags", Type: &adm.OrderedListType{Item: adm.TString}, Optional: true},
+		{Name: "message_text", Type: adm.TString},
+	})
+	transcode := func(text string) []byte {
+		enc, err := adm.Transcode(nil, []byte(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	good := func(id string) []byte {
+		return transcode(`{"id":"` + id + `","user":{"screen_name":"a","friends_count":1},"tags":["x"],"message_text":"m"}`)
+	}
+	record := func(fields ...[]byte) []byte {
+		enc := []byte{byte(adm.TagRecord), byte(len(fields))}
+		for _, f := range fields {
+			enc = append(enc, f...)
+		}
+		return enc
+	}
+	field := func(name string, enc []byte) []byte {
+		return append(append([]byte{byte(len(name))}, name...), enc...)
+	}
+	str := func(s string) []byte { return adm.Encode(adm.String(s)) }
+	truncated := good("t")
+	truncated = truncated[:len(truncated)-2]
+	rows := []struct {
+		name string
+		rec  []byte
+		want string // "" for a record the store accepts
+	}{
+		{"good", good("g0"), ""},
+		{"truncated bytes", truncated, `adm: truncated string value`},
+		{"duplicate field at depth 2", record(
+			field("id", str("d")),
+			field("user", record(field("screen_name", str("a")), field("screen_name", str("b")))),
+			field("message_text", str("m")),
+		), `adm: duplicate field "screen_name" in record`},
+		{"good", good("g1"), ""},
+		{"undeclared field in closed type", transcode(`{"id":"u","user":{"screen_name":"a","friends_count":1,"lang":"en"},"message_text":"m"}`),
+			`adm: field "user": adm: undeclared field "lang" in closed type User`},
+		{"nested type mismatch", transcode(`{"id":"n","user":{"screen_name":"a","friends_count":"x"},"message_text":"m"}`),
+			`adm: field "user": adm: field "friends_count": adm: value of type string does not conform to int64`},
+		{"list item mismatch", transcode(`{"id":"l","user":{"screen_name":"a","friends_count":1},"tags":["a",1],"message_text":"m"}`),
+			`adm: field "tags": adm: list item 1: adm: value of type int64 does not conform to string`},
+		{"missing required field", transcode(`{"id":"r","user":{"screen_name":"a","friends_count":1}}`),
+			`adm: missing required field "message_text" of type Tweet`},
+		{"null for non-optional field", transcode(`{"id":"z","user":{"screen_name":"a","friends_count":1},"message_text":null}`),
+			`adm: null value for non-optional field "message_text" of type Tweet`},
+		{"good", good("g2"), ""},
+	}
+	p := openTestPartition(t, ds)
+	frame := make([][]byte, len(rows))
+	for i, r := range rows {
+		frame[i] = r.rec
+	}
+	err := p.InsertFrame(frame)
+	var de *DataError
+	if !errors.As(err, &de) {
+		t.Fatalf("InsertFrame = %v, want a *DataError", err)
+	}
+	var want []string
+	for i, r := range rows {
+		if r.want != "" {
+			want = append(want, fmt.Sprintf("%d %s", i, r.want))
+		}
+	}
+	var got []string
+	for _, r := range de.Refused {
+		got = append(got, fmt.Sprintf("%d %v", r.Pos, r.Err))
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("refusals:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if n, _ := p.Count(); n != 0 {
+		t.Fatalf("Count = %d after the refused frame, want 0", n)
+	}
+}
+
+// TestFrameScratchAddAllocs: validating and keying a frame of 128 records
+// allocates nothing on a dataset without indexes, and only each record's
+// exact-size primary key on an indexed one.
+func TestFrameScratchAddAllocs(t *testing.T) {
+	const perFrame = 128
+	plain := testDataset()
+	plain.Indexes = nil
+	frame := make([][]byte, perFrame)
+	for r := range frame {
+		frame[r] = adm.Encode(tweetRec(fmt.Sprintf("r%03d", r), "u", &adm.Point{X: float64(r), Y: 1}))
+	}
+	for _, tc := range []struct {
+		ds       *Dataset
+		maxAlloc float64
+	}{
+		{plain, 0},
+		{testDataset(), perFrame},
+	} {
+		fs := frameScratch{prim: lsm.NewBatch(0)}
+		add := func() {
+			for _, rec := range frame {
+				if err := fs.add(tc.ds, rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fs.release()
+		}
+		add() // warm: scratch grown
+		if allocs := testing.AllocsPerRun(20, add); allocs > tc.maxAlloc {
+			t.Errorf("%d indexes: adding %d records allocates %.1f times, want ≤ %.0f",
 				len(tc.ds.Indexes), perFrame, allocs, tc.maxAlloc)
 		}
 	}

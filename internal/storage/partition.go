@@ -135,26 +135,19 @@ func encodedPoint(enc []byte) (pt adm.Point, ok bool) {
 	}, true
 }
 
-// scan loads fields with the top-level fields of the encoded record rec.
-func (fs *frameScratch) scan(rec []byte) error {
-	fs.fields = fs.fields[:0]
-	_, err := adm.ScanRecordFields(rec, func(name, enc []byte) bool {
-		fs.fields = append(fs.fields, encFieldRef{name: name, enc: enc})
-		return true
-	})
-	return err
+// collect appends one top-level field of the current record to fields.
+func (fs *frameScratch) collect(name, enc []byte) {
+	fs.fields = append(fs.fields, encFieldRef{name: name, enc: enc})
 }
 
-// add validates rec as a record of ds and appends its keys to pks and
-// skeys. The primary tree copies the key, so on a dataset without indexes it
-// is scratch. Every secondary entry keeps its record's key as its value, so
-// on an indexed dataset the key is one exact-size allocation, shared by all
-// of that record's entries.
+// add validates rec as a record of ds, collecting its fields in the same
+// walk, and appends its keys to pks and skeys. The primary tree copies the
+// key, so on a dataset without indexes it is scratch. Every secondary entry
+// keeps its record's key as its value, so on an indexed dataset the key is
+// one exact-size allocation, shared by all of that record's entries.
 func (fs *frameScratch) add(ds *Dataset, rec []byte) error {
-	if err := ds.Type.ValidateEncoded(rec); err != nil {
-		return err
-	}
-	if err := fs.scan(rec); err != nil {
+	fs.fields = fs.fields[:0]
+	if err := ds.Type.ValidateFields(rec, fs.collect); err != nil {
 		return err
 	}
 	var pk []byte
@@ -351,7 +344,7 @@ func findField(fields []encFieldRef, name string) []byte {
 // appendPrimaryKey appends to dst the raw encoded primary key fields,
 // concatenated — byte-identical to Dataset.PrimaryKeyOf on the decoded
 // record, because each value has one encoding: adm.SkipValue, whose verdict
-// ValidateEncoded and ScanRecordFields take, refuses any bytes AppendValue
+// the record walk of ValidateFields takes, refuses any bytes AppendValue
 // would not write. It grows dst at most once — exactly, when dst is nil —
 // and on error returns dst unchanged.
 func appendPrimaryKey(dst []byte, ds *Dataset, fields []encFieldRef) ([]byte, error) {
