@@ -21,7 +21,7 @@ race:
 # package's testdata/fuzz/: commit it.
 FUZZTIME ?= 30s
 fuzz-adm:
-	for t in FuzzSkipValue FuzzScanRecordFields FuzzTranscode FuzzValidateEncoded FuzzHashEncoded FuzzAppendWithField; do \
+	for t in FuzzSkipValue FuzzScanRecordFields FuzzTranscode FuzzValidateEncoded FuzzDecodeOne FuzzHashEncoded FuzzAppendWithField; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/adm/ || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyHashFunc$$' -fuzztime $(FUZZTIME) ./internal/storage/

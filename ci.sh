@@ -105,6 +105,25 @@ if grep -rnE 'scanConforming|func conforms\(' internal/adm --include='*.go' --ex
 fi
 echo "adm: one record walk"
 
+# A decode builds its value once, from slabs its check walk sized: the walk
+# that checks the bytes counts the records, fields and list items, and one
+# builder (builder.value) cuts them from the slabs, so a TweetGen record costs
+# 14 allocations where a per-record builder costs 18. A second unchecked
+# builder, or DecodeOne/Decode checking through checkOne (which counts
+# nothing), brings back the per-record allocations.
+decodefork='func (\([^)]*\) )?decode[[:alnum:]_]*\('
+decodeBodies() {
+	awk '/^func (Decode|DecodeOne)\(/ { on = 1 } on { print FILENAME ":" FNR ": " $0 } on && /^}/ { on = 0 }' internal/adm/binary.go
+}
+if grep -rnE "$decodefork" internal/adm --include='*.go' --exclude='*_test.go' >/dev/null 2>&1 ||
+	decodeBodies | grep -q 'checkOne('; then
+	echo "a second decode builder is back in internal/adm:" >&2
+	grep -rnE "$decodefork" internal/adm --include='*.go' --exclude='*_test.go' >&2 || true
+	decodeBodies | grep 'checkOne(' >&2 || true
+	exit 1
+fi
+echo "adm: one decode build"
+
 # Upserts write blind: InsertFrame reads nothing, and a stale secondary entry
 # is refused at read and dropped at merge. Reading the record a frame
 # replaces, to unhook that version's entries, brings back the retry that

@@ -211,8 +211,8 @@ func valueToJSON(v adm.Value) any {
 		return out
 	case *adm.Record:
 		out := make(map[string]any, t.NumFields())
-		for _, name := range t.FieldNames() {
-			fv, _ := t.Field(name)
+		for i := 0; i < t.NumFields(); i++ {
+			name, fv := t.FieldAt(i)
 			out[name] = valueToJSON(fv)
 		}
 		return out

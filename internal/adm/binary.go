@@ -68,11 +68,11 @@ func AppendValue(dst []byte, v Value) []byte {
 			dst = AppendValue(dst, it)
 		}
 	case *Record:
-		dst = binary.AppendUvarint(dst, uint64(len(t.names)))
-		for i, n := range t.names {
-			dst = binary.AppendUvarint(dst, uint64(len(n)))
-			dst = append(dst, n...)
-			dst = AppendValue(dst, t.values[i])
+		dst = binary.AppendUvarint(dst, uint64(len(t.fields)))
+		for _, f := range t.fields {
+			dst = binary.AppendUvarint(dst, uint64(len(f.name)))
+			dst = append(dst, f.name...)
+			dst = AppendValue(dst, f.value)
 		}
 	default:
 		panic(fmt.Sprintf("adm: unencodable value %T", v))
@@ -114,9 +114,9 @@ func encodedLen(v Value) int {
 			n += encodedLen(it)
 		}
 	case *Record:
-		n += uvarintLen(uint64(len(t.names)))
-		for i, name := range t.names {
-			n += uvarintLen(uint64(len(name))) + len(name) + encodedLen(t.values[i])
+		n += uvarintLen(uint64(len(t.fields)))
+		for _, f := range t.fields {
+			n += uvarintLen(uint64(len(f.name))) + len(f.name) + encodedLen(f.value)
 		}
 	default:
 		panic(fmt.Sprintf("adm: unencodable value %T", v))
@@ -134,88 +134,122 @@ func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
 // accepts, and fails with its error. The value shares one copy of exactly its
 // own bytes — not of buf, nor of what follows the value in it: every field
 // name and String inside the value is a substring of that copy, so retaining
-// any one of them keeps the whole copy alive.
+// any one of them keeps the whole copy alive. Its records, fields and list
+// items are cut from three slabs, so a retained nested record or list keeps
+// the slabs alive too.
 func Decode(buf []byte) (Value, int, error) {
-	n, err := SkipValue(buf)
+	var z sizes
+	n, err, _ := skip(buf, nil, &z)
 	if err != nil {
 		return nil, 0, err
 	}
-	v, _ := decode(buf[:n], string(buf[:n]))
-	return v, n, nil
+	return build(buf[:n], &z), n, nil
 }
 
 // DecodeOne decodes exactly one value from buf, rejecting trailing bytes.
-// The value shares one copy of buf, as Decode's shares one of its span.
+// The value shares one copy of buf, and slabs, as Decode's does.
 func DecodeOne(buf []byte) (Value, error) {
-	if err := checkOne(buf); err != nil {
+	var z sizes
+	n, err, _ := skip(buf, nil, &z)
+	if err == nil {
+		err = trailing(buf, n)
+	}
+	if err != nil {
 		return nil, err
 	}
-	v, _ := decode(buf, string(buf))
-	return v, nil
+	return build(buf, &z), nil
 }
 
-// decode builds the value at the front of buf, bytes SkipValue accepted, and
-// returns it with its length, cutting its strings from s, a copy of buf.
-func decode(buf []byte, s string) (Value, int) {
-	f64 := func(off int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])) }
-	switch tag := TypeTag(buf[0]); tag {
+// build is the value buf holds, bytes SkipValue accepted whose records,
+// fields and items z counted.
+func build(buf []byte, z *sizes) Value {
+	b := builder{
+		s:       string(buf),
+		records: make([]Record, z.records),
+		fields:  make([]field, z.fields),
+		items:   make([]Value, z.items),
+	}
+	v, _ := b.value(buf, 0)
+	return v
+}
+
+// builder cuts a checked value's strings from s, a copy of its bytes, and
+// its records, fields and list items from slabs the check walk sized. Each
+// record's fields and each list's items are cut with a full slice
+// expression, so appending to them never writes into a sibling's slots.
+type builder struct {
+	s       string
+	records []Record
+	fields  []field
+	items   []Value
+}
+
+// value builds the value at buf[off:] and returns it with its length.
+func (b *builder) value(buf []byte, off int) (Value, int) {
+	f64 := func(at int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(buf[off+at:])) }
+	switch tag := TypeTag(buf[off]); tag {
 	case TagMissing:
 		return Missing{}, 1
 	case TagNull:
 		return Null{}, 1
 	case TagBoolean:
-		return Boolean(buf[1] == 1), 2
+		return Boolean(buf[off+1] == 1), 2
 	case TagInt64:
-		v, n := binary.Varint(buf[1:])
+		v, n := binary.Varint(buf[off+1:])
 		return Int64(v), 1 + n
 	case TagDatetime:
-		v, n := binary.Varint(buf[1:])
+		v, n := binary.Varint(buf[off+1:])
 		return Datetime(v), 1 + n
 	case TagDouble:
 		return Double(f64(1)), 9
 	case TagString:
-		ln, n := binary.Uvarint(buf[1:])
-		pos := 1 + n
-		return String(s[pos : pos+int(ln)]), pos + int(ln)
+		ln, n := binary.Uvarint(buf[off+1:])
+		pos := off + 1 + n
+		return String(b.s[pos : pos+int(ln)]), pos + int(ln) - off
 	case TagPoint:
 		return Point{f64(1), f64(9)}, 17
 	case TagRectangle:
 		return Rectangle{Point{f64(1), f64(9)}, Point{f64(17), f64(25)}}, 33
 	case TagOrderedList, TagUnorderedList:
-		cnt, n := binary.Uvarint(buf[1:])
-		pos := 1 + n
-		items := make([]Value, cnt)
+		cnt, n := binary.Uvarint(buf[off+1:])
+		pos := off + 1 + n
+		items := b.items[:cnt:cnt]
+		b.items = b.items[cnt:]
 		for i := range items {
 			var used int
-			items[i], used = decode(buf[pos:], s[pos:])
+			items[i], used = b.value(buf, pos)
 			pos += used
 		}
 		if tag == TagOrderedList {
-			return &OrderedList{Items: items}, pos
+			return &OrderedList{Items: items}, pos - off
 		}
-		return &UnorderedList{Items: items}, pos
+		return &UnorderedList{Items: items}, pos - off
 	case TagRecord:
-		cnt, n := binary.Uvarint(buf[1:])
-		pos := 1 + n
-		r := &Record{names: make([]string, cnt), values: make([]Value, cnt)}
-		for i := range r.names {
+		cnt, n := binary.Uvarint(buf[off+1:])
+		pos := off + 1 + n
+		r := &b.records[0]
+		b.records = b.records[1:]
+		r.fields = b.fields[:cnt:cnt]
+		b.fields = b.fields[cnt:]
+		for i := range r.fields {
+			f := &r.fields[i]
 			ln, n := binary.Uvarint(buf[pos:])
 			pos += n
-			r.names[i] = s[pos : pos+int(ln)]
+			f.name = b.s[pos : pos+int(ln)]
 			pos += int(ln)
 			var used int
-			r.values[i], used = decode(buf[pos:], s[pos:])
+			f.value, used = b.value(buf, pos)
 			pos += used
 		}
 		if cnt > maxUnindexedFields {
 			r.index = make(map[string]int, cnt)
-			for i, name := range r.names {
-				r.index[name] = i
+			for i, f := range r.fields {
+				r.index[f.name] = i
 			}
 		}
-		return r, pos
+		return r, pos - off
 	}
-	panic(fmt.Sprintf("adm: decode of unchecked tag 0x%02x", buf[0]))
+	panic(fmt.Sprintf("adm: build of unchecked tag 0x%02x", buf[off]))
 }
 
 func errTruncated(tag TypeTag) error {

@@ -1,6 +1,7 @@
 package adm
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -188,6 +189,53 @@ func BenchmarkDecodeTweet(b *testing.B) {
 		if _, _, err := Decode(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDecodedSiblingsDoNotAlias: a decoded value's records, fields and list
+// items are cut from shared slabs, each to its own length, so extending one
+// record or list — through WithField, through a RecordBuilder fed its
+// FieldAt, or by appending to a list's Items — never writes into a sibling
+// of the same value.
+func TestDecodedSiblingsDoNotAlias(t *testing.T) {
+	const text = `[{"a":1,"l":[1,2]},{"a":2,"l":[3]},{"b":{"c":"x","d":[true]}},[4,5],{{6}}]`
+	enc, err := Transcode(nil, []byte(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := DecodeOne(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := v.(*OrderedList).Items
+	var extended []Value
+	for _, it := range items {
+		switch x := it.(type) {
+		case *Record:
+			extended = append(extended, x.WithField("z", Int64(9)), x.WithField("a", Null{}))
+			var b RecordBuilder
+			for i := 0; i < x.NumFields(); i++ {
+				b.Add(x.FieldAt(i))
+			}
+			extended = append(extended, b.Add("z", String("zz")).MustBuild())
+			for i := 0; i < x.NumFields(); i++ {
+				if _, fv := x.FieldAt(i); fv.Tag() == TagOrderedList {
+					l := fv.(*OrderedList)
+					extended = append(extended, &OrderedList{Items: append(l.Items, Int64(7), Int64(8))})
+				}
+			}
+		case *OrderedList:
+			extended = append(extended, &OrderedList{Items: append(x.Items, Int64(7))})
+		case *UnorderedList:
+			extended = append(extended, &UnorderedList{Items: append(x.Items, Int64(7))})
+		}
+	}
+	extended = append(extended, &OrderedList{Items: append(items, Int64(7))})
+	if got := Encode(v); !bytes.Equal(got, enc) {
+		t.Fatalf("extending the parts of a decoded value changed it:\n got %v\nwant %s", v, text)
+	}
+	if len(extended) != 14 {
+		t.Fatalf("extended %d parts, want 14", len(extended))
 	}
 }
 

@@ -127,11 +127,11 @@ func sortedItems(items []Value) []Value {
 
 func compareRecords(a, b *Record) int {
 	names := map[string]bool{}
-	for _, n := range a.names {
-		names[n] = true
+	for _, f := range a.fields {
+		names[f.name] = true
 	}
-	for _, n := range b.names {
-		names[n] = true
+	for _, f := range b.fields {
+		names[f.name] = true
 	}
 	sorted := make([]string, 0, len(names))
 	for n := range names {

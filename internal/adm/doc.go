@@ -31,4 +31,13 @@
 // target holds ValidateFields to the two-walk validator it replaced, kept in
 // the tests as a frozen oracle: same verdict, same error text, and the
 // fields ScanRecordFields hands over.
+//
+// A decode walks its value twice: the check walk, which also counts the
+// value's records, fields and list items, and one unchecked build. The
+// build cuts every field name and String from one copy of the bytes, every
+// record from one slab and every field and list item from one more, each cut
+// to its own length so that no append reaches a sibling; a TweetGen record
+// costs the copy, two slabs and its scalar boxes. FuzzDecodeOne holds
+// DecodeOne and Decode to the per-record decoder they replaced, kept in the
+// tests as a frozen oracle: same verdict, same error text, an Equal value.
 package adm

@@ -3,7 +3,6 @@ package adm
 import (
 	"encoding/binary"
 	"math"
-	"sort"
 )
 
 // Hash computes a 64-bit hash of the value, consistent with Equal: equal
@@ -121,9 +120,7 @@ func (h *fnv64a) value(v Value) {
 		}
 	case *Record:
 		h.add(byte(TagRecord))
-		names := append([]string(nil), t.names...)
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range t.sortedNames() {
 			h.addString(n)
 			h.add(0)
 			fv, _ := t.Field(n)

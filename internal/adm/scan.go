@@ -18,21 +18,28 @@ import (
 // record at any depth may repeat a field name. Decode, DecodeOne,
 // HashEncoded, AppendWithField and ValidateFields take its verdict.
 func SkipValue(buf []byte) (int, error) {
-	n, err, _ := skip(buf, nil)
+	n, err, _ := skip(buf, nil, nil)
 	return n, err
 }
+
+// sizes counts what Decode cuts from its slabs: the records of a value, and
+// the fields and list items in all of them.
+type sizes struct{ records, fields, items int }
 
 // skip is SkipValue applying the rules of t, when t is not nil, in the same
 // descent: typeErr is t.Validate's verdict on the value, and counts only
 // when err is nil. Once a value breaks a rule, the rest of it gets the byte
-// checks alone.
-func skip(buf []byte, t Type) (n int, err, typeErr error) {
+// checks alone. Each record and list the walk enters is counted in z, when z
+// is not nil. (A shape type parameter, with a no-op instantiation for the
+// other walks, would call the counter through the generic dictionary: the
+// calls cost the other walks time, and z would move to the heap.)
+func skip(buf []byte, t Type, z *sizes) (n int, err, typeErr error) {
 	if len(buf) == 0 {
 		return 0, fmt.Errorf("adm: decode of empty buffer"), nil
 	}
 	tag := TypeTag(buf[0])
 	if t != nil && tag != t.Tag() && !(tag == TagInt64 && t.Tag() == TagDouble) {
-		if n, err, _ = skip(buf, nil); err != nil {
+		if n, err, _ = skip(buf, nil, z); err != nil {
 			return 0, err, nil
 		}
 		what := ""
@@ -81,6 +88,9 @@ func skip(buf []byte, t Type) (n int, err, typeErr error) {
 		if err != nil {
 			return 0, err, nil
 		}
+		if z != nil {
+			z.items += int(cnt)
+		}
 		var item Type
 		what := "list item"
 		switch lt := t.(type) {
@@ -90,7 +100,7 @@ func skip(buf []byte, t Type) (n int, err, typeErr error) {
 			item, what = lt.Item, "bag item"
 		}
 		for i := uint64(0); i < cnt; i++ {
-			used, err, itemErr := skip(buf[pos:], item)
+			used, err, itemErr := skip(buf[pos:], item, z)
 			if err != nil {
 				return 0, err, nil
 			}
@@ -102,7 +112,7 @@ func skip(buf []byte, t Type) (n int, err, typeErr error) {
 		return pos, nil, typeErr
 	case TagRecord:
 		rt, _ := t.(*RecordType)
-		return scanRecord(buf, rt, nil)
+		return scanRecord(buf, rt, nil, z)
 	default:
 		return 0, fmt.Errorf("adm: unknown tag 0x%02x", buf[0]), nil
 	}
@@ -142,7 +152,7 @@ func ScanRecordFields(buf []byte, fn func(name, encValue []byte) bool) (int, err
 	if len(buf) == 0 || TypeTag(buf[0]) != TagRecord {
 		return 0, fmt.Errorf("adm: scan of non-record value")
 	}
-	n, err, _ := scanRecord(buf, nil, fn)
+	n, err, _ := scanRecord(buf, nil, fn, nil)
 	return n, err
 }
 
@@ -152,10 +162,14 @@ func ScanRecordFields(buf []byte, fn func(name, encValue []byte) bool) (int, err
 // its bytes, as skip does. Field names go in a stack array and, past it, in
 // a map built on the first overflow; like Decode, it reports the first
 // repeat only once every field has passed.
-func scanRecord(buf []byte, r *RecordType, fn func(name, encValue []byte) bool) (n int, err, typeErr error) {
+func scanRecord(buf []byte, r *RecordType, fn func(name, encValue []byte) bool, z *sizes) (n int, err, typeErr error) {
 	cnt, pos, err := containerHeader(buf)
 	if err != nil {
 		return 0, err, nil
+	}
+	if z != nil {
+		z.records++
+		z.fields += int(cnt)
 	}
 	var names [16][]byte
 	var wide map[string]struct{}
@@ -181,7 +195,7 @@ func scanRecord(buf []byte, r *RecordType, fn func(name, encValue []byte) bool) 
 		if r != nil && typeErr == nil {
 			t, typeErr = r.field(i, name, buf[pos:], seen)
 		}
-		used, err, valueErr := skip(buf[pos:], t)
+		used, err, valueErr := skip(buf[pos:], t, z)
 		if err != nil {
 			return 0, err, nil
 		}
@@ -309,9 +323,9 @@ func (r *RecordType) ValidateFields(buf []byte, fn func(name, enc []byte)) error
 		if fn != nil {
 			visit = func(name, enc []byte) bool { fn(name, enc); return true }
 		}
-		n, err, typeErr = scanRecord(buf, r, visit)
+		n, err, typeErr = scanRecord(buf, r, visit, nil)
 	} else {
-		n, err, typeErr = skip(buf, r)
+		n, err, typeErr = skip(buf, r, nil)
 	}
 	if err == nil {
 		err = trailing(buf, n)

@@ -270,9 +270,9 @@ func (r *RecordType) Validate(v Value) error {
 		}
 	}
 	if !r.open {
-		for _, name := range rec.FieldNames() {
-			if _, declared := r.index[name]; !declared {
-				return fmt.Errorf("adm: undeclared field %q in closed type %s", name, r.Name())
+		for _, f := range rec.fields {
+			if _, declared := r.index[f.name]; !declared {
+				return fmt.Errorf("adm: undeclared field %q in closed type %s", f.name, r.Name())
 			}
 		}
 	}

@@ -63,9 +63,14 @@ type UnorderedList struct {
 // Record is an ADM record: an ordered multiset of named fields. Field order
 // is preserved for printing but is not semantically significant.
 type Record struct {
-	names  []string
-	values []Value
+	fields []field
 	index  map[string]int // name -> position; nil up to maxUnindexedFields
+}
+
+// field is one named value of a record.
+type field struct {
+	name  string
+	value Value
 }
 
 // maxUnindexedFields is the widest record without a name index: up to this
@@ -189,31 +194,48 @@ func NewRecord(names []string, values []Value) (*Record, error) {
 	if len(names) != len(values) {
 		return nil, fmt.Errorf("adm: record has %d names but %d values", len(names), len(values))
 	}
-	var idx map[string]int
-	if len(names) > maxUnindexedFields {
-		idx = make(map[string]int, len(names))
-	}
+	fields := make([]field, len(names))
 	for i, n := range names {
+		fields[i] = field{n, values[i]}
+	}
+	return newRecord(fields)
+}
+
+// newRecord constructs a record that takes ownership of fields.
+func newRecord(fields []field) (*Record, error) {
+	var idx map[string]int
+	if len(fields) > maxUnindexedFields {
+		idx = make(map[string]int, len(fields))
+	}
+	for i, f := range fields {
 		dup := false
 		if idx == nil {
-			dup = slices.Contains(names[:i], n)
+			for _, g := range fields[:i] {
+				if g.name == f.name {
+					dup = true
+					break
+				}
+			}
 		} else {
-			_, dup = idx[n]
-			idx[n] = i
+			_, dup = idx[f.name]
+			idx[f.name] = i
 		}
 		if dup {
-			return nil, fmt.Errorf("adm: duplicate field %q in record", n)
+			return nil, fmt.Errorf("adm: duplicate field %q in record", f.name)
 		}
-		if values[i] == nil {
-			return nil, fmt.Errorf("adm: nil value for field %q", n)
+		if f.value == nil {
+			return nil, fmt.Errorf("adm: nil value for field %q", f.name)
 		}
 	}
-	return &Record{names: names, values: values, index: idx}, nil
+	return &Record{fields: fields, index: idx}, nil
 }
 
 // MustRecord is like NewRecord but panics on error.
 func MustRecord(names []string, values []Value) *Record {
-	r, err := NewRecord(names, values)
+	return must(NewRecord(names, values))
+}
+
+func must(r *Record, err error) *Record {
 	if err != nil {
 		panic(err)
 	}
@@ -222,22 +244,20 @@ func MustRecord(names []string, values []Value) *Record {
 
 // RecordBuilder incrementally assembles a Record.
 type RecordBuilder struct {
-	names  []string
-	values []Value
+	fields []field
 }
 
 // Add appends a field. Returns the builder for chaining.
 func (b *RecordBuilder) Add(name string, v Value) *RecordBuilder {
-	b.names = append(b.names, name)
-	b.values = append(b.values, v)
+	b.fields = append(b.fields, field{name, v})
 	return b
 }
 
 // Build constructs the record.
-func (b *RecordBuilder) Build() (*Record, error) { return NewRecord(b.names, b.values) }
+func (b *RecordBuilder) Build() (*Record, error) { return newRecord(b.fields) }
 
 // MustBuild constructs the record, panicking on error.
-func (b *RecordBuilder) MustBuild() *Record { return MustRecord(b.names, b.values) }
+func (b *RecordBuilder) MustBuild() *Record { return must(b.Build()) }
 
 // fieldIndex returns the position of the named field, and whether it is
 // present.
@@ -246,8 +266,12 @@ func (r *Record) fieldIndex(name string) (int, bool) {
 		i, ok := r.index[name]
 		return i, ok
 	}
-	i := slices.Index(r.names, name)
-	return i, i >= 0
+	for i := range r.fields {
+		if r.fields[i].name == name {
+			return i, true
+		}
+	}
+	return -1, false
 }
 
 // Field returns the value of the named field, and whether it is present.
@@ -256,7 +280,7 @@ func (r *Record) Field(name string) (Value, bool) {
 	if !ok {
 		return Missing{}, false
 	}
-	return r.values[i], true
+	return r.fields[i].value, true
 }
 
 // FieldOr returns the named field or def if absent.
@@ -267,28 +291,23 @@ func (r *Record) FieldOr(name string, def Value) Value {
 	return def
 }
 
-// FieldNames returns the record's field names in insertion order. The
-// returned slice must not be modified.
-func (r *Record) FieldNames() []string { return r.names }
-
 // NumFields reports the number of fields.
-func (r *Record) NumFields() int { return len(r.names) }
+func (r *Record) NumFields() int { return len(r.fields) }
 
-// FieldAt returns the i-th field's name and value.
-func (r *Record) FieldAt(i int) (string, Value) { return r.names[i], r.values[i] }
+// FieldAt returns the i-th field's name and value, in insertion order.
+func (r *Record) FieldAt(i int) (string, Value) { return r.fields[i].name, r.fields[i].value }
 
 // WithField returns a copy of the record with the named field added or
 // replaced. The receiver is unchanged.
 func (r *Record) WithField(name string, v Value) *Record {
-	names := append([]string(nil), r.names...)
-	values := append([]Value(nil), r.values...)
+	fields := make([]field, len(r.fields), len(r.fields)+1)
+	copy(fields, r.fields)
 	if i, ok := r.fieldIndex(name); ok {
-		values[i] = v
+		fields[i].value = v
 	} else {
-		names = append(names, name)
-		values = append(values, v)
+		fields = append(fields, field{name, v})
 	}
-	return MustRecord(names, values)
+	return must(newRecord(fields))
 }
 
 // WithoutField returns a copy of the record with the named field removed.
@@ -297,22 +316,20 @@ func (r *Record) WithoutField(name string) *Record {
 	if !ok {
 		return r
 	}
-	names := append(append([]string(nil), r.names[:i]...), r.names[i+1:]...)
-	values := append(append([]Value(nil), r.values[:i]...), r.values[i+1:]...)
-	return MustRecord(names, values)
+	return must(newRecord(slices.Delete(slices.Clone(r.fields), i, i+1)))
 }
 
 // String implements fmt.Stringer, printing fields in insertion order.
 func (r *Record) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, n := range r.names {
+	for i, f := range r.fields {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(strconv.Quote(n))
+		b.WriteString(strconv.Quote(f.name))
 		b.WriteString(": ")
-		b.WriteString(r.values[i].String())
+		b.WriteString(f.value.String())
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -323,8 +340,7 @@ func (r *Record) String() string {
 func CanonicalString(v Value) string {
 	switch t := v.(type) {
 	case *Record:
-		names := append([]string(nil), t.names...)
-		sort.Strings(names)
+		names := t.sortedNames()
 		var b strings.Builder
 		b.WriteByte('{')
 		for i, n := range names {
@@ -359,6 +375,16 @@ func CanonicalString(v Value) string {
 	default:
 		return v.String()
 	}
+}
+
+// sortedNames returns the record's field names in a new slice, sorted.
+func (r *Record) sortedNames() []string {
+	names := make([]string, len(r.fields))
+	for i, f := range r.fields {
+		names[i] = f.name
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Truthy reports whether the value counts as true in a boolean context:

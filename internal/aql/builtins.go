@@ -445,9 +445,8 @@ func bRecordMerge(args []adm.Value) (adm.Value, error) {
 		return nil, fmt.Errorf("aql: record-merge wants two records")
 	}
 	out := a
-	for _, name := range b.FieldNames() {
-		v, _ := b.Field(name)
-		out = out.WithField(name, v)
+	for i := 0; i < b.NumFields(); i++ {
+		out = out.WithField(b.FieldAt(i))
 	}
 	return out, nil
 }
@@ -461,7 +460,8 @@ func bFieldNames(args []adm.Value) (adm.Value, error) {
 		return nil, fmt.Errorf("aql: field-names on %s", args[0].Tag())
 	}
 	items := make([]adm.Value, 0, rec.NumFields())
-	for _, n := range rec.FieldNames() {
+	for i := 0; i < rec.NumFields(); i++ {
+		n, _ := rec.FieldAt(i)
 		items = append(items, adm.String(n))
 	}
 	return &adm.OrderedList{Items: items}, nil

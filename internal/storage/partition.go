@@ -369,7 +369,7 @@ func appendPrimaryKey(dst []byte, ds *Dataset, fields []encFieldRef) ([]byte, er
 // tombstone, written blind like a frame. The record's secondary entries stay
 // behind, stale (see Partition).
 func (p *Partition) Delete(pkValues []adm.Value) error {
-	pk, err := p.primaryKey(pkValues)
+	pk, err := p.primaryKey(nil, pkValues)
 	if err != nil {
 		return err
 	}
@@ -381,25 +381,26 @@ func (p *Partition) Delete(pkValues []adm.Value) error {
 	return p.primary.Delete(pk)
 }
 
-// primaryKey encodes the primary key fields of one record, refusing a
-// number of fields the dataset's key does not have.
-func (p *Partition) primaryKey(pkValues []adm.Value) ([]byte, error) {
+// primaryKey appends to dst the encoded primary key fields of one record,
+// refusing a number of fields the dataset's key does not have.
+func (p *Partition) primaryKey(dst []byte, pkValues []adm.Value) ([]byte, error) {
 	if len(pkValues) != len(p.ds.PrimaryKey) {
 		return nil, fmt.Errorf("storage: %d key values for %d-field primary key", len(pkValues), len(p.ds.PrimaryKey))
 	}
-	var pk []byte
 	for _, v := range pkValues {
-		pk = adm.AppendValue(pk, v)
+		dst = adm.AppendValue(dst, v)
 	}
-	return pk, nil
+	return dst, nil
 }
 
 // Lookup returns the record with the given primary key fields. It takes no
 // partition lock: the decode, too, runs beside the writers. The record is
 // decoded inside the tree's point read, from the stored bytes in place, and
-// keeps none of them: the decode's own copy is the only one.
+// keeps none of them: the decode's own copy is the only one. The key is
+// built on the stack, so a Lookup allocates only what DecodeOne does.
 func (p *Partition) Lookup(pkValues []adm.Value) (*adm.Record, bool, error) {
-	pk, err := p.primaryKey(pkValues)
+	var key [64]byte
+	pk, err := p.primaryKey(key[:0], pkValues)
 	if err != nil {
 		return nil, false, err
 	}

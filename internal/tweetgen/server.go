@@ -164,12 +164,12 @@ func writeJSON(b *strings.Builder, v adm.Value) {
 	switch t := v.(type) {
 	case *adm.Record:
 		b.WriteByte('{')
-		for i, name := range t.FieldNames() {
+		for i := 0; i < t.NumFields(); i++ {
 			if i > 0 {
 				b.WriteByte(',')
 			}
+			name, fv := t.FieldAt(i)
 			fmt.Fprintf(b, "%q:", name)
-			fv, _ := t.Field(name)
 			writeJSON(b, fv)
 		}
 		b.WriteByte('}')
