@@ -236,8 +236,8 @@ func report(res *chaos.Result, show bool) {
 	if !res.Passed() {
 		status = "FAIL"
 	}
-	fmt.Printf("%s seed=%d schedule=%q fired=%d stored=%d/%d replayed=%d storeErrs=%d\n",
-		status, res.Seed, res.Schedule, len(res.Fired), res.Stored, res.Emitted, res.Replayed, res.StoreErrors)
+	fmt.Printf("%s seed=%d schedule=%q fired=%d stored=%d/%d replayed=%d replayDropped=%d storeErrs=%d\n",
+		status, res.Seed, res.Schedule, len(res.Fired), res.Stored, res.Emitted, res.Replayed, res.ReplayDropped, res.StoreErrors)
 	for _, f := range res.Fired {
 		fmt.Printf("    fired: %s\n", f)
 	}

@@ -1,6 +1,6 @@
 // Command feedlint runs the asterixfeeds static-analysis suite: the
-// layering, locking, goroutine-hygiene, error-handling, determinism, and
-// interprocedural concurrency invariants described in DESIGN.md
+// layering, lock-order, durability-error and determinism invariants
+// described in DESIGN.md
 // ("Architecture invariants" and "Concurrency invariants").
 //
 // Usage:

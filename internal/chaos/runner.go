@@ -62,9 +62,10 @@ type Result struct {
 	// Emitted and Stored count distinct record ids at the source and in
 	// the primary partitions at drain.
 	Emitted, Stored int
-	// Replayed, StoreErrors, and SoftFailures echo the connection's
-	// counters at drain — how hard the run had to work.
-	Replayed, StoreErrors, SoftFailures int64
+	// Replayed, ReplayDropped, StoreErrors, and SoftFailures echo the
+	// connection's counters at drain — how hard the run had to work, and
+	// how many at-least-once records it gave up on after their last replay.
+	Replayed, ReplayDropped, StoreErrors, SoftFailures int64
 	// Failures lists every violated invariant; empty means the run passed.
 	Failures []string
 }
@@ -342,6 +343,7 @@ func Run(sc Scenario) (*Result, error) {
 	inj.Disarm() // the failure exits above leave it armed
 	res.Degradations = conn.ResyncDegradations()
 	res.Replayed = conn.Metrics.Replayed.Value()
+	res.ReplayDropped = conn.Metrics.ReplayDropped.Value()
 	res.StoreErrors = conn.Metrics.StoreErrors.Value()
 	res.SoftFailures = conn.Metrics.SoftFailures.Value()
 	if err := mgr.DisconnectFeed(chaosDataverse, chaosFeed, chaosDataset); err != nil && conn.State() != core.ConnFailed {

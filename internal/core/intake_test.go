@@ -11,22 +11,26 @@ import (
 	"time"
 
 	"asterixfeeds/internal/hyracks"
+	"asterixfeeds/internal/storage"
 )
 
-// intakeGoroutines counts the goroutines whose stack runs, or was started
-// by, an intake instance's Run.
-func intakeGoroutines() int {
+// goroutineStacks returns the stack of every live goroutine, one entry each.
+func goroutineStacks() [][]byte {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			buf = buf[:n]
-			break
+			return bytes.Split(buf[:n], []byte("\n\n"))
 		}
 		buf = make([]byte, 2*len(buf))
 	}
+}
+
+// intakeGoroutines counts the goroutines whose stack runs, or was started
+// by, an intake instance's Run.
+func intakeGoroutines() int {
 	count := 0
-	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+	for _, g := range goroutineStacks() {
 		if bytes.Contains(g, []byte("(*intakeRuntime).Run")) {
 			count++
 		}
@@ -59,6 +63,51 @@ func TestIntakeIsOneGoroutine(t *testing.T) {
 	}
 	if got != len(intake) {
 		t.Fatalf("%d goroutines run intake code for %d intake instances, want one each", got, len(intake))
+	}
+}
+
+// TestCloseLeavesNoGoroutine: closing an at-least-once feed's manager,
+// cluster and storage returns within seconds, and the goroutine count falls
+// back to what it was before the feed. A loop that misses its stop signal —
+// the ack sweeper's, the collect stage's flush tick — fails here by name
+// instead of holding Manager.Close until the package's -timeout.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	before := len(goroutineStacks())
+	h := newHarness(t, "A", "B")
+	ds := h.declareTweetDataset("Tweets")
+	h.declarePrimaryFeed("F", makeGen(0, time.Millisecond), 2, "")
+	if _, err := h.mgr.ConnectFeed("feeds", "F", "Tweets", "AtLeastOnce"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "stored records", func() bool { return h.datasetCount(ds) >= 20 })
+
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		h.mgr.Close()
+		h.cluster.Close()
+		for _, n := range []string{"A", "B"} {
+			h.cluster.Node(n).Service(storage.ServiceName).(*storage.Manager).Close()
+		}
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("closing the manager, cluster and storage of an at-least-once feed did not return within 5s")
+	}
+	stacks := goroutineStacks()
+	for deadline := time.Now().Add(5 * time.Second); len(stacks) > before && time.Now().Before(deadline); stacks = goroutineStacks() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if len(stacks) > before {
+		var ours []string
+		for _, g := range stacks[1:] { // [0] is this goroutine
+			if bytes.Contains(g, []byte("asterixfeeds/internal/")) {
+				ours = append(ours, string(g))
+			}
+		}
+		t.Fatalf("%d goroutines 5s after close, %d before the feed; still running:\n%s",
+			len(stacks), before, strings.Join(ours, "\n\n"))
 	}
 }
 

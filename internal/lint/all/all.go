@@ -8,10 +8,7 @@ package all
 import (
 	"asterixfeeds/internal/lint"
 	"asterixfeeds/internal/lint/archrule"
-	"asterixfeeds/internal/lint/chanhygiene"
 	"asterixfeeds/internal/lint/errdrop"
-	"asterixfeeds/internal/lint/goleak"
-	"asterixfeeds/internal/lint/hooknil"
 	"asterixfeeds/internal/lint/lockorder"
 	"asterixfeeds/internal/lint/simclock"
 )
@@ -21,11 +18,8 @@ import (
 func Analyzers() []lint.Analyzer {
 	return []lint.Analyzer{
 		archrule.New(nil),
-		goleak.New(nil),
 		errdrop.New(nil),
 		simclock.New(nil),
 		lockorder.New(),
-		hooknil.New(nil),
-		chanhygiene.New(),
 	}
 }

@@ -1,9 +1,9 @@
 // Package ipa is the interprocedural layer under feedlint's concurrency
-// analyzers (lockorder, hooknil, chanhygiene). It builds a module-wide
+// analyzer, lockorder. It builds a module-wide
 // call graph — static calls plus method-set resolution for interface
 // dispatch — and per-function summaries of the facts that matter across
-// function boundaries: which locks a function may acquire, which blocking
-// operations it may reach, and which channel parameters it may close.
+// function boundaries: which locks a function may acquire and which
+// blocking operations it may reach.
 // Summaries are propagated over the call graph to a fixpoint, in the
 // spirit of golang.org/x/tools/go/analysis fact propagation, so a lock
 // passed one call deep or a blocking send buried in a helper is visible

@@ -81,14 +81,6 @@ func TestPromotedLockKeyedByEmbedder(t *testing.T) {
 	}
 }
 
-func TestCloseParamPropagates(t *testing.T) {
-	p := buildProgram(t)
-	via := fnByName(t, p, "a.CloseVia")
-	if via.Summary.ClosesParams[0] == nil {
-		t.Fatal("a.CloseVia: transitive close of parameter 0 not summarized")
-	}
-}
-
 func TestWaitGroupWaitIsBlocking(t *testing.T) {
 	p := buildProgram(t)
 	fn := fnByName(t, p, "a.WaitAll")

@@ -24,7 +24,7 @@ const (
 // chain that reaches it from the summarized function ("" chain for a
 // direct fact). Pos is always the position of the operation itself.
 type Site struct {
-	// Pos locates the operation (the send, the Lock call, the close).
+	// Pos locates the operation (the send, the Lock call).
 	Pos token.Position
 	// Kind is the operation kind, one of the Kind* constants for
 	// blocking facts.
@@ -60,9 +60,6 @@ type Summary struct {
 	// representative acquisition site. Function-local locks, which
 	// cannot be correlated across calls, are excluded.
 	Acquires map[LockKey]*Site
-	// ClosesParams maps parameter indices of channel parameters the
-	// function may close to the close site.
-	ClosesParams map[int]*Site
 }
 
 func (s *Summary) addBlock(kind string, site *Site) bool {
@@ -84,17 +81,6 @@ func (s *Summary) addAcquire(key LockKey, site *Site) bool {
 		return false
 	}
 	s.Acquires[key] = site
-	return true
-}
-
-func (s *Summary) addClosesParam(i int, site *Site) bool {
-	if s.ClosesParams == nil {
-		s.ClosesParams = make(map[int]*Site)
-	}
-	if s.ClosesParams[i] != nil {
-		return false
-	}
-	s.ClosesParams[i] = site
 	return true
 }
 
@@ -162,53 +148,13 @@ func (p *Program) computeDirect(fn *Func) {
 					}
 				}
 				fn.Summary.addBlock(kind, site)
-				return
-			}
-			if i, ok := closedParamIndex(fn, n); ok {
-				fn.Summary.addClosesParam(i, &Site{Pos: pos(n), Kind: "close"})
 			}
 		}
 	})
 }
 
-// closedParamIndex reports whether call is close(p) of one of fn's own
-// channel parameters, and which.
-func closedParamIndex(fn *Func, call *ast.CallExpr) (int, bool) {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || len(call.Args) != 1 {
-		return 0, false
-	}
-	if b, ok := fn.Pkg.Info.Uses[id].(*types.Builtin); !ok || b.Name() != "close" {
-		return 0, false
-	}
-	return paramIndexOf(fn, call.Args[0])
-}
-
-// paramIndexOf resolves an argument expression to one of fn's parameter
-// indices, when the argument is a plain reference to that parameter.
-func paramIndexOf(fn *Func, arg ast.Expr) (int, bool) {
-	id, ok := ast.Unparen(arg).(*ast.Ident)
-	if !ok {
-		return 0, false
-	}
-	obj := fn.Pkg.Info.Uses[id]
-	if obj == nil {
-		return 0, false
-	}
-	sig, ok := fn.Obj.Type().(*types.Signature)
-	if !ok {
-		return 0, false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if sig.Params().At(i) == obj {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // propagate folds callee summaries into callers until nothing changes.
-// All three fact families are monotone (sets only grow), so the loop
+// Both fact families are monotone (sets only grow), so the loop
 // terminates; functions are visited in source order each round, keeping
 // the representative sites deterministic.
 func (p *Program) propagate() {
@@ -230,17 +176,6 @@ func (p *Program) propagate() {
 						if fn.Summary.Acquires[key] == nil {
 							fn.Summary.addAcquire(key, lifted(target, site))
 							changed = true
-						}
-					}
-					for j, site := range target.Summary.ClosesParams {
-						if j >= len(call.Site.Args) {
-							continue
-						}
-						if i, ok := paramIndexOf(fn, call.Site.Args[j]); ok {
-							if fn.Summary.ClosesParams[i] == nil {
-								fn.Summary.addClosesParam(i, lifted(target, site))
-								changed = true
-							}
 						}
 					}
 				}

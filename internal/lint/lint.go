@@ -191,22 +191,28 @@ func (s *suppressions) unused() []AllowSite {
 	return out
 }
 
+// AllowedRules returns the rules a //feedlint:allow comment waives, or nil
+// for any other comment.
+func AllowedRules(comment string) []string {
+	text := strings.TrimSpace(comment)
+	if !strings.HasPrefix(text, allowDirective) {
+		return nil
+	}
+	rest := strings.TrimPrefix(text, allowDirective)
+	// Strip an optional "-- reason" suffix.
+	if i := strings.Index(rest, "--"); i >= 0 {
+		rest = rest[:i]
+	}
+	return strings.Fields(rest)
+}
+
 // collectSuppressions scans a package's comments for allow directives.
 func collectSuppressions(pkg *Package, sup *suppressions) {
 	for _, file := range pkg.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				if !strings.HasPrefix(text, allowDirective) {
-					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, allowDirective))
-				// Strip an optional "-- reason" suffix.
-				if i := strings.Index(rest, "--"); i >= 0 {
-					rest = strings.TrimSpace(rest[:i])
-				}
 				pos := pkg.Fset.Position(c.Pos())
-				for _, rule := range strings.Fields(rest) {
+				for _, rule := range AllowedRules(c.Text) {
 					sup.add(pos, rule)
 				}
 			}

@@ -37,11 +37,6 @@ func LockEmbedded(e *shared.Embedded) {
 	e.Unlock()
 }
 
-// CloseIt closes its parameter; CloseVia does so transitively.
-func CloseIt(ch chan int) { close(ch) }
-
-func CloseVia(ch chan int) { CloseIt(ch) }
-
 // WaitAll blocks on a WaitGroup.
 func WaitAll(wg *sync.WaitGroup) { wg.Wait() }
 

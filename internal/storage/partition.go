@@ -246,8 +246,6 @@ func (p *Partition) staleFilter(ix IndexDecl) func(key, pk []byte) bool {
 // prefixHook narrows a manager-wide fault hook to one tree by prefixing
 // every failure-point name. It owns the nil contract: a nil hook maps to a
 // nil hook, so the returned closure only ever wraps a non-nil h.
-//
-//feedlint:nilsafe
 func prefixHook(h lsm.FaultHook, prefix string) lsm.FaultHook {
 	if h == nil {
 		return nil
