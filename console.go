@@ -16,78 +16,10 @@ import (
 // participating at the intake/compute/store stages, and the instantaneous
 // rates at which data is received and persisted — plus an AQL endpoint.
 
-// FeedStatus is the console's view of one feed connection.
-type FeedStatus struct {
-	// Connection is the connection id ("feed -> dataset").
-	Connection string `json:"connection"`
-	// State is the lifecycle state.
-	State string `json:"state"`
-	// Policy is the ingestion policy name.
-	Policy string `json:"policy"`
-	// IntakeNodes, ComputeNodes, StoreNodes are the stage placements.
-	IntakeNodes  []string `json:"intakeNodes"`
-	ComputeNodes []string `json:"computeNodes"`
-	StoreNodes   []string `json:"storeNodes"`
-	// CollectedTotal / PersistedTotal are lifetime record counts.
-	CollectedTotal int64 `json:"collectedTotal"`
-	PersistedTotal int64 `json:"persistedTotal"`
-	// CollectRate / PersistRate are the latest instantaneous rates in
-	// records/second.
-	CollectRate float64 `json:"collectRate"`
-	PersistRate float64 `json:"persistRate"`
-	// SoftFailures counts records skipped over runtime exceptions.
-	SoftFailures int64 `json:"softFailures"`
-	// PendingAcks counts at-least-once records awaiting acknowledgment.
-	PendingAcks int `json:"pendingAcks"`
-	// Error carries the failure cause for failed connections.
-	Error string `json:"error,omitempty"`
-}
-
-// Status reports the console view of every feed connection.
-func (in *Instance) Status() []FeedStatus {
-	conns := in.feeds.Connections()
-	out := make([]FeedStatus, 0, len(conns))
-	for _, c := range conns {
-		intake, compute, store := c.Locations()
-		st := FeedStatus{
-			Connection:     c.ID(),
-			State:          c.State().String(),
-			Policy:         c.Policy().Name,
-			IntakeNodes:    intake,
-			ComputeNodes:   compute,
-			StoreNodes:     store,
-			CollectedTotal: c.Metrics.Collected.Total(),
-			PersistedTotal: c.Metrics.Persisted.Total(),
-			CollectRate:    latestRate(c.Metrics.Collected.Rates()),
-			PersistRate:    latestRate(c.Metrics.Persisted.Rates()),
-			SoftFailures:   c.Metrics.SoftFailures.Value(),
-			PendingAcks:    c.PendingAcks(),
-		}
-		if err := c.Err(); err != nil {
-			st.Error = err.Error()
-		}
-		out = append(out, st)
-	}
-	return out
-}
-
-// latestRate returns the most recent completed window's rate (skipping the
-// still-filling last bucket when a previous one exists).
-func latestRate(rates []float64) float64 {
-	switch len(rates) {
-	case 0:
-		return 0
-	case 1:
-		return rates[0]
-	default:
-		return rates[len(rates)-2]
-	}
-}
-
 // ConsoleHandler returns an http.Handler exposing the feed management
 // console:
 //
-//	GET  /admin/status          connections as JSON
+//	GET  /admin/status          the same snapshots as /feeds
 //	GET  /admin/cluster         node liveness as JSON
 //	GET  /metrics               the full metric registry, Prometheus text
 //	GET  /feeds                 per-connection FeedActivity snapshots, JSON
@@ -97,7 +29,7 @@ func latestRate(rates []float64) float64 {
 func (in *Instance) ConsoleHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/admin/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, in.Status())
+		writeJSON(w, in.feeds.FeedActivity())
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

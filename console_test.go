@@ -2,6 +2,7 @@ package asterixfeeds
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"asterixfeeds/internal/core"
 )
 
 func TestConsoleStatusAndCluster(t *testing.T) {
@@ -23,17 +26,26 @@ func TestConsoleStatusAndCluster(t *testing.T) {
 	srv := httptest.NewServer(inst.ConsoleHandler())
 	defer srv.Close()
 
-	// /admin/status
+	// /admin/status serves the /feeds snapshot, under every key the
+	// console's own status struct had.
 	resp, err := http.Get(srv.URL + "/admin/status")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var statuses []FeedStatus
-	if err := json.NewDecoder(resp.Body).Decode(&statuses); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(statuses) != 1 {
+	var statuses []core.FeedActivity
+	if err := json.Unmarshal(body, &statuses); err != nil {
+		t.Fatal(err)
+	}
+	var raw []map[string]any
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if len(statuses) != 1 || len(raw) != 1 {
 		t.Fatalf("statuses = %+v", statuses)
 	}
 	st := statuses[0]
@@ -42,6 +54,15 @@ func TestConsoleStatusAndCluster(t *testing.T) {
 	}
 	if len(st.IntakeNodes) == 0 || len(st.StoreNodes) != 2 {
 		t.Fatalf("placements = %+v", st)
+	}
+	for _, key := range []string{
+		"connection", "state", "policy", "intakeNodes", "computeNodes", "storeNodes",
+		"collectedTotal", "persistedTotal", "collectRate", "persistRate",
+		"softFailures", "pendingAcks",
+	} {
+		if _, ok := raw[0][key]; !ok {
+			t.Fatalf("/admin/status lacks %q: %s", key, body)
+		}
 	}
 
 	// /admin/cluster

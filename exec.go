@@ -297,35 +297,42 @@ func (in *Instance) showFeedsValue() *adm.OrderedList {
 	acts := in.feeds.FeedActivity()
 	items := make([]adm.Value, 0, len(acts))
 	for _, a := range acts {
-		names := []string{
-			"connection", "feed", "dataset", "policy", "state",
-			"intakeNodes", "computeNodes", "storeNodes", "computeCount",
-			"collectedTotal", "computedTotal", "persistedTotal",
-			"collectRate", "computeRate", "persistRate",
-			"backlog", "pendingAcks", "softFailures", "storeErrors",
-			"replayed", "replayDropped", "discarded", "throttledOut", "spilledTotal",
-			"spilledBytes", "spillErrors", "latencyP50Ms", "latencyP99Ms",
-		}
-		values := []adm.Value{
-			adm.String(a.Connection), adm.String(a.Feed), adm.String(a.Dataset),
-			adm.String(a.Policy), adm.String(a.State),
-			stringList(a.IntakeNodes), stringList(a.ComputeNodes), stringList(a.StoreNodes),
-			adm.Int64(int64(a.ComputeCount)),
-			adm.Int64(a.CollectedTotal), adm.Int64(a.ComputedTotal), adm.Int64(a.PersistedTotal),
-			adm.Double(a.CollectRate), adm.Double(a.ComputeRate), adm.Double(a.PersistRate),
-			adm.Int64(int64(a.Backlog)), adm.Int64(int64(a.PendingAcks)),
-			adm.Int64(a.SoftFailures), adm.Int64(a.StoreErrors),
-			adm.Int64(a.Replayed), adm.Int64(a.ReplayDropped), adm.Int64(a.Discarded), adm.Int64(a.ThrottledOut),
-			adm.Int64(a.SpilledTotal), adm.Int64(a.SpilledBytes), adm.Int64(a.SpillErrors),
-			adm.Double(float64(a.LatencyP50) / 1e6), adm.Double(float64(a.LatencyP99) / 1e6),
-		}
-		if a.Error != "" {
-			names = append(names, "error")
-			values = append(values, adm.String(a.Error))
-		}
-		items = append(items, adm.MustRecord(names, values))
+		items = append(items, feedActivityRecord(a))
 	}
 	return &adm.OrderedList{Items: items}
+}
+
+// feedActivityRecord is one connection's row of `show feeds`: FeedActivity's
+// JSON keys with their values, except the per-partition breakdown and the
+// elastic-event log, and with the latency pair in milliseconds.
+func feedActivityRecord(a core.FeedActivity) *adm.Record {
+	names := []string{
+		"connection", "feed", "dataset", "policy", "priority", "state",
+		"intakeNodes", "computeNodes", "storeNodes", "computeCount",
+		"collectedTotal", "computedTotal", "persistedTotal",
+		"collectRate", "computeRate", "persistRate",
+		"backlog", "pendingAcks", "softFailures", "storeErrors",
+		"replayed", "replayDropped", "discarded", "throttledOut", "spilledTotal",
+		"spilledBytes", "spillErrors", "governorShed", "latencyP50Ms", "latencyP99Ms",
+	}
+	values := []adm.Value{
+		adm.String(a.Connection), adm.String(a.Feed), adm.String(a.Dataset),
+		adm.String(a.Policy), adm.String(a.Priority), adm.String(a.State),
+		stringList(a.IntakeNodes), stringList(a.ComputeNodes), stringList(a.StoreNodes),
+		adm.Int64(int64(a.ComputeCount)),
+		adm.Int64(a.CollectedTotal), adm.Int64(a.ComputedTotal), adm.Int64(a.PersistedTotal),
+		adm.Double(a.CollectRate), adm.Double(a.ComputeRate), adm.Double(a.PersistRate),
+		adm.Int64(int64(a.Backlog)), adm.Int64(int64(a.PendingAcks)),
+		adm.Int64(a.SoftFailures), adm.Int64(a.StoreErrors),
+		adm.Int64(a.Replayed), adm.Int64(a.ReplayDropped), adm.Int64(a.Discarded), adm.Int64(a.ThrottledOut),
+		adm.Int64(a.SpilledTotal), adm.Int64(a.SpilledBytes), adm.Int64(a.SpillErrors), adm.Int64(a.GovernorShed),
+		adm.Double(float64(a.LatencyP50) / 1e6), adm.Double(float64(a.LatencyP99) / 1e6),
+	}
+	if a.Error != "" {
+		names = append(names, "error")
+		values = append(values, adm.String(a.Error))
+	}
+	return adm.MustRecord(names, values)
 }
 
 func stringList(ss []string) *adm.OrderedList {
@@ -365,6 +372,11 @@ func (in *Instance) execDrop(s *aql.Drop) error {
 		if usesDataset(s.Name) {
 			return fmt.Errorf("asterixfeeds: dataset %s has connected feeds; disconnect first", s.Name)
 		}
+		if ds, ok := in.catalog.Dataset(dv, s.Name); ok {
+			if err := in.removeDatasetStorage(ds); err != nil {
+				return fmt.Errorf("asterixfeeds: dropping dataset %s: %w", s.Name, err)
+			}
+		}
 		return in.catalog.DropDataset(dv, s.Name)
 	case "feed":
 		if usesFeed(s.Name) {
@@ -377,4 +389,26 @@ func (in *Instance) execDrop(s *aql.Drop) error {
 		return in.catalog.DropPolicy(s.Name)
 	}
 	return fmt.Errorf("asterixfeeds: unknown drop kind %q", s.Kind)
+}
+
+// removeDatasetStorage deletes every partition of ds, primary and replica,
+// from every node: an open partition is closed first, and its directory goes
+// whether it was open or not. A partition may have moved since it was
+// written (a promotion), so every node is asked for every index. Neither a
+// later dataset of the same name nor a restart then finds the old records.
+func (in *Instance) removeDatasetStorage(ds *storage.Dataset) error {
+	for _, node := range in.cluster.AllNodes() {
+		sm, _ := in.cluster.Node(node).Service(storage.ServiceName).(*storage.Manager)
+		if sm == nil {
+			continue
+		}
+		for i := range ds.NodeGroup {
+			for _, replica := range []bool{false, true} {
+				if err := sm.RemovePartitionIdx(ds, i, replica); err != nil {
+					return fmt.Errorf("node %s partition %d: %w", node, i, err)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -2,7 +2,6 @@ package adm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -339,15 +338,4 @@ func (l *UnorderedListType) Validate(v Value) error {
 		}
 	}
 	return nil
-}
-
-// SortedFieldNames returns the record type's declared field names sorted
-// lexicographically. Useful for deterministic printing.
-func (r *RecordType) SortedFieldNames() []string {
-	names := make([]string, 0, len(r.fields))
-	for _, f := range r.fields {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -182,9 +182,6 @@ func TestRecordFieldAccess(t *testing.T) {
 	if _, ok := rec.Field("nonexistent"); ok {
 		t.Fatal("Field(nonexistent) reported present")
 	}
-	if got := rec.FieldOr("nonexistent", String("dflt")); got.(String) != "dflt" {
-		t.Fatalf("FieldOr default = %v", got)
-	}
 	if rec.NumFields() != 7 {
 		t.Fatalf("NumFields = %d, want 7", rec.NumFields())
 	}

@@ -283,14 +283,6 @@ func (r *Record) Field(name string) (Value, bool) {
 	return r.fields[i].value, true
 }
 
-// FieldOr returns the named field or def if absent.
-func (r *Record) FieldOr(name string, def Value) Value {
-	if v, ok := r.Field(name); ok {
-		return v
-	}
-	return def
-}
-
 // NumFields reports the number of fields.
 func (r *Record) NumFields() int { return len(r.fields) }
 

@@ -43,12 +43,6 @@ var builtins = map[string]func(args []adm.Value) (adm.Value, error){
 	"field-names":       bFieldNames,
 }
 
-// RegisterBuiltin installs an additional builtin function (used by tests
-// and extensions). Existing names are replaced.
-func RegisterBuiltin(name string, fn func(args []adm.Value) (adm.Value, error)) {
-	builtins[name] = fn
-}
-
 func argN(name string, args []adm.Value, n int) error {
 	if len(args) != n {
 		return fmt.Errorf("aql: %s expects %d arguments, got %d", name, n, len(args))

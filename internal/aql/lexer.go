@@ -20,13 +20,6 @@ func (l *lexer) errf(format string, args ...any) error {
 	return fmt.Errorf("aql: line %d: %s", l.line, fmt.Sprintf(format, args...))
 }
 
-func (l *lexer) peek() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 func (l *lexer) peekAt(off int) byte {
 	if l.pos+off >= len(l.src) {
 		return 0

@@ -160,9 +160,6 @@ func (m *Manager) SetAQLCompiler(c AQLCompiler) { m.aqlCompile = c }
 // Catalog returns the metadata catalog the manager operates against.
 func (m *Manager) Catalog() *metadata.Catalog { return m.catalog }
 
-// Cluster returns the underlying execution cluster.
-func (m *Manager) Cluster() *hyracks.Cluster { return m.cluster }
-
 // connID names a feed-to-dataset connection.
 func connID(dataverse, feed, dataset string) string {
 	return dataverse + "." + feed + " -> " + dataverse + "." + dataset

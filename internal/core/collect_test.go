@@ -95,7 +95,7 @@ func TestSocketAdaptorFlushesOnPause(t *testing.T) {
 		<-stop // silence until the test is done
 	}()
 
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	sub, err := j.Subscribe("c1", &Policy{MemoryBudgetRecords: 1000}, "")
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestSocketAdaptorFlushesOnPause(t *testing.T) {
 // TestBatchingSinkSizesFrameFromLast: the frame after a flushed one has room
 // for twice its records, capped at the sink's frame capacity.
 func TestBatchingSinkSizesFrameFromLast(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	sink := newBatchingSink(j, 16, time.Hour, nil)
 	defer sink.stop()
 	for _, c := range []struct{ emit, wantCap int }{{3, 6}, {1, 2}, {9, 16}, {16, 16}} {
@@ -143,7 +143,7 @@ func TestBatchingSinkSizesFrameFromLast(t *testing.T) {
 // TestDepositAndNextAllocateNothing: once a subscription's queue has its
 // ring, passing a frame through the joint allocates nothing per frame.
 func TestDepositAndNextAllocateNothing(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	pol := &Policy{MemoryBudgetRecords: 1000}
 	subs := make([]*Subscription, 2)
 	for i := range subs {
@@ -174,7 +174,7 @@ func TestDepositAndNextAllocateNothing(t *testing.T) {
 // Next freed, at the head, so the queue keeps its order and allocates
 // nothing.
 func TestRequeueReusesFreedSlot(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	s, err := j.Subscribe("c1", &Policy{MemoryBudgetRecords: 1000}, "")
 	if err != nil {
 		t.Fatal(err)

@@ -212,7 +212,7 @@ func TestManagerCloseIsIdempotentAndStopsConnections(t *testing.T) {
 func TestSubscriptionSpillThenThrottleCustomPolicy(t *testing.T) {
 	// Listing 4.6's custom policy: spill to a bounded file, then throttle
 	// once the spillage budget is exhausted.
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	pol := &Policy{
 		MemoryBudgetRecords: 10,
 		Spill:               true,

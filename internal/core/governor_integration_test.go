@@ -24,7 +24,7 @@ func overloadedGovernor() *governor.Governor {
 // the subscription's — shed records are counted once, nowhere else.
 func TestGovernorShedLedgerExactness(t *testing.T) {
 	g := overloadedGovernor()
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	s, err := j.Subscribe("c", &Policy{MemoryBudgetRecords: 1 << 20, Discard: true}, "")
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestGovernorShedLedgerExactness(t *testing.T) {
 // and every offered record is eventually delivered.
 func TestGovernorShedConvertsToSpillForNonLossyPolicy(t *testing.T) {
 	g := overloadedGovernor()
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	pol := &Policy{MemoryBudgetRecords: 1 << 20, Spill: true}
 	s, err := j.Subscribe("c", pol, filepath.Join(t.TempDir(), "sub.spill"))
 	if err != nil {
@@ -99,7 +99,7 @@ func TestGovernorShedConvertsToSpillForNonLossyPolicy(t *testing.T) {
 // sibling on the same joint sheds.
 func TestGovernorHighPriorityUnaffectedUnderPressure(t *testing.T) {
 	g := overloadedGovernor()
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	hi, err := j.Subscribe("hi", &Policy{MemoryBudgetRecords: 1 << 20, Discard: true}, "")
 	if err != nil {
 		t.Fatal(err)

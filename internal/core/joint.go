@@ -54,8 +54,7 @@ type Joint struct {
 	// signature identifies the records flowing through, e.g.
 	// "feeds.TwitterFeed" or "feeds.TwitterFeed:processTweet".
 	signature string
-	// node is the hosting node; partition the producing task's index.
-	node      string
+	// partition is the producing task's index.
 	partition int
 	// tracked is the hosting FeedManager's byte counter (a counter of the
 	// joint's own when no FeedManager created it), handed on to every
@@ -73,21 +72,14 @@ type Joint struct {
 }
 
 // newJoint creates a joint; use FeedManager.CreateJoint in operator code.
-func newJoint(signature, node string, partition int) *Joint {
+func newJoint(signature string, partition int) *Joint {
 	return &Joint{
 		signature:         signature,
-		node:              node,
 		partition:         partition,
 		tracked:           new(atomic.Int64),
 		subscriberArrived: make(chan struct{}, 1),
 	}
 }
-
-// Signature returns the joint's stream signature.
-func (j *Joint) Signature() string { return j.signature }
-
-// Node returns the hosting node name.
-func (j *Joint) Node() string { return j.node }
 
 // Partition returns the producing task's partition index.
 func (j *Joint) Partition() int { return j.partition }

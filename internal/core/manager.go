@@ -44,9 +44,6 @@ func NewFeedManager(node string) *FeedManager {
 	return &FeedManager{node: node, joints: make(map[jointKey]*Joint), created: make(chan struct{})}
 }
 
-// Node returns the owning node's name.
-func (m *FeedManager) Node() string { return m.node }
-
 // feedManagerOn returns node n's FeedManager, installing one if the node has
 // none yet.
 func feedManagerOn(n *hyracks.NodeController) *FeedManager {
@@ -90,7 +87,7 @@ func (m *FeedManager) CreateJoint(signature string, partition int) *Joint {
 	if j, ok := m.joints[k]; ok {
 		return j
 	}
-	j := newJoint(signature, m.node, partition)
+	j := newJoint(signature, partition)
 	j.tracked = &m.tracked
 	m.joints[k] = j
 	close(m.created)

@@ -44,7 +44,7 @@ func TestSubscriptionStatsDrainInvariant(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			j := newJoint("feeds.F", "A", 0)
+			j := newJoint("feeds.F", 0)
 			path := ""
 			if tc.spill {
 				path = filepath.Join(t.TempDir(), "sub.spill")
@@ -103,7 +103,7 @@ func TestSubscriptionStatsDrainInvariant(t *testing.T) {
 // deliverable. Regression for the bug where spill.push errors were
 // silently swallowed.
 func TestSubscriptionSpillErrorFallsBackToMemory(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	pol := &Policy{MemoryBudgetRecords: 10, Spill: true}
 	s, err := j.Subscribe("c", pol, filepath.Join(t.TempDir(), "sub.spill"))
 	if err != nil {

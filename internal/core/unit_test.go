@@ -378,7 +378,7 @@ func TestAckTrackerDropsAfterMaxReplays(t *testing.T) {
 }
 
 func TestJointModesAndDelivery(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	if j.Mode() != JointInactive {
 		t.Fatalf("mode = %v, want inactive", j.Mode())
 	}
@@ -418,7 +418,7 @@ func TestJointModesAndDelivery(t *testing.T) {
 }
 
 func TestJointSubscribeReattaches(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	pol := &Policy{MemoryBudgetRecords: 1000}
 	s1, _ := j.Subscribe("c1", pol, "")
 	f := hyracks.NewFrame(1)
@@ -438,7 +438,7 @@ func TestJointCongestionIsolation(t *testing.T) {
 	// A slow subscriber must not impede a fast one: deposit many frames
 	// and verify the fast subscriber can consume them all while the slow
 	// one has consumed none.
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	pol := &Policy{MemoryBudgetRecords: 100000}
 	fast, _ := j.Subscribe("fast", pol, "")
 	slow, _ := j.Subscribe("slow", pol, "")
@@ -459,7 +459,7 @@ func TestJointCongestionIsolation(t *testing.T) {
 }
 
 func TestSubscriptionUnsubscribeDrains(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	pol := &Policy{MemoryBudgetRecords: 1000}
 	s, _ := j.Subscribe("c", pol, "")
 	for i := 0; i < 3; i++ {
@@ -487,7 +487,7 @@ func TestSubscriptionUnsubscribeDrains(t *testing.T) {
 }
 
 func TestSubscriptionDiscardPolicy(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	pol := &Policy{MemoryBudgetRecords: 10, Discard: true}
 	s, _ := j.Subscribe("c", pol, "")
 	for i := 0; i < 50; i++ {
@@ -513,7 +513,7 @@ func TestSubscriptionDiscardPolicy(t *testing.T) {
 }
 
 func TestSubscriptionThrottlePolicy(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	pol := &Policy{MemoryBudgetRecords: 50, Throttle: true, ThrottleMinRatio: 0.05}
 	s, _ := j.Subscribe("c", pol, "")
 	for i := 0; i < 100; i++ {
@@ -556,7 +556,7 @@ func TestSubscriptionThrottlePolicy(t *testing.T) {
 }
 
 func TestSubscriptionSpillPolicy(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	pol := &Policy{MemoryBudgetRecords: 10, Spill: true}
 	spillPath := filepath.Join(t.TempDir(), "sub.spill")
 	s, _ := j.Subscribe("c", pol, spillPath)
@@ -583,7 +583,7 @@ func TestSubscriptionSpillPolicy(t *testing.T) {
 }
 
 func TestSubscriptionBasicPolicyBuffers(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	pol := &Policy{MemoryBudgetRecords: 10}
 	s, _ := j.Subscribe("c", pol, "")
 	for i := 0; i < 100; i++ {
@@ -600,7 +600,7 @@ func TestSubscriptionBasicPolicyBuffers(t *testing.T) {
 }
 
 func TestSubscriptionNextCancel(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	s, _ := j.Subscribe("c", &Policy{MemoryBudgetRecords: 10}, "")
 	stop := make(chan struct{})
 	done := make(chan bool)
@@ -620,7 +620,7 @@ func TestSubscriptionNextCancel(t *testing.T) {
 }
 
 func TestJointWaitForSubscriber(t *testing.T) {
-	j := newJoint("feeds.F", "A", 0)
+	j := newJoint("feeds.F", 0)
 	cancel := make(chan struct{})
 	arrived := make(chan bool)
 	go func() { arrived <- j.WaitForSubscriber(cancel) }()
@@ -635,7 +635,7 @@ func TestJointWaitForSubscriber(t *testing.T) {
 		t.Fatal("WaitForSubscriber did not observe subscription")
 	}
 	// Cancellation path.
-	j2 := newJoint("feeds.G", "A", 0)
+	j2 := newJoint("feeds.G", 0)
 	cancel2 := make(chan struct{})
 	close(cancel2)
 	if j2.WaitForSubscriber(cancel2) {

@@ -87,14 +87,8 @@ func New(node string, cfg Config) *Governor {
 	return g
 }
 
-// Node returns the owning node's name.
-func (g *Governor) Node() string { return g.node }
-
 // Budget returns the node memory budget in bytes.
 func (g *Governor) Budget() int64 { return g.budget }
-
-// ObserveOnly reports whether admission decisions are disabled.
-func (g *Governor) ObserveOnly() bool { return g.observe }
 
 // RegisterSource adds a named byte source to the tracked total. The
 // function runs on every admission decision, so it must be an atomic load

@@ -29,11 +29,8 @@ func TestDefaults(t *testing.T) {
 	if g.Budget() != DefaultBudgetBytes {
 		t.Fatalf("budget = %d, want %d", g.Budget(), DefaultBudgetBytes)
 	}
-	if g.Node() != "n1" {
-		t.Fatalf("node = %q", g.Node())
-	}
-	if g.ObserveOnly() {
-		t.Fatal("observe-only by default")
+	if s := g.Snapshot(); s.Node != "n1" || s.ObserveOnly {
+		t.Fatalf("node = %q, observe-only %v; want n1 and admission on by default", s.Node, s.ObserveOnly)
 	}
 }
 

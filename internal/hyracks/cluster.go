@@ -71,27 +71,6 @@ type ClusterEvent struct {
 	NodeID string
 }
 
-// JobEventKind classifies job lifecycle events.
-type JobEventKind int
-
-// Job lifecycle events.
-const (
-	// EventJobStarted fires when a job's tasks have been scheduled.
-	EventJobStarted JobEventKind = iota
-	// EventJobCompleted fires on graceful completion.
-	EventJobCompleted
-	// EventJobFailed fires when any task fails or a hosting node dies.
-	EventJobFailed
-)
-
-// JobEvent notifies subscribers of job lifecycle transitions.
-type JobEvent struct {
-	Kind  JobEventKind
-	JobID JobID
-	Name  string
-	Err   error
-}
-
 // NodeController is one simulated worker node: it hosts task goroutines,
 // node-local services (storage manager, feed manager), and heartbeats its
 // liveness to the cluster controller.
@@ -114,9 +93,6 @@ type NodeController struct {
 
 // ID returns the node's name.
 func (n *NodeController) ID() string { return n.id }
-
-// Dead returns a channel closed when the node has been killed.
-func (n *NodeController) Dead() <-chan struct{} { return n.dead }
 
 // Alive reports whether the node is still up.
 func (n *NodeController) Alive() bool {
@@ -168,7 +144,6 @@ type Cluster struct {
 	alive     map[string]bool
 	lastBeat  map[string]time.Time
 	clusterFn map[int]func(ClusterEvent)
-	jobFn     map[int]func(JobEvent)
 	subSeq    int
 	jobs      map[JobID]*JobHandle
 	closed    bool
@@ -185,7 +160,6 @@ func NewCluster(cfg Config, nodeNames ...string) *Cluster {
 		alive:     make(map[string]bool),
 		lastBeat:  make(map[string]time.Time),
 		clusterFn: make(map[int]func(ClusterEvent)),
-		jobFn:     make(map[int]func(JobEvent)),
 		jobs:      make(map[JobID]*JobHandle),
 		stopMon:   make(chan struct{}),
 	}
@@ -196,9 +170,6 @@ func NewCluster(cfg Config, nodeNames ...string) *Cluster {
 	go c.monitor()
 	return c
 }
-
-// Config returns the cluster's effective configuration.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // AddNode adds a node controller to the cluster (a node "joining").
 func (c *Cluster) AddNode(name string) (*NodeController, error) {
@@ -351,43 +322,12 @@ func (c *Cluster) SubscribeCluster(fn func(ClusterEvent)) (cancel func()) {
 	}
 }
 
-// SubscribeJobs registers fn for job lifecycle events; the returned function
-// unsubscribes.
-func (c *Cluster) SubscribeJobs(fn func(JobEvent)) (cancel func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := c.subSeq
-	c.subSeq++
-	c.jobFn[id] = fn
-	return func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		delete(c.jobFn, id)
-	}
-}
-
 func (c *Cluster) clusterSubsLocked() []func(ClusterEvent) {
 	out := make([]func(ClusterEvent), 0, len(c.clusterFn))
 	for _, fn := range c.clusterFn {
 		out = append(out, fn)
 	}
 	return out
-}
-
-func (c *Cluster) jobSubs() []func(JobEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]func(JobEvent), 0, len(c.jobFn))
-	for _, fn := range c.jobFn {
-		out = append(out, fn)
-	}
-	return out
-}
-
-func (c *Cluster) emitJobEvent(ev JobEvent) {
-	for _, fn := range c.jobSubs() {
-		fn(ev)
-	}
 }
 
 // Close shuts the cluster down: cancels running jobs, kills all nodes, and

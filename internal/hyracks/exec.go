@@ -67,9 +67,6 @@ func (j *JobHandle) Cancel() {
 	j.cancelOne.Do(func() { close(j.canceled) })
 }
 
-// Canceled returns a channel closed once the job has been canceled.
-func (j *JobHandle) Canceled() <-chan struct{} { return j.canceled }
-
 // Done returns a channel closed when all tasks have terminated.
 func (j *JobHandle) Done() <-chan struct{} { return j.done }
 
@@ -417,7 +414,6 @@ func (c *Cluster) StartJob(spec *JobSpec) (*JobHandle, error) {
 	j.mu.Lock()
 	j.status = JobRunning
 	j.mu.Unlock()
-	c.emitJobEvent(JobEvent{Kind: EventJobStarted, JobID: j.id, Name: j.name})
 
 	for _, r := range runnables {
 		r := r
@@ -477,8 +473,6 @@ func (c *Cluster) StartJob(spec *JobSpec) (*JobHandle, error) {
 		default:
 			j.status = JobFinished
 		}
-		err := j.err
-		st := j.status
 		j.mu.Unlock()
 
 		c.mu.Lock()
@@ -486,12 +480,6 @@ func (c *Cluster) StartJob(spec *JobSpec) (*JobHandle, error) {
 		c.mu.Unlock()
 
 		close(j.done)
-		switch st {
-		case JobFinished:
-			c.emitJobEvent(JobEvent{Kind: EventJobCompleted, JobID: j.id, Name: j.name})
-		default:
-			c.emitJobEvent(JobEvent{Kind: EventJobFailed, JobID: j.id, Name: j.name, Err: err})
-		}
 	}()
 
 	return j, nil

@@ -43,16 +43,6 @@ func (f *Frame) Bytes() int {
 	return n
 }
 
-// Slice returns a new frame over records [lo, hi) of f, with their ids when
-// f is tracked. The record byte slices are shared, not copied.
-func (f *Frame) Slice(lo, hi int) *Frame {
-	out := &Frame{Records: f.Records[lo:hi]}
-	if len(f.IDs) > 0 {
-		out.IDs = f.IDs[lo:hi]
-	}
-	return out
-}
-
 // Writer is the push-based dataflow interface between operator tasks,
 // mirroring Hyracks' IFrameWriter. A producer calls Open once, NextFrame any
 // number of times, and then exactly one of Close (graceful end of stream) or

@@ -181,12 +181,6 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// NumOperators reports the number of operators in the spec.
-func (s *JobSpec) NumOperators() int { return len(s.ops) }
-
-// Operator returns the i-th operator descriptor.
-func (s *JobSpec) Operator(id OperatorID) OperatorDescriptor { return s.ops[id].desc }
-
 // JobStatus is the lifecycle state of a job.
 type JobStatus int
 

@@ -162,6 +162,16 @@ var DefaultRules = []Rule{
 		Msg: "a second key filter or its second hash is back in internal/lsm"},
 	// A block read pins the block and releases it, through run.pinBlock.
 	{Pkg: "internal/lsm", Decls: []string{"BlockCache.put", "run.readBlock"}, Msg: "a second block-read rule is back in internal/lsm"},
+	// A metric enters the registry one way: its owner registers it.
+	{Pkg: "internal/metrics", Decls: []string{"Registry.Counter", "Registry.Gauge", "Registry.Window", "Registry.Latency"},
+		Msg: "a get-or-create getter is back on the metrics registry"},
+	// Nothing listened to the job lifecycle: a job's end is its Wait.
+	{Pkg: "internal/hyracks", Decls: []string{"Cluster.SubscribeJobs", "JobEvent"}, Msg: "the job-event bus is back in internal/hyracks"},
+	// Adaptors are registered with the feed runtime, core.AdaptorRegistry.
+	{Pkg: "internal/metadata", Decls: []string{"AdapterDecl", "Catalog.RegisterAdaptor"},
+		Msg: "a second adaptor registry is back in internal/metadata"},
+	// The console serves the one feed snapshot, core.FeedActivity.
+	{Pkg: ".", Decls: []string{"FeedStatus"}, Msg: "a second feed snapshot is back in the console"},
 }
 
 // Analyzer checks each package's imports against a rule table.

@@ -17,7 +17,8 @@ import (
 // comparable across both designs; p99-ns and max-ns are the contended-path
 // numbers the background pipeline is meant to collapse.
 func BenchmarkFlushConcurrency(b *testing.B) {
-	tr, err := Open(Options{Dir: b.TempDir(), MemtableBytes: 16 << 10, MaxImmutables: 64, SyncWAL: 0})
+	m := &Metrics{}
+	tr, err := Open(Options{Dir: b.TempDir(), MemtableBytes: 16 << 10, MaxImmutables: 64, SyncWAL: 0, Metrics: m})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,8 +47,7 @@ func BenchmarkFlushConcurrency(b *testing.B) {
 	}
 	b.ReportMetric(float64(p99.Nanoseconds()), "p99-ns")
 	b.ReportMetric(float64(lats[len(lats)-1].Nanoseconds()), "max-ns")
-	s := tr.Stats()
-	b.ReportMetric(float64(s.WriteStalls), "stalls")
-	b.ReportMetric(float64(s.Flushes), "flushes")
-	b.ReportMetric(float64(s.Merges), "merges")
+	b.ReportMetric(float64(m.WriteStalls.Value()), "stalls")
+	b.ReportMetric(float64(m.Flushes.Value()), "flushes")
+	b.ReportMetric(float64(m.Merges.Value()), "merges")
 }

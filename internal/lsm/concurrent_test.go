@@ -7,7 +7,8 @@ import (
 )
 
 func TestConcurrentReadersAndWriters(t *testing.T) {
-	tr := openTest(t, Options{MemtableBytes: 8 << 10, MaxRuns: 3})
+	m := &Metrics{}
+	tr := openTest(t, Options{MemtableBytes: 8 << 10, MaxRuns: 3, Metrics: m})
 	const writers, perWriter = 4, 500
 	var wg sync.WaitGroup
 
@@ -63,7 +64,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			}
 		}
 	}
-	if tr.Stats().Flushes == 0 {
+	if m.Flushes.Value() == 0 {
 		t.Fatal("test never exercised a flush; lower MemtableBytes")
 	}
 }

@@ -93,11 +93,12 @@ func TestFlushAndReadBack(t *testing.T) {
 }
 
 func TestAutoFlushOnThreshold(t *testing.T) {
-	tr := openTest(t, Options{MemtableBytes: 2048})
+	m := &Metrics{}
+	tr := openTest(t, Options{MemtableBytes: 2048, Metrics: m})
 	for i := 0; i < 200; i++ {
 		tr.Put([]byte(fmt.Sprintf("key-%04d", i)), bytes.Repeat([]byte{'x'}, 64))
 	}
-	if tr.Stats().Flushes == 0 {
+	if m.Flushes.Value() == 0 {
 		t.Fatal("no automatic flush despite exceeding threshold")
 	}
 }
@@ -111,8 +112,9 @@ func TestAutoFlushOnThreshold(t *testing.T) {
 // of its own.) Both lose nothing.
 func TestTieredMerge(t *testing.T) {
 	const maxRuns, perBatch = 2, 50
-	load := func(t *testing.T, batches int, key func(batch, i int) string) (*Tree, Stats) {
-		tr := openTest(t, Options{MaxRuns: maxRuns})
+	load := func(t *testing.T, batches int, key func(batch, i int) string) (*Tree, Stats, *Metrics) {
+		m := &Metrics{}
+		tr := openTest(t, Options{MaxRuns: maxRuns, Metrics: m})
 		for batch := 0; batch < batches; batch++ {
 			for i := 0; i < perBatch; i++ {
 				tr.Put([]byte(key(batch, i)), []byte(fmt.Sprintf("v%d", batch)))
@@ -122,16 +124,16 @@ func TestTieredMerge(t *testing.T) {
 			}
 		}
 		st := tr.Stats()
-		if st.Merges == 0 {
+		if m.Merges.Value() == 0 {
 			t.Fatal("no merge despite exceeding MaxRuns")
 		}
 		if st.CompactionDebt != 0 || st.ReadDepth > maxRuns {
 			t.Fatalf("Flush returned with debt %d, read depth %d", st.CompactionDebt, st.ReadDepth)
 		}
-		return tr, st
+		return tr, st, m
 	}
 	t.Run("overlapping", func(t *testing.T) {
-		tr, st := load(t, 7, func(_, i int) string { return fmt.Sprintf("k-%03d", i) })
+		tr, st, _ := load(t, 7, func(_, i int) string { return fmt.Sprintf("k-%03d", i) })
 		if st.Runs > maxRuns {
 			t.Fatalf("runs after merge = %d, want <= %d", st.Runs, maxRuns)
 		}
@@ -144,12 +146,12 @@ func TestTieredMerge(t *testing.T) {
 	})
 	t.Run("disjoint", func(t *testing.T) {
 		const batches = 27 // maxRuns+1 cubed: three full levels
-		tr, st := load(t, batches, func(batch, i int) string { return fmt.Sprintf("k-%03d-%03d", batches-batch, i) })
+		tr, st, m := load(t, batches, func(batch, i int) string { return fmt.Sprintf("k-%03d-%03d", batches-batch, i) })
 		if st.ReadDepth != 1 {
 			t.Fatalf("read depth over disjoint batches = %d, want 1", st.ReadDepth)
 		}
-		if st.Runs != 1 || st.Merges != 9+3+1 {
-			t.Fatalf("%d runs after %d merges, want 1 run after 9+3+1 tier merges", st.Runs, st.Merges)
+		if st.Runs != 1 || m.Merges.Value() != 9+3+1 {
+			t.Fatalf("%d runs after %d merges, want 1 run after 9+3+1 tier merges", st.Runs, m.Merges.Value())
 		}
 		if n, err := tr.Len(); err != nil || n != batches*perBatch {
 			t.Fatalf("Len after merges = %d, %v; want %d", n, err, batches*perBatch)
@@ -391,7 +393,9 @@ func TestPropertyModelCheck(t *testing.T) {
 	notePartial := func(tr *Tree) {
 		tr.mu.RLock()
 		defer tr.mu.RUnlock()
-		now := look{tr: tr, merges: tr.merges}
+		// A merge counts under tr.mu, in the step that publishes it; the
+		// seed's trees run one at a time, so the count moves only for tr.
+		now := look{tr: tr, merges: int(tr.opt.Metrics.Merges.Value())}
 		if n := len(tr.set.runs); n > 0 {
 			now.oldest = tr.set.runs[n-1].runFile
 		}

@@ -273,7 +273,8 @@ func TestDeleteInMemtableHidesRun(t *testing.T) {
 // whose delete was committed must read absent, and a key never written must
 // never be found.
 func TestMemtableFilterHammer(t *testing.T) {
-	tr := openTest(t, Options{MemtableBytes: 4 << 10, MaxImmutables: 4, MaxRuns: 3})
+	m := &Metrics{}
+	tr := openTest(t, Options{MemtableBytes: 4 << 10, MaxImmutables: 4, MaxRuns: 3, Metrics: m})
 	const nlive, ndead = 300, 100
 	live := make([][]byte, nlive)
 	var committed [nlive]atomic.Int64
@@ -366,8 +367,8 @@ func TestMemtableFilterHammer(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if st := tr.Stats(); st.Flushes < 10 {
-		t.Fatalf("%d flushes: the writer did not rotate the memtable often enough to race it", st.Flushes)
+	if n := m.Flushes.Value(); n < 10 {
+		t.Fatalf("%d flushes: the writer did not rotate the memtable often enough to race it", n)
 	}
 }
 

@@ -460,8 +460,8 @@ func TestMergeFilter(t *testing.T) {
 	if asked := f.questions(); fmt.Sprint(asked) != "[l1 s1 s2]" {
 		t.Fatalf("the merge asked about %q, want the live entries l1, s1, s2", asked)
 	}
-	if n := m.StaleDropped.Value(); n != 2 || tr.Stats().Merges != 1 {
-		t.Fatalf("Merge ran %d merges dropping %d entries; want one merge dropping s1 and s2", tr.Stats().Merges, n)
+	if n := m.StaleDropped.Value(); n != 2 || m.Merges.Value() != 1 {
+		t.Fatalf("Merge ran %d merges dropping %d entries; want one merge dropping s1 and s2", m.Merges.Value(), n)
 	}
 	var live []string
 	if err := tr.Scan(nil, nil, func(k, _ []byte) bool { live = append(live, string(k)); return true }); err != nil {
@@ -505,8 +505,8 @@ func TestMergeFilterWindowRevealsOlderCopy(t *testing.T) {
 	flush("k", "new")
 	flush("b", "v")
 	flush("a", "v")
-	if st := tr.Stats(); st.Merges != 1 || st.Runs != 2 {
-		t.Fatalf("%d merges left %d runs; want one merge of the three small runs", st.Merges, st.Runs)
+	if st := tr.Stats(); m.Merges.Value() != 1 || st.Runs != 2 {
+		t.Fatalf("%d merges left %d runs; want one merge of the three small runs", m.Merges.Value(), st.Runs)
 	}
 	if n := m.StaleDropped.Value(); n != 1 {
 		t.Fatalf("the merge dropped %d entries, want the newer k", n)

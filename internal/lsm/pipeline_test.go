@@ -29,7 +29,8 @@ import (
 // Run under -race this also shakes out unsynchronized access between the
 // write path, the flusher, the compactor, and lock-free disk reads.
 func TestSnapshotConsistencyUnderPipeline(t *testing.T) {
-	tr := openTest(t, Options{MemtableBytes: 4 << 10, MaxImmutables: 4, MaxRuns: 2})
+	m := &Metrics{}
+	tr := openTest(t, Options{MemtableBytes: 4 << 10, MaxImmutables: 4, MaxRuns: 2, Metrics: m})
 	const writers, perWriter = 2, 2500
 	var committed [writers]atomic.Int64
 	var wg sync.WaitGroup
@@ -167,9 +168,8 @@ func TestSnapshotConsistencyUnderPipeline(t *testing.T) {
 		return
 	}
 
-	s := tr.Stats()
-	if s.Flushes == 0 || s.Merges == 0 {
-		t.Fatalf("pipeline not exercised: %d flushes, %d merges", s.Flushes, s.Merges)
+	if m.Flushes.Value() == 0 || m.Merges.Value() == 0 {
+		t.Fatalf("pipeline not exercised: %d flushes, %d merges", m.Flushes.Value(), m.Merges.Value())
 	}
 	n, err := tr.Len()
 	if err != nil {
@@ -364,7 +364,7 @@ func TestConcurrentReadsWithCacheUnderPipeline(t *testing.T) {
 
 // TestBackpressureBoundsImmutableQueue blocks the background flusher and
 // keeps writing: rotations must queue up to exactly MaxImmutables, further
-// writers must stall (counted in Stats.WriteStalls) rather than queue
+// writers must stall (counted in Metrics.WriteStalls) rather than queue
 // without bound, and unblocking the flusher must release them with nothing
 // lost.
 func TestBackpressureBoundsImmutableQueue(t *testing.T) {
@@ -375,7 +375,8 @@ func TestBackpressureBoundsImmutableQueue(t *testing.T) {
 		}
 		return nil
 	}
-	tr := openTest(t, Options{Dir: t.TempDir(), MemtableBytes: 1 << 10, MaxImmutables: 2, FaultHook: hook})
+	m := &Metrics{}
+	tr := openTest(t, Options{Dir: t.TempDir(), MemtableBytes: 1 << 10, MaxImmutables: 2, FaultHook: hook, Metrics: m})
 
 	const records = 200
 	val := bytes.Repeat([]byte{'v'}, 64)
@@ -403,7 +404,7 @@ func TestBackpressureBoundsImmutableQueue(t *testing.T) {
 		if s.Immutables > 2 {
 			t.Fatalf("immutable queue grew to %d, bound is 2", s.Immutables)
 		}
-		stalled = s.WriteStalls > 0
+		stalled = m.WriteStalls.Value() > 0
 	}
 
 	close(release)

@@ -167,7 +167,8 @@ func wantYoungOverOld(t *testing.T, tr *Tree, how string) {
 // at the oldest run may drop tombstones.
 func TestPartialMergeKeepsDeletes(t *testing.T) {
 	dir := t.TempDir()
-	tr, err := Open(Options{Dir: dir})
+	m := &Metrics{}
+	tr, err := Open(Options{Dir: dir, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +176,8 @@ func TestPartialMergeKeepsDeletes(t *testing.T) {
 	if err := youngOverOld(t, tr); err != nil {
 		t.Fatal(err)
 	}
-	if st := tr.Stats(); st.Merges != 1 || st.Runs != 2 {
-		t.Fatalf("%d merges left %d runs; the test needs one merge of the five young runs beside the old one", st.Merges, st.Runs)
+	if st := tr.Stats(); m.Merges.Value() != 1 || st.Runs != 2 {
+		t.Fatalf("%d merges left %d runs; the test needs one merge of the five young runs beside the old one", m.Merges.Value(), st.Runs)
 	}
 	wantYoungOverOld(t, tr, "after the merge")
 
@@ -213,7 +214,8 @@ func TestCrashDuringPartialMergeRecoversExactly(t *testing.T) {
 		t.Fatalf("torn merge left debris %v, want one merge output temp", tmps)
 	}
 
-	re, err := Open(Options{Dir: dir})
+	m := &Metrics{}
+	re, err := Open(Options{Dir: dir, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +226,8 @@ func TestCrashDuringPartialMergeRecoversExactly(t *testing.T) {
 	if err := re.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st := re.Stats(); st.Merges != 1 || st.Runs != 2 {
-		t.Fatalf("recovered tree: %d merges, %d runs; want the partial merge redone", st.Merges, st.Runs)
+	if st := re.Stats(); m.Merges.Value() != 1 || st.Runs != 2 {
+		t.Fatalf("recovered tree: %d merges, %d runs; want the partial merge redone", m.Merges.Value(), st.Runs)
 	}
 	if tmps, _ := filepath.Glob(filepath.Join(dir, "run-*.lsm.tmp")); len(tmps) != 0 {
 		t.Fatalf("reopen left debris behind: %v", tmps)
@@ -262,8 +264,8 @@ func TestWriteAmplificationBounded(t *testing.T) {
 	}
 	t.Run("ascending", func(t *testing.T) {
 		st, m, dir := load(t, func(f, i int) string { return fmt.Sprintf("key-%04d-%03d", f, i) })
-		if st.Merges != 0 || m.MergedEntries.Value() != 0 {
-			t.Fatalf("%d merges read %d entries; ascending flushes must never be rewritten", st.Merges, m.MergedEntries.Value())
+		if m.Merges.Value() != 0 || m.MergedEntries.Value() != 0 {
+			t.Fatalf("%d merges read %d entries; ascending flushes must never be rewritten", m.Merges.Value(), m.MergedEntries.Value())
 		}
 		if st.Runs != 1 || st.Segments != flushes || m.Extends.Value() != flushes-1 || st.ReadDepth != 1 {
 			t.Fatalf("%d runs of %d segments after %d extends, read depth %d; want 1 run of %d segments", st.Runs, st.Segments, m.Extends.Value(), st.ReadDepth, flushes)
@@ -308,8 +310,8 @@ func TestMergeLeavesBlockCacheAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := tr.Stats(); st.Merges != 1 || st.Runs != 2 {
-		t.Fatalf("%d merges left %d runs; the test needs one merge of the five young runs", st.Merges, st.Runs)
+	if st := tr.Stats(); m.Merges.Value() != 1 || st.Runs != 2 {
+		t.Fatalf("%d merges left %d runs; the test needs one merge of the five young runs", m.Merges.Value(), st.Runs)
 	}
 	if ev := cache.Stats().Evictions; ev != 0 {
 		t.Fatalf("the merge evicted %d blocks", ev)

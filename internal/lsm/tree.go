@@ -22,8 +22,7 @@ type Options struct {
 	// MaxImmutables bounds the immutable-memtable queue; default 2. When
 	// the queue is full a writer needing to rotate blocks (with the tree
 	// lock released) until the flusher drains one — the tree's explicit
-	// backpressure bound, surfaced as Stats.WriteStalls and
-	// Metrics.WriteStalls.
+	// backpressure bound, surfaced as Metrics.WriteStalls.
 	MaxImmutables int
 	// MaxRuns bounds, by background merging, the two things a long run list
 	// costs; default 4. No key may lie inside the key ranges of more than
@@ -108,12 +107,6 @@ type Stats struct {
 	// depth beyond MaxRuns plus, for every tier of similar-sized runs, its
 	// runs beyond MaxRuns. Zero when the background merge has nothing to do.
 	CompactionDebt int
-	// Flushes and Merges count completed background lifecycle operations
-	// since open.
-	Flushes, Merges int
-	// WriteStalls counts writer stall episodes: rotations that had to wait
-	// because MaxImmutables flushes were already queued.
-	WriteStalls int
 }
 
 // Add accumulates o into s, for aggregating statistics across trees: sums,
@@ -127,9 +120,6 @@ func (s *Stats) Add(o Stats) {
 	s.RunEntries += o.RunEntries
 	s.ReadDepth = max(s.ReadDepth, o.ReadDepth)
 	s.CompactionDebt += o.CompactionDebt
-	s.Flushes += o.Flushes
-	s.Merges += o.Merges
-	s.WriteStalls += o.WriteStalls
 }
 
 // flushTask is one frozen memtable on the immutable queue, paired with the
@@ -152,7 +142,7 @@ type flushTask struct {
 // so t.mu is never held across a run write, an fsync, or a merge. Readers
 // take a snapshot (mutable memtable, frozen immutables, the pinned run set)
 // under a brief read lock and do all disk reads outside it. Writers block
-// only when MaxImmutables frozen memtables pile up (Stats.WriteStalls).
+// only when MaxImmutables frozen memtables pile up (Metrics.WriteStalls).
 type Tree struct {
 	opt Options
 
@@ -187,8 +177,6 @@ type Tree struct {
 	// in flight; Flush waits for it to catch up, so a commit that fails is
 	// reported by the wedge that follows rather than missed.
 	committed int
-	merges    int
-	stalls    int
 	closed    bool
 	// bgErr wedges the tree when the background pipeline hits a
 	// non-retryable failure (torn run write, segment retire failure):
@@ -712,7 +700,6 @@ func (t *Tree) admitLocked(stalled *bool) (<-chan struct{}, error) {
 	}
 	if !*stalled {
 		*stalled = true
-		t.stalls++
 		if m := t.opt.Metrics; m != nil {
 			m.WriteStalls.Add(1)
 		}
@@ -1198,7 +1185,6 @@ func (t *Tree) compactOnce() (bool, error) {
 	next := make([]*run, 0, len(cur)-len(inputs)+1)
 	next = append(append(append(next, cur[:newer]...), nr), cur[len(cur)-older:]...)
 	old := t.publishLocked(next)
-	t.merges++
 	if forced {
 		t.forceCompact = false
 	}
@@ -1263,9 +1249,6 @@ func (t *Tree) Stats() Stats {
 		RunEntries:      t.set.entries,
 		ReadDepth:       t.plan.depth,
 		CompactionDebt:  t.plan.debt,
-		Flushes:         t.flushes,
-		Merges:          t.merges,
-		WriteStalls:     t.stalls,
 	}
 	for _, task := range t.imms {
 		s.MemtableEntries += task.mem.len()

@@ -62,15 +62,6 @@ type FeedDecl struct {
 // QualifiedName returns "dataverse.name".
 func (f *FeedDecl) QualifiedName() string { return f.Dataverse + "." + f.Name }
 
-// AdapterDecl records an installed datasource adaptor by alias; the factory
-// itself is registered with the feed runtime.
-type AdapterDecl struct {
-	// Alias is the adaptor's AQL-visible name.
-	Alias string
-	// Classname documents the implementing factory.
-	Classname string
-}
-
 // PolicyDecl is an ingestion policy: a named collection of parameters
 // (Table 4.1) controlling runtime behaviour under failures and congestion.
 type PolicyDecl struct {
@@ -164,7 +155,6 @@ type Catalog struct {
 	datatypes  map[string]adm.Type
 	datasets   map[string]*storage.Dataset
 	feeds      map[string]*FeedDecl
-	adaptors   map[string]*AdapterDecl
 	functions  map[string]*FunctionDecl
 	policies   map[string]*PolicyDecl
 }
@@ -177,7 +167,6 @@ func NewCatalog() *Catalog {
 		datatypes:  make(map[string]adm.Type),
 		datasets:   make(map[string]*storage.Dataset),
 		feeds:      make(map[string]*FeedDecl),
-		adaptors:   make(map[string]*AdapterDecl),
 		functions:  make(map[string]*FunctionDecl),
 		policies:   make(map[string]*PolicyDecl),
 	}
@@ -334,35 +323,6 @@ func (c *Catalog) FeedLineage(dataverse, name string) ([]*FeedDecl, error) {
 		}
 		cur = f.SourceFeed
 	}
-}
-
-// ChildFeeds returns feeds whose direct parent is the named feed.
-func (c *Catalog) ChildFeeds(dataverse, name string) []*FeedDecl {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []*FeedDecl
-	for _, f := range c.feeds {
-		if !f.Primary && f.Dataverse == dataverse && f.SourceFeed == name {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// RegisterAdaptor records an installed datasource adaptor alias.
-func (c *Catalog) RegisterAdaptor(a *AdapterDecl) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.adaptors[a.Alias] = a
-}
-
-// Adaptor resolves an adaptor alias.
-func (c *Catalog) Adaptor(alias string) (*AdapterDecl, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	a, ok := c.adaptors[alias]
-	return a, ok
 }
 
 // CreateFunction registers a user-defined function.

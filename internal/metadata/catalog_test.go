@@ -160,11 +160,6 @@ func TestFeedLineage(t *testing.T) {
 	if chain[0].Name != "SentimentFeed" || chain[2].Name != "TwitterFeed" || !chain[2].Primary {
 		t.Fatalf("lineage = %v %v %v", chain[0].Name, chain[1].Name, chain[2].Name)
 	}
-
-	kids := c.ChildFeeds("feeds", "TwitterFeed")
-	if len(kids) != 1 || kids[0].Name != "ProcessedTwitterFeed" {
-		t.Fatalf("ChildFeeds = %v", kids)
-	}
 }
 
 func TestSecondaryFeedRequiresParent(t *testing.T) {
@@ -205,18 +200,6 @@ func TestFunctions(t *testing.T) {
 	ext := &FunctionDecl{Dataverse: "feeds", Name: "tweetlib#sentimentAnalysis", Kind: ExternalFunction}
 	if err := c.CreateFunction(ext); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAdaptorRegistry(t *testing.T) {
-	c := testCatalog(t)
-	c.RegisterAdaptor(&AdapterDecl{Alias: "socket_adaptor", Classname: "core.SocketAdaptorFactory"})
-	a, ok := c.Adaptor("socket_adaptor")
-	if !ok || a.Classname != "core.SocketAdaptorFactory" {
-		t.Fatal("adaptor not resolved")
-	}
-	if _, ok := c.Adaptor("missing"); ok {
-		t.Fatal("unknown adaptor resolved")
 	}
 }
 

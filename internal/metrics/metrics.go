@@ -35,9 +35,6 @@ type WindowedCounter struct {
 	head    int
 	base    int64
 	total   int64
-	// evicted counts events whose buckets have been rotated out of the
-	// ring (they remain part of total).
-	evicted int64
 }
 
 // NewWindowedCounter creates a counter with the given bucket width and the
@@ -78,15 +75,11 @@ func (w *WindowedCounter) AddAt(t time.Time, n int64) {
 		if adv >= int64(w.cap) {
 			// The jump skips the whole retained window: every bucket is
 			// evicted at once. O(cap) regardless of the jump distance.
-			for i, v := range w.buckets {
-				w.evicted += v
-				w.buckets[i] = 0
-			}
+			clear(w.buckets)
 			w.head = 0
 			w.base = idx - int64(w.cap) + 1
 		} else {
 			for ; adv > 0; adv-- {
-				w.evicted += w.buckets[w.head]
 				w.buckets[w.head] = 0
 				w.head = (w.head + 1) % w.cap
 				w.base++
@@ -103,19 +96,6 @@ func (w *WindowedCounter) Total() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.total
-}
-
-// Width reports the bucket width.
-func (w *WindowedCounter) Width() time.Duration { return w.width }
-
-// Cap reports the maximum number of retained buckets.
-func (w *WindowedCounter) Cap() int { return w.cap }
-
-// Evicted reports the events whose buckets have rotated out of the ring.
-func (w *WindowedCounter) Evicted() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.evicted
 }
 
 // Series returns a copy of the retained per-bucket counts, oldest first.
@@ -212,9 +192,6 @@ func (l *LatencyRecorder) Count() int {
 	return int(l.seen)
 }
 
-// Cap reports the reservoir capacity.
-func (l *LatencyRecorder) Cap() int { return l.cap }
-
 // sortedLocked returns the cached sorted view, rebuilding it if stale.
 func (l *LatencyRecorder) sortedLocked() []time.Duration {
 	if l.dirty {
@@ -267,14 +244,11 @@ func (c *Counter) Add(n int64) { c.n.Add(n) }
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// Gauge is a settable instantaneous value, safe for concurrent use. The
-// zero value is ready to use.
+// Gauge is an instantaneous value moved by deltas, safe for concurrent
+// use. The zero value is ready to use.
 type Gauge struct {
 	v atomic.Int64
 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adjusts the gauge by delta.
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }

@@ -9,15 +9,14 @@ import (
 	"time"
 )
 
-// Registry is a named-metric directory: feed components register (or
-// get-or-create) counters, gauges, windowed counters, and latency recorders
-// under dotted names ("feed.<conn>.collected"), and the admin endpoint
+// Registry is a named-metric directory: feed components register the
+// counters, computed gauges, windowed counters, and latency recorders they
+// own under dotted names ("feed.<conn>.collected"), and the admin endpoint
 // walks it to serve snapshots. Lookups take one short mutex; the metrics
 // themselves stay lock-cheap (atomics, per-metric mutexes).
 type Registry struct {
 	mu        sync.Mutex
 	counters  map[string]*Counter
-	gauges    map[string]*Gauge
 	gaugeFns  map[string]func() int64
 	windows   map[string]*WindowedCounter
 	latencies map[string]*LatencyRecorder
@@ -27,75 +26,10 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:  make(map[string]*Counter),
-		gauges:    make(map[string]*Gauge),
 		gaugeFns:  make(map[string]func() int64),
 		windows:   make(map[string]*WindowedCounter),
 		latencies: make(map[string]*LatencyRecorder),
 	}
-}
-
-// Counter returns the named counter, creating it on first use. Nil-safe: a
-// nil registry returns a throwaway counter so uninstrumented paths need no
-// guards.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return &Counter{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. Nil-safe.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Window returns the named windowed counter, creating it with the given
-// bucket width on first use. Nil-safe.
-func (r *Registry) Window(name string, width time.Duration) *WindowedCounter {
-	if r == nil {
-		return NewWindowedCounter(width)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.windows[name]
-	if !ok {
-		w = NewWindowedCounter(width)
-		r.windows[name] = w
-	}
-	return w
-}
-
-// Latency returns the named latency recorder, creating it on first use.
-// Nil-safe.
-func (r *Registry) Latency(name string) *LatencyRecorder {
-	if r == nil {
-		return NewLatencyRecorder()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l, ok := r.latencies[name]
-	if !ok {
-		l = NewLatencyRecorder()
-		r.latencies[name] = l
-	}
-	return l
 }
 
 // RegisterCounter publishes an externally-owned counter under name.
@@ -155,11 +89,6 @@ func (r *Registry) Unregister(prefix string) {
 			delete(r.counters, name)
 		}
 	}
-	for name := range r.gauges {
-		if match(name) {
-			delete(r.gauges, name)
-		}
-	}
 	for name := range r.gaugeFns {
 		if match(name) {
 			delete(r.gaugeFns, name)
@@ -177,8 +106,8 @@ func (r *Registry) Unregister(prefix string) {
 	}
 }
 
-// Value looks the named metric up as an integer: counters and gauges report
-// their value, gauge funcs are evaluated, windowed counters report their
+// Value looks the named metric up as an integer: counters report their
+// value, gauge funcs are evaluated, windowed counters report their
 // total. ok is false for unknown names.
 func (r *Registry) Value(name string) (v int64, ok bool) {
 	if r == nil {
@@ -186,36 +115,18 @@ func (r *Registry) Value(name string) (v int64, ok bool) {
 	}
 	r.mu.Lock()
 	c := r.counters[name]
-	g := r.gauges[name]
 	fn := r.gaugeFns[name]
 	w := r.windows[name]
 	r.mu.Unlock()
 	switch {
 	case c != nil:
 		return c.Value(), true
-	case g != nil:
-		return g.Value(), true
 	case fn != nil:
 		return fn(), true
 	case w != nil:
 		return w.Total(), true
 	}
 	return 0, false
-}
-
-// Rate reports the named windowed counter's most recent completed bucket
-// rate in events/second. ok is false for unknown names.
-func (r *Registry) Rate(name string) (rate float64, ok bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	w := r.windows[name]
-	r.mu.Unlock()
-	if w == nil {
-		return 0, false
-	}
-	return w.LatestRate(), true
 }
 
 // Sample is one named scalar in a registry snapshot.
@@ -237,12 +148,9 @@ func (r *Registry) Snapshot() []Sample {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]Sample, 0, len(r.counters)+len(r.gauges)+len(r.gaugeFns)+len(r.windows)+len(r.latencies))
+	out := make([]Sample, 0, len(r.counters)+len(r.gaugeFns)+len(r.windows)+len(r.latencies))
 	for name, c := range r.counters {
 		out = append(out, Sample{Name: name, Kind: "counter", Value: c.Value()})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Sample{Name: name, Kind: "gauge", Value: g.Value()})
 	}
 	fns := make(map[string]func() int64, len(r.gaugeFns))
 	for name, fn := range r.gaugeFns {

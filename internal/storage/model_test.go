@@ -454,7 +454,7 @@ func TestPartitionMatchesModel(t *testing.T) {
 					frame[rng.Intn(n)] = invalidRecord(rng)
 					step += fmt.Sprintf(" (poisoned frame of %d)", n)
 					before := treeDump(t, p)
-					if err := p.InsertFrame(frame); !IsDataError(err) {
+					if err := p.InsertFrame(frame); !isDataError(err) {
 						t.Fatalf("%s: InsertFrame = %v, want a data error", step, err)
 					}
 					if after := treeDump(t, p); !bytes.Equal(before, after) {

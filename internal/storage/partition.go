@@ -47,10 +47,9 @@ type Partition struct {
 	// opened is set once every tree is: the secondaries' merge filters,
 	// which may run while their partition still opens, read primary only
 	// after it.
-	opened   atomic.Bool
-	inserted atomic.Int64
-	closed   atomic.Bool
-	frame    frameScratch // reusable InsertFrame state, guarded by mu
+	opened atomic.Bool
+	closed atomic.Bool
+	frame  frameScratch // reusable InsertFrame state, guarded by mu
 }
 
 // errPartitionClosed is what every operation on a closed partition returns.
@@ -256,9 +255,6 @@ func prefixHook(h lsm.FaultHook, prefix string) lsm.FaultHook {
 // Index reports this partition's index within the nodegroup.
 func (p *Partition) Index() int { return p.idx }
 
-// Dataset returns the partition's dataset declaration.
-func (p *Partition) Dataset() *Dataset { return p.ds }
-
 // InsertFrame is the partition's one write path: a frame of N >= 1
 // serialized records becomes one batched write per index. Every record is
 // validated and keyed straight from its bytes (no decode, no re-encode),
@@ -324,7 +320,6 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 			return err
 		}
 	}
-	p.inserted.Add(int64(len(recs)))
 	return nil
 }
 
@@ -458,12 +453,6 @@ func (p *Partition) Scan(fn func(rec *adm.Record) bool) error {
 func (p *Partition) Count() (int, error) {
 	n, err := p.primary.Len()
 	return n, p.readErr(err)
-}
-
-// Inserted reports the number of records written by successful InsertFrame
-// calls since open (a cheap counter; unlike Count it does not scan).
-func (p *Partition) Inserted() int64 {
-	return p.inserted.Load()
 }
 
 // liveEntry is the one rule that decides whether the entry key → pk of

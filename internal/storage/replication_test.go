@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"strings"
 	"testing"
 
 	"asterixfeeds/internal/adm"
@@ -131,21 +132,53 @@ func TestCompositePrimaryKey(t *testing.T) {
 	}
 }
 
-func TestDropPartitionRemovesAll(t *testing.T) {
-	ds := testDataset("A", "B")
-	ds.Replicated = true
-	m := NewManager("A", t.TempDir(), lsm.Options{})
-	defer m.Close()
-	if _, err := m.OpenPartition(ds); err != nil {
+// TestOpenPartitionsReopensEveryRef: a node's partitions of two datasets,
+// one of them replicated (node A holds its partition 0 and the replica of
+// partition 1), are written, the manager closes, and a new manager reopens
+// them on two workers. Each partition comes back from its own directory
+// with its records; a bad ref is reported while the others still open.
+func TestOpenPartitionsReopensEveryRef(t *testing.T) {
+	dir := t.TempDir()
+	plain := testDataset("A", "B")
+	plain.Name = "Plain"
+	replicated := testDataset("A", "B")
+	replicated.Name = "Replicated"
+	replicated.Replicated = true
+	refs := []PartitionRef{
+		{Dataset: plain, Idx: 0},
+		{Dataset: replicated, Idx: 0},
+		{Dataset: replicated, Idx: 1, Replica: true},
+	}
+	want := []int{3, 4, 5}
+
+	m := NewManager("A", dir, lsm.Options{})
+	for i, ref := range refs {
+		p, err := m.OpenPartitionIdx(ref.Dataset, ref.Idx, ref.Replica)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.InsertFrame(frameOf(100*i, want[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.OpenPartitionIdx(ds, 1, true); err != nil {
-		t.Fatal(err)
+
+	re := NewManager("A", dir, lsm.Options{})
+	defer re.Close()
+	bad := PartitionRef{Dataset: plain, Idx: 7}
+	err := re.OpenPartitions(append([]PartitionRef{bad}, refs...), 2)
+	if err == nil || !strings.Contains(err.Error(), "partition 7") {
+		t.Fatalf("OpenPartitions with a bad ref = %v, want its error", err)
 	}
-	if err := m.DropPartition(ds.QualifiedName()); err != nil {
-		t.Fatal(err)
-	}
-	if m.PartitionIdx(ds.QualifiedName(), 0) != nil || m.PartitionIdx(ds.QualifiedName(), 1) != nil {
-		t.Fatal("DropPartition left partitions behind")
+	for i, ref := range refs {
+		p := re.PartitionIdx(ref.Dataset.QualifiedName(), ref.Idx)
+		if p == nil {
+			t.Fatalf("%s partition %d (replica %v) was not reopened", ref.Dataset.Name, ref.Idx, ref.Replica)
+		}
+		if n, err := p.Count(); err != nil || n != want[i] {
+			t.Fatalf("%s partition %d (replica %v) holds %d records (%v), want %d", ref.Dataset.Name, ref.Idx, ref.Replica, n, err, want[i])
+		}
 	}
 }

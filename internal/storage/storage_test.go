@@ -240,9 +240,6 @@ func TestScanOrderAndCount(t *testing.T) {
 	if n, _ := p.Count(); n != 30 {
 		t.Fatalf("Count = %d, want 30", n)
 	}
-	if p.Inserted() != 30 {
-		t.Fatalf("Inserted = %d, want 30", p.Inserted())
-	}
 }
 
 func TestPartitionOfIsStableAndInRange(t *testing.T) {

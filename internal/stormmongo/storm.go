@@ -255,10 +255,6 @@ func (t *Topology) Stats() (emitted, acked, failed int64) {
 	return t.emitted.Load(), t.acked.Load(), t.failed.Load()
 }
 
-// Done is closed when the topology has fully drained after the spout
-// exhausted (or Stop).
-func (t *Topology) Done() <-chan struct{} { return t.done }
-
 // Wait blocks until the topology drains or the timeout passes.
 func (t *Topology) Wait(timeout time.Duration) error {
 	select {

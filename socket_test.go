@@ -211,13 +211,15 @@ func TestSocketAdaptorSoftFailsBadLines(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := v.(*adm.Record)
-		id, _ := adm.AsString(rec.FieldOr("id", adm.Null{}))
+		idv, _ := rec.Field("id")
+		id, _ := adm.AsString(idv)
 		want[id] = rec
 	}
 	stored := 0
 	err = inst.ScanDataset("Tweets", func(rec *adm.Record) bool {
 		stored++
-		id, _ := adm.AsString(rec.FieldOr("id", adm.Null{}))
+		idv, _ := rec.Field("id")
+		id, _ := adm.AsString(idv)
 		if w, ok := want[id]; !ok {
 			t.Errorf("stored a record no good line carried: %s", rec)
 		} else if !adm.Equal(rec, w) {
@@ -321,7 +323,8 @@ func TestSocketAdaptorUpsertsWherePartitionOfPlaced(t *testing.T) {
 		where = map[string][]int{}
 		for i := range ds.NodeGroup {
 			err := partition(i).Scan(func(rec *adm.Record) bool {
-				id, _ := adm.AsString(rec.FieldOr("id", adm.Null{}))
+				idv, _ := rec.Field("id")
+				id, _ := adm.AsString(idv)
 				where[id] = append(where[id], i)
 				if _, ok := rec.Field("version"); ok {
 					upserted++

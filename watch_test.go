@@ -7,7 +7,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -64,8 +67,12 @@ func TestAdminEndpointsDuringLiveFeed(t *testing.T) {
 	if v, ok := reg.Value("feed." + a.Connection + ".persisted"); !ok || v < a.PersistedTotal {
 		t.Fatalf("registry persisted = %d,%v, want >= /feeds total %d", v, ok, a.PersistedTotal)
 	}
-	if _, ok := reg.Rate("feed." + a.Connection + ".persisted"); !ok {
-		t.Fatal("registry has no persisted rate for the live connection")
+	window := false
+	for _, s := range reg.Snapshot() {
+		window = window || s.Name == "feed."+a.Connection+".persisted" && s.Kind == "window"
+	}
+	if !window {
+		t.Fatal("registry has no persisted window (and so no rate) for the live connection")
 	}
 
 	// /metrics: Prometheus text with feed series and node-level LSM/frame
@@ -196,5 +203,37 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 		if !live[name] {
 			t.Errorf("docs/METRICS.md documents %q, which no live instance registers", name)
 		}
+	}
+}
+
+// TestShowFeedsMatchesFeedActivity: a `show feeds` row carries every key of
+// FeedActivity's JSON, so the AQL verb and /feeds show the same fields. The
+// stated exceptions: the per-partition breakdown and the elastic-event log
+// are left out, and the latency pair is shown in milliseconds.
+func TestShowFeedsMatchesFeedActivity(t *testing.T) {
+	renamed := map[string]string{"latencyP50Ns": "latencyP50Ms", "latencyP99Ns": "latencyP99Ms"}
+	left := map[string]bool{"partitions": true, "elasticEvents": true}
+	var want []string
+	typ := reflect.TypeOf(core.FeedActivity{})
+	for i := 0; i < typ.NumField(); i++ {
+		key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if left[key] {
+			continue
+		}
+		if to, ok := renamed[key]; ok {
+			key = to
+		}
+		want = append(want, key)
+	}
+	rec := feedActivityRecord(core.FeedActivity{Error: "shown only when set"})
+	var got []string
+	for i := 0; i < rec.NumFields(); i++ {
+		name, _ := rec.FieldAt(i)
+		got = append(got, name)
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("show feeds fields %v\nFeedActivity keys %v", got, want)
 	}
 }
