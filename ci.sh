@@ -92,11 +92,18 @@ if [ "${1:-}" = "-race" ]; then
 	# The store stage's one call per frame: refusals as soft failures in
 	# frame order, their acks beside the survivors' one insert.
 	go test -race -count=20 -run 'StoreRefusal' ./internal/core/
+	# One buffer per frame: the collect sink and the compute stage stage
+	# records in a scratch they reuse and cut each frame from one copy, and
+	# an indexed store keeps a frame's primary keys in one allocation. A
+	# frame still aliasing a scratch is a race the detector sees.
+	go test -race -count=20 -run 'BatchingSink|EmitEncoded|AssignFrameAllocs|AppendEncoded|SocketAdaptorFlushesOnPause' ./internal/core/
+	go test -race -count=20 -run 'FrameAppender' ./internal/hyracks/
+	go test -race -short -count=20 -run 'FrameScratchAddAllocs|InsertFrameAllocs' ./internal/storage/
 	# End-to-end replication and restart tests: the promotion/resync and
 	# recovery paths are the most concurrency-sensitive in the stack. The
-	# socket and file adaptors ride along: they hand the pipeline copies out
-	# of a scanner's buffer and a reused scratch, and a record still aliasing
-	# either is a race the detector sees.
+	# socket and file adaptors ride along: each transcodes a line into a
+	# scratch it reuses and the sink copies it into the frame, so a record
+	# still aliasing that scratch is a race the detector sees.
 	go test -race -short -run '(?i)replicat|Restart|FeedMaintains|SocketAdaptor|FileFeed' .
 	# The two process-kill tests: a child acks writes at SyncWAL 0 and is
 	# sent SIGKILL; a reopen must find every acked record. Five times each,

@@ -161,13 +161,16 @@ func DecodeOne(buf []byte) (Value, error) {
 }
 
 // build is the value buf holds, bytes SkipValue accepted whose records,
-// fields and items z counted.
+// fields, items and strings z counted. A value with no string and no field
+// name has nothing to cut from a copy of its bytes, so it makes none.
 func build(buf []byte, z *sizes) Value {
 	b := builder{
-		s:       string(buf),
 		records: make([]Record, z.records),
 		fields:  make([]field, z.fields),
 		items:   make([]Value, z.items),
+	}
+	if z.strings > 0 {
+		b.s = string(buf)
 	}
 	v, _ := b.value(buf, 0)
 	return v

@@ -13,7 +13,7 @@ import (
 // field goes last and the count is rewritten. Like Decode, it ignores bytes
 // after the record. It fails, with dst unchanged, exactly when Decode fails —
 // with Decode's error — or decodes something other than a record; rec is
-// never modified.
+// never modified, and may lie in dst's array below len(dst).
 //
 // SkipValue checks rec, so its bytes are the ones AppendValue writes;
 // ScanRecordFields finds the field, and the output is spliced from rec's own
@@ -52,13 +52,15 @@ func AppendWithField(dst, rec []byte, name string, encValue []byte) ([]byte, err
 }
 
 // grow returns dst with room for n more bytes, in one allocation when it
-// must reallocate. (slices.Grow takes two under the race detector, which
-// turns off the compiler's append-of-make rewrite.)
+// must reallocate: exactly n for an empty dst, and at least twice its
+// capacity otherwise, as append grows, so a reused scratch stops growing.
+// (slices.Grow takes two under the race detector, which turns off the
+// compiler's append-of-make rewrite.)
 func grow(dst []byte, n int) []byte {
 	if cap(dst)-len(dst) >= n {
 		return dst
 	}
-	out := make([]byte, len(dst), len(dst)+n)
+	out := make([]byte, len(dst), max(len(dst)+n, 2*cap(dst)))
 	copy(out, dst)
 	return out
 }

@@ -23,8 +23,10 @@ func SkipValue(buf []byte) (int, error) {
 }
 
 // sizes counts what Decode cuts from its slabs: the records of a value, and
-// the fields and list items in all of them.
-type sizes struct{ records, fields, items int }
+// the fields and list items in all of them; and the strings and field names,
+// which it cuts from one copy of the value's bytes, made only when there are
+// any.
+type sizes struct{ records, fields, items, strings int }
 
 // skip is SkipValue applying the rules of t, when t is not nil, in the same
 // descent: typeErr is t.Validate's verdict on the value, and counts only
@@ -81,6 +83,9 @@ func skip(buf []byte, t Type, z *sizes) (n int, err, typeErr error) {
 		pos += n
 		if uint64(len(buf)-pos) < ln {
 			return 0, errTruncated(tag), nil
+		}
+		if z != nil {
+			z.strings++
 		}
 		return pos + int(ln), nil, nil
 	case TagOrderedList, TagUnorderedList:
@@ -170,6 +175,7 @@ func scanRecord(buf []byte, r *RecordType, fn func(name, encValue []byte) bool, 
 	if z != nil {
 		z.records++
 		z.fields += int(cnt)
+		z.strings += int(cnt)
 	}
 	var names [16][]byte
 	var wide map[string]struct{}

@@ -86,6 +86,31 @@ func TestDecodeOneTweetGenAllocs(t *testing.T) {
 	}
 }
 
+// TestDecodeOneScalarAllocs: a value with no string and no field name cuts
+// nothing from a copy of its bytes, so decoding it makes no copy — only the
+// box a scalar needs, or a list's slab and its items' boxes.
+func TestDecodeOneScalarAllocs(t *testing.T) {
+	for _, c := range []struct {
+		v    adm.Value
+		want float64
+	}{
+		{adm.Int64(1 << 40), 1},
+		{adm.Double(0.25), 1},
+		{adm.Point{X: 1, Y: 2}, 1},
+		{&adm.OrderedList{Items: []adm.Value{adm.Int64(1 << 40), adm.Double(0.5)}}, 4},
+		{adm.String("s"), 2},
+	} {
+		enc := adm.Encode(c.v)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := adm.DecodeOne(enc); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != c.want {
+			t.Errorf("DecodeOne(%v) allocates %.0f times, want %.0f", c.v, allocs, c.want)
+		}
+	}
+}
+
 // BenchmarkTweetGenWalks times each walk of a TweetGen record's bytes: the
 // check alone, the hash of the stored key path, and the two decodes.
 func BenchmarkTweetGenWalks(b *testing.B) {

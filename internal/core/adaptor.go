@@ -23,10 +23,8 @@ type RecordSink interface {
 	// EmitEncoded(adm.Encode(rec)).
 	Emit(rec *adm.Record) error
 	// EmitEncoded delivers one record in its binary encoding (adm.Encode,
-	// adm.Transcode). Ownership of enc passes to the sink: the slice is the
-	// record from here on, carried by frames and retained by whoever keeps
-	// one, so the caller must not touch it again and must not hand over
-	// bytes that alias a buffer it reuses.
+	// adm.Transcode). The sink copies: enc is the caller's again once the
+	// call returns, so an adaptor may hand over a buffer it reuses.
 	EmitEncoded(enc []byte) error
 	// Flush sends on at once the records emitted so far instead of holding
 	// them for a fuller frame. An adaptor calls it when it sees its source
@@ -102,23 +100,23 @@ func (r *AdaptorRegistry) Lookup(alias string) (AdaptorFactory, bool) {
 const maxLineBytes = 1 << 22
 
 // lineTranscoder turns text lines into encoded records through one scratch
-// buffer reused across lines, so a line costs one allocation: the record.
+// buffer reused across lines, so a line allocates nothing: the sink copies
+// the record into its frame.
 type lineTranscoder struct {
 	scratch []byte
 }
 
 // record returns the binary encoding of the ADM record on line, or nil when
 // the line is empty, malformed or not a record (a soft failure: the adaptor
-// skips it). The result is an exact-size copy the caller owns; it aliases
-// neither line — a scanner's buffer, valid only until the next Scan — nor
-// the scratch, which the next line overwrites.
+// skips it). The result is the transcoder's scratch, valid until the next
+// call: hand it to RecordSink.EmitEncoded, which copies it.
 func (t *lineTranscoder) record(line []byte) []byte {
 	out, err := adm.Transcode(t.scratch[:0], line)
 	if err != nil || adm.TypeTag(out[0]) != adm.TagRecord {
 		return nil
 	}
 	t.scratch = out
-	return append([]byte(nil), out...)
+	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"testing"
 	"time"
+	"unsafe"
 
+	"asterixfeeds/internal/adm"
 	"asterixfeeds/internal/hyracks"
 )
 
@@ -123,19 +126,102 @@ func TestSocketAdaptorFlushesOnPause(t *testing.T) {
 	<-srvDone
 }
 
-// TestBatchingSinkSizesFrameFromLast: the frame after a flushed one has room
-// for twice its records, capped at the sink's frame capacity.
-func TestBatchingSinkSizesFrameFromLast(t *testing.T) {
+// TestBatchingSinkCutsExactFrames: each frame that leaves holds exactly its
+// records, back to back in one buffer of exactly their bytes, whatever the
+// frame before it held.
+func TestBatchingSinkCutsExactFrames(t *testing.T) {
 	j := newJoint("feeds.F", 0)
+	sub, err := j.Subscribe("c1", &Policy{MemoryBudgetRecords: 1000}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	sink := newBatchingSink(j, 16, time.Hour, nil)
 	defer sink.stop()
-	for _, c := range []struct{ emit, wantCap int }{{3, 6}, {1, 2}, {9, 16}, {16, 16}} {
-		for i := 0; i < c.emit; i++ {
-			sink.EmitEncoded([]byte{byte(i)})
+	for _, emit := range []int{3, 1, 9, 16} {
+		for i := 0; i < emit; i++ {
+			sink.EmitEncoded(bytes.Repeat([]byte{byte(emit)}, 1+i%3))
 		}
-		sink.Flush()
-		if got := cap(sink.buf.Records); got != c.wantCap {
-			t.Fatalf("after a %d-record frame the next has %d slots, want %d", c.emit, got, c.wantCap)
+		sink.Flush() // a 16-record frame has already left full
+		f, ok := sub.Next(nil)
+		if !ok || f.Len() != emit || cap(f.Records) != emit {
+			t.Fatalf("a %d-record frame left as %d records in %d slots", emit, f.Len(), cap(f.Records))
+		}
+		for i, rec := range f.Records {
+			if !bytes.Equal(rec, bytes.Repeat([]byte{byte(emit)}, 1+i%3)) || cap(rec) != len(rec) {
+				t.Fatalf("record %d of a %d-record frame is %x (cap %d)", i, emit, rec, cap(rec))
+			}
+			if i == 0 {
+				continue
+			}
+			prev := f.Records[i-1]
+			if unsafe.Pointer(unsafe.SliceData(rec)) != unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), len(prev)) {
+				t.Fatalf("record %d of a %d-record frame does not follow record %d in its buffer", i, emit, i-1)
+			}
+		}
+	}
+}
+
+// TestEmitEncodedCopiesTheCallersBytes: the sink copies, so an adaptor that
+// overwrites its buffer right after EmitEncoded leaves the frame unchanged.
+func TestEmitEncodedCopiesTheCallersBytes(t *testing.T) {
+	j := newJoint("feeds.F", 0)
+	sub, err := j.Subscribe("c1", &Policy{MemoryBudgetRecords: 1000}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := newBatchingSink(j, 4, time.Hour, nil)
+	defer sink.stop()
+	scratch := make([]byte, 3)
+	for i := 0; i < 4; i++ {
+		copy(scratch, []byte{byte(i), byte(i), byte(i)})
+		sink.EmitEncoded(scratch)
+		copy(scratch, "!!!")
+	}
+	f, ok := sub.Next(nil)
+	if !ok || f.Len() != 4 {
+		t.Fatal("the full frame did not leave")
+	}
+	for i, rec := range f.Records {
+		if !bytes.Equal(rec, []byte{byte(i), byte(i), byte(i)}) {
+			t.Fatalf("record %d reads %q after the caller reused its buffer", i, rec)
+		}
+	}
+}
+
+// TestBatchingSinkFrameAllocs: a full 128-record frame through the sink —
+// as encoded bytes or as values encoded in place — and out of a subscription
+// costs three allocations whatever its records: the frame, its record slice
+// and its bytes.
+func TestBatchingSinkFrameAllocs(t *testing.T) {
+	const perFrame = 128
+	j := newJoint("feeds.F", 0)
+	sub, err := j.Subscribe("c1", &Policy{MemoryBudgetRecords: 1000}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := newBatchingSink(j, perFrame, time.Hour, nil)
+	defer sink.stop()
+	recs := make([]*adm.Record, perFrame)
+	encs := make([][]byte, perFrame)
+	for i := range recs {
+		recs[i] = tweet(i, 0, "hello #world from #go")
+		encs[i] = adm.Encode(recs[i])
+	}
+	for name, emit := range map[string]func(i int){
+		"EmitEncoded": func(i int) { sink.EmitEncoded(encs[i]) },
+		"Emit":        func(i int) { sink.Emit(recs[i]) },
+	} {
+		frame := func() {
+			for i := range recs {
+				emit(i)
+			}
+			if f, ok := sub.Next(nil); !ok || f.Len() != perFrame {
+				t.Fatal("the full frame did not leave")
+			}
+		}
+		frame() // warm: the scratch grows to a frame's bytes
+		if n := testing.AllocsPerRun(20, frame); n != 3 {
+			t.Errorf("%s: a %d-record frame allocates %.1f times, want 3", name, perFrame, n)
 		}
 	}
 }

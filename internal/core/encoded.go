@@ -9,7 +9,7 @@ import (
 	"asterixfeeds/internal/adm"
 )
 
-// The built-in UDFs' ApplyEncoded halves read message_text in place and
+// The built-in UDFs' AppendEncoded halves read message_text in place and
 // compute their field's encoding from its bytes. Each mirrors the string
 // code of its Apply exactly — FuzzBuiltinsEncoded and
 // TestBuiltinsEncodedOnTweetGenPool compare the two.

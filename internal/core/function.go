@@ -34,32 +34,35 @@ type FrameCoster interface {
 }
 
 // EncodedRecordFunction is optionally implemented by RecordFunctions that
-// can run on a record's encoding. The compute stage then calls ApplyEncoded
-// instead of decode → Apply → encode. ApplyEncoded(rec) returns exactly what
-// that round trip returns for rec (applyDecoded): the same bytes, nil when
-// Apply filters the record out, Apply's error word for word — or the
-// decoder's, when rec does not decode to a record. It never modifies rec, and
-// its result is a fresh allocation, one per output record.
+// can run on a record's encoding. The compute stage then calls AppendEncoded
+// instead of decode → Apply → encode. AppendEncoded(dst, rec) appends to dst
+// exactly what that round trip appends for rec (appendDecoded): the same
+// bytes, nothing when Apply filters the record out, Apply's error word for
+// word — or the decoder's, when rec does not decode to a record — with dst
+// returned as it was passed. It never modifies rec, which may lie in dst's
+// array below len(dst), and allocates only to grow dst: the compute stage
+// passes the scratch of the frame it is building, so the output costs one
+// allocation per frame, not one per record.
 type EncodedRecordFunction interface {
-	ApplyEncoded(rec []byte) ([]byte, error)
+	AppendEncoded(dst, rec []byte) ([]byte, error)
 }
 
-// applyDecoded is the compute stage's path for a RecordFunction without
-// ApplyEncoded, and the specification ApplyEncoded is held to.
-func applyDecoded(fn RecordFunction, rec []byte) ([]byte, error) {
+// appendDecoded is the compute stage's path for a RecordFunction without
+// AppendEncoded, and the specification AppendEncoded is held to.
+func appendDecoded(dst []byte, fn RecordFunction, rec []byte) ([]byte, error) {
 	v, _, err := adm.Decode(rec)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	in, ok := v.(*adm.Record)
 	if !ok {
-		return nil, fmt.Errorf("assign: value is %s, want record", v.Tag())
+		return dst, fmt.Errorf("assign: value is %s, want record", v.Tag())
 	}
 	res, err := fn.Apply(in)
 	if err != nil || res == nil {
-		return nil, err
+		return dst, err
 	}
-	return adm.Encode(res), nil
+	return adm.AppendValue(dst, res), nil
 }
 
 // FuncRecordFunction adapts a closure to RecordFunction.
@@ -111,22 +114,27 @@ type composed struct {
 	fns  []RecordFunction
 }
 
-// encodedComposed is a chain whose every stage has ApplyEncoded: the record
-// stays encoded from one stage to the next.
+// encodedComposed is a chain whose every stage has AppendEncoded: the record
+// stays encoded from one stage to the next. Each stage appends its output
+// after the last one's in dst, and the final output moves down to where the
+// chain began, so a chain allocates only to grow dst.
 type encodedComposed struct {
 	*composed
 	encs []EncodedRecordFunction
 }
 
-func (c *encodedComposed) ApplyEncoded(rec []byte) ([]byte, error) {
+func (c *encodedComposed) AppendEncoded(dst, rec []byte) ([]byte, error) {
+	start := len(dst)
 	for _, f := range c.encs {
-		out, err := f.ApplyEncoded(rec)
-		if err != nil || out == nil {
-			return nil, err
+		at := len(dst)
+		out, err := f.AppendEncoded(dst, rec)
+		if err != nil || len(out) == at {
+			return out[:start], err
 		}
-		rec = out
+		dst, rec = out, out[at:]
 	}
-	return rec, nil
+	n := copy(dst[start:], rec)
+	return dst[:start+n], nil
 }
 
 func (c *composed) Name() string { return c.name }
@@ -215,17 +223,17 @@ func AddHashTags() RecordFunction {
 
 type hashTagsFunc struct{ FuncRecordFunction }
 
-// ApplyEncoded implements EncodedRecordFunction.
-func (f *hashTagsFunc) ApplyEncoded(rec []byte) ([]byte, error) {
+// AppendEncoded implements EncodedRecordFunction.
+func (f *hashTagsFunc) AppendEncoded(dst, rec []byte) ([]byte, error) {
 	if text, ok := stringField(rec, "message_text"); ok {
 		var scratch [256]byte
-		if out, err := adm.AppendWithField(nil, rec, "topics", appendHashTags(scratch[:0], text)); err == nil {
+		if out, err := adm.AppendWithField(dst, rec, "topics", appendHashTags(scratch[:0], text)); err == nil {
 			return out, nil
 		}
 	}
 	// No string message_text, or bytes that do not decode: Apply's error
 	// or the decoder's, exactly.
-	return applyDecoded(f, rec)
+	return appendDecoded(dst, f, rec)
 }
 
 // The sentiment lexicon.
@@ -264,17 +272,17 @@ func SentimentAnalysis() RecordFunction {
 
 type sentimentFunc struct{ FuncRecordFunction }
 
-// ApplyEncoded implements EncodedRecordFunction.
-func (f *sentimentFunc) ApplyEncoded(rec []byte) ([]byte, error) {
+// AppendEncoded implements EncodedRecordFunction.
+func (f *sentimentFunc) AppendEncoded(dst, rec []byte) ([]byte, error) {
 	if text, ok := stringField(rec, "message_text"); ok {
 		var score [9]byte
 		score[0] = byte(adm.TagDouble)
 		binary.LittleEndian.PutUint64(score[1:], math.Float64bits(encodedSentiment(text)))
-		if out, err := adm.AppendWithField(nil, rec, "sentiment", score[:]); err == nil {
+		if out, err := adm.AppendWithField(dst, rec, "sentiment", score[:]); err == nil {
 			return out, nil
 		}
 	}
-	return applyDecoded(f, rec)
+	return appendDecoded(dst, f, rec)
 }
 
 // sentimentScore is the share of positive words among the lexicon's words in

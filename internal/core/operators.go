@@ -108,13 +108,14 @@ func (r *collectRuntime) frameCap() int {
 
 // batchingSink batches emitted records into frames and deposits them into a
 // joint. A frame leaves when it is full, when the adaptor calls Flush, or on
-// the flush tick. Each new frame is sized for twice the one that left, up to
-// cap, so a paced source's small frames do not each pay for cap slots.
+// the flush tick. Records are staged in one scratch buffer the sink reuses,
+// and a leaving frame takes them in exact-size allocations of its own
+// (hyracks.FrameAppender.Take): allocation is paid per frame, not per record.
 type batchingSink struct {
 	joint    *Joint
 	cap      int
 	mu       sync.Mutex
-	buf      *hyracks.Frame
+	buf      hyracks.FrameAppender
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	canceled <-chan struct{}
@@ -128,7 +129,6 @@ func newBatchingSink(joint *Joint, frameCap int, flushEvery time.Duration, cance
 	s := &batchingSink{
 		joint:    joint,
 		cap:      frameCap,
-		buf:      hyracks.NewFrame(frameCap),
 		stopCh:   make(chan struct{}),
 		canceled: canceled,
 	}
@@ -147,22 +147,31 @@ func newBatchingSink(joint *Joint, frameCap int, flushEvery time.Duration, cance
 	return s
 }
 
-// Emit implements RecordSink.
-func (s *batchingSink) Emit(rec *adm.Record) error { return s.EmitEncoded(adm.Encode(rec)) }
+// Emit implements RecordSink: rec is encoded straight into the frame being
+// batched.
+func (s *batchingSink) Emit(rec *adm.Record) error {
+	return s.emit(func(a *hyracks.FrameAppender) { a.Buf = adm.AppendValue(a.Buf, rec); a.End() })
+}
 
-// EmitEncoded implements RecordSink: enc joins the frame being batched as it
-// is, not copied.
+// EmitEncoded implements RecordSink: enc is copied into the frame being
+// batched.
 func (s *batchingSink) EmitEncoded(enc []byte) error {
+	return s.emit(func(a *hyracks.FrameAppender) { a.Append(enc) })
+}
+
+// emit stages one record with stage, under the sink's lock, and deposits the
+// frame if that filled it.
+func (s *batchingSink) emit(stage func(*hyracks.FrameAppender)) error {
 	select {
 	case <-s.canceled:
 		return fmt.Errorf("core: feed collect canceled")
 	default:
 	}
 	s.mu.Lock()
-	s.buf.Append(enc)
+	stage(&s.buf)
 	var out *hyracks.Frame
 	if s.buf.Len() >= s.cap {
-		out = s.takeLocked()
+		out = s.buf.Take()
 	}
 	s.mu.Unlock()
 	if out != nil {
@@ -176,20 +185,12 @@ func (s *batchingSink) Flush() {
 	s.mu.Lock()
 	var out *hyracks.Frame
 	if s.buf.Len() > 0 {
-		out = s.takeLocked()
+		out = s.buf.Take()
 	}
 	s.mu.Unlock()
 	if out != nil {
 		s.deposit(out)
 	}
-}
-
-// takeLocked returns the frame being batched, which holds at least one
-// record, and starts the next one with room for twice as many, up to cap.
-func (s *batchingSink) takeLocked() *hyracks.Frame {
-	out := s.buf
-	s.buf = hyracks.NewFrame(min(s.cap, 2*out.Len()))
-	return out
 }
 
 // deposit hands one batched frame to the joint, first passing the head
@@ -375,9 +376,9 @@ func (o *assignOp) CreateRuntime(ctx *hyracks.TaskContext, out hyracks.Writer) (
 	if err != nil {
 		return nil, err
 	}
-	apply := func(rec []byte) ([]byte, error) { return applyDecoded(o.fn, rec) }
+	apply := func(dst, rec []byte) ([]byte, error) { return appendDecoded(dst, o.fn, rec) }
 	if enc, ok := o.fn.(EncodedRecordFunction); ok {
-		apply = enc.ApplyEncoded
+		apply = enc.AppendEncoded
 	}
 	return &assignRuntime{
 		op:    o,
@@ -395,9 +396,12 @@ type assignRuntime struct {
 	out   hyracks.Writer
 	joint *Joint
 	mf    *metaFeed
-	// apply is the UDF over one encoded record: ApplyEncoded when the
-	// function has it, decode → Apply → encode otherwise.
-	apply func(rec []byte) ([]byte, error)
+	// apply appends the UDF's output for one encoded record to dst:
+	// AppendEncoded when the function has it, decode → Apply → AppendValue
+	// otherwise.
+	apply func(dst, rec []byte) ([]byte, error)
+	// buf stages the output frame's records; it is reused across frames.
+	buf hyracks.FrameAppender
 }
 
 func (r *assignRuntime) Open() error { return r.out.Open() }
@@ -412,34 +416,35 @@ func (r *assignRuntime) NextFrame(f *hyracks.Frame) error {
 			}
 		}
 	}
-	out := hyracks.NewFrame(f.Len())
 	tracked := len(f.IDs) > 0
 	var ids, terminated []uint64 // ids of the records passed on / ended here
 	if tracked {
 		ids = make([]uint64, 0, f.Len())
 	}
 	for i, rec := range f.Records {
-		var produced []byte
+		at := len(r.buf.Buf)
 		skipped, fatal := r.mf.guard(rec, func() (err error) {
-			produced, err = r.apply(rec)
+			r.buf.Buf, err = r.apply(r.buf.Buf, rec)
 			return err
 		})
 		if fatal != nil {
+			r.buf.Reset()
 			return fatal
 		}
 		if skipped {
 			r.op.conn.Metrics.SoftFailures.Add(1)
 		}
-		if produced == nil {
+		if skipped || len(r.buf.Buf) == at {
 			// Soft-failed, or filtered out by the UDF: the record never
 			// reaches the store, so its ack comes from here — at-least-once
 			// covers loss, not unprocessable input.
+			r.buf.Buf = r.buf.Buf[:at]
 			if tracked {
 				terminated = append(terminated, f.IDs[i])
 			}
 			continue
 		}
-		out.Append(produced)
+		r.buf.End()
 		if tracked {
 			ids = append(ids, f.IDs[i])
 		}
@@ -447,9 +452,10 @@ func (r *assignRuntime) NextFrame(f *hyracks.Frame) error {
 	if len(terminated) > 0 {
 		r.op.conn.tracker.ack(terminated)
 	}
-	if out.Len() == 0 {
+	if r.buf.Len() == 0 {
 		return nil
 	}
+	out := r.buf.Take()
 	if r.op.last {
 		r.op.conn.Metrics.Computed.Add(int64(out.Len()))
 	}

@@ -34,9 +34,9 @@ func TestBuiltinsEncodedOnTweetGenPool(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s.Apply(%s): %v", fn.Name(), rec, err)
 				}
-				got, err := fn.(core.EncodedRecordFunction).ApplyEncoded(enc)
+				got, err := fn.(core.EncodedRecordFunction).AppendEncoded(nil, enc)
 				if err != nil || !bytes.Equal(got, adm.Encode(want)) {
-					t.Fatalf("%s on %s:\nApplyEncoded %x, %v\nwant         %x", fn.Name(), rec, got, err, adm.Encode(want))
+					t.Fatalf("%s on %s:\nAppendEncoded %x, %v\nwant          %x", fn.Name(), rec, got, err, adm.Encode(want))
 				}
 			}
 		}

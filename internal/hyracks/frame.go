@@ -43,6 +43,67 @@ func (f *Frame) Bytes() int {
 	return n
 }
 
+// FrameAppender stages the records of one frame back to back in a scratch
+// buffer it reuses, as Hyracks' frame tuple appender serializes tuples into a
+// frame's bytes. Take hands out the staged records in exact-size
+// allocations and starts the next frame in the same scratch, so a stage pays
+// for allocation once per frame, not once per record, and no buffer ever
+// holds the records of two frames: a retained record pins only its own
+// frame's bytes, which Frame.Bytes counts.
+type FrameAppender struct {
+	// Buf holds the staged records. A stage appends one record's bytes to
+	// it and then calls End; bytes appended since the last End that should
+	// not be a record are cut off with Buf = Buf[:n].
+	Buf  []byte
+	ends []int // ends[i] is where staged record i ends in Buf
+}
+
+// End closes the record appended to Buf since the last End.
+func (a *FrameAppender) End() { a.ends = append(a.ends, len(a.Buf)) }
+
+// Append stages a copy of rec as the next record.
+func (a *FrameAppender) Append(rec []byte) {
+	a.Buf = append(a.Buf, rec...)
+	a.End()
+}
+
+// Len reports the number of records staged.
+func (a *FrameAppender) Len() int { return len(a.ends) }
+
+// smallObjectBytes is the Go runtime's largest size class. A larger
+// allocation is rounded up to whole 8 KiB pages: a full frame of 128
+// flood-sized records (≈ 50 KiB) in one buffer wasted more than the
+// per-record copies it replaced.
+const smallObjectBytes = 32 << 10
+
+// Take returns a frame of the staged records, copied into allocations of
+// exactly their size — one when the frame's bytes fit smallObjectBytes, else
+// as few as whole records allow — and cut from them with full slice
+// expressions, so appending to one record never writes into the next. The
+// scratch is kept for the next frame.
+func (a *FrameAppender) Take() *Frame {
+	f := &Frame{Records: make([][]byte, len(a.ends))}
+	for i, start := 0, 0; i < len(a.ends); {
+		// One piece: record i and those after it that fit with it.
+		j := i + 1
+		for j < len(a.ends) && a.ends[j]-start <= smallObjectBytes {
+			j++
+		}
+		piece := make([]byte, a.ends[j-1]-start)
+		copy(piece, a.Buf[start:])
+		for base := start; i < j; i++ {
+			end := a.ends[i]
+			f.Records[i] = piece[start-base : end-base : end-base]
+			start = end
+		}
+	}
+	a.Reset()
+	return f
+}
+
+// Reset drops the staged records, keeping the scratch.
+func (a *FrameAppender) Reset() { a.Buf, a.ends = a.Buf[:0], a.ends[:0] }
+
 // Writer is the push-based dataflow interface between operator tasks,
 // mirroring Hyracks' IFrameWriter. A producer calls Open once, NextFrame any
 // number of times, and then exactly one of Close (graceful end of stream) or

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func testConfig() Config {
@@ -715,6 +716,71 @@ func TestFrameHelpers(t *testing.T) {
 	f.IDs = []uint64{10, 11}
 	if f.Bytes() != 3+2*8 {
 		t.Fatalf("tracked Bytes = %d, want records + 8 per id", f.Bytes())
+	}
+}
+
+// TestFrameAppenderCutsRecords: Take cuts each record from the frame's one
+// buffer with its capacity bounded, so appending to record i — as a stage
+// that adds a field might — leaves record i+1 unchanged; and the scratch
+// Take leaves behind holds nothing of the frame it handed out.
+func TestFrameAppenderCutsRecords(t *testing.T) {
+	var a FrameAppender
+	a.Append([]byte("first"))
+	a.Buf = append(a.Buf, "second"...)
+	a.End()
+	a.Append([]byte("third"))
+	f := a.Take()
+	if a.Len() != 0 || len(a.Buf) != 0 {
+		t.Fatalf("after Take the appender holds %d records, %d bytes", a.Len(), len(a.Buf))
+	}
+	if f.Len() != 3 || f.Bytes() != len("firstsecondthird") {
+		t.Fatalf("Take = %d records, %d bytes", f.Len(), f.Bytes())
+	}
+	a.Append([]byte("next frame"))
+	for i := range f.Records[:2] {
+		f.Records[i] = append(f.Records[i], "!!!!!!"...)
+	}
+	for i, want := range []string{"first!!!!!!", "second!!!!!!", "third"} {
+		if string(f.Records[i]) != want {
+			t.Fatalf("record %d = %q after appends to the records before it, want %q", i, f.Records[i], want)
+		}
+	}
+}
+
+// TestFrameAppenderPiecesFitSizeClass: a frame whose bytes pass the
+// runtime's largest size class is cut into as few pieces of at most that
+// size as whole records allow; a record larger than it is a piece alone.
+func TestFrameAppenderPiecesFitSizeClass(t *testing.T) {
+	var a FrameAppender
+	var want [][]byte
+	for i, n := range []int{3000, 20000, 15000, 40000, 100, 32768, 1} {
+		rec := make([]byte, n)
+		rec[0], rec[n-1] = byte(i), byte(i)
+		want = append(want, rec)
+		a.Append(rec)
+	}
+	f := a.Take()
+	// Pieces: {3000, 20000}, {15000}, {40000}, {100}, {32768}, {1}.
+	pieces := 0
+	for i, rec := range f.Records {
+		if len(rec) != len(want[i]) || rec[0] != byte(i) || rec[len(rec)-1] != byte(i) || cap(rec) != len(rec) {
+			t.Fatalf("record %d: %d bytes, cap %d", i, len(rec), cap(rec))
+		}
+		prev := f.Records[max(i-1, 0)]
+		if i == 0 || unsafe.Pointer(unsafe.SliceData(rec)) != unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), len(prev)) {
+			pieces++
+		}
+	}
+	if pieces != 6 {
+		t.Fatalf("the frame was cut into %d pieces, want 6", pieces)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for _, rec := range want {
+			a.Append(rec)
+		}
+		a.Take()
+	}); n != 8 {
+		t.Fatalf("Take allocates %.0f times, want 8: the frame, its record slice and 6 pieces", n)
 	}
 }
 

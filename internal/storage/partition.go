@@ -140,27 +140,21 @@ func (fs *frameScratch) collect(name, enc []byte) {
 }
 
 // add validates rec as a record of ds, collecting its fields in the same
-// walk, and appends its keys to pks and skeys. The primary tree copies the
-// key, so on a dataset without indexes it is scratch. Every secondary entry
-// keeps its record's key as its value, so on an indexed dataset the key is
-// one exact-size allocation, shared by all of that record's entries.
+// walk, and appends its keys to pks and skeys, all built in the keys scratch.
+// The trees copy their keys, but every secondary entry keeps its record's
+// primary key as its value: on an indexed dataset, keepPrimaryKeys moves the
+// frame's primary keys out of the scratch once every record is added.
 func (fs *frameScratch) add(ds *Dataset, rec []byte) error {
 	fs.fields = fs.fields[:0]
 	if err := ds.Type.ValidateFields(rec, fs.collect); err != nil {
 		return err
 	}
-	var pk []byte
+	at := len(fs.keys)
 	var err error
-	if len(ds.Indexes) == 0 {
-		at := len(fs.keys)
-		fs.keys, err = appendPrimaryKey(fs.keys, ds, fs.fields)
-		pk = fs.keys[at:len(fs.keys):len(fs.keys)]
-	} else {
-		pk, err = appendPrimaryKey(nil, ds, fs.fields)
-	}
-	if err != nil {
+	if fs.keys, err = appendPrimaryKey(fs.keys, ds, fs.fields); err != nil {
 		return err
 	}
+	pk := fs.keys[at:len(fs.keys):len(fs.keys)]
 	fs.pks = append(fs.pks, pk)
 	for _, ix := range ds.Indexes {
 		skey, err := fs.secondaryKey(ix, findField(fs.fields, ix.Field), pk)
@@ -170,6 +164,23 @@ func (fs *frameScratch) add(ds *Dataset, rec []byte) error {
 		fs.skeys = append(fs.skeys, skey)
 	}
 	return nil
+}
+
+// keepPrimaryKeys copies the frame's primary keys into one allocation of
+// exactly their size, cut with full slice expressions, for the secondary
+// entries to keep as their values: one allocation per frame, holding that
+// frame's keys and no other's.
+func (fs *frameScratch) keepPrimaryKeys() {
+	n := 0
+	for _, pk := range fs.pks {
+		n += len(pk)
+	}
+	kept := make([]byte, 0, n)
+	for i, pk := range fs.pks {
+		at := len(kept)
+		kept = append(kept, pk...)
+		fs.pks[i] = kept[at:len(kept):len(kept)]
+	}
 }
 
 // openPartition opens (creating if needed) partition idx of ds under dir.
@@ -294,6 +305,9 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 	}
 	if refused != nil {
 		return &DataError{Refused: refused}
+	}
+	if len(p.ds.Indexes) > 0 {
+		fs.keepPrimaryKeys()
 	}
 
 	// Phase B: build one batch per tree and apply them.
